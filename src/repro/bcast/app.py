@@ -81,6 +81,22 @@ class Application:
         """
         raise NotImplementedError
 
+    def carried(self, request: Request) -> int:
+        """How many application messages ``request`` carries (default 1).
+
+        The replica charges ``execute_per_msg`` once per carried message;
+        everything else is per request.  Must not raise on any command.
+        """
+        return 1
+
+    def end_batch(self, ctx: ExecutionContext) -> None:
+        """Called once after the last :meth:`execute` of a decided batch.
+
+        Runs before the batch's checkpoint (if one is due), so output an
+        application accumulates across a batch never has to be part of its
+        snapshot.  Default: nothing.
+        """
+
 
 class EchoApplication(Application):
     """Trivial service replying with its own command — used by tests/benches."""

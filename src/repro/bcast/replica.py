@@ -815,6 +815,9 @@ class Replica(Actor):
             self.pool.prune_ordered(self.log.tracker)
             costs = self.config.costs
             cost = (costs.execute_per_msg + costs.reply_per_msg) * len(ordered)
+            # Execution is per carried message, everything else per request.
+            carried = sum(self.app.carried(request) for request in ordered)
+            cost += costs.execute_per_msg * (carried - len(ordered))
             # The FIFO tracker and the view advance synchronously (above)
             # while application execution is CPU-deferred, so a checkpoint's
             # tracker/view must be captured *here* — at the cursor — or a
@@ -851,6 +854,7 @@ class Replica(Actor):
                 reply = Reply(self.group_id, self.name, request.sender, request.seq, result)
                 self._last_reply[request.sender] = reply
                 self._send_reply(request, reply)
+        self.app.end_batch(ctx)
         if cid > self._applied_cid:
             self._applied_cid = cid
         if checkpoint_boundary is not None:
@@ -1341,6 +1345,7 @@ class Replica(Actor):
                 self._send_reply(request, reply)
             self.monitor.record(self.name, "replica.executed_catchup",
                                 sender=request.sender, seq=request.seq)
+        self.app.end_batch(ctx)
         self.pool.prune_ordered(self.log.tracker)
         if cid > self._applied_cid:
             self._applied_cid = cid

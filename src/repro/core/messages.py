@@ -1,8 +1,9 @@
 """Application-level wire messages of ByzCast.
 
-A multicast travels the tree as a :class:`WireMulticast` — the command
-carried inside the :class:`~repro.bcast.messages.Request` of each group's
-atomic broadcast.  It is signed once, by the originating client, over the
+A multicast travels the tree as a :class:`WireMulticast`: the command of
+the client's :class:`~repro.bcast.messages.Request` at the group where it
+enters, and an element of a :class:`RelayBatch` command on every hop below.
+It is signed once, by the originating client, over the
 message identity + destinations + payload; every group at which the message
 *enters* the tree (its lca) verifies this signature, so a Byzantine server
 cannot fabricate multicasts on behalf of clients (Integrity, §II-B).
@@ -78,6 +79,21 @@ class WireMulticast:
             cached = (self.sender, self.seq, self.dst, self.payload)
             object.__setattr__(self, "_identity", cached)
         return cached
+
+
+@dataclass(frozen=True)
+class RelayBatch:
+    """What one replica relays into one child group for one executed batch.
+
+    The only form a relay takes (a single message is a batch of one): the
+    parent replica acts on a whole decided batch in one job, so everything
+    it forwards to one child travels as one ordered request.  ``wires`` is
+    in act order; the child pushes them into its quorum merge one by one,
+    so where a sender cuts its sequence into batches carries no meaning
+    (docs/PROTOCOL.md §3.2).
+    """
+
+    wires: Tuple[WireMulticast, ...]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ Algorithm 1, whether the message
 
 * entered the tree here (``k = 0``: the sender is a client and this group is
   ``lca(m.dst)`` — the client's signature is verified), or
-* was relayed by the parent group (the sender is one of the parent's
-  replicas — it is confirmed through the f+1 quorum-head merge of
+* was relayed by the parent group (it arrives inside a
+  :class:`~repro.core.messages.RelayBatch` whose sender is one of the
+  parent's replicas — it is confirmed through the f+1 quorum-head merge of
   :class:`~repro.core.relay.QuorumMerge`),
 
 and then *acts* on it: re-broadcast into every child whose reach intersects
 ``m.dst`` (line 10-11) and a-deliver it if this group is a destination
-(line 12-14, with the ``A-delivered`` set preventing duplicates).
+(line 12-14, with the ``A-delivered`` set preventing duplicates).  The
+re-broadcast is buffered per child and leaves as one ``RelayBatch`` per
+executed batch (:meth:`ByzCastApplication.end_batch`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.bcast.reconfig import admin_identity
 from repro.core.messages import (
     MembershipUpdate,
     MulticastReply,
+    RelayBatch,
     TreeUpdate,
     WireMulticast,
 )
@@ -110,6 +114,10 @@ class ByzCastApplication(Application):
         #: correct old-parent replica can still complete an f+1 release.
         self._prev_merges: List[Tuple[str, Any]] = []
         self._child_proxies: Dict[str, GroupProxy] = {}
+        #: wires acted on in the batch being executed, per routed child, in
+        #: act order; flushed by :meth:`end_batch`, so empty at every
+        #: batch boundary (and therefore never part of a snapshot)
+        self._relay_buffers: Dict[str, List[WireMulticast]] = {}
         self._acted: set = set()
         self._a_delivered: set = set()
         #: chronological record of local a-deliver events (tests/metrics)
@@ -126,32 +134,11 @@ class ByzCastApplication(Application):
             return self._apply_membership_update(request, wire, ctx)
         if isinstance(wire, TreeUpdate):
             return self._apply_tree_update(request, wire, ctx)
-        if not isinstance(wire, WireMulticast):
-            return ("error", "not a multicast")
-        problem = self._validate_wire(wire)
+        if isinstance(wire, RelayBatch):
+            return self._execute_relay_batch(request.sender, wire, ctx)
+        problem = self._admit(wire, ctx)
         if problem is not None:
-            ctx.monitor.record(ctx.replica_name, "byzcast.invalid_wire", reason=problem)
             return ("error", problem)
-        # Participation record for genuineness audits (one per ordered copy).
-        ctx.monitor.record(ctx.replica_name, "byzcast.executed_wire",
-                           origin=wire.sender, seq=wire.seq,
-                           dst=",".join(wire.dst))
-
-        if request.sender in self._parent_replicas:
-            assert self._merge is not None
-            for released in self._merge.push(request.sender, wire.identity(), wire):
-                self._act(released, ctx)
-            return ("ack",)
-
-        # A straggling relay from a *former* parent (the tree switched while
-        # its copy was in flight): feed the retained drain merge so slow
-        # correct replicas can still complete an f+1 release.  Replica names
-        # embed the group id, so the sender sets are disjoint.
-        for __, merge in self._prev_merges:
-            if request.sender in merge.senders:
-                for released in merge.push(request.sender, wire.identity(), wire):
-                    self._act(released, ctx)
-                return ("ack",)
 
         # Direct submission: must enter the tree at the lca (or, for the
         # non-genuine Baseline, any ancestor) and carry a valid client
@@ -170,6 +157,73 @@ class ByzCastApplication(Application):
             return ("error", "invalid origin signature")
         self._act(wire, ctx)
         return ("ack",)
+
+    def _execute_relay_batch(self, sender: str, batch: RelayBatch,
+                             ctx: ExecutionContext) -> Any:
+        """Push one relayer's batch, wire by wire, into its quorum merge.
+
+        The per-sender queue ends up holding the concatenation of the
+        sender's batches, so the f+1-heads release order is the one
+        per-message relays would produce.  Nothing a relayer puts in a batch
+        changes the reply: f of them are Byzantine, and the correct
+        relayers' f+1 reply match must not depend on what those sent.
+        """
+        merge = self._relayer_merge(sender)
+        if merge is None:
+            ctx.monitor.record(ctx.replica_name, "byzcast.relay_denied",
+                               sender=sender)
+            return ("error", "relay batch from a non-relayer")
+        wires = self._carried_wires(batch)
+        if wires is None:
+            ctx.monitor.record(ctx.replica_name, "byzcast.invalid_relay_batch",
+                               sender=sender)
+            return ("ack",)
+        for wire in wires:
+            if self._admit(wire, ctx) is None:
+                for released in merge.push(sender, wire.identity(), wire):
+                    self._act(released, ctx)
+        return ("ack",)
+
+    def _relayer_merge(self, sender: str) -> Optional[Any]:
+        """The quorum merge ``sender`` feeds, if it is an authorized relayer.
+
+        Besides the parent's replicas that is a *former* parent's (the tree
+        switched while their copies were in flight): the retained drain
+        merge lets slow correct replicas still complete an f+1 release.
+        Replica names embed the group id, so the sender sets are disjoint.
+        """
+        if sender in self._parent_replicas:
+            return self._merge
+        for __, merge in self._prev_merges:
+            if sender in merge.senders:
+                return merge
+        return None
+
+    def _carried_wires(self, batch: RelayBatch) -> Optional[Tuple]:
+        """``batch.wires`` if it is a tuple of at most ``max_batch`` elements."""
+        wires = batch.wires
+        if isinstance(wires, tuple) and len(wires) <= self.config.max_batch:
+            return wires
+        return None
+
+    def carried(self, request: Request) -> int:
+        command = request.command
+        wires = (self._carried_wires(command)
+                 if isinstance(command, RelayBatch) else None)
+        return len(wires) if wires else 1
+
+    def _admit(self, wire: Any, ctx: ExecutionContext) -> Optional[str]:
+        """Validate one ordered copy; record it, or why it is refused."""
+        problem = self._validate_wire(wire)
+        if problem is not None:
+            ctx.monitor.record(ctx.replica_name, "byzcast.invalid_wire",
+                               reason=problem)
+            return problem
+        # Participation record for genuineness audits (one per ordered copy).
+        ctx.monitor.record(ctx.replica_name, "byzcast.executed_wire",
+                           origin=wire.sender, seq=wire.seq,
+                           dst=",".join(wire.dst))
+        return None
 
     def _apply_membership_update(self, request: Request,
                                  update: MembershipUpdate,
@@ -270,7 +324,9 @@ class ByzCastApplication(Application):
                            parent=new_parent or "(root)")
         return ("ok", "tree", update.epoch)
 
-    def _validate_wire(self, wire: WireMulticast) -> Optional[str]:
+    def _validate_wire(self, wire: Any) -> Optional[str]:
+        if not isinstance(wire, WireMulticast):
+            return "not a multicast"
         if not wire.dst:
             return "empty destination set"
         if list(wire.dst) != sorted(set(wire.dst)):
@@ -299,18 +355,34 @@ class ByzCastApplication(Application):
             return
         self._acted.add(key)
         for child in self.tree.route_children(self.group_id, wire.dst):
-            self._relay(child, wire, ctx)
+            self._relay_buffers.setdefault(child, []).append(wire)
+            ctx.monitor.record(ctx.replica_name, "byzcast.relay", child=child)
         if self.group_id in wire.dst and key not in self._a_delivered:
             self._a_delivered.add(key)
             self._a_deliver(wire, ctx)
 
-    def _relay(self, child: str, wire: WireMulticast, ctx: ExecutionContext) -> None:
+    def end_batch(self, ctx: ExecutionContext) -> None:
+        """Relay what this executed batch acted on: one request per child."""
+        if not self._relay_buffers:
+            return
+        buffers, self._relay_buffers = self._relay_buffers, {}
+        for child, wires in buffers.items():
+            self._flush_relays(child, wires, ctx)
+
+    def _flush_relays(self, child: str, wires: List[WireMulticast],
+                      ctx: ExecutionContext) -> None:
+        """Submit ``wires`` (act order) to ``child`` as ``RelayBatch``es."""
         proxy = self._child_proxy(child, ctx)
-        cost = self.config.costs.relay_per_dest * len(proxy.replicas)
-        # The CPU queue is FIFO, so relays are submitted (and numbered by the
-        # proxy) in act order — preserving FIFO into the child group.
-        ctx.replica.work(cost, lambda: proxy.submit(wire))
-        ctx.monitor.record(ctx.replica_name, "byzcast.relay", child=child)
+        per_wire = self.config.costs.relay_per_dest * len(proxy.replicas)
+        limit = self.group_configs[child].max_batch
+        for start in range(0, len(wires), limit):
+            batch = RelayBatch(tuple(wires[start:start + limit]))
+            # The CPU queue is FIFO, so batches are submitted (and numbered
+            # by the proxy) in act order — preserving FIFO into the child.
+            ctx.replica.work(per_wire * len(batch.wires),
+                             lambda b=batch: proxy.submit(b))
+            ctx.monitor.record(ctx.replica_name, "byzcast.relay_batch",
+                               child=child, size=len(batch.wires))
 
     def _child_proxy(self, child: str, ctx: ExecutionContext) -> GroupProxy:
         if child not in self._child_proxies:
@@ -375,9 +447,9 @@ class ByzCastApplication(Application):
 
     def handle_reply(self, src: str, reply: Reply) -> None:
         """Route child-group acks to the relay proxies (retransmission)."""
-        for proxy in self._child_proxies.values():
-            if proxy.handle_reply(src, reply):
-                return
+        proxy = self._child_proxies.get(reply.group)
+        if proxy is not None:
+            proxy.handle_reply(src, reply)
 
     # --------------------------------------------------------- checkpointing
 

@@ -92,6 +92,7 @@ def _register_builtin_types() -> None:
         # the binary codec's type ids are registration-order indexes.
         cmsg.MembershipUpdate, cmsg.TreeUpdate,
         bmsg.AuthenticatedPropose,
+        cmsg.RelayBatch,
     ):
         register_wire_type(cls)
 

@@ -25,7 +25,9 @@ from repro.faults.behaviors import (
     EquivocatingLeaderReplica,
     FabricatingRelayApp,
     MuteReplica,
+    ReorderingRelayApp,
     SilentRelayApp,
+    WithholdingRelayApp,
     WrongVoteReplica,
 )
 from repro.faults.elasticity import (
@@ -57,6 +59,8 @@ __all__ = [
     "SilentRelayApp",
     "FabricatingRelayApp",
     "DuplicatingRelayApp",
+    "ReorderingRelayApp",
+    "WithholdingRelayApp",
     "FaultPlan",
     "schedule_crash",
     "schedule_partition",

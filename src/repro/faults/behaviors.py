@@ -180,35 +180,60 @@ class SilentRelayApp(ByzCastApplication):
     group's f+1 quorum merge only needs the 2f+1 correct relayers.
     """
 
-    def _relay(self, child: str, wire, ctx) -> None:
+    def _flush_relays(self, child: str, wires, ctx) -> None:
         ctx.monitor.record(ctx.replica_name, "byzantine.silent_relay", child=child)
 
 
 class FabricatingRelayApp(ByzCastApplication):
     """Relays correctly but also injects fabricated multicasts downstream.
 
-    The fabricated message carries no valid client signature and fewer than
+    Each fabricated message sits inside the batch, right behind the real
+    one it imitates.  It carries no valid client signature and fewer than
     f+1 parents relay it, so correct children must never release it.
     """
 
-    def _relay(self, child: str, wire, ctx) -> None:
-        super()._relay(child, wire, ctx)
-        fake = WireMulticast(
-            sender=wire.sender,
-            seq=wire.seq + 1_000_000,
-            dst=wire.dst,
-            payload=("fabricated",),
-            signature=None,
-        )
-        proxy = self._child_proxy(child, ctx)
-        ctx.replica.work(self.config.costs.relay_per_dest,
-                         lambda: proxy.submit(fake))
+    def _flush_relays(self, child: str, wires, ctx) -> None:
+        forged = []
+        for wire in wires:
+            forged += [wire, WireMulticast(
+                sender=wire.sender,
+                seq=wire.seq + 1_000_000,
+                dst=wire.dst,
+                payload=("fabricated",),
+                signature=None,
+            )]
         ctx.monitor.record(ctx.replica_name, "byzantine.fabricated_relay", child=child)
+        super()._flush_relays(child, forged, ctx)
 
 
 class DuplicatingRelayApp(ByzCastApplication):
-    """Relays every message twice (duplicate suppression must hold)."""
+    """Relays every message twice in a row (duplicate suppression must hold)."""
 
-    def _relay(self, child: str, wire, ctx) -> None:
-        super()._relay(child, wire, ctx)
-        super()._relay(child, wire, ctx)
+    def _flush_relays(self, child: str, wires, ctx) -> None:
+        super()._flush_relays(
+            child, [wire for wire in wires for __ in range(2)], ctx)
+
+
+class ReorderingRelayApp(ByzCastApplication):
+    """Relays each outgoing batch back to front.
+
+    An attack on the order the parent induced (Lemma 4): a child that acted
+    on fewer than f+1 queue heads would release in this replica's order.
+    """
+
+    def _flush_relays(self, child: str, wires, ctx) -> None:
+        ctx.monitor.record(ctx.replica_name, "byzantine.reordered_relay", child=child)
+        super()._flush_relays(child, wires[::-1], ctx)
+
+
+class WithholdingRelayApp(ByzCastApplication):
+    """Drops the middle wire of each outgoing batch (selective forwarding).
+
+    Its queue at the child then skips a message the correct relayers carry,
+    which must neither block that message nor let a later one overtake it.
+    """
+
+    def _flush_relays(self, child: str, wires, ctx) -> None:
+        middle = len(wires) // 2
+        ctx.monitor.record(ctx.replica_name, "byzantine.withheld_relay", child=child)
+        super()._flush_relays(child, wires[:middle] + wires[middle + 1:], ctx)

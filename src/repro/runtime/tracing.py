@@ -25,7 +25,7 @@ class HopRecord:
 
     time: float
     group: str
-    kind: str  # "entry", "relay", "a-deliver"
+    kind: str  # "entry", "a-deliver"
     detail: str = ""
 
 
@@ -81,12 +81,6 @@ def extract_timelines(monitor: Monitor) -> List[MessageTimeline]:
             timeline(sender, seq).hops.append(
                 HopRecord(record.time, group, "a-deliver")
             )
-        elif record.kind == "byzcast.relay":
-            group = record.component.split("/")[0]
-            child = record.get("child", "")
-            # relays are not keyed by message in the trace; attach to the
-            # group-level step stream only when unambiguous (single client).
-            continue
     result = [t for t in timelines.values() if t.submitted_at is not None]
     result.sort(key=lambda t: (t.submitted_at, t.sender, t.seq))
     for entry in result:

@@ -16,8 +16,13 @@ from repro.bcast.log import DecisionLog
 from repro.bcast.messages import CheckpointData, Request, StateRequest, StateResponse
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
+from repro.core.deployment import ByzCastDeployment
+from repro.core.node import ByzCastApplication
+from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
-from tests.helpers import Harness, make_config
+from repro.faults.elasticity import elasticity_controller
+from repro.types import destination
+from tests.helpers import FAST_COSTS, Harness, make_config
 
 
 def req(seq: int, command=None, sender: str = "c0") -> Request:
@@ -378,3 +383,78 @@ def test_checkpoint_install_races_concurrent_reconfig():
     reference = h.group.replicas[0]
     assert h.joiner.app.executed == reference.app.executed
     assert reference.view.replicas == members_b
+
+
+# ------------------------------------------------ composition with relaying
+
+
+class BoundaryProbeApp(ByzCastApplication):
+    """Records, at each snapshot, what the batch just flushed and what (if
+    anything) is still buffered for relay."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.probes = []
+        self._flushed = 0
+
+    def end_batch(self, ctx):
+        self._flushed = sum(len(w) for w in self._relay_buffers.values())
+        super().end_batch(ctx)
+
+    def snapshot(self):
+        buffered = sum(len(w) for w in self._relay_buffers.values())
+        self.probes.append((self._flushed, buffered))
+        return super().snapshot()
+
+
+def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
+    """Relays are flushed at the batch boundary, before the snapshot, so the
+    relay buffer is never checkpoint state; a joiner restored from such a
+    checkpoint relays (h1) and merges (g1) like an incumbent."""
+    tree = OverlayTree.two_level(["g1", "g2"])
+    probes = {name: BoundaryProbeApp for name in make_config("h1").replicas}
+    dep = ByzCastDeployment(tree, costs=FAST_COSTS, request_timeout=0.5,
+                            checkpoint_interval=4, max_batch=2, seed=7,
+                            app_overrides={"h1": probes})
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+
+    def burst(tag, count, until):
+        for j in range(count):
+            client.amulticast(destination("g1", "g2"), payload=(tag, j))
+        dep.run(until=until)
+        dep.runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
+
+    burst("pre", 30, until=3.0)
+    for app in dep.apps("h1"):
+        assert app.probes, "no checkpoint was taken"
+        assert all(buffered == 0 for __, buffered in app.probes)
+        # Every h1 batch here relays, the checkpointed ones included.
+        assert all(flushed > 0 for flushed, __ in app.probes)
+    assert all(r.log.horizon > 0 for gid in ("h1", "g1")
+               for r in dep.groups[gid].replicas)
+
+    controller = elasticity_controller(dep)
+    controller.join("h1").join("g1")
+    dep.runtime.run_until(controller.idle, timeout=30.0)
+    relayer = dep.groups["h1"].replica("h1/r4")
+    merger = dep.groups["g1"].replica("g1/r4")
+    dep.runtime.run_until(lambda: relayer.active and merger.active,
+                          timeout=30.0)
+    assert relayer.active and merger.active
+    assert dep.monitor.counters["checkpoint.installed"] >= 2
+
+    def relayed_by_joiner():
+        proxy = relayer.app._child_proxies.get("g1")
+        return proxy.submitted if proxy is not None else 0
+
+    before = relayed_by_joiner()
+    burst("post", 10, until=dep.loop.now + 3.0)
+    assert relayer.app._relay_buffers == {}
+    assert relayed_by_joiner() > before
+    expected = [("pre", j) for j in range(30)] + [("post", j) for j in range(10)]
+    for gid in ("g1", "g2"):
+        for replica in dep.groups[gid].replicas:
+            if replica.active:  # g1/r3 was swapped out
+                assert [m.payload for m in
+                        replica.app.delivered_messages()] == expected
+    assert merger in dep.groups["g1"].replicas

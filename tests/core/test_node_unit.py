@@ -5,47 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bcast.app import ExecutionContext
-from repro.bcast.config import BroadcastConfig
 from repro.bcast.messages import Request
-from repro.core.messages import MulticastReply, WireMulticast
+from repro.core.messages import MulticastReply, RelayBatch, WireMulticast
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
-from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
-from repro.sim.monitor import Monitor
-from tests.helpers import FAST_COSTS
-
-
-def configs_for(tree: OverlayTree, f: int = 1):
-    return {
-        gid: BroadcastConfig(
-            group_id=gid,
-            replicas=tuple(f"{gid}/r{i}" for i in range(3 * f + 1)),
-            f=f,
-            costs=FAST_COSTS,
-        )
-        for gid in tree.nodes
-    }
-
-
-class FakeReplica(Actor):
-    """A minimal actor standing in for a Replica during app unit tests."""
-
-    def __init__(self, name, loop, config):
-        super().__init__(name, loop, Monitor(trace_capacity=100))
-        self.config = config
-        self.sent = []
-
-    def send(self, dst, payload, size=64):
-        self.sent.append((dst, payload))
-
-    def work(self, cost, callback):
-        callback()  # synchronous for unit tests
-
-    def on_message(self, src, payload):  # pragma: no cover - unused
-        pass
+from tests.helpers import FakeReplica, configs_for, execute, relayed, wire_for
 
 
 @pytest.fixture
@@ -62,20 +28,6 @@ def setup():
         return app, replica
 
     return tree, configs, registry, loop, make
-
-
-def wire_for(registry, sender, seq, dst, payload=("p",)):
-    unsigned = WireMulticast(sender=sender, seq=seq, dst=tuple(sorted(dst)),
-                             payload=payload)
-    return WireMulticast(
-        sender=sender, seq=seq, dst=tuple(sorted(dst)), payload=payload,
-        signature=sign(registry, sender, unsigned.signed_part()),
-    )
-
-
-def execute(app, replica, request):
-    ctx = ExecutionContext(replica=replica, time=replica.loop.now)
-    return app.execute(request, ctx)
 
 
 class TestDirectSubmissions:
@@ -138,20 +90,22 @@ class TestRelayedCopies:
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")  # parent of g1 is h2
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
-        execute(app, replica, Request("g1", "h2/r0", 1, wire))
+        execute(app, replica, relayed("g1", "h2/r0", 1, wire))
         assert app.delivered_messages() == []  # one copy is not enough
-        execute(app, replica, Request("g1", "h2/r1", 1, wire))
+        execute(app, replica, relayed("g1", "h2/r1", 1, wire))
         assert [m.payload for m in app.delivered_messages()] == [("p",)]
 
     def test_root_relays_to_routed_children_only(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h1", "h1/r0")
         wire = wire_for(registry, "client", 1, ("g2", "g3"))
-        execute(app, replica, Request("h1", "client", 1, wire))
+        ctx = ExecutionContext(replica=replica, time=loop.now)
+        app.execute(Request("h1", "client", 1, wire), ctx)
+        assert replica.sent == []  # nothing leaves before the batch boundary
+        app.end_batch(ctx)
         # The root forwards to h2 and h3 replicas (4 each), delivers nothing.
-        targets = {dst.split("/")[0] for dst, p in replica.sent
-                   if not isinstance(p, MulticastReply)}
-        assert targets == {"h2", "h3"}
+        assert {dst.split("/")[0] for dst, __ in replica.sent} == {"h2", "h3"}
+        assert all(p.command == RelayBatch((wire,)) for __, p in replica.sent)
         assert app.delivered_messages() == []
 
     def test_middle_group_relays_only_reached_destinations(self, setup):
@@ -159,7 +113,7 @@ class TestRelayedCopies:
         app, replica = make("h2", "h2/r0")
         wire = wire_for(registry, "client", 1, ("g2", "g3"))
         for parent in ("h1/r0", "h1/r1"):
-            execute(app, replica, Request("h2", parent, 1, wire))
+            execute(app, replica, relayed("h2", parent, 1, wire))
         targets = {dst.split("/")[0] for dst, p in replica.sent}
         assert targets == {"g2"}  # g3 is h3's business
 
@@ -176,8 +130,128 @@ class TestRelayedCopies:
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
-        # h3 replicas are NOT g1's parent: treated as direct submission
-        # and rejected (g1 is not the lca).
+        # h3 replicas are NOT g1's parent: a bare wire from one is a direct
+        # submission and rejected (g1 is not the lca) ...
         result = execute(app, replica, Request("g1", "h3/r0", 1, wire))
         assert result[0] == "error"
+        # ... and so is one from a parent replica: relays are RelayBatches.
+        result = execute(app, replica, Request("g1", "h2/r0", 1, wire))
+        assert result[0] == "error"
         assert app.delivered_messages() == []
+
+
+class TestRelayBatchHardening:
+    """What a child accepts inside a ``RelayBatch``, and from whom."""
+
+    def test_batch_from_non_relayer_is_an_error_and_pushes_nothing(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        for outsider in ("h3/r0", "client", "g1/r1"):
+            result = execute(app, replica, relayed("g1", outsider, 1, wire))
+            assert result[0] == "error", outsider
+        assert set(app._merge.pending_counts().values()) == {0}
+        assert replica.monitor.counters["byzcast.relay_denied"] == 3
+        assert "byzcast.executed_wire" not in replica.monitor.counters
+
+    def test_malformed_elements_are_skipped_and_the_rest_processed(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        first = wire_for(registry, "client", 1, ("g1", "g2"))
+        second = wire_for(registry, "client", 2, ("g1", "g2"))
+        junk = (
+            ("raw",),                                     # not a multicast
+            RelayBatch((first,)),                         # nested batch
+            WireMulticast("client", 9, ("g9",), ()),      # unknown target
+            wire_for(registry, "client", 8, ("g3", "g4")),  # not involved
+        )
+        batch = (junk[0], first, junk[1], junk[2], second, junk[3])
+        for parent in ("h2/r0", "h2/r1"):
+            assert execute(app, replica, relayed("g1", parent, 1, *batch)) == ("ack",)
+        assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
+        assert replica.monitor.counters["byzcast.invalid_wire"] == 2 * len(junk)
+        assert replica.monitor.counters["byzcast.executed_wire"] == 2 * 2
+
+    def test_oversize_batch_is_dropped_whole(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        limit = configs["g1"].max_batch
+        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+                 for seq in range(1, limit + 2)]
+        for parent in ("h2/r0", "h2/r1"):
+            execute(app, replica, relayed("g1", parent, 1, *wires))
+        assert app.delivered_messages() == []
+        assert set(app._merge.pending_counts().values()) == {0}
+        # One wire fewer is within the limit and goes through.
+        for parent in ("h2/r0", "h2/r1"):
+            execute(app, replica, relayed("g1", parent, 2, *wires[:limit]))
+        assert len(app.delivered_messages()) == limit
+
+    def test_wires_must_be_a_tuple(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        for wires in (None, 7, [wire], wire):
+            request = Request("g1", "h2/r0", 1, RelayBatch(wires))
+            assert app.carried(request) == 1
+            assert execute(app, replica, request) == ("ack",)
+        assert set(app._merge.pending_counts().values()) == {0}
+
+    def test_ack_does_not_depend_on_content(self, setup):
+        """f+1 correct relayers must get matching replies whatever the f
+        Byzantine ones sent before them."""
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        limit = configs["g1"].max_batch
+        contents = [(), (wire,), (wire, wire), (("raw",),), (wire,) * (limit + 1)]
+        replies = {execute(app, replica, relayed("g1", "h2/r0", seq, *wires))
+                   for seq, wires in enumerate(contents, start=1)}
+        assert replies == {("ack",)}
+
+    def test_carried_counts_wires_of_a_wellformed_batch(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        assert app.carried(Request("g1", "client", 1, wire)) == 1
+        assert app.carried(relayed("g1", "h2/r0", 1, wire, wire, wire)) == 3
+        assert app.carried(relayed("g1", "h2/r0", 1)) == 1
+
+
+class TestRelayFlush:
+    def test_one_request_per_child_in_act_order(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("h1", "h1/r0")
+        wires = [wire_for(registry, "client", seq, dst) for seq, dst in
+                 enumerate([("g1", "g3"), ("g2", "g4"), ("g1", "g4")], start=1)]
+        ctx = ExecutionContext(replica=replica, time=loop.now)
+        for wire in wires:
+            app.execute(Request("h1", "client", wire.seq, wire), ctx)
+        app.end_batch(ctx)
+        per_child = {}
+        for dst, request in replica.sent:
+            per_child.setdefault(dst.split("/")[0], set()).add(request.command)
+        assert per_child == {"h2": {RelayBatch(tuple(wires))},
+                             "h3": {RelayBatch(tuple(wires))}}
+        assert replica.monitor.counters["byzcast.relay"] == 6
+        assert replica.monitor.counters["byzcast.relay_batch"] == 2
+        # The buffer is empty again: a second boundary sends nothing.
+        del replica.sent[:]
+        app.end_batch(ctx)
+        assert replica.sent == []
+
+    def test_flush_chunks_at_the_childs_max_batch(self, setup):
+        tree, configs, registry, loop, make = setup
+        small = dict(configs, h2=configs_for(tree, max_batch=2)["h2"])
+        app = ByzCastApplication("h1", tree, small, registry)
+        replica = FakeReplica("h1/r0", loop, small["h1"])
+        ctx = ExecutionContext(replica=replica, time=loop.now)
+        for seq in range(1, 6):
+            wire = wire_for(registry, "client", seq, ("g1", "g3"))
+            app.execute(Request("h1", "client", seq, wire), ctx)
+        app.end_batch(ctx)
+        to_h2 = [r.command for dst, r in replica.sent if dst == "h2/r0"]
+        to_h3 = [r.command for dst, r in replica.sent if dst == "h3/r0"]
+        assert [len(b.wires) for b in to_h2] == [2, 2, 1]
+        assert [w.seq for b in to_h2 for w in b.wires] == [1, 2, 3, 4, 5]
+        assert [len(b.wires) for b in to_h3] == [5]

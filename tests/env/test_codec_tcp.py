@@ -8,7 +8,7 @@ import dataclasses
 import pytest
 
 from repro.bcast.messages import Accept, Reply, Request
-from repro.core.messages import WireMulticast
+from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.signatures import Signature
 from repro.env import codec
 from repro.env.tcp import TcpTransport
@@ -43,6 +43,8 @@ def test_codec_roundtrips_protocol_messages():
     decoded = roundtrip(wire)
     assert decoded == wire
     assert decoded.to_message() == message
+    relay = Request("g1", "h1/r0", 2, RelayBatch((wire, wire)), signature)
+    assert roundtrip(relay) == relay
 
     accept = Accept("g1", 0, 3, b"digest", "r0")
     assert roundtrip(accept) == accept

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from repro.bcast.messages import Accept, Propose, Reply, Request
-from repro.core.messages import WireMulticast
+from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.signatures import Signature
 from repro.env import codec, wire
 from repro.env.codec import get_codec
@@ -50,6 +50,8 @@ def test_binary_roundtrips_protocol_messages():
     decoded = roundtrip(wired)
     assert decoded == wired
     assert decoded.to_message() == message
+    relay = Request("g1", "h1/r0", 2, RelayBatch((wired, wired)), signature)
+    assert roundtrip(relay) == relay
 
     accept = Accept("g1", 0, 3, b"digest", "r0")
     assert roundtrip(accept) == accept

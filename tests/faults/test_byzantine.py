@@ -4,19 +4,35 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bcast.app import ExecutionContext
+from repro.bcast.messages import Request
 from repro.core.deployment import ByzCastDeployment
+from repro.core.invariants import check_all, check_prefix_order
+from repro.core.node import ByzCastApplication
+from repro.core.relay import QuorumMerge
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import (
     DuplicatingRelayApp,
     EquivocatingLeaderReplica,
     FabricatingRelayApp,
     MuteReplica,
+    ReorderingRelayApp,
     SilentRelayApp,
+    WithholdingRelayApp,
     WrongVoteReplica,
 )
+from repro.crypto.keys import KeyRegistry
 from repro.faults.injector import FaultPlan
+from repro.sim.events import EventLoop
 from repro.types import destination
-from tests.helpers import FAST_COSTS, Harness
+from tests.helpers import (
+    FAST_COSTS,
+    FakeReplica,
+    Harness,
+    configs_for,
+    execute,
+    wire_for,
+)
 
 
 def make_deployment(plan: FaultPlan = None, tree=None, **kwargs) -> ByzCastDeployment:
@@ -135,6 +151,102 @@ class TestByzCastRelayFaults:
         assert client.pending() == 0
         for gid in ("g1", "g3"):
             assert assert_agreement(dep, gid) == [("deep",)]
+
+
+RELAY_ADVERSARIES = (SilentRelayApp, FabricatingRelayApp, DuplicatingRelayApp,
+                     ReorderingRelayApp, WithholdingRelayApp)
+
+
+class TestRelayAdversariesInEveryInnerGroup:
+    """f Byzantine relayers in *each* group that relays, all at once."""
+
+    TARGETS = ("g1", "g2", "g3", "g4")
+    DESTINATIONS = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
+                    ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
+    ROUNDS = 6
+
+    @pytest.mark.parametrize("adversary", RELAY_ADVERSARIES,
+                             ids=lambda cls: cls.__name__)
+    def test_every_op_completes_and_order_holds(self, adversary):
+        tree = OverlayTree.paper_tree()
+        plan = FaultPlan()
+        for index, gid in enumerate(sorted(tree.auxiliaries)):
+            plan.byzantine_app(gid, f"{gid}/r{index + 1}", adversary)
+        dep = make_deployment(plan, tree=tree)
+        clients = [dep.add_client(f"c{i}") for i in range(3)]
+        # Bursts: every client multicasts to every destination set at once,
+        # so entry groups order (and relay) multi-message batches — what
+        # the in-batch adversaries attack.
+        for round_ in range(self.ROUNDS):
+            for client in clients:
+                for dst in self.DESTINATIONS:
+                    client.amulticast(destination(*dst),
+                                      payload=(client.name, round_))
+            dep.run(until=2.0 * (round_ + 1))
+        dep.run(until=2.0 * self.ROUNDS + 10.0)
+
+        expected = self.ROUNDS * len(self.DESTINATIONS)
+        assert [len(c.completions) for c in clients] == [expected] * 3
+        assert all(c.pending() == 0 for c in clients)
+        sequences = {gid: dep.delivered_sequences(gid) for gid in self.TARGETS}
+        sent = [message for c in clients for message, __ in c.completions]
+        assert check_all(sequences, sent, quiescent=True) == []
+        for replica_sequences in sequences.values():
+            for seq in replica_sequences:
+                assert all(m.payload != ("fabricated",) for m in seq)
+        counters = dep.monitor.counters
+        assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
+
+
+class FCopiesApp(ByzCastApplication):
+    """Mutant: acts on a parent's message after f relayed copies, not f+1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        parent = self.group_configs[self.tree.parent(self.group_id)]
+        self._merge = QuorumMerge(parent.replicas, parent.f)
+
+
+def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
+    """Why the threshold is f+1: with f, whichever relayer's batch a child
+    orders first dictates that child's order — and one of them lies.
+
+    Real parent and child applications, with the one thing an asynchronous
+    network leaves to the adversary made explicit: g1 orders the reordering
+    relayer's batch first, g2 orders it last.
+    """
+    tree = OverlayTree.two_level(["g1", "g2"])
+    configs = configs_for(tree)
+    registry = KeyRegistry()
+    loop = EventLoop()
+    wires = [wire_for(registry, "client", seq, ("g1", "g2")) for seq in (1, 2, 3)]
+    relays = {}  # relayer -> child -> the request it sent
+    for index, cls in enumerate([ByzCastApplication] * 3 + [ReorderingRelayApp]):
+        app = cls("h1", tree, configs, registry)
+        replica = FakeReplica(f"h1/r{index}", loop, configs["h1"])
+        ctx = ExecutionContext(replica=replica, time=loop.now)
+        for wire in wires:
+            app.execute(Request("h1", "client", wire.seq, wire), ctx)
+        app.end_batch(ctx)
+        relays[replica.name] = {dst.split("/")[0]: request
+                                for dst, request in replica.sent}
+    assert [w.seq for w in relays["h1/r3"]["g1"].command.wires] == [3, 2, 1]
+
+    def violations(child_app):
+        sequences = {}
+        for gid, arrival in (("g1", ("h1/r3", "h1/r0", "h1/r1", "h1/r2")),
+                             ("g2", ("h1/r0", "h1/r1", "h1/r2", "h1/r3"))):
+            app = child_app(group_id=gid, tree=tree, group_configs=configs,
+                            registry=registry)
+            replica = FakeReplica(f"{gid}/r0", loop, configs[gid])
+            for relayer in arrival:
+                assert execute(app, replica, relays[relayer][gid]) == ("ack",)
+            assert len(app.delivered_messages()) == len(wires)
+            sequences[gid] = [app.delivered_messages()]
+        return check_prefix_order(sequences)
+
+    assert violations(ByzCastApplication) == []
+    assert violations(FCopiesApp) != []
 
 
 class TestRuntimeFaults:

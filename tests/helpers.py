@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bcast.app import EchoApplication
+from repro.bcast.app import EchoApplication, ExecutionContext
 from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig, CostModel
 from repro.bcast.group import BroadcastGroup
-from repro.bcast.messages import Reply
+from repro.bcast.messages import Reply, Request
+from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import sign
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
@@ -117,3 +119,52 @@ class Harness:
     def executed_commands(self) -> List[List[Any]]:
         """Per-replica executed command sequences (EchoApplication only)."""
         return [replica.app.executed for replica in self.group.replicas]
+
+
+# ------------------------------------------- ByzCast application unit tests
+
+
+def configs_for(tree, f: int = 1, **overrides: Any) -> Dict[str, BroadcastConfig]:
+    """One default ``BroadcastConfig`` per group of ``tree``."""
+    return {gid: make_config(gid, f=f, **overrides) for gid in tree.nodes}
+
+
+class FakeReplica(Actor):
+    """A minimal actor standing in for a Replica during app unit tests."""
+
+    def __init__(self, name, loop, config):
+        super().__init__(name, loop, Monitor(trace_capacity=100))
+        self.config = config
+        self.sent = []
+
+    def send(self, dst, payload, size=64):
+        self.sent.append((dst, payload))
+
+    def work(self, cost, callback):
+        callback()  # synchronous for unit tests
+
+    def on_message(self, src, payload):  # pragma: no cover - unused
+        pass
+
+
+def wire_for(registry, sender, seq, dst, payload=("p",)) -> WireMulticast:
+    """A multicast signed by ``sender`` (its origin)."""
+    unsigned = WireMulticast(sender=sender, seq=seq, dst=tuple(sorted(dst)),
+                             payload=payload)
+    return WireMulticast(
+        sender=sender, seq=seq, dst=tuple(sorted(dst)), payload=payload,
+        signature=sign(registry, sender, unsigned.signed_part()),
+    )
+
+
+def relayed(group, parent_replica, seq, *wires) -> Request:
+    """The request a parent replica's relay of ``wires`` arrives as."""
+    return Request(group, parent_replica, seq, RelayBatch(tuple(wires)))
+
+
+def execute(app, replica, request):
+    """Run ``request`` as a decided batch of one (execute, then the boundary)."""
+    ctx = ExecutionContext(replica=replica, time=replica.loop.now)
+    result = app.execute(request, ctx)
+    app.end_batch(ctx)
+    return result

@@ -10,6 +10,8 @@ seed and must be bit-reproducible.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.runtime.chaos import SoakConfig, run_chaos_soak
 
 #: mirrors the CI churn-soak job (.github/workflows/ci.yml)
@@ -70,6 +72,21 @@ def test_churn_soak_state_round_stays_open_for_straggler_vouchers():
     # proves we are behind, until every peer has answered.
     report = run_chaos_soak(CHURN_SOAK, seed=107, duration=4.0, messages=24,
                             clients=2, settle=30.0, max_in_flight=2,
+                            joins=0, leaves=0, scale_cycles=0)
+    assert report.ok, report.summary()
+
+
+@pytest.mark.xfail(strict=True, reason="open: unconfirmed scale_up leaves "
+                   "controller and replicas on different views (ROADMAP P0)")
+def test_churn_soak_unconfirmed_scale_up_view_agreement():
+    # Known failure (seed 1275): h1 installs a scale_up Reconfig (7 members,
+    # f=2) that the ElasticityController never confirms while h1/r0 is down
+    # across the boundary, so the paired scale_down stays queued and the
+    # view-agreement invariant fails at quiesce.  Workload liveness is fine.
+    # Strict: the fix must flip this pin to a plain regression test.
+    report = run_chaos_soak(CHURN_SOAK, seed=1275, duration=4.0, messages=24,
+                            clients=2, settle=30.0, max_in_flight=2,
+                            checkpoint_interval=0,
                             joins=0, leaves=0, scale_cycles=0)
     assert report.ok, report.summary()
 
