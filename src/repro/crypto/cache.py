@@ -1,43 +1,41 @@
-"""Identity-keyed memoisation for the crypto hot path.
+"""Memoisation for the crypto hot path: the switch, the LRUs, the counters.
 
 The broadcast engine repeatedly canonicalizes, digests and verifies the
 *same* message objects: every replica of a group digests the same proposal
 batch, a ByzCast child group receives ``3f + 1`` relayed copies of one
 multicast, and the simulation backend shares message objects by reference
-across actors.  Canonicalization is a recursive pure-Python walk, so it
-dominates the wall-clock cost of those steps — memoising it (and the
-verification verdicts derived from it) removes the duplicate work without
-changing a single observable result.
+across actors.  Two mechanisms remove the duplicate work without changing
+a single observable result:
 
-Design constraints:
-
-* **Identity keys.**  Entries are keyed on ``id(obj)`` and hold a strong
+* **Memos on the message** — canonical bytes and digest of a frozen
+  dataclass live in its ``__dict__`` (:mod:`repro.canonical`,
+  :mod:`repro.crypto.digest`) and die with it.
+* **Identity-keyed LRUs** (:class:`IdentityCache`) for what has no object
+  to live on: verification verdicts per signed tuple, and the JSON codec's
+  frame bodies.  Entries are keyed on ``id(obj)`` and hold a strong
   reference to the object, so a key can never be reused by a different
-  object while its entry is alive.  Value-based keys would be unsound:
-  ``1 == 1.0 == True`` yet their canonical forms differ.
-* **Bounded.**  Each cache is an LRU with a fixed entry budget; a soak that
-  churns through millions of messages cannot grow memory without bound.
-* **Transparent.**  All cached functions are pure, so behaviour (and the
-  sim backend's golden traces) is bit-identical with caching on or off —
-  pinned by ``tests/crypto/test_cache_golden.py``.  The global switch below
-  exists so that test can prove it.
+  object while its entry is alive (value-based keys would be unsound:
+  ``1 == 1.0 == True`` yet their canonical forms differ), and each LRU has
+  a fixed entry budget.
+
+All memoised functions are pure, so behaviour (and the sim backend's
+golden traces) is bit-identical with memoisation on or off — pinned by
+``tests/crypto/test_cache_golden.py``.  The global switch below exists so
+that test can prove it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
+
+from repro import canonical as _canonical
 
 #: entry budgets; sized for a few in-flight consensus instances per group
 #: across a large deployment, not for a whole run's history
-CANONICAL_CACHE_SIZE = 8192
-DIGEST_CACHE_SIZE = 8192
 VERIFY_CACHE_SIZE = 4096
 ENCODE_CACHE_SIZE = 2048
-WIRE_ENCODE_CACHE_SIZE = 2048
-
-_MISSING = object()
 
 
 class IdentityCache:
@@ -85,51 +83,56 @@ class IdentityCache:
         self.misses = 0
 
 
-_enabled = True
-canonical_cache = IdentityCache(CANONICAL_CACHE_SIZE)
-digest_cache = IdentityCache(DIGEST_CACHE_SIZE)
 verify_cache = IdentityCache(VERIFY_CACHE_SIZE)
+#: the JSON codec's encode memo (repro.env.codec)
 encode_cache = IdentityCache(ENCODE_CACHE_SIZE)
-#: the binary wire codec's encode memo; separate from ``encode_cache``
-#: because both codecs key on object identity and the same message may be
-#: framed by either (repro.env.wire vs repro.env.codec)
-wire_encode_cache = IdentityCache(WIRE_ENCODE_CACHE_SIZE)
 
-_ALL = (canonical_cache, digest_cache, verify_cache, encode_cache,
-        wire_encode_cache)
+_COUNTERS = {
+    "canonical": _canonical.canonical_stats,
+    "digest": _canonical.digest_stats,
+    "verify": verify_cache,
+    "encode": encode_cache,
+}
 
 
 def enabled() -> bool:
     """Whether crypto/codec memoisation is active."""
-    return _enabled
+    return _canonical.memo_on
 
 
 def configure(enable: bool) -> None:
-    """Turn memoisation on or off (clears all caches either way)."""
-    global _enabled
-    _enabled = enable
+    """Turn memoisation on or off (clears the LRUs and counters either way).
+
+    Memos already written on live messages stay where they are; while
+    memoisation is off nothing reads or writes them.
+    """
+    _canonical.memo_on = enable
     clear_caches()
 
 
 def clear_caches() -> None:
-    """Drop every cached entry (and reset hit/miss counters)."""
-    for cache in _ALL:
-        cache.clear()
+    """Drop every LRU entry and reset all hit/miss counters."""
+    for counted in _COUNTERS.values():
+        counted.clear()
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/size counters per cache — surfaced in BENCH reports."""
-    names = ("canonical", "digest", "verify", "encode", "wire_encode")
+    """Hit/miss/size counters per memo — surfaced in BENCH reports.
+
+    ``size`` is the live entry count of an LRU and the number of memos
+    written since the last clear for ``canonical`` and ``digest``.
+    """
     return {
-        name: {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
-        for name, cache in zip(names, _ALL)
+        name: {"hits": counted.hits, "misses": counted.misses,
+               "size": len(counted)}
+        for name, counted in _COUNTERS.items()
     }
 
 
 @contextmanager
 def caching_disabled() -> Iterator[None]:
     """Temporarily disable memoisation (for equivalence tests)."""
-    previous = _enabled
+    previous = enabled()
     configure(False)
     try:
         yield

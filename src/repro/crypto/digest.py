@@ -1,200 +1,53 @@
-"""Deterministic canonical serialization and message digests."""
+"""Canonical bytes and message digests.
+
+The canonical form of a value is its binary wire body
+(:mod:`repro.canonical`): what is digested, MACed and signed is what a
+socket would carry, so a receiver hashes the bytes that arrived.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Any
 
-from repro.crypto import cache as _cache
-from repro.errors import CryptoError
-
-
-def _memoisable(obj: Any) -> bool:
-    """Containers and messages worth caching by identity.
-
-    Scalars are cheap to canonicalize and (for small ints / interned
-    strings) may be shared across unrelated values, so only compound
-    objects — batch tuples and frozen dataclass messages — are memoised.
-    """
-    return isinstance(obj, tuple) or (
-        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
-    )
-
-
-# Per-dataclass canonical layout, built lazily: the class-name header and,
-# per field, the pre-encoded ``S<len>:<name>=`` prefix plus the attribute
-# name.  Field names never change at runtime, so re-encoding them for
-# every message canonicalized is pure waste on the digest hot path.
-_CANON_META: dict = {}
-
-
-def _canon_meta(cls):
-    name = cls.__name__.encode()
-    fields = []
-    for f in dataclasses.fields(cls):
-        encoded = f.name.encode("utf-8")
-        prefix = b"S" + str(len(encoded)).encode() + b":" + encoded + b"="
-        fields.append((prefix, f.name))
-    meta = (b"C" + name + b"(", tuple(fields))
-    _CANON_META[cls] = meta
-    return meta
+from repro import canonical as _canonical
+from repro.canonical import DIGEST_MEMO, MEMO
 
 
 def canonical_bytes(obj: Any) -> bytes:
-    """Serialize ``obj`` into a canonical byte string.
+    """Serialize ``obj`` into its canonical byte string.
 
     Supports the value types used in protocol messages: None, bool, int,
-    float, str, bytes, tuples/lists, frozensets/sets (sorted by canonical
-    form), dicts (sorted by key form), and frozen dataclasses.  Type tags are
-    included so ``1`` and ``"1"`` never collide.
+    float, str, bytes, tuples, lists, frozensets/sets and dicts (ordered
+    by encoded bytes), and dataclasses; anything else raises
+    :class:`~repro.errors.CryptoError`.  Type tags are included, so ``1``,
+    ``"1"``, ``1.0`` and ``True`` never collide — nor do ``[1]`` and
+    ``(1,)``, which a peer decodes as different values.
 
-    Results for tuples and dataclasses are memoised by object identity (see
-    :mod:`repro.crypto.cache`): replicas repeatedly canonicalize the same
-    request, batch and vote objects, and the recursive walk dominates the
-    crypto hot path.
+    The bytes of a frozen dataclass are memoised on the object (at every
+    nesting depth), and decoded messages arrive with theirs.
     """
-    cache = _cache.canonical_cache if _cache.enabled() else None
-    if cache is not None and _memoisable(obj):
-        cached = cache.get(obj)
-        if cached is not None:
-            return cached
-    out = bytearray()
-    _canonical_into(out, obj, cache)
-    return bytes(out)
-
-
-def _canonical_into(out: bytearray, obj: Any, cache) -> None:
-    # Accumulates into ``out`` instead of allocating per-node byte strings;
-    # output is byte-identical to the historical per-node concatenation
-    # (golden traces pin digests).  Exact-type dispatch first, ordered by
-    # frequency in protocol messages; subclasses fall through below.
-    kind = type(obj)
-    if kind is str:
-        encoded = obj.encode("utf-8")
-        out += b"S"
-        out += str(len(encoded)).encode()
-        out += b":"
-        out += encoded
-    elif kind is int:
-        out += b"I%d" % obj
-    elif kind is bytes:
-        out += b"Y"
-        out += str(len(obj)).encode()
-        out += b":"
-        out += obj
-    elif kind is tuple or kind is list:
-        if cache is not None and kind is tuple:
-            cached = cache.get(obj)
-            if cached is not None:
-                out += cached
-                return
-            start = len(out)
-            out += b"T("
-            comma = False
-            for item in obj:
-                if comma:
-                    out += b","
-                comma = True
-                _canonical_into(out, item, cache)
-            out += b")"
-            cache.put(obj, bytes(out[start:]))
-            return
-        out += b"T("
-        comma = False
-        for item in obj:
-            if comma:
-                out += b","
-            comma = True
-            _canonical_into(out, item, cache)
-        out += b")"
-    elif obj is None:
-        out += b"N"
-    elif obj is True:
-        out += b"B1"
-    elif obj is False:
-        out += b"B0"
-    elif kind is float:
-        out += b"F"
-        out += repr(obj).encode()
-    elif kind is set or kind is frozenset:
-        parts = sorted(canonical_bytes(item) for item in obj)
-        out += b"Z("
-        out += b",".join(parts)
-        out += b")"
-    elif kind is dict:
-        parts = sorted(
-            canonical_bytes(k) + b"=" + canonical_bytes(v) for k, v in obj.items()
-        )
-        out += b"D("
-        out += b",".join(parts)
-        out += b")"
-    else:
-        if not (dataclasses.is_dataclass(obj) and not isinstance(obj, type)):
-            # bool/int/float/str subclasses take the slow isinstance path.
-            if isinstance(obj, bool):
-                out += b"B1" if obj else b"B0"
-            elif isinstance(obj, int):
-                out += b"I%d" % obj
-            elif isinstance(obj, float):
-                out += b"F"
-                out += repr(obj).encode()
-            elif isinstance(obj, str):
-                _canonical_into(out, str(obj), cache)
-            elif isinstance(obj, bytes):
-                _canonical_into(out, bytes(obj), cache)
-            elif isinstance(obj, (tuple, list)):
-                _canonical_into(out, tuple(obj), cache)
-            elif isinstance(obj, (set, frozenset)):
-                _canonical_into(out, frozenset(obj), cache)
-            elif isinstance(obj, dict):
-                _canonical_into(out, dict(obj), cache)
-            else:
-                raise CryptoError(
-                    f"cannot canonicalize object of type {kind.__name__}")
-            return
-        if cache is not None:
-            cached = cache.get(obj)
-            if cached is not None:
-                out += cached
-                return
-        start = len(out)
-        meta = _CANON_META.get(kind)
-        if meta is None:
-            meta = _canon_meta(kind)
-        header, fields = meta
-        out += header
-        comma = False
-        for prefix, name in fields:
-            if comma:
-                out += b","
-            comma = True
-            out += prefix
-            _canonical_into(out, getattr(obj, name), cache)
-        out += b")"
-        if cache is not None:
-            cache.put(obj, bytes(out[start:]))
-
-
-def _canonical_bytes_uncached(obj: Any) -> bytes:
-    """Canonical form bypassing the identity cache (kept for tests)."""
-    out = bytearray()
-    _canonical_into(out, obj, None)
-    return bytes(out)
+    return _canonical.encode(obj)[0]
 
 
 def digest(obj: Any) -> bytes:
     """16-byte BLAKE2b digest of the canonical form of ``obj``.
 
-    Memoised by object identity for tuples/dataclasses: every replica of a
-    group digests the same proposal batch at least twice (proposal intake +
-    write aggregation), and in the sim backend the batch tuple is shared by
-    reference across all of them.
+    Memoised beside the canonical bytes on a frozen dataclass: every
+    replica of a group digests the same proposal at least twice, and in
+    the sim backend the object is shared by reference across all of them.
     """
-    if _cache.enabled() and _memoisable(obj):
-        cached = _cache.digest_cache.get(obj)
+    attrs = getattr(obj, "__dict__", None) if _canonical.memo_on else None
+    if attrs is not None:
+        cached = attrs.get(DIGEST_MEMO)
         if cached is not None:
+            _canonical.digest_stats.hits += 1
             return cached
-        value = hashlib.blake2b(canonical_bytes(obj), digest_size=16).digest()
-        return _cache.digest_cache.put(obj, value)
-    return hashlib.blake2b(canonical_bytes(obj), digest_size=16).digest()
+    value = hashlib.blake2b(canonical_bytes(obj), digest_size=16).digest()
+    if attrs is not None and MEMO in attrs:
+        # the encoder found the object memoisable, so its digest is too
+        stats = _canonical.digest_stats
+        stats.misses += 1
+        stats.written += 1
+        attrs[DIGEST_MEMO] = value
+    return value

@@ -7,9 +7,9 @@ full-body MACs (Bessani et al., DSN 2014).  We model both levels: a
 pairwise MAC keyed by the unordered pair of identities — enough to detect
 tampering and impersonation between two honest endpoints — and the
 amortised batch vector of :func:`mac_vector` / :func:`verify_mac_vector`,
-where the single body digest rides the identity-memoised cache of
-:mod:`repro.crypto.digest`, so a broadcast pays the canonical walk once
-across all links.
+where the single body digest is memoised on the batch beside its wire
+bytes (:mod:`repro.crypto.digest`): a sender walks the batch once for the
+vector and all its links, and a receiver hashes the bytes that arrived.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def mac_vector(registry: KeyRegistry, src: str, dsts: Iterable[str],
     """One MAC tag per destination, amortising the body hash across links.
 
     ``obj`` (typically a proposal batch) is canonicalized and digested
-    exactly once — memoised by identity, so repeated vectors over the same
-    batch object skip even that — and each link's tag is an HMAC over the
-    32-byte digest under the pairwise channel key.
+    exactly once — memoised on the object, so repeated vectors over the
+    same batch skip even that — and each link's tag is an HMAC over the
+    16-byte digest under the pairwise channel key.
     """
     body = digest(obj)
     return {dst: _link_tag(registry, src, dst, body) for dst in dsts}

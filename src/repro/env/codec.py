@@ -33,8 +33,11 @@ import base64
 import dataclasses
 import json
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Tuple
 
+from repro.canonical import (   # the type table both codecs share
+    ensure_registered, is_registered, register_wire_type, registered_type,
+)
 from repro.crypto import cache as _cache
 from repro.errors import NetworkError
 
@@ -44,89 +47,6 @@ MAX_FRAME = 64 * 1024 * 1024
 
 #: codec names accepted by :func:`get_codec` (and ``protocol.wire``)
 CODEC_NAMES = ("json", "binary")
-
-_REGISTRY: Dict[str, Type] = {}
-#: registration-order type ids, shared with the binary codec: the table is
-#: identical on every host as long as types register in the same order
-_TYPE_IDS: Dict[str, int] = {}
-_TYPES_BY_ID: List[Type] = []
-
-
-def register_wire_type(cls: Type) -> Type:
-    """Register a frozen dataclass for wire encoding; returns ``cls``.
-
-    Usable as a decorator on application-defined command types.  The
-    binary codec identifies the class by its registration index, so
-    application types must register in the same order on every host
-    (module-import order suffices — registration happens at import time).
-    """
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"{cls!r} is not a dataclass")
-    name = cls.__name__
-    existing = _REGISTRY.get(name)
-    if existing is not None:
-        if existing is not cls:
-            raise NetworkError(f"wire type name collision: {name!r}")
-        return cls
-    _REGISTRY[name] = cls
-    _TYPE_IDS[name] = len(_TYPES_BY_ID)
-    _TYPES_BY_ID.append(cls)
-    return cls
-
-
-def _register_builtin_types() -> None:
-    from repro.bcast import messages as bmsg
-    from repro.bcast.reconfig import Reconfig, View
-    from repro.core import messages as cmsg
-    from repro.crypto.signatures import Signature
-    from repro.types import Delivery, MessageId, MulticastMessage
-
-    for cls in (
-        bmsg.Request, bmsg.Propose, bmsg.Write, bmsg.Accept, bmsg.Reply,
-        bmsg.Stop, bmsg.StopData, bmsg.Sync, bmsg.Heartbeat, bmsg.CertReport,
-        bmsg.StateRequest, bmsg.StateResponse,
-        cmsg.WireMulticast, cmsg.MulticastReply,
-        Reconfig, View, Signature, MessageId, MulticastMessage, Delivery,
-        # Admin commands ride inside Request.command over neighbour links,
-        # so they need wire ids too.  Appended after the original table —
-        # the binary codec's type ids are registration-order indexes.
-        cmsg.MembershipUpdate, cmsg.TreeUpdate,
-        bmsg.AuthenticatedPropose,
-        cmsg.RelayBatch,
-    ):
-        register_wire_type(cls)
-
-
-def ensure_registered() -> None:
-    """Register the built-in protocol message types (idempotent)."""
-    if not _REGISTRY:
-        _register_builtin_types()
-
-
-def registered_type(name: str) -> Type:
-    """The registered dataclass called ``name`` (raises on unknown)."""
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise NetworkError(f"unknown wire type {name!r}")
-    return cls
-
-
-def wire_type_id(cls: Type) -> int:
-    """The binary codec's small integer id of a registered class."""
-    try:
-        return _TYPE_IDS[cls.__name__]
-    except KeyError:
-        raise NetworkError(
-            f"cannot encode unregistered dataclass {cls.__name__!r}; "
-            f"call repro.env.codec.register_wire_type({cls.__name__})"
-        ) from None
-
-
-def wire_type_by_id(type_id: int) -> Type:
-    """Inverse of :func:`wire_type_id` (raises on unknown ids)."""
-    if 0 <= type_id < len(_TYPES_BY_ID):
-        return _TYPES_BY_ID[type_id]
-    raise NetworkError(f"unknown wire type id {type_id}")
 
 
 def _to_jsonable(value: Any) -> Any:
@@ -145,7 +65,7 @@ def _to_jsonable(value: Any) -> Any:
         return {"!m": [[_to_jsonable(k), _to_jsonable(v)] for k, v in value.items()]}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
-        if _REGISTRY.get(name) is not type(value):
+        if not is_registered(type(value)):
             raise NetworkError(
                 f"cannot encode unregistered dataclass {name!r}; "
                 f"call repro.env.codec.register_wire_type({name})"

@@ -29,7 +29,7 @@ forever.  Inbound connections parse frames from a single compacted
 ``bytearray`` (no per-frame re-slicing); an undecodable frame body is
 counted as ``net.bad_frame`` and skipped (framing stays in sync), while a
 corrupt length prefix — unresyncable — drops the connection.  Outbound
-writes are zero-copy: the memoised payload body is handed to
+writes are zero-copy: the payload body is handed to
 ``writelines`` between the route-prefix buffers without concatenation.
 :meth:`TcpTransport.shutdown` drains pending outbound queues (bounded)
 before cancelling the pumps.
@@ -190,9 +190,9 @@ class TcpTransport:
             self._aloop.call_soon(actor.receive, src, payload)
             return
         address = self.directory[dst]
-        # frame_route_parts encodes the payload once (identity-memoised) and
-        # only splices the per-recipient route buffers — a broadcast neither
-        # re-walks the payload object graph nor copies its bytes per peer.
+        # frame_route_parts encodes the payload once (memoised) and only
+        # splices the per-recipient route buffers — a broadcast never
+        # re-walks the messages in the payload.
         self._outbound(address).put_nowait(
             self._codec.frame_route_parts(src, dst, payload))
 

@@ -19,27 +19,26 @@ tag   payload
 0x07  bytes: u32 length
 0x08  tuple: u32 count + items
 0x09  list: u32 count + items
-0x0A  frozenset: u32 count + items in sorted order
-0x0B  dict: u32 count + alternating key, value
+0x0A  frozenset: u32 count + items ordered by their encoded bytes
+0x0B  dict: u32 count + alternating key, value, ordered by encoded key
 0x0C  registered dataclass: u16 type id + fields in declaration order
 ====  =========================================================
 
-Dataclasses carry no field names on the wire: the u16 type id indexes the
-registration-order table shared with the JSON codec
-(:func:`repro.env.codec.register_wire_type`), and fields are positional —
-which is why application types must register in the same order on every
-host.  Sets are serialized sorted, so encoding is canonical: equal objects
-produce identical bytes under either codec.
+The body is the codebase's one canonical byte form
+(:mod:`repro.canonical`, which holds the encoder): the bytes put on a
+socket are the bytes :mod:`repro.crypto` digests, MACs and signs, and the
+encoding of every frozen dataclass is memoised on the object, at every
+nesting depth — a broadcast to ``n - 1`` peers walks the object graph
+once, however the message is wrapped.
 
-Encodings of dataclass messages are memoised by object identity in
-:data:`repro.crypto.cache.wire_encode_cache` (a separate cache from the
-JSON codec's, since both key on ``id(obj)``), so a broadcast to ``n - 1``
-peers walks the object graph once.
-
-:func:`decode` is strict: unknown tags, unknown type ids, truncated
-payloads and trailing bytes all raise :class:`~repro.errors.NetworkError`
-— the transport counts ``net.bad_frame`` and isolates the connection
-rather than crashing the reader.
+:func:`decode` seeds that memo on every dataclass it builds with the
+slice it was decoded from, so it accepts canonical encodings only: a
+big-int tag on a value that fits ``>q``, set items or dict keys out of
+order or repeated, unknown tags and type ids, truncated payloads and
+trailing bytes all raise :class:`~repro.errors.NetworkError` — the
+transport counts ``net.bad_frame`` and isolates the connection rather
+than crashing the reader.  ``encode(decode(b)) == b`` for every ``b``
+that decodes.
 """
 
 from __future__ import annotations
@@ -48,171 +47,53 @@ import dataclasses
 import struct
 from typing import Any, Callable, Tuple
 
-from repro.crypto import cache as _cache
+from repro import canonical as _canonical
+from repro.canonical import (
+    BYTES, DATACLASS, DICT, FALSE, FLOAT, FROZENSET, I64_MAX, I64_MIN,
+    INT64, INTBIG, LIST, MEMO, NONE, STR, TRUE, TUPLE,
+)
 from repro.env import codec as _codec
 from repro.env.codec import MAX_FRAME, _LENGTH  # shared framing
 from repro.errors import NetworkError
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-
-_NONE = b"\x00"
-_FALSE = b"\x01"
-_TRUE = b"\x02"
-_INT64 = 0x03
-_INTBIG = 0x04
-_FLOAT = 0x05
-_STR = 0x06
-_BYTES = 0x07
-_TUPLE = 0x08
-_LIST = 0x09
-_FROZENSET = 0x0A
-_DICT = 0x0B
-_DATACLASS = 0x0C
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-# Per-class metadata, lazily built on first use.  The type-id registry in
-# :mod:`repro.env.codec` is append-only, so these never go stale.
-#   class   -> (b"\x0c" + u16 type id, field-name tuple)   [encode path]
-#   type id -> (class, field count)                        [decode path]
-_DC_BY_CLS: dict = {}
+# type id -> (class, field count, memoisable); the registry is append-only,
+# so entries never go stale
 _DC_BY_ID: dict = {}
 
 
-def _dc_encode_meta(cls) -> Tuple[bytes, Tuple[str, ...]]:
-    head = bytes((_DATACLASS,)) + _U16.pack(_codec.wire_type_id(cls))
-    meta = (head, tuple(f.name for f in dataclasses.fields(cls)))
-    _DC_BY_CLS[cls] = meta
-    return meta
-
-
-def _dc_decode_meta(type_id: int) -> Tuple[type, int]:
-    cls = _codec.wire_type_by_id(type_id)
-    meta = (cls, len(dataclasses.fields(cls)))
+def _dc_decode_meta(type_id: int) -> Tuple[type, int, bool]:
+    cls = _canonical.wire_type_by_id(type_id)
+    meta = (cls, len(dataclasses.fields(cls)), _canonical.memoisable(cls))
     _DC_BY_ID[type_id] = meta
     return meta
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    # Dispatch on exact type first: the hot path is protocol dataclasses
-    # full of str/int/bytes/tuple leaves, and `type(x) is T` beats a chain
-    # of isinstance calls.  Subclass and odd cases fall through below.
-    kind = type(value)
-    if kind is str:
-        raw = value.encode("utf-8")
-        out.append(_STR)
-        out += _U32.pack(len(raw))
-        out += raw
-    elif kind is int:
-        if _I64_MIN <= value <= _I64_MAX:
-            out.append(_INT64)
-            out += _I64.pack(value)
-        else:
-            raw = value.to_bytes((value.bit_length() + 8) // 8,
-                                 "big", signed=True)
-            out.append(_INTBIG)
-            out += _U32.pack(len(raw))
-            out += raw
-    elif kind is tuple:
-        out.append(_TUPLE)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif kind is bytes:
-        out.append(_BYTES)
-        out += _U32.pack(len(value))
-        out += value
-    elif value is None:
-        out += _NONE
-    elif value is True:
-        out += _TRUE
-    elif value is False:
-        out += _FALSE
-    elif kind is float:
-        out.append(_FLOAT)
-        out += _F64.pack(value)
-    elif kind is list:
-        out.append(_LIST)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif kind is frozenset or kind is set:
-        # Sorted for a canonical frame, mirroring the JSON codec.
-        out.append(_FROZENSET)
-        out += _U32.pack(len(value))
-        for item in sorted(value):
-            _encode_into(out, item)
-    elif kind is dict:
-        out.append(_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            _encode_into(out, key)
-            _encode_into(out, item)
-    else:
-        meta = _DC_BY_CLS.get(kind)
-        if meta is None:
-            if isinstance(value, int):      # bool/int subclasses
-                _encode_into(out, int(value))
-                return
-            if isinstance(value, float):
-                _encode_into(out, float(value))
-                return
-            if isinstance(value, str):
-                _encode_into(out, str(value))
-                return
-            if not (dataclasses.is_dataclass(value)
-                    and not isinstance(value, type)):
-                raise NetworkError(
-                    f"cannot encode value of type {kind.__name__!r}")
-            meta = _dc_encode_meta(kind)
-        head, names = meta
-        out += head
-        for name in names:
-            _encode_into(out, getattr(value, name))
-
-
 def encode(obj: Any) -> bytes:
-    """Serialize ``obj`` to a binary frame body (no length prefix).
-
-    Dataclass encodings are memoised by object identity, same contract as
-    the JSON codec's :func:`repro.env.codec.encode`.
-    """
-    _codec.ensure_registered()
-    cacheable = (
-        _cache.enabled()
-        and dataclasses.is_dataclass(obj)
-        and not isinstance(obj, type)
-    )
-    if cacheable:
-        cached = _cache.wire_encode_cache.get(obj)
-        if cached is not None:
-            return cached
-    out = bytearray()
-    _encode_into(out, obj)
-    body = bytes(out)
-    if cacheable:
-        _cache.wire_encode_cache.put(obj, body)
+    """Serialize ``obj`` to a binary frame body (no length prefix)."""
+    body, unregistered = _canonical.encode(obj)
+    if unregistered is not None:
+        name = unregistered.__name__
+        raise NetworkError(
+            f"cannot encode unregistered dataclass {name!r}; "
+            f"call repro.env.codec.register_wire_type({name})")
     return body
 
 
 def _decode_from(data: bytes, offset: int, limit: int,
-                 _unpack_i64=_I64.unpack_from,
-                 _unpack_u32=_U32.unpack_from,
-                 _unpack_u16=_U16.unpack_from,
-                 _unpack_f64=_F64.unpack_from) -> Tuple[Any, int]:
+                 _unpack_i64=_canonical.I64.unpack_from,
+                 _unpack_u32=_canonical.U32.unpack_from,
+                 _unpack_u16=_canonical.U16.unpack_from,
+                 _unpack_f64=_canonical.F64.unpack_from) -> Tuple[Any, int]:
     # Bounds are enforced lazily: ``data[offset]`` past the end raises
     # IndexError and ``unpack_from`` raises struct.error, both translated
     # to NetworkError by :func:`decode`.  Only slice reads (str/bytes/
     # bigint payloads) need an explicit check, because Python slicing
     # silently truncates instead of raising.  The tag dispatch is ordered
     # by frequency in protocol traffic: str > int > tuple > dataclass.
+    start = offset
     tag = data[offset]
     offset += 1
-    if tag == _STR:
+    if tag == STR:
         (length,) = _unpack_u32(data, offset)
         offset += 4
         end = offset + length
@@ -221,14 +102,14 @@ def _decode_from(data: bytes, offset: int, limit: int,
                 f"truncated binary frame: need {length} byte(s) "
                 f"at offset {offset}")
         return data[offset:end].decode("utf-8"), end
-    if tag == _INT64:
+    if tag == INT64:
         return _unpack_i64(data, offset)[0], offset + 8
-    if tag == _TUPLE or tag == _DATACLASS:
+    if tag == TUPLE or tag == DATACLASS:
         # The two container tags that dominate protocol frames share one
         # loop with the leaf tags (str/int/bytes) decoded inline — the
         # recursive call per leaf would otherwise be the single largest
         # cost in the decoder.
-        if tag == _TUPLE:
+        if tag == TUPLE:
             (count,) = _unpack_u32(data, offset)
             offset += 4
             cls = None
@@ -238,12 +119,12 @@ def _decode_from(data: bytes, offset: int, limit: int,
             meta = _DC_BY_ID.get(type_id)
             if meta is None:
                 meta = _dc_decode_meta(type_id)
-            cls, count = meta
+            cls, count, memoise = meta
         items = []
         append = items.append
         for _ in range(count):
             leaf = data[offset]
-            if leaf == _STR:
+            if leaf == STR:
                 (length,) = _unpack_u32(data, offset + 1)
                 offset += 5
                 end = offset + length
@@ -253,10 +134,10 @@ def _decode_from(data: bytes, offset: int, limit: int,
                         f"at offset {offset}")
                 append(data[offset:end].decode("utf-8"))
                 offset = end
-            elif leaf == _INT64:
+            elif leaf == INT64:
                 append(_unpack_i64(data, offset + 1)[0])
                 offset += 9
-            elif leaf == _BYTES:
+            elif leaf == BYTES:
                 (length,) = _unpack_u32(data, offset + 1)
                 offset += 5
                 end = offset + length
@@ -272,11 +153,16 @@ def _decode_from(data: bytes, offset: int, limit: int,
         if cls is None:
             return tuple(items), offset
         try:
-            return cls(*items), offset
+            value = cls(*items)
         except (TypeError, ValueError) as exc:
             raise NetworkError(
                 f"cannot rebuild {cls.__name__} from frame: {exc}") from exc
-    if tag == _BYTES:
+        if memoise and _canonical.memo_on:
+            # Only canonical encodings get this far, so the slice is what
+            # encoding ``value`` would produce.
+            value.__dict__[MEMO] = data[start:offset]
+        return value, offset
+    if tag == BYTES:
         (length,) = _unpack_u32(data, offset)
         offset += 4
         end = offset + length
@@ -285,33 +171,42 @@ def _decode_from(data: bytes, offset: int, limit: int,
                 f"truncated binary frame: need {length} byte(s) "
                 f"at offset {offset}")
         return data[offset:end], end
-    if tag == _FROZENSET:
+    if tag == FROZENSET or tag == DICT:
+        # Canonical order is strictly ascending encoded items (set) or
+        # keys (dict); values equal under ``==`` but encoded differently
+        # (1, True, 1.0) would collapse on rebuild, hence the size check.
         (count,) = _unpack_u32(data, offset)
         offset += 4
-        items = []
-        append = items.append
+        keys = []
+        values = []
+        previous = None
         for _ in range(count):
-            item, offset = _decode_from(data, offset, limit)
-            append(item)
-        return frozenset(items), offset
-    if tag == _DICT:
-        (count,) = _unpack_u32(data, offset)
-        offset += 4
-        mapping = {}
-        for _ in range(count):
+            at = offset
             key, offset = _decode_from(data, offset, limit)
-            value, offset = _decode_from(data, offset, limit)
-            mapping[key] = value
-        return mapping, offset
-    if tag == 0x00:
+            raw = data[at:offset]
+            if previous is not None and raw <= previous:
+                raise NetworkError(
+                    f"non-canonical binary frame: set items or dict keys "
+                    f"out of order at offset {at}")
+            previous = raw
+            keys.append(key)
+            if tag == DICT:
+                value, offset = _decode_from(data, offset, limit)
+                values.append(value)
+        built = dict(zip(keys, values)) if tag == DICT else frozenset(keys)
+        if len(built) != count:
+            raise NetworkError(
+                "non-canonical binary frame: equal set items or dict keys")
+        return built, offset
+    if tag == NONE:
         return None, offset
-    if tag == 0x01:
+    if tag == FALSE:
         return False, offset
-    if tag == 0x02:
+    if tag == TRUE:
         return True, offset
-    if tag == _FLOAT:
+    if tag == FLOAT:
         return _unpack_f64(data, offset)[0], offset + 8
-    if tag == _LIST:
+    if tag == LIST:
         (count,) = _unpack_u32(data, offset)
         offset += 4
         items = []
@@ -320,7 +215,7 @@ def _decode_from(data: bytes, offset: int, limit: int,
             item, offset = _decode_from(data, offset, limit)
             append(item)
         return items, offset
-    if tag == _INTBIG:
+    if tag == INTBIG:
         (length,) = _unpack_u32(data, offset)
         offset += 4
         end = offset + length
@@ -328,13 +223,17 @@ def _decode_from(data: bytes, offset: int, limit: int,
             raise NetworkError(
                 f"truncated binary frame: need {length} byte(s) "
                 f"at offset {offset}")
-        return int.from_bytes(data[offset:end], "big", signed=True), end
+        value = int.from_bytes(data[offset:end], "big", signed=True)
+        if (I64_MIN <= value <= I64_MAX
+                or length != (value.bit_length() + 8) // 8):
+            raise NetworkError(
+                f"non-canonical binary frame: big-int encoding of {value}")
+        return value, end
     raise NetworkError(f"unknown binary wire tag 0x{tag:02x}")
 
 
 def decode(body) -> Any:
-    """Inverse of :func:`encode`; strict about malformed input."""
-    _codec.ensure_registered()
+    """Inverse of :func:`encode`; accepts canonical encodings only."""
     if type(body) is not bytes:
         body = bytes(body)   # memoryview / bytearray input
     try:
@@ -348,6 +247,8 @@ def decode(body) -> Any:
         raise NetworkError(f"invalid UTF-8 in binary frame: {exc}") from exc
     except RecursionError:
         raise NetworkError("binary frame nests too deeply") from None
+    except TypeError as exc:     # unhashable set item or dict key
+        raise NetworkError(f"malformed binary frame: {exc}") from exc
     if offset != len(body):
         raise NetworkError(
             f"{len(body) - offset} trailing byte(s) after binary frame body")
@@ -363,11 +264,9 @@ def frame(obj: Any) -> bytes:
 
 
 def _route_head(src: str, dst: str) -> bytes:
-    head = bytearray()
-    head.append(_TUPLE)
-    head += _U32.pack(3)
-    _encode_into(head, src)
-    _encode_into(head, dst)
+    head = bytearray(struct.pack(">BI", TUPLE, 3))
+    _canonical.encode_into(head, src)
+    _canonical.encode_into(head, dst)
     return bytes(head)
 
 

@@ -8,7 +8,7 @@ wire codec.  The workload is the protocol's steady-state shape — a
 32-request ``Propose`` whose commands carry opaque byte payloads, plus the
 batch's MAC vector (:func:`repro.crypto.mac_vector`, one digest per batch,
 one 16-byte tag per link) — so a cell's throughput is the full pipeline:
-construct → digest → MAC → encode (once, identity-memoised) → frame →
+construct → digest → MAC → encode (once, memoised) → frame →
 socket → stream reassembly → decode, per receiver.
 
 ``rt_binary_mixed`` gates on ``RT_WIRE_SPEEDUP`` x ``rt_json_mixed``'s
@@ -99,8 +99,8 @@ def _batch_factory(cell: RtCell):
 
     Blob construction is workload *generation*, not transport work, so the
     byte payloads are built once up front; every call still constructs a
-    fresh ``Propose``/``Request`` object graph so the identity-memoised
-    encode path is exercised honestly (one cold encode per batch, reused
+    fresh ``Propose``/``Request`` object graph so the memoised encode
+    path is exercised honestly (one cold encode per batch, reused
     across the ``receivers`` links).
     """
     from repro.bcast.messages import Propose, Request

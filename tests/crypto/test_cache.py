@@ -1,14 +1,18 @@
-"""Unit tests for the identity-keyed memoisation layer."""
+"""Unit tests for the memoisation layer: identity LRUs and on-object memos."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.bcast.messages import Propose, Request
+from repro.canonical import DIGEST_MEMO, MEMO
 from repro.crypto import cache as cache_mod
 from repro.crypto.cache import IdentityCache, caching_disabled
 from repro.crypto.digest import canonical_bytes, digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign, verify
+from repro.crypto.signatures import Signature, sign, verify
 
 
 @pytest.fixture(autouse=True)
@@ -64,13 +68,79 @@ class TestIdentityCache:
         assert cache.get(obj) is None
 
 
-class TestMemoisedFunctions:
-    def test_canonical_bytes_hits_cache(self):
-        obj = ("payload", 42, (1, 2, 3))
-        first = canonical_bytes(obj)
-        hits_before = cache_mod.canonical_cache.hits
-        assert canonical_bytes(obj) == first
-        assert cache_mod.canonical_cache.hits > hits_before
+def _request(seq: int = 0) -> Request:
+    return Request("g1", "c1", seq, ("put", "k", b"v"), Signature("c1", b"t"))
+
+
+def _stats(name: str) -> dict:
+    return cache_mod.cache_stats()[name]
+
+
+class TestMessageMemo:
+    def test_canonical_bytes_live_on_the_object(self):
+        request = _request()
+        first = canonical_bytes(request)
+        assert request.__dict__[MEMO] is first
+        assert _stats("canonical")["misses"] == 2    # request + signature
+        assert canonical_bytes(request) is first
+        assert _stats("canonical")["hits"] == 1
+        assert _stats("canonical")["size"] == 2
+
+    def test_memo_is_per_nesting_depth(self):
+        """A container's bytes are spliced from its members' memos."""
+        requests = tuple(_request(i) for i in range(3))
+        for request in requests:
+            canonical_bytes(request)
+        misses = _stats("canonical")["misses"]
+        proposal = Propose("g1", 0, 0, requests, "g1/r0")
+        body = canonical_bytes(proposal)
+        assert _stats("canonical")["misses"] == misses + 1   # the Propose
+        for request in requests:
+            assert request.__dict__[MEMO] in body
+        # a bare tuple has nowhere to keep a memo, but its members do
+        before = _stats("canonical")
+        digest(requests)
+        after = _stats("canonical")
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 3
+
+    def test_memo_ignores_equality_and_replace(self):
+        """The memo is not a field: equal objects compare equal with or
+        without it, and a copy with a changed field starts without one."""
+        request = _request()
+        canonical_bytes(request)
+        assert request == _request()
+        assert hash(request) == hash(_request())
+        assert MEMO not in repr(request)
+        changed = dataclasses.replace(request, seq=9)
+        assert MEMO not in changed.__dict__
+        assert canonical_bytes(changed) != canonical_bytes(request)
+
+    def test_digest_memo_beside_the_bytes(self):
+        request = _request()
+        value = digest(request)
+        assert request.__dict__[DIGEST_MEMO] is value
+        assert _stats("digest") == {"hits": 0, "misses": 1, "size": 1}
+        assert digest(request) is value
+        assert _stats("digest")["hits"] == 1
+
+    def test_mutable_and_slotted_dataclasses_are_never_memoised(self):
+        @dataclasses.dataclass
+        class Mutable:
+            x: int
+
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            x: int
+
+        obj = Mutable(1)
+        stale = canonical_bytes(obj)
+        digest(obj)
+        assert MEMO not in obj.__dict__ and DIGEST_MEMO not in obj.__dict__
+        obj.x = 2
+        assert canonical_bytes(obj) != stale
+        assert canonical_bytes(Slotted(1)) == canonical_bytes(Slotted(1))
+        assert _stats("canonical")["size"] == 0
 
     def test_value_equal_objects_not_conflated(self):
         """1 == 1.0 == True, but their canonical forms must differ."""
@@ -78,11 +148,26 @@ class TestMemoisedFunctions:
         assert canonical_bytes((1,)) != canonical_bytes((True,))
 
     def test_digest_stable_across_cache_states(self):
-        obj = ("msg", 7)
+        request = _request()
         with caching_disabled():
-            uncached = digest(obj)
-        assert digest(obj) == uncached
-        assert digest(obj) == uncached  # second call served from cache
+            uncached = digest(request)
+            assert MEMO not in request.__dict__
+        assert digest(request) == uncached
+        assert digest(request) == uncached  # second call served from the memo
+
+    def test_caching_disabled_neither_reads_nor_writes_memos(self):
+        request = _request()
+        canonical_bytes(request)
+        with caching_disabled():
+            assert not cache_mod.enabled()
+            # a planted memo would be returned if it were read
+            request.__dict__[MEMO] = b"stale"
+            assert canonical_bytes(request) == canonical_bytes(_request())
+            assert digest(request) == digest(_request())
+            assert request.__dict__[MEMO] == b"stale"
+            assert DIGEST_MEMO not in request.__dict__
+            assert _stats("canonical") == {"hits": 0, "misses": 0, "size": 0}
+        assert cache_mod.enabled()
 
     def test_verify_verdict_not_shared_across_registries(self):
         """Two registries with different master seeds must not share verdicts."""
@@ -96,19 +181,9 @@ class TestMemoisedFunctions:
         assert not verify(reg_b, payload, signature)
         assert verify(reg_a, payload, signature)
 
-    def test_caching_disabled_context(self):
-        obj = ("x", 1)
-        canonical_bytes(obj)
-        with caching_disabled():
-            assert not cache_mod.enabled()
-            size_inside = len(cache_mod.canonical_cache)
-            canonical_bytes(obj)
-            assert len(cache_mod.canonical_cache) == size_inside
-        assert cache_mod.enabled()
-
     def test_cache_stats_shape(self):
         stats = cache_mod.cache_stats()
-        assert set(stats) == {"canonical", "digest", "verify", "encode",
-                              "wire_encode"}
+        assert set(stats) == {"canonical", "digest", "verify", "encode"}
         for entry in stats.values():
             assert set(entry) == {"hits", "misses", "size"}
+            assert all(type(v) is int for v in entry.values())

@@ -26,27 +26,83 @@ class TestCanonicalBytes:
     def test_dicts_order_independent(self):
         assert canonical_bytes({"a": 1, "b": 2}) == canonical_bytes({"b": 2, "a": 1})
 
-    def test_tuples_and_lists_equivalent_but_ordered(self):
-        assert canonical_bytes([1, 2]) == canonical_bytes((1, 2))
+    def test_tuples_and_lists_distinct_and_ordered(self):
+        """The canonical form is the wire form, and a peer decodes ``[1, 2]``
+        and ``(1, 2)`` as different values: they must not share a digest."""
+        assert canonical_bytes([1, 2]) != canonical_bytes((1, 2))
         assert canonical_bytes((1, 2)) != canonical_bytes((2, 1))
+        assert canonical_bytes([1, 2]) == canonical_bytes([1, 2])
 
     def test_nested_structures(self):
         a = canonical_bytes({"k": [1, (2, frozenset({"x"}))]})
         b = canonical_bytes({"k": [1, (2, frozenset({"x"}))]})
         assert a == b
 
-    def test_dataclasses(self):
+    def test_sets_and_dicts_need_no_comparable_items(self):
+        mixed = frozenset({1, "a", b"b", (2,), None})
+        assert canonical_bytes(mixed) == canonical_bytes(frozenset(mixed))
+        assert canonical_bytes({1: "x", "k": 2}) == canonical_bytes(
+            {"k": 2, 1: "x"})
+
+    def test_canonical_form_is_the_wire_body(self):
+        from repro.bcast.messages import Request
+        from repro.env import wire
+
+        request = Request("g1", "c1", 4, ("put", "k", {"a": frozenset("xy")}),
+                          Signature("c1", b"tag"))
+        for value in (request, (request, [1.5, None, True]), 2**70):
+            assert canonical_bytes(value) == wire.encode(value)
+
+    def test_unregistered_dataclass_digests_but_stays_off_the_wire(self):
+        from repro.bcast.messages import Request
+        from repro.canonical import MEMO
+        from repro.env import wire
+        from repro.errors import NetworkError
+
         @dataclass(frozen=True)
         class Point:
             x: int
             y: int
 
+        @dataclass(frozen=True)
+        class Pair:
+            x: int
+            y: int
+
         assert canonical_bytes(Point(1, 2)) == canonical_bytes(Point(1, 2))
         assert canonical_bytes(Point(1, 2)) != canonical_bytes(Point(2, 1))
+        assert canonical_bytes(Point(1, 2)) != canonical_bytes(Pair(1, 2))
+        assert canonical_bytes(Point(1, 2)) != canonical_bytes((1, 2))
+        # Signing a request that carries one works; its bytes are never
+        # memoised, so the codec still refuses it however it is wrapped.
+        request = Request("g1", "c1", 0, ("move", Point(1, 2)))
+        assert digest(request) == digest(
+            Request("g1", "c1", 0, ("move", Point(1, 2))))
+        assert MEMO not in request.__dict__
+        for value in (Point(1, 2), request, (request,), {"k": [request]}):
+            with pytest.raises(NetworkError, match="Point"):
+                wire.encode(value)
+
+    def test_subclasses_encode_as_their_base_type(self):
+        import enum
+        from typing import NamedTuple
+
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        class Pair(NamedTuple):
+            a: int
+            b: int
+
+        assert canonical_bytes(Colour.RED) == canonical_bytes(1)
+        assert canonical_bytes(Pair(1, 2)) == canonical_bytes((1, 2))
 
     def test_unsupported_type_raises(self):
+        for value in (object(), (1, object()), {"k": {2: object()}}, Signature):
+            with pytest.raises(CryptoError):
+                canonical_bytes(value)
         with pytest.raises(CryptoError):
-            canonical_bytes(object())
+            digest(lambda: None)
 
     def test_digest_is_16_bytes_and_stable(self):
         assert len(digest(("a", 1))) == 16

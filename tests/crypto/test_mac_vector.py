@@ -63,21 +63,39 @@ class TestMacVector:
         assert not verify_mac_vector(registry, "g1/r9", "g1/r1", obj, vector)
 
     def test_body_digest_amortised_across_links(self):
-        """The batch is canonicalized/digested once for the whole vector:
-        every link after the first rides the identity-memoised digest."""
+        """The batch is walked and digested once for the whole vector:
+        every link after the first rides the digest memoised on it."""
         _cache.configure(True)
-        _cache.clear_caches()
         registry = KeyRegistry()
         obj = batch()
-        before = _cache.cache_stats()["digest"]
         mac_vector(registry, "g1/r0", [f"g1/r{i}" for i in range(1, 8)], obj)
-        after = _cache.cache_stats()["digest"]
-        assert after["misses"] - before["misses"] == 1
+        after = _cache.cache_stats()
+        assert after["digest"]["misses"] == 1
+        # one walk: the Propose, its 4 requests and their 4 signatures
+        assert after["canonical"] == {"hits": 0, "misses": 9, "size": 9}
         # a second vector over the same object digests nothing new
         mac_vector(registry, "g1/r0", ["g1/r8"], obj)
-        final = _cache.cache_stats()["digest"]
-        assert final["misses"] == after["misses"]
-        assert final["hits"] > after["hits"]
+        final = _cache.cache_stats()
+        assert final["digest"]["misses"] == 1
+        assert final["digest"]["hits"] == 1
+        assert final["canonical"] == after["canonical"]
+
+    def test_receiver_authenticates_the_bytes_that_arrived(self):
+        """A decoded batch carries its wire bytes, so checking its tag and
+        digesting its requests walks nothing."""
+        from repro.crypto.digest import digest
+        from repro.env import wire
+
+        registry = KeyRegistry()
+        obj = batch()
+        vector = mac_vector(registry, "g1/r0", ["g1/r1"], obj)
+        body = wire.encode((obj, vector))
+        _cache.configure(True)
+        received, received_vector = wire.decode(body)
+        assert verify_mac_vector(
+            registry, "g1/r0", "g1/r1", received, received_vector)
+        assert digest(received.batch) == digest(obj.batch)
+        assert _cache.cache_stats()["canonical"]["misses"] == 0
 
     def test_vector_survives_wire_roundtrip(self):
         # The vector is a plain {str: bytes} dict — it rides in message

@@ -13,12 +13,17 @@ from __future__ import annotations
 import asyncio
 import time
 
+from repro.bcast.messages import AuthenticatedPropose, Propose, Request, Write
+from repro.canonical import MEMO
 from repro.core import OverlayTree
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all
 from repro.core.messages import RelayBatch
 from repro.core.node import ByzCastApplication
-from repro.env import make_runtime
+from repro.crypto import cache as crypto_cache
+from repro.crypto.digest import digest
+from repro.crypto.mac import mac_vector
+from repro.env import make_runtime, wire
 from repro.env.tcp import TcpTransport
 
 TOTAL = 120
@@ -85,11 +90,15 @@ class HostPerGroup:
             aloop, clock, config, rng, monitor, directory=self.directory,
             site_directory=self.sites, wire=wire)
 
+    @staticmethod
+    def host_of(actor):
+        return actor.name.split("/")[0]
+
     def register(self, actor, site="site0"):
-        group = actor.name.split("/")[0]
-        if group not in self.hosts:
-            self.hosts[group] = self._new_host()
-        self.hosts[group].register(actor, site)
+        key = self.host_of(actor)
+        if key not in self.hosts:
+            self.hosts[key] = self._new_host()
+        self.hosts[key].register(actor, site)
 
     async def start(self):
         for host in self.hosts.values():
@@ -154,3 +163,148 @@ def test_global_multicast_round_trips_a_relay_batch_over_tcp_binary():
             assert batch.wires[0].to_message() == completed[0]
     assert dep.monitor.counters["byzcast.relay_batch"] >= 2 * 3
     assert dep.monitor.counters.get("net.bad_frame", 0) == 0
+
+
+# -- batch authentication over sockets: one byte form ------------------------------
+
+
+class HostPerActor(HostPerGroup):
+    """One host per replica, so proposals reach followers as frames."""
+
+    @staticmethod
+    def host_of(actor):
+        return actor.name
+
+
+def authenticated_tcp_deployment():
+    runtime = make_runtime("asyncio", seed=5, transport_factory=HostPerActor,
+                           wire="binary")
+    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                            runtime=runtime, authenticate_batches=True)
+    return runtime, dep
+
+
+def run_and_close(runtime, dep, first, until=15.0):
+    """Start the hosts, schedule ``first`` (a started loop would run it
+    before every host is listening), run, and unwind pumps and readers."""
+    runtime.asyncio_loop.run_until_complete(runtime.transport.start())
+    runtime.clock.schedule(0.0, first)
+    try:
+        dep.run(until=until)
+    finally:
+        runtime.transport.shutdown()
+        runtime.asyncio_loop.run_until_complete(asyncio.sleep(0.05))
+        runtime.close()
+
+
+def test_follower_writes_a_received_batch_without_walking_it_again():
+    """A follower checks its link tag, validates and WRITEs a decoded
+    ``AuthenticatedPropose`` off the bytes that arrived: every canonical
+    walk during the handler belongs to a message the follower itself
+    created (its Write/Accept), none to a decoded one."""
+    runtime, dep = authenticated_tcp_deployment()
+    follower = dep.group("g1").replicas[1]
+    handle, send = follower._handle_authenticated_propose, follower.send
+    handled = []
+    outgoing = []
+
+    def recording_send(dst, payload, size=64):
+        outgoing.append(payload)
+        send(dst, payload, size)
+
+    def recording_handle(src, wrapped):
+        proposal = wrapped.proposal
+        decoded = [wrapped, proposal, *proposal.batch,
+                   *(r.command for r in proposal.batch),
+                   *(r.signature for r in proposal.batch)]
+        seeded = all(MEMO in message.__dict__ for message in decoded)
+        outgoing.clear()
+        before = crypto_cache.cache_stats()["canonical"]
+        handle(src, wrapped)
+        after = crypto_cache.cache_stats()["canonical"]
+        created = {id(payload) for payload in outgoing}
+        handled.append({
+            "seeded": seeded,
+            "walks_of_decoded": after["misses"] - before["misses"]
+                                - len(created),
+            "hits": after["hits"] - before["hits"],
+            "wrote": [p for p in outgoing if isinstance(p, Write)],
+            "digest": digest(proposal.batch),
+        })
+
+    follower._handle_authenticated_propose = recording_handle
+    follower.send = recording_send
+    completed = []
+    client = dep.add_client("c1")
+
+    def on_done(message, latency):
+        completed.append(message)
+        runtime.clock.schedule(0.1, runtime.stop)
+
+    crypto_cache.configure(True)
+    run_and_close(runtime, dep, lambda: client.amulticast(
+        ("g1",), payload=("tx", b"\x00" * 64), callback=on_done))
+
+    assert len(completed) == 1
+    assert handled, "the follower never received a proposal over its socket"
+    for record in handled:
+        assert record["seeded"]
+        assert record["walks_of_decoded"] == 0
+        assert record["hits"] > 0
+    first = handled[0]
+    assert [w.digest for w in first["wrote"][:1]] == [first["digest"]]
+    assert dep.monitor.counters.get("propose.bad_link_mac", 0) == 0
+    assert dep.monitor.counters.get("net.bad_frame", 0) == 0
+
+
+def test_mac_over_a_non_canonical_frame_dies_at_the_link():
+    """A Byzantine leader encodes a valid batch non-canonically (the cid
+    under the big-int tag) and MACs *those* bytes.  Were the frame decoded,
+    the follower's seeded memo would make the tag verify and its WRITE
+    digest differ from that of a replica that got the canonical frame of
+    the equal batch.  Strict decoding drops it as ``net.bad_frame`` before
+    any handler runs; the canonical frame of the same batch gets through."""
+    runtime, dep = authenticated_tcp_deployment()
+    group = dep.group("g1")
+    leader, follower = group.replicas[0], group.replicas[1]
+    batch = (Request("g1", "c9", 0, ("op", 1)),)
+    honest = Propose("g1", 0, 7, batch, leader.name)
+    canonical = wire.encode(honest)
+    before_cid = wire.encode(Propose("g1", 0, 0, (), ""))[:3] + b"".join(
+        wire.encode(field) for field in ("g1", 0))
+    assert canonical.startswith(before_cid + wire.encode(7))
+    evil = Propose("g1", 0, 7, batch, leader.name)
+    evil.__dict__[MEMO] = (before_cid + b"\x04\x00\x00\x00\x01\x07"
+                           + canonical[len(before_cid) + 9:])
+    assert evil == honest and digest(evil) != digest(honest)
+
+    def frame(proposal):
+        vector = mac_vector(dep.registry, leader.name, leader.peers(),
+                            proposal)
+        return wire.frame_route(
+            leader.name, follower.name,
+            AuthenticatedPropose(proposal, tuple(sorted(vector.items()))))
+
+    reached = []
+    follower._handle_authenticated_propose = (
+        lambda src, wrapped: reached.append(wrapped.proposal))
+    tasks = []
+
+    async def inject():
+        port = runtime.transport.hosts[follower.name].port
+        _, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(frame(evil))
+        writer.write(frame(honest))
+        await writer.drain()
+        await asyncio.sleep(0.2)
+        writer.close()
+        runtime.stop()
+
+    run_and_close(runtime, dep, lambda: tasks.append(
+        runtime.asyncio_loop.create_task(inject())), until=10.0)
+
+    assert tasks[0].done() and tasks[0].exception() is None
+    assert dep.monitor.counters.get("net.bad_frame", 0) == 1
+    assert len(reached) == 1
+    assert reached[0].__dict__[MEMO] == canonical
+    assert digest(reached[0]) == digest(honest)

@@ -165,15 +165,70 @@ def test_binary_drain_isolates_bad_frame_bodies():
     assert not ok and frames == []
 
 
-def test_binary_encode_is_memoised_by_identity():
+def test_binary_encode_is_memoised_on_the_message():
+    from repro.canonical import MEMO
     from repro.crypto import cache as _cache
 
     _cache.configure(True)
-    _cache.clear_caches()
     request = Request("g1", "c1", 9, ("op",), Signature("c1", b"\x03"))
     first = wire.encode(request)
     assert wire.encode(request) is first
-    assert _cache.cache_stats()["wire_encode"]["hits"] >= 1
+    assert request.__dict__[MEMO] is first
+    assert _cache.cache_stats()["canonical"]["hits"] >= 1
+    # a decoded message arrives with the slice it was decoded from
+    wrapped = wire.encode(("route", [request, request]))
+    decoded = wire.decode(wrapped)[1][0]
+    assert decoded == request and decoded is not request
+    assert decoded.__dict__[MEMO] == first
+    assert decoded.signature.__dict__[MEMO] == wire.encode(request.signature)
+
+
+def test_binary_decode_accepts_canonical_encodings_only():
+    """Anything the encoder would have written differently is refused —
+    the receiver's memo is the frame slice, so a second encoding of one
+    value would let a sender choose the bytes a correct replica digests."""
+    u32 = struct.Struct(">I").pack
+
+    def big(raw: bytes) -> bytes:
+        return b"\x04" + u32(len(raw)) + raw
+
+    def small(value: int) -> bytes:
+        return b"\x03" + struct.pack(">q", value)
+
+    def container(tag: int, *parts: bytes, count=None) -> bytes:
+        count = len(parts) if count is None else count
+        return bytes((tag,)) + u32(count) + b"".join(parts)
+
+    assert wire.decode(big((2**63).to_bytes(9, "big"))) == 2**63
+    assert wire.decode(container(0x0A, small(1), small(2))) == {1, 2}
+    assert wire.decode(
+        container(0x0B, small(1), b"\x00", small(2), b"\x00",
+                  count=2)) == {1: None, 2: None}
+    rejected = {
+        "big-int tag on a value that fits int64": big(b"\x07"),
+        "big-int tag on int64 min": big((-2**63).to_bytes(8, "big", signed=True)),
+        "big-int with a redundant sign byte": big((2**63).to_bytes(10, "big")),
+        "empty big-int": big(b""),
+        "set items out of order": container(0x0A, small(2), small(1)),
+        "set item repeated": container(0x0A, small(1), small(1)),
+        "set items equal but encoded apart (1, True)":
+            container(0x0A, b"\x02", small(1)),
+        "dict keys out of order":
+            container(0x0B, small(2), b"\x00", small(1), b"\x00", count=2),
+        "dict key repeated":
+            container(0x0B, small(1), b"\x00", small(1), b"\x01", count=2),
+        "dict keys equal but encoded apart (1, 1.0)":
+            container(0x0B, small(1), b"\x00",
+                      b"\x05" + struct.pack(">d", 1.0), b"\x00", count=2),
+        "unhashable dict key":
+            container(0x0B, container(0x09), b"\x00", count=1),
+        "unhashable set item": container(0x0A, container(0x09)),
+        "unregistered-dataclass header": b"\x0d" + u32(1) + b"P" + u32(0),
+    }
+    for why, body in rejected.items():
+        with pytest.raises(NetworkError):
+            wire.decode(body)
+            pytest.fail(f"accepted: {why}")
 
 
 def test_get_codec_resolves_both_wires():
@@ -226,6 +281,58 @@ def test_tcp_delivers_protocol_messages_under_either_codec(wire_name):
     finally:
         host_a.shutdown()
         host_b.shutdown()
+        aloop.run_until_complete(asyncio.sleep(0.05))
+        aloop.close()
+
+
+def test_tcp_broadcast_of_a_tuple_wrapped_message_encodes_it_once():
+    """The fan-out payload shape — ``(batch, vector, stamp)`` — used to be
+    walked once per destination, because only a top-level dataclass was
+    memoised.  The memo is on the message, whatever wraps it."""
+    from repro.crypto import cache as _cache
+
+    aloop = asyncio.new_event_loop()
+    directory = {}
+    sender = TcpTransport(aloop, directory=directory, wire="binary")
+    source = Probe("src")
+    sender.register(source)
+    peers = []
+    for k in range(3):
+        host = TcpTransport(aloop, directory=directory, wire="binary")
+        probe = Probe(f"peer{k}")
+        host.register(probe)
+        peers.append((host, probe))
+    batch = tuple(
+        Request("g1", f"c{i}", i, ("put", f"k{i}", b"v" * 64),
+                Signature(f"c{i}", bytes(16)))
+        for i in range(4))
+    propose = Propose("g1", 0, 3, batch, "g1/r0")
+    payload = (propose, {"peer0": b"tag"}, 1.25)
+    walked = []
+
+    async def scenario():
+        await sender.start()
+        for host, _ in peers:
+            await host.start()
+        _cache.configure(True)
+        for _, probe in peers:
+            sender.send("src", probe.name, payload)
+            walked.append(_cache.cache_stats()["canonical"]["misses"])
+        for _ in range(500):
+            if all(probe.got for _, probe in peers):
+                break
+            await asyncio.sleep(0.01)
+
+    try:
+        aloop.run_until_complete(scenario())
+        # one walk: the Propose, its 4 requests, their 4 signatures
+        assert walked == [9, 9, 9]
+        for _, probe in peers:
+            assert probe.got == [("src", payload)]
+    finally:
+        sender.shutdown()
+        for host, _ in peers:
+            host.shutdown()
         aloop.run_until_complete(asyncio.sleep(0.05))
         aloop.close()
 

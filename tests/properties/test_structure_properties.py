@@ -120,12 +120,12 @@ def test_canonical_bytes_deterministic(value):
 @given(values, values)
 @settings(max_examples=300, deadline=None)
 def test_canonical_bytes_separates_distinct_values(a, b):
-    # Lists and tuples are deliberately equivalent; normalize before compare.
     def norm(v):
         if isinstance(v, bool):
             return ("bool", v)  # canonical form type-tags bools vs ints
         if isinstance(v, (list, tuple)):
-            return ("seq", tuple(norm(x) for x in v))
+            # ... and lists vs tuples, as the wire does
+            return (type(v).__name__, tuple(norm(x) for x in v))
         if isinstance(v, dict):
             return ("map", tuple(sorted((k, norm(x)) for k, x in v.items())))
         return v

@@ -1,0 +1,84 @@
+"""``scripts/bench_pairs.py``: the claim rule, and one real pair end to end."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(values):
+    return [{"metrics": {"m": value}, "attempted": 10, "failed": 0,
+             "correct": True} for value in values]
+
+
+def claim_line(pairs, capsys, parent, change, direction="higher"):
+    pairs.report("w", "ref", {"m": direction},
+                 {"parent": runs(parent), "change": runs(change)})
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("m "))
+    return line.split()
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_parent_iqr(
+        pairs, capsys):
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    faster = [value + 20 for value in parent]
+    assert claim_line(pairs, capsys, parent, faster)[-2:] == ["10/10", "yes"]
+    # eight wins of ten is not enough, whatever the medians say
+    mixed = faster[:8] + [50, 50]
+    assert claim_line(pairs, capsys, parent, mixed)[-2:] == ["8/10", "no"]
+    # every pair won, but by less than the parent's own spread
+    barely = [value + 1 for value in parent]
+    assert claim_line(pairs, capsys, parent, barely)[-2:] == ["10/10", "no"]
+    # lower-is-better metrics win downwards
+    slower = claim_line(pairs, capsys, parent, faster, direction="lower")
+    assert slower[-2:] == ["0/10", "no"]
+
+
+def test_ties_count_for_neither_side(pairs, capsys):
+    parent = [100.0] * 10
+    assert claim_line(pairs, capsys, parent, parent)[-2:] == ["0/0", "no"]
+    nine_ties = [100.0] * 9 + [150.0]
+    assert claim_line(pairs, capsys, parent, nine_ties)[-2] == "1/1"
+
+
+def test_one_pair_end_to_end_writes_result_sets_compare_reads(tmp_path):
+    in_git = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                            capture_output=True)
+    if in_git.returncode != 0:
+        pytest.skip("not a git checkout: no parent to extract")
+    prefix = tmp_path / "pairs"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "HEAD", "--workload", "rt_tcp_fanout",
+         "--pairs", "1", "--seconds", "0.5", "--out", str(prefix)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "throughput_msgs_per_s" in done.stdout
+    assert "0 run(s) with a failed check" in done.stdout
+    for side in ("parent", "change"):
+        records = json.loads(
+            (tmp_path / f"pairs.{side}.json").read_text())["records"]
+        assert [(r["workload"], r["seed"], r["trace"]) for r in records] == [
+            ("rt_tcp_fanout", 11, 0)]
+        assert records[0]["failed"] == 0 and records[0]["correct"]
+    compared = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "compare.py"),
+         f"{prefix}.parent.json", f"{prefix}.change.json"],
+        capture_output=True, text=True, timeout=60)
+    assert "rt_tcp_fanout  throughput_msgs_per_s" in compared.stdout
