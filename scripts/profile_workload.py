@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Where one benchmark workload spends its time.
+
+    python3 scripts/profile_workload.py W [--seed N] [--seconds S] [--top K]
+                                        [--share mod:Class.func ...]
+
+Runs one ``bench/run.py --child`` repeat of workload ``W`` under cProfile
+and prints the top rows by self time and by cumulative time — candidates
+for "the next measured layer".  cProfile taxes every Python call and no C
+call, which shifts the proportions, so each ``--share`` function is then
+measured with profiling off: a second repeat with a ``perf_counter``
+wrapper around that function alone prints its calls, total and per-call
+time and its share of the run phase (``run_wall_s``, the interval
+``host_msgs_per_s`` is measured over).  Re-entrant calls count once.  A
+name is ``module:function`` or ``module:Class.method``; a method is
+patched on its class and a module-level function wherever ``repro`` bound
+it, the way ``bench/spans.py`` does.
+
+Each repeat runs in a fresh process (this file with ``--phase``), so the
+profiled repeat and the timed one share no warm caches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import cProfile
+import importlib
+import inspect
+import io
+import json
+import os
+import pstats
+import subprocess
+import sys
+import time
+from typing import Callable, Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+
+class Share:
+    """Wall time spent inside one function, outermost calls only."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+        self.total = 0.0
+        self._depth = 0
+
+    def wrap(self, fn: Callable) -> Callable:
+        def timed(*args, **kwargs):
+            if self._depth:
+                return fn(*args, **kwargs)
+            self._depth = 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.total += time.perf_counter() - start
+                self.calls += 1
+                self._depth = 0
+
+        return timed
+
+    def install(self) -> None:
+        module_name, _, qualname = self.name.partition(":")
+        if not qualname:
+            raise SystemExit(f"--share {self.name!r}: expected "
+                             "module:function or module:Class.method")
+        owner = importlib.import_module(module_name)
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        raw = inspect.getattr_static(owner, attr)
+        if isinstance(raw, (staticmethod, classmethod)):
+            setattr(owner, attr, type(raw)(self.wrap(raw.__func__)))
+            return
+        timed = self.wrap(raw)
+        setattr(owner, attr, timed)
+        if not path:
+            # ``from module import f`` bound the original elsewhere
+            for loaded in list(sys.modules.values()):
+                if getattr(loaded, "__name__", "").startswith("repro"):
+                    for name, value in list(vars(loaded).items()):
+                        if value is raw:
+                            setattr(loaded, name, timed)
+
+    def row(self, run_wall_s: float) -> str:
+        per_call = self.total / self.calls * 1e3 if self.calls else 0.0
+        return (f"{self.name:56s} {self.calls:8d} {self.total * 1e3:10.1f} "
+                f"{per_call:9.3f} {self.total / run_wall_s:7.1%}")
+
+
+def run_repeat(args) -> Dict:
+    """One ``--child`` repeat in this process; returns its result record."""
+    from bench import run as bench_run
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = bench_run.main([
+            "--child", "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", repr(args.seconds), "--trace", "0",
+            "--spawned-at", repr(time.time())])
+    if code != 0:
+        raise SystemExit(f"bench/run.py --child exited with code {code}")
+    return json.loads(printed.getvalue().strip().splitlines()[-1])
+
+
+def summary(result: Dict) -> str:
+    return (f"run phase {result['run_wall_s']:.2f} s, "
+            f"{result['completed']} ops completed, "
+            f"{result['failed']} failed")
+
+
+def phase_profile(args) -> int:
+    profile = cProfile.Profile()
+    result = profile.runcall(run_repeat, args)
+    print(f"{args.workload} seed {args.seed} under cProfile: "
+          f"{summary(result)}")
+    for order, title in (("tottime", "self time"),
+                         ("cumulative", "cumulative time")):
+        print(f"-- top {args.top} by {title}")
+        out = io.StringIO()
+        stats = pstats.Stats(profile, stream=out)
+        stats.strip_dirs().sort_stats(order).print_stats(args.top)
+        rows = out.getvalue().splitlines()
+        start = next(i for i, row in enumerate(rows) if "ncalls" in row)
+        print("\n".join(row for row in rows[start:] if row.strip()))
+    return 0
+
+
+def phase_share(args) -> int:
+    shares = [Share(name) for name in args.share]
+    for share in shares:
+        share.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} un-profiled: {summary(result)}")
+    print(f"{'function':56s} {'calls':>8s} {'total ms':>10s} "
+          f"{'ms/call':>9s} {'share':>7s}")
+    for share in shares:
+        print(share.row(result["run_wall_s"]))
+    return 0
+
+
+def main(argv: List[str] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--top", type=int, default=25,
+                        help="profile rows to print per ordering "
+                             "(0: skip the profiled repeat)")
+    parser.add_argument("--share", action="append", default=[],
+                        metavar="mod:Class.func",
+                        help="time this function with profiling off")
+    parser.add_argument("--phase", choices=("profile", "share"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.phase == "profile":
+        return phase_profile(args)
+    if args.phase == "share":
+        return phase_share(args)
+    forwarded = sys.argv[1:] if argv is None else list(argv)
+    phases = (["profile"] if args.top > 0 else []) + (
+        ["share"] if args.share else [])
+    for phase in phases:
+        done = subprocess.run([sys.executable, os.path.abspath(__file__),
+                               *forwarded, "--phase", phase], cwd=ROOT)
+        if done.returncode != 0:
+            return done.returncode
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,12 +52,15 @@ class Application:
     application state and may later call :meth:`restore` with a snapshot
     taken by a *peer* replica.  Snapshots must be deterministic — two
     correct replicas that executed the same request prefix must return
-    values with identical canonical bytes (sort sets/dicts!), because
-    checkpoints are accepted on ``f + 1`` matching digests — and must be
-    canonicalizable by :func:`repro.crypto.digest.canonical_bytes`.
-    An application may additionally expose a ``checkpointable`` attribute;
-    when present and false, the replica skips checkpointing even though
-    the methods exist (see ``docs/CHECKPOINTS.md``).
+    values with identical canonical bytes, because checkpoints are
+    accepted on ``f + 1`` matching digests — and must be canonicalizable
+    by :func:`repro.crypto.digest.canonical_bytes`.  Execution order is
+    the same at every correct replica, so the insertion order of anything
+    appended during execution is already canonical; only containers
+    filled in another order need sorting.  An application may
+    additionally expose a ``checkpointable`` attribute; when present and
+    false, the replica skips checkpointing even though the methods exist
+    (see ``docs/CHECKPOINTS.md``).
 
     **Readable contract (duck-typed).**  An application that implements
     ``read(payload) -> Any`` opts into the unordered read tier (see
@@ -96,6 +99,21 @@ class Application:
         application accumulates across a batch never has to be part of its
         snapshot.  Default: nothing.
         """
+
+    def state_summary(self, state: Any) -> Any:
+        """What stands for ``state`` in a checkpoint's ``state_digest``.
+
+        ``state`` is a :meth:`snapshot` value — this replica's, or one a
+        peer shipped, which is verified by summarising it again.  The
+        default is the state itself: the digest covers all of it, at a
+        cost proportional to its size at every checkpoint.  An application
+        whose state grows with history may keep running digests of its
+        append-only parts (:class:`repro.crypto.digest.SequenceDigest`)
+        and return ``state`` with those parts replaced by their digests;
+        the result must be a function of ``state`` alone that binds every
+        item of it, and canonicalizable.
+        """
+        return state
 
 
 class EchoApplication(Application):

@@ -7,7 +7,7 @@ consensus id and releases them strictly in order.
 The executed prefix is retained to serve state transfer to lagging peers —
 but only up to the last checkpoint: every ``checkpoint_interval`` executed
 consensus ids the replica snapshots its application state (see
-:meth:`~repro.bcast.replica.Replica._take_checkpoint`), records the
+:meth:`~repro.bcast.checkpoint.Checkpointer.take`), records the
 checkpoint here, and the log truncates everything at or below the
 checkpoint cid.  Memory is therefore bounded by the interval instead of
 growing with the run (``docs/CHECKPOINTS.md``); peers behind the

@@ -257,7 +257,10 @@ class StateRequest:
 class CheckpointData:
     """One replica's application-state checkpoint at consensus ``cid``.
 
-    ``state_digest`` covers ``(cid, state, tracker, view)``; a receiver
+    ``state_digest`` covers ``(cid, the application's summary of state,
+    tracker, view)`` — the summary is the whole state unless the
+    application keeps running digests of its append-only parts
+    (:meth:`repro.bcast.app.Application.state_summary`); a receiver
     installs a checkpoint only once ``f + 1`` distinct peers vouch for the
     same digest *and* the carried payload re-hashes to it, so at least one
     correct replica stands behind the state (see ``docs/CHECKPOINTS.md``).

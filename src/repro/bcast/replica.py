@@ -5,7 +5,8 @@ A replica stitches together the pure sub-machines of this package:
 * :class:`~repro.bcast.fifo.PendingPool` — unordered requests;
 * :class:`~repro.bcast.consensus.ConsensusInstance` — per-cid quorum logic;
 * :class:`~repro.bcast.regency.RegencyManager` — leader-change voting;
-* :class:`~repro.bcast.log.DecisionLog` — ordered execution + state.
+* :class:`~repro.bcast.log.DecisionLog` — ordered execution + state;
+* :class:`~repro.bcast.checkpoint.Checkpointer` — checkpoint take/verify/vote.
 
 Consensus instances are *pipelined*: the leader may keep up to
 ``config.max_in_flight`` instances open concurrently (proposing
@@ -31,6 +32,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.bcast.adaptive import AdaptiveBatcher
 from repro.bcast.app import Application, ExecutionContext
+from repro.bcast.checkpoint import Checkpointer
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.consensus import ConsensusInstance
 from repro.bcast.fifo import PendingPool
@@ -106,15 +108,7 @@ class Replica(Actor):
 
         self.pool = PendingPool()
         self.log = DecisionLog(config.checkpoint_interval)
-        #: apps without snapshot()/restore() cannot checkpoint — the log
-        #: then retains the full prefix (pre-checkpoint behaviour); an app
-        #: may also veto via a false ``checkpointable`` attribute (e.g. a
-        #: ByzCast node whose delivery callback feeds un-snapshotted state)
-        self._app_checkpointable = (
-            callable(getattr(app, "snapshot", None))
-            and callable(getattr(app, "restore", None))
-            and bool(getattr(app, "checkpointable", True))
-        )
+        self.checkpoints = Checkpointer(name, app, self.log, self.monitor)
         self.batcher = AdaptiveBatcher(config)
         self.regency = RegencyManager(self.view.n, self.view.f)
         self._consensus: Dict[int, ConsensusInstance] = {}
@@ -824,7 +818,7 @@ class Replica(Actor):
             # later batch's Reconfig/ordering could leak into the snapshot
             # and break digest agreement across replicas.
             boundary = None
-            if self.log.checkpoint_due(cid) and self._app_checkpointable:
+            if self.checkpoints.due(cid):
                 boundary = (cid, self.log.tracker.snapshot(), self.view)
                 cost += costs.checkpoint_fixed
             self.work(cost, lambda b=tuple(ordered), m=boundary, c=cid:
@@ -1202,7 +1196,11 @@ class Replica(Actor):
         installed first (jumping the cursor past the peers' truncation
         horizon); the retained suffix is then replayed batch by batch.
         """
-        installed_any = self._try_adopt_checkpoint()
+        checkpoint = self.checkpoints.elect(self._state_responses,
+                                            self.view.f)
+        if checkpoint is not None:
+            self._install_checkpoint(checkpoint)
+        installed_any = checkpoint is not None
         per_cid: Dict[int, Dict[bytes, Tuple[int, Tuple[Request, ...]]]] = {}
         counts: Dict[Tuple[int, bytes], int] = {}
         regencies = []
@@ -1250,37 +1248,6 @@ class Replica(Actor):
             if target > self.regency.current:
                 self.regency.install(target)
         return installed_any
-
-    def _try_adopt_checkpoint(self) -> bool:
-        """Install the highest checkpoint backed by f+1 verified digests."""
-        if not self._app_checkpointable:
-            return False
-        votes: Dict[Tuple[int, bytes], set] = {}
-        payloads: Dict[Tuple[int, bytes], CheckpointData] = {}
-        for src, response in self._state_responses.items():
-            ckpt = response.checkpoint
-            if ckpt is None or ckpt.cid < self.log.next_execute:
-                continue
-            # The claimed digest must match the carried payload — a
-            # Byzantine peer echoing the correct digest over forged state
-            # must not poison the vote for that digest.
-            if self._checkpoint_digest(ckpt) != ckpt.state_digest:
-                self.monitor.record(self.name, "checkpoint.bad_digest", src=src)
-                continue
-            key = (ckpt.cid, ckpt.state_digest)
-            votes.setdefault(key, set()).add(src)
-            payloads[key] = ckpt
-        chosen: Optional[CheckpointData] = None
-        for key, supporters in votes.items():
-            if len(supporters) < self.view.f + 1:
-                continue
-            candidate = payloads[key]
-            if chosen is None or candidate.cid > chosen.cid:
-                chosen = candidate
-        if chosen is None:
-            return False
-        self._install_checkpoint(chosen)
-        return True
 
     def _install_checkpoint(self, checkpoint: CheckpointData) -> None:
         """Jump the replica's state to a verified peer checkpoint."""
@@ -1349,34 +1316,12 @@ class Replica(Actor):
         self.pool.prune_ordered(self.log.tracker)
         if cid > self._applied_cid:
             self._applied_cid = cid
-        if self.log.checkpoint_due(cid) and self._app_checkpointable:
+        if self.checkpoints.due(cid):
             # Catch-up runs synchronously, so tracker and view are exactly
             # the post-``cid`` state here.
             self._take_checkpoint(cid, self.log.tracker.snapshot(), self.view)
 
-    # -- checkpointing ------------------------------------------------------
-
     def _take_checkpoint(self, cid: int, tracker_state: Dict[str, int],
                          view: View) -> None:
-        """Snapshot the application at ``cid`` and truncate the log."""
-        tracker = tuple(sorted(tracker_state.items()))
-        state = self.app.snapshot()
-        checkpoint = CheckpointData(
-            cid=cid,
-            state_digest=digest(("ckpt", cid, state, tracker,
-                                 view.replicas, view.f)),
-            state=state,
-            tracker=tracker,
-            view_replicas=view.replicas,
-            view_f=view.f,
-        )
-        dropped = self.log.note_checkpoint(checkpoint)
-        self.monitor.record(self.name, "checkpoint.taken", cid=cid,
-                            dropped=dropped)
-
-    @staticmethod
-    def _checkpoint_digest(checkpoint: CheckpointData) -> bytes:
-        """Digest over everything a checkpoint installs (not the claim)."""
-        return digest(("ckpt", checkpoint.cid, checkpoint.state,
-                       checkpoint.tracker, checkpoint.view_replicas,
-                       checkpoint.view_f))
+        """The checkpoint step of a boundary batch (override point)."""
+        self.checkpoints.take(cid, tracker_state, view)

@@ -22,6 +22,7 @@ from typing import Any, Optional, Tuple
 # per-group discipline, not a tree-wide one) but are part of the public
 # client-facing message surface, so they are re-exported here.
 from repro.bcast.messages import ReadReply, ReadRequest  # noqa: F401
+from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature
 from repro.types import Destination, GroupId, MessageId, MulticastMessage
 
@@ -78,6 +79,19 @@ class WireMulticast:
         if cached is None:
             cached = (self.sender, self.seq, self.dst, self.payload)
             object.__setattr__(self, "_identity", cached)
+        return cached
+
+    def identity_digest(self) -> bytes:
+        """``digest(identity())``, memoised beside it.
+
+        What the running sequence digests of a checkpoint are fed (acted
+        and released ids); a wire shared by reference is hashed once.  It
+        covers the identity, not the wire: ``signature`` is no part of it.
+        """
+        cached = self.__dict__.get("_identity_digest")
+        if cached is None:
+            cached = digest(self.identity())
+            object.__setattr__(self, "_identity_digest", cached)
         return cached
 
 

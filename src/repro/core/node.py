@@ -13,11 +13,12 @@ Algorithm 1, whether the message
   parent's replicas — it is confirmed through the f+1 quorum-head merge of
   :class:`~repro.core.relay.QuorumMerge`),
 
-and then *acts* on it: re-broadcast into every child whose reach intersects
-``m.dst`` (line 10-11) and a-deliver it if this group is a destination
-(line 12-14, with the ``A-delivered`` set preventing duplicates).  The
-re-broadcast is buffered per child and leaves as one ``RelayBatch`` per
-executed batch (:meth:`ByzCastApplication.end_batch`).
+and then *acts* on it, once per message identity: re-broadcast into every
+child whose reach intersects ``m.dst`` (line 10-11) and a-deliver it if this
+group is a destination (line 12-14; the acted ids are the ``A-delivered``
+set that prevents duplicates).  The re-broadcast is buffered per child and
+leaves as one ``RelayBatch`` per executed batch
+(:meth:`ByzCastApplication.end_batch`).
 """
 
 from __future__ import annotations
@@ -38,13 +39,24 @@ from repro.core.messages import (
     TreeUpdate,
     WireMulticast,
 )
+from repro.core.relay import QuorumMerge
 from repro.core.tree import OverlayTree
-from repro.crypto.digest import canonical_bytes
+from repro.crypto.digest import SequenceDigest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify
 from repro.types import Delivery, MulticastMessage
 
 DeliverCallback = Callable[[MulticastMessage, ExecutionContext], None]
+
+
+def _relay_merge(senders, threshold: int) -> QuorumMerge:
+    """A quorum merge over relayed wires, fed their memoised id digests."""
+    return QuorumMerge(senders, threshold,
+                       key_digest=WireMulticast.identity_digest)
+
+
+def _merge_state(merge: QuorumMerge) -> Tuple:
+    return (tuple(sorted(merge.senders)), merge.threshold, merge.snapshot())
 
 
 class ByzCastApplication(Application):
@@ -100,9 +112,8 @@ class ByzCastApplication(Application):
         if parent is not None:
             parent_config = self.group_configs[parent]
             self._parent_replicas = parent_config.replicas
-            from repro.core.relay import QuorumMerge
-
-            self._merge = QuorumMerge(parent_config.replicas, parent_config.f + 1)
+            self._merge = _relay_merge(parent_config.replicas,
+                                       parent_config.f + 1)
 
         #: monotonically increasing overlay epoch — bumped by each ordered
         #: :class:`~repro.core.messages.TreeUpdate` (replicated state)
@@ -118,8 +129,14 @@ class ByzCastApplication(Application):
         #: act order; flushed by :meth:`end_batch`, so empty at every
         #: batch boundary (and therefore never part of a snapshot)
         self._relay_buffers: Dict[str, List[WireMulticast]] = {}
-        self._acted: set = set()
-        self._a_delivered: set = set()
+        #: identities acted on, in act order.  Execution order is the same
+        #: at every correct replica of the group, so insertion order *is*
+        #: a canonical order: a checkpoint copies the keys as they stand
+        #: and the running digest stands for them in its ``state_digest``.
+        self._acted: Dict[Tuple, None] = {}
+        self._acted_digest = SequenceDigest()
+        #: the last :meth:`snapshot` and its :meth:`state_summary`
+        self._summarised: Tuple[Any, Any] = (None, None)
         #: chronological record of local a-deliver events (tests/metrics)
         self.deliveries: List[Delivery] = []
         #: a-delivery count as of the last checkpoint — the default
@@ -306,8 +323,6 @@ class ByzCastApplication(Application):
         self.tree = tree
         self.tree_epoch = update.epoch
         if new_parent != old_parent:
-            from repro.core.relay import QuorumMerge
-
             if self._merge is not None:
                 # Keep the old merge draining: straggling relays from the
                 # former parent may still need f+1 confirmation.
@@ -315,7 +330,7 @@ class ByzCastApplication(Application):
             if new_parent is not None:
                 config = self.group_configs[new_parent]
                 self._parent_replicas = config.replicas
-                self._merge = QuorumMerge(config.replicas, config.f + 1)
+                self._merge = _relay_merge(config.replicas, config.f + 1)
             else:
                 self._parent_replicas = ()
                 self._merge = None
@@ -353,12 +368,12 @@ class ByzCastApplication(Application):
         key = wire.identity()
         if key in self._acted:
             return
-        self._acted.add(key)
+        self._acted[key] = None
+        self._acted_digest.add(wire.identity_digest())
         for child in self.tree.route_children(self.group_id, wire.dst):
             self._relay_buffers.setdefault(child, []).append(wire)
             ctx.monitor.record(ctx.replica_name, "byzcast.relay", child=child)
-        if self.group_id in wire.dst and key not in self._a_delivered:
-            self._a_delivered.add(key)
+        if self.group_id in wire.dst:
             self._a_deliver(wire, ctx)
 
     def end_batch(self, ctx: ExecutionContext) -> None:
@@ -469,28 +484,31 @@ class ByzCastApplication(Application):
     def snapshot(self) -> Tuple:
         """Deterministic capture of the Algorithm-1 state at one cid.
 
-        Covers the acted/a-delivered dedup sets, the parent quorum-merge
-        queues, the a-delivered message sequence, and (via ``on_snapshot``)
-        the business state the delivery callback maintains.  Dedup keys are
-        sorted by canonical bytes — identity tuples from different origins
-        need not be mutually orderable.  Child relay proxies are *not*
-        captured: their retransmission state is per-replica (timers, local
-        sequence numbers), and a restored replica skipping some relays is
-        exactly the fault the f+1 quorum-head merge already tolerates.
+        Covers the acted ids (in act order — what was a-delivered here is
+        the subsequence addressed to this group, so it is not stored
+        twice), the parent quorum-merge queues and released ids, and (via
+        ``on_snapshot``) the business state the delivery callback
+        maintains.  The two id sequences grow with history and are copied
+        as they stand, without sorting or encoding; everything else is
+        bounded by in-flight work and deployment size.  Child relay proxies
+        are *not* captured: their retransmission state is per-replica
+        (timers, local sequence numbers), and a restored replica skipping
+        some relays is exactly the fault the f+1 quorum-head merge already
+        tolerates.
         """
-        acted = tuple(sorted(self._acted, key=canonical_bytes))
-        a_delivered = tuple(sorted(self._a_delivered, key=canonical_bytes))
         # The merge's membership is itself replicated state under elastic
         # membership (an ordered MembershipUpdate changes it), so the
         # snapshot carries (senders, threshold) alongside the queue state.
-        merge = None
-        if self._merge is not None:
-            merge = (tuple(sorted(self._merge.senders)), self._merge.threshold,
-                     self._merge.snapshot())
-        delivered = tuple(record.message for record in self.deliveries)
+        merge = _merge_state(self._merge) if self._merge is not None else None
+        # The overlay itself is replicated state under adaptive trees (an
+        # ordered TreeUpdate changes it): a joiner restoring a post-switch
+        # checkpoint must route on the tree its epoch agreed on, drain
+        # merges included.
+        drains = tuple((parent_gid, *_merge_state(m))
+                       for parent_gid, m in self._prev_merges)
         # The checkpoint boundary is a deterministic cid, so advancing the
         # stable-read mirror here keeps it identical across replicas.
-        self._stable_delivered = len(delivered)
+        self._stable_delivered = len(self.deliveries)
         payload = self.on_snapshot() if self.on_snapshot is not None else None
         # Neighbour membership is replicated state under elastic membership
         # (it changes only through ordered MembershipUpdates), so the
@@ -501,27 +519,60 @@ class ByzCastApplication(Application):
             (gid, tuple(config.replicas), config.f)
             for gid, config in sorted(self.group_configs.items())
         )
-        # The overlay itself is replicated state under adaptive trees (an
-        # ordered TreeUpdate changes it): a joiner restoring a post-switch
-        # checkpoint must route on the tree its epoch agreed on, drain
-        # merges included.
-        drains = tuple(
-            (parent_gid, tuple(sorted(m.senders)), m.threshold, m.snapshot())
-            for parent_gid, m in self._prev_merges
-        )
         tree_state = (self.tree_epoch, self.tree.parent_edges(),
                       tuple(sorted(self.tree.targets)), drains)
-        return ("byzcast", acted, a_delivered, merge, delivered, payload,
-                configs, tree_state)
+        state = ("byzcast", tuple(self._acted), merge, payload, configs,
+                 tree_state)
+        merges = [] if self._merge is None else [self._merge]
+        merges += [m for __, m in self._prev_merges]
+        self._summarised = (state, self._summary(
+            state, self._acted_digest.value(),
+            [m.released_digest() for m in merges]))
+        return state
+
+    def state_summary(self, state: Tuple) -> Tuple:
+        """``state`` with each id sequence replaced by its digest.
+
+        For the snapshot just taken the running digests are at hand, so a
+        checkpoint hashes nothing older than the previous one; for a
+        peer's state this is the one linear pass that recomputes them, so
+        every id, its position and the sequence lengths are bound.
+        """
+        taken, summary = self._summarised
+        if state is taken:
+            return summary
+        __, acted, merge, ___, ____, tree_state = state
+        merges = ([merge] if merge is not None else []) + list(tree_state[3])
+        return self._summary(
+            state, SequenceDigest(acted).value(),
+            [SequenceDigest(entry[-1][1]).value() for entry in merges])
+
+    @staticmethod
+    def _summary(state: Tuple, acted_digest: bytes,
+                 released_digests: List[bytes]) -> Tuple:
+        """``state`` with the acted ids and each merge's released ids (the
+        parent merge first, then the drains) replaced by these digests."""
+        tag, __, merge, payload, configs, tree_state = state
+        tree_epoch, edges, targets, drains = tree_state
+        digests = iter(released_digests)
+
+        def bounded(entry: Tuple) -> Tuple:
+            queues, ___ = entry[-1]
+            return (*entry[:-1], queues, next(digests))
+
+        return (tag, acted_digest,
+                None if merge is None else bounded(merge),
+                payload, configs,
+                (tree_epoch, edges, targets,
+                 tuple(bounded(drain) for drain in drains)))
 
     def restore(self, state: Tuple) -> None:
         """Adopt a peer's :meth:`snapshot` (checkpoint install path)."""
-        from repro.core.relay import QuorumMerge
-
-        (__, acted, a_delivered, merge, delivered, payload, configs,
-         tree_state) = state
-        self._acted = set(acted)
-        self._a_delivered = set(a_delivered)
+        __, acted, merge, payload, configs, tree_state = state
+        self._acted = dict.fromkeys(acted)
+        # Reseeded from the ids, so the next checkpoint taken here digests
+        # to what the replicas that never restored compute.
+        self._acted_digest = SequenceDigest(acted)
         for gid, replicas, group_f in configs:
             known = self.group_configs.get(gid)
             if known is None:
@@ -544,7 +595,7 @@ class ByzCastApplication(Application):
             if parent is not None:
                 config = self.group_configs[parent]
                 self._parent_replicas = config.replicas
-                self._merge = QuorumMerge(config.replicas, config.f + 1)
+                self._merge = _relay_merge(config.replicas, config.f + 1)
             else:
                 self._parent_replicas = ()
                 self._merge = None
@@ -555,7 +606,7 @@ class ByzCastApplication(Application):
             self._merge.restore(queue_state)
         self._prev_merges = []
         for parent_gid, senders, threshold, queue_state in drains:
-            drain = QuorumMerge(senders, threshold)
+            drain = _relay_merge(senders, threshold)
             drain.restore(queue_state)
             self._prev_merges.append((parent_gid, drain))
         # Rebuild the delivery record so the a-delivery *sequence* survives
@@ -563,10 +614,10 @@ class ByzCastApplication(Application):
         # replicated state, so they reflect the restore itself.
         self.deliveries = [
             Delivery(time=0.0, process="<checkpoint>", group=self.group_id,
-                     message=message)
-            for message in delivered
+                     message=WireMulticast(*key).to_message())
+            for key in acted if self.group_id in key[2]
         ]
-        self._stable_delivered = len(delivered)
+        self._stable_delivered = len(self.deliveries)
         if self.on_restore is not None:
             self.on_restore(payload)
 

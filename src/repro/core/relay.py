@@ -22,9 +22,9 @@ relays.  ``tests/core/test_relay.py`` contains the adversarial scenario.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.crypto.digest import canonical_bytes
+from repro.crypto.digest import SequenceDigest, digest
 
 
 class QuorumMerge:
@@ -33,9 +33,14 @@ class QuorumMerge:
     Args:
         senders: the authorized relayers (the parent group's replicas).
         threshold: number of distinct queue heads required (``f + 1``).
+        key_digest: optional ``value -> digest(key)`` for values that
+            memoise it (:meth:`WireMulticast.identity_digest
+            <repro.core.messages.WireMulticast.identity_digest>`); without
+            it a released key is digested from scratch.
     """
 
-    def __init__(self, senders: Iterable[str], threshold: int) -> None:
+    def __init__(self, senders: Iterable[str], threshold: int,
+                 key_digest: Optional[Callable[[Any], bytes]] = None) -> None:
         self.senders = frozenset(senders)
         if threshold < 1:
             raise ValueError("threshold must be at least 1")
@@ -45,7 +50,13 @@ class QuorumMerge:
         self._queues: Dict[str, Deque[Tuple[Hashable, Any]]] = {
             sender: deque() for sender in self.senders
         }
-        self._released: Set[Hashable] = set()
+        #: released keys in release order.  Pushes happen only during
+        #: ordered execution, so the order is the same at every correct
+        #: replica of the group: it is the canonical order, and a running
+        #: digest over it stands for the whole sequence in a checkpoint.
+        self._released: Dict[Hashable, None] = {}
+        self._released_digest = SequenceDigest()
+        self._key_digest = key_digest
 
     def push(self, sender: str, key: Hashable, value: Any) -> List[Any]:
         """Record that ``sender``'s copy of ``key`` was ordered locally.
@@ -75,7 +86,10 @@ class QuorumMerge:
             for key, supporters in heads.items():
                 if len(supporters) >= self.threshold:
                     value = self._queues[supporters[0]][0][1]
-                    self._released.add(key)
+                    self._released[key] = None
+                    self._released_digest.add(
+                        self._key_digest(value) if self._key_digest
+                        else digest(key))
                     for sender in supporters:
                         self._queues[sender].popleft()
                     released.append(value)
@@ -118,18 +132,21 @@ class QuorumMerge:
     def snapshot(self) -> Tuple:
         """Deterministic, canonicalizable capture of the merge state.
 
-        Queues are keyed by sender name (sorted); the released set is
-        sorted by canonical bytes because identity keys from distinct
-        senders need not be mutually orderable.  Replicas that ordered the
-        same request prefix hold identical merge state (pushes happen only
-        during ordered execution), so this snapshot is digest-stable.
+        Queues are keyed by sender name (sorted); the released keys are in
+        release order.  Replicas that ordered the same request prefix hold
+        identical merge state (pushes happen only during ordered
+        execution), so this snapshot is digest-stable.
         """
         queues = tuple(
             (sender, tuple(self._queues[sender]))
             for sender in sorted(self._queues)
         )
-        released = tuple(sorted(self._released, key=canonical_bytes))
-        return (queues, released)
+        return (queues, tuple(self._released))
+
+    def released_digest(self) -> bytes:
+        """``SequenceDigest(released).value()`` of :meth:`snapshot`'s
+        released keys, kept running — no pass over them."""
+        return self._released_digest.value()
 
     def restore(self, state: Tuple) -> None:
         """Adopt a peer's :meth:`snapshot` (membership must match)."""
@@ -138,4 +155,5 @@ class QuorumMerge:
         for sender, entries in queues:
             if sender in self._queues:
                 self._queues[sender] = deque(entries)
-        self._released = set(released)
+        self._released = dict.fromkeys(released)
+        self._released_digest = SequenceDigest(released)

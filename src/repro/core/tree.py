@@ -14,13 +14,38 @@ nodes: a leaf has height 1), and the set of groups involved in a multicast
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import TreeError
+
+#: answers kept per routing query (``lca``, ``involved_groups``,
+#: ``route_children``) and tree.  Workloads reuse few destination sets, so
+#: the bound only matters against a client spraying distinct ones: a full
+#: memo is dropped whole and refills with what is in use.
+ROUTE_MEMO_LIMIT = 4096
+
+
+def _memo_key(destination: Iterable[str]) -> Hashable:
+    """``destination`` itself when it can be a dict key (the hot path
+    passes ``wire.dst`` tuples and ``message.dst`` frozensets)."""
+    if type(destination) in (tuple, frozenset):
+        return destination
+    return tuple(destination)
+
+
+def _remember(memo: Dict, key: Hashable, answer: Any) -> Any:
+    if len(memo) >= ROUTE_MEMO_LIMIT:
+        memo.clear()
+    memo[key] = answer
+    return answer
 
 
 class OverlayTree:
     """An immutable rooted tree over group ids.
+
+    Immutability is what lets the routing queries be answered once per
+    destination set: a tree change (:class:`~repro.core.messages.TreeUpdate`)
+    builds a new tree, so there is nothing to invalidate.
 
     Args:
         parents: mapping child-group → parent-group; exactly one group (the
@@ -56,6 +81,9 @@ class OverlayTree:
         self._height: Dict[str, int] = {}
         self._compute_reach_and_height(self.root)
         self._validate()
+        self._lca_memo: Dict[Hashable, str] = {}
+        self._involved_memo: Dict[Hashable, FrozenSet[str]] = {}
+        self._route_memo: Dict[Hashable, Tuple[str, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -216,6 +244,14 @@ class OverlayTree:
 
     def lca(self, destination: Iterable[str]) -> str:
         """Lowest common ancestor group of a destination set (``lca(m.dst)``)."""
+        key = _memo_key(destination)
+        known = self._lca_memo.get(key)
+        if known is not None:
+            return known
+        # an invalid destination raises below and is never remembered
+        return _remember(self._lca_memo, key, self._find_lca(key))
+
+    def _find_lca(self, destination: Iterable[str]) -> str:
         groups = list(destination)
         if not groups:
             raise TreeError("destination set is empty")
@@ -239,24 +275,31 @@ class OverlayTree:
 
     def involved_groups(self, destination: Iterable[str]) -> FrozenSet[str]:
         """``P(T, d)``: groups on the paths from lca(d) down to each group in d."""
-        dst = set(destination)
-        lca = self.lca(dst)
+        key = _memo_key(destination)
+        known = self._involved_memo.get(key)
+        if known is not None:
+            return known
+        dst = set(key)
+        lca_depth = self._depth[self.lca(key)]
         involved: Set[str] = set()
-        lca_depth = self._depth[lca]
         for group in dst:
             path = self.ancestors(group)
             involved.update(path[lca_depth:])
-        return frozenset(involved)
+        return _remember(self._involved_memo, key, frozenset(involved))
 
     def route_children(self, node: str, destination: Iterable[str]) -> Tuple[str, ...]:
         """Children of ``node`` whose reach intersects the destination set.
 
         This is the forwarding rule of Algorithm 1, line 10.
         """
-        dst = set(destination)
-        return tuple(
+        key = (node, _memo_key(destination))
+        known = self._route_memo.get(key)
+        if known is not None:
+            return known
+        dst = set(key[1])
+        return _remember(self._route_memo, key, tuple(
             child for child in self._children[node] if self._reach[child] & dst
-        )
+        ))
 
     def subtree(self, node: str) -> FrozenSet[str]:
         """All groups in the subtree rooted at ``node`` (inclusive)."""

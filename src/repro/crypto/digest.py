@@ -8,7 +8,7 @@ socket would carry, so a receiver hashes the bytes that arrived.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Iterable
 
 from repro import canonical as _canonical
 from repro.canonical import DIGEST_MEMO, MEMO
@@ -51,3 +51,29 @@ def digest(obj: Any) -> bytes:
         stats.written += 1
         attrs[DIGEST_MEMO] = value
     return value
+
+
+class SequenceDigest:
+    """Running digest of an append-only sequence.
+
+    BLAKE2b over the 16-byte :func:`digest` of each item, in order: it
+    binds every item, its position and the length, and extending the
+    sequence costs one hash update per new item — nothing already fed is
+    touched again.  ``SequenceDigest(items).value()`` is the one linear
+    pass that recomputes it from the items alone.
+    """
+
+    __slots__ = ("_running",)
+
+    def __init__(self, items: Iterable[Any] = ()) -> None:
+        self._running = hashlib.blake2b(digest_size=16)
+        for item in items:
+            self.add(digest(item))
+
+    def add(self, item_digest: bytes) -> None:
+        """Append an item, given its :func:`digest`."""
+        self._running.update(item_digest)
+
+    def value(self) -> bytes:
+        """Digest of the sequence so far (more items may follow)."""
+        return self._running.digest()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -42,9 +42,6 @@ class Event:
         if self._loop is not None:
             self._loop._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -62,7 +59,9 @@ class EventLoop:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        #: ``(time, seq, event)`` entries: ``seq`` is unique, so tuples
+        #: compare in C on the first two items and never reach the event
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._stopped = False
@@ -84,7 +83,7 @@ class EventLoop:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         event = Event(self._now + delay, next(self._seq), callback)
         event._loop = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
@@ -103,7 +102,7 @@ class EventLoop:
         """
         self._cancelled += 1
         if self._cancelled >= _COMPACT_MIN and self._cancelled * 2 >= len(self._heap):
-            self._heap = [e for e in self._heap if not e.cancelled]
+            self._heap = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
 
@@ -124,7 +123,7 @@ class EventLoop:
             # Peek: budget/pause checks must not pop-then-re-push (that
             # churns the heap on every stop); the event is only removed
             # once it is certain to fire.
-            event = self._heap[0]
+            event = self._heap[0][2]
             if event.cancelled:
                 heapq.heappop(self._heap)
                 self._cancelled -= 1

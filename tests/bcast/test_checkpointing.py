@@ -19,10 +19,12 @@ from repro.bcast.replica import Replica
 from repro.core.deployment import ByzCastDeployment
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
+from repro.crypto.cache import caching_disabled
 from repro.crypto.digest import digest
 from repro.faults.elasticity import elasticity_controller
 from repro.types import destination
-from tests.helpers import FAST_COSTS, Harness, make_config
+from tests.helpers import (FAST_COSTS, Harness, doubled, first_altered,
+                           make_config, reshaped, state_response, swapped)
 
 
 def req(seq: int, command=None, sender: str = "c0") -> Request:
@@ -458,3 +460,85 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
                 assert [m.payload for m in
                         replica.app.delivered_messages()] == expected
     assert merger in dep.groups["g1"].replicas
+
+
+def laggard_run():
+    """A ``g1`` replica sleeps through several checkpoints of global
+    traffic, installs a peer checkpoint, then checkpoints on its own.
+    Returns the checkpoint every ``g1`` replica ends on."""
+    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                            costs=FAST_COSTS, request_timeout=0.5,
+                            checkpoint_interval=4, max_batch=2, seed=3)
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+    lagger = dep.groups["g1"].replica("g1/r2")
+
+    def burst(tag, count, until):
+        for j in range(count):
+            dst = destination("g1", "g2") if j % 3 else destination("g1")
+            client.amulticast(dst, payload=(tag, j))
+        dep.run(until=until)
+        dep.runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
+
+    lagger.crash()
+    burst("missed", 30, until=3.0)
+    peers = [r for r in dep.groups["g1"].replicas if r is not lagger]
+    assert all(r.log.horizon > 0 for r in peers)
+    lagger.recover()
+    dep.runtime.run_until(
+        lambda: lagger.log.next_execute == peers[0].log.next_execute,
+        timeout=30.0)
+    assert dep.monitor.counters["checkpoint.installed"] >= 1
+    installed_at = lagger.log.checkpoint.cid
+    burst("after", 20, until=dep.loop.now + 3.0)
+    dep.run(until=dep.loop.now + 1.0)
+    checkpoints = [r.log.checkpoint for r in dep.groups["g1"].replicas]
+    assert lagger.log.checkpoint.cid > installed_at, "no checkpoint of its own"
+    assert dep.monitor.counters["checkpoint.bad_digest"] == 0
+    return checkpoints
+
+
+def test_a_restored_replica_checkpoints_to_the_digest_of_its_peers():
+    """``restore`` reseeds the running sequence digests: the laggard's next
+    own checkpoint must be one its peers would vouch for — and the digests
+    must not depend on whether the identity memos are switched on."""
+    checkpoints = laggard_run()
+    assert len({c.cid for c in checkpoints}) == 1
+    assert len({c.state_digest for c in checkpoints}) == 1
+    assert len({c.state for c in checkpoints}) == 1
+    with caching_disabled():
+        uncached = laggard_run()
+    assert ([(c.cid, c.state_digest) for c in uncached]
+            == [(c.cid, c.state_digest) for c in checkpoints])
+
+
+@pytest.mark.parametrize("forge", [swapped, doubled, first_altered])
+@pytest.mark.parametrize("sequence", ["acted", "released"])
+def test_reordered_or_rewritten_history_is_not_installed(sequence, forge):
+    """Insertion order is the canonical order, so it must be bound: a
+    Byzantine peer claiming the honest digest over a state whose acted (or
+    released) ids are permuted, duplicated, or altered before the previous
+    checkpoint is disqualified, and the honest voucher stays one short."""
+    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                            costs=FAST_COSTS, request_timeout=0.5,
+                            checkpoint_interval=4, max_batch=2, seed=5)
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+    lagger = dep.groups["g1"].replica("g1/r2")
+    lagger.crash()
+    for j in range(24):
+        client.amulticast(destination("g1", "g2"), payload=("m", j))
+    dep.run(until=3.0)
+    dep.runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
+    honest = dep.groups["g1"].replica("g1/r0").log.checkpoint
+    assert honest.cid >= 7, "the first id must predate the last checkpoint"
+    forged = reshaped(honest, **{sequence: forge})
+
+    lagger.recover()    # opens a state round; the answers are ours
+    lagger._handle_state_response("g1/r0", state_response("g1/r0", honest))
+    lagger._handle_state_response("g1/r3", state_response("g1/r3", forged))
+    assert lagger.log.next_execute == 0
+    assert lagger.app.delivered_messages() == []
+    assert dep.monitor.counters["checkpoint.bad_digest"] == 1
+    assert dep.monitor.counters["checkpoint.installed"] == 0
+    lagger._handle_state_response("g1/r1", state_response("g1/r1", honest))
+    assert lagger.log.next_execute == honest.cid + 1
+    assert len(lagger.app.delivered_messages()) == len(honest.state[1])

@@ -126,6 +126,35 @@ class TestRelayedCopies:
         execute(app, replica, Request("g2", "client", 1, wire))
         assert len(app.delivered_messages()) == 1
 
+    def test_replayed_wire_delivers_once_before_and_after_a_restore(
+            self, setup):
+        """The acted ids are the only dedup state: a wire that comes back
+        — resubmitted, or relayed again — is a-delivered exactly once, by
+        the replica that saw it first and by one restored from it."""
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        local = wire_for(registry, "client", 1, ("g1",))
+        relay = wire_for(registry, "client", 2, ("g1", "g2"))
+
+        def replay(target, target_replica, seq):
+            execute(target, target_replica,
+                    Request("g1", "client", seq, local))
+            for parent in ("h2/r0", "h2/r1", "h2/r2"):
+                execute(target, target_replica,
+                        relayed("g1", parent, seq, relay))
+
+        replay(app, replica, 1)
+        replay(app, replica, 2)
+        assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
+        restored, restored_replica = make("g1", "g1/r1")
+        restored.restore(app.snapshot())
+        assert [m.mid.seq for m in restored.delivered_messages()] == [1, 2]
+        replay(restored, restored_replica, 3)
+        assert [m.mid.seq for m in restored.delivered_messages()] == [1, 2]
+        assert not [p for __, p in restored_replica.sent
+                    if isinstance(p, MulticastReply)]
+        assert not hasattr(app, "_a_delivered")
+
     def test_relay_from_nonparent_is_not_counted_as_relay(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")

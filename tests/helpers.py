@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bcast.app import EchoApplication, ExecutionContext
 from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig, CostModel
 from repro.bcast.group import BroadcastGroup
-from repro.bcast.messages import Reply, Request
+from repro.bcast.messages import CheckpointData, Reply, Request, StateResponse
 from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -168,3 +169,37 @@ def execute(app, replica, request):
     result = app.execute(request, ctx)
     app.end_batch(ctx)
     return result
+
+
+# ------------------------------------------------- shipped (forged) checkpoints
+
+
+def state_response(sender: str, ckpt: CheckpointData) -> StateResponse:
+    """``sender``'s answer to a state request: its checkpoint, no suffix."""
+    return StateResponse(group="g1", sender=sender, from_cid=0,
+                         next_cid=ckpt.cid + 1, regency=0, batches=(),
+                         checkpoint=ckpt, horizon=ckpt.cid + 1)
+
+
+def reshaped(ckpt: CheckpointData, acted=None, released=None) -> CheckpointData:
+    """A ``ByzCastApplication`` checkpoint claiming the same digest over a
+    state whose acted and/or released id sequence went through a forger."""
+    tag, old_acted, merge, *rest = ckpt.state
+    senders, threshold, (queues, old_released) = merge
+    merge = (senders, threshold,
+             (queues, released(old_released) if released else old_released))
+    state = (tag, acted(old_acted) if acted else old_acted, merge, *rest)
+    return dataclass_replace(ckpt, state=state)
+
+
+def swapped(ids):
+    return (ids[1], ids[0]) + ids[2:]
+
+
+def doubled(ids):
+    return ids + ids[-1:]
+
+
+def first_altered(ids):
+    sender, seq, dst, payload = ids[0]
+    return ((sender, seq, dst, ("tampered",)),) + ids[1:]

@@ -1,0 +1,174 @@
+"""Property: memoised tree routing answers what an uncached walk answers.
+
+``OverlayTree`` remembers ``lca``/``involved_groups``/``route_children``
+per destination set.  Over random trees (any depth, targets as inner
+nodes too) and random destination sets, in every container type callers
+pass: each answer equals a brute-force oracle written from the paper's
+definitions on the first call and on every later one, an invalid
+destination raises every time, the memo stays within its bound, and a
+replica that executed a ``TreeUpdate`` routes on the new tree.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bcast.app import ExecutionContext
+from repro.bcast.messages import Request
+from repro.bcast.reconfig import admin_identity
+from repro.core import tree as tree_module
+from repro.core.messages import TreeUpdate
+from repro.core.node import ByzCastApplication
+from repro.core.tree import OverlayTree
+from repro.crypto.keys import KeyRegistry
+from repro.errors import TreeError
+from repro.sim.events import EventLoop
+from tests.helpers import FakeReplica, make_config, wire_for
+
+NODES = [f"n{i}" for i in range(9)]
+
+
+@st.composite
+def trees(draw):
+    """A random tree rooted at ``n0``: node ``i`` hangs under a node drawn
+    from those before it; leaves are targets, inner nodes may be."""
+    size = draw(st.integers(min_value=2, max_value=len(NODES)))
+    parents = {NODES[i]: NODES[draw(st.integers(min_value=0, max_value=i - 1))]
+               for i in range(1, size)}
+    inner = set(parents.values())
+    targets = [n for n in NODES[:size]
+               if n not in inner or draw(st.booleans())]
+    return OverlayTree(parents, targets)
+
+
+@st.composite
+def destinations(draw, tree):
+    targets = sorted(tree.targets)
+    chosen = draw(st.lists(st.sampled_from(targets), min_size=1,
+                           max_size=len(targets), unique=True))
+    return tuple(sorted(chosen))
+
+
+def oracle_lca(tree, dst):
+    """The deepest node whose reach covers ``dst``."""
+    covering = [n for n in tree.nodes if set(dst) <= tree.reach(n)]
+    return max(covering, key=tree.depth)
+
+
+def oracle_involved(tree, dst):
+    """Nodes on the paths from the lca down to each destination."""
+    below = tree.subtree(oracle_lca(tree, dst))
+    return frozenset(n for n in below
+                     if any(n in tree.ancestors(d) for d in dst))
+
+
+def oracle_route(tree, node, dst):
+    return tuple(c for c in tree.children(node) if tree.reach(c) & set(dst))
+
+
+def spellings(dst):
+    """One destination set in every container type callers pass."""
+    return (dst, frozenset(dst), list(dst), tuple(reversed(dst)), set(dst),
+            iter(dst))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_memoised_answers_equal_the_uncached_walk(data):
+    tree = data.draw(trees())
+    for __ in range(3):
+        dst = data.draw(destinations(tree))
+        lca = oracle_lca(tree, dst)
+        involved = oracle_involved(tree, dst)
+        for __ in range(2):     # a miss, then hits
+            for spelled in spellings(dst):
+                assert tree.lca(spelled) == lca
+            for spelled in spellings(dst):
+                assert tree.involved_groups(spelled) == involved
+            for node in sorted(tree.nodes):
+                for spelled in spellings(dst):
+                    assert (tree.route_children(node, spelled)
+                            == oracle_route(tree, node, dst))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_invalid_destinations_raise_every_time_and_are_never_remembered(data):
+    tree = data.draw(trees())
+    good = data.draw(destinations(tree))
+    aux = sorted(tree.nodes - tree.targets)
+    invalid = [(), ("nowhere",), good + ("nowhere",)]
+    invalid += [(aux[0],), good + (aux[0],)] if aux else []
+    for dst in invalid:
+        for __ in range(3):
+            with pytest.raises(TreeError):
+                tree.lca(dst)
+            with pytest.raises(TreeError):
+                tree.involved_groups(dst)
+        with pytest.raises(KeyError):
+            tree.route_children("nowhere", good)
+    assert tree.lca(good) == oracle_lca(tree, good)
+    assert set(tree._lca_memo) == {good}
+    assert set(tree._involved_memo) == set()
+    assert set(tree._route_memo) == set()
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_the_memo_never_exceeds_its_bound(data):
+    tree = data.draw(trees())
+    with mock.patch.object(tree_module, "ROUTE_MEMO_LIMIT", 3):
+        for __ in range(12):
+            dst = data.draw(destinations(tree))
+            spelled = data.draw(st.sampled_from(spellings(dst)[:4]))
+            assert tree.lca(spelled) == oracle_lca(tree, dst)
+            assert tree.involved_groups(spelled) == oracle_involved(tree, dst)
+            node = data.draw(st.sampled_from(sorted(tree.nodes)))
+            assert (tree.route_children(node, spelled)
+                    == oracle_route(tree, node, dst))
+            for memo in (tree._lca_memo, tree._involved_memo,
+                         tree._route_memo):
+                assert len(memo) <= 3
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_replica_routes_on_the_new_tree_after_a_tree_update(data):
+    """Both trees are rooted at ``n0``; the replica under test is the root's,
+    so every destination set it may be asked to enter either routes from it
+    or is refused — under the tree of the moment, never a remembered one."""
+    old, new = data.draw(trees()), data.draw(trees())
+    configs = {gid: make_config(gid) for gid in NODES}
+    registry = KeyRegistry()
+    app = ByzCastApplication("n0", old, configs, registry)
+    replica = FakeReplica("n0/r0", EventLoop(), configs["n0"])
+    ctx = ExecutionContext(replica=replica, time=0.0)
+    seqs = iter(range(1, 100))
+
+    def routed(tree, dst):
+        """Where a direct submission of ``dst`` is buffered for relay."""
+        seq = next(seqs)
+        result = app.execute(Request("n0", "client", seq,
+                                     wire_for(registry, "client", seq, dst)),
+                             ctx)
+        buffered, app._relay_buffers = set(app._relay_buffers), {}
+        if oracle_lca(tree, dst) != "n0":
+            assert result[0] == "error" and not buffered
+        else:
+            assert result == ("ack",)
+            assert buffered == set(oracle_route(tree, "n0", dst))
+
+    # one set both trees can route, so the old tree has an answer
+    # remembered for exactly what the new tree is asked
+    shared = [tuple(sorted(old.targets & new.targets)[:2])]
+    shared = [dst for dst in shared if dst]
+    for dst in [data.draw(destinations(old)) for __ in range(3)] + shared:
+        routed(old, dst)
+    update = TreeUpdate(1, new.parent_edges(), tuple(sorted(new.targets)))
+    result = app.execute(Request("n0", admin_identity("n0"), 1, update), ctx)
+    assert result == ("ok", "tree", 1) and app.tree is not old
+    for dst in [data.draw(destinations(new)) for __ in range(3)] + shared:
+        routed(new, dst)
