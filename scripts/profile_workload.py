@@ -2,7 +2,7 @@
 """Where one benchmark workload spends its time.
 
     python3 scripts/profile_workload.py W [--seed N] [--seconds S] [--top K]
-                                        [--share mod:Class.func ...]
+                                        [--share mod:Class.func ...] [--gc]
 
 Runs one ``bench/run.py --child`` repeat of workload ``W`` under cProfile
 and prints the top rows by self time and by cumulative time — candidates
@@ -16,15 +16,24 @@ name is ``module:function`` or ``module:Class.method``; a method is
 patched on its class and a module-level function wherever ``repro`` bound
 it, the way ``bench/spans.py`` does.
 
+``--gc`` adds a third un-profiled repeat that books what no function owns
+(:class:`RunWindow`): garbage collections and their pause time per
+generation, as a share of the time the backend ran, and — on the asyncio
+workloads — process CPU per completed op, the share of the run the loop
+sat idle inside its selector, and asyncio handles created per op (one per
+``call_soon`` / ``call_later``).
+
 Each repeat runs in a fresh process (this file with ``--phase``), so the
-profiled repeat and the timed one share no warm caches.
+profiled repeat and the timed ones share no warm caches.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import contextlib
 import cProfile
+import gc
 import importlib
 import inspect
 import io
@@ -95,6 +104,109 @@ class Share:
                 f"{per_call:9.3f} {self.total / run_wall_s:7.1%}")
 
 
+class RunWindow:
+    """What happens while a backend runs, measured from outside.
+
+    The window is open inside ``SimRuntime.run`` and asyncio's
+    ``run_forever`` (under ``RealtimeRuntime.run`` and under every
+    ``run_until_complete``): the benchmark's run phase plus its short
+    settle run, without set-up, yardstick samples or output checks.  GC
+    pauses come from ``gc.callbacks``; the loop's idle time is the time
+    inside its selector's ``select``; a handle is one ``asyncio.Handle``
+    or ``TimerHandle`` constructed.  The counting wrappers cost a few
+    tenths of a microsecond per handle and per ``select``.
+    """
+
+    def __init__(self) -> None:
+        self.wall = 0.0
+        self.cpu = 0.0
+        self.collections = [0, 0, 0]
+        self.pauses = [0.0, 0.0, 0.0]
+        self.selects = 0
+        self.select_s = 0.0
+        self.handles = 0
+        self._open = False
+        self._gc_started = 0.0
+
+    def on_gc(self, phase: str, info: Dict) -> None:
+        if not self._open:
+            return
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.pauses[generation] += time.perf_counter() - self._gc_started
+
+    def around(self, run: Callable) -> Callable:
+        """``run`` with the window open; an asyncio loop (``run_forever``)
+        gets its selector timed the first time it runs."""
+
+        def measured(runner, *args, **kwargs):
+            selector = getattr(runner, "_selector", None)
+            if selector is not None and "select" not in vars(selector):
+                selector.select = self._timed_select(selector.select)
+            wall, cpu = time.perf_counter(), time.process_time()
+            self._open = True
+            try:
+                return run(runner, *args, **kwargs)
+            finally:
+                self._open = False
+                self.wall += time.perf_counter() - wall
+                self.cpu += time.process_time() - cpu
+
+        return measured
+
+    def _timed_select(self, select: Callable) -> Callable:
+        def timed(timeout=None):
+            start = time.perf_counter()
+            try:
+                return select(timeout)
+            finally:
+                self.select_s += time.perf_counter() - start
+                self.selects += 1
+
+        return timed
+
+    def install(self) -> None:
+        from repro.env.simbackend import SimRuntime
+
+        SimRuntime.run = self.around(SimRuntime.run)
+        loop_class = asyncio.base_events.BaseEventLoop
+        loop_class.run_forever = self.around(loop_class.run_forever)
+        handle_init = asyncio.Handle.__init__
+
+        def counted_init(handle, *args, **kwargs):
+            if self._open:
+                self.handles += 1
+            handle_init(handle, *args, **kwargs)
+
+        asyncio.Handle.__init__ = counted_init
+        gc.callbacks.append(self.on_gc)
+
+    def report(self, completed: int) -> str:
+        rows = [f"backend ran {self.wall:.2f} s wall, "
+                f"{self.cpu:.2f} s process CPU",
+                f"{'gc':8s} {'collections':>12s} {'pause ms':>10s} "
+                f"{'share':>7s}"]
+        for name, count, pause in (
+                *((f"gen{g}", self.collections[g], self.pauses[g])
+                  for g in range(3)),
+                ("total", sum(self.collections), sum(self.pauses))):
+            rows.append(f"{name:8s} {count:12d} {pause * 1e3:10.1f} "
+                        f"{pause / self.wall:7.1%}")
+        if self.selects:
+            rows += [
+                f"process CPU per completed op     "
+                f"{self.cpu / completed * 1e3:8.3f} ms",
+                f"loop idle (inside the selector)  "
+                f"{self.select_s / self.wall:8.1%} "
+                f"({self.selects} select calls)",
+                f"asyncio handles created per op   "
+                f"{self.handles / completed:8.2f}"]
+        return "\n".join(rows)
+
+
 def run_repeat(args) -> Dict:
     """One ``--child`` repeat in this process; returns its result record."""
     from bench import run as bench_run
@@ -146,6 +258,15 @@ def phase_share(args) -> int:
     return 0
 
 
+def phase_gc(args) -> int:
+    window = RunWindow()
+    window.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} un-profiled: {summary(result)}")
+    print(window.report(result["completed"]))
+    return 0
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -157,16 +278,22 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--share", action="append", default=[],
                         metavar="mod:Class.func",
                         help="time this function with profiling off")
-    parser.add_argument("--phase", choices=("profile", "share"),
+    parser.add_argument("--gc", action="store_true",
+                        help="book GC pauses and, on asyncio workloads, "
+                             "process CPU, loop idle share and handles "
+                             "per op, with profiling off")
+    parser.add_argument("--phase", choices=("profile", "share", "gc"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.phase == "profile":
         return phase_profile(args)
     if args.phase == "share":
         return phase_share(args)
+    if args.phase == "gc":
+        return phase_gc(args)
     forwarded = sys.argv[1:] if argv is None else list(argv)
     phases = (["profile"] if args.top > 0 else []) + (
-        ["share"] if args.share else [])
+        ["share"] if args.share else []) + (["gc"] if args.gc else [])
     for phase in phases:
         done = subprocess.run([sys.executable, os.path.abspath(__file__),
                                *forwarded, "--phase", phase], cwd=ROOT)

@@ -24,7 +24,9 @@ from typing import Any, Optional, Tuple
 from repro.bcast.messages import ReadReply, ReadRequest  # noqa: F401
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature
-from repro.types import Destination, GroupId, MessageId, MulticastMessage
+from repro.types import (
+    ClientId, Destination, GroupId, MessageId, MulticastMessage,
+)
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,17 @@ class WireMulticast:
         )
 
     def to_message(self) -> MulticastMessage:
-        from repro.types import ClientId  # local import to avoid cycle noise
-
-        return MulticastMessage(
-            mid=MessageId(ClientId(self.sender), self.seq),
-            dst=frozenset(GroupId(g) for g in self.dst),
-            payload=self.payload,
-        )
+        """The multicast this wire carries; built once and shared (frozen
+        wire, frozen message) by every replica that a-delivers the wire."""
+        cached = self.__dict__.get("_message")
+        if cached is None:
+            cached = MulticastMessage(
+                mid=MessageId(ClientId(self.sender), self.seq),
+                dst=frozenset(GroupId(g) for g in self.dst),
+                payload=self.payload,
+            )
+            object.__setattr__(self, "_message", cached)
+        return cached
 
     def signed_part(self) -> Tuple:
         """The tuple covered by the originating client's signature.

@@ -39,7 +39,7 @@ from repro.canonical import (   # the type table both codecs share
     ensure_registered, is_registered, register_wire_type, registered_type,
 )
 from repro.crypto import cache as _cache
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ReproError
 
 _LENGTH = struct.Struct(">I")
 #: refuse to decode frames above this size (corrupt length prefix guard)
@@ -95,7 +95,12 @@ def _from_jsonable(value: Any) -> Any:
         if "!d" in value:
             cls = registered_type(value["!d"])
             fields = {k: _from_jsonable(v) for k, v in value["f"].items()}
-            return cls(**fields)
+            try:
+                return cls(**fields)
+            except (TypeError, ReproError) as exc:
+                # wrong field names, or the class's own validation
+                raise NetworkError(
+                    f"cannot rebuild {cls.__name__} from frame: {exc}") from exc
     raise NetworkError(f"malformed wire value: {value!r}")
 
 

@@ -4,8 +4,44 @@ Where the simulation backend models CPU service times and link latencies,
 the real-time backend *is* subject to them: timers are wall-clock
 (``asyncio`` ``call_later``), CPU "costs" become accounting-only no-ops
 (the host CPU is the real resource), and messages travel through the
-asyncio ready queue (strict FIFO) — or over real TCP sockets with the
-optional :class:`~repro.env.tcp.TcpTransport`.
+runtime's own ready queue (strict FIFO) — or over real TCP sockets with
+the optional :class:`~repro.env.tcp.TcpTransport`.
+
+**Who owns FIFO.**  :class:`RealtimeClock` holds the one ready queue of a
+runtime: a ``deque`` of ``(fn, args)`` that :meth:`RealtimeExecutor.submit`
+(every ``Actor.work`` job) and the zero-delay branch of
+:meth:`InProcessTransport.send` (every in-process delivery) push to with
+:meth:`RealtimeClock.soon`.  Entries run strictly in push order, whichever
+actor or link they belong to, and an entry pushed from inside another runs
+after everything already queued — the order one ``call_soon`` per message
+would give, without an asyncio ``Handle`` per message: a push schedules
+``call_soon(_drain)`` only when no drain is pending, so a burst of
+messages costs asyncio one wake-up.  Shaped links and timers stay on
+``call_later``; socket readers of a :class:`~repro.env.tcp.TcpTransport`
+call ``receive`` directly.
+
+**The slice.**  A drain hands the loop back to asyncio after
+:data:`DRAIN_SLICE` seconds and re-schedules itself, so ``call_later``
+timers, sockets and in-loop samplers get a turn every slice however long
+the queue stays non-empty (a closed-loop workload can keep it non-empty
+for a whole run).  asyncio runs what was ready before what became due, so
+a timer that comes due while the queue is busy fires after the slice that
+follows — between one and two slices late (plus the entry that is
+running), never more; when the queue empties the drain ends at once and
+nothing waits.  The slice is a constant, not an
+option.  It trades ``select`` calls against timer lateness, and timers
+pace the protocol (the leader's batch delay is a ``set_timer``): on the
+benchmark's ``rt_mixed`` 0.5 and 1 ms read alike, while 0.25 ms and 2 ms
+each keep less than half of the gain — the first to ``select`` calls and
+smaller batches, the second to batch timers that fire 2-4 ms late
+(EXPERIMENTS.md, "One wake-up per burst (PR 18)").
+
+**Stopping.**  :meth:`RealtimeRuntime.stop` pauses the queue: the entry
+that is running finishes, nothing behind it runs in this ``run()``, and
+the next ``run()`` picks the queue up where it stopped, in order.  The
+``until`` deadline of ``run()`` fires between two slices, so it needs no
+pause.  A callback that raises reaches the loop's exception handler like
+any asyncio callback; the entries behind it are kept and run next.
 
 What is and is not modeled here:
 
@@ -24,7 +60,9 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from time import monotonic
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import NetworkError, SimulationError
 from repro.env.api import Clock, Executor, Runtime, TimerHandle, Transport
@@ -34,17 +72,29 @@ from repro.sim.network import NetworkConfig
 from repro.sim.rng import SeededRng
 
 
+#: seconds one drain of the ready queue runs before it yields to asyncio
+#: (timers, sockets); see the module docstring
+DRAIN_SLICE = 0.001
+
+
 def realtime_network_config() -> NetworkConfig:
     """Default shaping for real-time runs: no artificial latency or drops."""
     return NetworkConfig(latency=ConstantLatency(0.0))
 
 
 class RealtimeClock:
-    """Monotonic wall-clock seconds since the runtime was created."""
+    """Monotonic wall-clock seconds since the runtime was created, plus the
+    runtime's ready queue (:meth:`soon`; rt-internal, not part of the
+    :class:`~repro.env.api.Clock` protocol)."""
 
     def __init__(self, aloop: asyncio.AbstractEventLoop) -> None:
         self._aloop = aloop
         self._origin = aloop.time()
+        self._ready: Deque[Tuple[Callable[..., None], tuple]] = deque()
+        #: a ``_drain`` handle sits in asyncio's ready queue
+        self._draining = False
+        #: ``RealtimeRuntime.stop()`` was called; cleared by the next run
+        self._paused = False
 
     @property
     def now(self) -> float:
@@ -58,18 +108,57 @@ class RealtimeClock:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
         return self.schedule(time - self.now, callback)
 
+    # -- the ready queue ---------------------------------------------------
+
+    def soon(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after everything already queued (global FIFO)."""
+        self._ready.append((fn, args))
+        if not self._draining:
+            self._schedule_drain()
+
+    def pause(self) -> None:
+        """Let the running entry finish and leave the rest queued."""
+        self._paused = True
+
+    def resume(self) -> None:
+        """Undo :meth:`pause`; what was left over runs first, in order."""
+        self._paused = False
+        if self._ready and not self._draining:
+            self._schedule_drain()
+
+    def _schedule_drain(self) -> None:
+        self._draining = True
+        self._aloop.call_soon(self._drain)
+
+    def _drain(self) -> None:
+        ready = self._ready
+        yield_at = monotonic() + DRAIN_SLICE
+        try:
+            while ready and not self._paused:
+                fn, args = ready.popleft()
+                fn(*args)
+                if monotonic() >= yield_at:
+                    break
+        finally:
+            # Also on the way out of a raising entry: what is queued
+            # behind it must not wait for the next push.
+            if ready and not self._paused:
+                self._schedule_drain()
+            else:
+                self._draining = False
+
 
 class RealtimeExecutor:
-    """Accounting-only CPU: jobs run on the next loop tick, strictly FIFO.
+    """Accounting-only CPU: jobs run off the ready queue, strictly FIFO.
 
     Service times are recorded (``jobs_done``, ``busy_time``) so capacity
     statistics stay meaningful, but the callback is not delayed — in real
-    time the host CPU is the resource being spent.  Using ``call_soon``
-    (a deque, not the timer heap) guarantees FIFO completion order.
+    time the host CPU is the resource being spent.  The runtime's ready
+    queue (a deque, not the timer heap) guarantees FIFO completion order,
+    across executors too.
     """
 
-    def __init__(self, aloop: asyncio.AbstractEventLoop, clock: RealtimeClock) -> None:
-        self._aloop = aloop
+    def __init__(self, clock: RealtimeClock) -> None:
         self._clock = clock
         self.jobs_done = 0
         self.busy_time = 0.0
@@ -83,7 +172,7 @@ class RealtimeExecutor:
             raise ValueError("service time must be non-negative")
         self.jobs_done += 1
         self.busy_time += service_time
-        self._aloop.call_soon(callback)
+        self._clock.soon(callback)
         return self._clock.now
 
     def utilization(self, elapsed: float) -> float:
@@ -93,7 +182,7 @@ class RealtimeExecutor:
 
 
 class InProcessTransport:
-    """Named endpoints delivering through the asyncio ready queue.
+    """Named endpoints delivering through the runtime's ready queue.
 
     Semantics mirror :class:`~repro.sim.network.Network`: unknown endpoints
     raise, partitioned/dropped messages vanish silently but are counted,
@@ -120,6 +209,9 @@ class InProcessTransport:
         self._blocked_pairs: Set[Tuple[str, str]] = set()
         self._blocked_sites: Set[Tuple[str, str]] = set()
         self._link_due: Dict[Tuple[str, str], float] = {}
+        #: (src, dst) -> (dst's receive, src site, dst site)
+        self._links: Dict[Tuple[str, str],
+                          Tuple[Callable[..., None], str, str]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -154,29 +246,27 @@ class InProcessTransport:
     # -- sending -----------------------------------------------------------
 
     def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
-        if dst not in self._endpoints:
-            raise NetworkError(f"unknown destination endpoint {dst!r}")
-        if src not in self._endpoints:
-            raise NetworkError(f"unknown source endpoint {src!r}")
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._resolve(src, dst)
+        receive, src_site, dst_site = link
         self.monitor.count("net.sent")
-        if (src, dst) in self._blocked_pairs:
+        if self._blocked_pairs and (src, dst) in self._blocked_pairs:
             self.monitor.count("net.partitioned")
             return
-        src_site = self.site_of(src)
-        dst_site = self.site_of(dst)
-        if (src_site, dst_site) in self._blocked_sites:
+        if self._blocked_sites and (src_site, dst_site) in self._blocked_sites:
             self.monitor.count("net.partitioned")
             return
-        if self.config.drop_rate > 0 and self._rng.random() < self.config.drop_rate:
+        config = self.config
+        if config.drop_rate > 0 and self._rng.random() < config.drop_rate:
             self.monitor.count("net.dropped")
             return
-        delay = self.config.latency.delay(src_site, dst_site, self._rng)
-        if self.config.bandwidth:
-            delay += size / self.config.bandwidth
-        actor = self._endpoints[dst][0]
+        delay = config.latency.delay(src_site, dst_site, self._rng)
+        if config.bandwidth:
+            delay += size / config.bandwidth
         if delay <= 0:
-            # The ready queue is a plain deque — strict global FIFO.
-            self._aloop.call_soon(actor.receive, src, payload)
+            # The runtime's ready queue — strict global FIFO.
+            self._clock.soon(receive, src, payload)
             return
         # Shaped link: clamp per-link delivery times to be strictly
         # increasing, since asyncio's timer heap does not promise stable
@@ -184,7 +274,19 @@ class InProcessTransport:
         now = self._clock.now
         due = max(now + delay, self._link_due.get((src, dst), 0.0) + 1e-9)
         self._link_due[(src, dst)] = due
-        self._aloop.call_later(max(0.0, due - now), actor.receive, src, payload)
+        self._aloop.call_later(max(0.0, due - now), receive, src, payload)
+
+    def _resolve(self, src: str, dst: str) -> Tuple[Callable[..., None], str, str]:
+        """First send on a link: check both ends, remember what every later
+        send needs (endpoints are never unregistered or re-sited)."""
+        if dst not in self._endpoints:
+            raise NetworkError(f"unknown destination endpoint {dst!r}")
+        if src not in self._endpoints:
+            raise NetworkError(f"unknown source endpoint {src!r}")
+        actor, dst_site = self._endpoints[dst]
+        link = self._links[(src, dst)] = (
+            actor.receive, self._endpoints[src][1], dst_site)
+        return link
 
 
 class RealtimeRuntime(Runtime):
@@ -193,8 +295,9 @@ class RealtimeRuntime(Runtime):
     ``run(until=...)`` interprets ``until`` on the runtime's own clock
     (seconds since creation), mirroring the simulator's absolute-time
     semantics; ``stop()`` may be called from any actor callback to end the
-    run early (e.g. once a workload completed).  Call :meth:`close` when
-    done to release the event loop.
+    run early (e.g. once a workload completed): no ready-queue entry after
+    the running one runs in this ``run()``, the next ``run()`` continues
+    with them.  Call :meth:`close` when done to release the event loop.
     """
 
     deterministic = False
@@ -245,7 +348,7 @@ class RealtimeRuntime(Runtime):
         return self.network
 
     def create_executor(self) -> Executor:
-        return RealtimeExecutor(self._aloop, self._clock)
+        return RealtimeExecutor(self._clock)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -257,6 +360,7 @@ class RealtimeRuntime(Runtime):
             if remaining <= 0:
                 return
             deadline = self._aloop.call_later(remaining, self._aloop.stop)
+        self._clock.resume()
         try:
             self._aloop.run_forever()
         finally:
@@ -264,6 +368,7 @@ class RealtimeRuntime(Runtime):
                 deadline.cancel()
 
     def stop(self) -> None:
+        self._clock.pause()
         self._aloop.stop()
 
     def close(self) -> None:

@@ -34,11 +34,11 @@ once, however the message is wrapped.
 :func:`decode` seeds that memo on every dataclass it builds with the
 slice it was decoded from, so it accepts canonical encodings only: a
 big-int tag on a value that fits ``>q``, set items or dict keys out of
-order or repeated, unknown tags and type ids, truncated payloads and
-trailing bytes all raise :class:`~repro.errors.NetworkError` — the
-transport counts ``net.bad_frame`` and isolates the connection rather
-than crashing the reader.  ``encode(decode(b)) == b`` for every ``b``
-that decodes.
+order or repeated, unknown tags and type ids, truncated payloads,
+trailing bytes and fields the dataclass's own constructor rejects all
+raise :class:`~repro.errors.NetworkError` — the transport counts
+``net.bad_frame`` and skips the frame rather than crashing the reader.
+``encode(decode(b)) == b`` for every ``b`` that decodes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.canonical import (
 )
 from repro.env import codec as _codec
 from repro.env.codec import MAX_FRAME, _LENGTH  # shared framing
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ReproError
 
 # type id -> (class, field count, memoisable); the registry is append-only,
 # so entries never go stale
@@ -154,7 +154,9 @@ def _decode_from(data: bytes, offset: int, limit: int,
             return tuple(items), offset
         try:
             value = cls(*items)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ReproError) as exc:
+            # ReproError: the class's own validation (a View that is not
+            # 3f+1 wide) — a frame a correct peer could not have sent.
             raise NetworkError(
                 f"cannot rebuild {cls.__name__} from frame: {exc}") from exc
         if memoise and _canonical.memo_on:

@@ -11,6 +11,7 @@ from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from repro.sim.events import EventLoop
+from repro.types import ClientId, GroupId, MessageId, MulticastMessage
 from tests.helpers import FakeReplica, configs_for, execute, relayed, wire_for
 
 
@@ -154,6 +155,30 @@ class TestRelayedCopies:
         assert not [p for __, p in restored_replica.sent
                     if isinstance(p, MulticastReply)]
         assert not hasattr(app, "_a_delivered")
+
+    def test_one_shared_wire_is_one_delivered_message_object(self, setup):
+        """``to_message()`` is built once per wire: the 3f+1 replicas that
+        execute a wire shared by reference a-deliver the same (frozen)
+        message object, equal to one built without the memo; deliveries a
+        restore rebuilds from acted ids are equal, from their own wires."""
+        tree, configs, registry, loop, make = setup
+        wire = wire_for(registry, "client", 1, ("g1",))
+        assert wire.to_message() is wire.to_message()
+        assert wire.to_message() == MulticastMessage(
+            MessageId(ClientId("client"), 1), frozenset({GroupId("g1")}),
+            ("p",))
+        apps = []
+        for name in configs["g1"].replicas:
+            app, replica = make("g1", name)
+            execute(app, replica, Request("g1", "client", 1, wire))
+            apps.append(app)
+        assert len(apps) == 4
+        for app in apps:
+            assert app.delivered_messages()[0] is wire.to_message()
+        restored, __ = make("g1", "g1/r1")
+        restored.restore(apps[0].snapshot())
+        assert restored.delivered_messages() == [wire.to_message()]
+        assert restored.delivered_messages()[0] is not wire.to_message()
 
     def test_relay_from_nonparent_is_not_counted_as_relay(self, setup):
         tree, configs, registry, loop, make = setup

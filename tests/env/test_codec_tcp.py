@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from repro.bcast.messages import Accept, Reply, Request
+from repro.bcast.reconfig import View
 from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.signatures import Signature
 from repro.env import codec
@@ -220,6 +221,51 @@ def test_tcp_bad_frame_is_counted_and_server_survives():
         assert b.got == [("a", ("still-alive",))]
     finally:
         host_a.shutdown()
+        host_b.shutdown()
+        aloop.run_until_complete(asyncio.sleep(0.05))
+        aloop.close()
+
+
+@pytest.mark.parametrize("wire_name", ["binary", "json"])
+def test_tcp_frame_failing_its_class_validation_is_skipped(wire_name):
+    """A Byzantine peer forges a frame that decodes field by field but
+    that the dataclass's own constructor rejects (a ``View`` with ``f``
+    rewritten 1 -> 5 is not 3f+1 wide).  It is one ``net.bad_frame``: the
+    handler never sees it, and the valid frame behind it on the same
+    connection is delivered."""
+    wire_codec = codec.get_codec(wire_name)
+    view = View(("r0", "r1", "r2", "r3"), 1)
+    valid = wire_codec.frame_route("a", "b", view)
+    if wire_name == "binary":
+        assert valid[-9:] == b"\x03" + (1).to_bytes(8, "big")  # f, as >q
+        forged = valid[:-1] + b"\x05"
+    else:
+        assert valid.count(b'"f":1') == 1
+        forged = valid.replace(b'"f":1', b'"f":5')
+    with pytest.raises(NetworkError, match="3f\\+1"):
+        wire_codec.decode(forged[codec._LENGTH.size:])
+
+    aloop = asyncio.new_event_loop()
+    host_b = TcpTransport(aloop, directory={}, wire=wire_name)
+    b = Probe("b")
+    host_b.register(b)
+
+    async def scenario():
+        await host_b.start()
+        _, writer = await asyncio.open_connection("127.0.0.1", host_b.port)
+        writer.write(forged + valid)
+        await writer.drain()
+        for _ in range(200):
+            if b.got:
+                break
+            await asyncio.sleep(0.01)
+        writer.close()
+
+    try:
+        aloop.run_until_complete(scenario())
+        assert host_b.monitor.counters["net.bad_frame"] == 1
+        assert b.got == [("a", view)]
+    finally:
         host_b.shutdown()
         aloop.run_until_complete(asyncio.sleep(0.05))
         aloop.close()

@@ -10,12 +10,15 @@ whole suite stays fast.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.env import Actor, Runtime, make_runtime
-from repro.env.rtbackend import RealtimeRuntime
+from repro.env.rtbackend import DRAIN_SLICE, RealtimeRuntime
 from repro.env.simbackend import SimRuntime
 from repro.errors import NetworkError, SimulationError
+from tests.env.test_realtime_e2e import HostPerActor
 
 BACKENDS = ["sim", "rt"]
 
@@ -256,3 +259,178 @@ def test_work_after_crash_does_not_run(runtime):
                                          a.crash()))
     runtime.run(until=0.2)
     assert done == []
+
+
+# -- The rt ready queue -----------------------------------------------------
+#
+# One FIFO per RealtimeRuntime carries every executor job and every
+# zero-delay in-process delivery (repro.env.rtbackend).  Its contract is
+# stated in counts and order, never in wall time.
+
+
+@pytest.fixture
+def rt():
+    runtime = make_runtime("rt", seed=7)
+    yield runtime
+    runtime.close()
+
+
+class Journal(Actor):
+    """Appends what it receives to a log shared between actors."""
+
+    def __init__(self, name, runtime, log):
+        super().__init__(name, runtime)
+        self.log = log
+
+    def on_message(self, src, payload):
+        self.log.append(payload)
+
+
+def journals(runtime, names):
+    log = []
+    actors = [Journal(name, runtime, log) for name in names]
+    for actor in actors:
+        runtime.transport.register(actor)
+    return log, actors
+
+
+def test_ready_queue_is_one_fifo_across_actors_links_and_executors(rt):
+    log, (a, b, c) = journals(rt, "abc")
+
+    def burst():
+        a.send("b", 0)
+        c.work(0.004, lambda: log.append(1))
+        b.send("c", 2)
+        a.work(0.001, lambda: log.append(3))
+        c.send("a", 4)
+        a.send("b", 5)
+        b.work(0.0, lambda: log.append(6))
+
+    rt.clock.schedule(0.0, burst)
+    rt.run(until=0.2)
+    assert log == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_entry_pushed_from_inside_an_entry_runs_after_all_queued(rt):
+    log, (a, b) = journals(rt, "ab")
+
+    def first():
+        log.append("first")
+        a.work(0.0, lambda: log.append("nested job"))
+        a.send("b", "nested delivery")
+
+    def burst():
+        a.work(0.0, first)
+        b.work(0.0, lambda: log.append("second"))
+        a.send("b", "third")
+
+    rt.clock.schedule(0.0, burst)
+    rt.run(until=0.2)
+    assert log == ["first", "second", "third", "nested job",
+                   "nested delivery"]
+
+
+def test_stop_from_an_entry_leaves_the_rest_for_the_next_run(rt):
+    log, (a, b) = journals(rt, "ab")
+
+    def burst():
+        a.work(0.0, lambda: log.append(0))
+        a.send("b", 1)
+        b.work(0.0, lambda: (log.append(2), rt.stop()))
+        a.send("b", 3)
+        b.work(0.0, lambda: log.append(4))
+        a.work(0.0, lambda: a.send("b", 5))
+
+    rt.clock.schedule(0.0, burst)
+    rt.run(until=5.0)
+    assert log == [0, 1, 2]
+    rt.run(until=rt.clock.now + 0.1)
+    assert log == [0, 1, 2, 3, 4, 5]
+
+
+def test_raising_entry_neither_drops_nor_reorders_what_is_behind_it(rt):
+    log, (a, b) = journals(rt, "ab")
+    reported = []
+    rt.asyncio_loop.set_exception_handler(
+        lambda loop, context: reported.append(context["exception"]))
+
+    def explode():
+        raise KeyError("boom")
+
+    def burst():
+        a.work(0.0, lambda: log.append(0))
+        b.work(0.0, explode)
+        a.send("b", 2)
+        b.work(0.0, explode)
+        a.work(0.0, lambda: log.append(4))
+
+    rt.clock.schedule(0.0, burst)
+    rt.run(until=0.2)
+    assert log == [0, 2, 4]
+    assert [type(exc) for exc in reported] == [KeyError, KeyError]
+
+
+def test_chain_longer_than_a_slice_does_not_starve_a_timer(rt):
+    # The chain reposts itself until the timer fired; a drain that never
+    # yielded to asyncio would run it to the cap.
+    (a,) = journals(rt, "a")[1]
+    cap = 3_000_000
+    links = [0]
+    fired_at = []
+
+    def link():
+        links[0] += 1
+        if not fired_at and links[0] < cap:
+            a.work(0.0, link)
+
+    a.work(0.0, link)
+    a.set_timer(5 * DRAIN_SLICE, lambda: fired_at.append(links[0]))
+    rt.run_until(lambda: bool(fired_at) or links[0] >= cap, timeout=60.0)
+    assert fired_at and 0 < fired_at[0] < cap
+    assert links[0] == fired_at[0] + 1  # the chain ended with the timer
+
+
+def test_crashed_actors_queued_jobs_and_deliveries_never_run(rt):
+    log, (a, b) = journals(rt, "ab")
+
+    def burst():
+        b.send("a", "delivery to a")
+        a.work(0.0, lambda: log.append("job of a"))
+        a.send("b", "sent before the crash")
+        b.work(0.0, lambda: log.append("job of b"))
+        a.crash()
+        b.send("a", "delivery after the crash")
+
+    rt.clock.schedule(0.0, burst)
+    rt.run(until=0.2)
+    assert log == ["sent before the crash", "job of b"]
+
+
+def test_ready_queue_beside_socket_deliveries():
+    """Per-host TcpTransports: a frame's reader calls ``receive`` itself
+    and only the CPU job it charges goes through the ready queue — per-link
+    FIFO and the interleaving with local jobs both hold."""
+    runtime = make_runtime("rt", seed=7, transport_factory=HostPerActor,
+                           wire="binary")
+    try:
+        log = []
+        a = Journal("a", runtime, log)
+        b = Journal("b", runtime, log)
+        b.recv_cpu_cost = 0.001
+        for actor in (a, b):
+            runtime.transport.register(actor)
+        runtime.asyncio_loop.run_until_complete(runtime.transport.start())
+
+        def burst():
+            for index in range(50):
+                a.send("b", index)
+            b.work(0.0, lambda: log.append("local job"))
+
+        runtime.clock.schedule(0.0, burst)
+        assert runtime.run_until(lambda: len(log) == 51, timeout=10.0)
+        assert log == ["local job", *range(50)]
+        assert b.cpu.jobs_done == 51
+    finally:
+        runtime.transport.shutdown()
+        runtime.asyncio_loop.run_until_complete(asyncio.sleep(0.05))
+        runtime.close()

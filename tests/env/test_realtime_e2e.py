@@ -31,39 +31,46 @@ WINDOW = 8  # concurrently outstanding multicasts
 DESTS = [("g1",), ("g2",), ("g1", "g2")]  # mixed local + global traffic
 
 
-def test_realtime_two_group_tree_delivers_100_messages():
-    started = time.monotonic()
-    runtime = make_runtime("asyncio", seed=11)
-    tree = OverlayTree.two_level(["g1", "g2"])
-    dep = ByzCastDeployment(tree, runtime=runtime)
+def run_closed_loop(runtime, total, when_done):
+    """``total`` mixed multicasts from one client on a 2-group tree,
+    ``WINDOW`` outstanding; ``when_done()`` runs at the last completion.
+    Returns the deployment and the ``(message, latency)`` completions."""
+    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                            runtime=runtime)
     assert dep.runtime is runtime and not runtime.deterministic
-
+    client = dep.add_client("c1")
     sent = []
     completed = []
-    client = dep.add_client("c1")
 
     def send_next():
         index = len(sent)
-        mid = client.amulticast(
-            DESTS[index % len(DESTS)], payload=("tx", index), callback=on_done
-        )
-        sent.append(mid)
+        sent.append(client.amulticast(
+            DESTS[index % len(DESTS)], payload=("tx", index),
+            callback=on_done))
 
     def on_done(message, latency):
         completed.append((message, latency))
-        if len(sent) < TOTAL:
+        if len(sent) < total:
             send_next()
-        elif len(completed) == TOTAL:
-            # Quiesce: give trailing replicas a beat to a-deliver, then stop.
-            runtime.clock.schedule(0.1, runtime.stop)
+        elif len(completed) == total:
+            when_done()
 
     runtime.clock.schedule(0.0, lambda: [send_next() for _ in range(WINDOW)])
     dep.start()
     try:
         dep.run(until=25.0)
     finally:
-        elapsed = time.monotonic() - started
         runtime.close()
+    return dep, completed
+
+
+def test_realtime_two_group_tree_delivers_100_messages():
+    started = time.monotonic()
+    runtime = make_runtime("asyncio", seed=11)
+    # Quiesce: give trailing replicas a beat to a-deliver, then stop.
+    dep, completed = run_closed_loop(
+        runtime, TOTAL, lambda: runtime.clock.schedule(0.1, runtime.stop))
+    elapsed = time.monotonic() - started
 
     assert len(completed) >= 100, f"only {len(completed)} completions"
     assert len(completed) == TOTAL
@@ -77,6 +84,28 @@ def test_realtime_two_group_tree_delivers_100_messages():
     sequences = {gid: dep.delivered_sequences(gid) for gid in ("g1", "g2")}
     violations = check_all(sequences, sent_messages, quiescent=True)
     assert violations == []
+
+
+def test_asyncio_wakeups_scale_with_bursts_not_messages():
+    """200 closed-loop ops: every delivery and every CPU job rides the
+    runtime's ready queue, so asyncio sees one ``call_soon`` per burst —
+    far fewer than messages sent, let alone one or two per message."""
+    runtime = make_runtime("asyncio", seed=11)
+    total = 200
+    wakeups = []
+    call_soon = runtime.asyncio_loop.call_soon
+
+    def counting_call_soon(callback, *args, **kwargs):
+        wakeups.append(callback)
+        return call_soon(callback, *args, **kwargs)
+
+    runtime.asyncio_loop.call_soon = counting_call_soon
+    dep, completed = run_closed_loop(runtime, total, runtime.stop)
+    messages = dep.monitor.counters["net.sent"]
+    assert len(completed) == total
+    assert messages > 20 * total
+    assert len(wakeups) < messages / 10
+    assert len(wakeups) < 5 * total
 
 
 class HostPerGroup:
