@@ -20,10 +20,10 @@ from repro.bcast.messages import Reply
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.crypto.keys import KeyRegistry
-from repro.sim.actor import Actor
+from repro.env.actor import Actor
+from repro.env.monitor import Monitor
 from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
-from repro.sim.monitor import Monitor
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SeededRng
 

@@ -5,7 +5,7 @@ deployment for library use; this module is the *scenario-facing* variant
 the ROADMAP's scale-out harness calls for — it plugs the same
 deterministic :class:`~repro.apps.kvstore.ShardStateMachine` into any
 deployment built from a :class:`~repro.scenario.ScenarioSpec`
-(``app: "sharded_kv"``), so the bench matrix, the chaos soak and the CLI
+(``app: "sharded_kv"``), so the benchmark, the chaos soak and the CLI
 all exercise an application workload instead of opaque payloads:
 
 * every target group of the scenario's tree is one shard (3f+1 replicated

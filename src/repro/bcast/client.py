@@ -206,7 +206,7 @@ class ReadProxy:
     The unordered read discipline (BFT-SMaRt ``invokeUnordered``): a reply
     joins the tally only if its carried digest re-hashes locally from the
     carried value (a Byzantine replica cannot vote for a value it did not
-    send), and a tally wins only when ``quorum`` distinct replicas agree on
+    send), and a tally wins only when ``f + 1`` distinct replicas agree on
     the *same* (cid, digest) pair **and** that cid clears the owner's
     monotone floor.  When the full membership has answered without an
     acceptable quorum — or the round times out — the proxy retries with
@@ -218,9 +218,9 @@ class ReadProxy:
     A Byzantine fast-replier answering every probe instantly with garbage
     therefore cannot stop the retry delay from growing.
 
-    ``quorum`` defaults to ``f + 1`` and exists as a parameter *only* so the
-    adversarial test battery can disable the safety check (mutation guard)
-    and demonstrate the unsafe outcome it prevents.
+    :attr:`quorum` is a property so the adversarial test battery can
+    subclass and weaken it (mutation guard), demonstrating the unsafe
+    outcome the ``f + 1`` rule prevents.
     """
 
     MAX_BACKOFF_MULTIPLIER = 64
@@ -233,7 +233,6 @@ class ReadProxy:
         f: int,
         read_timeout: float = 1.0,
         max_retries: int = 2,
-        quorum: Optional[int] = None,
         min_cid: Optional[Callable[[str], int]] = None,
         mode: Optional[str] = None,
     ) -> None:
@@ -246,7 +245,6 @@ class ReadProxy:
         self.mode = mode
         self.read_timeout = read_timeout
         self.max_retries = max_retries
-        self._quorum_override = quorum
         #: mode -> monotone floor: accepted cids must not regress (the
         #: owner's session guarantee; without it an f+1 quorum of *lagging*
         #: correct replicas plus a Byzantine echo could serve a past state)
@@ -258,8 +256,7 @@ class ReadProxy:
 
     @property
     def quorum(self) -> int:
-        return (self._quorum_override if self._quorum_override is not None
-                else self.f + 1)
+        return self.f + 1
 
     # -- submission ----------------------------------------------------------
 

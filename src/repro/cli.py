@@ -9,9 +9,6 @@ Commands:
 * ``experiment``— run one of the paper's figure scenarios;
 * ``chaos``     — run a seeded chaos soak (nemesis faults + invariant
   checks) on the sim and/or real-time backend;
-* ``bench``     — run the performance-regression matrix, write a
-  ``BENCH_<rev>.json``, optionally fail against a committed baseline
-  (see ``docs/PERF.md``);
 * ``scenario``  — validate or run a declarative scenario spec file
   (see ``docs/SCENARIOS.md`` and ``examples/scenarios/``).
 """
@@ -180,71 +177,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
-def _git_rev() -> str:
-    """Short revision label for the BENCH filename; 'local' off-git."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        )
-        return out.stdout.strip() or "local"
-    except Exception:
-        return "local"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.perf import (
-        QUICK_CELL,
-        adapt_gates,
-        compare,
-        format_comparison,
-        format_report,
-        load_report,
-        run_matrix,
-        saturated_cells,
-        save_report,
-        speedup_gates,
-    )
-
-    rev = args.rev if args.rev else _git_rev()
-    cells = None
-    if args.cells:
-        cells = [name.strip() for name in args.cells.split(",") if name.strip()]
-    elif args.quick:
-        cells = [QUICK_CELL]
-
-    def progress(name: str, outcome) -> None:
-        print(f"  ran {name}: {outcome.throughput:.1f} m/s "
-              f"({outcome.wall_seconds:.1f}s wall)", flush=True)
-
-    report = run_matrix(
-        rev=rev,
-        optimised=not args.seed_mode,
-        cells=cells,
-        progress=progress,
-    )
-    print(format_report(report))
-    out_path = args.out if args.out else f"BENCH_{rev}.json"
-    save_report(out_path, report)
-    print(f"wrote {out_path}")
-    if not args.compare:
-        return 0
-    try:
-        baseline = load_report(args.compare)
-        comparison = compare(report, baseline, tolerance=args.tolerance,
-                             speedup_gates=speedup_gates(),
-                             skip_latency=saturated_cells(),
-                             adapt_gates=adapt_gates())
-    except (OSError, ValueError, KeyError, ConfigurationError) as exc:
-        print(f"cannot compare against {args.compare}: {exc}")
-        return 2
-    print(format_comparison(comparison))
-    return 0 if comparison.ok else 1
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.scenario import ScenarioSpec, run_scenario
@@ -376,25 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--timeline", action="store_true",
                        help="print the expanded nemesis timeline")
 
-    bench = sub.add_parser(
-        "bench", help="run the perf-regression matrix (see docs/PERF.md)")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<rev>.json)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="fail (exit 1) on >tolerance regression vs this "
-                            "BENCH.json")
-    bench.add_argument("--tolerance", type=float, default=0.10,
-                       help="relative regression tolerance (default 0.10)")
-    bench.add_argument("--quick", action="store_true",
-                       help="run only the cheapest matrix cell (CI smoke)")
-    bench.add_argument("--cells", default=None,
-                       help="comma-separated cell names to run")
-    bench.add_argument("--seed-mode", action="store_true",
-                       help="disable adaptive batching + memoisation "
-                            "(how BENCH_seed.json is generated)")
-    bench.add_argument("--rev", default=None,
-                       help="revision label (default: git short hash)")
-
     scenario = sub.add_parser(
         "scenario",
         help="validate or run a declarative scenario spec "
@@ -418,7 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "capacity": _cmd_capacity,
         "experiment": _cmd_experiment,
         "chaos": _cmd_chaos,
-        "bench": _cmd_bench,
         "scenario": _cmd_scenario,
     }
     return handlers[args.command](args)

@@ -109,7 +109,6 @@ class MulticastClient(Actor):
         on_complete: Optional[CompletionCallback] = None,
         retransmit_timeout: Optional[float] = 4.0,
         read_timeout: float = 1.0,
-        read_quorum: Optional[int] = None,
     ) -> None:
         super().__init__(name, loop, monitor)
         self.tree = tree
@@ -118,8 +117,6 @@ class MulticastClient(Actor):
         self.on_complete = on_complete
         self.retransmit_timeout = retransmit_timeout
         self.read_timeout = read_timeout
-        #: test-only mutation guard: overrides the f+1 read quorum
-        self._read_quorum = read_quorum
         self._proxies: Dict[str, GroupProxy] = {}
         self._read_proxies: Dict[Tuple[str, str], ReadProxy] = {}
         self._next_seq = 1
@@ -359,7 +356,6 @@ class MulticastClient(Actor):
                 replicas=config.replicas,
                 f=config.f,
                 read_timeout=self.read_timeout,
-                quorum=self._read_quorum,
                 min_cid=lambda mode, g=group_id:
                     self._read_high_water.get((g, mode), -1),
                 mode=mode,

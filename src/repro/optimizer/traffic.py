@@ -27,7 +27,7 @@ from collections import Counter, deque
 from typing import Callable, Deque, Dict, FrozenSet, Iterable, Optional, Tuple
 
 #: default ring capacity — comfortably above any one planner interval's
-#: traffic in the soaks and bench cells, small enough to stay cache-warm
+#: traffic in the soaks and benchmarks, small enough to stay cache-warm
 DEFAULT_CAPACITY = 4096
 
 

@@ -9,8 +9,9 @@ nemesis fault plan — as plain data that round-trips through JSON.
 
 Every harness in the repo builds from the same spec:
 
-* ``python -m repro bench`` — each :class:`~repro.perf.runner.BenchCell`
-  is a thin view over a spec (:meth:`BenchCell.to_scenario`);
+* ``bench/`` (``BENCHMARK.json``) and the ``benchmarks/test_ablation_*``
+  pairs — each workload is a spec literal run through
+  :func:`run_scenario` or the builders;
 * ``python -m repro chaos`` — the soak derives its deployment from a spec
   (:meth:`~repro.runtime.chaos.SoakConfig.to_scenario`);
 * ``ByzCastDeployment.from_scenario`` — direct programmatic use;

@@ -1,9 +1,9 @@
 """Materialize a :class:`~repro.scenario.spec.ScenarioSpec`.
 
 This is the **one** tree/deployment/driver construction path of the repo:
-``repro.perf`` cells, the ``repro.runtime.chaos`` soak, the CLI and the
-examples all call into these builders instead of wiring deployments by
-hand.  Everything is derived from the spec plus its seed, so a scenario on
+the ``bench/`` workloads, the ``repro.runtime.chaos`` soak, the CLI and
+the examples all call into these builders instead of wiring deployments
+by hand.  Everything is derived from the spec plus its seed, so a scenario on
 the sim backend is bit-identical across runs and hosts.
 """
 

@@ -16,12 +16,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-#: bump when the serialized layout changes incompatibly
+#: the one document layout this build reads and writes; bump when the
+#: serialized layout changes incompatibly
 SCENARIO_SCHEMA_VERSION = 5
-#: schema versions this build can read (older docs parse as long as they
-#: do not use newer vocabulary; ``to_dict`` always writes the current
-#: version)
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5)
 
 #: enumerated axis values (also the vocabulary ``validate`` lints against)
 LAYOUTS = ("two_level", "paper", "balanced")
@@ -38,42 +35,6 @@ READ_MODES = ("ordered", "optimistic", "snapshot")
 WIRES = ("auto", "json", "binary")
 ADAPTIVE_TREE_MODES = ("off", "observe", "on")
 
-#: vocabulary introduced by schema 2 — rejected (with a pointed error) in
-#: documents that still declare ``schema: 1``
-V2_KEYS: Dict[str, Tuple[str, ...]] = {
-    "workload": ("flash_at", "flash_factor", "flash_width",
-                 "diurnal_period", "diurnal_amplitude"),
-    "faults": ("joins", "leaves", "scale_cycles"),
-}
-V2_VALUES: Dict[Tuple[str, str], Tuple[str, ...]] = {
-    ("workload", "loop"): ("flash", "diurnal"),
-    ("faults", "intensity"): ("churn",),
-}
-
-#: vocabulary introduced by schema 3 (the read tier, docs/READS.md) —
-#: rejected in documents declaring an older schema
-V3_KEYS: Dict[str, Tuple[str, ...]] = {
-    "workload": ("read_ratio", "read_mode"),
-    "protocol": ("read_timeout",),
-}
-
-#: vocabulary introduced by schema 4 (the wire-codec knob, docs/WIRE.md) —
-#: rejected in documents declaring an older schema
-V4_KEYS: Dict[str, Tuple[str, ...]] = {
-    "protocol": ("wire",),
-}
-
-#: vocabulary introduced by schema 5 (workload-adaptive overlay trees,
-#: docs/TREES.md) — rejected in documents declaring an older schema
-V5_KEYS: Dict[str, Tuple[str, ...]] = {
-    "protocol": ("adaptive_tree", "adapt_interval", "adapt_min_samples",
-                 "adapt_hysteresis", "adapt_cooldown"),
-}
-V5_VALUES: Dict[Tuple[str, str], Tuple[str, ...]] = {
-    ("workload", "destinations"): ("hotpairs",),
-    ("protocol", "wire"): ("auto",),
-}
-
 
 def _plain(value: Any) -> Any:
     """Dataclass field value -> JSON-friendly value (tuples become lists)."""
@@ -84,70 +45,6 @@ def _plain(value: Any) -> Any:
 
 def _section_to_dict(section: Any) -> Dict[str, Any]:
     return {f.name: _plain(getattr(section, f.name)) for f in fields(section)}
-
-
-def _reject_v2_usage(raw: Dict[str, Any]) -> None:
-    """Refuse v2 vocabulary in a document that declares ``schema: 1``."""
-    for section, keys in V2_KEYS.items():
-        body = raw.get(section)
-        if not isinstance(body, dict):
-            continue
-        used = sorted(set(body) & set(keys))
-        if used:
-            raise ConfigurationError(
-                f"{section} key(s) {used} need scenario schema 2; "
-                f'set "schema": 2 in the document')
-    for (section, key), values in V2_VALUES.items():
-        body = raw.get(section)
-        if isinstance(body, dict) and body.get(key) in values:
-            raise ConfigurationError(
-                f"{section}.{key} = {body[key]!r} needs scenario schema 2; "
-                f'set "schema": 2 in the document')
-
-
-def _reject_v3_usage(raw: Dict[str, Any]) -> None:
-    """Refuse v3 (read-tier) vocabulary in a pre-3 document."""
-    for section, keys in V3_KEYS.items():
-        body = raw.get(section)
-        if not isinstance(body, dict):
-            continue
-        used = sorted(set(body) & set(keys))
-        if used:
-            raise ConfigurationError(
-                f"{section} key(s) {used} need scenario schema 3; "
-                f'set "schema": 3 in the document')
-
-
-def _reject_v4_usage(raw: Dict[str, Any]) -> None:
-    """Refuse v4 (wire-codec) vocabulary in a pre-4 document."""
-    for section, keys in V4_KEYS.items():
-        body = raw.get(section)
-        if not isinstance(body, dict):
-            continue
-        used = sorted(set(body) & set(keys))
-        if used:
-            raise ConfigurationError(
-                f"{section} key(s) {used} need scenario schema 4; "
-                f'set "schema": 4 in the document')
-
-
-def _reject_v5_usage(raw: Dict[str, Any]) -> None:
-    """Refuse v5 (adaptive-tree) vocabulary in a pre-5 document."""
-    for section, keys in V5_KEYS.items():
-        body = raw.get(section)
-        if not isinstance(body, dict):
-            continue
-        used = sorted(set(body) & set(keys))
-        if used:
-            raise ConfigurationError(
-                f"{section} key(s) {used} need scenario schema 5; "
-                f'set "schema": 5 in the document')
-    for (section, key), values in V5_VALUES.items():
-        body = raw.get(section)
-        if isinstance(body, dict) and body.get(key) in values:
-            raise ConfigurationError(
-                f"{section}.{key} = {body[key]!r} needs scenario schema 5; "
-                f'set "schema": 5 in the document')
 
 
 def _section_from_dict(cls, raw: Dict[str, Any], where: str):
@@ -265,7 +162,7 @@ class WorkloadSpec:
     #: fraction of KV ops that are cross-shard transfers / reads
     kv_cross_ratio: float = 0.1
     kv_read_ratio: float = 0.2
-    #: read-*tier* axis (schema 3, docs/READS.md): fraction of operations
+    #: read-*tier* axis (docs/READS.md): fraction of operations
     #: issued as reads, and how they are served — ``ordered`` routes them
     #: through the full multicast (the comparison baseline), ``optimistic``
     #: through the unordered f+1 fast path, ``snapshot`` from the last
@@ -353,17 +250,17 @@ class ProtocolSpec:
     #: unordered-read probe timeout before retry/fallback (docs/READS.md)
     read_timeout: float = 1.0
     #: CPU cost model: ``calibrated`` (paper scale) | ``bench``
-    #: (×BENCH_SCALE, what the perf matrix uses) | ``soak`` (cheap shape
-    #: for chaos soaks)
+    #: (×BENCH_SCALE, what ``bench/`` and the ablations use) | ``soak``
+    #: (cheap shape for chaos soaks)
     costs: str = "calibrated"
-    #: wire codec of the rt backend's TCP transport (schema 4,
-    #: docs/WIRE.md): ``auto`` (the default since schema 5: ``binary`` on
-    #: rt, ``json`` on sim — resolved by :meth:`resolved_wire`) | ``json``
+    #: wire codec of the rt backend's TCP transport (docs/WIRE.md):
+    #: ``auto`` (the default: ``binary`` on rt, ``json`` on sim —
+    #: resolved by :meth:`resolved_wire`) | ``json``
     #: (tagged JSON, the strict-back-compat choice) | ``binary``
     #: (struct-packed fast path).  Ignored by the sim backend, which
     #: passes message objects by reference.
     wire: str = "auto"
-    #: workload-adaptive overlay trees (schema 5, docs/TREES.md):
+    #: workload-adaptive overlay trees (docs/TREES.md):
     #: ``off`` (static tree, zero observation overhead) | ``observe``
     #: (collect traffic + publish ``tree.hops``/``tree.skew`` gauges, never
     #: switch) | ``on`` (full observe → decide → switch loop)
@@ -488,19 +385,11 @@ class ScenarioSpec:
         if not isinstance(raw, dict):
             raise ConfigurationError(
                 f"scenario must be an object, got {type(raw).__name__}")
-        schema = int(raw.get("schema", SCENARIO_SCHEMA_VERSION))
-        if schema not in SUPPORTED_SCHEMAS:
+        schema = raw.get("schema", SCENARIO_SCHEMA_VERSION)
+        if schema != SCENARIO_SCHEMA_VERSION:
             raise ConfigurationError(
-                f"unsupported scenario schema {schema} "
-                f"(this build reads schemas {list(SUPPORTED_SCHEMAS)})")
-        if schema < 2:
-            _reject_v2_usage(raw)
-        if schema < 3:
-            _reject_v3_usage(raw)
-        if schema < 4:
-            _reject_v4_usage(raw)
-        if schema < 5:
-            _reject_v5_usage(raw)
+                f"unsupported scenario schema {schema!r} "
+                f"(this build reads schema {SCENARIO_SCHEMA_VERSION})")
         known = {"schema", "name", "app", "backend", "seed",
                  "topology", "workload", "protocol", "faults"}
         unknown = sorted(set(raw) - known)

@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel is deliberately small: a heap-ordered event loop
-(:class:`~repro.sim.events.EventLoop`), an actor abstraction
-(:class:`~repro.sim.actor.Actor`), a message-passing network with pluggable
-latency models (:class:`~repro.sim.network.Network`), and a single-server CPU
-queue per node (:class:`~repro.sim.cpu.CpuQueue`) that turns per-message
-processing costs into realistic saturation and queueing behaviour.
+(:class:`~repro.sim.events.EventLoop`), a message-passing network with
+pluggable latency models (:class:`~repro.sim.network.Network`), and a
+single-server CPU queue per node (:class:`~repro.sim.cpu.CpuQueue`) that turns
+per-message processing costs into realistic saturation and queueing
+behaviour.  The actor base class and the monitor are backend-agnostic and
+live in :mod:`repro.env`.
 
 Everything is deterministic given a seed: the event heap breaks ties by
 insertion order and all randomness flows through :class:`~repro.sim.rng.SeededRng`.
@@ -13,7 +14,6 @@ insertion order and all randomness flows through :class:`~repro.sim.rng.SeededRn
 
 from repro.sim.events import Event, EventLoop
 from repro.sim.rng import SeededRng
-from repro.sim.actor import Actor
 from repro.sim.cpu import CpuQueue
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.latency import (
@@ -23,13 +23,11 @@ from repro.sim.latency import (
     LogNormalLatency,
     MatrixLatency,
 )
-from repro.sim.monitor import Monitor
 
 __all__ = [
     "Event",
     "EventLoop",
     "SeededRng",
-    "Actor",
     "CpuQueue",
     "Network",
     "NetworkConfig",
@@ -38,5 +36,4 @@ __all__ = [
     "JitterLatency",
     "LogNormalLatency",
     "MatrixLatency",
-    "Monitor",
 ]

@@ -1,28 +1,43 @@
 """Adversarial battery for the unordered read tier (docs/READS.md).
 
 Every Byzantine read behaviour is exercised twice: with the f+1 quorum
-check **disabled** (the ``quorum`` mutation guard) the unsafe outcome is
-demonstrated, with the check on it is prevented — pinning that the quorum
-match is the load-bearing defence, not an accident of scheduling.  The
+check **disabled** (a ``ReadProxy`` mutant overriding ``quorum``) the
+unsafe outcome is demonstrated, with the check on it is prevented —
+pinning that the quorum match is the load-bearing defence, not an
+accident of scheduling.  The
 battery closes with the invariant the tier exists to uphold: a correct
 client never returns a value no correct replica executed.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.bcast.client import GroupProxy, ReadProxy
 from repro.bcast.messages import ReadReply, Reply
 from repro.crypto.digest import digest
+from repro.env.actor import Actor
 from repro.faults.behaviors import (
     EquivocatingReadReplica,
     FabricatedReadReplica,
     ForgedReadDigestReplica,
     StaleReadReplica,
 )
-from repro.sim.actor import Actor
 from tests.helpers import Harness, make_config
+
+
+class FirstReplyReadProxy(ReadProxy):
+    """Mutant: any single valid reply is accepted."""
+
+    quorum = 1
+
+
+class FVotesReadProxy(ReadProxy):
+    """Mutant: accepts f matching replies, not f+1."""
+
+    @property
+    def quorum(self) -> int:
+        return self.f
 
 
 class ReadClient(Actor):
@@ -30,16 +45,15 @@ class ReadClient(Actor):
 
     def __init__(self, name, loop, config, registry, monitor=None,
                  read_timeout: float = 0.3, max_retries: int = 1,
-                 quorum: Optional[int] = None) -> None:
+                 read_proxy=ReadProxy) -> None:
         super().__init__(name, loop, monitor)
         self.proxy = GroupProxy(
             self, config.group_id, config.replicas, config.f, registry,
             retransmit_timeout=4.0,
         )
-        self.reads = ReadProxy(
+        self.reads = read_proxy(
             self, config.group_id, config.replicas, config.f,
             read_timeout=read_timeout, max_retries=max_retries,
-            quorum=quorum,
         )
         self.results: List[Any] = []
         #: (cid, result, voters) per accepted read, in acceptance order
@@ -152,7 +166,7 @@ def test_forged_digest_discarded_as_malformed():
 
 
 def test_forged_digest_unsafe_without_local_recompute():
-    """Mutation guard: quorum=1 shows what the digest check is up against.
+    """Mutation guard: a quorum of 1 shows what the digest check is up against.
 
     Even with the quorum disabled, a forged-digest reply can only win if
     the client skips recomputing the digest — the recompute alone keeps
@@ -161,12 +175,12 @@ def test_forged_digest_unsafe_without_local_recompute():
     h = Harness(replica_classes={"g1/r0": ForgedReadDigestReplica,
                                  "g1/r1": ForgedReadDigestReplica,
                                  "g1/r2": ForgedReadDigestReplica})
-    client = add_read_client(h, quorum=1)
+    client = add_read_client(h, read_proxy=FirstReplyReadProxy)
     client.submit(("op", 0))
     h.run(until=2.0)
     client.read()
     h.loop.run(until=4.0)
-    # 3 of 4 replicas forged; quorum=1 accepts the first *valid* reply,
+    # 3 of 4 replicas forged; the mutant accepts the first *valid* reply,
     # which can only come from the honest one.
     [(_, result, voters)] = client.accepted
     assert result == ("executed", 1)
@@ -216,7 +230,7 @@ def test_colluding_fabricators_win_with_quorum_disabled():
     byz = ("g2/r0", "g2/r1")
     h = Harness(config=make_config("g2", f=2),
                 replica_classes={name: FabricatedReadReplica for name in byz})
-    client = add_read_client(h, quorum=2)   # f, not f+1: guard disabled
+    client = add_read_client(h, read_proxy=FVotesReadProxy)   # guard disabled
     client.submit(("op", 0))
     h.run(until=2.0)
     correct = correct_read_values(h, byz)

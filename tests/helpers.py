@@ -13,10 +13,10 @@ from repro.bcast.messages import CheckpointData, Reply, Request, StateResponse
 from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
-from repro.sim.actor import Actor
+from repro.env.actor import Actor
+from repro.env.monitor import Monitor
 from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
-from repro.sim.monitor import Monitor
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SeededRng
 

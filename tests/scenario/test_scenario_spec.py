@@ -133,7 +133,7 @@ class TestStrictParsing:
 
     def test_name_required(self):
         with pytest.raises(ConfigurationError, match="name"):
-            ScenarioSpec.from_dict({"schema": 1})
+            ScenarioSpec.from_dict({})
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON"):

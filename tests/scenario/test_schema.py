@@ -1,0 +1,240 @@
+"""The scenario vocabulary beyond the basics: one schema, lint per axis.
+
+Arrival shapes (flash, diurnal), membership churn, the read tier
+(docs/READS.md), the wire-codec knob (docs/WIRE.md), adaptive overlay
+trees and the ``hotpairs`` sampler (docs/TREES.md) — each accepted from a
+document, linted, and round-tripped.  A document declares exactly
+``SCENARIO_SCHEMA_VERSION``; strict-parsing basics (unknown keys, missing
+name) live in ``test_scenario_spec.py``.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.scenario.spec import (
+    ADAPTIVE_TREE_MODES,
+    SCENARIO_SCHEMA_VERSION,
+    WIRES,
+    FaultSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
+
+EXAMPLES = sorted((pathlib.Path(__file__).resolve().parents[2]
+                   / "examples" / "scenarios").glob("*.json"))
+
+
+# -- one schema ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "schema", [*range(1, SCENARIO_SCHEMA_VERSION), SCENARIO_SCHEMA_VERSION + 1])
+def test_unsupported_schema_is_rejected(schema):
+    with pytest.raises(ConfigurationError, match="unsupported scenario schema"):
+        ScenarioSpec.from_dict({"schema": schema, "name": "t"})
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(
+        name="churn",
+        workload=WorkloadSpec(loop="diurnal", rate=60.0,
+                              diurnal_period=3.0, diurnal_amplitude=0.5),
+        faults=FaultSpec(intensity="churn", joins=2, leaves=1, scale_cycles=1),
+    ),
+    ScenarioSpec(
+        name="reads",
+        workload=WorkloadSpec(read_ratio=0.25, read_mode="snapshot"),
+        protocol=ProtocolSpec(read_timeout=0.75, checkpoint_interval=32),
+    ),
+    ScenarioSpec(
+        name="wire",
+        backend="rt",
+        protocol=ProtocolSpec(wire="binary", checkpoint_interval=32),
+    ),
+    ScenarioSpec(
+        name="adaptive",
+        topology=TopologySpec(groups=8, layout="balanced", fanout=4),
+        workload=WorkloadSpec(destinations="hotpairs"),
+        protocol=ProtocolSpec(adaptive_tree="observe", adapt_interval=0.25),
+    ),
+], ids=lambda spec: spec.name)
+def test_round_trips_at_current_schema(spec):
+    raw = spec.to_dict()
+    assert raw["schema"] == SCENARIO_SCHEMA_VERSION
+    assert ScenarioSpec.from_dict(raw) == spec
+
+
+def test_example_scenarios_are_valid_and_canonical():
+    """Every shipped spec lints clean and is saved exactly as ``save`` writes it."""
+    assert EXAMPLES
+    for path in EXAMPLES:
+        text = path.read_text(encoding="utf-8")
+        spec = ScenarioSpec.from_json(text)
+        assert spec.validate() == [], path.name
+        assert spec.to_json() == text, path.name
+
+
+# -- arrival shapes and churn -------------------------------------------------
+
+def test_document_accepts_flash_and_churn_vocabulary():
+    spec = ScenarioSpec.from_dict({
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "name": "churny",
+        "workload": {"loop": "flash", "rate": 80.0, "flash_factor": 6.0},
+        "faults": {"intensity": "churn", "joins": 1, "scale_cycles": 1},
+    })
+    assert spec.validate() == []
+    assert spec.faults.churn()
+
+
+def test_flash_lint_rules():
+    bad = ScenarioSpec(name="t", workload=WorkloadSpec(
+        loop="flash", rate=10.0, flash_factor=0.5, flash_width=0.0,
+        flash_at=-1.0))
+    problems = "\n".join(bad.validate())
+    assert "flash_factor" in problems
+    assert "flash_width" in problems
+    assert "flash_at" in problems
+
+
+def test_diurnal_lint_rules():
+    bad = ScenarioSpec(name="t", workload=WorkloadSpec(
+        loop="diurnal", rate=10.0, diurnal_period=0.0, diurnal_amplitude=1.0))
+    problems = "\n".join(bad.validate())
+    assert "diurnal_period" in problems
+    assert "diurnal_amplitude" in problems
+
+
+def test_fault_churn_lint_and_predicate():
+    bad = ScenarioSpec(name="t", faults=FaultSpec(joins=-1))
+    assert any("joins" in p for p in bad.validate())
+    assert not FaultSpec().churn()
+    assert FaultSpec(intensity="churn").churn()
+    assert FaultSpec(joins=1).churn()
+    assert FaultSpec(leaves=1).churn()
+    assert FaultSpec(scale_cycles=1).churn()
+
+
+# -- the read tier ------------------------------------------------------------
+
+def test_document_accepts_read_vocabulary():
+    spec = ScenarioSpec.from_dict({
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "name": "ready",
+        "workload": {"loop": "open", "rate": 50.0,
+                     "read_ratio": 0.9, "read_mode": "optimistic"},
+        "protocol": {"read_timeout": 0.5},
+    })
+    assert spec.validate() == []
+    assert spec.workload.read_ratio == 0.9
+    assert spec.protocol.read_timeout == 0.5
+
+
+def test_read_lint_rules():
+    bad = ScenarioSpec(name="t", workload=WorkloadSpec(
+        read_ratio=1.5, read_mode="psychic"))
+    problems = "\n".join(bad.validate())
+    assert "read_ratio" in problems
+    assert "read_mode" in problems
+    bad_timeout = ScenarioSpec(name="t", protocol=ProtocolSpec(
+        read_timeout=0.0))
+    assert any("read_timeout" in p for p in bad_timeout.validate())
+
+
+def test_snapshot_reads_require_checkpointing():
+    spec = ScenarioSpec(
+        name="t",
+        workload=WorkloadSpec(read_ratio=0.5, read_mode="snapshot"),
+        protocol=ProtocolSpec(checkpoint_interval=0),
+    )
+    assert any("checkpoint" in p for p in spec.validate())
+    ok = ScenarioSpec(
+        name="t",
+        workload=WorkloadSpec(read_ratio=0.5, read_mode="snapshot"),
+        protocol=ProtocolSpec(checkpoint_interval=16),
+    )
+    assert ok.validate() == []
+
+
+# -- the wire codec -----------------------------------------------------------
+
+def test_document_accepts_wire_vocabulary():
+    assert {"auto", "json", "binary"} == set(WIRES)
+    spec = ScenarioSpec.from_dict({
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "name": "fastpath",
+        "backend": "rt",
+        "protocol": {"wire": "binary"},
+    })
+    assert spec.validate() == []
+    assert spec.protocol.wire == "binary"
+    assert spec.protocol.adaptive_tree == "off"   # defaults apply, quietly
+
+
+def test_unknown_wire_is_linted():
+    bad = ScenarioSpec(name="t", backend="rt",
+                       protocol=ProtocolSpec(wire="carrier-pigeon"))
+    assert any("wire" in p for p in bad.validate())
+
+
+def test_binary_wire_requires_rt_backend():
+    """The sim backend never serializes — a binary wire there would be a
+    silent no-op, so validation refuses it."""
+    bad = ScenarioSpec(name="t", backend="sim",
+                       protocol=ProtocolSpec(wire="binary"))
+    problems = bad.validate()
+    assert any("rt" in p and "wire" in p for p in problems)
+    ok = ScenarioSpec(name="t", backend="rt",
+                      protocol=ProtocolSpec(wire="binary"))
+    assert ok.validate() == []
+
+
+def test_wire_auto_resolves_per_backend():
+    proto = ProtocolSpec()
+    assert proto.wire == "auto"
+    assert proto.resolved_wire("rt") == "binary"
+    assert proto.resolved_wire("sim") == "json"
+    # explicit choices are never second-guessed
+    assert ProtocolSpec(wire="json").resolved_wire("rt") == "json"
+
+
+# -- adaptive trees -----------------------------------------------------------
+
+def test_document_accepts_adaptive_vocabulary():
+    assert ADAPTIVE_TREE_MODES == ("off", "observe", "on")
+    spec = ScenarioSpec.from_dict({
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "name": "adaptive",
+        "topology": {"groups": 8, "layout": "balanced", "fanout": 4},
+        "workload": {"destinations": "hotpairs", "hotspot_weight": 0.9,
+                     "hotspot_period": 4.0},
+        "protocol": {"adaptive_tree": "on", "adapt_interval": 0.5,
+                     "adapt_min_samples": 48, "adapt_hysteresis": 1.2,
+                     "adapt_cooldown": 1.0},
+    })
+    assert spec.validate() == []
+    assert spec.protocol.adaptive_tree == "on"
+    assert spec.workload.destinations == "hotpairs"
+
+
+def test_adaptive_knobs_are_linted():
+    bad = ScenarioSpec(name="t",
+                       protocol=ProtocolSpec(adaptive_tree="sometimes"))
+    assert any("adaptive_tree" in p for p in bad.validate())
+    for proto in (ProtocolSpec(adapt_interval=0.0),
+                  ProtocolSpec(adapt_min_samples=0),
+                  ProtocolSpec(adapt_hysteresis=0.8),
+                  ProtocolSpec(adapt_cooldown=-1.0)):
+        assert ScenarioSpec(name="t", protocol=proto).validate() != []
+
+
+def test_hotpairs_needs_at_least_two_targets():
+    bad = ScenarioSpec(name="t",
+                       topology=TopologySpec(groups=1),
+                       workload=WorkloadSpec(destinations="hotpairs"))
+    assert any("hotpairs" in p for p in bad.validate())

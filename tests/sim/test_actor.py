@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.actor import Actor
+from repro.env.actor import Actor
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng

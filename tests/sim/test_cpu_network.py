@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from repro.env.actor import Actor
 from repro.errors import NetworkError
-from repro.sim.actor import Actor
 from repro.sim.cpu import CpuQueue
 from repro.sim.events import EventLoop
 from repro.sim.latency import ConstantLatency, JitterLatency, MatrixLatency
