@@ -14,28 +14,22 @@ leader batch delay off and on and measures single-client global latency:
 from __future__ import annotations
 
 from conftest import record
-from repro.core.tree import OverlayTree
-from repro.runtime.environments import (
-    BENCH_SCALE,
-    bench_batch_delay,
-    calibrated_costs,
-    lan_network_config,
-    scale_costs,
-)
-from repro.runtime.experiment import ClientPlan, run_byzcast
-from repro.workload.spec import fixed_destination
+from repro.runtime.environments import BENCH_SCALE, bench_batch_delay
+from repro.scenario import ProtocolSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 
 
 def measure(batch_delay: float):
-    tree = OverlayTree.two_level(["g1", "g2", "g3", "g4"])
-    costs = scale_costs(calibrated_costs(), BENCH_SCALE)
-    kwargs = dict(costs=costs, network_config=lan_network_config(),
-                  batch_delay=batch_delay, warmup=0.5, duration=2.0)
-    local = run_byzcast(tree, [ClientPlan("c0", fixed_destination("g1"))],
-                        **kwargs)
-    global_ = run_byzcast(tree, [ClientPlan("c0", fixed_destination("g1", "g2"))],
-                          **kwargs)
-    return local.latency.mean, global_.latency.mean
+    def mean_latency(fixed):
+        return ScenarioSpec(
+            name="ablation-batching",
+            topology=TopologySpec(groups=4, latency="lan"),
+            workload=WorkloadSpec(clients=1, destinations="fixed",
+                                  fixed=fixed, warmup=0.5, duration=2.0),
+            protocol=ProtocolSpec(batch_delay=batch_delay, max_in_flight=4,
+                                  costs="bench"),
+        ).run().latency.mean
+
+    return mean_latency(("g1",)), mean_latency(("g1", "g2"))
 
 
 def test_ablation_batch_delay(run_scenario, benchmark):

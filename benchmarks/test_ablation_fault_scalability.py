@@ -15,44 +15,32 @@ This ablation measures both effects:
 from __future__ import annotations
 
 from conftest import record
-from repro.core.tree import OverlayTree
-from repro.runtime.environments import (
-    BENCH_SCALE,
-    bench_batch_delay,
-    bench_costs,
-    lan_network_config,
-)
-from repro.runtime.experiment import ClientPlan, run_bftsmart, run_byzcast
-from repro.workload.spec import fixed_destination
+from repro.runtime.environments import BENCH_SCALE, bench_batch_delay
+from repro.scenario import ProtocolSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 
 CLIENTS = 400
 
 
-def kwargs():
-    return dict(costs=bench_costs(), network_config=lan_network_config(),
-                batch_delay=bench_batch_delay(), warmup=1.0, duration=2.5)
+def run(kind, groups, f, clients, destinations):
+    return ScenarioSpec(
+        name="ablation-fault-scalability",
+        topology=TopologySpec(groups=groups, f=f, latency="lan"),
+        workload=WorkloadSpec(clients=clients, destinations=destinations,
+                              fixed=("g1",), warmup=1.0, duration=2.5),
+        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(),
+                              max_in_flight=4, costs="bench"),
+    ).run()
 
 
 def test_ablation_fault_scalability(run_scenario, benchmark):
     def run_all():
         # Unbatched latency: one client, so the per-round vote traffic
         # (which grows with n = 3f + 1) is not amortized away.
-        lat_f1 = run_bftsmart([ClientPlan("c0", fixed_destination("g1"))],
-                              f=1, **kwargs())
-        lat_f2 = run_bftsmart([ClientPlan("c0", fixed_destination("g1"))],
-                              f=2, **kwargs())
-        lat_f3 = run_bftsmart([ClientPlan("c0", fixed_destination("g1"))],
-                              f=3, **kwargs())
+        lat_f1, lat_f2, lat_f3 = (
+            run("bftsmart", 1, f, 1, "fixed") for f in (1, 2, 3))
         # Saturated throughput: one group at f=1 vs two ByzCast groups.
-        plans_single = [ClientPlan(f"c{i}", fixed_destination("g1"))
-                        for i in range(CLIENTS)]
-        tput_f1 = run_bftsmart(plans_single, f=1, **kwargs())
-        tree = OverlayTree.two_level(["g1", "g2"])
-        plans_split = [
-            ClientPlan(f"c{i}", fixed_destination("g1" if i % 2 else "g2"))
-            for i in range(CLIENTS)
-        ]
-        byz = run_byzcast(tree, plans_split, **kwargs())
+        tput_f1 = run("bftsmart", 1, 1, CLIENTS, "fixed")
+        byz = run("byzcast", 2, 1, CLIENTS, "home")
         return lat_f1, lat_f2, lat_f3, tput_f1, byz
 
     lat_f1, lat_f2, lat_f3, tput_f1, byz = run_scenario(run_all)

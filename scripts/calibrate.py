@@ -6,80 +6,48 @@ Targets (paper §V):
   * ByzCast global throughput ≈ 9,500-9,700 m/s (K(h), §V-C / Fig 4(b))
   * Baseline local saturation ≈ 11,000-12,000   (Fig 4(a))
 
-Run:  python scripts/calibrate.py [scale] [clients]
+Run:  python scripts/calibrate.py [calibrated|bench] [clients]
+(``bench``: the suite's ×10 cost model; its numbers print at bench scale)
 """
 
 from __future__ import annotations
 
 import sys
-import time
 
-from repro.core.tree import OverlayTree
-from repro.runtime.environments import lan_network_config, scale_costs, calibrated_costs
-from repro.runtime.experiment import ClientPlan, run_bftsmart, run_byzcast, run_baseline
-from repro.workload.spec import fixed_destination, local_uniform, uniform_pairs
-
-SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
-CLIENTS = int(sys.argv[2]) if len(sys.argv) > 2 else 200
-COSTS = scale_costs(calibrated_costs(), SCALE)
-NET = lan_network_config()
-TARGETS = ["g1", "g2", "g3", "g4"]
-
-
-def report(label, result, wall):
-    print(f"{label:<28} tput={result.throughput:>9.0f} m/s  "
-          f"mean={result.latency.mean*1000:7.2f}ms  "
-          f"median={result.latency.median*1000:7.2f}ms  [{wall:.1f}s wall]")
+from repro.runtime.environments import BENCH_SCALE, bench_batch_delay
+from repro.scenario import (
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    run_scenario,
+)
 
 
 def main() -> None:
-    t0 = time.time()
-    single = run_bftsmart(
-        [ClientPlan(f"c{i}", fixed_destination("g1")) for i in range(1)],
-        costs=COSTS, network_config=NET, warmup=0.5, duration=2.0,
-    )
-    report("bftsmart 1 client", single, time.time() - t0)
+    costs = sys.argv[1] if len(sys.argv) > 1 else "calibrated"
+    clients = int(sys.argv[2]) if len(sys.argv) > 2 else 200
+    batch_delay = bench_batch_delay(BENCH_SCALE if costs == "bench" else 1.0)
 
-    t0 = time.time()
-    sat = run_bftsmart(
-        [ClientPlan(f"c{i}", fixed_destination("g1")) for i in range(CLIENTS)],
-        costs=COSTS, network_config=NET, warmup=1.0, duration=3.0,
-    )
-    report(f"bftsmart {CLIENTS} clients", sat, time.time() - t0)
+    def probe(label, kind, count, destinations, fixed=()):
+        """One cell (warmup/window as in Fig. 7 / Fig. 4), printed as a row."""
+        warmup, duration = (0.5, 2.0) if count == 1 else (1.0, 3.0)
+        result = run_scenario(ScenarioSpec(
+            name=label,
+            topology=TopologySpec(groups=4, latency="lan"),
+            workload=WorkloadSpec(clients=count, destinations=destinations,
+                                  fixed=fixed, warmup=warmup, duration=duration),
+            protocol=ProtocolSpec(kind=kind, batch_delay=batch_delay,
+                                  max_in_flight=4, costs=costs),
+        ))
+        print(f"{result.row()}  median={result.latency.median * 1000:7.2f} ms")
 
-    tree = OverlayTree.two_level(TARGETS)
-
-    t0 = time.time()
-    byz_local_1 = run_byzcast(
-        tree,
-        [ClientPlan("c0", fixed_destination("g1"))],
-        costs=COSTS, network_config=NET, warmup=0.5, duration=2.0,
-    )
-    report("byzcast local 1 client", byz_local_1, time.time() - t0)
-
-    t0 = time.time()
-    byz_global_1 = run_byzcast(
-        tree,
-        [ClientPlan("c0", fixed_destination("g1", "g2"))],
-        costs=COSTS, network_config=NET, warmup=0.5, duration=2.0,
-    )
-    report("byzcast global 1 client", byz_global_1, time.time() - t0)
-
-    t0 = time.time()
-    byz_global = run_byzcast(
-        tree,
-        [ClientPlan(f"c{i}", uniform_pairs(TARGETS)) for i in range(CLIENTS)],
-        costs=COSTS, network_config=NET, warmup=1.0, duration=3.0,
-    )
-    report(f"byzcast global {CLIENTS} cl", byz_global, time.time() - t0)
-
-    t0 = time.time()
-    base_local = run_baseline(
-        TARGETS,
-        [ClientPlan(f"c{i}", local_uniform(TARGETS)) for i in range(CLIENTS)],
-        costs=COSTS, network_config=NET, warmup=1.0, duration=3.0,
-    )
-    report(f"baseline local {CLIENTS} cl", base_local, time.time() - t0)
+    probe("bftsmart 1 client", "bftsmart", 1, "fixed", ("g1",))
+    probe(f"bftsmart {clients} clients", "bftsmart", clients, "fixed", ("g1",))
+    probe("byzcast local 1 client", "byzcast", 1, "fixed", ("g1",))
+    probe("byzcast global 1 client", "byzcast", 1, "fixed", ("g1", "g2"))
+    probe(f"byzcast global {clients} cl", "byzcast", clients, "global")
+    probe(f"baseline local {clients} cl", "baseline", clients, "local")
 
 
 if __name__ == "__main__":

@@ -67,13 +67,6 @@ from repro.optimizer import (
     optimize_heuristic,
     table3_report,
 )
-from repro.runtime import (
-    ClientPlan,
-    ExperimentResult,
-    run_baseline,
-    run_bftsmart,
-    run_byzcast,
-)
 
 __version__ = "1.0.0"
 
@@ -122,10 +115,4 @@ __all__ = [
     "optimize_exhaustive",
     "optimize_heuristic",
     "table3_report",
-    # experiments
-    "ClientPlan",
-    "ExperimentResult",
-    "run_byzcast",
-    "run_baseline",
-    "run_bftsmart",
 ]

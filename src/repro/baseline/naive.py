@@ -20,14 +20,11 @@ Consequences the evaluation draws out (and the benchmarks assert):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List
 
-from repro.bcast.config import CostModel
 from repro.core.client import MulticastClient
 from repro.core.deployment import ByzCastDeployment
-from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
-from repro.env import NetworkConfig
 from repro.types import MulticastMessage
 
 
@@ -41,10 +38,14 @@ class BaselineClient(MulticastClient):
 class BaselineDeployment(ByzCastDeployment):
     """One ordering (sequencer) group over plain target groups.
 
-    The public surface mirrors :class:`~repro.core.deployment.ByzCastDeployment`
-    (``add_client``, ``run``, ``delivered_sequences``); ``aux_group`` exposes
-    the sequencer for tests and fault injection.
+    A :class:`~repro.core.deployment.ByzCastDeployment` over a flat tree
+    whose clients enter at the root and whose target replicas accept
+    relays from any ancestor; ``aux_group`` exposes the sequencer for
+    tests and fault injection.
     """
+
+    client_class = BaselineClient
+    app_kwargs = {"accept_any_ancestor": True}
 
     def __init__(
         self,
@@ -52,45 +53,9 @@ class BaselineDeployment(ByzCastDeployment):
         aux_id: str = "h1",
         **kwargs,
     ) -> None:
-        tree = OverlayTree.two_level(list(targets), root=aux_id)
         self.aux_id = aux_id
-        super().__init__(tree, **kwargs)
-
-    def _make_app(self, group_id: str, replica_name: str) -> ByzCastApplication:
-        factory = self._app_overrides.get(group_id, {}).get(replica_name)
-        if factory is not None:
-            return factory(
-                group_id=group_id,
-                tree=self.tree,
-                group_configs=self.group_configs,
-                registry=self.registry,
-            )
-        return ByzCastApplication(
-            group_id=group_id,
-            tree=self.tree,
-            group_configs=self.group_configs,
-            registry=self.registry,
-            accept_any_ancestor=True,
-        )
-
-    def add_client(
-        self,
-        name: str,
-        site: str = "site0",
-        on_complete: Optional[Callable] = None,
-    ) -> BaselineClient:
-        client = BaselineClient(
-            name=name,
-            loop=self.runtime,
-            tree=self.tree,
-            group_configs=self.group_configs,
-            registry=self.registry,
-            monitor=self.monitor,
-            on_complete=on_complete,
-        )
-        self.network.register(client, site=site)
-        self.clients.append(client)
-        return client
+        super().__init__(OverlayTree.two_level(list(targets), root=aux_id),
+                         **kwargs)
 
     @property
     def aux_group(self):

@@ -70,13 +70,15 @@ class SingleGroupClient(Actor):
         registry: KeyRegistry,
         monitor: Optional[Monitor] = None,
         on_complete: Optional[CompletionCallback] = None,
+        retransmit_timeout: Optional[float] = 4.0,
     ) -> None:
         super().__init__(name, loop, monitor)
         self.config = config
         self.registry = registry
         self.on_complete = on_complete
         self.proxy = GroupProxy(self, config.group_id, config.replicas,
-                                config.f, registry)
+                                config.f, registry,
+                                retransmit_timeout=retransmit_timeout)
         self._next_seq = 1
         self._sent_at: Dict[int, Tuple[MulticastMessage, float]] = {}
         self.completions: List[Tuple[MulticastMessage, float]] = []
@@ -135,6 +137,7 @@ class SingleGroupDeployment:
         adaptive_batching: bool = False,
         min_batch: int = 4,
         request_timeout: float = 2.0,
+        max_in_flight: int = 4,
         sites: Optional[List[str]] = None,
         trace_capacity: int = 0,
         runtime: Optional[Runtime] = None,
@@ -161,6 +164,7 @@ class SingleGroupDeployment:
             adaptive_batching=adaptive_batching,
             min_batch=min_batch,
             request_timeout=request_timeout,
+            max_in_flight=max_in_flight,
             costs=costs if costs is not None else CostModel(),
         )
         self.group = BroadcastGroup.build(
@@ -172,13 +176,18 @@ class SingleGroupDeployment:
             monitor=self.monitor,
             sites=sites,
         )
+        #: same shape as a tree deployment's, so harness code walks both
+        self.groups: Dict[str, BroadcastGroup] = {group_id: self.group}
         self.clients: List[SingleGroupClient] = []
         self._started = False
 
     def add_client(self, name: str, site: str = "site0",
-                   on_complete: Optional[CompletionCallback] = None) -> SingleGroupClient:
+                   on_complete: Optional[CompletionCallback] = None,
+                   retransmit_timeout: Optional[float] = 4.0,
+                   ) -> SingleGroupClient:
         client = SingleGroupClient(name, self.runtime, self.config, self.registry,
-                                   self.monitor, on_complete=on_complete)
+                                   self.monitor, on_complete=on_complete,
+                                   retransmit_timeout=retransmit_timeout)
         self.network.register(client, site=site)
         self.clients.append(client)
         return client

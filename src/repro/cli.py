@@ -124,16 +124,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"{a}-{b}: paper {row['paper_ms']:.0f} ms, "
                   f"measured {row['measured_ms']:.1f} ms")
         return 0
-    for key, value in sorted(results.items()):
-        if isinstance(value, list):  # fig5 curves
-            for point in value:
-                print(f"{key:<24} clients={point.clients:<5} "
-                      f"tput={point.throughput:10.1f} m/s "
-                      f"mean={point.latency.mean * 1000:8.2f} ms")
-        else:
-            print(f"{key:<24} tput={value.throughput:10.1f} m/s "
-                  f"mean={value.latency.mean * 1000:8.2f} ms "
-                  f"p95={value.latency.p95 * 1000:8.2f} ms")
+    for _, value in sorted(results.items()):
+        for result in (value if isinstance(value, list) else [value]):
+            print(result.row())  # fig5 maps each protocol to a curve
     return 0
 
 
@@ -202,8 +195,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"  workload : {spec.workload.clients} {spec.workload.loop}-loop "
               f"client(s), {spec.workload.destinations} destinations, "
               f"horizon {spec.horizon:g}s")
-        print(f"  app      : {spec.app}   backend: {spec.backend}   "
-              f"costs: {spec.protocol.costs}")
+        print(f"  protocol : {spec.protocol.kind}   app: {spec.app}   "
+              f"backend: {spec.backend}   costs: {spec.protocol.costs}")
         print(f"  faults   : "
               f"{spec.faults.intensity if spec.faults else 'none'}")
         return 0

@@ -22,7 +22,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.bcast.config import BroadcastConfig, CostModel
 from repro.bcast.group import BroadcastGroup
@@ -60,6 +60,12 @@ def _default_sites(group_id: str, replica_index: int) -> str:
 
 class ByzCastDeployment:
     """A runnable ByzCast system: tree, groups, network, clients."""
+
+    #: what a protocol variant over the same machinery overrides
+    #: (:class:`~repro.baseline.naive.BaselineDeployment`): the client
+    #: endpoint class and extra :class:`ByzCastApplication` keyword arguments
+    client_class: Type[MulticastClient] = MulticastClient
+    app_kwargs: Mapping[str, Any] = {}
 
     def __init__(
         self,
@@ -172,6 +178,7 @@ class ByzCastDeployment:
             tree=self.tree,
             group_configs=configs,
             registry=self.registry,
+            **self.app_kwargs,
         )
 
     # ------------------------------------------------------------------- api
@@ -185,7 +192,7 @@ class ByzCastDeployment:
         read_timeout: float = 1.0,
     ) -> MulticastClient:
         """Create and register a multicast client endpoint."""
-        client = MulticastClient(
+        client = self.client_class(
             name=name,
             loop=self.runtime,
             tree=self.tree,

@@ -1,10 +1,14 @@
-"""Deployment environments and the experiment harness.
+"""Deployment environments and what is built on the scenario harness.
 
 :mod:`repro.runtime.environments` holds the LAN/WAN presets (including the
 paper's Table I inter-region latency matrix) and the calibrated cost
-models.  :mod:`repro.runtime.experiment` runs one scenario — protocol ×
-workload × environment — and returns the throughput/latency rows the
-paper's figures plot.
+models.  Running one scenario — protocol × workload × environment — is
+:func:`repro.scenario.run_scenario`; the modules here are its callers:
+:mod:`~repro.runtime.scenarios` (one callable per figure of §V),
+:mod:`~repro.runtime.capacity` (the K(x) probes) and
+:mod:`~repro.runtime.chaos` (the invariant-checked soak), plus the
+trace readers :mod:`~repro.runtime.tracing` and
+:mod:`~repro.runtime.genuineness`.
 """
 
 from repro.runtime.environments import (
@@ -34,13 +38,6 @@ from repro.runtime.tracing import (
     format_timeline,
     latency_breakdown,
 )
-from repro.runtime.experiment import (
-    ClientPlan,
-    ExperimentResult,
-    run_baseline,
-    run_bftsmart,
-    run_byzcast,
-)
 from repro.runtime.chaos import (
     ChaosReport,
     SoakConfig,
@@ -58,11 +55,6 @@ __all__ = [
     "bench_batch_delay",
     "bench_costs",
     "scale_costs",
-    "ClientPlan",
-    "ExperimentResult",
-    "run_byzcast",
-    "run_baseline",
-    "run_bftsmart",
     "estimate_target_capacity",
     "estimate_relay_capacity",
     "plan_tree",

@@ -19,70 +19,38 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence
 
-from repro.bcast.config import CostModel
-from repro.core.tree import OverlayTree
 from repro.optimizer.enumerate import MAX_TARGETS, optimize_exhaustive
 from repro.optimizer.heuristic import optimize_heuristic
 from repro.optimizer.model import OptimizationInput, TreeEvaluation
-from repro.runtime.environments import (
-    BENCH_SCALE,
-    bench_batch_delay,
-    calibrated_costs,
-    lan_network_config,
-    scale_costs,
-)
-from repro.runtime.experiment import ClientPlan, run_bftsmart, run_byzcast
+from repro.runtime.scenarios import lan_cell
 from repro.types import Destination
-from repro.workload.spec import fixed_destination, uniform_pairs
 
 
 def estimate_target_capacity(
-    scale: float = BENCH_SCALE,
     clients: int = 150,
     warmup: float = 1.0,
     duration: float = 2.5,
-    costs: Optional[CostModel] = None,
 ) -> float:
     """Sustained msgs/s of one group ordering local messages (paper scale)."""
-    costs = costs if costs is not None else scale_costs(calibrated_costs(), scale)
-    result = run_bftsmart(
-        [ClientPlan(f"c{i}", fixed_destination("g1")) for i in range(clients)],
-        costs=costs,
-        network_config=lan_network_config(),
-        batch_delay=bench_batch_delay(scale),
-        warmup=warmup,
-        duration=duration,
-    )
-    return result.throughput * scale
+    return lan_cell("capacity/target", "bftsmart", 1, clients, "fixed",
+                    warmup, duration, fixed=("g1",)).throughput
 
 
 def estimate_relay_capacity(
-    scale: float = BENCH_SCALE,
     clients: int = 200,
     fanout: int = 2,
     warmup: float = 1.0,
     duration: float = 2.5,
-    costs: Optional[CostModel] = None,
 ) -> float:
     """Sustained msgs/s of an auxiliary group relaying global messages.
 
     ``fanout`` is the number of destination groups per message (the paper's
     K(h) = 9500 comes from 2-destination messages).
     """
-    costs = costs if costs is not None else scale_costs(calibrated_costs(), scale)
-    targets = [f"g{i}" for i in range(1, max(4, fanout) + 1)]
-    dst = tuple(targets[:fanout])
-    tree = OverlayTree.two_level(targets)
-    result = run_byzcast(
-        tree,
-        [ClientPlan(f"c{i}", fixed_destination(*dst)) for i in range(clients)],
-        costs=costs,
-        network_config=lan_network_config(),
-        batch_delay=bench_batch_delay(scale),
-        warmup=warmup,
-        duration=duration,
-    )
-    return result.throughput * scale
+    return lan_cell(
+        "capacity/relay", "byzcast", max(4, fanout), clients, "fixed",
+        warmup, duration,
+        fixed=tuple(f"g{i}" for i in range(1, fanout + 1))).throughput
 
 
 def plan_tree(
@@ -91,7 +59,6 @@ def plan_tree(
     auxiliaries: Sequence[str],
     aux_capacity: Optional[float] = None,
     target_capacity: Optional[float] = None,
-    probe_scale: float = BENCH_SCALE,
 ) -> TreeEvaluation:
     """Probe capacities (unless given) and return the optimized tree.
 
@@ -99,9 +66,9 @@ def plan_tree(
     capacity — matching how the paper parameterizes its model.
     """
     if aux_capacity is None:
-        aux_capacity = estimate_relay_capacity(scale=probe_scale)
+        aux_capacity = estimate_relay_capacity()
     if target_capacity is None:
-        target_capacity = estimate_target_capacity(scale=probe_scale)
+        target_capacity = estimate_target_capacity()
     capacities: Dict[str, float] = {}
     for aux in auxiliaries:
         capacities[aux] = aux_capacity

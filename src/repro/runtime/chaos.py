@@ -27,13 +27,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.invariants import check_all
 from repro.core.tree import OverlayTree
-from repro.env import make_runtime
-from repro.env.chaos import ChaosConfig, install_chaos
-from repro.faults.elasticity import elasticity_controller
-from repro.faults.nemesis import CHURN_KINDS, NemesisSchedule, PROFILES
+from repro.faults.nemesis import PROFILES
 from repro.runtime.environments import soak_costs
-from repro.scenario import ScenarioSpec, build_deployment
-from repro.scenario.build import scenario_fault_profile, scenario_membership
+from repro.scenario import ScenarioSpec
+from repro.scenario.build import (
+    arm_adaptive_tree,
+    build_armed_deployment,
+    retained_high_water,
+)
 from repro.scenario.spec import FaultSpec, ProtocolSpec, TopologySpec, WorkloadSpec
 
 #: cheap calibrated-shape cost model so sim soaks stay fast in wall time
@@ -281,54 +282,15 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
                          f"choose one of {sorted(PROFILES)}")
 
     spec = config.to_scenario().check()
-    runtime = make_runtime(
-        spec.backend,
-        **({"seed": spec.seed} if spec.backend == "sim"
-           else {"seed": spec.seed,
-                 "wire": spec.protocol.resolved_wire(spec.backend)}))
+    deployment, schedule, elasticity = build_armed_deployment(spec)
+    runtime = deployment.runtime
     try:
-        chaos = install_chaos(runtime, ChaosConfig())
-        schedule = NemesisSchedule.generate(
-            groups=scenario_membership(spec),
-            seed=spec.fault_seed(),
-            duration=spec.fault_duration(),
-            profile=scenario_fault_profile(spec),
-            f=spec.topology.f,
-        )
-        deployment = build_deployment(
-            spec,
-            runtime=runtime,
-            replica_classes=schedule.replica_classes,
-            app_overrides=schedule.app_overrides,
-        )
-        elasticity = None
-        if (CHURN_KINDS & {op.kind for op in schedule.ops}
-                or config.adaptive_tree == "on"):
-            elasticity = elasticity_controller(deployment)
-        schedule.apply(deployment, chaos=chaos, elasticity=elasticity)
-
         clients = [
             deployment.add_client(
                 f"c{i}", retransmit_timeout=config.retransmit_timeout)
             for i in range(config.clients)
         ]
-        planner = None
-        if config.adaptive_tree != "off":
-            from repro.optimizer.planner import TreePlanner
-            from repro.optimizer.traffic import TrafficCollector
-
-            traffic = TrafficCollector()
-            traffic.bind_clock(lambda: runtime.clock.now)
-            for client in clients:
-                client.traffic = traffic
-            if config.adaptive_tree == "on":
-                planner = TreePlanner(
-                    elasticity, traffic,
-                    interval=config.adapt_interval,
-                    min_samples=config.adapt_min_samples,
-                    hysteresis=config.adapt_hysteresis,
-                    cooldown=config.adapt_cooldown,
-                ).start()
+        _, planner = arm_adaptive_tree(spec, deployment, elasticity)
         if config.adaptive_tree != "off" and len(config.targets) >= 4:
             # cross-branch hot pairs (double-weighted) + every local
             # single: under the initial balanced packing each hot pair
@@ -413,10 +375,7 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
         violations.extend(_read_violations(deployment, schedule, clients))
         violations.extend(_tree_violations(deployment, schedule, elasticity))
 
-        max_retained = 0
-        for gid in deployment.groups:
-            for replica in deployment.groups[gid].replicas:
-                max_retained = max(max_retained, replica.log.max_retained)
+        max_retained = retained_high_water(deployment)
         retention_ok = (config.checkpoint_interval <= 0
                         or max_retained <= 2 * config.checkpoint_interval)
 

@@ -1,111 +1,86 @@
 """One callable per table/figure of the paper's evaluation (§V).
 
-Each ``figN_*``/``tableN_*`` function runs the corresponding experiment and
-returns a plain dict of results.  The benchmark suite (``benchmarks/``)
-asserts the paper's qualitative claims on these results; the
-``scripts/run_experiments.py`` tool renders them into ``EXPERIMENTS.md``.
+Each ``figN_*`` function is a set of :class:`~repro.scenario.ScenarioSpec`
+literals — ByzCast, the Baseline and single-group BFT-SMaRt are one
+``protocol.kind`` apart — run through :func:`~repro.scenario.run_scenario`
+and returned as a plain dict of results.  The benchmark suite
+(``benchmarks/``) asserts the paper's qualitative claims on these results;
+``scripts/run_experiments.py`` renders them into ``EXPERIMENTS.md``.
 
-All LAN experiments run with the cost model slowed by ``scale`` (default
-:data:`~repro.runtime.environments.BENCH_SCALE`) and client counts reduced
-accordingly; throughputs are reported **rescaled to paper scale**
-(multiplied by ``scale``) and latencies divided by ``scale``, so numbers
-are directly comparable with the paper's.  WAN experiments run at paper
-scale (``scale=1``) because inter-region latency dominates and rates are
+All LAN experiments run on the ``bench`` cost model (every CPU cost
+× :data:`~repro.runtime.environments.BENCH_SCALE`) with client counts
+reduced accordingly and are reported through :func:`paper_scale`:
+throughput multiplied and latencies divided by the scale, so numbers are
+directly comparable with the paper's.  WAN experiments run on the
+``calibrated`` model because inter-region latency dominates and rates are
 low.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.tree import OverlayTree
-from repro.metrics.stats import LatencySummary, summarize
 from repro.runtime.environments import (
     BENCH_SCALE,
     REGIONS,
     bench_batch_delay,
-    calibrated_costs,
-    lan_network_config,
-    scale_costs,
     wan_network_config,
-    wan_site_assigner,
 )
-from repro.runtime.experiment import (
-    ClientPlan,
-    ExperimentResult,
-    run_baseline,
-    run_bftsmart,
-    run_byzcast,
-)
-from repro.workload.spec import (
-    fixed_destination,
-    local_uniform,
-    mixed_ratio,
-    skewed_pairs,
-    uniform_pairs,
+from repro.scenario import (
+    ProtocolSpec,
+    ScenarioResult,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    run_scenario,
 )
 
 
-def _targets(count: int) -> List[str]:
-    return [f"g{i}" for i in range(1, count + 1)]
-
-
-@dataclass(frozen=True)
-class ScaledResult:
-    """An ExperimentResult rescaled to paper scale."""
-
-    protocol: str
-    clients: int
-    throughput: float            # msgs/s, paper scale
-    latency: LatencySummary      # seconds, paper scale
-    local_latency: LatencySummary
-    global_latency: LatencySummary
-    local_samples: Tuple[float, ...]
-    global_samples: Tuple[float, ...]
-    samples: Tuple[float, ...]
-
-
-def _rescale(result: ExperimentResult, scale: float) -> ScaledResult:
-    inv = 1.0 / scale
-    return ScaledResult(
-        protocol=result.protocol,
-        clients=result.clients,
-        throughput=result.throughput * scale,
+def paper_scale(result: ScenarioResult) -> ScenarioResult:
+    """A ``costs: "bench"`` result with rates and latencies at paper scale."""
+    inv = 1.0 / BENCH_SCALE
+    return replace(
+        result,
+        throughput=result.throughput * BENCH_SCALE,
         latency=result.latency.scaled(inv),
         local_latency=result.local_latency.scaled(inv),
         global_latency=result.global_latency.scaled(inv),
+        samples=tuple(s * inv for s in result.samples),
         local_samples=tuple(s * inv for s in result.local_samples),
         global_samples=tuple(s * inv for s in result.global_samples),
-        samples=tuple(s * inv for s in result.samples),
     )
 
 
-def _lan_kwargs(scale: float, seed: int = 1) -> Dict:
-    return dict(
-        costs=scale_costs(calibrated_costs(), scale),
-        network_config=lan_network_config(),
-        batch_delay=bench_batch_delay(scale),
-        seed=seed,
-    )
+def lan_cell(name: str, kind: str, groups: int, clients: int, destinations: str,
+             warmup: float, duration: float, layout: str = "two_level",
+             fixed: Tuple[str, ...] = ()) -> ScenarioResult:
+    """One LAN cell (§V-B1) on the bench cost model, at paper scale."""
+    # depth 4 is what the figures were recorded at; ProtocolSpec defaults
+    # to 1
+    return paper_scale(run_scenario(ScenarioSpec(
+        name=name,
+        topology=TopologySpec(groups=groups, layout=layout, latency="lan"),
+        workload=WorkloadSpec(clients=clients, destinations=destinations,
+                              fixed=fixed, warmup=warmup, duration=duration),
+        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(),
+                              max_in_flight=4, costs="bench"),
+    )))
 
 
-def _wan_kwargs(seed: int = 1) -> Dict:
-    return dict(
-        costs=calibrated_costs(),
-        network_config=wan_network_config(),
-        batch_delay=bench_batch_delay(1.0),
-        seed=seed,
-    )
-
-
-def _client_plans(count: int, sampler_factory: Callable[[int], Callable],
-                  sites: Optional[Sequence[str]] = None) -> List[ClientPlan]:
-    plans = []
-    for index in range(count):
-        site = sites[index % len(sites)] if sites else "site0"
-        plans.append(ClientPlan(f"c{index}", sampler_factory(index), site=site))
-    return plans
+def _wan(name: str, kind: str, clients: int, destinations: str,
+         warmup: float, duration: float,
+         fixed: Tuple[str, ...] = ()) -> ScenarioResult:
+    """One WAN cell (§V-B2/3): four groups, a replica and a client share
+    per region, calibrated costs (paper scale as measured)."""
+    return run_scenario(ScenarioSpec(
+        name=name,
+        topology=TopologySpec(groups=4, latency="wan", sites="wan_spread"),
+        workload=WorkloadSpec(clients=clients, destinations=destinations,
+                              fixed=fixed, warmup=warmup, duration=duration),
+        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(1.0),
+                              max_in_flight=4),
+    ))
 
 
 # =========================================================================
@@ -162,29 +137,19 @@ def table1_wan_latency() -> Dict[Tuple[str, str], Dict[str, float]]:
 # =========================================================================
 
 
-def fig3_tree_layouts(scale: float = BENCH_SCALE,
-                      uniform_clients: int = 30,
+def fig3_tree_layouts(uniform_clients: int = 30,
                       skewed_clients: int = 320,
                       warmup: float = 1.0,
-                      duration: float = 4.0) -> Dict[str, ScaledResult]:
+                      duration: float = 4.0) -> Dict[str, ScenarioResult]:
     """Global-message throughput/latency for each (tree, workload) cell."""
-    targets = _targets(4)
-    two_level = OverlayTree.two_level(targets)
-    three_level = OverlayTree.paper_tree()
     results = {}
-    for tree_name, tree in (("2-level", two_level), ("3-level", three_level)):
-        uniform = run_byzcast(
-            tree,
-            _client_plans(uniform_clients, lambda i: uniform_pairs(targets)),
-            warmup=warmup, duration=duration, **_lan_kwargs(scale),
-        )
-        results[f"uniform/{tree_name}"] = _rescale(uniform, scale)
-        skewed = run_byzcast(
-            tree,
-            _client_plans(skewed_clients, lambda i: skewed_pairs()),
-            warmup=warmup, duration=duration, **_lan_kwargs(scale),
-        )
-        results[f"skewed/{tree_name}"] = _rescale(skewed, scale)
+    for tree_name, layout in (("2-level", "two_level"), ("3-level", "paper")):
+        results[f"uniform/{tree_name}"] = lan_cell(
+            f"fig3/uniform/{tree_name}", "byzcast", 4, uniform_clients,
+            "global", warmup, duration, layout=layout)
+        results[f"skewed/{tree_name}"] = lan_cell(
+            f"fig3/skewed/{tree_name}", "byzcast", 4, skewed_clients,
+            "skewed", warmup, duration, layout=layout)
     return results
 
 
@@ -193,46 +158,29 @@ def fig3_tree_layouts(scale: float = BENCH_SCALE,
 # =========================================================================
 
 
-def fig4_scalability(scale: float = BENCH_SCALE,
-                     group_counts: Sequence[int] = (2, 4, 8),
+def fig4_scalability(group_counts: Sequence[int] = (2, 4, 8),
                      clients_per_group: int = 100,
                      warmup: float = 1.0,
                      duration: float = 2.5,
-                     message_kind: str = "local") -> Dict[str, ScaledResult]:
+                     message_kind: str = "local") -> Dict[str, ScenarioResult]:
     """Fig 4(a) with ``message_kind='local'``, Fig 4(b) with ``'global'``.
 
     Mirrors the paper's setup: N clients per group (halved at 8 groups, as
     in §V-D), ByzCast on a 2-level tree, Baseline, and single-group
     BFT-SMaRt as the reference.
     """
-    results: Dict[str, ScaledResult] = {}
+    destinations = "home" if message_kind == "local" else "global"
+    results: Dict[str, ScenarioResult] = {}
     for count in group_counts:
-        targets = _targets(count)
         per_group = clients_per_group // 2 if count >= 8 else clients_per_group
-        total_clients = per_group * count
-        if message_kind == "local":
-            def sampler_factory(index, t=targets, pg=per_group):
-                return fixed_destination(t[index // pg])
-        else:
-            def sampler_factory(index, t=targets):
-                return uniform_pairs(t)
-        plans = _client_plans(total_clients, sampler_factory)
-        byzcast = run_byzcast(
-            OverlayTree.two_level(targets), plans,
-            warmup=warmup, duration=duration, **_lan_kwargs(scale),
-        )
-        results[f"byzcast/{count}"] = _rescale(byzcast, scale)
-        baseline = run_baseline(
-            targets, plans, warmup=warmup, duration=duration,
-            **_lan_kwargs(scale),
-        )
-        results[f"baseline/{count}"] = _rescale(baseline, scale)
+        for kind in ("byzcast", "baseline"):
+            results[f"{kind}/{count}"] = lan_cell(
+                f"fig4/{kind}/{count}", kind, count, per_group * count,
+                destinations, warmup, duration)
     # Single-group BFT-SMaRt reference (one group ordering everything).
-    reference_clients = clients_per_group * 2
-    plans = _client_plans(reference_clients, lambda i: fixed_destination("g1"))
-    reference = run_bftsmart(plans, warmup=warmup, duration=duration,
-                             **_lan_kwargs(scale))
-    results["bftsmart"] = _rescale(reference, scale)
+    results["bftsmart"] = lan_cell(
+        "fig4/bftsmart", "bftsmart", 1, clients_per_group * 2, "fixed",
+        warmup, duration, fixed=("g1",))
     return results
 
 
@@ -241,31 +189,18 @@ def fig4_scalability(scale: float = BENCH_SCALE,
 # =========================================================================
 
 
-def fig5_throughput_latency(scale: float = BENCH_SCALE,
-                            client_counts: Sequence[int] = (4, 16, 64, 128),
+def fig5_throughput_latency(client_counts: Sequence[int] = (4, 16, 64, 128),
                             message_kind: str = "local",
                             warmup: float = 1.0,
-                            duration: float = 3.0) -> Dict[str, List[ScaledResult]]:
+                            duration: float = 3.0,
+                            ) -> Dict[str, List[ScenarioResult]]:
     """Latency-vs-throughput sweeps for ByzCast, Baseline and BFT-SMaRt."""
-    targets = _targets(4)
-    tree = OverlayTree.two_level(targets)
-    if message_kind == "local":
-        sampler_factory = lambda i: local_uniform(targets)
-    else:
-        sampler_factory = lambda i: uniform_pairs(targets)
-    curves: Dict[str, List[ScaledResult]] = {"byzcast": [], "baseline": [], "bft-smart": []}
-    for count in client_counts:
-        plans = _client_plans(count, sampler_factory)
-        curves["byzcast"].append(_rescale(run_byzcast(
-            tree, plans, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-        ), scale))
-        curves["baseline"].append(_rescale(run_baseline(
-            targets, plans, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-        ), scale))
-        curves["bft-smart"].append(_rescale(run_bftsmart(
-            plans, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-        ), scale))
-    return curves
+    return {
+        label: [lan_cell(f"fig5/{label}/{count}", kind, 4, count, message_kind,
+                         warmup, duration) for count in client_counts]
+        for label, kind in (("byzcast", "byzcast"), ("baseline", "baseline"),
+                            ("bft-smart", "bftsmart"))
+    }
 
 
 # =========================================================================
@@ -273,32 +208,19 @@ def fig5_throughput_latency(scale: float = BENCH_SCALE,
 # =========================================================================
 
 
-def fig6_mixed_lan(scale: float = BENCH_SCALE,
-                   clients: int = 40,
+def fig6_mixed_lan(clients: int = 40,
                    warmup: float = 1.0,
-                   duration: float = 4.0) -> Dict[str, ScaledResult]:
+                   duration: float = 4.0) -> Dict[str, ScenarioResult]:
     """ByzCast vs Baseline under the 10:1 local:global mixed workload,
     plus a 100%-local ByzCast run for the convoy-effect comparison."""
-    targets = _targets(4)
-    tree = OverlayTree.two_level(targets)
-
-    def mixed_factory(index):
-        return mixed_ratio(local_uniform(targets), uniform_pairs(targets))
-
-    plans = _client_plans(clients, mixed_factory)
-    results = {
-        "byzcast": _rescale(run_byzcast(
-            tree, plans, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-        ), scale),
-        "baseline": _rescale(run_baseline(
-            targets, plans, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-        ), scale),
+    return {
+        "byzcast": lan_cell("fig6/byzcast", "byzcast", 4, clients, "mixed",
+                            warmup, duration),
+        "baseline": lan_cell("fig6/baseline", "baseline", 4, clients, "mixed",
+                             warmup, duration),
+        "byzcast/pure-local": lan_cell("fig6/byzcast/pure-local", "byzcast", 4,
+                                       clients, "local", warmup, duration),
     }
-    pure_local = _client_plans(clients, lambda i: local_uniform(targets))
-    results["byzcast/pure-local"] = _rescale(run_byzcast(
-        tree, pure_local, warmup=warmup, duration=duration, **_lan_kwargs(scale)
-    ), scale)
-    return results
 
 
 # =========================================================================
@@ -306,32 +228,19 @@ def fig6_mixed_lan(scale: float = BENCH_SCALE,
 # =========================================================================
 
 
-def fig7_latency_lan(scale: float = BENCH_SCALE,
-                     group_counts: Sequence[int] = (2, 4, 8),
+def fig7_latency_lan(group_counts: Sequence[int] = (2, 4, 8),
                      warmup: float = 0.5,
-                     duration: float = 2.0) -> Dict[str, ScaledResult]:
+                     duration: float = 2.0) -> Dict[str, ScenarioResult]:
     """Median/95th latency with one client and no contention."""
-    results: Dict[str, ScaledResult] = {}
+    results: Dict[str, ScenarioResult] = {}
     for count in group_counts:
-        targets = _targets(count)
-        tree = OverlayTree.two_level(targets)
-        local_plan = [ClientPlan("c0", fixed_destination(targets[0]))]
-        global_plan = [ClientPlan("c0", fixed_destination(*targets[:2]))]
-        results[f"byzcast/local/{count}"] = _rescale(run_byzcast(
-            tree, local_plan, warmup=warmup, duration=duration,
-            **_lan_kwargs(scale)), scale)
-        results[f"byzcast/global/{count}"] = _rescale(run_byzcast(
-            tree, global_plan, warmup=warmup, duration=duration,
-            **_lan_kwargs(scale)), scale)
-        results[f"baseline/local/{count}"] = _rescale(run_baseline(
-            targets, local_plan, warmup=warmup, duration=duration,
-            **_lan_kwargs(scale)), scale)
-        results[f"baseline/global/{count}"] = _rescale(run_baseline(
-            targets, global_plan, warmup=warmup, duration=duration,
-            **_lan_kwargs(scale)), scale)
-    results["bftsmart"] = _rescale(run_bftsmart(
-        [ClientPlan("c0", fixed_destination("g1"))],
-        warmup=warmup, duration=duration, **_lan_kwargs(scale)), scale)
+        for kind in ("byzcast", "baseline"):
+            for label, dst in (("local", ("g1",)), ("global", ("g1", "g2"))):
+                results[f"{kind}/{label}/{count}"] = lan_cell(
+                    f"fig7/{kind}/{label}/{count}", kind, count, 1, "fixed",
+                    warmup, duration, fixed=dst)
+    results["bftsmart"] = lan_cell("fig7/bftsmart", "bftsmart", 1, 1, "fixed",
+                                   warmup, duration, fixed=("g1",))
     return results
 
 
@@ -341,37 +250,17 @@ def fig7_latency_lan(scale: float = BENCH_SCALE,
 
 
 def fig8_latency_wan(warmup: float = 2.0,
-                     duration: float = 8.0) -> Dict[str, ScaledResult]:
+                     duration: float = 8.0) -> Dict[str, ScenarioResult]:
     """One client per region, local and global messages, on the Table I WAN."""
-    targets = _targets(4)
-    tree = OverlayTree.two_level(targets)
-    kwargs = _wan_kwargs()
-
-    def regional_plans(sampler_factory):
-        return [
-            ClientPlan(f"c-{region}", sampler_factory(region), site=region)
-            for region in REGIONS
-        ]
-
-    local_plans = regional_plans(lambda region: local_uniform(targets))
-    global_plans = regional_plans(lambda region: uniform_pairs(targets))
     results = {
-        "byzcast/local": _rescale(run_byzcast(
-            tree, local_plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
-        "byzcast/global": _rescale(run_byzcast(
-            tree, global_plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
-        "baseline/local": _rescale(run_baseline(
-            targets, local_plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
-        "baseline/global": _rescale(run_baseline(
-            targets, global_plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
-        "bftsmart": _rescale(run_bftsmart(
-            [ClientPlan(f"c-{r}", fixed_destination("g1"), site=r) for r in REGIONS],
-            sites=list(REGIONS), warmup=warmup, duration=duration, **kwargs), 1.0),
+        f"{kind}/{destinations}": _wan(
+            f"fig8/{kind}/{destinations}", kind, len(REGIONS), destinations,
+            warmup, duration)
+        for kind in ("byzcast", "baseline")
+        for destinations in ("local", "global")
     }
+    results["bftsmart"] = _wan("fig8/bftsmart", "bftsmart", len(REGIONS),
+                               "fixed", warmup, duration, fixed=("g1",))
     return results
 
 
@@ -382,27 +271,15 @@ def fig8_latency_wan(warmup: float = 2.0,
 
 def fig9_fig10_mixed_wan(clients_per_group: int = 10,
                          warmup: float = 3.0,
-                         duration: float = 12.0) -> Dict[str, ScaledResult]:
+                         duration: float = 12.0) -> Dict[str, ScenarioResult]:
     """4 target groups, clients spread over the regions, 10:1 workload.
 
     The paper uses 40 clients per group; the default here is 10 per group
     (the WAN runs at paper-scale costs, so wall-clock time bounds the
     count — ratios are unaffected).
     """
-    targets = _targets(4)
-    tree = OverlayTree.two_level(targets)
-    total = clients_per_group * len(targets)
-
-    def mixed_factory(index):
-        return mixed_ratio(local_uniform(targets), uniform_pairs(targets))
-
-    plans = _client_plans(total, mixed_factory, sites=REGIONS)
-    kwargs = _wan_kwargs()
     return {
-        "byzcast": _rescale(run_byzcast(
-            tree, plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
-        "baseline": _rescale(run_baseline(
-            targets, plans, sites=wan_site_assigner,
-            warmup=warmup, duration=duration, **kwargs), 1.0),
+        kind: _wan(f"fig9/{kind}", kind, clients_per_group * 4, "mixed",
+                   warmup, duration)
+        for kind in ("byzcast", "baseline")
     }

@@ -12,9 +12,13 @@ Every harness in the repo builds from the same spec:
 * ``bench/`` (``BENCHMARK.json``) and the ``benchmarks/test_ablation_*``
   pairs — each workload is a spec literal run through
   :func:`run_scenario` or the builders;
+* the paper's figures and the capacity probes
+  (:mod:`repro.runtime.scenarios`, :mod:`repro.runtime.capacity`) — spec
+  literals that differ in ``protocol.kind`` (ByzCast, Baseline,
+  BFT-SMaRt), run through :func:`run_scenario`;
 * ``python -m repro chaos`` — the soak derives its deployment from a spec
-  (:meth:`~repro.runtime.chaos.SoakConfig.to_scenario`);
-* ``ByzCastDeployment.from_scenario`` — direct programmatic use;
+  (:meth:`~repro.runtime.chaos.SoakConfig.to_scenario`) and arms it
+  through the same helper :func:`run_scenario` uses;
 * ``python -m repro scenario validate|run`` — lint or execute a spec file.
 
 See ``docs/SCENARIOS.md`` for the schema and examples.

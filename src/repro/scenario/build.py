@@ -1,10 +1,15 @@
 """Materialize a :class:`~repro.scenario.spec.ScenarioSpec`.
 
-This is the **one** tree/deployment/driver construction path of the repo:
-the ``bench/`` workloads, the ``repro.runtime.chaos`` soak, the CLI and
-the examples all call into these builders instead of wiring deployments
-by hand.  Everything is derived from the spec plus its seed, so a scenario on
-the sim backend is bit-identical across runs and hosts.
+This is the one tree/deployment/driver construction path and
+:func:`run_scenario` the one warmup-then-window measurement loop of the
+repo: the ``bench/`` workloads, the paper's figures
+(``repro.runtime.scenarios``, all three protocols via ``protocol.kind``),
+the capacity probes, the ``repro.runtime.chaos`` soak, the CLI and the
+ablations all call into these builders instead of wiring deployments by
+hand; nemesis and adaptive-tree arming exist once
+(:func:`build_armed_deployment`, :func:`arm_adaptive_tree`).  Everything is
+derived from the spec plus its seed, so a scenario on the sim backend is
+bit-identical across runs and hosts.
 """
 
 from __future__ import annotations
@@ -20,14 +25,6 @@ from repro.env import NetworkConfig, Runtime, make_runtime
 from repro.errors import ConfigurationError
 from repro.metrics.collector import LatencyCollector, ThroughputMeter
 from repro.metrics.stats import LatencySummary
-from repro.runtime.environments import (
-    bench_costs,
-    calibrated_costs,
-    lan_network_config,
-    soak_costs,
-    wan_network_config,
-    wan_site_assigner,
-)
 from repro.scenario.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.workload import spec as workloads
 from repro.workload.clients import (
@@ -38,12 +35,9 @@ from repro.workload.clients import (
     OpenLoopDriver,
 )
 
-#: cost-model factories by ``protocol.costs`` name
-_COST_MODELS: Dict[str, Callable[[], CostModel]] = {
-    "calibrated": calibrated_costs,
-    "bench": bench_costs,
-    "soak": soak_costs,
-}
+# ``repro.runtime.environments`` (the LAN/WAN and cost presets) is imported
+# inside the functions that use it: the ``repro.runtime`` package imports
+# its harness modules eagerly and those import this module.
 
 
 def build_tree(topology: TopologySpec) -> OverlayTree:
@@ -59,6 +53,11 @@ def build_tree(topology: TopologySpec) -> OverlayTree:
 
 
 def build_network_config(topology: TopologySpec) -> Optional[NetworkConfig]:
+    from repro.runtime.environments import (
+        lan_network_config,
+        wan_network_config,
+    )
+
     if topology.latency == "default":
         return None
     if topology.latency == "lan":
@@ -72,17 +71,27 @@ def build_site_assigner(topology: TopologySpec) -> Optional[SiteAssigner]:
     if topology.sites == "single":
         return None
     if topology.sites == "wan_spread":
+        from repro.runtime.environments import wan_site_assigner
+
         return wan_site_assigner
     raise ConfigurationError(f"unknown site model {topology.sites!r}")
 
 
 def build_costs(spec: ScenarioSpec) -> CostModel:
+    from repro.runtime.environments import (
+        bench_costs,
+        calibrated_costs,
+        soak_costs,
+    )
+
+    models = {"calibrated": calibrated_costs, "bench": bench_costs,
+              "soak": soak_costs}
     try:
-        return _COST_MODELS[spec.protocol.costs]()
+        return models[spec.protocol.costs]()
     except KeyError:
         raise ConfigurationError(
             f"unknown cost model {spec.protocol.costs!r}; "
-            f"choose one of {sorted(_COST_MODELS)}") from None
+            f"choose one of {sorted(models)}") from None
 
 
 def scenario_membership(spec: ScenarioSpec) -> Dict[str, Tuple[str, ...]]:
@@ -120,6 +129,17 @@ def scenario_fault_profile(spec: ScenarioSpec):
     return profile
 
 
+def build_runtime(spec: ScenarioSpec, trace_capacity: int = 0) -> Runtime:
+    """The execution runtime of a scenario (backend, seed, network, wire)."""
+    if spec.backend == "sim":
+        return make_runtime(
+            "sim", network_config=build_network_config(spec.topology),
+            seed=spec.seed, trace_capacity=trace_capacity)
+    return make_runtime(
+        spec.backend, seed=spec.seed, trace_capacity=trace_capacity,
+        wire=spec.protocol.resolved_wire(spec.backend))
+
+
 def build_deployment(
     spec: ScenarioSpec,
     runtime: Optional[Runtime] = None,
@@ -127,8 +147,12 @@ def build_deployment(
     app_overrides: Optional[Dict] = None,
     trace_capacity: int = 0,
     kv=None,
-) -> ByzCastDeployment:
-    """The deployment of a scenario (tree, groups, network, app wiring).
+):
+    """The deployment of a scenario (protocol, groups, network, app wiring).
+
+    ``protocol.kind`` picks the protocol: a
+    :class:`~repro.core.deployment.ByzCastDeployment` over the topology's
+    tree, the Baseline over the same targets, or one BFT-SMaRt group.
 
     ``replica_classes`` / ``app_overrides`` compose nemesis Byzantine
     assignments on top of the scenario's own application: when the spec
@@ -137,8 +161,32 @@ def build_deployment(
     as ``kv`` to keep a handle on its machines; otherwise one is created
     on demand (reachable via ``deployment.kv``).
     """
-    tree = build_tree(spec.topology)
     proto = spec.protocol
+    if runtime is None:
+        runtime = build_runtime(spec, trace_capacity)
+    sites = build_site_assigner(spec.topology)
+    engine = dict(
+        f=spec.topology.f,
+        costs=build_costs(spec),
+        max_batch=proto.max_batch,
+        batch_delay=proto.batch_delay,
+        adaptive_batching=proto.adaptive_batching,
+        min_batch=proto.min_batch,
+        request_timeout=proto.request_timeout,
+        max_in_flight=proto.max_in_flight,
+        runtime=runtime,
+    )
+    if proto.kind == "bftsmart":
+        from repro.baseline.single_group import SingleGroupDeployment
+
+        deployment = SingleGroupDeployment(
+            sites=([sites("g1", index)
+                    for index in range(3 * spec.topology.f + 1)]
+                   if sites else None),
+            **engine)
+        deployment.kv = None
+        return deployment
+    tree = build_tree(spec.topology)
     overrides = dict(app_overrides or {})
     if spec.app == "sharded_kv":
         from repro.apps.sharded_kv import ShardedKVApp
@@ -151,28 +199,18 @@ def build_deployment(
         for gid, factories in overrides.items():
             merged.setdefault(gid, {}).update(factories)
         overrides = merged
-    if runtime is None and spec.backend != "sim":
-        runtime = make_runtime(spec.backend, seed=spec.seed,
-                               wire=proto.resolved_wire(spec.backend))
-    deployment = ByzCastDeployment(
-        tree,
-        f=spec.topology.f,
-        costs=build_costs(spec),
-        network_config=build_network_config(spec.topology),
-        sites=build_site_assigner(spec.topology),
-        seed=spec.seed,
+    engine.update(
+        sites=sites,
         replica_classes=replica_classes,
         app_overrides=overrides or None,
-        trace_capacity=trace_capacity,
-        max_batch=proto.max_batch,
-        batch_delay=proto.batch_delay,
-        adaptive_batching=proto.adaptive_batching,
-        min_batch=proto.min_batch,
-        request_timeout=proto.request_timeout,
         checkpoint_interval=proto.checkpoint_interval,
-        max_in_flight=proto.max_in_flight,
-        runtime=runtime,
     )
+    if proto.kind == "baseline":
+        from repro.baseline.naive import BaselineDeployment
+
+        deployment = BaselineDeployment(list(spec.target_names()), **engine)
+    else:
+        deployment = ByzCastDeployment(tree, **engine)
     # the relay proxies' retransmit pace follows the clients' (the soak
     # harness runs both at sub-second timeouts)
     for gid in deployment.groups:
@@ -182,13 +220,115 @@ def build_deployment(
     return deployment
 
 
+def build_armed_deployment(spec: ScenarioSpec,
+                           runtime: Optional[Runtime] = None):
+    """The deployment of a scenario with its nemesis plan armed.
+
+    Chaos must wrap the transport before any actor registers and Byzantine
+    assignments are construction-time, so the schedule is expanded from
+    the spec's deterministic membership first, then the deployment is
+    built around it, then the timed ops are applied.  Returns
+    ``(deployment, schedule, elasticity)``; ``schedule`` is ``None``
+    without ``spec.faults``, ``elasticity`` is ``None`` unless churn ops
+    or ``adaptive_tree: "on"`` need the controller.  A runtime created
+    here is closed again if construction fails.
+    """
+    owns_runtime = runtime is None
+    if owns_runtime:
+        runtime = build_runtime(spec)
+    try:
+        chaos = schedule = None
+        if spec.faults is not None:
+            from repro.env.chaos import ChaosConfig, install_chaos
+            from repro.faults.nemesis import CHURN_KINDS, NemesisSchedule
+
+            chaos = install_chaos(runtime, ChaosConfig())
+            schedule = NemesisSchedule.generate(
+                groups=scenario_membership(spec),
+                seed=spec.fault_seed(),
+                duration=spec.fault_duration(),
+                profile=scenario_fault_profile(spec),
+                f=spec.topology.f,
+            )
+        deployment = build_deployment(
+            spec, runtime=runtime,
+            replica_classes=schedule.replica_classes if schedule else None,
+            app_overrides=schedule.app_overrides if schedule else None,
+        )
+        elasticity = None
+        if spec.protocol.adaptive_tree == "on" or (
+                schedule is not None
+                and CHURN_KINDS & {op.kind for op in schedule.ops}):
+            from repro.faults.elasticity import elasticity_controller
+
+            elasticity = elasticity_controller(deployment)
+        if schedule is not None:
+            schedule.apply(deployment, chaos=chaos, elasticity=elasticity)
+    except BaseException:
+        if owns_runtime:
+            runtime.close()
+        raise
+    return deployment, schedule, elasticity
+
+
+def arm_adaptive_tree(spec: ScenarioSpec, deployment, elasticity):
+    """Wire ``protocol.adaptive_tree`` onto a deployment's clients.
+
+    ``observe``: every client notes (destination set, hop count) into one
+    shared ring; ``on``: the planner closes the loop by driving ordered
+    tree switches through ``elasticity``.  Call after the clients exist.
+    Returns ``(traffic, planner)``, each ``None`` when not armed; the
+    planner is started.
+    """
+    proto = spec.protocol
+    if proto.adaptive_tree == "off":
+        return None, None
+    from repro.optimizer.traffic import TrafficCollector
+
+    traffic = TrafficCollector()
+    traffic.bind_clock(lambda: deployment.loop.now)
+    for client in deployment.clients:
+        client.traffic = traffic
+    planner = None
+    if proto.adaptive_tree == "on":
+        from repro.optimizer.planner import TreePlanner
+
+        planner = TreePlanner(
+            elasticity, traffic,
+            interval=proto.adapt_interval,
+            min_samples=proto.adapt_min_samples,
+            hysteresis=proto.adapt_hysteresis,
+            cooldown=proto.adapt_cooldown,
+        ).start()
+    return traffic, planner
+
+
+def retained_high_water(deployment) -> int:
+    """High-water mark of retained executed batches across all replicas."""
+    return max(replica.log.max_retained
+               for group in deployment.groups.values()
+               for replica in group.replicas)
+
+
 def build_destination_sampler(
     workload: WorkloadSpec,
     targets,
     clock: Optional[Callable[[], float]] = None,
+    client: int = 0,
 ) -> workloads.DestinationSampler:
-    """The destination distribution of a workload spec over ``targets``."""
+    """The destination distribution of a workload spec over ``targets``.
+
+    ``client`` is the index of the client the sampler is for — only
+    ``home`` looks at it.
+    """
     targets = list(targets)
+    if workload.destinations == "fixed":
+        return workloads.fixed_destination(*workload.fixed)
+    if workload.destinations == "home":
+        return workloads.fixed_destination(
+            targets[client * len(targets) // workload.clients])
+    if workload.destinations == "skewed":
+        return workloads.skewed_pairs()
     if workload.destinations == "local":
         return workloads.local_uniform(targets)
     if workload.destinations == "global":
@@ -237,7 +377,7 @@ def build_key_sampler(workload: WorkloadSpec) -> workloads.KeySampler:
 
 def build_drivers(
     spec: ScenarioSpec,
-    deployment: ByzCastDeployment,
+    deployment,
     collector: Optional[LatencyCollector] = None,
     meter: Optional[ThroughputMeter] = None,
     local_collector: Optional[LatencyCollector] = None,
@@ -245,10 +385,9 @@ def build_drivers(
 ) -> List:
     """One driver per client of the workload, wired to the deployment."""
     workload = spec.workload
-    targets = sorted(deployment.tree.targets)
+    targets = sorted(spec.target_names())
     clock = lambda: deployment.loop.now  # noqa: E731 - tiny adaptor
     op_sampler = None
-    sampler = None
     read_sampler = None
     if spec.app == "sharded_kv":
         op_sampler = deployment.kv.op_sampler(
@@ -259,15 +398,21 @@ def build_drivers(
         if workload.read_ratio > 0:
             read_sampler = deployment.kv.read_sampler(
                 build_key_sampler(workload))
-    else:
-        sampler = build_destination_sampler(workload, targets, clock=clock)
-        if workload.read_ratio > 0:
-            # opaque workloads probe the default application read
-            # (delivery counts) on a uniformly random target group
-            local = workloads.local_uniform(targets)
+    elif workload.read_ratio > 0:
+        # opaque workloads probe the default application read
+        # (delivery counts) on a uniformly random target group
+        local = workloads.local_uniform(targets)
 
-            def read_sampler(rng, local=local):
-                return local(rng), ("peek",)
+        def read_sampler(rng, local=local):
+            return local(rng), ("peek",)
+    # one shared (stateless) sampler, except ``home``: one per client
+    per_client = op_sampler is None and workload.destinations == "home"
+    sampler = None
+    if op_sampler is None and not per_client:
+        sampler = build_destination_sampler(workload, targets, clock=clock)
+    timeouts = {"retransmit_timeout": spec.protocol.retransmit_timeout}
+    if spec.protocol.kind != "bftsmart":  # its clients have no read path
+        timeouts["read_timeout"] = spec.protocol.read_timeout
     stop_after = spec.horizon
     drivers = []
     client_sites: Optional[Tuple[str, ...]] = None
@@ -284,10 +429,10 @@ def build_drivers(
             name,
             site=(client_sites[index % len(client_sites)]
                   if client_sites else "site0"),
-            retransmit_timeout=spec.protocol.retransmit_timeout,
-            read_timeout=spec.protocol.read_timeout)
+            **timeouts)
         common = dict(
-            sampler=sampler,
+            sampler=(build_destination_sampler(workload, targets, client=index)
+                     if per_client else sampler),
             rng=deployment.rng.stream(f"client.{name}"),
             collector=collector,
             meter=meter,
@@ -340,6 +485,10 @@ class ScenarioResult:
     completed: int
     #: wall-clock seconds the run took on the host (informational)
     wall_seconds: float
+    #: the in-window latencies behind the three summaries (CDF figures)
+    samples: Tuple[float, ...] = ()
+    local_samples: Tuple[float, ...] = ()
+    global_samples: Tuple[float, ...] = ()
     #: high-water mark of retained executed batches across all replicas
     max_retained: int = 0
     #: adaptive-tree runs (docs/TREES.md): mean per-message hop count over
@@ -357,6 +506,7 @@ class ScenarioResult:
         return (
             f"{self.name:<28} clients={self.clients:<5} "
             f"tput={self.throughput:>10.1f} m/s  "
+            f"mean={self.latency.mean * 1000:8.2f} ms "
             f"p95={self.latency.p95 * 1000:8.2f} ms "
             f"({self.wall_seconds:.1f}s wall)"
         )
@@ -373,9 +523,9 @@ def run_scenario(
     interval, then a measurement window of ``workload.duration`` seconds —
     only completions inside the window count.  When the spec carries a
     :class:`~repro.scenario.spec.FaultSpec`, the nemesis schedule is
-    expanded from the fault seed and armed before the run (measurement
-    under faults; the invariant-checked post-mortem lives in
-    ``repro.runtime.chaos``).
+    expanded from the fault seed and armed before the run
+    (:func:`build_armed_deployment`: measurement under faults; the
+    invariant-checked post-mortem lives in ``repro.runtime.chaos``).
     """
     spec.check()
     workload = spec.workload
@@ -386,76 +536,14 @@ def run_scenario(
     meter = ThroughputMeter(*window)
 
     started = time.perf_counter()
-    owns_runtime = runtime is None
-    chaos = None
-    schedule = None
-    if spec.faults is not None:
-        # Chaos must wrap the transport before any actor registers, and
-        # Byzantine assignments are construction-time — so expand the
-        # schedule from the spec's deterministic membership first.
-        from repro.env.chaos import ChaosConfig, install_chaos
-        from repro.faults.nemesis import NemesisSchedule
-
-        if runtime is None:
-            runtime = make_runtime(
-                spec.backend,
-                **({"network_config": build_network_config(spec.topology),
-                    "seed": spec.seed}
-                   if spec.backend == "sim"
-                   else {"seed": spec.seed,
-                         "wire": spec.protocol.resolved_wire(spec.backend)}),
-            )
-        chaos = install_chaos(runtime, ChaosConfig())
-        schedule = NemesisSchedule.generate(
-            groups=scenario_membership(spec),
-            seed=spec.fault_seed(),
-            duration=spec.fault_duration(),
-            profile=scenario_fault_profile(spec),
-            f=spec.topology.f,
-        )
-    deployment = build_deployment(
-        spec, runtime=runtime,
-        replica_classes=schedule.replica_classes if schedule else None,
-        app_overrides=schedule.app_overrides if schedule else None,
-    )
+    deployment, _, elasticity = build_armed_deployment(spec, runtime=runtime)
     try:
-        if schedule is not None:
-            from repro.faults.nemesis import CHURN_KINDS
-
-            elasticity = None
-            if CHURN_KINDS & {op.kind for op in schedule.ops}:
-                from repro.faults.elasticity import elasticity_controller
-
-                elasticity = elasticity_controller(deployment)
-            schedule.apply(deployment, chaos=chaos, elasticity=elasticity)
         drivers = build_drivers(
             spec, deployment,
             collector=collector, meter=meter,
             local_collector=local_collector, global_collector=global_collector,
         )
-        traffic = None
-        planner = None
-        if spec.protocol.adaptive_tree != "off":
-            # observe: every client notes (destination set, hop count) into
-            # one shared ring; on: the planner closes the loop by driving
-            # ordered tree switches through the elasticity controller
-            from repro.optimizer.traffic import TrafficCollector
-
-            traffic = TrafficCollector()
-            traffic.bind_clock(lambda: deployment.loop.now)
-            for client in deployment.clients:
-                client.traffic = traffic
-            if spec.protocol.adaptive_tree == "on":
-                from repro.faults.elasticity import elasticity_controller
-                from repro.optimizer.planner import TreePlanner
-
-                planner = TreePlanner(
-                    elasticity_controller(deployment), traffic,
-                    interval=spec.protocol.adapt_interval,
-                    min_samples=spec.protocol.adapt_min_samples,
-                    hysteresis=spec.protocol.adapt_hysteresis,
-                    cooldown=spec.protocol.adapt_cooldown,
-                ).start()
+        traffic, planner = arm_adaptive_tree(spec, deployment, elasticity)
         deployment.start()
         for driver in drivers:
             driver.start()
@@ -464,16 +552,10 @@ def run_scenario(
             driver.stop()
         if planner is not None:
             planner.stop()
-
-        max_retained = 0
-        for group in deployment.groups.values():
-            for replica in group.replicas:
-                max_retained = max(max_retained, replica.log.max_retained)
-        wall = time.perf_counter() - started
         return ScenarioResult(
             name=spec.name,
             backend=spec.backend,
-            protocol="byzcast",
+            protocol=spec.protocol.kind,
             clients=workload.clients,
             duration=workload.duration,
             throughput=meter.throughput(),
@@ -482,8 +564,11 @@ def run_scenario(
             global_latency=global_collector.summary(),
             sent=sum(d.sent for d in drivers),
             completed=sum(d.completed for d in drivers),
-            wall_seconds=wall,
-            max_retained=max_retained,
+            wall_seconds=time.perf_counter() - started,
+            samples=tuple(collector.in_window()),
+            local_samples=tuple(local_collector.in_window()),
+            global_samples=tuple(global_collector.in_window()),
+            max_retained=retained_high_water(deployment),
             mean_hops=(traffic.mean_hops(since=workload.warmup)
                        if traffic is not None else 0.0),
             tree_switches=planner.switches if planner is not None else 0,
@@ -491,5 +576,5 @@ def run_scenario(
             kv=deployment.kv,
         )
     finally:
-        if owns_runtime:
+        if runtime is None:
             deployment.runtime.close()

@@ -25,7 +25,8 @@ LAYOUTS = ("two_level", "paper", "balanced")
 LATENCIES = ("default", "lan", "wan")
 SITES = ("single", "wan_spread")
 LOOPS = ("closed", "open", "burst", "flash", "diurnal")
-DESTINATIONS = ("local", "global", "mixed", "zipfian", "hotspot", "hotpairs")
+DESTINATIONS = ("local", "global", "mixed", "zipfian", "hotspot", "hotpairs",
+                "fixed", "home", "skewed")
 KEY_DISTS = ("uniform", "zipfian", "hotspot")
 COSTS = ("calibrated", "bench", "soak")
 APPS = ("none", "sharded_kv")
@@ -34,6 +35,7 @@ INTENSITIES = ("light", "medium", "heavy", "churn")
 READ_MODES = ("ordered", "optimistic", "snapshot")
 WIRES = ("auto", "json", "binary")
 ADAPTIVE_TREE_MODES = ("off", "observe", "on")
+KINDS = ("byzcast", "baseline", "bftsmart")
 
 
 def _plain(value: Any) -> Any:
@@ -132,8 +134,14 @@ class WorkloadSpec:
     burst_off: float = 0.5
     #: closed loop: seconds between a completion and the next send
     think_time: float = 0.0
-    #: ``local`` | ``global`` | ``mixed`` | ``zipfian`` | ``hotspot``
+    #: ``local`` | ``global`` | ``mixed`` | ``zipfian`` | ``hotspot`` |
+    #: ``hotpairs`` | ``fixed`` (always ``fixed``) | ``home`` (client *i*
+    #: always sends to target ``i * groups // clients``: an equal share of
+    #: the clients per group, Fig. 4(a)) | ``skewed`` (Table II: only
+    #: {g1,g2} and {g3,g4})
     destinations: str = "mixed"
+    #: the one destination set of ``destinations: "fixed"``
+    fixed: Tuple[str, ...] = ()
     #: zipf exponent for ``zipfian`` destinations / keys
     zipf_s: float = 1.0
     #: local:global ratio of the mixed-style distributions
@@ -235,8 +243,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Broadcast-engine tuning shared by every group of the deployment."""
+    """The protocol under test and its broadcast-engine tuning."""
 
+    #: ``byzcast`` | ``baseline`` (§V-A3: one sequencer group orders every
+    #: message, then the targets order it again) | ``bftsmart`` (one group
+    #: orders everything; the topology only names the destinations the
+    #: workload draws)
+    kind: str = "byzcast"
     max_batch: int = 400
     batch_delay: float = 0.0
     adaptive_batching: bool = False
@@ -283,6 +296,8 @@ class ProtocolSpec:
 
     def lint(self) -> List[str]:
         problems = []
+        if self.kind not in KINDS:
+            problems.append(f"protocol.kind {self.kind!r} not in {list(KINDS)}")
         if self.max_batch < 1 or self.min_batch < 1:
             problems.append("protocol.max_batch and min_batch must be >= 1")
         if self.batch_delay < 0:
@@ -472,6 +487,37 @@ class ScenarioSpec:
             problems.append(
                 "workload.destinations 'hotpairs' needs at least two "
                 "target groups")
+        if self.workload.destinations == "fixed" and not (
+                self.workload.fixed
+                and set(self.workload.fixed) <= set(self.target_names())):
+            problems.append(
+                "workload.destinations 'fixed' needs a non-empty "
+                "workload.fixed drawn from the target groups")
+        if (self.workload.destinations == "skewed"
+                and not {"g1", "g2", "g3", "g4"} <= set(self.target_names())):
+            problems.append(
+                "workload.destinations 'skewed' is the Table II workload "
+                "over the target groups g1..g4")
+        if self.protocol.kind == "baseline" \
+                and self.topology.layout != "two_level":
+            problems.append(
+                "protocol.kind 'baseline' is the 2-level sequencer protocol; "
+                "it needs topology.layout 'two_level'")
+        if self.protocol.kind in ("baseline", "bftsmart"):
+            # the comparison protocols are measured, not soaked: they have
+            # no application wiring, nemesis membership, tree to adapt or
+            # read path
+            for bad, what in (
+                (self.app != "none", f"app {self.app!r}"),
+                (self.faults is not None, "faults"),
+                (self.protocol.adaptive_tree != "off",
+                 "protocol.adaptive_tree"),
+                (self.workload.read_ratio > 0, "workload.read_ratio > 0"),
+            ):
+                if bad:
+                    problems.append(
+                        f"{what} needs protocol.kind 'byzcast', not "
+                        f"{self.protocol.kind!r}")
         if (self.workload.read_ratio > 0
                 and self.workload.read_mode == "snapshot"
                 and self.protocol.checkpoint_interval <= 0):

@@ -99,3 +99,22 @@ def test_baseline_crashed_aux_follower_does_not_block():
     client.amulticast(destination("g1"), payload=("x",))
     dep.run(until=5.0)
     assert client.pending() == 0
+
+
+def test_baseline_spawns_standbys_and_takes_client_timeouts():
+    """Regression: the Baseline's own ``_make_app`` / ``add_client`` lacked the
+    ``group_configs`` a standby spawn and the timeouts ``build_drivers`` pass."""
+    from repro.faults.elasticity import elasticity_controller
+
+    dep = make_baseline()
+    client = dep.add_client("c1", retransmit_timeout=0.5, read_timeout=0.25)
+    assert (client.retransmit_timeout, client.read_timeout) == (0.5, 0.25)
+    elasticity_controller(dep).join("g1", at=0.5)
+    client.amulticast(destination("g1", "g2"), payload=("before",))
+    dep.run(until=5.0)
+    client.amulticast(destination("g1"), payload=("after",))
+    dep.run(until=10.0)
+    joiner = dep.groups["g1"].replica("g1/r4")
+    assert joiner.active and joiner.app.accept_any_ancestor
+    assert [m.payload for m in joiner.app.delivered_messages()] == [
+        ("before",), ("after",)]

@@ -49,3 +49,22 @@ def test_rt_soak_passes_invariants_and_liveness():
 def test_unknown_intensity_rejected():
     with pytest.raises(ValueError):
         run_chaos_soak(SIM_SOAK, intensity="apocalyptic")
+
+
+def test_soak_and_run_scenario_arm_the_same_schedule(monkeypatch):
+    """Both entry points arm through ``build_armed_deployment``: same timeline."""
+    from repro.faults.nemesis import NemesisSchedule
+    from repro.scenario import run_scenario
+
+    timelines = []
+    generate = NemesisSchedule.generate
+
+    def recording(**kwargs):
+        schedule = generate(**kwargs)
+        timelines.append(schedule.describe())
+        return schedule
+
+    monkeypatch.setattr(NemesisSchedule, "generate", recording)
+    report = run_chaos_soak(SIM_SOAK, messages=8)
+    run_scenario(SIM_SOAK.to_scenario())
+    assert timelines == [report.schedule] * 2 and "\n" in report.schedule

@@ -12,7 +12,7 @@ from repro.types import destination
 from tests.helpers import FAST_COSTS
 
 
-def run_byzcast_workload(tree=None):
+def run_workload(tree=None):
     tree = tree if tree is not None else OverlayTree.paper_tree()
     dep = ByzCastDeployment(tree, costs=FAST_COSTS, trace_capacity=50000)
     client = dep.add_client("c1")
@@ -26,7 +26,7 @@ def run_byzcast_workload(tree=None):
 
 
 def test_local_messages_are_genuine():
-    dep, tree = run_byzcast_workload()
+    dep, tree = run_workload()
     report = audit_genuineness(dep.monitor, tree)
     assert report.local_genuine_fraction == 1.0
     local_audits = [a for a in report.audits if a.is_local]
@@ -36,7 +36,7 @@ def test_local_messages_are_genuine():
 
 
 def test_global_messages_involve_exactly_the_predicted_groups():
-    dep, tree = run_byzcast_workload()
+    dep, tree = run_workload()
     report = audit_genuineness(dep.monitor, tree)
     assert report.prediction_match_fraction == 1.0
     assert report.violations() == []
@@ -64,7 +64,7 @@ def test_baseline_is_not_genuine():
 
 
 def test_work_ratio_byzcast_below_baseline():
-    byz_dep, tree = run_byzcast_workload(OverlayTree.two_level(
+    byz_dep, tree = run_workload(OverlayTree.two_level(
         ["g1", "g2", "g3", "g4"]))
     byz_report = audit_genuineness(byz_dep.monitor, tree)
 
@@ -84,7 +84,7 @@ def test_work_ratio_byzcast_below_baseline():
 
 
 def test_format_report_renders():
-    dep, tree = run_byzcast_workload()
+    dep, tree = run_workload()
     text = format_report(audit_genuineness(dep.monitor, tree))
     assert "local messages genuine" in text
     assert "100.0%" in text

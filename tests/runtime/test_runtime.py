@@ -1,4 +1,4 @@
-"""Tests for environments, the experiment harness, and capacity probing."""
+"""Tests for environments, the three protocol kinds, and capacity probing."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-from repro.bcast.config import CostModel
-from repro.core.tree import OverlayTree
 from repro.runtime.environments import (
     REGIONS,
     TABLE1_RTT_MS,
@@ -17,19 +15,15 @@ from repro.runtime.environments import (
     lan_network_config,
     scale_costs,
     wan_latency_model,
-    wan_network_config,
     wan_site_assigner,
 )
-from repro.runtime.experiment import (
-    ClientPlan,
-    run_baseline,
-    run_bftsmart,
-    run_byzcast,
+from repro.runtime.capacity import (
+    estimate_relay_capacity,
+    estimate_target_capacity,
+    plan_tree,
 )
-from repro.workload.spec import fixed_destination, local_uniform
-from tests.helpers import FAST_COSTS
-
-TARGETS = ["g1", "g2", "g3", "g4"]
+from repro.runtime.scenarios import lan_cell
+from repro.scenario import ProtocolSpec, ScenarioSpec, WorkloadSpec
 
 
 class TestEnvironments:
@@ -68,14 +62,8 @@ class TestEnvironments:
 
 
 class TestExperimentRunners:
-    def test_run_byzcast_produces_result(self):
-        tree = OverlayTree.two_level(TARGETS)
-        result = run_byzcast(
-            tree,
-            [ClientPlan("c0", fixed_destination("g1")),
-             ClientPlan("c1", fixed_destination("g1", "g2"))],
-            costs=FAST_COSTS, warmup=0.2, duration=1.0,
-        )
+    def test_byzcast_kind_produces_result(self):
+        result = lan_cell("t", "byzcast", 4, 2, "mixed", 0.2, 1.0)
         assert result.protocol == "byzcast"
         assert result.clients == 2
         assert result.throughput > 0
@@ -86,44 +74,24 @@ class TestExperimentRunners:
         )
         assert result.local_latency.mean < result.global_latency.mean
 
-    def test_run_baseline_and_bftsmart(self):
-        base = run_baseline(
-            TARGETS, [ClientPlan("c0", local_uniform(TARGETS))],
-            costs=FAST_COSTS, warmup=0.2, duration=1.0,
-        )
-        smart = run_bftsmart(
-            [ClientPlan("c0", fixed_destination("g1"))],
-            costs=FAST_COSTS, warmup=0.2, duration=1.0,
-        )
+    def test_baseline_and_bftsmart_kinds(self):
+        base = lan_cell("t", "baseline", 4, 1, "local", 0.2, 1.0)
+        smart = lan_cell("t", "bftsmart", 4, 1, "local", 0.2, 1.0)
         assert base.protocol == "baseline"
-        assert smart.protocol == "bft-smart"
+        assert smart.protocol == "bftsmart"
         # Baseline pays double ordering even at a single client.
         assert base.latency.mean > 1.5 * smart.latency.mean
-
-    def test_result_row_renders(self):
-        smart = run_bftsmart(
-            [ClientPlan("c0", fixed_destination("g1"))],
-            costs=FAST_COSTS, warmup=0.2, duration=1.0,
-        )
-        row = smart.row()
-        assert "bft-smart" in row and "tput" in row
 
 
 class TestCapacityProbe:
     def test_target_capacity_positive_and_exceeds_relay(self):
-        from repro.runtime.capacity import (
-            estimate_relay_capacity,
-            estimate_target_capacity,
-        )
-
-        # Tiny probes (few clients, short runs) — we only check ordering.
+        # tiny probes; exact values as recorded at 2fca3e9 (pre-ScenarioSpec)
         target = estimate_target_capacity(clients=40, warmup=0.5, duration=1.0)
         relay = estimate_relay_capacity(clients=40, warmup=0.5, duration=1.0)
-        assert target > 0 and relay > 0
+        assert (target, relay) == (9600.0, 4000.0)
         assert relay < target  # relaying costs extra
 
     def test_plan_tree_uses_given_capacities(self):
-        from repro.runtime.capacity import plan_tree
         from repro.workload.spec import table2_skewed_demand
 
         evaluation = plan_tree(
@@ -140,23 +108,14 @@ class TestCapacityProbe:
 
 class TestOpenLoopDriver:
     def test_open_loop_injects_roughly_target_rate(self):
-        from repro.core.deployment import ByzCastDeployment
-        from repro.metrics.collector import ThroughputMeter
-        from repro.workload.clients import OpenLoopDriver
-        from repro.workload.spec import fixed_destination
-
-        tree = OverlayTree.two_level(TARGETS)
-        dep = ByzCastDeployment(tree, costs=FAST_COSTS)
-        client = dep.add_client("c0")
-        meter = ThroughputMeter(0.5, 3.0)
-        driver = OpenLoopDriver(
-            client, fixed_destination("g1"),
-            rng=random.Random(1), rate=100.0, meter=meter,
-        )
-        dep.start()
-        driver.start()
-        dep.run(until=3.0)
-        assert 60 <= meter.throughput() <= 140  # ~100 m/s Poisson
+        result = ScenarioSpec(
+            name="open",
+            workload=WorkloadSpec(clients=1, loop="open", rate=100.0,
+                                  destinations="fixed", fixed=("g1",),
+                                  warmup=0.5, duration=2.5),
+            protocol=ProtocolSpec(costs="soak"),
+        ).run()
+        assert 60 <= result.throughput <= 140  # ~100 m/s Poisson
 
     def test_open_loop_rejects_bad_rate(self):
         from repro.workload.clients import OpenLoopDriver

@@ -12,6 +12,7 @@ from repro.scenario.spec import (
     DESTINATIONS,
     INTENSITIES,
     KEY_DISTS,
+    KINDS,
     LATENCIES,
     LAYOUTS,
     LOOPS,
@@ -52,6 +53,7 @@ def scenario_specs(draw):
         burst_off=draw(_times),
         think_time=draw(_times),
         destinations=draw(st.sampled_from(DESTINATIONS)),
+        fixed=draw(st.sampled_from([(), ("g1",), ("g1", "g2")])),
         zipf_s=draw(st.floats(min_value=0.0, max_value=3.0)),
         local_parts=draw(st.integers(min_value=0, max_value=20)),
         global_parts=draw(st.integers(min_value=0, max_value=20)),
@@ -65,6 +67,7 @@ def scenario_specs(draw):
         kv_read_ratio=draw(st.floats(min_value=0.0, max_value=1.0)),
     )
     protocol = ProtocolSpec(
+        kind=draw(st.sampled_from(KINDS)),
         max_batch=draw(st.integers(min_value=1, max_value=1000)),
         batch_delay=draw(_times),
         adaptive_batching=draw(st.booleans()),
@@ -123,12 +126,6 @@ class TestStrictParsing:
         raw = ScenarioSpec(name="s").to_dict()
         raw["workload"]["ratee"] = 5.0
         with pytest.raises(ConfigurationError, match="ratee"):
-            ScenarioSpec.from_dict(raw)
-
-    def test_schema_version_enforced(self):
-        raw = ScenarioSpec(name="s").to_dict()
-        raw["schema"] = 999
-        with pytest.raises(ConfigurationError, match="schema"):
             ScenarioSpec.from_dict(raw)
 
     def test_name_required(self):

@@ -2,7 +2,8 @@
 
 Arrival shapes (flash, diurnal), membership churn, the read tier
 (docs/READS.md), the wire-codec knob (docs/WIRE.md), adaptive overlay
-trees and the ``hotpairs`` sampler (docs/TREES.md) — each accepted from a
+trees and the ``hotpairs`` sampler (docs/TREES.md), ``protocol.kind`` and the
+figures' ``fixed``/``home``/``skewed`` destinations — each accepted from a
 document, linted, and round-tripped.  A document declares exactly
 ``SCENARIO_SCHEMA_VERSION``; strict-parsing basics (unknown keys, missing
 name) live in ``test_scenario_spec.py``.
@@ -62,11 +63,20 @@ def test_unsupported_schema_is_rejected(schema):
         workload=WorkloadSpec(destinations="hotpairs"),
         protocol=ProtocolSpec(adaptive_tree="observe", adapt_interval=0.25),
     ),
+    ScenarioSpec(name="baseline", topology=TopologySpec(groups=4),
+                 workload=WorkloadSpec(destinations="fixed", fixed=("g1", "g2")),
+                 protocol=ProtocolSpec(kind="baseline", max_in_flight=4)),
+    ScenarioSpec(name="bftsmart", topology=TopologySpec(groups=4),
+                 workload=WorkloadSpec(destinations="skewed"),
+                 protocol=ProtocolSpec(kind="bftsmart")),
+    ScenarioSpec(name="home", topology=TopologySpec(groups=8),
+                 workload=WorkloadSpec(clients=16, destinations="home")),
 ], ids=lambda spec: spec.name)
 def test_round_trips_at_current_schema(spec):
     raw = spec.to_dict()
     assert raw["schema"] == SCENARIO_SCHEMA_VERSION
     assert ScenarioSpec.from_dict(raw) == spec
+    assert spec.validate() == []
 
 
 def test_example_scenarios_are_valid_and_canonical():
@@ -238,3 +248,26 @@ def test_hotpairs_needs_at_least_two_targets():
                        topology=TopologySpec(groups=1),
                        workload=WorkloadSpec(destinations="hotpairs"))
     assert any("hotpairs" in p for p in bad.validate())
+
+
+# -- protocol kind and the figures' destinations --------------------------------
+
+@pytest.mark.parametrize("document, complaint", [
+    ({"protocol": {"kind": "paxos"}}, "protocol.kind"),
+    ({"protocol": {"kind": "baseline"},
+      "topology": {"groups": 4, "layout": "paper"}}, "two_level"),
+    ({"protocol": {"kind": "baseline"}, "app": "sharded_kv"},
+     "app 'sharded_kv' needs"),
+    ({"protocol": {"kind": "bftsmart"}, "faults": {}}, "faults needs"),
+    ({"protocol": {"kind": "baseline", "adaptive_tree": "observe"}},
+     "adaptive_tree needs"),
+    ({"protocol": {"kind": "bftsmart"}, "workload": {"read_ratio": 0.5}},
+     "read_ratio > 0 needs"),
+    ({"workload": {"destinations": "fixed"}}, "workload.fixed"),
+    ({"workload": {"destinations": "fixed", "fixed": ["g1", "g9"]}},
+     "workload.fixed"),
+    ({"workload": {"destinations": "skewed"}}, "g1..g4"),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_kind_and_destination_lint(document, complaint):
+    spec = ScenarioSpec.from_dict({"name": "t", **document})
+    assert any(complaint in problem for problem in spec.validate())
