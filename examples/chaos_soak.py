@@ -19,18 +19,20 @@ Run:  python examples/chaos_soak.py [seed]
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import DEFAULT_SOAK, run_chaos_soak
 
 SEED = 7
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else SEED
-    config = SoakConfig(backend="sim", seed=seed, intensity="medium",
-                        duration=8.0, messages=48, clients=3)
+    # the default soak (two groups, medium chaos) with an 8 s nemesis horizon
+    spec = replace(DEFAULT_SOAK, seed=seed,
+                   workload=replace(DEFAULT_SOAK.workload, duration=8.0))
 
-    report = run_chaos_soak(config)
+    report = run_chaos_soak(spec, messages=48)
 
     print("nemesis timeline")
     print("----------------")
@@ -44,7 +46,9 @@ def main() -> None:
     # The same seed on the real-time backend expands to the same schedule
     # (the run itself is subject to wall-clock scheduling, so only the sim
     # is bit-reproducible).
-    rt = run_chaos_soak(config, backend="rt", duration=3.0, messages=24)
+    rt = run_chaos_soak(
+        replace(spec, backend="rt",
+                workload=replace(spec.workload, duration=3.0)), messages=24)
     print()
     print(rt.summary())
     raise SystemExit(0 if rt.ok else 2)

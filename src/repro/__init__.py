@@ -47,7 +47,6 @@ from repro.errors import (
 from repro.core import (
     ByzCastApplication,
     ByzCastDeployment,
-    GroupSpec,
     MulticastClient,
     OverlayTree,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "OverlayTree",
     "ByzCastApplication",
     "ByzCastDeployment",
-    "GroupSpec",
     "MulticastClient",
     # broadcast substrate
     "BroadcastConfig",

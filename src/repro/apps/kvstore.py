@@ -30,112 +30,15 @@ Example::
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bcast.config import CostModel
+# ShardStateMachine is re-exported: callers and bench/spans.py find it here
+from repro.apps.sharded_kv import ShardedKVApp, ShardStateMachine  # noqa: F401
 from repro.core.client import MulticastClient
 from repro.core.deployment import ByzCastDeployment
-from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.errors import ConfigurationError
-from repro.env import NetworkConfig
-from repro.types import Destination, MessageId, MulticastMessage, destination
-
-
-class ShardStateMachine:
-    """The deterministic per-replica state of one shard."""
-
-    #: operations that never mutate shard state — eligible for the
-    #: unordered read tier (docs/READS.md)
-    READ_OPS = frozenset({"get", "mget"})
-
-    def __init__(self, shard: str, owns: Callable[[str], bool]) -> None:
-        self.shard = shard
-        self.owns = owns
-        self.data: Dict[str, Any] = {}
-        self.ops_applied = 0
-        #: state as of the last snapshot — the snapshot-read mirror
-        self._stable: Dict[str, Any] = {}
-
-    @classmethod
-    def is_read_only(cls, op: Tuple) -> bool:
-        """Classify an operation for the read tier."""
-        return bool(op) and op[0] in cls.READ_OPS
-
-    def apply(self, op: Tuple) -> Any:
-        """Apply one ordered operation; returns this shard's result."""
-        self.ops_applied += 1
-        kind = op[0]
-        if kind == "put":
-            __, key, value = op
-            if self.owns(key):
-                self.data[key] = value
-            return ("ok",)
-        if kind == "get":
-            __, key = op
-            return ("value", self.data.get(key)) if self.owns(key) else ("none",)
-        if kind == "delete":
-            __, key = op
-            if self.owns(key):
-                return ("value", self.data.pop(key, None))
-            return ("none",)
-        if kind == "transfer":
-            __, src, dst, amount = op
-            # Each shard applies only its side; the multicast guarantees
-            # both shards apply it, in consistent order.
-            if self.owns(src):
-                self.data[src] = self.data.get(src, 0) - amount
-            if self.owns(dst):
-                self.data[dst] = self.data.get(dst, 0) + amount
-            return ("ok",)
-        if kind == "mput":
-            __, pairs = op
-            for key, value in pairs:
-                if self.owns(key):
-                    self.data[key] = value
-            return ("ok",)
-        if kind == "mget":
-            __, keys = op
-            return ("values", tuple(
-                (key, self.data.get(key)) for key in keys if self.owns(key)
-            ))
-        return ("error", f"unknown op {kind!r}")
-
-    def read(self, op: Tuple) -> Any:
-        """Serve a read-only op from the live state — pure, no side effects.
-
-        Result shapes match :meth:`apply` for the same op, so an optimistic
-        read and its ordered fallback are interchangeable to clients.
-        """
-        return self._read_from(self.data, op)
-
-    def read_stale(self, op: Tuple) -> Any:
-        """Serve a read-only op from the last-checkpoint mirror."""
-        return self._read_from(self._stable, op)
-
-    def _read_from(self, data: Dict[str, Any], op: Tuple) -> Any:
-        if not self.is_read_only(op):
-            return ("error", "not a read-only op")
-        kind = op[0]
-        if kind == "get":
-            __, key = op
-            return ("value", data.get(key)) if self.owns(key) else ("none",)
-        __, keys = op
-        return ("values", tuple(
-            (key, data.get(key)) for key in keys if self.owns(key)
-        ))
-
-    def snapshot(self) -> Tuple:
-        """Deterministic state capture for checkpointing (sorted items)."""
-        self._stable = dict(self.data)
-        return (tuple(sorted(self.data.items())), self.ops_applied)
-
-    def restore(self, state: Tuple) -> None:
-        items, ops_applied = state
-        self.data = dict(items)
-        self.ops_applied = ops_applied
-        self._stable = dict(items)
+from repro.types import MessageId, MulticastMessage, destination
 
 
 class StoreClient(MulticastClient):
@@ -226,69 +129,33 @@ class StoreClient(MulticastClient):
 
 
 class ShardedStore:
-    """A complete sharded KV deployment: tree, groups, shard placement."""
+    """A complete sharded KV deployment: tree, groups, shard placement.
 
-    def __init__(
-        self,
-        shards: int = 4,
-        f: int = 1,
-        tree: Optional[OverlayTree] = None,
-        costs: Optional[CostModel] = None,
-        network_config: Optional[NetworkConfig] = None,
-        seed: int = 1,
-        batch_delay: float = 0.0,
-        request_timeout: float = 2.0,
-    ) -> None:
+    The store logic is :class:`~repro.apps.sharded_kv.ShardedKVApp`
+    (``self.kv``); this class adds the tree, a deployment of its own and
+    :class:`StoreClient` endpoints.  ``deployment`` keywords go to
+    :class:`~repro.core.deployment.ByzCastDeployment` (``costs``,
+    ``seed``, ``request_timeout``, ...).
+    """
+
+    def __init__(self, shards: int = 4, f: int = 1,
+                 tree: Optional[OverlayTree] = None, **deployment: Any) -> None:
         if tree is None:
             if shards < 1:
                 raise ConfigurationError("need at least one shard")
             tree = OverlayTree.two_level([f"shard{i}" for i in range(shards)])
         self.tree = tree
-        self.shards: Tuple[str, ...] = tuple(sorted(tree.targets))
-        self._machines: Dict[str, List[ShardStateMachine]] = {}
-
-        def app_factory(group_id, tree, group_configs, registry):
-            machine = ShardStateMachine(group_id, self._owner_check(group_id))
-            self._machines.setdefault(group_id, []).append(machine)
-
-            def on_deliver(message, ctx, machine=machine):
-                return machine.apply(message.payload)
-
-            return ByzCastApplication(
-                group_id=group_id, tree=tree, group_configs=group_configs,
-                registry=registry, on_deliver=on_deliver,
-                on_snapshot=machine.snapshot, on_restore=machine.restore,
-                on_read=machine.read, on_snapshot_read=machine.read_stale,
-            )
-
-        overrides = {
-            gid: {
-                name: app_factory
-                for name in (f"{gid}/r{i}" for i in range(3 * f + 1))
-            }
-            for gid in tree.nodes
-        }
+        self.kv = ShardedKVApp(tree, f=f)
+        # placement and inspection are the app's own methods
+        self.shards = self.kv.shards
+        self.shard_of = self.kv.shard_of
+        self.shard_state = self.kv.shard_state
+        self.total_of = self.kv.total_of
+        self.check_consistency = self.kv.check_consistency
+        self._machines = self.kv._machines
         self.deployment = ByzCastDeployment(
-            tree,
-            f=f,
-            costs=costs,
-            network_config=network_config,
-            seed=seed,
-            batch_delay=batch_delay,
-            request_timeout=request_timeout,
-            app_overrides=overrides,
-        )
+            tree, f=f, app_overrides=self.kv.app_overrides(), **deployment)
         self.clients: List[StoreClient] = []
-
-    # -- placement ----------------------------------------------------------------
-
-    def shard_of(self, key: str) -> str:
-        """Deterministic key → shard placement (CRC-based)."""
-        index = zlib.crc32(key.encode("utf-8")) % len(self.shards)
-        return self.shards[index]
-
-    def _owner_check(self, shard: str) -> Callable[[str], bool]:
-        return lambda key: self.shard_of(key) == shard
 
     # -- clients and execution ------------------------------------------------------
 
@@ -318,31 +185,3 @@ class ShardedStore:
                 return True
             self.deployment.loop.run(until=self.deployment.loop.now + step)
         return all(client.pending() == 0 for client in self.clients)
-
-    # -- inspection --------------------------------------------------------------------
-
-    def shard_state(self, shard: str) -> Dict[str, Any]:
-        """The (agreed) state of ``shard``; raises if replicas diverge."""
-        machines = self._machines[shard]
-        reference = machines[0].data
-        for machine in machines[1:]:
-            if machine.data != reference:
-                raise AssertionError(f"replica divergence in {shard}")
-        return dict(reference)
-
-    def total_of(self, keys: Iterable[str]) -> int:
-        """Sum of numeric values for ``keys`` across shards."""
-        total = 0
-        for key in keys:
-            total += self.shard_state(self.shard_of(key)).get(key, 0)
-        return total
-
-    def check_consistency(self) -> List[str]:
-        """Replica-divergence report (empty = all shards agree)."""
-        problems = []
-        for shard in self.shards:
-            try:
-                self.shard_state(shard)
-            except AssertionError as error:
-                problems.append(str(error))
-        return problems

@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bcast.config import CostModel
 from repro.core.client import MulticastClient
 from repro.core.deployment import ByzCastDeployment
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
 from repro.errors import ConfigurationError
-from repro.env import NetworkConfig
 from repro.types import MessageId, MulticastMessage, destination
 
 GENESIS = b"genesis"
@@ -171,12 +169,10 @@ class OrderingService:
         channels: Sequence[str],
         f: int = 1,
         tree: Optional[OverlayTree] = None,
-        costs: Optional[CostModel] = None,
-        network_config: Optional[NetworkConfig] = None,
-        seed: int = 1,
-        batch_delay: float = 0.0,
-        request_timeout: float = 2.0,
+        **deployment: Any,
     ) -> None:
+        """``deployment`` keywords go to
+        :class:`~repro.core.deployment.ByzCastDeployment`."""
         if not channels:
             raise ConfigurationError("need at least one channel")
         if tree is None:
@@ -215,15 +211,7 @@ class OrderingService:
             for gid in tree.nodes
         }
         self.deployment = ByzCastDeployment(
-            tree,
-            f=f,
-            costs=costs,
-            network_config=network_config,
-            seed=seed,
-            batch_delay=batch_delay,
-            request_timeout=request_timeout,
-            app_overrides=overrides,
-        )
+            tree, f=f, app_overrides=overrides, **deployment)
         self.clients: List[LedgerClient] = []
 
     # -- clients -----------------------------------------------------------------

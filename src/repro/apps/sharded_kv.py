@@ -1,9 +1,9 @@
 """The first-class sharded KV store: scenario-integrated cross-shard ops.
 
 :class:`~repro.apps.kvstore.ShardedStore` packages a self-contained
-deployment for library use; this module is the *scenario-facing* variant
-the ROADMAP's scale-out harness calls for — it plugs the same
-deterministic :class:`~repro.apps.kvstore.ShardStateMachine` into any
+deployment of it for library use; this module is the store itself, the
+*scenario-facing* part the ROADMAP's scale-out harness calls for — it
+plugs the deterministic :class:`ShardStateMachine` into any
 deployment built from a :class:`~repro.scenario.ScenarioSpec`
 (``app: "sharded_kv"``), so the benchmark, the chaos soak and the CLI
 all exercise an application workload instead of opaque payloads:
@@ -27,15 +27,109 @@ cross-shard transfers over any key distribution
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.apps.kvstore import ShardStateMachine
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.errors import ConfigurationError
 from repro.types import Destination, destination
 from repro.workload.spec import KeySampler, key_space
 from repro.workload.clients import OpSampler
+
+
+class ShardStateMachine:
+    """The deterministic per-replica state of one shard."""
+
+    #: operations that never mutate shard state — eligible for the
+    #: unordered read tier (docs/READS.md)
+    READ_OPS = frozenset({"get", "mget"})
+
+    def __init__(self, shard: str, owns: Callable[[str], bool]) -> None:
+        self.shard = shard
+        self.owns = owns
+        self.data: Dict[str, Any] = {}
+        self.ops_applied = 0
+        #: state as of the last snapshot — the snapshot-read mirror
+        self._stable: Dict[str, Any] = {}
+
+    @classmethod
+    def is_read_only(cls, op: Tuple) -> bool:
+        """Classify an operation for the read tier."""
+        return bool(op) and op[0] in cls.READ_OPS
+
+    def apply(self, op: Tuple) -> Any:
+        """Apply one ordered operation; returns this shard's result."""
+        self.ops_applied += 1
+        kind = op[0]
+        if kind == "put":
+            __, key, value = op
+            if self.owns(key):
+                self.data[key] = value
+            return ("ok",)
+        if kind == "get":
+            __, key = op
+            return ("value", self.data.get(key)) if self.owns(key) else ("none",)
+        if kind == "delete":
+            __, key = op
+            if self.owns(key):
+                return ("value", self.data.pop(key, None))
+            return ("none",)
+        if kind == "transfer":
+            __, src, dst, amount = op
+            # Each shard applies only its side; the multicast guarantees
+            # both shards apply it, in consistent order.
+            if self.owns(src):
+                self.data[src] = self.data.get(src, 0) - amount
+            if self.owns(dst):
+                self.data[dst] = self.data.get(dst, 0) + amount
+            return ("ok",)
+        if kind == "mput":
+            __, pairs = op
+            for key, value in pairs:
+                if self.owns(key):
+                    self.data[key] = value
+            return ("ok",)
+        if kind == "mget":
+            __, keys = op
+            return ("values", tuple(
+                (key, self.data.get(key)) for key in keys if self.owns(key)
+            ))
+        return ("error", f"unknown op {kind!r}")
+
+    def read(self, op: Tuple) -> Any:
+        """Serve a read-only op from the live state — pure, no side effects.
+
+        Result shapes match :meth:`apply` for the same op, so an optimistic
+        read and its ordered fallback are interchangeable to clients.
+        """
+        return self._read_from(self.data, op)
+
+    def read_stale(self, op: Tuple) -> Any:
+        """Serve a read-only op from the last-checkpoint mirror."""
+        return self._read_from(self._stable, op)
+
+    def _read_from(self, data: Dict[str, Any], op: Tuple) -> Any:
+        if not self.is_read_only(op):
+            return ("error", "not a read-only op")
+        kind = op[0]
+        if kind == "get":
+            __, key = op
+            return ("value", data.get(key)) if self.owns(key) else ("none",)
+        __, keys = op
+        return ("values", tuple(
+            (key, data.get(key)) for key in keys if self.owns(key)
+        ))
+
+    def snapshot(self) -> Tuple:
+        """Deterministic state capture for checkpointing (sorted items)."""
+        self._stable = dict(self.data)
+        return (tuple(sorted(self.data.items())), self.ops_applied)
+
+    def restore(self, state: Tuple) -> None:
+        items, ops_applied = state
+        self.data = dict(items)
+        self.ops_applied = ops_applied
+        self._stable = dict(items)
 
 
 class ShardedKVApp:

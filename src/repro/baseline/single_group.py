@@ -10,12 +10,11 @@ drivers are protocol-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bcast.app import Application, ExecutionContext
 from repro.bcast.client import GroupProxy
-from repro.bcast.config import BroadcastConfig, CostModel
+from repro.bcast.config import BroadcastConfig
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.messages import Reply, Request
 from repro.core.messages import WireMulticast
@@ -127,21 +126,17 @@ class SingleGroupDeployment:
 
     def __init__(
         self,
-        f: int = 1,
-        costs: Optional[CostModel] = None,
+        *,
         network_config: Optional[NetworkConfig] = None,
         seed: int = 1,
         group_id: str = "g1",
-        max_batch: int = 400,
-        batch_delay: float = 0.0,
-        adaptive_batching: bool = False,
-        min_batch: int = 4,
-        request_timeout: float = 2.0,
-        max_in_flight: int = 4,
         sites: Optional[List[str]] = None,
         trace_capacity: int = 0,
         runtime: Optional[Runtime] = None,
+        **engine: Any,
     ) -> None:
+        """``engine``: the group's :meth:`BroadcastConfig.for_group`
+        arguments (``f``, ``costs``, ``batch_delay``, ...)."""
         if runtime is None:
             runtime = SimRuntime(
                 network_config=network_config,
@@ -154,19 +149,7 @@ class SingleGroupDeployment:
         self.rng = runtime.rng
         self.network = runtime.transport
         self.registry = KeyRegistry()
-        n = 3 * f + 1
-        self.config = BroadcastConfig(
-            group_id=group_id,
-            replicas=tuple(f"{group_id}/r{i}" for i in range(n)),
-            f=f,
-            max_batch=max_batch,
-            batch_delay=batch_delay,
-            adaptive_batching=adaptive_batching,
-            min_batch=min_batch,
-            request_timeout=request_timeout,
-            max_in_flight=max_in_flight,
-            costs=costs if costs is not None else CostModel(),
-        )
+        self.config = BroadcastConfig.for_group(group_id, **engine)
         self.group = BroadcastGroup.build(
             loop=self.runtime,
             network=self.network,

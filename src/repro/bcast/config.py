@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -135,6 +135,21 @@ class BroadcastConfig:
             raise ConfigurationError("checkpoint_interval must be non-negative")
         if self.max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be at least 1")
+
+    @classmethod
+    def for_group(cls, group_id: str, f: int = 1,
+                  costs: Optional[CostModel] = None,
+                  **engine: Any) -> "BroadcastConfig":
+        """A group of ``3f + 1`` replicas named ``{group_id}/r{i}``.
+
+        What the deployments build every group from: ``engine`` is any
+        other field of this class (an unknown name is the dataclass's own
+        ``TypeError``), ``costs=None`` means the default model.
+        """
+        if costs is not None:
+            engine["costs"] = costs
+        replicas = tuple(f"{group_id}/r{i}" for i in range(3 * f + 1))
+        return cls(group_id=group_id, replicas=replicas, f=f, **engine)
 
     @property
     def n(self) -> int:

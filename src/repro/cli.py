@@ -7,8 +7,8 @@ Commands:
 * ``plan``      — optimize an overlay tree for a demand matrix;
 * ``capacity``  — probe group capacities (the K(x) methodology of §V-C);
 * ``experiment``— run one of the paper's figure scenarios;
-* ``chaos``     — run a seeded chaos soak (nemesis faults + invariant
-  checks) on the sim and/or real-time backend;
+* ``chaos``     — soak a scenario under its seeded nemesis faults with
+  invariant checks, on the sim and/or real-time backend;
 * ``scenario``  — validate or run a declarative scenario spec file
   (see ``docs/SCENARIOS.md`` and ``examples/scenarios/``).
 """
@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
+from repro.scenario.spec import BACKENDS, INTENSITIES
 from repro.types import destination
 
 
@@ -131,42 +132,52 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.runtime.chaos import run_chaos_soak
+    from dataclasses import replace
 
-    backends = ["sim", "rt"] if args.backend == "both" else [args.backend]
-    targets = tuple(g.strip() for g in args.groups.split(",") if g.strip())
+    from repro.errors import ConfigurationError
+    from repro.runtime.chaos import DEFAULT_SOAK, run_chaos_soak, soakable
+    from repro.scenario import ScenarioSpec
+
+    try:
+        spec = ScenarioSpec.load(args.file) if args.file else DEFAULT_SOAK
+        if args.seed is not None:
+            spec = spec.with_(seed=args.seed)
+        if args.duration is not None:
+            spec = spec.with_(
+                workload=replace(spec.workload, duration=args.duration))
+        if args.intensity is not None and spec.faults is not None:
+            spec = spec.with_(
+                faults=replace(spec.faults, intensity=args.intensity))
+        if args.backend == "both":
+            # a spec written for rt may name a codec the sim leg cannot take
+            legs = [spec.with_(backend="sim",
+                               protocol=replace(spec.protocol, wire="auto")),
+                    spec.with_(backend="rt")]
+        else:
+            legs = [spec.with_(backend=args.backend or spec.backend)]
+        for leg in legs:
+            soakable(leg)
+    except (OSError, ConfigurationError) as exc:
+        print(f"cannot soak {args.file or 'the default scenario'}: {exc}")
+        return 2
+    budget = {} if args.messages is None else {"messages": args.messages}
     failures = 0
-    for backend in backends:
-        report = run_chaos_soak(
-            backend=backend,
-            seed=args.seed,
-            intensity=args.intensity,
-            duration=args.duration,
-            settle=args.settle,
-            messages=args.messages,
-            targets=targets,
-            checkpoint_interval=args.checkpoint_interval,
-            max_in_flight=args.max_in_flight,
-            joins=args.joins,
-            leaves=args.leaves,
-            scale_cycles=args.scale_cycles,
-            read_ratio=args.read_ratio,
-            read_mode=args.read_mode,
-            wire=args.wire,
-            layout=args.layout,
-            fanout=args.fanout,
-            adaptive_tree=args.adaptive_tree,
-            adapt_interval=args.adapt_interval,
-            adapt_hysteresis=args.adapt_hysteresis,
-        )
+    for leg in legs:
+        report = run_chaos_soak(leg, **budget)
         print(report.summary())
         if args.timeline:
             print(report.schedule)
         if not report.ok:
             failures += 1
     if failures:
-        print(f"{failures} backend(s) FAILED — reproduce with "
-              f"--seed {args.seed} --intensity {args.intensity}")
+        replay = ["python -m repro chaos"] + ([args.file] if args.file else [])
+        for flag in ("backend", "seed", "intensity", "duration", "messages"):
+            if getattr(args, flag) is not None:
+                replay += [f"--{flag}", str(getattr(args, flag))]
+        if args.timeline:
+            replay.append("--timeline")
+        print(f"{failures} backend(s) FAILED — replay with: "
+              + " ".join(replay))
     return 2 if failures else 0
 
 
@@ -238,66 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
 
     chaos = sub.add_parser(
-        "chaos", help="run a seeded chaos soak with invariant checks")
-    chaos.add_argument("--backend", choices=["sim", "rt", "both"],
-                       default="sim", help="execution backend(s) to soak")
-    chaos.add_argument("--seed", type=int, default=7,
-                       help="nemesis seed (same seed = same fault timeline)")
-    chaos.add_argument("--intensity",
-                       choices=["light", "medium", "heavy", "churn"],
-                       default="medium")
-    chaos.add_argument("--duration", type=float, default=6.0,
-                       help="nemesis horizon scale in runtime seconds")
-    chaos.add_argument("--settle", type=float, default=30.0,
-                       help="max extra seconds to quiesce after the final heal")
-    chaos.add_argument("--messages", type=int, default=60,
+        "chaos", help="run a seeded chaos soak with invariant checks",
+        description="The flags are per-run overrides; every other setting "
+                    "is a field of the scenario file (docs/SCENARIOS.md, "
+                    "examples/scenarios/soak_*.json).")
+    chaos.add_argument("file", nargs="?",
+                       help="scenario JSON with a faults section (default: "
+                            "repro.runtime.chaos.DEFAULT_SOAK)")
+    chaos.add_argument("--backend", choices=[*BACKENDS, "both"],
+                       help="execution backend(s) to soak")
+    chaos.add_argument("--seed", type=int,
+                       help="scenario seed (same seed = same fault timeline)")
+    chaos.add_argument("--intensity", choices=INTENSITIES,
+                       help="nemesis profile (faults.intensity)")
+    chaos.add_argument("--duration", type=float,
+                       help="nemesis horizon scale in runtime seconds "
+                            "(workload.duration)")
+    chaos.add_argument("--messages", type=int,
                        help="total multicasts in the soak workload")
-    chaos.add_argument("--checkpoint-interval", type=int, default=0,
-                       dest="checkpoint_interval",
-                       help="executed cids between application checkpoints "
-                            "(0 disables); also asserts retention stays "
-                            "within 2x the interval")
-    chaos.add_argument("--max-in-flight", type=int, default=4,
-                       dest="max_in_flight",
-                       help="consensus pipeline depth (1 = unpipelined; "
-                            "see docs/PIPELINE.md)")
-    chaos.add_argument("--joins", type=int, default=0,
-                       help="extra join (replica swap-in) churn ops on top "
-                            "of the intensity profile")
-    chaos.add_argument("--leaves", type=int, default=0,
-                       help="extra leave (replica swap-out) churn ops")
-    chaos.add_argument("--scale-cycles", type=int, default=0,
-                       dest="scale_cycles",
-                       help="extra paired scale_up/scale_down cycles "
-                            "(f -> f+1 -> f)")
-    chaos.add_argument("--read-ratio", type=float, default=0.0,
-                       help="extra read-tier probes per write (docs/READS.md); "
-                            "also arms the read-safety invariants")
-    chaos.add_argument("--read-mode", choices=["optimistic", "snapshot"],
-                       default="optimistic",
-                       help="how riding-along reads are served")
-    chaos.add_argument("--wire", choices=["auto", "json", "binary"],
-                       default="auto",
-                       help="wire codec for rt-backend TCP links "
-                            "(docs/WIRE.md); ignored by the sim backend, "
-                            "auto = the measured-fastest codec (binary) on rt")
-    chaos.add_argument("--layout", choices=["two_level", "balanced"],
-                       default="two_level",
-                       help="overlay layout over the target groups; "
-                            "adaptive-tree soaks want 'balanced'")
-    chaos.add_argument("--fanout", type=int, default=8,
-                       help="targets per auxiliary of a balanced layout")
-    chaos.add_argument("--adaptive-tree", choices=["off", "observe", "on"],
-                       default="off",
-                       help="workload-adaptive overlay trees (docs/TREES.md): "
-                            "observe traffic, or also re-plan + switch via "
-                            "ordered TreeUpdate under chaos")
-    chaos.add_argument("--adapt-interval", type=float, default=1.0,
-                       help="seconds between planner decisions")
-    chaos.add_argument("--adapt-hysteresis", type=float, default=1.2,
-                       help="required cost ratio before a tree switch")
-    chaos.add_argument("--groups", default="g1,g2",
-                       help="comma-separated target groups of the overlay")
     chaos.add_argument("--timeline", action="store_true",
                        help="print the expanded nemesis timeline")
 

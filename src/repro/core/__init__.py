@@ -16,7 +16,7 @@ from repro.core.messages import WireMulticast, MulticastReply
 from repro.core.relay import QuorumMerge
 from repro.core.node import ByzCastApplication
 from repro.core.client import MulticastClient
-from repro.core.deployment import ByzCastDeployment, GroupSpec
+from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import (
     check_acyclic_order,
     check_agreement,
@@ -34,7 +34,6 @@ __all__ = [
     "ByzCastApplication",
     "MulticastClient",
     "ByzCastDeployment",
-    "GroupSpec",
     "check_agreement",
     "check_integrity",
     "check_validity",

@@ -21,10 +21,10 @@ Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
-from repro.bcast.config import BroadcastConfig, CostModel
+from repro.bcast.config import BroadcastConfig
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.replica import Replica
 from repro.core.client import MulticastClient
@@ -36,22 +36,6 @@ from repro.env.simbackend import SimRuntime
 
 #: maps (group_id, replica_index) -> network site, for WAN placement
 SiteAssigner = Callable[[str, int], str]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Per-group configuration overrides."""
-
-    f: int = 1
-    max_batch: int = 400
-    batch_delay: float = 0.0
-    adaptive_batching: bool = False
-    min_batch: int = 4
-    request_timeout: float = 2.0
-    checkpoint_interval: int = 0
-    max_in_flight: int = 4
-    authenticate_batches: bool = False
-    costs: Optional[CostModel] = None
 
 
 def _default_sites(group_id: str, replica_index: int) -> str:
@@ -70,25 +54,23 @@ class ByzCastDeployment:
     def __init__(
         self,
         tree: OverlayTree,
-        f: int = 1,
-        costs: Optional[CostModel] = None,
+        *,
         network_config: Optional[NetworkConfig] = None,
         seed: int = 1,
-        specs: Optional[Dict[str, GroupSpec]] = None,
+        specs: Optional[Mapping[str, Mapping[str, Any]]] = None,
         sites: Optional[SiteAssigner] = None,
         replica_classes: Optional[Dict[str, Dict[str, Type[Replica]]]] = None,
         app_overrides: Optional[Dict[str, Dict[str, Callable]]] = None,
         trace_capacity: int = 0,
-        max_batch: int = 400,
-        batch_delay: float = 0.0,
-        adaptive_batching: bool = False,
-        min_batch: int = 4,
-        request_timeout: float = 2.0,
-        checkpoint_interval: int = 0,
-        max_in_flight: int = 4,
-        authenticate_batches: bool = False,
         runtime: Optional[Runtime] = None,
+        **engine: Any,
     ) -> None:
+        """Everything above is deployment wiring; ``engine`` is the groups'
+        :meth:`BroadcastConfig.for_group` arguments (``f``, ``costs``,
+        ``batch_delay``, ...), declared and validated there only.
+        ``specs`` maps a group id to the fields that group overrides:
+        ``specs={"h1": {"f": 2}}``.
+        """
         self.tree = tree
         if runtime is None:
             runtime = SimRuntime(
@@ -103,34 +85,13 @@ class ByzCastDeployment:
         self.network = runtime.transport
         self.registry = KeyRegistry()
         self._sites = sites if sites is not None else _default_sites
-        default_costs = costs if costs is not None else CostModel()
 
         specs = specs or {}
-        self.group_configs: Dict[str, BroadcastConfig] = {}
-        for group_id in sorted(tree.nodes):
-            spec = specs.get(group_id, GroupSpec(
-                f=f, max_batch=max_batch, batch_delay=batch_delay,
-                adaptive_batching=adaptive_batching, min_batch=min_batch,
-                request_timeout=request_timeout,
-                checkpoint_interval=checkpoint_interval,
-                max_in_flight=max_in_flight,
-                authenticate_batches=authenticate_batches,
-            ))
-            n = 3 * spec.f + 1
-            self.group_configs[group_id] = BroadcastConfig(
-                group_id=group_id,
-                replicas=tuple(f"{group_id}/r{i}" for i in range(n)),
-                f=spec.f,
-                max_batch=spec.max_batch,
-                batch_delay=spec.batch_delay,
-                adaptive_batching=spec.adaptive_batching,
-                min_batch=spec.min_batch,
-                request_timeout=spec.request_timeout,
-                checkpoint_interval=spec.checkpoint_interval,
-                max_in_flight=spec.max_in_flight,
-                authenticate_batches=spec.authenticate_batches,
-                costs=spec.costs if spec.costs is not None else default_costs,
-            )
+        self.group_configs: Dict[str, BroadcastConfig] = {
+            group_id: BroadcastConfig.for_group(
+                group_id, **{**engine, **specs.get(group_id, {})})
+            for group_id in sorted(tree.nodes)
+        }
 
         self.groups: Dict[str, BroadcastGroup] = {}
         overrides = replica_classes or {}

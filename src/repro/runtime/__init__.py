@@ -39,8 +39,8 @@ from repro.runtime.tracing import (
     latency_breakdown,
 )
 from repro.runtime.chaos import (
+    DEFAULT_SOAK,
     ChaosReport,
-    SoakConfig,
     run_chaos_soak,
 )
 
@@ -64,7 +64,7 @@ __all__ = [
     "extract_timelines",
     "format_timeline",
     "latency_breakdown",
+    "DEFAULT_SOAK",
     "ChaosReport",
-    "SoakConfig",
     "run_chaos_soak",
 ]

@@ -1,11 +1,13 @@
 """Chaos soak harness: randomized faults + invariant checks on any backend.
 
-:func:`run_chaos_soak` builds a ByzCast deployment on the chosen execution
-backend, wraps its transport in a :class:`~repro.env.chaos.ChaosTransport`,
-expands a seed into a :class:`~repro.faults.nemesis.NemesisSchedule`
-(crashes + recoveries, victim partitions + heals, drop/duplicate/corrupt
-bursts, leader slowdowns, link flapping — all bounded by ``f`` per group),
-drives a mixed local/global closed-loop workload through it, and then:
+:func:`run_chaos_soak` builds the ByzCast deployment of a
+:class:`~repro.scenario.ScenarioSpec` on its execution backend, with the
+transport wrapped in a :class:`~repro.env.chaos.ChaosTransport` and the
+spec's ``faults`` section expanded into a
+:class:`~repro.faults.nemesis.NemesisSchedule` (crashes + recoveries,
+victim partitions + heals, drop/duplicate/corrupt bursts, leader slowdowns,
+link flapping — all bounded by ``f`` per group), drives a mixed
+local/global closed-loop workload through it, and then:
 
 1. waits for the system to quiesce after the schedule's final heal,
 2. asserts **liveness** — every client request was a-delivered and replied
@@ -18,130 +20,63 @@ drives a mixed local/global closed-loop workload through it, and then:
 The same seed reproduces the same nemesis timeline on every backend, and
 under the simulation backend the whole run is bit-identical — a failing
 soak is a unit test waiting to be written down.
+
+**What the harness reads of the spec.**  Topology, protocol, faults,
+backend and seed mean what they mean to ``run_scenario`` (one construction
+path: :func:`~repro.scenario.build.build_armed_deployment`).  Of the
+``workload`` section only ``clients``, ``duration`` (with ``warmup``, the
+nemesis horizon scale: ops start after ~5% and all end by ~85%),
+``read_ratio`` and ``read_mode`` are read: the soak drives its own fixed
+budget of ``messages`` opaque ``("soak", i)`` payloads, ``window``
+outstanding per client, over every single target plus adjacent pairs — not
+a timed driver workload.  ``read_ratio`` here is extra reads *per write*,
+riding along with the budget (0 keeps read machinery entirely out of the
+run, so the golden counter fingerprints stay untouched).
+
+**What the spec arms.**  Agreement, integrity, validity, prefix order,
+acyclic order and execution order are always checked.  On top:
+``protocol.checkpoint_interval > 0`` arms the memory bound (no replica may
+ever retain more than 2 × interval executed batches); membership churn
+(``faults.intensity: "churn"`` or ``joins``/``leaves``/``scale_cycles``)
+arms view agreement and joiner replay; ``workload.read_ratio > 0`` arms
+read safety; ``protocol.adaptive_tree: "on"`` runs the observe → decide →
+switch loop *under chaos* and arms tree-switch agreement (it wants
+``layout: "balanced"`` with >= 2 auxiliary bins, so the planner has leaf
+assignments to re-plan).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.invariants import check_all
-from repro.core.tree import OverlayTree
-from repro.faults.nemesis import PROFILES
-from repro.runtime.environments import soak_costs
-from repro.scenario import ScenarioSpec
+from repro.errors import ConfigurationError
 from repro.scenario.build import (
     arm_adaptive_tree,
     build_armed_deployment,
     retained_high_water,
 )
-from repro.scenario.spec import FaultSpec, ProtocolSpec, TopologySpec, WorkloadSpec
+from repro.scenario.spec import (
+    FaultSpec, ProtocolSpec, ScenarioSpec, WorkloadSpec)
 
-#: cheap calibrated-shape cost model so sim soaks stay fast in wall time
-#: (the scenario schema names it ``protocol.costs: "soak"``)
-SOAK_COSTS = soak_costs()
-
-
-@dataclass
-class SoakConfig:
-    """Parameters of one chaos soak run.
-
-    A thin view over :class:`~repro.scenario.ScenarioSpec`
-    (:meth:`to_scenario`): the soak's deployment is built exclusively
-    through the shared scenario path, this class only keeps the harness's
-    historical keyword surface plus the soak-specific workload knobs
-    (``messages``/``window`` — the soak drives a fixed message budget, not
-    a timed driver workload).
-    """
-
-    backend: str = "sim"
-    seed: int = 7
-    targets: Tuple[str, ...] = ("g1", "g2")
-    #: overlay layout over the targets (``two_level`` | ``balanced``);
-    #: adaptive-tree soaks want ``balanced`` with >= 2 auxiliary bins so
-    #: the planner has leaf assignments to re-plan
-    layout: str = "two_level"
-    fanout: int = 8
-    intensity: str = "medium"
-    #: nemesis horizon scale: ops start after ~5% and all end by ~85%
-    duration: float = 12.0
-    #: extra time after the final heal for quiescence (liveness deadline)
-    settle: float = 30.0
-    clients: int = 3
-    messages: int = 60
-    #: concurrently outstanding multicasts per client
-    window: int = 2
-    request_timeout: float = 0.5
-    retransmit_timeout: float = 0.5
-    #: executed cids between application checkpoints (0 = checkpointing
-    #: off); with an interval the soak also asserts the memory bound:
-    #: no replica may retain more than ``2 × checkpoint_interval``
-    #: executed batches at any point of the run
-    checkpoint_interval: int = 0
-    #: consensus pipeline depth (docs/PIPELINE.md); the soak's sixth
-    #: invariant — executed order is gap-free and equals decided-cid
-    #: order — is what makes soaking at depth > 1 meaningful
-    max_in_flight: int = 4
-    #: membership-churn ops on top of the intensity profile (joins/leaves
-    #: are standby-for-member swaps; scale cycles pair an f+1 scale-up
-    #: with the scale-down that undoes it) — the soak then also checks
-    #: the two churn invariants (view agreement, joiner replay)
-    joins: int = 0
-    leaves: int = 0
-    scale_cycles: int = 0
-    #: read-tier soak axis (docs/READS.md): ``read_ratio`` extra reads per
-    #: write, riding along with the message budget; the soak then also
-    #: checks the read-safety invariants (no stale read past quorum,
-    #: per-session monotone cids).  0 keeps read machinery entirely out
-    #: of the run (golden counter fingerprints stay untouched).
-    read_ratio: float = 0.0
-    read_mode: str = "optimistic"
-    #: wire codec of the rt backend's TCP transport (docs/WIRE.md); the
-    #: sim backend ignores it (messages pass by reference).  ``auto``
-    #: resolves to the measured-fastest codec per backend (binary on rt).
-    wire: str = "auto"
-    #: workload-adaptive overlay trees (docs/TREES.md): ``off`` |
-    #: ``observe`` | ``on``.  ``on`` runs the full observe → decide →
-    #: switch loop *under chaos* and arms the tree-switch invariant:
-    #: after quiescence every active correct replica must hold exactly
-    #: the controller's confirmed tree epoch and edges.
-    adaptive_tree: str = "off"
-    adapt_interval: float = 1.0
-    adapt_min_samples: int = 24
-    adapt_hysteresis: float = 1.2
-    adapt_cooldown: float = 2.0
-
-    def to_scenario(self) -> ScenarioSpec:
-        """This soak as a declarative scenario spec."""
-        return ScenarioSpec(
-            name=f"soak-{self.intensity}-{self.seed}",
-            topology=TopologySpec(names=tuple(self.targets),
-                                  layout=self.layout, fanout=self.fanout),
-            workload=WorkloadSpec(
-                clients=self.clients, warmup=0.0, duration=self.duration,
-                read_ratio=self.read_ratio, read_mode=self.read_mode),
-            protocol=ProtocolSpec(
-                request_timeout=self.request_timeout,
-                retransmit_timeout=self.retransmit_timeout,
-                checkpoint_interval=self.checkpoint_interval,
-                max_in_flight=self.max_in_flight,
-                costs="soak",
-                wire=self.wire if self.backend == "rt" else "json",
-                adaptive_tree=self.adaptive_tree,
-                adapt_interval=self.adapt_interval,
-                adapt_min_samples=self.adapt_min_samples,
-                adapt_hysteresis=self.adapt_hysteresis,
-                adapt_cooldown=self.adapt_cooldown,
-            ),
-            faults=FaultSpec(intensity=self.intensity, settle=self.settle,
-                             joins=self.joins, leaves=self.leaves,
-                             scale_cycles=self.scale_cycles),
-            backend=self.backend,
-            seed=self.seed,
-        )
-
-    def tree(self) -> OverlayTree:
-        return self.to_scenario().build_tree()
+#: the soak nobody configured (``python -m repro chaos``, ``run_chaos_soak()``):
+#: two targets under one auxiliary, medium chaos, 12 s nemesis horizon.
+#: Every value a soak wants different from the section defaults is written
+#: out: the cheap cost model keeps sim soaks fast in wall time, sub-second
+#: timeouts keep recovery inside the horizon, depth 4 makes the
+#: execution-order invariant (executed order is gap-free and equals
+#: decided-cid order) meaningful.
+DEFAULT_SOAK = ScenarioSpec(
+    name="soak",
+    workload=WorkloadSpec(clients=3, warmup=0.0, duration=12.0,
+                          read_mode="optimistic"),
+    protocol=ProtocolSpec(costs="soak", request_timeout=0.5,
+                          retransmit_timeout=0.5, max_in_flight=4,
+                          adapt_min_samples=24),
+    faults=FaultSpec(intensity="medium", settle=30.0),
+    seed=7,
+)
 
 
 @dataclass
@@ -267,44 +202,54 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosReport:
+def soakable(spec: ScenarioSpec) -> ScenarioSpec:
+    """``spec`` if the harness can soak it: valid, with a ``faults`` section,
+    plain ByzCast (``check`` ties faults to it) over opaque payloads."""
+    spec.check()
+    if spec.faults is None:
+        raise ConfigurationError(
+            f"scenario {spec.name!r} has no faults section to soak")
+    if spec.app != "none":
+        raise ConfigurationError(
+            f"scenario {spec.name!r}: the soak drives opaque payloads, "
+            f"not app {spec.app!r} (use `scenario run`)")
+    return spec
+
+
+def run_chaos_soak(spec: ScenarioSpec = DEFAULT_SOAK, messages: int = 60,
+                   window: int = 2) -> ChaosReport:
     """Run one seeded chaos soak and return its post-mortem report.
 
-    Keyword overrides are applied on top of ``config`` (or the defaults):
-    ``run_chaos_soak(backend="rt", seed=3)``.
+    ``spec`` must be :func:`soakable`; ``messages`` is the total multicast
+    budget and ``window`` the concurrently outstanding multicasts per
+    client (see the module docstring for what else of the spec is read).
     """
-    if config is None:
-        config = SoakConfig()
-    if overrides:
-        config = SoakConfig(**{**config.__dict__, **overrides})
-    if config.intensity not in PROFILES:
-        raise ValueError(f"unknown intensity {config.intensity!r}; "
-                         f"choose one of {sorted(PROFILES)}")
+    proto = soakable(spec).protocol
+    targets = spec.target_names()
 
-    spec = config.to_scenario().check()
     deployment, schedule, elasticity = build_armed_deployment(spec)
     runtime = deployment.runtime
     try:
         clients = [
             deployment.add_client(
-                f"c{i}", retransmit_timeout=config.retransmit_timeout)
-            for i in range(config.clients)
+                f"c{i}", retransmit_timeout=proto.retransmit_timeout)
+            for i in range(spec.workload.clients)
         ]
         _, planner = arm_adaptive_tree(spec, deployment, elasticity)
-        if config.adaptive_tree != "off" and len(config.targets) >= 4:
+        if proto.adaptive_tree != "off" and len(targets) >= 4:
             # cross-branch hot pairs (double-weighted) + every local
             # single: under the initial balanced packing each hot pair
             # spans two auxiliary branches, so a working planner provably
             # re-packs them under one — and a control run shows the static
             # hop tax
-            dests = _cross_pair_destinations(config.targets)
+            dests = _cross_pair_destinations(targets)
         else:
-            dests = _mixed_destinations(config.targets)
+            dests = _mixed_destinations(targets)
         sent_messages = []
         state = {"issued": 0, "read_credit": 0.0}
 
         def issue(client) -> None:
-            if state["issued"] >= config.messages:
+            if state["issued"] >= messages:
                 return
             index = state["issued"]
             state["issued"] += 1
@@ -313,11 +258,12 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
             # a deterministic credit accumulator (no RNG: the write
             # schedule — and so the golden fingerprints at ratio 0 — is
             # independent of the read axis)
-            state["read_credit"] += config.read_ratio
+            state["read_credit"] += spec.workload.read_ratio
             while state["read_credit"] >= 1.0:
                 state["read_credit"] -= 1.0
-                group = config.targets[index % len(config.targets)]
-                client.aread(group, payload=("peek",), mode=config.read_mode)
+                group = targets[index % len(targets)]
+                client.aread(group, payload=("peek",),
+                             mode=spec.workload.read_mode)
             client.amulticast(
                 dst, payload=("soak", index),
                 callback=lambda message, latency, c=client: issue(c),
@@ -325,7 +271,7 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
 
         def kickoff() -> None:
             for client in clients:
-                for _ in range(config.window):
+                for _ in range(window):
                     issue(client)
 
         runtime.clock.schedule(0.0, kickoff)
@@ -339,24 +285,24 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
             # awaiting confirmation (or queued behind one) means membership
             # is mid-flight, and the view-agreement check below would flag
             # a transient as a violation.
-            return (state["issued"] >= config.messages
+            return (state["issued"] >= messages
                     and all(c.pending() == 0 for c in clients)
                     and (elasticity is None or elasticity.idle()))
 
-        runtime.run_until(quiet, timeout=config.settle, poll=0.05)
+        runtime.run_until(quiet, timeout=spec.faults.settle, poll=0.05)
         # One extra beat so every replica (not just the f+1 quorum that
         # confirmed each client) finishes its trailing a-deliveries.
-        runtime.run(until=runtime.clock.now + 4 * config.request_timeout)
+        runtime.run(until=runtime.clock.now + 4 * proto.request_timeout)
 
         for client in clients:
             sent_messages.extend(message for message, _ in client.completions)
             sent_messages.extend(
                 entry.message for entry in client._inflight.values())
         outstanding = sum(c.pending() for c in clients)
-        liveness_ok = outstanding == 0 and state["issued"] >= config.messages
+        liveness_ok = outstanding == 0 and state["issued"] >= messages
 
         sequences = {}
-        for gid in config.targets:
+        for gid in targets:
             group = deployment.groups[gid]
             # Departed members (swapped out by churn) stop at a prefix by
             # design, so agreement is only asserted over *active* correct
@@ -376,14 +322,14 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
         violations.extend(_tree_violations(deployment, schedule, elasticity))
 
         max_retained = retained_high_water(deployment)
-        retention_ok = (config.checkpoint_interval <= 0
-                        or max_retained <= 2 * config.checkpoint_interval)
+        retention_ok = (proto.checkpoint_interval <= 0
+                        or max_retained <= 2 * proto.checkpoint_interval)
 
         counters = runtime.monitor.snapshot()
         report = ChaosReport(
-            backend=config.backend,
-            seed=config.seed,
-            intensity=config.intensity,
+            backend=spec.backend,
+            seed=spec.seed,
+            intensity=spec.faults.intensity,
             schedule=schedule.describe(),
             fault_kinds=schedule.kinds(),
             sent=state["issued"],
@@ -408,12 +354,12 @@ def run_chaos_soak(config: Optional[SoakConfig] = None, **overrides) -> ChaosRep
                 if deployment.groups[gid].replica(name).active
             ),
             elapsed=runtime.clock.now,
-            checkpoint_interval=config.checkpoint_interval,
+            checkpoint_interval=proto.checkpoint_interval,
             max_retained=max_retained,
             checkpoints_taken=counters.get("checkpoint.taken", 0),
             checkpoints_installed=counters.get("checkpoint.installed", 0),
             retention_ok=retention_ok,
-            max_in_flight=config.max_in_flight,
+            max_in_flight=proto.max_in_flight,
             reads_issued=sum(c.reads_issued for c in clients),
             reads_accepted=sum(c.reads_accepted for c in clients),
             read_fallbacks=sum(c.reads_fallback for c in clients),

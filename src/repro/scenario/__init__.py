@@ -16,9 +16,10 @@ Every harness in the repo builds from the same spec:
   (:mod:`repro.runtime.scenarios`, :mod:`repro.runtime.capacity`) — spec
   literals that differ in ``protocol.kind`` (ByzCast, Baseline,
   BFT-SMaRt), run through :func:`run_scenario`;
-* ``python -m repro chaos`` — the soak derives its deployment from a spec
-  (:meth:`~repro.runtime.chaos.SoakConfig.to_scenario`) and arms it
-  through the same helper :func:`run_scenario` uses;
+* ``python -m repro chaos [FILE]`` — the soak *takes* a spec
+  (:func:`repro.runtime.chaos.run_chaos_soak`; the ``soak_*.json`` files
+  under ``examples/scenarios/``) and arms it through the same helper
+  :func:`run_scenario` uses;
 * ``python -m repro scenario validate|run`` — lint or execute a spec file.
 
 See ``docs/SCENARIOS.md`` for the schema and examples.

@@ -173,6 +173,7 @@ def build_deployment(
         adaptive_batching=proto.adaptive_batching,
         min_batch=proto.min_batch,
         request_timeout=proto.request_timeout,
+        checkpoint_interval=proto.checkpoint_interval,
         max_in_flight=proto.max_in_flight,
         runtime=runtime,
     )
@@ -203,7 +204,6 @@ def build_deployment(
         sites=sites,
         replica_classes=replica_classes,
         app_overrides=overrides or None,
-        checkpoint_interval=proto.checkpoint_interval,
     )
     if proto.kind == "baseline":
         from repro.baseline.naive import BaselineDeployment

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.deployment import ByzCastDeployment, GroupSpec
+from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.errors import NetworkError
 from tests.helpers import FAST_COSTS
@@ -41,9 +41,18 @@ class TestConstruction:
         assert dep.network.site_of("g1/r3") == "region3"
 
     def test_specs_override_per_group(self):
-        dep = make(specs={"h1": GroupSpec(f=2)})
+        dep = make(request_timeout=0.5, specs={"h1": {"f": 2}})
         assert dep.group_configs["h1"].n == 7
         assert dep.group_configs["g1"].n == 4
+        # an override layers on the deployment-wide engine arguments
+        assert dep.group_configs["h1"].request_timeout == 0.5
+        assert dep.group_configs["h1"].costs is FAST_COSTS
+
+    def test_unknown_engine_argument_is_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match="max_inflight"):
+            make(max_inflight=2)
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            make(specs={"h1": {"checkpoint_every": 8}})
 
     def test_duplicate_client_name_rejected(self):
         dep = make()

@@ -73,19 +73,13 @@ def test_byzcast_f2_with_two_silent_relays():
 
 
 def test_mixed_f_per_group():
-    """GroupSpec allows different fault thresholds per group."""
-    from repro.core.deployment import GroupSpec
-
+    """Per-group ``specs`` allow different fault thresholds per group."""
     tree = OverlayTree.two_level(["g1", "g2"])
     dep = ByzCastDeployment(
         tree,
         costs=FAST_COSTS,
         request_timeout=0.5,
-        specs={
-            "h1": GroupSpec(f=2, request_timeout=0.5),
-            "g1": GroupSpec(f=1, request_timeout=0.5),
-            "g2": GroupSpec(f=1, request_timeout=0.5),
-        },
+        specs={"h1": {"f": 2}},
     )
     assert dep.group_configs["h1"].n == 7
     assert dep.group_configs["g1"].n == 4

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
+from tests.helpers import soak_spec
 
 pytestmark = pytest.mark.slow
 
@@ -27,10 +28,9 @@ WEDGE_SEED = 238
 
 def test_seed_238_regency_split_recovers():
     report = run_chaos_soak(
-        SoakConfig(backend="sim", duration=4.0, messages=24, clients=2,
-                   settle=30.0),
-        seed=WEDGE_SEED,
-        intensity="medium",
+        soak_spec(seed=WEDGE_SEED, intensity="medium", duration=4.0,
+                  clients=2),
+        messages=24,
     )
     assert report.ok, report.summary()
     assert report.outstanding == 0

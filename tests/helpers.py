@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -15,10 +16,15 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.env.actor import Actor
 from repro.env.monitor import Monitor
+from repro.runtime.chaos import DEFAULT_SOAK
+from repro.scenario import ScenarioSpec
 from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SeededRng
+
+#: the shipped scenario files (the named soaks CI runs live here)
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 #: Cheap cost model for functional tests — fast but still serialized per CPU.
 FAST_COSTS = CostModel(
@@ -203,3 +209,18 @@ def doubled(ids):
 def first_altered(ids):
     sender, seq, dst, payload = ids[0]
     return ((sender, seq, dst, ("tampered",)),) + ids[1:]
+
+
+def soak_spec(base: ScenarioSpec = DEFAULT_SOAK, **changes: Any) -> ScenarioSpec:
+    """``base`` with fields replaced, each routed to the section declaring it
+    (``seed`` and ``backend`` are the scenario's own, ``duration`` the
+    workload's: the nemesis inherits seed and horizon from those)."""
+    for key, value in changes.items():
+        section = None if key == "seed" else next(
+            (name for name in ("topology", "workload", "protocol", "faults")
+             if hasattr(getattr(base, name), key)), None)
+        if section is not None:
+            key, value = section, dataclass_replace(
+                getattr(base, section), **{key: value})
+        base = dataclass_replace(base, **{key: value})
+    return base

@@ -21,9 +21,9 @@ from repro.core.tree import OverlayTree
 from repro.env import make_runtime
 from repro.env.chaos import install_chaos
 from repro.faults.nemesis import NemesisSchedule
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
 from repro.types import destination
-from tests.helpers import FAST_COSTS
+from tests.helpers import FAST_COSTS, soak_spec
 
 #: sha256 of NemesisSchedule.generate(seed=42, medium, 10 s).describe() —
 #: changes only if the generator's draw order changes (a breaking change
@@ -35,15 +35,15 @@ GOLDEN_TIMELINE_SHA = (
 GROUPS = {gid: tuple(f"{gid}/r{i}" for i in range(4))
           for gid in ("g1", "g2", "h1")}
 
-FAST_SOAK = SoakConfig(backend="sim", duration=4.0, messages=24, clients=2,
-                       settle=30.0)
+FAST_SOAK = soak_spec(duration=4.0, clients=2)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
        intensity=st.sampled_from(["light", "medium"]))
 @settings(max_examples=6, deadline=None)
 def test_random_nemesis_schedules_never_violate_invariants(seed, intensity):
-    report = run_chaos_soak(FAST_SOAK, seed=seed, intensity=intensity)
+    report = run_chaos_soak(
+        soak_spec(FAST_SOAK, seed=seed, intensity=intensity), messages=24)
     assert report.liveness_ok, report.summary()
     assert report.violations == [], report.summary()
 
@@ -59,8 +59,8 @@ def test_golden_timeline_is_pinned():
 
 
 def test_same_seed_same_soak_report():
-    first = run_chaos_soak(FAST_SOAK, seed=42)
-    second = run_chaos_soak(FAST_SOAK, seed=42)
+    first = run_chaos_soak(FAST_SOAK.with_(seed=42), messages=24)
+    second = run_chaos_soak(FAST_SOAK.with_(seed=42), messages=24)
     assert first == second  # dataclass equality: every post-mortem field
     assert first.ok
 

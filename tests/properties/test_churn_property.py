@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
+from tests.helpers import soak_spec
 
-FAST_CHURN = SoakConfig(backend="sim", duration=4.0, messages=24, clients=2,
-                        intensity="churn", settle=30.0, max_in_flight=2)
+FAST_CHURN = soak_spec(duration=4.0, clients=2, intensity="churn",
+                       max_in_flight=2)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=4, deadline=None)
 def test_random_churn_schedules_never_violate_invariants(seed):
-    report = run_chaos_soak(FAST_CHURN, seed=seed)
+    report = run_chaos_soak(FAST_CHURN.with_(seed=seed), messages=24)
     assert report.liveness_ok, report.summary()
     assert report.violations == [], report.summary()

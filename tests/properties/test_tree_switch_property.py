@@ -19,33 +19,29 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
+from repro.scenario import ScenarioSpec
+from tests.helpers import SCENARIOS, soak_spec
 
-FAST_ADAPT = SoakConfig(
-    backend="sim", duration=6.0, messages=32, clients=2,
-    targets=("g1", "g2", "g3", "g4"), layout="balanced", fanout=2,
-    intensity="light", settle=30.0, max_in_flight=2,
-    adaptive_tree="on", adapt_interval=0.4, adapt_min_samples=12,
+#: the CI tree-switch soak (4 targets, balanced, fanout 2, light chaos)
+#: with a planner quicker on the trigger, so short runs switch early
+FAST_ADAPT = soak_spec(
+    ScenarioSpec.load(SCENARIOS / "soak_adaptive_tree.json"),
+    clients=2, max_in_flight=2, adapt_min_samples=12,
     adapt_hysteresis=1.1, adapt_cooldown=0.5,
 )
 
 #: membership churn rides along: joins/leaves + a scale cycle interleave
 #: with the planner's switches, so reconfigurations and tree updates
 #: contend for the same ordered admin path
-CHURN_ADAPT = SoakConfig(
-    backend="sim", duration=8.0, messages=32, clients=2,
-    targets=("g1", "g2", "g3", "g4"), layout="balanced", fanout=2,
-    intensity="churn", joins=1, scale_cycles=1, settle=30.0,
-    max_in_flight=2, checkpoint_interval=16,
-    adaptive_tree="on", adapt_interval=0.4, adapt_min_samples=12,
-    adapt_hysteresis=1.1, adapt_cooldown=0.5,
-)
+CHURN_ADAPT = soak_spec(FAST_ADAPT, duration=8.0, intensity="churn", joins=1,
+                        scale_cycles=1, checkpoint_interval=16)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=4, deadline=None)
 def test_random_seeds_never_violate_invariants_across_switches(seed):
-    report = run_chaos_soak(FAST_ADAPT, seed=seed)
+    report = run_chaos_soak(FAST_ADAPT.with_(seed=seed), messages=32)
     assert report.liveness_ok, report.summary()
     assert report.violations == [], report.summary()
 
@@ -53,7 +49,7 @@ def test_random_seeds_never_violate_invariants_across_switches(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=3, deadline=None)
 def test_mid_switch_churn_and_regency_changes_hold_invariants(seed):
-    report = run_chaos_soak(CHURN_ADAPT, seed=seed)
+    report = run_chaos_soak(CHURN_ADAPT.with_(seed=seed), messages=32)
     assert report.liveness_ok, report.summary()
     assert report.violations == [], report.summary()
 
@@ -61,25 +57,19 @@ def test_mid_switch_churn_and_regency_changes_hold_invariants(seed):
 def test_adaptive_soak_actually_switches_and_is_deterministic():
     """The property above is vacuous if no switch ever fires — pin a seed
     that provably switches, and that the sim schedule is replayable."""
-    first = run_chaos_soak(FAST_ADAPT, seed=11)
+    first = run_chaos_soak(FAST_ADAPT, messages=32)  # the file's seed: 11
     assert first.tree_switches >= 1, first.summary()
     assert first.tree_epoch >= 1
     assert first.violations == [], first.summary()
-    second = run_chaos_soak(FAST_ADAPT, seed=11)
+    second = run_chaos_soak(FAST_ADAPT, messages=32)
     assert second == first  # dataclass equality: every post-mortem field
 
 
 def test_rt_backend_survives_tree_switches():
-    config = SoakConfig(
-        backend="rt", duration=4.0, messages=24, clients=2,
-        targets=("g1", "g2", "g3", "g4"), layout="balanced", fanout=2,
-        intensity="light", settle=20.0, max_in_flight=2,
-        adaptive_tree="on", adapt_interval=0.4, adapt_min_samples=12,
-        adapt_hysteresis=1.1, adapt_cooldown=0.5,
-    )
-    report = run_chaos_soak(config, seed=11)
+    config = soak_spec(FAST_ADAPT, backend="rt", duration=4.0, settle=20.0)
+    report = run_chaos_soak(config, messages=24)
     assert report.liveness_ok, report.summary()
     assert report.violations == [], report.summary()
     # same seed, same config: the sim expands the identical fault timeline
-    sim = run_chaos_soak(config, backend="sim", seed=11)
+    sim = run_chaos_soak(config.with_(backend="sim"), messages=24)
     assert sim.schedule == report.schedule

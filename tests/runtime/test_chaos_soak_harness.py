@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.chaos import ChaosReport, SoakConfig, run_chaos_soak
+from repro.errors import ConfigurationError
+from repro.runtime.chaos import ChaosReport, run_chaos_soak
+from tests.helpers import soak_spec
 
-SIM_SOAK = SoakConfig(backend="sim", seed=7, duration=6.0, messages=40,
-                      clients=2)
+SIM_SOAK = soak_spec(seed=7, duration=6.0, clients=2)
 #: the rt soak runs on the wall clock — keep the horizon tight
-RT_SOAK = SoakConfig(backend="rt", seed=7, duration=3.0, messages=24,
-                     clients=2, settle=20.0)
+RT_SOAK = soak_spec(backend="rt", seed=7, duration=3.0, clients=2,
+                    settle=20.0)
 
 
 def check(report: ChaosReport) -> None:
@@ -30,25 +31,25 @@ def check(report: ChaosReport) -> None:
 
 
 def test_sim_soak_passes_invariants_and_liveness():
-    report = run_chaos_soak(SIM_SOAK)
+    report = run_chaos_soak(SIM_SOAK, messages=40)
     check(report)
     # The sim backend consumed virtual, not wall, time.
-    assert report.elapsed >= SIM_SOAK.duration * 0.85
+    assert report.elapsed >= SIM_SOAK.workload.duration * 0.85
     assert "PASS" in report.summary()
 
 
 def test_rt_soak_passes_invariants_and_liveness():
-    report = run_chaos_soak(RT_SOAK)
+    report = run_chaos_soak(RT_SOAK, messages=24)
     check(report)
     # Same seed, same config: both backends expand the same fault timeline.
-    sim = run_chaos_soak(RT_SOAK, backend="sim")
+    sim = run_chaos_soak(RT_SOAK.with_(backend="sim"), messages=24)
     assert sim.schedule == report.schedule
     assert sim.fault_kinds == report.fault_kinds
 
 
 def test_unknown_intensity_rejected():
-    with pytest.raises(ValueError):
-        run_chaos_soak(SIM_SOAK, intensity="apocalyptic")
+    with pytest.raises(ConfigurationError, match="apocalyptic"):
+        run_chaos_soak(soak_spec(SIM_SOAK, intensity="apocalyptic"))
 
 
 def test_soak_and_run_scenario_arm_the_same_schedule(monkeypatch):
@@ -66,5 +67,5 @@ def test_soak_and_run_scenario_arm_the_same_schedule(monkeypatch):
 
     monkeypatch.setattr(NemesisSchedule, "generate", recording)
     report = run_chaos_soak(SIM_SOAK, messages=8)
-    run_scenario(SIM_SOAK.to_scenario())
+    run_scenario(SIM_SOAK)
     assert timelines == [report.schedule] * 2 and "\n" in report.schedule

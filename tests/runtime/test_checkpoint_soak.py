@@ -18,13 +18,16 @@ import pytest
 
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
-from repro.runtime.chaos import SOAK_COSTS, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
+from repro.runtime.environments import soak_costs
+from repro.scenario import ScenarioSpec
 from repro.types import destination
+from tests.helpers import SCENARIOS, soak_spec
 
 
 def test_quick_soak_retention_bounded():
     report = run_chaos_soak(
-        seed=11, messages=300, duration=8.0, checkpoint_interval=8)
+        ScenarioSpec.load(SCENARIOS / "soak_retention.json"), messages=300)
     assert report.ok, report.summary()
     assert report.retention_ok
     assert report.checkpoint_interval == 8
@@ -34,7 +37,8 @@ def test_quick_soak_retention_bounded():
 
 
 def test_soak_without_checkpointing_reports_no_bound():
-    report = run_chaos_soak(seed=7, messages=40, duration=6.0, clients=2)
+    report = run_chaos_soak(soak_spec(seed=7, duration=6.0, clients=2),
+                            messages=40)
     assert report.ok, report.summary()
     assert report.checkpoint_interval == 0
     assert report.retention_ok          # vacuously: no bound configured
@@ -63,7 +67,7 @@ def test_long_soak_20k_rejoin_via_checkpoint_bounded_memory():
     dep = ByzCastDeployment(
         OverlayTree.two_level(["g1", "g2"]),
         seed=11,
-        costs=SOAK_COSTS,
+        costs=soak_costs(),
         checkpoint_interval=interval,
         request_timeout=0.5,
     )

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.chaos import SoakConfig, run_chaos_soak
+from repro.runtime.chaos import run_chaos_soak
+from repro.scenario import ScenarioSpec
+from tests.helpers import SCENARIOS, soak_spec
 
-#: mirrors the CI churn-soak job (.github/workflows/ci.yml)
-CHURN_SOAK = SoakConfig(backend="sim", seed=11, intensity="churn",
-                        duration=8.0, messages=60, checkpoint_interval=8,
-                        max_in_flight=4, joins=1, leaves=1, scale_cycles=1)
+#: the file the CI churn-soak job and scripts/run_experiments.py run
+CHURN_SOAK = ScenarioSpec.load(SCENARIOS / "soak_churn.json")
+#: the regression pins below: a short, narrow, churn-profile-only soak
+PIN = dict(duration=4.0, clients=2, max_in_flight=2,
+           joins=0, leaves=0, scale_cycles=0)
 
 
 def test_churn_soak_passes_with_membership_invariants():
@@ -45,9 +48,8 @@ def test_churn_soak_boundary_decision_known_to_one_replica():
     # cid exists anywhere.  Recovery relies on write-certificate-matching
     # single-voucher adoption plus replies from catch-up execution so the
     # admin client can still confirm the view.
-    report = run_chaos_soak(CHURN_SOAK, seed=238, duration=4.0, messages=24,
-                            clients=2, settle=30.0, max_in_flight=2,
-                            joins=0, leaves=0, scale_cycles=0)
+    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=238, **PIN),
+                            messages=24)
     assert report.ok, report.summary()
 
 
@@ -56,10 +58,9 @@ def test_churn_soak_instance_opened_across_scale_down_boundary():
     # members kept quorum 5 after the scale-down back to 4 — 4 live members
     # could write but never accept, cycling through regencies forever.
     # ConsensusInstance.rescope at the reconfig boundary fixes the quorum.
-    report = run_chaos_soak(CHURN_SOAK, seed=42, duration=4.0, messages=24,
-                            clients=2, settle=30.0, max_in_flight=2,
-                            checkpoint_interval=0,
-                            joins=0, leaves=0, scale_cycles=0)
+    report = run_chaos_soak(
+        soak_spec(CHURN_SOAK, seed=42, checkpoint_interval=0, **PIN),
+        messages=24)
     assert report.ok, report.summary()
 
 
@@ -70,9 +71,8 @@ def test_churn_soak_state_round_stays_open_for_straggler_vouchers():
     # closed the transfer round without adopting, wedging the joiner.
     # _handle_state_response now keeps the round open while any responder
     # proves we are behind, until every peer has answered.
-    report = run_chaos_soak(CHURN_SOAK, seed=107, duration=4.0, messages=24,
-                            clients=2, settle=30.0, max_in_flight=2,
-                            joins=0, leaves=0, scale_cycles=0)
+    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=107, **PIN),
+                            messages=24)
     assert report.ok, report.summary()
 
 
@@ -84,15 +84,15 @@ def test_churn_soak_unconfirmed_scale_up_view_agreement():
     # across the boundary, so the paired scale_down stays queued and the
     # view-agreement invariant fails at quiesce.  Workload liveness is fine.
     # Strict: the fix must flip this pin to a plain regression test.
-    report = run_chaos_soak(CHURN_SOAK, seed=1275, duration=4.0, messages=24,
-                            clients=2, settle=30.0, max_in_flight=2,
-                            checkpoint_interval=0,
-                            joins=0, leaves=0, scale_cycles=0)
+    report = run_chaos_soak(
+        soak_spec(CHURN_SOAK, seed=1275, checkpoint_interval=0, **PIN),
+        messages=24)
     assert report.ok, report.summary()
 
 
 def test_churn_soak_passes_on_realtime_backend():
-    report = run_chaos_soak(CHURN_SOAK, backend="rt", duration=4.0,
-                            messages=24, checkpoint_interval=0)
+    report = run_chaos_soak(
+        soak_spec(CHURN_SOAK, backend="rt", duration=4.0,
+                  checkpoint_interval=0), messages=24)
     assert report.ok, report.summary()
     assert report.membership_events

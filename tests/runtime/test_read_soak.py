@@ -10,16 +10,18 @@ fallen back) before the soak ends.
 
 from __future__ import annotations
 
-from repro.runtime.chaos import ChaosReport, SoakConfig, run_chaos_soak
+from repro.runtime.chaos import ChaosReport, run_chaos_soak
+from repro.scenario import ScenarioSpec
+from tests.helpers import SCENARIOS, soak_spec
 
-SIM_READS = SoakConfig(backend="sim", seed=11, duration=5.0, messages=30,
-                       clients=2, read_ratio=0.5)
+#: the CI read-soak files, shortened for tier 1
+SIM_READS = soak_spec(ScenarioSpec.load(SCENARIOS / "soak_reads.json"),
+                      duration=5.0, clients=2)
 #: the rt soak runs on the wall clock — keep the horizon tight
-RT_READS = SoakConfig(backend="rt", seed=11, duration=2.5, messages=16,
-                      clients=2, settle=20.0, read_ratio=0.5)
-SNAPSHOT_READS = SoakConfig(backend="sim", seed=11, duration=5.0,
-                            messages=30, clients=2, read_ratio=0.5,
-                            read_mode="snapshot", checkpoint_interval=8)
+RT_READS = soak_spec(SIM_READS, backend="rt", duration=2.5, settle=20.0)
+SNAPSHOT_READS = soak_spec(
+    ScenarioSpec.load(SCENARIOS / "soak_snapshot_reads.json"),
+    duration=5.0, clients=2)
 
 
 def check_reads(report: ChaosReport) -> None:
@@ -33,24 +35,24 @@ def check_reads(report: ChaosReport) -> None:
 
 
 def test_sim_soak_with_optimistic_reads():
-    check_reads(run_chaos_soak(SIM_READS))
+    check_reads(run_chaos_soak(SIM_READS, messages=30))
 
 
 def test_sim_soak_with_snapshot_reads():
-    check_reads(run_chaos_soak(SNAPSHOT_READS))
+    check_reads(run_chaos_soak(SNAPSHOT_READS, messages=30))
 
 
 def test_rt_soak_with_optimistic_reads():
-    report = run_chaos_soak(RT_READS)
+    report = run_chaos_soak(RT_READS, messages=16)
     check_reads(report)
     # Same seed, same config: both backends expand the same fault timeline.
-    sim = run_chaos_soak(RT_READS, backend="sim")
+    sim = run_chaos_soak(RT_READS.with_(backend="sim"), messages=16)
     assert sim.schedule == report.schedule
 
 
 def test_read_free_soak_reports_no_read_machinery():
-    report = run_chaos_soak(SoakConfig(backend="sim", seed=7, duration=4.0,
-                                       messages=24, clients=2))
+    report = run_chaos_soak(soak_spec(seed=7, duration=4.0, clients=2),
+                            messages=24)
     assert report.ok
     assert report.reads_issued == 0
     assert "read safety" not in report.summary()

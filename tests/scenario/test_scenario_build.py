@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.bcast.config import BroadcastConfig
 from repro.core.tree import OverlayTree
 from repro.errors import ConfigurationError, TreeError
 from repro.scenario import ScenarioSpec, build_destination_sampler, run_scenario
@@ -15,6 +17,7 @@ from repro.scenario.build import (
     scenario_membership,
 )
 from repro.scenario.spec import (
+    KINDS,
     FaultSpec,
     ProtocolSpec,
     TopologySpec,
@@ -111,6 +114,32 @@ class TestMembership:
         spec = TINY.with_(topology=TopologySpec(groups=2, f=2))
         members = scenario_membership(spec)
         assert all(len(names) == 7 for names in members.values())
+
+
+class TestEngineParameters:
+    """Every field ``ProtocolSpec`` shares with ``BroadcastConfig`` reaches
+    every group of every protocol (a copied signature once dropped two)."""
+
+    SHARED = sorted({f.name for f in dataclasses.fields(ProtocolSpec)}
+                    & {f.name for f in dataclasses.fields(BroadcastConfig)})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_default_values_reach_every_group(self, kind):
+        assert len(self.SHARED) >= 8
+        changed = {}
+        for name in self.SHARED:
+            default = getattr(ProtocolSpec(), name)
+            changed[name] = ("bench" if name == "costs" else
+                             not default if isinstance(default, bool) else
+                             default + 3)
+        spec = ScenarioSpec(name="p", protocol=ProtocolSpec(kind=kind, **changed))
+        deployment = spec.check().build_deployment()
+        configs = [group.config for group in deployment.groups.values()]
+        assert configs
+        for config in configs:
+            for name in self.SHARED:
+                want = build_costs(spec) if name == "costs" else changed[name]
+                assert getattr(config, name) == want, (config.group_id, name)
 
 
 class TestDeterminism:

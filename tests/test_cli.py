@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.helpers import SCENARIOS, soak_spec
 
 
 class TestParser:
@@ -62,12 +63,16 @@ class TestCommands:
         parser = build_parser()
         args = parser.parse_args(["chaos", "--backend", "both", "--seed", "3",
                                   "--intensity", "heavy", "--timeline"])
-        assert args.backend == "both"
-        assert args.seed == 3
+        assert (args.file, args.backend, args.seed) == (None, "both", 3)
         assert args.intensity == "heavy"
         assert args.timeline
-        with pytest.raises(SystemExit):
-            parser.parse_args(["chaos", "--backend", "fpga"])
+        # unset per-run flags mean "whatever the scenario says"
+        assert args.duration is None and args.messages is None
+        assert parser.parse_args(["chaos", "soak.json"]).file == "soak.json"
+        for bad in (["--backend", "fpga"], ["--intensity", "apocalyptic"],
+                    ["--max-in-flight", "2"], ["--joins", "1"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["chaos", *bad])
 
     def test_chaos_sim_soak(self, capsys):
         assert main(["chaos", "--backend", "sim", "--seed", "7",
@@ -77,6 +82,48 @@ class TestCommands:
         assert "PASS" in out
         assert "invariants" in out
         assert "# nemesis seed=7" in out  # --timeline prints the schedule
+
+    def test_chaos_unsoakable_scenarios_are_refused(self, capsys, tmp_path):
+        from repro.scenario.spec import FaultSpec, ProtocolSpec, ScenarioSpec
+
+        baseline = str(tmp_path / "baseline.json")
+        ScenarioSpec(name="b", protocol=ProtocolSpec(kind="baseline"),
+                     faults=FaultSpec()).save(baseline)
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text('{"name": "x", "chaos": 1}', encoding="utf-8")
+        for path, why in (
+            (str(tmp_path / "nope.json"), "No such file"),
+            (str(garbage), "unknown key(s) ['chaos']"),
+            (str(SCENARIOS / "mixed_two_level.json"), "no faults section"),
+            (str(SCENARIOS / "sharded_kv_soak.json"), "app 'sharded_kv'"),
+            (baseline, "needs protocol.kind 'byzcast'"),
+        ):
+            assert main(["chaos", path, "--intensity", "light"]) == 2
+            assert why in capsys.readouterr().out, path
+
+    def test_chaos_failure_prints_the_full_replay_command(
+            self, capsys, monkeypatch, tmp_path):
+        import repro.runtime.chaos as chaos
+
+        legs = []
+
+        def failing(spec, messages=60):
+            legs.append((spec.backend, spec.protocol.wire, spec.seed))
+            return chaos.ChaosReport(
+                backend=spec.backend, seed=spec.seed, intensity="medium",
+                schedule="", fault_kinds=(), sent=messages, completed=0,
+                outstanding=messages, liveness_ok=False)
+
+        monkeypatch.setattr(chaos, "run_chaos_soak", failing)
+        path = str(tmp_path / "rt_binary.json")
+        soak_spec(backend="rt", wire="binary").save(path)
+        assert main(["chaos", path, "--backend", "both", "--seed", "1275",
+                     "--duration", "4", "--messages", "24"]) == 2
+        assert (f"replay with: python -m repro chaos {path} --backend both "
+                "--seed 1275 --duration 4.0 --messages 24\n"
+                ) in capsys.readouterr().out
+        # the sim leg never sees a codec only rt can take
+        assert legs == [("sim", "auto", 1275), ("rt", "binary", 1275)]
 
 
 class TestScenarioCommand:
