@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from conftest import record
-from repro.runtime.environments import bench_batch_delay
 from repro.scenario import (
     ProtocolSpec,
     ScenarioSpec,
@@ -30,10 +29,8 @@ STATIC = ScenarioSpec(
     workload=WorkloadSpec(clients=16, client_prefix="bench-c",
                           destinations="hotpairs", hotspot_weight=0.9,
                           hotspot_period=4.0, warmup=6.0, duration=2.0),
-    protocol=ProtocolSpec(batch_delay=bench_batch_delay(),
-                          adaptive_batching=True, checkpoint_interval=64,
-                          max_in_flight=4, costs="bench",
-                          adaptive_tree="observe"),
+    protocol=ProtocolSpec(checkpoint_interval=64, max_in_flight=4,
+                          costs="bench", adaptive_tree="observe"),
 )
 ADAPTIVE = replace(
     STATIC, name="adapt_zipf_hotspot_migration",

@@ -15,7 +15,7 @@ This ablation measures both effects:
 from __future__ import annotations
 
 from conftest import record
-from repro.runtime.environments import BENCH_SCALE, bench_batch_delay
+from repro.runtime.environments import BENCH_SCALE
 from repro.scenario import ProtocolSpec, ScenarioSpec, TopologySpec, WorkloadSpec
 
 CLIENTS = 400
@@ -27,8 +27,7 @@ def run(kind, groups, f, clients, destinations):
         topology=TopologySpec(groups=groups, f=f, latency="lan"),
         workload=WorkloadSpec(clients=clients, destinations=destinations,
                               fixed=("g1",), warmup=1.0, duration=2.5),
-        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(),
-                              max_in_flight=4, costs="bench"),
+        protocol=ProtocolSpec(kind=kind, max_in_flight=4, costs="bench"),
     ).run()
 
 

@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from conftest import record
-from repro.runtime.environments import bench_batch_delay
 from repro.scenario import (
     ProtocolSpec,
     ScenarioSpec,
@@ -24,8 +23,7 @@ from repro.scenario import (
 
 PIPELINE_SPEEDUP = 1.5
 
-PROTOCOL = ProtocolSpec(batch_delay=bench_batch_delay(), adaptive_batching=True,
-                        checkpoint_interval=64, costs="bench")
+PROTOCOL = ProtocolSpec(checkpoint_interval=64, costs="bench")
 
 GLOBAL_TWO_LEVEL = ScenarioSpec(
     name="global_two_level", seed=11,
@@ -50,10 +48,11 @@ def pipelined(spec: ScenarioSpec) -> ScenarioSpec:
 
 
 # The p95 ceilings are the depth-1 cells of BENCH_seed.json (the legacy
-# matrix's baseline, recorded without adaptive batching: 118.22 ms and
+# matrix's baseline, recorded under a fixed batch delay: 118.22 ms and
 # 121.06 ms) x 1.1 — the "at most +10 % p95" clause of the gate this
-# ablation replaces.  They are not same-run twins: with adaptive batching
-# the depth-1 p95 falls below what a deeper window can match by design.
+# ablation replaces.  They are not same-run twins: the same-run depth-1
+# p95 (82 ms on global_two_level) is below what a deeper window serving
+# twice the clients can match, by design.
 @pytest.mark.parametrize("depth1,p95_ceiling_ms", [
     pytest.param(GLOBAL_TWO_LEVEL, 118.22 * 1.1, id=GLOBAL_TWO_LEVEL.name),
     pytest.param(MIXED_PAPER_TREE, 121.0575 * 1.1, id=MIXED_PAPER_TREE.name),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from conftest import record
-from repro.runtime.environments import bench_batch_delay
 from repro.scenario import ProtocolSpec, ScenarioSpec, WorkloadSpec
 
 READ_SPEEDUP = 5.0
@@ -24,9 +23,7 @@ ORDERED = ScenarioSpec(
                           loop="open", rate=1600.0, destinations="local",
                           warmup=0.5, duration=1.5, key_dist="zipfian",
                           read_ratio=0.9, read_mode="ordered"),
-    protocol=ProtocolSpec(batch_delay=bench_batch_delay(),
-                          adaptive_batching=True, checkpoint_interval=64,
-                          costs="bench"),
+    protocol=ProtocolSpec(checkpoint_interval=64, costs="bench"),
 )
 OPTIMISTIC = replace(
     ORDERED, name="read90_zipf_open",

@@ -13,7 +13,7 @@ from conftest import record
 from repro.baseline.naive import BaselineDeployment
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
-from repro.runtime.environments import bench_batch_delay, bench_costs
+from repro.runtime.environments import bench_costs
 from repro.runtime.genuineness import audit_genuineness
 from repro.types import destination
 from repro.workload.spec import local_uniform, mixed_ratio, uniform_pairs
@@ -41,14 +41,12 @@ def test_genuineness_audit(run_scenario, benchmark):
             ByzCastDeployment,
             tree=OverlayTree.paper_tree(),
             costs=bench_costs(),
-            batch_delay=bench_batch_delay(),
             trace_capacity=500_000,
         )
         base = run_mixed(
             BaselineDeployment,
             targets=TARGETS,
             costs=bench_costs(),
-            batch_delay=bench_batch_delay(),
             trace_capacity=500_000,
         )
         return (

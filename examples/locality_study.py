@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 
-from repro import ByzCastDeployment, OptimizationInput, OverlayTree, destination
+from repro import ByzCastDeployment, OverlayTree, destination
+from repro.optimizer import OptimizationInput
 from repro.metrics.ascii import bar_chart
 from repro.optimizer.enumerate import optimize_exhaustive
 from repro.workload.spec import zipfian_local

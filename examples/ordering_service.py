@@ -25,7 +25,7 @@ CHANNELS = ["payments", "trades", "audit"]
 
 
 def main() -> None:
-    service = OrderingService(CHANNELS, batch_delay=0.0002)
+    service = OrderingService(CHANNELS)
     alice = service.client("alice")
     bank = service.client("bank")
 

@@ -10,7 +10,8 @@ Run:  python examples/tree_planner.py
 
 from __future__ import annotations
 
-from repro import OptimizationInput, destination, optimize_exhaustive
+from repro import destination
+from repro.optimizer import OptimizationInput, optimize_exhaustive
 from repro.optimizer.heuristic import optimize_heuristic
 from repro.optimizer.report import format_table3, table3_report
 

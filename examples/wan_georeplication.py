@@ -35,7 +35,6 @@ def main() -> None:
         tree,
         network_config=wan_network_config(),
         sites=wan_site_assigner,           # replica i of each group -> region i
-        batch_delay=0.0002,
     )
     clients = {}
     for region in REGIONS:

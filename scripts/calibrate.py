@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.runtime.environments import BENCH_SCALE, bench_batch_delay
 from repro.scenario import (
     ProtocolSpec,
     ScenarioSpec,
@@ -27,7 +26,6 @@ from repro.scenario import (
 def main() -> None:
     costs = sys.argv[1] if len(sys.argv) > 1 else "calibrated"
     clients = int(sys.argv[2]) if len(sys.argv) > 2 else 200
-    batch_delay = bench_batch_delay(BENCH_SCALE if costs == "bench" else 1.0)
 
     def probe(label, kind, count, destinations, fixed=()):
         """One cell (warmup/window as in Fig. 7 / Fig. 4), printed as a row."""
@@ -37,8 +35,7 @@ def main() -> None:
             topology=TopologySpec(groups=4, latency="lan"),
             workload=WorkloadSpec(clients=count, destinations=destinations,
                                   fixed=fixed, warmup=warmup, duration=duration),
-            protocol=ProtocolSpec(kind=kind, batch_delay=batch_delay,
-                                  max_in_flight=4, costs=costs),
+            protocol=ProtocolSpec(kind=kind, max_in_flight=4, costs=costs),
         ))
         print(f"{result.row()}  median={result.latency.median * 1000:7.2f} ms")
 

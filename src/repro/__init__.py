@@ -21,6 +21,11 @@ Quickstart::
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 reproduction of each table and figure of the paper's evaluation.
+
+The root re-exports the protocol itself; the comparison protocols
+(:mod:`repro.baseline`), the applications (:mod:`repro.apps`) and the
+optimizer (:mod:`repro.optimizer`) are imported from their packages, so
+``import repro`` does not load them.
 """
 
 from repro.types import (
@@ -58,14 +63,6 @@ from repro.bcast import (
     GroupProxy,
     Replica,
 )
-from repro.baseline import BaselineDeployment, SingleGroupDeployment
-from repro.apps import ShardedStore, StoreClient
-from repro.optimizer import (
-    OptimizationInput,
-    optimize_exhaustive,
-    optimize_heuristic,
-    table3_report,
-)
 
 __version__ = "1.0.0"
 
@@ -102,15 +99,4 @@ __all__ = [
     "Replica",
     "GroupProxy",
     "Application",
-    # baselines
-    "BaselineDeployment",
-    "SingleGroupDeployment",
-    # applications
-    "ShardedStore",
-    "StoreClient",
-    # optimizer
-    "OptimizationInput",
-    "optimize_exhaustive",
-    "optimize_heuristic",
-    "table3_report",
 ]

@@ -136,7 +136,7 @@ class SingleGroupDeployment:
         **engine: Any,
     ) -> None:
         """``engine``: the group's :meth:`BroadcastConfig.for_group`
-        arguments (``f``, ``costs``, ``batch_delay``, ...)."""
+        arguments (``f``, ``costs``, ``max_batch``, ...)."""
         if runtime is None:
             runtime = SimRuntime(
                 network_config=network_config,

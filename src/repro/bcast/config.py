@@ -57,18 +57,12 @@ class BroadcastConfig:
         group_id: unique group name.
         replicas: replica endpoint names, ``len(replicas) == 3f + 1``.
         f: tolerated Byzantine replicas.
-        max_batch: maximum requests per consensus instance.
-        batch_delay: seconds the leader waits after noticing pending requests
-            before proposing, letting near-simultaneous arrivals (e.g. the
-            3f+1 relayed copies of one ByzCast message) batch into a single
-            consensus instance — the batching effect §IV relies on.
-        adaptive_batching: let the leader grow/shrink its effective batch
-            limit and skip the batch delay based on observed pool depth
-            (see :class:`repro.bcast.adaptive.AdaptiveBatcher`).  Off by
-            default: static configs reproduce the pinned golden traces.
-        min_batch: floor of the adaptive batch limit, and the pool depth
-            above which the adaptive leader proposes without delay before
-            any history accumulates.  Ignored when adaptive batching is off.
+        max_batch: maximum requests per consensus instance.  Batching is
+            otherwise natural: the leader starts an instance whenever a
+            pipeline slot is free and an unclaimed request is pooled, and
+            cuts the batch once the instance's fixed cost has run (see
+            ``Replica._maybe_propose``), so the 3f+1 relayed copies of one
+            ByzCast message land in one instance without any batch timer.
         request_timeout: seconds a replica waits for a pending request to be
             executed before voting to change the leader.
         heartbeat_interval: seconds between leader progress beacons
@@ -101,9 +95,6 @@ class BroadcastConfig:
     replicas: Tuple[str, ...]
     f: int = 1
     max_batch: int = 400
-    batch_delay: float = 0.0
-    adaptive_batching: bool = False
-    min_batch: int = 4
     request_timeout: float = 2.0
     heartbeat_interval: float = 1.0
     checkpoint_interval: int = 0
@@ -125,10 +116,6 @@ class BroadcastConfig:
             raise ConfigurationError(f"group {self.group_id!r}: duplicate replica names")
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be at least 1")
-        if self.min_batch < 1:
-            raise ConfigurationError("min_batch must be at least 1")
-        if self.batch_delay < 0:
-            raise ConfigurationError("batch_delay must be non-negative")
         if self.heartbeat_interval < 0:
             raise ConfigurationError("heartbeat_interval must be non-negative")
         if self.checkpoint_interval < 0:

@@ -81,7 +81,9 @@ class PendingPool:
         if not per_sender or seq not in per_sender:
             return None
         self._size -= 1
-        return per_sender.pop(seq)
+        request = per_sender.pop(seq)
+        self._compact()
+        return request
 
     def prune_ordered(self, tracker: SenderTracker) -> None:
         """Drop every pooled request that is already ordered."""
@@ -91,6 +93,7 @@ class PendingPool:
             for seq in stale:
                 del per_sender[seq]
                 self._size -= 1
+        self._compact()
 
     def admissible_batch(
         self,
@@ -143,7 +146,12 @@ class PendingPool:
         return tuple(batch)
 
     def _compact(self) -> None:
-        """Drop arrival-list entries whose requests are gone."""
+        """Drop arrival-list entries whose requests are gone.
+
+        Run wherever requests leave the pool, not only when a leader cuts
+        a batch: a follower never cuts one, and its list must stay bounded
+        by the pool too.
+        """
         if len(self._arrival) <= 4 * max(1, self._size):
             return
         self._arrival = [

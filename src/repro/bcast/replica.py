@@ -30,7 +30,6 @@ import zlib
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.bcast.adaptive import AdaptiveBatcher
 from repro.bcast.app import Application, ExecutionContext
 from repro.bcast.checkpoint import Checkpointer
 from repro.bcast.config import BroadcastConfig
@@ -109,10 +108,10 @@ class Replica(Actor):
         self.pool = PendingPool()
         self.log = DecisionLog(config.checkpoint_interval)
         self.checkpoints = Checkpointer(name, app, self.log, self.monitor)
-        self.batcher = AdaptiveBatcher(config)
         self.regency = RegencyManager(self.view.n, self.view.f)
         self._consensus: Dict[int, ConsensusInstance] = {}
-        #: leader-side: one batch assembly (delay + hold + CPU) at a time
+        #: leader-side: one batch assembly (fixed cost, cut, per-request
+        #: cost) at a time
         self._assembling = False
         #: leader-side: cid -> regency of our own still-open proposals; the
         #: live entries (cid >= execution cursor, undecided) are the
@@ -218,7 +217,6 @@ class Replica(Actor):
         self._pending_since.clear()
         self._request_timer = None
         self._stop_assist_at.clear()
-        self.batcher.reset()
         self.pool = PendingPool()
         self._update_inflight_gauge()
         self.monitor.record(self.name, "replica.departed")
@@ -302,7 +300,6 @@ class Replica(Actor):
         self._consensus.clear()
         self._assembling = False
         self._started.clear()
-        self.batcher.reset()
         self.pool = PendingPool()
         self._pending_since.clear()
         self._request_timer = None
@@ -497,44 +494,41 @@ class Replica(Actor):
         return floors or None
 
     def _maybe_propose(self) -> None:
-        """Leader: open another consensus instance if the window has room."""
+        """Leader: open another consensus instance if the window has room.
+
+        Natural batching (§IV): an instance starts whenever a pipeline slot
+        is free and some pooled request is not yet claimed by an open one —
+        no timer.  The batch is whatever accumulated meanwhile, so its size
+        follows the load.
+        """
         if not self.is_leader or self._assembling or self._state_xfer_active:
             return
-        in_flight = self._open_count()
-        if in_flight >= self.config.max_in_flight:
+        if self._open_count() >= self.config.max_in_flight:
             return
-        if not len(self.pool):
+        if not len(self.pool) or not self.pool.admissible_batch(
+                self.log.tracker, 1, self._reserved_floors()):
             return
         self._assembling = True
-        delay = self.batcher.proposal_delay(len(self.pool), in_flight)
-        if delay > 0:
-            self.set_timer(delay, self._begin_proposal)
-        else:
-            self._begin_proposal()
+        # The instance's fixed cost runs first; the batch is cut after it,
+        # from a second job, so requests whose receive work queued behind
+        # the fixed cost are pooled by then and ride in this instance.
+        self.work(self.config.costs.propose_fixed,
+                  lambda: self.work(0.0, self._begin_proposal))
 
     def _begin_proposal(self) -> None:
-        """Select the batch (after any batch delay) and charge the CPU."""
+        """Cut the batch (fixed cost already paid) and charge its per-request CPU."""
         if not self.is_leader or self._state_xfer_active:
             self._assembling = False
             return
-        depth = len(self.pool)
-        if self.batcher.hold(depth, self.loop.now, self._open_count()):
-            # Pool still filling toward the target batch: collect one more
-            # delay's worth of arrivals before burning the per-instance
-            # fixed costs on a fraction of the demand.
-            self.set_timer(self.config.batch_delay, self._begin_proposal)
-            return
         batch = self.pool.admissible_batch(
-            self.log.tracker, self.batcher.batch_limit(), self._reserved_floors()
+            self.log.tracker, self.config.max_batch, self._reserved_floors()
         )
         if not batch:
             self._assembling = False
             return
-        self.batcher.observe(depth, len(batch))
         cid = self._next_cid()
         regency = self.regency.current
-        costs = self.config.costs
-        cost = costs.propose_fixed + costs.propose_per_msg * len(batch)
+        cost = self.config.costs.propose_per_msg * len(batch)
         self.work(cost, lambda: self._send_propose(cid, regency, batch))
 
     def _send_propose(self, cid: int, regency: int, batch: Tuple[Request, ...]) -> None:

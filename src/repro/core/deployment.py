@@ -67,7 +67,7 @@ class ByzCastDeployment:
     ) -> None:
         """Everything above is deployment wiring; ``engine`` is the groups'
         :meth:`BroadcastConfig.for_group` arguments (``f``, ``costs``,
-        ``batch_delay``, ...), declared and validated there only.
+        ``max_batch``, ...), declared and validated there only.
         ``specs`` maps a group id to the fields that group overrides:
         ``specs={"h1": {"f": 2}}``.
         """
@@ -112,31 +112,35 @@ class ByzCastDeployment:
             )
 
         self.clients: List[MulticastClient] = []
-        #: membership as constructed (epoch 0).  Standbys spawned after
-        #: churn must build their protocol state from THIS and replay the
-        #: ordered history (Reconfigs, MembershipUpdates) to converge —
-        #: seeding them with the membership at spawn time would make their
-        #: replay of early parent-relayed copies diverge from what the
-        #: incumbents executed (the relayer would not be a known parent).
+        #: membership and overlay as constructed (epoch 0).  Standbys
+        #: spawned after churn or a tree switch must build their protocol
+        #: state from THESE and replay the ordered history (Reconfigs,
+        #: MembershipUpdates, TreeUpdates) to converge — seeding them with
+        #: the membership or tree at spawn time would make their replay of
+        #: early parent-relayed copies diverge from what the incumbents
+        #: executed (the relayer would not be a known parent).
         self.initial_group_configs: Dict[str, BroadcastConfig] = dict(
             self.group_configs)
+        self.initial_tree = tree
         self._started = False
 
     def _make_app(self, group_id: str, replica_name: str,
                   group_configs: Optional[Mapping[str, BroadcastConfig]] = None,
+                  tree: Optional[OverlayTree] = None,
                   ) -> ByzCastApplication:
         configs = group_configs if group_configs is not None else self.group_configs
+        tree = tree if tree is not None else self.tree
         factory = self._app_overrides.get(group_id, {}).get(replica_name)
         if factory is not None:
             return factory(
                 group_id=group_id,
-                tree=self.tree,
+                tree=tree,
                 group_configs=configs,
                 registry=self.registry,
             )
         return ByzCastApplication(
             group_id=group_id,
-            tree=self.tree,
+            tree=tree,
             group_configs=configs,
             registry=self.registry,
             **self.app_kwargs,

@@ -46,13 +46,18 @@ class WireMulticast:
     @classmethod
     def from_message(cls, message: MulticastMessage,
                      signature: Optional[Signature] = None) -> "WireMulticast":
-        return cls(
+        wire = cls(
             sender=str(message.mid.sender),
             seq=message.mid.seq,
             dst=tuple(sorted(message.dst)),
             payload=tuple(message.payload),
             signature=signature,
         )
+        if wire.payload is message.payload:
+            # ``message`` is exactly what to_message() would build: share
+            # it instead of building a second one per process.
+            object.__setattr__(wire, "_message", message)
+        return wire
 
     def to_message(self) -> MulticastMessage:
         """The multicast this wire carries; built once and shared (frozen

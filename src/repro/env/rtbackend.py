@@ -29,12 +29,13 @@ a timer that comes due while the queue is busy fires after the slice that
 follows — between one and two slices late (plus the entry that is
 running), never more; when the queue empties the drain ends at once and
 nothing waits.  The slice is a constant, not an
-option.  It trades ``select`` calls against timer lateness, and timers
-pace the protocol (the leader's batch delay is a ``set_timer``): on the
-benchmark's ``rt_mixed`` 0.5 and 1 ms read alike, while 0.25 ms and 2 ms
-each keep less than half of the gain — the first to ``select`` calls and
-smaller batches, the second to batch timers that fire 2-4 ms late
-(EXPERIMENTS.md, "One wake-up per burst (PR 18)").
+option.  It trades ``select`` calls against timer lateness.  Timers no
+longer pace batching — the leader batches naturally, with no timer on
+the proposal path (``Replica._maybe_propose``) — so only timeouts,
+heartbeats and retransmissions wait on the slice, and the warning that
+end-to-end numbers depend on the slice through the batcher (EXPERIMENTS.md,
+"One wake-up per burst (PR 18)", measured when a 2 ms batch timer still
+paced every proposal) is obsolete.
 
 **Stopping.**  :meth:`RealtimeRuntime.stop` pauses the queue: the entry
 that is running finishes, nothing behind it runs in this ``run()``, and

@@ -245,13 +245,14 @@ class ElasticityController:
         starts inactive and polls state until a Reconfig activates it.
 
         The app is built against the deployment's *construction-time*
-        membership (``initial_group_configs``), not today's: catch-up
-        replays the ordered history from the start (or a checkpoint, whose
-        snapshot carries the membership of its epoch), and the relay wiring
-        must evolve through the replayed MembershipUpdates exactly as the
-        incumbents' did — seeding it with post-churn membership would make
-        early parent-relayed copies unrecognizable and reorder the f+1
-        quorum-merge releases.
+        membership and tree (``initial_group_configs``, ``initial_tree``),
+        not today's: catch-up replays the ordered history from the start
+        (or a checkpoint, whose snapshot carries the membership and tree of
+        its epoch), and the relay wiring must evolve through the replayed
+        MembershipUpdates and TreeUpdates exactly as the incumbents' did —
+        seeding it with post-churn membership or a post-switch tree would
+        make early parent-relayed copies unrecognizable (denied, or
+        released in a different f+1 quorum-merge order).
         """
         dep = self.deployment
         group = dep.groups[group_id]
@@ -264,7 +265,8 @@ class ElasticityController:
             loop=dep.runtime,
             registry=dep.registry,
             app=dep._make_app(group_id, name,
-                              group_configs=dep.initial_group_configs),
+                              group_configs=dep.initial_group_configs,
+                              tree=dep.initial_tree),
             monitor=self.monitor,
             view=View(config.replicas, config.f),
         )

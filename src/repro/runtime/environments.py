@@ -106,10 +106,11 @@ def soak_costs() -> CostModel:
 
 
 def bench_batch_delay(scale: float = BENCH_SCALE) -> float:
-    """Leader batch delay matched to a cost scale.
+    """The leader batch delay the benchmark's workload definitions still set.
 
-    0.2 ms at paper scale — enough for the 3f+1 relayed copies of one
-    message to batch into a single consensus instance (the batching effect
-    §IV describes), which produces the paper's "global ≈ 2 × local" latency.
+    Inert: ``ProtocolSpec.batch_delay`` is accepted and ignored, because
+    leaders batch naturally (``Replica._maybe_propose``) with no batch
+    timer.  Kept, with its old value of 0.2 ms at paper scale, only until
+    the benchmark's workloads stop importing it.
     """
     return 0.0002 * scale

@@ -24,7 +24,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.runtime.environments import (
     BENCH_SCALE,
     REGIONS,
-    bench_batch_delay,
     wan_network_config,
 )
 from repro.scenario import (
@@ -63,8 +62,7 @@ def lan_cell(name: str, kind: str, groups: int, clients: int, destinations: str,
         topology=TopologySpec(groups=groups, layout=layout, latency="lan"),
         workload=WorkloadSpec(clients=clients, destinations=destinations,
                               fixed=fixed, warmup=warmup, duration=duration),
-        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(),
-                              max_in_flight=4, costs="bench"),
+        protocol=ProtocolSpec(kind=kind, max_in_flight=4, costs="bench"),
     )))
 
 
@@ -78,8 +76,7 @@ def _wan(name: str, kind: str, clients: int, destinations: str,
         topology=TopologySpec(groups=4, latency="wan", sites="wan_spread"),
         workload=WorkloadSpec(clients=clients, destinations=destinations,
                               fixed=fixed, warmup=warmup, duration=duration),
-        protocol=ProtocolSpec(kind=kind, batch_delay=bench_batch_delay(1.0),
-                              max_in_flight=4),
+        protocol=ProtocolSpec(kind=kind, max_in_flight=4),
     ))
 
 

@@ -169,9 +169,6 @@ def build_deployment(
         f=spec.topology.f,
         costs=build_costs(spec),
         max_batch=proto.max_batch,
-        batch_delay=proto.batch_delay,
-        adaptive_batching=proto.adaptive_batching,
-        min_batch=proto.min_batch,
         request_timeout=proto.request_timeout,
         checkpoint_interval=proto.checkpoint_interval,
         max_in_flight=proto.max_in_flight,

@@ -251,9 +251,12 @@ class ProtocolSpec:
     #: workload draws)
     kind: str = "byzcast"
     max_batch: int = 400
+    #: inert: accepted and ignored, kept only because the benchmark's
+    #: workload definitions still set it.  Leaders batch naturally
+    #: (``Replica._maybe_propose``), with no batch timer.
     batch_delay: float = 0.0
+    #: inert, for the same reason as ``batch_delay``
     adaptive_batching: bool = False
-    min_batch: int = 4
     request_timeout: float = 2.0
     retransmit_timeout: float = 4.0
     #: executed cids between application checkpoints (0 = off)
@@ -298,10 +301,8 @@ class ProtocolSpec:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"protocol.kind {self.kind!r} not in {list(KINDS)}")
-        if self.max_batch < 1 or self.min_batch < 1:
-            problems.append("protocol.max_batch and min_batch must be >= 1")
-        if self.batch_delay < 0:
-            problems.append("protocol.batch_delay must be >= 0")
+        if self.max_batch < 1:
+            problems.append("protocol.max_batch must be >= 1")
         if self.request_timeout <= 0:
             problems.append("protocol.request_timeout must be positive")
         if self.checkpoint_interval < 0:

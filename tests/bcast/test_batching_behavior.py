@@ -34,27 +34,23 @@ def test_max_batch_caps_round_size():
     assert rounds >= 10  # at most 10 requests per instance
 
 
-def test_batch_delay_coalesces_relay_copies():
-    """With a batch delay, the 3f+1 relayed copies of one global message
-    are ordered by the child group in a single consensus instance."""
+def test_natural_batching_coalesces_relay_copies():
+    """With no batch timer, the 3f+1 relayed copies of one global message
+    are ordered by the child group in a single consensus instance: they
+    arrive while the leader pays the first instance's fixed cost."""
     tree = OverlayTree.two_level(["g1", "g2"])
-    with_delay = ByzCastDeployment(tree, costs=FAST_COSTS, batch_delay=0.002,
-                                   request_timeout=0.5)
-    client = with_delay.add_client("c1")
-    client.amulticast(destination("g1", "g2"), payload=("m",))
-    with_delay.run(until=5.0)
-    assert client.pending() == 0
-    # One instance at the root (client request), one at each child (all
-    # four relayed copies together).
-    child_rounds = consensus_rounds(with_delay.groups["g1"].replicas[0])
-    assert child_rounds == 1
 
-    without = ByzCastDeployment(tree, costs=FAST_COSTS, batch_delay=0.0,
-                                request_timeout=0.5)
-    client2 = without.add_client("c1")
-    client2.amulticast(destination("g1", "g2"), payload=("m",))
-    without.run(until=5.0)
-    assert client2.pending() == 0
-    # Without the delay the copies usually straggle over 2+ instances.
-    child_rounds_nodelay = consensus_rounds(without.groups["g1"].replicas[0])
-    assert child_rounds_nodelay >= child_rounds
+    def child_rounds(**engine) -> int:
+        dep = ByzCastDeployment(tree, costs=FAST_COSTS, request_timeout=0.5,
+                                **engine)
+        client = dep.add_client("c1")
+        client.amulticast(destination("g1", "g2"), payload=("m",))
+        dep.run(until=5.0)
+        assert client.pending() == 0
+        return consensus_rounds(dep.groups["g1"].replicas[0])
+
+    # One instance at the root (client request), one at each child (all
+    # four relayed copies together) ...
+    assert child_rounds() == 1
+    # ... where one request per instance needs one per copy.
+    assert child_rounds(max_batch=1) == 4

@@ -37,8 +37,9 @@ class TestBroadcastConfig:
     def test_rejects_bad_batch_and_delay(self):
         with pytest.raises(ConfigurationError):
             make_config(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            make_config(batch_delay=-0.1)
+        # batching is natural: there is no batch timer left to configure
+        with pytest.raises(TypeError):
+            make_config(batch_delay=0.002)
 
     def test_rejects_negative_f(self):
         with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.bcast.fifo import PendingPool, SenderTracker
 from repro.bcast.messages import Request
+from tests.helpers import Harness
 
 
 def req(sender: str, seq: int) -> Request:
@@ -96,3 +97,29 @@ class TestPendingPool:
         pool.add(req("a", 2))
         batch = pool.admissible_batch(SenderTracker(), max_batch=2)
         assert [(r.sender, r.seq) for r in batch] == [("a", 1), ("b", 1)]
+
+    def test_arrival_list_bounded_without_batch_cuts(self):
+        """A follower never cuts a batch; removing what was ordered must
+        still keep its arrival list within 4x the pool size."""
+        pool = PendingPool()
+        tracker = SenderTracker()
+        for seq in range(1, 101):
+            pool.add(req("a", seq))
+            pool.add(req("b", seq))
+            pool.remove("a", seq)
+            tracker.advance("b", seq)
+            pool.prune_ordered(tracker)
+            assert len(pool._arrival) <= 4 * max(1, len(pool))
+        assert len(pool) == 0
+
+
+def test_followers_arrival_lists_stay_bounded():
+    h = Harness()
+    client = h.add_client()
+    for j in range(200):
+        client.submit(("op", j))
+    h.run(until=5.0)
+    assert len(client.results) == 200
+    for replica in h.group.replicas:
+        pool = replica.pool
+        assert len(pool._arrival) <= 4 * max(1, len(pool)), replica.name

@@ -22,7 +22,7 @@ def _pipeline_config(**overrides):
     # max_batch=1 forces one request per instance, so a burst of client
     # requests can only drain through window parallelism — the sharpest
     # way to make overlap observable (and deterministic).
-    params = dict(max_in_flight=4, max_batch=1, batch_delay=0.0)
+    params = dict(max_in_flight=4, max_batch=1)
     params.update(overrides)
     return make_config(**params)
 

@@ -115,11 +115,14 @@ def test_optimistic_read_happy_path():
 
 
 def test_snapshot_read_serves_checkpoint_state():
-    h = Harness(config=make_config("g1", checkpoint_interval=2))
+    # max_batch=2: the five submits span three cids, so a checkpoint (every
+    # two cids) exists; unbounded, the leader would batch them into one.
+    h = Harness(config=make_config("g1", checkpoint_interval=2, max_batch=2))
     client = add_read_client(h)
     for j in range(5):
         client.submit(("op", j))
     h.run(until=3.0)
+    assert h.group.replicas[0].log.next_execute >= 2
     client.read(mode="snapshot")
     h.loop.run(until=5.0)
     [(cid, result, _)] = client.accepted

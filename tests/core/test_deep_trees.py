@@ -62,7 +62,7 @@ def test_invariants_on_deep_tree_workload():
 
 def test_deep_tree_latency_grows_with_entry_height():
     dep = ByzCastDeployment(four_level_tree(), costs=FAST_COSTS,
-                            request_timeout=0.5, batch_delay=0.0005)
+                            request_timeout=0.5)
     client = dep.add_client("c1")
     latencies = {}
 

@@ -180,6 +180,17 @@ class TestRelayedCopies:
         assert restored.delivered_messages() == [wire.to_message()]
         assert restored.delivered_messages()[0] is not wire.to_message()
 
+    def test_wire_built_from_a_message_carries_that_message(self):
+        """A client's wire shares the message it was built from, so the
+        replicas a-delivering it build no second copy in the process."""
+        message = MulticastMessage(MessageId(ClientId("client"), 1),
+                                   frozenset({GroupId("g1")}), ("p",))
+        wire = WireMulticast.from_message(message)
+        assert wire.to_message() is message
+        # a payload that is not a plain tuple is normalised, not shared
+        listed = MulticastMessage(message.mid, message.dst, ["p"])
+        assert WireMulticast.from_message(listed).to_message() == message
+
     def test_relay_from_nonparent_is_not_counted_as_relay(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")

@@ -1,12 +1,11 @@
 """Property: every batch configuration preserves FIFO + atomic multicast.
 
-The adaptive batcher and the static ``max_batch``/``batch_delay`` knobs may
-only reshape *when* requests get batched — never what is delivered, in what
-relative order, or how often.  This sweeps randomized batch configurations
-(including the degenerate ``max_batch=1`` and delay-free corners, adaptive
-batching on and off) over a two-group ByzCast deployment and re-checks the
-per-sender FIFO property plus all five atomic-multicast invariants
-(agreement, integrity, validity, prefix order, acyclic order).
+Natural batching and the ``max_batch`` cap may only reshape *when* requests
+get batched — never what is delivered, in what relative order, or how
+often.  This sweeps randomized batch caps and pipeline depths (including
+the degenerate ``max_batch=1`` corner) over a two-group ByzCast deployment
+and re-checks the per-sender FIFO property plus all five atomic-multicast
+invariants (agreement, integrity, validity, prefix order, acyclic order).
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ TARGETS = ("g1", "g2")
 def batch_configs(draw):
     return {
         "max_batch": draw(st.integers(min_value=1, max_value=64)),
-        "batch_delay": draw(st.sampled_from([0.0, 0.0005, 0.001, 0.002, 0.005])),
-        "adaptive_batching": draw(st.booleans()),
-        "min_batch": draw(st.integers(min_value=1, max_value=8)),
+        "max_in_flight": draw(st.integers(min_value=1, max_value=4)),
         "seed": draw(st.integers(min_value=0, max_value=2000)),
         "n_clients": draw(st.integers(min_value=1, max_value=3)),
         "messages": draw(st.integers(min_value=2, max_value=10)),
@@ -45,9 +42,7 @@ def test_fifo_and_invariants_across_batch_configs(case):
         seed=case["seed"],
         costs=FAST_COSTS,
         max_batch=case["max_batch"],
-        batch_delay=case["batch_delay"],
-        adaptive_batching=case["adaptive_batching"],
-        min_batch=case["min_batch"],
+        max_in_flight=case["max_in_flight"],
     )
     clients = [dep.add_client(f"c{i}") for i in range(case["n_clients"])]
     dests = [destination("g1"), destination("g2"), destination("g1", "g2")]

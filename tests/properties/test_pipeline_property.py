@@ -30,8 +30,7 @@ def pipeline_workloads(draw):
 
 
 def _run(depth, n_clients, counts, seed, max_batch):
-    config = make_config(max_in_flight=depth, max_batch=max_batch,
-                         batch_delay=0.0)
+    config = make_config(max_in_flight=depth, max_batch=max_batch)
     h = Harness(seed=seed, config=config)
     clients = [h.add_client(f"c{i}") for i in range(n_clients)]
     for i, client in enumerate(clients):

@@ -54,6 +54,21 @@ def test_mid_switch_churn_and_regency_changes_hold_invariants(seed):
     assert report.violations == [], report.summary()
 
 
+def test_joiner_spawned_after_a_switch_replays_pre_switch_relays():
+    """Regression (seed 1, no checkpoints): a joiner spawned after a tree
+    switch replays the whole history, so it must start on the tree the
+    deployment was built with.  Built on the post-switch tree it denied
+    the replayed pre-switch ``RelayBatch``es (their sender was neither its
+    parent nor a drain) and diverged from the incumbents."""
+    report = run_chaos_soak(
+        soak_spec(CHURN_ADAPT, checkpoint_interval=0).with_(seed=1),
+        messages=32)
+    assert report.tree_switches >= 1, report.summary()
+    assert report.joiners_activated >= 1, report.summary()
+    assert report.liveness_ok, report.summary()
+    assert report.violations == [], report.summary()
+
+
 def test_adaptive_soak_actually_switches_and_is_deterministic():
     """The property above is vacuous if no switch ever fires — pin a seed
     that provably switches, and that the sim schedule is replayable."""

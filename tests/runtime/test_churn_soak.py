@@ -79,13 +79,14 @@ def test_churn_soak_state_round_stays_open_for_straggler_vouchers():
 @pytest.mark.xfail(strict=True, reason="open: unconfirmed scale_up leaves "
                    "controller and replicas on different views (ROADMAP P0)")
 def test_churn_soak_unconfirmed_scale_up_view_agreement():
-    # Known failure (seed 1275): h1 installs a scale_up Reconfig (7 members,
-    # f=2) that the ElasticityController never confirms while h1/r0 is down
-    # across the boundary, so the paired scale_down stays queued and the
-    # view-agreement invariant fails at quiesce.  Workload liveness is fine.
+    # Known failure (seed 1221): h1 installs a scale_up Reconfig (7 members,
+    # f=2) that the ElasticityController never confirms, so the paired
+    # scale_down stays queued and the view-agreement invariant fails at
+    # quiesce.  Workload liveness is fine.  About 3 % of seeds fail this way
+    # (ROADMAP P0); which ones moves with the proposal schedule.
     # Strict: the fix must flip this pin to a plain regression test.
     report = run_chaos_soak(
-        soak_spec(CHURN_SOAK, seed=1275, checkpoint_interval=0, **PIN),
+        soak_spec(CHURN_SOAK, seed=1221, checkpoint_interval=0, **PIN),
         messages=24)
     assert report.ok, report.summary()
 

@@ -9,39 +9,39 @@ from repro.runtime import scenarios
 
 FAST = dict(warmup=0.3, duration=0.8)
 
-#: ``figure:cell -> cell()`` at the sizes used below, recorded at 2fca3e9 from
-#: the per-protocol harness PR 23 deleted.  Only Fig. 8's four sampled cells
-#: were re-recorded: its clients are now ``c<i>``, not ``c-<region>`` (same
-#: sites, another RNG stream label; EXPERIMENTS.md, "One construction path").
+#: ``figure:cell -> cell()`` at the sizes used below.  Re-recorded for
+#: natural batching (every cell's latency moves: batches are cut after the
+#: instance's fixed cost, not after a batch timer); the values before it
+#: are in EXPERIMENTS.md, "Natural batching".
 PINS = {
-    "fig3:skewed/2-level": (1037.5, 0.007638415372540438, 0.0, 0.007638415372540438),
-    "fig3:skewed/3-level": (1075.0, 0.007338181548455561, 0.0, 0.007338181548455561),
-    "fig3:uniform/2-level": (975.0, 0.006415023824940559, 0.0, 0.006415023824940559),
-    "fig3:uniform/3-level": (575.0, 0.010088402367620573, 0.0, 0.010088402367620573),
-    "fig4a:baseline/2": (1800.0, 0.006645354359685324, 0.006645354359685324, 0.0),
-    "fig4a:bftsmart": (3600.0, 0.0032946338096619303, 0.0032946338096619303, 0.0),
-    "fig4a:byzcast/2": (3900.0, 0.0031349776304446264, 0.0031349776304446264, 0.0),
-    "fig4b:baseline/2": (1650.0, 0.007248837792485207, 0.0, 0.007248837792485207),
-    "fig4b:bftsmart": (3600.0, 0.0032946338096619303, 0.0032946338096619303, 0.0),
-    "fig4b:byzcast/2": (1650.0, 0.007248837792485207, 0.0, 0.007248837792485207),
-    "fig5a:baseline": (325.0, 0.0061276540748484805, 0.0061276540748484805, 0.0),
-    "fig5a:bft-smart": (675.0, 0.003018432768071038, 0.003018432768071038, 0.0),
-    "fig5a:byzcast": (650.0, 0.0030036646834490075, 0.0030036646834490075, 0.0),
-    "fig6:baseline": (975.0, 0.006336445288122904, 0.006325762688261383, 0.006444797372432591),
-    "fig6:byzcast": (1725.0, 0.003497659878967576, 0.0030806906499078676, 0.006465499685804327),
-    "fig6:byzcast/pure-local": (2025.0, 0.0030262903691853976, 0.0030262903691853976, 0.0),
-    "fig7:baseline/global/2": (175.0, 0.0061054517910705056, 0.0, 0.0061054517910705056),
-    "fig7:baseline/local/2": (175.0, 0.006080032506640766, 0.006080032506640766, 0.0),
-    "fig7:bftsmart": (325.0, 0.0029942680352872805, 0.0029942680352872805, 0.0),
-    "fig7:byzcast/global/2": (175.0, 0.0061054517910705056, 0.0, 0.0061054517910705056),
-    "fig7:byzcast/local/2": (325.0, 0.002992164692974692, 0.002992164692974692, 0.0),
-    "fig8:baseline/global": (8.666666666666666, 0.4476444889538854, 0.0, 0.4476444889538854),
-    "fig8:baseline/local": (9.0, 0.4324042853706543, 0.4324042853706543, 0.0),
-    "fig8:bftsmart": (16.666666666666668, 0.24003490334757552, 0.24003490334757552, 0.0),
-    "fig8:byzcast/global": (8.666666666666666, 0.4476444889538854, 0.0, 0.4476444889538854),
-    "fig8:byzcast/local": (16.666666666666668, 0.24060191344808438, 0.24060191344808438, 0.0),
-    "fig9:baseline": (18.25, 0.4531391526573167, 0.4544062760731143, 0.43898960784757685),
-    "fig9:byzcast": (30.75, 0.25884827670298904, 0.24341826836982056, 0.45429504892312217),
+    "fig3:skewed/2-level": (1300.0, 0.006256637271271976, 0.0, 0.006256637271271976),
+    "fig3:skewed/3-level": (1400.0, 0.005992147321361892, 0.0, 0.005992147321361892),
+    "fig3:uniform/2-level": (1050.0, 0.006057841010299852, 0.0, 0.006057841010299852),
+    "fig3:uniform/3-level": (787.5, 0.007656996102461032, 0.0, 0.007656996102461032),
+    "fig4a:baseline/2": (1950.0, 0.00631787158081856, 0.00631787158081856, 0.0),
+    "fig4a:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
+    "fig4a:byzcast/2": (4050.0, 0.002960466210981249, 0.002960466210981249, 0.0),
+    "fig4b:baseline/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
+    "fig4b:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
+    "fig4b:byzcast/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
+    "fig5a:baseline": (350.0, 0.005752344531493543, 0.005752344531493543, 0.0),
+    "fig5a:bft-smart": (700.0, 0.0028243719351531637, 0.0028243719351531637, 0.0),
+    "fig5a:byzcast": (725.0, 0.002806141838198195, 0.002806141838198195, 0.0),
+    "fig6:baseline": (975.0, 0.00592818240835534, 0.005918914275246889, 0.005999238095520134),
+    "fig6:byzcast": (1850.0, 0.0032166655500426595, 0.0028269528876911486, 0.005862609415481876),
+    "fig6:byzcast/pure-local": (2100.0, 0.002831713283013189, 0.002831713283013189, 0.0),
+    "fig7:baseline/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
+    "fig7:baseline/local/2": (175.0, 0.0056948061116385, 0.0056948061116385, 0.0),
+    "fig7:bftsmart": (362.5, 0.002793811584722583, 0.002793811584722583, 0.0),
+    "fig7:byzcast/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
+    "fig7:byzcast/local/2": (362.5, 0.002794132270227645, 0.002794132270227645, 0.0),
+    "fig8:baseline/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
+    "fig8:baseline/local": (9.0, 0.4335577413279835, 0.4335577413279835, 0.0),
+    "fig8:bftsmart": (16.666666666666668, 0.23987837425921893, 0.23987837425921893, 0.0),
+    "fig8:byzcast/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
+    "fig8:byzcast/local": (16.666666666666668, 0.2402224199119295, 0.2402224199119295, 0.0),
+    "fig9:baseline": (18.5, 0.44653916115082043, 0.44865411969651037, 0.42256963096633354),
+    "fig9:byzcast": (31.5, 0.2577737160065927, 0.24124360534424105, 0.4495229996898714),
 }
 
 

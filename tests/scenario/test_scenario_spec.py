@@ -71,7 +71,6 @@ def scenario_specs(draw):
         max_batch=draw(st.integers(min_value=1, max_value=1000)),
         batch_delay=draw(_times),
         adaptive_batching=draw(st.booleans()),
-        min_batch=draw(st.integers(min_value=1, max_value=16)),
         request_timeout=draw(_rates),
         retransmit_timeout=draw(_rates),
         checkpoint_interval=draw(st.integers(min_value=0, max_value=512)),
