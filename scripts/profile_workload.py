@@ -3,6 +3,7 @@
 
     python3 scripts/profile_workload.py W [--seed N] [--seconds S] [--top K]
                                         [--share mod:Class.func ...] [--gc]
+                                        [--messages]
 
 Runs one ``bench/run.py --child`` repeat of workload ``W`` under cProfile
 and prints the top rows by self time and by cumulative time — candidates
@@ -22,6 +23,12 @@ generation, as a share of the time the backend ran, and — on the asyncio
 workloads — process CPU per completed op, the share of the run the loop
 sat idle inside its selector, and asyncio handles created per op (one per
 ``call_soon`` / ``call_later``).
+
+``--messages`` adds an un-profiled repeat that counts every message a
+transport sends (:class:`MessageCensus`), by payload type and, for a
+``Reply``, by the kind its result names (``ack``, ``delivered``, ...), per
+completed op.  Its total is ``env.net_msgs_per_op``; on a sim workload the
+census is deterministic per seed.
 
 Each repeat runs in a fresh process (this file with ``--phase``), so the
 profiled repeat and the timed ones share no warm caches.
@@ -43,6 +50,7 @@ import pstats
 import subprocess
 import sys
 import time
+from collections import Counter
 from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -207,6 +215,50 @@ class RunWindow:
         return "\n".join(rows)
 
 
+class MessageCensus:
+    """Messages sent, counted where every transport counts ``net.sent``."""
+
+    #: (module, transport class) whose ``send`` is counted
+    TRANSPORTS = (("repro.sim.network", "Network"),
+                  ("repro.env.rtbackend", "InProcessTransport"),
+                  ("repro.env.tcp", "TcpTransport"))
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+
+    @staticmethod
+    def kind(payload) -> str:
+        """The payload's type name; a ``Reply``'s carries its result kind."""
+        name = type(payload).__name__
+        if name != "Reply":
+            return name
+        result = payload.result
+        if isinstance(result, tuple) and result and isinstance(result[0], str):
+            return f"Reply {result[0]}"
+        return f"Reply {type(result).__name__}"
+
+    def wrap(self, send: Callable) -> Callable:
+        def counted(transport, src, dst, payload, *args, **kwargs):
+            self.counts[self.kind(payload)] += 1
+            return send(transport, src, dst, payload, *args, **kwargs)
+
+        return counted
+
+    def install(self) -> None:
+        for module_name, class_name in self.TRANSPORTS:
+            cls = getattr(importlib.import_module(module_name), class_name)
+            cls.send = self.wrap(cls.send)
+
+    def report(self, completed: int) -> str:
+        rows = [f"{'messages sent':28s} {'per op':>9s} {'count':>10s}"]
+        for kind, count in sorted(self.counts.items(),
+                                  key=lambda item: (-item[1], item[0])):
+            rows.append(f"{kind:28s} {count / completed:9.3f} {count:10d}")
+        total = sum(self.counts.values())
+        rows.append(f"{'total':28s} {total / completed:9.3f} {total:10d}")
+        return "\n".join(rows)
+
+
 def run_repeat(args) -> Dict:
     """One ``--child`` repeat in this process; returns its result record."""
     from bench import run as bench_run
@@ -267,6 +319,19 @@ def phase_gc(args) -> int:
     return 0
 
 
+def phase_messages(args) -> int:
+    census = MessageCensus()
+    census.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} un-profiled: {summary(result)}")
+    print(census.report(result["completed"]))
+    return 0
+
+
+PHASES = {"profile": phase_profile, "share": phase_share, "gc": phase_gc,
+          "messages": phase_messages}
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -282,18 +347,18 @@ def main(argv: List[str] = None) -> int:
                         help="book GC pauses and, on asyncio workloads, "
                              "process CPU, loop idle share and handles "
                              "per op, with profiling off")
-    parser.add_argument("--phase", choices=("profile", "share", "gc"),
+    parser.add_argument("--messages", action="store_true",
+                        help="count messages sent per completed op, by "
+                             "payload type and Reply result kind")
+    parser.add_argument("--phase", choices=tuple(PHASES),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.phase == "profile":
-        return phase_profile(args)
-    if args.phase == "share":
-        return phase_share(args)
-    if args.phase == "gc":
-        return phase_gc(args)
+    if args.phase is not None:
+        return PHASES[args.phase](args)
     forwarded = sys.argv[1:] if argv is None else list(argv)
     phases = (["profile"] if args.top > 0 else []) + (
-        ["share"] if args.share else []) + (["gc"] if args.gc else [])
+        ["share"] if args.share else []) + (["gc"] if args.gc else []) + (
+        ["messages"] if args.messages else [])
     for phase in phases:
         done = subprocess.run([sys.executable, os.path.abspath(__file__),
                                *forwarded, "--phase", phase], cwd=ROOT)

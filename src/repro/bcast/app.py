@@ -74,6 +74,11 @@ class Application:
     the state as of the last :meth:`snapshot` (keep a stable mirror), not
     the live state.  Replicas silently ignore read modes an application
     does not implement, which pushes clients onto the ordered fallback.
+
+    **Answering contract (duck-typed).**  An application that implements
+    ``answer(src, payload) -> Any`` receives every message the replica's
+    protocol does not know, unordered, and the replica sends a non-None
+    return value back to ``src``.  It must not change replicated state.
     """
 
     def execute(self, request: Request, ctx: ExecutionContext) -> Any:

@@ -9,7 +9,9 @@ this with per-(sender) sequence numbers:
   contiguously from what is already ordered;
 * the :class:`SenderTracker` records, per sender, the highest sequence
   number ordered so far, so proposals (and executions) can be validated and
-  duplicates dropped.
+  duplicates dropped;
+* a :class:`ReplyWindow` keeps each sender's latest replies, so a
+  retransmitted request is answered again.
 
 A Byzantine leader that proposes a gap is caught by proposal validation at
 correct replicas (they refuse to WRITE), which eventually triggers a regency
@@ -18,9 +20,13 @@ change.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.bcast.messages import Request
+
+#: replies a :class:`ReplyWindow` keeps per sender: an open-loop sender may
+#: retransmit a request after later ones were answered
+REPLY_WINDOW = 32
 
 
 class SenderTracker:
@@ -49,6 +55,30 @@ class SenderTracker:
 
     def restore(self, state: Dict[str, int]) -> None:
         self._last = dict(state)
+
+
+class ReplyWindow:
+    """The last ``REPLY_WINDOW`` replies sent to each sender, by seq.
+
+    Local to one replica, never part of a snapshot: a replica that skipped
+    a request (it installed a checkpoint past it) has no reply to repeat
+    and stays silent, and the f+1 match needs only some correct replicas
+    to answer.
+    """
+
+    def __init__(self) -> None:
+        self._by_sender: Dict[str, Dict[int, Any]] = {}
+
+    def keep(self, sender: str, seq: int, reply: Any) -> None:
+        """Remember ``reply``; forget the sender's oldest beyond the window."""
+        window = self._by_sender.setdefault(sender, {})
+        window[seq] = reply
+        if len(window) > REPLY_WINDOW:
+            del window[next(iter(window))]
+
+    def get(self, sender: str, seq: int) -> Optional[Any]:
+        window = self._by_sender.get(sender)
+        return None if window is None else window.get(seq)
 
 
 class PendingPool:

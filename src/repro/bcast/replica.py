@@ -34,7 +34,7 @@ from repro.bcast.app import Application, ExecutionContext
 from repro.bcast.checkpoint import Checkpointer
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.consensus import ConsensusInstance
-from repro.bcast.fifo import PendingPool
+from repro.bcast.fifo import PendingPool, ReplyWindow
 from repro.bcast.log import DecisionLog
 from repro.bcast.messages import (
     Accept,
@@ -120,7 +120,8 @@ class Replica(Actor):
 
         self._pending_since: Dict[Tuple[str, int], float] = {}
         self._request_timer = None
-        self._last_reply: Dict[str, Reply] = {}
+        #: the results a retransmitted request is answered with
+        self._replies = ReplyWindow()
         #: (peer, regency) -> last time we re-sent them our old STOP vote
         self._stop_assist_at: Dict[Tuple[str, int], float] = {}
 
@@ -359,6 +360,12 @@ class Replica(Actor):
             handler = getattr(self.app, "handle_reply", None)
             if handler is not None:
                 handler(src, payload)
+        elif hasattr(self.app, "answer"):
+            # The application's own unordered traffic (ByzCast's
+            # DeliveryQuery): whatever it answers goes back to the sender.
+            answer = self.app.answer(src, payload)
+            if answer is not None:
+                self.send(src, answer)
         else:
             self.monitor.record(self.name, "replica.unknown_message", kind=type(payload).__name__)
 
@@ -384,9 +391,11 @@ class Replica(Actor):
                 self.monitor.record(self.name, "request.bad_signature", sender=request.sender)
                 return
         if self.log.tracker.is_duplicate(request):
-            cached = self._last_reply.get(request.sender)
-            if cached is not None and cached.req_seq == request.seq:
-                self.send(request.sender, cached)
+            result = self._replies.get(request.sender, request.seq)
+            if result is not None:
+                self.send(request.sender, Reply(self.group_id, self.name,
+                                                request.sender, request.seq,
+                                                result))
             return
         if self.pool.add(request):
             self._pending_since[request.key()] = self.loop.now
@@ -840,7 +849,7 @@ class Replica(Actor):
             self.monitor.record(self.name, "replica.executed", sender=request.sender, seq=request.seq)
             if result is not None:
                 reply = Reply(self.group_id, self.name, request.sender, request.seq, result)
-                self._last_reply[request.sender] = reply
+                self._replies.keep(request.sender, request.seq, result)
                 self._send_reply(request, reply)
         self.app.end_batch(ctx)
         if cid > self._applied_cid:
@@ -1150,6 +1159,20 @@ class Replica(Actor):
         if src not in self.view.replicas:
             return
         if not self._state_xfer_active:
+            # A straggler of a closed round still counts if it proves we
+            # are behind: the round's first f+1 answers may all come from
+            # peers stuck at our cursor — a cid decided at one correct
+            # replica whose ACCEPTs the others lost, so they can neither
+            # decide it again nor learn it from each other.  What the
+            # straggler vouches for needs f+1 matching answers (or our own
+            # write certificate) all the same.
+            if response.next_cid <= self.log.next_execute:
+                return
+            self._state_responses[src] = response
+            if self._try_adopt_state():
+                self._execute_ready()
+                self._drain_future_proposals()
+                self._maybe_propose()
             return
         self._state_responses[src] = response
         if len(self._state_responses) < self.view.f + 1:
@@ -1283,7 +1306,8 @@ class Replica(Actor):
         particular the admin client behind a Reconfig needs f+1 matching
         replies before it can confirm the new view.  Historical requests
         replayed by a joiner were never pending here, so bulk catch-up
-        stays reply-silent.
+        stays reply-silent; their replies are still kept for a sender that
+        retransmits.
         """
         ctx = ExecutionContext(replica=self, time=self.loop.now)
         for request in batch:
@@ -1299,11 +1323,12 @@ class Replica(Actor):
                     result = ("error", "reconfig denied")
             else:
                 result = self.app.execute(request, ctx)
-            if was_pending and result is not None:
+            if result is not None:
                 reply = Reply(self.group_id, self.name, request.sender,
                               request.seq, result)
-                self._last_reply[request.sender] = reply
-                self._send_reply(request, reply)
+                self._replies.keep(request.sender, request.seq, result)
+                if was_pending:
+                    self._send_reply(request, reply)
             self.monitor.record(self.name, "replica.executed_catchup",
                                 sender=request.sender, seq=request.seq)
         self.app.end_batch(ctx)

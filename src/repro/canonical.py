@@ -156,6 +156,7 @@ def _register_builtin_types() -> None:
         cmsg.MembershipUpdate, cmsg.TreeUpdate,
         bmsg.AuthenticatedPropose,
         cmsg.RelayBatch,
+        cmsg.DeliveryQuery,
     ):
         register_wire_type(cls)
 

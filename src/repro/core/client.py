@@ -4,19 +4,25 @@ A client signs its message, submits it to every replica of the lowest
 common ancestor group of the destination set, and considers it delivered
 once ``f + 1`` replicas of **each** destination group acknowledged delivery
 (at most ``f`` per group are faulty, so one correct replica per group
-vouches).  Latency is measured from submission to that last confirmation —
+vouches).  When the entry group is itself a destination, its acknowledgement
+is the ordered request's reply, ``("delivered", result)``, gathered by the
+entry proxy; every other destination group sends a
+:class:`~repro.core.messages.MulticastReply`, which the client asks for
+again with a :class:`~repro.core.messages.DeliveryQuery` when too few
+arrive.  Latency is measured from submission to that last confirmation —
 the figure the paper's latency plots report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclass_replace
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bcast.client import GroupProxy, ReadProxy
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.messages import ReadReply, Reply
-from repro.core.messages import MulticastReply, WireMulticast
+from repro.core.messages import DeliveryQuery, MulticastReply, WireMulticast
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -29,6 +35,9 @@ ReadCallback = Callable[["ReadOutcome"], None]
 
 #: read modes a client may request (see docs/READS.md)
 READ_MODES = ("ordered", "optimistic", "snapshot")
+#: DeliveryQuery rounds per message before the client gives up (the same
+#: cap as a proxy's retransmissions)
+MAX_DELIVERY_QUERIES = 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,11 @@ class _InFlight:
     #: accepted (quorum-confirmed) progress can reset that proxy's backoff
     entry_group: str = ""
     entry_seq: int = 0
+    #: once the entry group answered: when to send the next DeliveryQuery
+    #: round to the destination groups still unconfirmed, and how many
+    #: rounds went out
+    next_query: Optional[float] = None
+    queries: int = 0
 
 
 class MulticastClient(Actor):
@@ -145,6 +159,8 @@ class MulticastClient(Actor):
         #: is deferred, so no message is ever in flight across two trees
         self._paused = False
         self._deferred: List[Tuple[WireMulticast, _InFlight]] = []
+        #: armed while some message waits on MulticastReplies only
+        self._query_timer = None
 
     # ------------------------------------------------------------------- api
 
@@ -188,7 +204,8 @@ class MulticastClient(Actor):
         if self.traffic is not None:
             self.traffic.note(message.dst,
                               self.tree.destination_height(message.dst))
-        entry.entry_seq = self._proxy(entry_group).submit(wire)
+        entry.entry_seq = self._proxy(entry_group).submit(
+            wire, partial(self._entry_replied, (self.name, seq)))
         self.monitor.record(self.name, "client.amulticast",
                             seq=seq, dst=",".join(sorted(message.dst)))
 
@@ -386,9 +403,9 @@ class MulticastClient(Actor):
 
     def on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, Reply):
-            for proxy in self._proxies.values():
-                if proxy.handle_reply(src, payload):
-                    return
+            proxy = self._proxies.get(payload.group)
+            if proxy is not None:
+                proxy.handle_reply(src, payload)
         elif isinstance(payload, ReadReply):
             for read_proxy in self._read_proxies.values():
                 if read_proxy.handle_read_reply(src, payload):
@@ -412,18 +429,79 @@ class MulticastClient(Actor):
         votes.add(src)
         entry.candidates.setdefault(reply.group, {})[key] = reply.result
         if len(votes) >= config.f + 1:
-            entry.confirmed.add(reply.group)
-            entry.group_results[reply.group] = entry.candidates[reply.group][key]
-            # Backoff resets only on *accepted* progress — a full f+1 match
-            # for a destination group, vouched by at least one correct
-            # replica.  A bare reply must never count: a single Byzantine
-            # fast-replier could emit those at will and pin the entry
-            # proxy's retransmit backoff at its floor forever.
-            entry_proxy = self._proxies.get(entry.entry_group)
-            if entry_proxy is not None:
-                entry_proxy.note_progress(entry.entry_seq)
-            if entry.confirmed == entry.needed:
-                self._complete((reply.sender, reply.seq), entry)
+            self._confirm((reply.sender, reply.seq), entry, reply.group,
+                          entry.candidates[reply.group][key])
+
+    def _entry_replied(self, key: Tuple[str, int], result: Any) -> None:
+        """The entry proxy's f+1-matched result for the message ``key``.
+
+        ``("delivered", r)`` confirms a destination entry group with its
+        a-delivery result ``r``; ``("ack",)`` from an entry group that only
+        relays confirms nothing.  Either way the proxy stops retransmitting,
+        so the groups still unconfirmed wait on MulticastReplies, asked for
+        again by :meth:`_query_deliveries`.  An error: the message never
+        entered the tree.
+        """
+        entry = self._inflight.get(key)
+        if entry is None:
+            return
+        if (isinstance(result, tuple) and len(result) == 2
+                and result[0] == "delivered"):
+            group = entry.entry_group
+            if group in entry.needed and group not in entry.confirmed:
+                self._confirm(key, entry, group, result[1])
+        elif result != ("ack",):
+            return
+        if key in self._inflight and self.retransmit_timeout is not None:
+            entry.next_query = self.loop.now + self.retransmit_timeout
+            if self._query_timer is None:
+                self._query_timer = self.set_timer(self.retransmit_timeout,
+                                                   self._query_deliveries)
+
+    def _query_deliveries(self) -> None:
+        """Send a DeliveryQuery round for each message that is due one.
+
+        The round goes to every replica of each destination group that has
+        not confirmed; the rounds of one message back off like a proxy's
+        retransmissions.  One timer serves the whole client, re-armed while
+        any message still waits.
+        """
+        self._query_timer = None
+        now = self.loop.now
+        waiting = False
+        for (sender, seq), entry in self._inflight.items():
+            if entry.next_query is None or entry.queries >= MAX_DELIVERY_QUERIES:
+                continue
+            waiting = True
+            if entry.next_query > now:
+                continue
+            entry.queries += 1
+            entry.next_query = now + self.retransmit_timeout * min(
+                2 ** entry.queries, GroupProxy.MAX_BACKOFF_MULTIPLIER)
+            self.monitor.count("client.delivery_query")
+            for group in sorted(entry.needed - entry.confirmed):
+                query = DeliveryQuery(group, sender, seq)
+                for replica in self.group_configs[group].replicas:
+                    self.send(replica, query)
+        if waiting:
+            self._query_timer = self.set_timer(self.retransmit_timeout,
+                                               self._query_deliveries)
+
+    def _confirm(self, key: Tuple[str, int], entry: _InFlight, group: str,
+                 result: Any) -> None:
+        """Destination ``group`` confirmed on f+1 matching ``result``s."""
+        entry.confirmed.add(group)
+        entry.group_results[group] = result
+        # Backoff resets only on *accepted* progress — a full f+1 match for
+        # a destination group, vouched by at least one correct replica.  A
+        # bare reply must never count: a single Byzantine fast-replier
+        # could emit those at will and pin the entry proxy's retransmit
+        # backoff at its floor forever.
+        entry_proxy = self._proxies.get(entry.entry_group)
+        if entry_proxy is not None:
+            entry_proxy.note_progress(entry.entry_seq)
+        if entry.confirmed == entry.needed:
+            self._complete(key, entry)
 
     def _complete(self, key: Tuple[str, int], entry: _InFlight) -> None:
         del self._inflight[key]

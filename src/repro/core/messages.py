@@ -8,9 +8,11 @@ message identity + destinations + payload; every group at which the message
 *enters* the tree (its lca) verifies this signature, so a Byzantine server
 cannot fabricate multicasts on behalf of clients (Integrity, §II-B).
 
-Destination groups answer the originating client with
-:class:`MulticastReply`; the client accepts a group's delivery once ``f + 1``
-of its replicas replied (§IV, Fig. 2).
+Destination groups reached by a relay answer the originating client with
+:class:`MulticastReply`; a destination that is also the entry group answers
+with the ordered request's reply instead.  The client accepts a group's
+delivery once ``f + 1`` of its replicas replied (§IV, Fig. 2), and asks a
+relayed destination again with a :class:`DeliveryQuery` when they did not.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ class TreeUpdate:
 
 @dataclass(frozen=True)
 class MulticastReply:
-    """Per-replica delivery acknowledgement sent to the originating client.
+    """Per-replica acknowledgement of a relayed delivery, to the originating
+    client (the entry group's delivery rides its ordered reply).
 
     ``result`` optionally carries the application's (deterministic) output
     for this message at this group — e.g. the values read by a get.  The
@@ -176,3 +179,19 @@ class MulticastReply:
     sender: str
     seq: int
     result: Any = None
+
+
+@dataclass(frozen=True)
+class DeliveryQuery:
+    """A client asking a replica of ``group`` to send its
+    :class:`MulticastReply` for the client's message ``seq`` again.
+
+    Nothing else re-sends a lost ``MulticastReply``: the entry group has
+    answered, so the client's proxy no longer retransmits.  The query is
+    unordered and changes no state; a replica that has not a-delivered the
+    message yet, or no longer keeps its reply, stays silent.
+    """
+
+    group: str
+    sender: str
+    seq: int

@@ -6,8 +6,9 @@ ordered :class:`~repro.bcast.messages.Request` objects whose command is a
 :class:`~repro.core.messages.WireMulticast`; this application decides, per
 Algorithm 1, whether the message
 
-* entered the tree here (``k = 0``: the sender is a client and this group is
-  ``lca(m.dst)`` — the client's signature is verified), or
+* entered the tree here (``k = 0``: the submitter is the message's origin
+  client and this group is ``lca(m.dst)`` — the client's signature is
+  verified), or
 * was relayed by the parent group (it arrives inside a
   :class:`~repro.core.messages.RelayBatch` whose sender is one of the
   parent's replicas — it is confirmed through the f+1 quorum-head merge of
@@ -19,6 +20,13 @@ group is a destination (line 12-14; the acted ids are the ``A-delivered``
 set that prevents duplicates).  The re-broadcast is buffered per child and
 leaves as one ``RelayBatch`` per executed batch
 (:meth:`ByzCastApplication.end_batch`).
+
+Each replica answers the client once per group: a message that entered
+here and is a-delivered here is answered by the ordered request's reply,
+``("delivered", result)``; one a-delivered after a relay by a
+:class:`~repro.core.messages.MulticastReply`, sent again on the client's
+:class:`~repro.core.messages.DeliveryQuery`; an entry group that is not a
+destination replies ``("ack",)``.
 """
 
 from __future__ import annotations
@@ -30,9 +38,11 @@ from dataclasses import replace as dataclass_replace
 from repro.bcast.app import Application, ExecutionContext
 from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig
+from repro.bcast.fifo import ReplyWindow
 from repro.bcast.messages import Reply, Request
 from repro.bcast.reconfig import admin_identity
 from repro.core.messages import (
+    DeliveryQuery,
     MembershipUpdate,
     MulticastReply,
     RelayBatch,
@@ -74,7 +84,6 @@ class ByzCastApplication(Application):
         group_configs: Mapping[str, BroadcastConfig],
         registry: KeyRegistry,
         on_deliver: Optional[DeliverCallback] = None,
-        send_client_replies: bool = True,
         accept_any_ancestor: bool = False,
         on_snapshot: Optional[Callable[[], Any]] = None,
         on_restore: Optional[Callable[[Any], None]] = None,
@@ -99,7 +108,6 @@ class ByzCastApplication(Application):
         #: must be pure functions of replicated state.
         self.on_read = on_read
         self.on_snapshot_read = on_snapshot_read
-        self.send_client_replies = send_client_replies
         #: ByzCast requires clients to enter at lca(m.dst) (partial
         #: genuineness); the non-genuine Baseline lets clients enter at any
         #: ancestor of the destinations (in practice: the root).
@@ -139,6 +147,9 @@ class ByzCastApplication(Application):
         self._summarised: Tuple[Any, Any] = (None, None)
         #: chronological record of local a-deliver events (tests/metrics)
         self.deliveries: List[Delivery] = []
+        #: the MulticastReplies of relayed a-deliveries, by client and seq,
+        #: sent again on a DeliveryQuery (this replica's, not replicated)
+        self._multicast_replies = ReplyWindow()
         #: a-delivery count as of the last checkpoint — the default
         #: snapshot-read answer (mirrors the stable state, not the live one)
         self._stable_delivered = 0
@@ -172,8 +183,17 @@ class ByzCastApplication(Application):
             ctx.monitor.record(ctx.replica_name, "byzcast.bad_origin_signature",
                                sender=request.sender)
             return ("error", "invalid origin signature")
-        self._act(wire, ctx)
-        return ("ack",)
+        # Only the origin may submit its wire: the reply below goes to the
+        # submitter, and a copy ordered first under another sender (say, a
+        # Byzantine replica's) would leave the origin's own copy a duplicate.
+        if request.sender != wire.sender:
+            ctx.monitor.record(ctx.replica_name, "byzcast.foreign_submission",
+                               sender=request.sender)
+            return ("error", "submitted by someone other than its origin")
+        # A destination entry group answers with the a-delivery result in
+        # this ordered reply; any other entry group only acknowledges.
+        delivered = self._act(wire, ctx, entered=True)
+        return ("ack",) if delivered is None else delivered
 
     def _execute_relay_batch(self, sender: str, batch: RelayBatch,
                              ctx: ExecutionContext) -> Any:
@@ -363,18 +383,33 @@ class ByzCastApplication(Application):
 
     # ------------------------------------------------------------------ act
 
-    def _act(self, wire: WireMulticast, ctx: ExecutionContext) -> None:
-        """Forward down the tree and a-deliver locally (Algorithm 1, 10-14)."""
+    def _act(self, wire: WireMulticast, ctx: ExecutionContext,
+             entered: bool = False) -> Optional[Tuple]:
+        """Forward down the tree and a-deliver locally (Algorithm 1, 10-14).
+
+        A wire that ``entered`` the tree here is answered by its ordered
+        reply: the a-delivery comes back as ``("delivered", result)``
+        instead of leaving as a :class:`MulticastReply`.  None when nothing
+        was a-delivered.
+        """
         key = wire.identity()
         if key in self._acted:
-            return
+            return None
         self._acted[key] = None
         self._acted_digest.add(wire.identity_digest())
         for child in self.tree.route_children(self.group_id, wire.dst):
             self._relay_buffers.setdefault(child, []).append(wire)
             ctx.monitor.record(ctx.replica_name, "byzcast.relay", child=child)
-        if self.group_id in wire.dst:
-            self._a_deliver(wire, ctx)
+        if self.group_id not in wire.dst:
+            return None
+        result = self._a_deliver(wire, ctx)
+        if entered:
+            return ("delivered", result)
+        reply = MulticastReply(group=self.group_id, replica=ctx.replica_name,
+                               sender=wire.sender, seq=wire.seq, result=result)
+        self._multicast_replies.keep(wire.sender, wire.seq, reply)
+        ctx.replica.send(wire.sender, reply)
+        return None
 
     def end_batch(self, ctx: ExecutionContext) -> None:
         """Relay what this executed batch acted on: one request per child."""
@@ -412,7 +447,8 @@ class ByzCastApplication(Application):
             )
         return self._child_proxies[child]
 
-    def _a_deliver(self, wire: WireMulticast, ctx: ExecutionContext) -> None:
+    def _a_deliver(self, wire: WireMulticast, ctx: ExecutionContext) -> Any:
+        """Record the a-delivery; returns what ``on_deliver`` returned."""
         message = wire.to_message()
         self.deliveries.append(
             Delivery(
@@ -424,18 +460,9 @@ class ByzCastApplication(Application):
         )
         ctx.monitor.record(ctx.replica_name, "byzcast.a_deliver",
                            sender=wire.sender, seq=wire.seq)
-        result = None
-        if self.on_deliver is not None:
-            result = self.on_deliver(message, ctx)
-        if self.send_client_replies:
-            reply = MulticastReply(
-                group=self.group_id,
-                replica=ctx.replica_name,
-                sender=wire.sender,
-                seq=wire.seq,
-                result=result,
-            )
-            ctx.replica.send(wire.sender, reply)
+        if self.on_deliver is None:
+            return None
+        return self.on_deliver(message, ctx)
 
     # ------------------------------------------------------------------ reads
 
@@ -465,6 +492,13 @@ class ByzCastApplication(Application):
         proxy = self._child_proxies.get(reply.group)
         if proxy is not None:
             proxy.handle_reply(src, reply)
+
+    def answer(self, src: str, query: Any) -> Optional[MulticastReply]:
+        """A client's :class:`DeliveryQuery`: our MulticastReply again."""
+        if (not isinstance(query, DeliveryQuery) or query.sender != src
+                or query.group != self.group_id):
+            return None
+        return self._multicast_replies.get(src, query.seq)
 
     # --------------------------------------------------------- checkpointing
 

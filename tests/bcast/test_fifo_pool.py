@@ -1,8 +1,8 @@
-"""Unit tests for per-sender FIFO bookkeeping (pool + tracker)."""
+"""Unit tests for per-sender FIFO bookkeeping (pool, tracker, replies)."""
 
 from __future__ import annotations
 
-from repro.bcast.fifo import PendingPool, SenderTracker
+from repro.bcast.fifo import REPLY_WINDOW, PendingPool, ReplyWindow, SenderTracker
 from repro.bcast.messages import Request
 from tests.helpers import Harness
 
@@ -32,6 +32,19 @@ class TestSenderTracker:
         other = SenderTracker()
         other.restore(tracker.snapshot())
         assert other.last("a") == 5
+
+
+class TestReplyWindow:
+    def test_keeps_each_senders_newest_replies(self):
+        window = ReplyWindow()
+        for seq in range(1, REPLY_WINDOW + 2):
+            window.keep("a", seq, ("r", seq))
+        window.keep("b", 1, ("r", "b"))
+        assert window.get("a", 1) is None
+        assert window.get("a", 2) == ("r", 2)
+        assert window.get("a", REPLY_WINDOW + 1) == ("r", REPLY_WINDOW + 1)
+        assert window.get("b", 1) == ("r", "b")
+        assert window.get("c", 1) is None
 
 
 class TestPendingPool:

@@ -2,7 +2,40 @@
 
 from __future__ import annotations
 
+from repro.bcast.messages import Request, StateResponse
+from repro.crypto.digest import digest
 from tests.helpers import Harness
+
+
+def answer(sender, next_cid, *batches):
+    return StateResponse(group="g1", sender=sender, from_cid=0,
+                         next_cid=next_cid, regency=0, batches=batches,
+                         checkpoint=None, horizon=0)
+
+
+def test_a_straggler_answer_after_the_round_closed_is_adopted():
+    """cid 0 decided at r3 alone: r0 holds its write certificate, but the
+    ACCEPTs that would have decided it here were lost, and r1 and r2 are
+    stuck at the same cursor.  Their answers close the state round; r3's,
+    arriving after, must still install cid 0, or r0..r2 wait forever (the
+    group livelocks through regency changes that skip an executed cid)."""
+    h = Harness()
+    r0 = h.group.replicas[0]
+    r0.send = lambda dst, payload, **kw: None
+    r0._broadcast = lambda payload, **kw: None
+    batch = (Request("g1", "c0", 1, ("op", 1)),)
+    instance = r0._instance(0)
+    instance.note_proposal(0, digest(batch), batch)
+    for voter in ("g1/r0", "g1/r1", "g1/r2"):
+        instance.add_write(0, digest(batch), voter)
+    r0._state_xfer_active = True
+    r0._handle_state_response("g1/r1", answer("g1/r1", 0))
+    r0._handle_state_response("g1/r2", answer("g1/r2", 0))
+    assert not r0._state_xfer_active and r0.log.next_execute == 0
+    r0._handle_state_response("g1/r3", answer("g1/r3", 1, (0, batch)))
+    assert r0.log.next_execute == 1
+    assert r0.app.executed == [("op", 1)]
+    assert h.monitor.counters["state.cert_adopt"] == 1
 
 
 def test_two_laggards_catch_up_together():

@@ -41,6 +41,32 @@ def test_progress_with_20_percent_drops():
     assert len(client.results) == 10
 
 
+def test_a_retransmission_is_answered_after_later_requests():
+    """The first replies of three replicas to an open-loop sender are
+    lost while it keeps submitting.  Its retransmission of that request
+    must still be answered, from each replica's reply window, though every
+    replica has answered later requests of the same sender since."""
+    h = Harness()
+    client = h.add_client(retransmit_timeout=1.0)
+    lost = set()
+    handle = client.on_message
+
+    def lossy(src, payload):
+        if payload.req_seq == 1 and src != "g1/r0" and src not in lost:
+            lost.add(src)
+            return
+        handle(src, payload)
+
+    client.on_message = lossy
+    for j in range(5):
+        client.submit(("op", j))
+    h.run(until=0.5)
+    assert len(client.results) == 4 and client.proxy.pending() == 1
+    h.loop.run(until=2.0)
+    assert len(client.results) == 5
+    assert h.monitor.counters["proxy.retransmit"] == 1
+
+
 def test_temporary_full_partition_of_leader_heals():
     h = Harness()
     client = h.add_client(retransmit_timeout=1.0)

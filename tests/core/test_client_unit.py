@@ -1,11 +1,13 @@
-"""Unit tests for the multicast client's f+1 result voting."""
+"""Unit tests for the multicast client's f+1 result voting and queries."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bcast.messages import Reply
+from repro.core.client import MAX_DELIVERY_QUERIES
 from repro.core.deployment import ByzCastDeployment
-from repro.core.messages import MulticastReply
+from repro.core.messages import DeliveryQuery, MulticastReply
 from repro.core.tree import OverlayTree
 from repro.types import destination
 from tests.helpers import FAST_COSTS
@@ -24,6 +26,18 @@ def client_rig():
 def reply(group, replica, seq=1, result=("r",)):
     return MulticastReply(group=group, replica=replica, sender="c1",
                           seq=seq, result=result)
+
+
+def ordered_reply(group, replica, result, req_seq=1):
+    """``replica``'s reply to the client's ``req_seq``-th request to ``group``."""
+    return Reply(group=group, sender=replica, req_sender="c1",
+                 req_seq=req_seq, result=result)
+
+
+def feed(client, message):
+    """Deliver ``message`` as if it came from the replica that signed it."""
+    src = message.sender if isinstance(message, Reply) else message.replica
+    client.on_message(src, message)
 
 
 class TestResultVoting:
@@ -86,3 +100,123 @@ class TestResultVoting:
         # Extra reply after completion.
         client._handle_multicast_reply("g1/r2", reply("g1", "g1/r2"))
         assert len(client.completions) == 1
+
+
+class TestReplyPaths:
+    """An entry destination group confirms through the entry proxy's f+1
+    matching ``("delivered", result)`` replies; a relayed destination
+    through ``MulticastReply``; an ``("ack",)`` confirms no group."""
+
+    @staticmethod
+    def client_for(tree, dst):
+        dep = ByzCastDeployment(tree, costs=FAST_COSTS)
+        client = dep.add_client("c1")
+        client.amulticast(destination(*dst), payload=("x",))
+        return client
+
+    def test_entry_destination_confirms_through_its_ordered_reply(self):
+        client = self.client_for(OverlayTree.two_level(["g1", "g2"]), ["g1"])
+        feed(client, ordered_reply("g1", "g1/r0", ("delivered", ("lie",))))
+        feed(client, ordered_reply("g1", "g1/r1", ("delivered", ("r",))))
+        assert client.pending() == 1
+        feed(client, ordered_reply("g1", "g1/r2", ("delivered", ("r",))))
+        assert client.pending() == 0
+        assert client.results[("c1", 1)] == {"g1": ("r",)}
+        assert client._proxies["g1"].pending() == 0
+
+    def test_acks_from_an_entry_destination_confirm_nothing(self):
+        client = self.client_for(OverlayTree.two_level(["g1", "g2"]), ["g1"])
+        for index in range(4):
+            feed(client, ordered_reply("g1", f"g1/r{index}", ("ack",)))
+        assert client._proxies["g1"].pending() == 0
+        assert client.pending() == 1
+
+    def test_aux_entry_acks_then_relayed_groups_confirm(self, client_rig):
+        dep, client = client_rig
+        for index in (0, 1):
+            feed(client, ordered_reply("h1", f"h1/r{index}", ("ack",)))
+        assert client._proxies["h1"].pending() == 0
+        assert client.pending() == 1
+        for group in ("g1", "g2"):
+            for index in (0, 1):
+                feed(client, reply(group, f"{group}/r{index}"))
+        assert client.pending() == 0
+        assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
+
+    def test_inner_target_lca_confirms_by_reply_its_child_by_multicast_reply(
+            self):
+        tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
+        client = self.client_for(tree, ["g1", "g2"])
+        assert set(client._proxies) == {"g1"}
+        for index in (0, 1):
+            feed(client, ordered_reply("g1", f"g1/r{index}",
+                                       ("delivered", ("one",))))
+        assert client.pending() == 1
+        for index in (0, 1):
+            feed(client, reply("g2", f"g2/r{index}", result=("two",)))
+        assert client.pending() == 0
+        assert client.results[("c1", 1)] == {"g1": ("one",), "g2": ("two",)}
+
+
+class TestDeliveryQueries:
+    """Once the entry group answered, a destination group that has not
+    confirmed is asked again for its MulticastReplies, with backoff."""
+
+    @staticmethod
+    def rig(tree=None, dst=("g1", "g2")):
+        tree = tree if tree is not None else OverlayTree.two_level(["g1", "g2"])
+        dep = ByzCastDeployment(tree, costs=FAST_COSTS)
+        client = dep.add_client("c1", retransmit_timeout=1.0)
+        sent = []
+        client.send = lambda dst, payload, *args, **kw: sent.append(
+            (dst, payload))
+        client.amulticast(destination(*dst), payload=("x",))
+        return dep, client, sent
+
+    @staticmethod
+    def rounds(sent):
+        return [dst for dst, payload in sent
+                if isinstance(payload, DeliveryQuery)]
+
+    def test_only_unconfirmed_groups_are_asked_with_backoff(self):
+        dep, client, sent = self.rig()
+        for index in (0, 1):
+            feed(client, ordered_reply("h1", f"h1/r{index}", ("ack",)))
+            feed(client, reply("g1", f"g1/r{index}"))
+        dep.run(until=0.99)
+        assert self.rounds(sent) == []
+        dep.run(until=1.01)
+        assert self.rounds(sent) == [f"g2/r{index}" for index in range(4)]
+        assert sent[-1][1] == DeliveryQuery(group="g2", sender="c1", seq=1)
+        dep.run(until=7.5)      # rounds at 1, 3 and 7 s
+        assert len(self.rounds(sent)) == 3 * 4
+        for index in (0, 1):
+            feed(client, reply("g2", f"g2/r{index}"))
+        assert client.pending() == 0
+        dep.run(until=60.0)
+        assert len(self.rounds(sent)) == 3 * 4
+        assert client._query_timer is None
+
+    def test_the_client_gives_up_after_the_proxy_retransmission_cap(self):
+        dep, client, sent = self.rig()
+        for index in (0, 1):
+            feed(client, ordered_reply("h1", f"h1/r{index}", ("ack",)))
+        dep.run(until=10_000.0)
+        assert len(self.rounds(sent)) == MAX_DELIVERY_QUERIES * 8
+        assert client._query_timer is None and client.pending() == 1
+
+    def test_an_entry_group_that_refused_the_message_is_not_asked(self):
+        dep, client, sent = self.rig()
+        for index in (0, 1):
+            feed(client, ordered_reply("h1", f"h1/r{index}",
+                                       ("error", "invalid origin signature")))
+        dep.run(until=30.0)
+        assert self.rounds(sent) == []
+
+    def test_an_inner_target_lca_asks_only_its_relayed_child(self):
+        dep, client, sent = self.rig(OverlayTree({"g2": "g1"}, ["g1", "g2"]))
+        for index in (0, 1):
+            feed(client, ordered_reply("g1", f"g1/r{index}",
+                                       ("delivered", ("one",))))
+        dep.run(until=1.01)
+        assert self.rounds(sent) == [f"g2/r{index}" for index in range(4)]

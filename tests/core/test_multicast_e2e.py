@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bcast.config import CostModel
+from repro.bcast.messages import Reply
 from repro.core.deployment import ByzCastDeployment
+from repro.core.messages import MulticastReply
 from repro.core.tree import OverlayTree
 from repro.types import destination
 from tests.helpers import FAST_COSTS
@@ -151,3 +153,67 @@ def test_integrity_message_delivered_at_most_once_per_replica():
     for gid in ("g1", "g2"):
         for app in dep.apps(gid):
             assert len(app.delivered_messages()) == 1
+
+
+def test_lost_delivery_replies_of_a_local_multicast_are_sent_again():
+    """The first delivery replies of g3/r1..r3 to a closed-loop client are
+    lost, so one matching reply is all the client holds.  The delivery
+    rides the ordered reply: the entry proxy retransmits once, the
+    replicas answer the duplicate from their reply windows, and every op
+    completes without a DeliveryQuery."""
+    dep = make_deployment()
+    client = dep.add_client("c1", retransmit_timeout=1.0)
+    lost = []
+    handle = client.on_message
+
+    def lossy(src, payload):
+        delivery = isinstance(payload, MulticastReply) or (
+            isinstance(payload, Reply) and payload.result[0] == "delivered")
+        if delivery and src != "g3/r0" and src not in lost:
+            lost.append(src)
+            return
+        handle(src, payload)
+
+    client.on_message = lossy
+    issued = []
+
+    def next_op(*__):
+        if len(issued) < 3:
+            issued.append(client.amulticast(destination("g3"),
+                                            payload=(len(issued),)))
+
+    client.on_complete = next_op
+    next_op()
+    dep.run(until=10.0)
+    assert sorted(lost) == ["g3/r1", "g3/r2", "g3/r3"]
+    assert len(client.completions) == 3 and client.pending() == 0
+    assert dep.monitor.counters["proxy.retransmit"] == 1
+    assert "client.delivery_query" not in dep.monitor.counters
+    assert 1.0 <= client.completions[0][1] < 1.1
+
+
+def test_lost_multicast_replies_of_a_relayed_delivery_are_asked_for_again():
+    """The MulticastReplies of g2/r1..r3 for a global message are lost, so
+    the client holds one.  The aux entry group h2 has acknowledged, so its
+    proxy no longer retransmits; the client asks g2 again with a
+    DeliveryQuery and g2's replicas repeat their replies."""
+    dep = make_deployment()
+    client = dep.add_client("c1", retransmit_timeout=1.0)
+    lost = []
+    handle = client.on_message
+
+    def lossy(src, payload):
+        if (isinstance(payload, MulticastReply) and payload.group == "g2"
+                and src != "g2/r0" and src not in lost):
+            lost.append(src)
+            return
+        handle(src, payload)
+
+    client.on_message = lossy
+    client.amulticast(destination("g1", "g2"), payload=("m",))
+    dep.run(until=10.0)
+    assert sorted(lost) == ["g2/r1", "g2/r2", "g2/r3"]
+    assert client.pending() == 0
+    assert dep.monitor.counters["client.delivery_query"] == 1
+    assert "proxy.retransmit" not in dep.monitor.counters
+    assert 1.0 <= client.completions[0][1] < 1.1

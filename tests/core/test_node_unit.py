@@ -6,7 +6,9 @@ import pytest
 
 from repro.bcast.app import ExecutionContext
 from repro.bcast.messages import Request
-from repro.core.messages import MulticastReply, RelayBatch, WireMulticast
+from repro.core.messages import (
+    DeliveryQuery, MulticastReply, RelayBatch, WireMulticast,
+)
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
@@ -34,14 +36,13 @@ def setup():
 class TestDirectSubmissions:
     def test_local_message_delivered_and_acked(self, setup):
         tree, configs, registry, loop, make = setup
-        app, replica = make("g1")
+        app, replica = make("g1", on_deliver=lambda m, ctx: ("value", m.payload))
         wire = wire_for(registry, "client", 1, ("g1",))
         result = execute(app, replica, Request("g1", "client", 1, wire))
-        assert result == ("ack",)
+        # The ordered reply carries the a-delivery; nothing else is sent.
+        assert result == ("delivered", ("value", ("p",)))
         assert [m.payload for m in app.delivered_messages()] == [("p",)]
-        # A MulticastReply went back to the client.
-        replies = [p for __, p in replica.sent if isinstance(p, MulticastReply)]
-        assert len(replies) == 1 and replies[0].sender == "client"
+        assert replica.sent == []
 
     def test_wrong_entry_group_rejected(self, setup):
         tree, configs, registry, loop, make = setup
@@ -62,14 +63,27 @@ class TestDirectSubmissions:
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         wire = wire_for(registry, "mallory", 1, ("g1",))
-        # mallory's wire replayed under a different bcast sender is fine —
-        # but a wire whose signer differs from its own sender field fails.
+        # A wire whose signer differs from its own sender field fails.
         tampered = WireMulticast(
             sender="client", seq=1, dst=("g1",), payload=("p",),
             signature=wire.signature,
         )
         result = execute(app, replica, Request("g1", "client", 1, tampered))
         assert result == ("error", "invalid origin signature")
+
+    def test_a_wire_submitted_first_by_another_sender_is_rejected(self, setup):
+        """A replica that saw a client's signed wire cannot order it as its
+        own request first: it would take the ``("delivered", r)`` reply and
+        leave the client's own copy a duplicate answered ``("ack",)``."""
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 1))
+        wire = wire_for(registry, "client", 1, ("g1",))
+        stolen = execute(app, replica, Request("g1", "g1/r3", 1, wire))
+        assert stolen == ("error", "submitted by someone other than its origin")
+        assert app.delivered_messages() == []
+        own = execute(app, replica, Request("g1", "client", 1, wire))
+        assert own == ("delivered", ("value", 1))
+        assert replica.monitor.counters["byzcast.foreign_submission"] == 1
 
     def test_bad_destinations_rejected(self, setup):
         tree, configs, registry, loop, make = setup
@@ -84,6 +98,80 @@ class TestDirectSubmissions:
         app, replica = make("g1")
         result = execute(app, replica, Request("g1", "c", 1, ("raw",)))
         assert result == ("error", "not a multicast")
+
+
+class TestReplyPaths:
+    """Each replica answers the client once per group it a-delivers in: an
+    entry destination through the ordered reply (the local case is
+    ``test_local_message_delivered_and_acked``), a relayed destination
+    through a ``MulticastReply``; an entry group that is not a destination
+    acknowledges only."""
+
+    @staticmethod
+    def multicast_replies(replica):
+        return [(dst, p) for dst, p in replica.sent
+                if isinstance(p, MulticastReply)]
+
+    def test_aux_entry_group_acks_and_relays(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("h2", "h2/r0")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        assert execute(app, replica, Request("h2", "client", 1, wire)) == ("ack",)
+        assert self.multicast_replies(replica) == []
+        assert {dst.split("/")[0] for dst, __ in replica.sent} == {"g1", "g2"}
+
+    def test_baseline_root_entry_acks(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("h1", "h1/r0", accept_any_ancestor=True)
+        wire = wire_for(registry, "client", 1, ("g1",))
+        assert execute(app, replica, Request("h1", "client", 1, wire)) == ("ack",)
+        assert self.multicast_replies(replica) == []
+
+    def test_relayed_delivery_sends_a_multicast_reply(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        for parent in ("h2/r0", "h2/r1", "h2/r2"):
+            assert execute(app, replica, relayed("g1", parent, 1, wire)) == ("ack",)
+        assert self.multicast_replies(replica) == [
+            ("client", MulticastReply(group="g1", replica="g1/r0",
+                                      sender="client", seq=1,
+                                      result=("value", 7)))]
+
+    def test_a_delivery_query_repeats_the_multicast_reply(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        for parent in ("h2/r0", "h2/r1"):
+            execute(app, replica, relayed("g1", parent, 1, wire))
+        (__, sent), = self.multicast_replies(replica)
+        assert app.answer("client", DeliveryQuery("g1", "client", 1)) == sent
+        # Only the origin asks, for this group, about a delivered message.
+        assert app.answer("mallory", DeliveryQuery("g1", "client", 1)) is None
+        assert app.answer("client", DeliveryQuery("g2", "client", 1)) is None
+        assert app.answer("client", DeliveryQuery("g1", "client", 2)) is None
+        assert app.answer("client", ("not", "a", "query")) is None
+
+    def test_inner_target_lca_answers_in_its_reply_its_child_by_multicast_reply(
+            self):
+        tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
+        configs = configs_for(tree)
+        registry = KeyRegistry()
+        loop = EventLoop()
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        lca = ByzCastApplication("g1", tree, configs, registry)
+        lca_replica = FakeReplica("g1/r0", loop, configs["g1"])
+        result = execute(lca, lca_replica, Request("g1", "client", 1, wire))
+        assert result == ("delivered", None)
+        assert self.multicast_replies(lca_replica) == []
+        assert {dst for dst, __ in lca_replica.sent} == set(configs["g2"].replicas)
+        child = ByzCastApplication("g2", tree, configs, registry)
+        child_replica = FakeReplica("g2/r0", loop, configs["g2"])
+        for parent in ("g1/r0", "g1/r1"):
+            assert execute(child, child_replica,
+                           relayed("g2", parent, 1, wire)) == ("ack",)
+        assert [(dst, p.group) for dst, p in
+                self.multicast_replies(child_replica)] == [("client", "g2")]
 
 
 class TestRelayedCopies:

@@ -20,6 +20,12 @@ arrive while the leader pays an instance's fixed cost ride in it, so
 fewer, fuller batches; 32 fewer ``replica.executed`` and 8 fewer
 ``byzcast.relay_batch`` records follow from fewer relayed batches.  All
 10 completions still arrive, the last at 6.5 ms instead of 12.1 ms.
+
+Re-pinned for one reply per replica (a local multicast's a-delivery
+travels as its ordered reply, so its destination group sends no
+``MulticastReply``): the 542 trace records and the 10 completions are
+identical line for line; the only difference is the ``net.sent`` counter,
+506 -> 490 (4 local multicasts x 4 replicas).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import hashlib
 from repro.core import OverlayTree
 from repro.core.deployment import ByzCastDeployment
 
-GOLDEN_SHA256 = "bed23dd53121adb01ed1af308feaef34d025664ce5b521bae467e3fd426c7c85"
+GOLDEN_SHA256 = "25bd979efb00d36fdd1f0b0624a83d5c0f617dd332d6a92015f8f716bcbdd2a6"
 GOLDEN_RECORDS = 542
 GOLDEN_COMPLETIONS = 10
 

@@ -9,10 +9,12 @@ from repro.runtime import scenarios
 
 FAST = dict(warmup=0.3, duration=0.8)
 
-#: ``figure:cell -> cell()`` at the sizes used below.  Re-recorded for
-#: natural batching (every cell's latency moves: batches are cut after the
-#: instance's fixed cost, not after a batch timer); the values before it
-#: are in EXPERIMENTS.md, "Natural batching".
+#: ``figure:cell -> cell()`` at the sizes used below.  The ByzCast cells
+#: with local messages were re-recorded when a local multicast's delivery
+#: began to travel as its ordered reply (one reply per replica instead of
+#: two shifts the sim's jitter stream); the values before it are in
+#: EXPERIMENTS.md, "One reply per replica", and those before natural
+#: batching under "Natural batching".
 PINS = {
     "fig3:skewed/2-level": (1300.0, 0.006256637271271976, 0.0, 0.006256637271271976),
     "fig3:skewed/3-level": (1400.0, 0.005992147321361892, 0.0, 0.005992147321361892),
@@ -20,28 +22,28 @@ PINS = {
     "fig3:uniform/3-level": (787.5, 0.007656996102461032, 0.0, 0.007656996102461032),
     "fig4a:baseline/2": (1950.0, 0.00631787158081856, 0.00631787158081856, 0.0),
     "fig4a:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
-    "fig4a:byzcast/2": (4050.0, 0.002960466210981249, 0.002960466210981249, 0.0),
+    "fig4a:byzcast/2": (4050.0, 0.0029577708415626167, 0.0029577708415626167, 0.0),
     "fig4b:baseline/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
     "fig4b:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
     "fig4b:byzcast/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
     "fig5a:baseline": (350.0, 0.005752344531493543, 0.005752344531493543, 0.0),
     "fig5a:bft-smart": (700.0, 0.0028243719351531637, 0.0028243719351531637, 0.0),
-    "fig5a:byzcast": (725.0, 0.002806141838198195, 0.002806141838198195, 0.0),
+    "fig5a:byzcast": (725.0, 0.002806901558627374, 0.002806901558627374, 0.0),
     "fig6:baseline": (975.0, 0.00592818240835534, 0.005918914275246889, 0.005999238095520134),
-    "fig6:byzcast": (1850.0, 0.0032166655500426595, 0.0028269528876911486, 0.005862609415481876),
-    "fig6:byzcast/pure-local": (2100.0, 0.002831713283013189, 0.002831713283013189, 0.0),
+    "fig6:byzcast": (1850.0, 0.003215358363252678, 0.002825918921249515, 0.005859447206326794),
+    "fig6:byzcast/pure-local": (2100.0, 0.0028287892819561004, 0.0028287892819561004, 0.0),
     "fig7:baseline/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
     "fig7:baseline/local/2": (175.0, 0.0056948061116385, 0.0056948061116385, 0.0),
     "fig7:bftsmart": (362.5, 0.002793811584722583, 0.002793811584722583, 0.0),
     "fig7:byzcast/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
-    "fig7:byzcast/local/2": (362.5, 0.002794132270227645, 0.002794132270227645, 0.0),
+    "fig7:byzcast/local/2": (362.5, 0.002793877379899919, 0.002793877379899919, 0.0),
     "fig8:baseline/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
     "fig8:baseline/local": (9.0, 0.4335577413279835, 0.4335577413279835, 0.0),
     "fig8:bftsmart": (16.666666666666668, 0.23987837425921893, 0.23987837425921893, 0.0),
     "fig8:byzcast/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
-    "fig8:byzcast/local": (16.666666666666668, 0.2402224199119295, 0.2402224199119295, 0.0),
+    "fig8:byzcast/local": (16.666666666666668, 0.2400465118654026, 0.2400465118654026, 0.0),
     "fig9:baseline": (18.5, 0.44653916115082043, 0.44865411969651037, 0.42256963096633354),
-    "fig9:byzcast": (31.5, 0.2577737160065927, 0.24124360534424105, 0.4495229996898714),
+    "fig9:byzcast": (31.0, 0.2577185820870842, 0.24252157159657486, 0.45190260502137125),
 }
 
 

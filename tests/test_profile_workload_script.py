@@ -121,3 +121,63 @@ def test_gc_phase_on_an_asyncio_workload_reports_cpu_idle_and_handles():
     # deliveries and CPU jobs ride the runtime's ready queue: a handful of
     # handles per op (drain wake-ups, timers), not two per message
     assert 0.0 < values["asyncio handles created per op"] < 15.0
+
+
+def test_message_census_names_payloads_and_reply_result_kinds(tool):
+    from repro.bcast.messages import Reply
+    from repro.core.messages import MulticastReply
+
+    census = tool.MessageCensus()
+
+    class Transport:
+        def __init__(self):
+            self.sent = []
+
+        def send(self, src, dst, payload, size=64):
+            self.sent.append((src, dst, payload, size))
+
+    transport = Transport()
+    send = census.wrap(Transport.send)
+    replies = [Reply("g1", "g1/r0", "c1", 1, ("delivered", ("v",))),
+               Reply("h1", "h1/r0", "c1", 2, ("ack",)),
+               Reply("g1", "g1/r1", "c1", 1, None),
+               MulticastReply("g2", "g2/r0", "c1", 3, None)]
+    for payload in replies:
+        send(transport, "a", "b", payload)
+    send(transport, "a", "b", replies[1], 128)
+    assert [entry[3] for entry in transport.sent] == [64] * 4 + [128]
+    assert dict(census.counts) == {
+        "Reply delivered": 1, "Reply ack": 2, "Reply NoneType": 1,
+        "MulticastReply": 1}
+    rows = census.report(completed=2).splitlines()
+    assert rows[1].split() == ["Reply", "ack", "1.000", "2"]
+    assert rows[-1].split() == ["total", "2.500", "5"]
+
+
+def census_rows(out):
+    """``{kind: (per op, count)}`` of a --messages report."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("messages sent"))
+    return {line.rsplit(None, 2)[0]: tuple(line.rsplit(None, 2)[1:])
+            for line in lines[start + 1:] if line.strip()}
+
+
+def test_messages_phase_on_sim_is_deterministic_and_one_reply_per_replica():
+    runs = [subprocess.run(
+        [sys.executable, str(SCRIPT), "local_lan", "--seconds", "1",
+         "--top", "0", "--messages"],
+        capture_output=True, text=True, timeout=300) for __ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+        assert "local_lan seed 11 un-profiled" in done.stdout
+        assert "0 failed" in done.stdout
+    first, second = (census_rows(done.stdout) for done in runs)
+    assert first == second
+    # every op is local: each of the 4 destination replicas answers once,
+    # with the delivery in its ordered reply, and sends no MulticastReply
+    assert first["Reply delivered"][0] == "4.000"
+    assert first["Request"][0] == "4.000"
+    assert "MulticastReply" not in first and "Reply ack" not in first
+    assert int(first["total"][1]) == sum(
+        int(count) for kind, (__, count) in first.items() if kind != "total")
