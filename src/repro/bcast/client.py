@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
+from repro.bcast.config import capped_backoff
 from repro.bcast.messages import ReadReply, ReadRequest, Reply, Request
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -40,7 +41,32 @@ class _Outstanding:
     retries: int = 0
 
 
-class GroupProxy:
+class _GroupEndpoint:
+    """What both proxies share: the owner, the group's members and f."""
+
+    def __init__(self, owner: Actor, group_id: str,
+                 replicas: Tuple[str, ...], f: int) -> None:
+        self.owner = owner
+        self.group_id = group_id
+        self.replicas = tuple(replicas)
+        self.f = f
+        self._outstanding: Dict[int, Any] = {}
+
+    def _send_to_all(self, message: Any) -> None:
+        for replica in self.replicas:
+            self.owner.send(replica, message)
+
+    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
+        """Adopt a reconfigured membership (keeps sequence and round ids)."""
+        self.replicas = tuple(replicas)
+        self.f = f
+
+    def pending(self) -> int:
+        """Requests (or read rounds) still waiting for their quorum."""
+        return len(self._outstanding)
+
+
+class GroupProxy(_GroupEndpoint):
     """Submits commands to one group and gathers ``f + 1`` matching replies.
 
     Args:
@@ -65,15 +91,11 @@ class GroupProxy:
         retransmit_timeout: Optional[float] = 4.0,
         max_retries: int = 16,
     ) -> None:
-        self.owner = owner
-        self.group_id = group_id
-        self.replicas = tuple(replicas)
-        self.f = f
+        super().__init__(owner, group_id, replicas, f)
         self.registry = registry
         self.retransmit_timeout = retransmit_timeout
         self.max_retries = max_retries
         self._next_seq = 1
-        self._outstanding: Dict[int, _Outstanding] = {}
         self.submitted = 0
         self.completed = 0
 
@@ -97,20 +119,10 @@ class GroupProxy:
         self._arm_retransmit(entry)
         return seq
 
-    def _send_to_all(self, request: Request) -> None:
-        for replica in self.replicas:
-            self.owner.send(replica, request)
-
-    #: exponential backoff ceiling: the delay never exceeds 64× the initial
-    #: timeout, so long outages keep probing instead of arming hour-long
-    #: timers (and ``2 ** retries`` can never overflow into absurd floats)
-    MAX_BACKOFF_MULTIPLIER = 64
-
     def _arm_retransmit(self, entry: _Outstanding) -> None:
         if self.retransmit_timeout is None:
             return
-        multiplier = min(2 ** entry.retries, self.MAX_BACKOFF_MULTIPLIER)
-        delay = self.retransmit_timeout * multiplier
+        delay = capped_backoff(self.retransmit_timeout, entry.retries)
         entry.timer = self.owner.set_timer(delay, lambda: self._retransmit(entry))
 
     def _retransmit(self, entry: _Outstanding) -> None:
@@ -172,17 +184,6 @@ class GroupProxy:
         if entry.callback is not None:
             entry.callback(result)
 
-    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
-        """Adopt a reconfigured membership (keeps sequence numbers)."""
-        self.replicas = tuple(replicas)
-        self.f = f
-
-    # -- introspection --------------------------------------------------------
-
-    def pending(self) -> int:
-        """Number of submitted-but-unconfirmed requests."""
-        return len(self._outstanding)
-
 
 @dataclass
 class _OutstandingRead:
@@ -200,7 +201,7 @@ class _OutstandingRead:
     retries: int = 0
 
 
-class ReadProxy:
+class ReadProxy(_GroupEndpoint):
     """Fans a read probe to every replica and accepts f+1 matching replies.
 
     The unordered read discipline (BFT-SMaRt ``invokeUnordered``): a reply
@@ -223,8 +224,6 @@ class ReadProxy:
     outcome the ``f + 1`` rule prevents.
     """
 
-    MAX_BACKOFF_MULTIPLIER = 64
-
     def __init__(
         self,
         owner: Actor,
@@ -234,15 +233,8 @@ class ReadProxy:
         read_timeout: float = 1.0,
         max_retries: int = 2,
         min_cid: Optional[Callable[[str], int]] = None,
-        mode: Optional[str] = None,
     ) -> None:
-        self.owner = owner
-        self.group_id = group_id
-        self.replicas = tuple(replicas)
-        self.f = f
-        #: when set, this proxy only claims replies of one read mode (owners
-        #: that keep one proxy per (group, mode) have overlapping rid spaces)
-        self.mode = mode
+        super().__init__(owner, group_id, replicas, f)
         self.read_timeout = read_timeout
         self.max_retries = max_retries
         #: mode -> monotone floor: accepted cids must not regress (the
@@ -250,7 +242,6 @@ class ReadProxy:
         #: correct replicas plus a Byzantine echo could serve a past state)
         self._min_cid = min_cid if min_cid is not None else (lambda mode: -1)
         self._next_rid = 1
-        self._outstanding: Dict[int, _OutstandingRead] = {}
         self.accepted = 0
         self.exhausted = 0
 
@@ -278,15 +269,10 @@ class ReadProxy:
         self._arm_timer(entry)
         return rid
 
-    def _send_to_all(self, request: ReadRequest) -> None:
-        for replica in self.replicas:
-            self.owner.send(replica, request)
-
     def _arm_timer(self, entry: _OutstandingRead) -> None:
-        multiplier = min(2 ** entry.retries, self.MAX_BACKOFF_MULTIPLIER)
-        delay = self.read_timeout * multiplier
         entry.timer = self.owner.set_timer(
-            delay, lambda: self._next_round(entry))
+            capped_backoff(self.read_timeout, entry.retries),
+            lambda: self._next_round(entry))
 
     def _next_round(self, entry: _OutstandingRead) -> None:
         """Retry (fresh tally, backed-off timer) or report exhaustion."""
@@ -315,8 +301,6 @@ class ReadProxy:
     def handle_read_reply(self, src: str, reply: ReadReply) -> bool:
         """Feed a :class:`ReadReply` received by the owner; True if ours."""
         if reply.group != self.group_id or reply.req_sender != self.owner.name:
-            return False
-        if self.mode is not None and reply.mode != self.mode:
             return False
         if src not in self.replicas or reply.sender != src:
             return False
@@ -363,12 +347,3 @@ class ReadProxy:
             entry.timer.cancel()
         self.accepted += 1
         entry.on_accept(cid, result, voters)
-
-    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
-        """Adopt a reconfigured membership (keeps probe round ids)."""
-        self.replicas = tuple(replicas)
-        self.f = f
-
-    def pending(self) -> int:
-        """Read rounds still collecting replies."""
-        return len(self._outstanding)

@@ -7,6 +7,15 @@ from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
+#: ceiling of every exponential backoff (retransmits, read rounds, delivery
+#: queries, state requests): long outages keep probing within bounded time
+BACKOFF_MULTIPLIER = 64
+
+
+def capped_backoff(base: float, attempt: int) -> float:
+    """``base`` doubled per attempt since the first, at most ×64."""
+    return base * min(2 ** attempt, BACKOFF_MULTIPLIER)
+
 
 @dataclass(frozen=True)
 class CostModel:

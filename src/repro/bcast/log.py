@@ -85,15 +85,16 @@ class DecisionLog:
         while self.next_execute in self._decided:
             cid = self.next_execute
             batch = self._decided.pop(cid)
-            self._executed.append((cid, batch))
-            if len(self._executed) > self.max_retained:
-                self.max_retained = len(self._executed)
-            self.next_execute += 1
-            self._note_executed(cid)
+            self._execute(cid, batch)
             yield cid, batch
 
-    def _note_executed(self, cid: int) -> None:
-        """Journal an execution step and enforce gap-free ascending order."""
+    def _execute(self, cid: int, batch: Tuple[Request, ...]) -> None:
+        """Retain ``batch`` as executed at the cursor and advance it; journal
+        the step and enforce gap-free ascending order."""
+        self._executed.append((cid, batch))
+        if len(self._executed) > self.max_retained:
+            self.max_retained = len(self._executed)
+        self.next_execute += 1
         if self._last_executed is not None and cid != self._last_executed + 1:
             self.order_violations += 1
         self._last_executed = cid
@@ -197,12 +198,8 @@ class DecisionLog:
                 continue
             if cid != self.next_execute:
                 break  # refuse to install with gaps
-            self._executed.append((cid, batch))
-            if len(self._executed) > self.max_retained:
-                self.max_retained = len(self._executed)
             self._decided.pop(cid, None)
-            self.next_execute += 1
-            self._note_executed(cid)
+            self._execute(cid, batch)
             installed.append((cid, batch))
         return installed
 

@@ -1,12 +1,20 @@
 """The replica actor: Mod-SMaRt ordering + execution for one group member.
 
-A replica stitches together the pure sub-machines of this package:
+A replica stitches together the sub-machines of this package, each tested
+without a deployment:
 
 * :class:`~repro.bcast.fifo.PendingPool` — unordered requests;
 * :class:`~repro.bcast.consensus.ConsensusInstance` — per-cid quorum logic;
 * :class:`~repro.bcast.regency.RegencyManager` — leader-change voting;
 * :class:`~repro.bcast.log.DecisionLog` — ordered execution + state;
-* :class:`~repro.bcast.checkpoint.Checkpointer` — checkpoint take/verify/vote.
+* :class:`~repro.bcast.checkpoint.Checkpointer` — checkpoint take/verify/vote;
+* :class:`~repro.bcast.statetransfer.StateTransfer` — answering state
+  requests, the requester's rounds and backoff, and the voucher rule.
+
+Every step has one implementation: a batch, decided live or adopted by
+state transfer, is ordered by ``_order`` and executed by
+``_execute_batch``; the view changes only in ``_adopt_view``; volatile
+state is dropped only by ``_reset_volatile``.
 
 Consensus instances are *pipelined*: the leader may keep up to
 ``config.max_in_flight`` instances open concurrently (proposing
@@ -26,7 +34,6 @@ proposal) without duplicating the rest of the protocol.
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -56,6 +63,7 @@ from repro.bcast.messages import (
 )
 from repro.bcast.reconfig import Reconfig, View, admin_identity
 from repro.bcast.regency import RegencyManager
+from repro.bcast.statetransfer import STATE_RETRY_TIMEOUT, StateTransfer
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import mac_vector, verify_mac_vector
@@ -67,18 +75,25 @@ from repro.env import Actor, Monitor, RuntimeOrClock
 #: ``max_in_flight + STATE_GAP_SLACK``; at depth 1 this reproduces the
 #: historical threshold of 2)
 STATE_GAP_SLACK = 1
-#: how long a state-transfer round may take before it is retried
-STATE_RETRY_TIMEOUT = 1.0
-#: cap of the exponential state-request backoff (mirrors the client proxy's
-#: retransmit clamp): a joiner that cannot reach the f+1 quorum must not
-#: re-request every tick, but must also keep probing within bounded time
-MAX_STATE_BACKOFF_MULTIPLIER = 64
 #: refuse STOPDATA whose per-cid certificate list exceeds this bound
 #: (a Byzantine reporter must not make the new leader buffer unbounded data)
 MAX_STOPDATA_CERTS = 64
 #: bounded audit trail of served reads (the chaos invariant cross-checks
 #: accepted client reads against the journals of correct voters)
 READ_JOURNAL_CAP = 4096
+
+#: what ``_order`` hands ``_execute_batch``: each request not ordered
+#: before, its Reconfig reply (None for any other command) and whether it
+#: was pending here; and the checkpoint due after the batch, if any
+Ordered = List[Tuple[Request, Any, bool]]
+Boundary = Optional[Tuple[int, Dict[str, int], View]]
+
+
+def _raise_floors(floors: Dict[str, int], batch: Tuple[Request, ...]) -> None:
+    """Raise each sender's floor in ``floors`` to its highest seq in ``batch``."""
+    for request in batch:
+        if request.seq > floors.get(request.sender, 0):
+            floors[request.sender] = request.seq
 
 
 class Replica(Actor):
@@ -108,6 +123,9 @@ class Replica(Actor):
         self.pool = PendingPool()
         self.log = DecisionLog(config.checkpoint_interval)
         self.checkpoints = Checkpointer(name, app, self.log, self.monitor)
+        self.state_transfer = StateTransfer(
+            name, self.log, self.checkpoints, self.monitor,
+            f=lambda: self.view.f, certified=self._certified_digest)
         self.regency = RegencyManager(self.view.n, self.view.f)
         self._consensus: Dict[int, ConsensusInstance] = {}
         #: leader-side: one batch assembly (fixed cost, cut, per-request
@@ -124,13 +142,6 @@ class Replica(Actor):
         self._replies = ReplyWindow()
         #: (peer, regency) -> last time we re-sent them our old STOP vote
         self._stop_assist_at: Dict[Tuple[str, int], float] = {}
-
-        self._state_xfer_active = False
-        self._state_responses: Dict[str, StateResponse] = {}
-        #: failed state rounds since the last successful adoption; drives
-        #: the capped, jittered re-request backoff
-        self._state_attempts = 0
-        self._state_backoff_until = 0.0
         #: locally monotonic count of view changes (reconfigs + carried
         #: checkpoint views), exported as the membership.view.<name> gauge
         self._view_epoch = 0
@@ -167,28 +178,45 @@ class Replica(Actor):
         """All group members except this replica."""
         return tuple(r for r in self.view.replicas if r != self.name)
 
-    def _apply_reconfig(self, command: Reconfig) -> None:
-        """Switch to the new membership at this consensus boundary."""
-        new_view = command.to_view(self.view.f)
-        was_active = self.active
-        self.view = new_view
-        self.regency.update_view(new_view.n, new_view.f)
-        # Instances beyond this boundary run in the new view: refresh
-        # their quorum and drop votes from ex-members (see
-        # ConsensusInstance.rescope).
+    # --------------------------------------------------------- membership
+
+    def _adopt_view(self, view: View) -> None:
+        """Switch to ``view`` at the execution cursor (the one view switch).
+
+        Undecided instances beyond the cursor run in the new view (see
+        ConsensusInstance.rescope); a retired replica stays inactive.
+        """
+        self.view = view
+        self.regency.update_view(view.n, view.f)
         for cid, instance in self._consensus.items():
             if cid >= self.log.next_execute and not instance.decided:
-                instance.rescope(new_view.replicas, new_view.quorum)
-        self.active = self.name in new_view and not self._retired
+                instance.rescope(view.replicas, view.quorum)
+        self.active = self.name in view and not self._retired
+        self._view_epoch += 1
+        self._export_membership()
+
+    def _export_membership(self) -> None:
+        """Export the membership gauges (off the counter fingerprint)."""
+        self.monitor.gauge(f"membership.size.{self.group_id}",
+                           float(self.view.n))
+        self.monitor.gauge(f"membership.view.{self.name}",
+                           float(self._view_epoch))
+
+    def _apply_reconfig(self, request: Request) -> Tuple:
+        """Switch to the new membership at this consensus boundary, if the
+        Reconfig ``request`` is authorized; its reply either way."""
+        if not self._reconfig_authorized(request):
+            return ("error", "reconfig denied")
+        command = request.command
+        was_active = self.active
+        self._adopt_view(command.to_view(self.view.f))
         self._started.clear()
-        self._note_view_change()
         self.monitor.record(self.name, "replica.reconfigured",
-                            members=",".join(new_view.replicas),
+                            members=",".join(self.view.replicas),
                             active=self.active)
-        if not self.active and was_active:
+        if was_active and not self.active:
             self._teardown_departure()
-            return
-        if self.active and not was_active:
+        elif self.active and not was_active:
             # Freshly joined: we are already caught up to this boundary.
             self._maybe_propose()
         elif self.regency.in_transition:
@@ -201,24 +229,27 @@ class Replica(Actor):
             self.monitor.record(self.name, "reconfig.regency_race",
                                 regency=self.regency.current)
             self._on_regency_transition(self.regency.current)
+        return ("ok", "reconfig", command.new_replicas)
+
+    def _reset_volatile(self) -> None:
+        """Drop all in-flight consensus and request state (the one reset)."""
+        self._consensus.clear()
+        self._future_proposals.clear()
+        self._assembling = False
+        self.pool = PendingPool()
+        self._pending_since.clear()
+        self._request_timer = None
+        self._stop_assist_at.clear()
+        self.state_transfer.abandon()
 
     def _teardown_departure(self) -> None:
         """Cleanly drop a departing replica's in-flight consensus state.
 
-        A removed member must stop voting/proposing immediately and must
-        not hold references to open instances of a window it is no longer
-        part of; it keeps answering StateRequests (its executed log is
-        still valid history) so joiners can catch up from it.
+        A removed member stops voting/proposing at once; it keeps answering
+        StateRequests (its executed log is still valid history) so joiners
+        can catch up from it.
         """
-        self._consensus.clear()
-        self._future_proposals.clear()
-        self._assembling = False
-        self._state_xfer_active = False
-        self._state_responses.clear()
-        self._pending_since.clear()
-        self._request_timer = None
-        self._stop_assist_at.clear()
-        self.pool = PendingPool()
+        self._reset_volatile()
         self._update_inflight_gauge()
         self.monitor.record(self.name, "replica.departed")
 
@@ -233,44 +264,28 @@ class Replica(Actor):
         — and it would idle forever in a stale view.  The elasticity
         controller calls this once the reconfiguration is confirmed, which
         matches production practice: the operator decommissions the removed
-        node's process.  Retirement is permanent: replaying an *earlier*
-        Reconfig that once included this replica must not reactivate it,
-        and its inactive catch-up poll stops rescheduling.  Idempotent.
+        node's process.  Retirement is permanent: neither replaying an
+        *earlier* Reconfig nor installing a checkpoint whose view once
+        included this replica reactivates it, and its inactive catch-up
+        poll stops rescheduling.  Idempotent.
         """
         if self._retired:
             return
         self._retired = True
-        was_active = self.active
-        self.active = False
         self.monitor.record(self.name, "replica.decommissioned")
-        if was_active:
-            self._note_view_change()
+        if self.active:
+            self._adopt_view(self.view)  # the same view, now inactive
             self._teardown_departure()
         else:
-            self._state_xfer_active = False
-            self._state_responses.clear()
-
-    def _note_view_change(self) -> None:
-        """Export the membership gauges (off the counter fingerprint)."""
-        self._view_epoch += 1
-        self.monitor.gauge(f"membership.size.{self.group_id}",
-                           float(self.view.n))
-        self.monitor.gauge(f"membership.view.{self.name}",
-                           float(self._view_epoch))
+            self._reset_volatile()
 
     def start(self) -> None:
-        self.monitor.gauge(f"membership.size.{self.group_id}",
-                           float(self.view.n))
-        self.monitor.gauge(f"membership.view.{self.name}",
-                           float(self._view_epoch))
-        if not self.active:
-            self._inactive_poll()
+        self._export_membership()
+        self._inactive_poll()
         if self.config.heartbeat_interval > 0:
             self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
-        if self.crashed:
-            return
         if self.active and self.is_leader:
             beat = Heartbeat(self.group_id, self.regency.current,
                              self.log.next_execute, self.name)
@@ -278,15 +293,8 @@ class Replica(Actor):
         self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
 
     def _handle_heartbeat(self, src: str, beat: Heartbeat) -> None:
-        if beat.group != self.group_id or beat.sender != src:
-            return
-        if src not in self.view.replicas:
-            return
-        if beat.next_cid > self.log.next_execute:
-            # The leader's beacon reached us, so the group is reachable:
-            # any unreachability backoff is stale evidence — drop it.
-            self._state_backoff_until = 0.0
-            self._request_state()
+        # The beacon carries the leader's cursor: any lead is a gap.
+        self._note_progress_gap(beat.next_cid, lead=1)
 
     def _inactive_poll(self) -> None:
         """A joiner keeps pulling state until a Reconfig activates it."""
@@ -298,17 +306,9 @@ class Replica(Actor):
     def recover(self) -> None:
         """Rejoin after a benign crash: wipe volatile state, catch up."""
         self.crashed = False
-        self._consensus.clear()
-        self._assembling = False
+        self._reset_volatile()
         self._started.clear()
-        self.pool = PendingPool()
-        self._pending_since.clear()
-        self._request_timer = None
-        self._stop_assist_at.clear()
-        self._state_xfer_active = False
-        self._state_responses.clear()
-        self._state_attempts = 0
-        self._state_backoff_until = 0.0
+        self.state_transfer.forgive()
         self.monitor.record(self.name, "replica.recover")
         if self.config.heartbeat_interval > 0:
             self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
@@ -316,11 +316,20 @@ class Replica(Actor):
 
     # ----------------------------------------------------------- dispatch
 
+    #: the peer messages whose receipt costs ``vote_recv``, and handlers
+    _CONTROL = {Write: "_apply_write", Accept: "_apply_accept",
+                Stop: "_handle_stop", StopData: "_handle_stopdata",
+                Sync: "_handle_sync", Heartbeat: "_handle_heartbeat",
+                StateRequest: "_handle_state_request",
+                StateResponse: "_handle_state_response"}
+
     def on_message(self, src: str, payload: Any) -> None:
         costs = self.config.costs
         if not self.active and not isinstance(payload, (StateRequest, StateResponse)):
             return  # a joiner only catches up until a Reconfig activates it
-        if isinstance(payload, Request):
+        if type(payload) in self._CONTROL:
+            self.work(costs.vote_recv, lambda: self._handle_control(src, payload))
+        elif isinstance(payload, Request):
             self.work(costs.request_recv, lambda: self._handle_request(src, payload))
         elif isinstance(payload, ReadRequest):
             # Served through the same FIFO work queue as batch execution:
@@ -338,22 +347,6 @@ class Replica(Actor):
                     + costs.validate_per_msg * len(payload.proposal.batch))
             self.work(cost,
                       lambda: self._handle_authenticated_propose(src, payload))
-        elif isinstance(payload, Write):
-            self.work(costs.vote_recv, lambda: self._handle_write(src, payload))
-        elif isinstance(payload, Accept):
-            self.work(costs.vote_recv, lambda: self._handle_accept(src, payload))
-        elif isinstance(payload, Stop):
-            self.work(costs.vote_recv, lambda: self._handle_stop(src, payload))
-        elif isinstance(payload, StopData):
-            self.work(costs.vote_recv, lambda: self._handle_stopdata(src, payload))
-        elif isinstance(payload, Sync):
-            self.work(costs.vote_recv, lambda: self._handle_sync(src, payload))
-        elif isinstance(payload, StateRequest):
-            self.work(costs.vote_recv, lambda: self._handle_state_request(src, payload))
-        elif isinstance(payload, StateResponse):
-            self.work(costs.vote_recv, lambda: self._handle_state_response(src, payload))
-        elif isinstance(payload, Heartbeat):
-            self.work(costs.vote_recv, lambda: self._handle_heartbeat(src, payload))
         elif isinstance(payload, Reply):
             # Replies reach a replica when it acts as a *sender* to another
             # group (ByzCast relays); the application owns those proxies.
@@ -374,6 +367,20 @@ class Replica(Actor):
         for peer in self.peers():
             self.send(peer, message, size)
 
+    def _handle_control(self, src: str, message: Any) -> None:
+        """The one guard of every peer message, then its handler: our group,
+        and — but for a Sync (its handler checks the leader) or a joiner's
+        StateRequest — the transport source is the claimed sender and a
+        member of our view.  A vote far ahead proves us behind."""
+        if message.group != self.group_id:
+            return
+        if not isinstance(message, (Sync, StateRequest)) and (
+                message.sender != src or src not in self.view.replicas):
+            return
+        if isinstance(message, (Write, Accept)):
+            self._note_progress_gap(message.cid)
+        getattr(self, self._CONTROL[type(message)])(src, message)
+
     # ----------------------------------------------------------- requests
 
     def _handle_request(self, src: str, request: Request) -> None:
@@ -383,13 +390,9 @@ class Replica(Actor):
         # never pass proposal validation must not enter the pool, or it
         # would poison every batch built from it.  The CPU cost of this
         # check is part of ``request_recv``.
-        if self.config.verify_client_signatures:
-            if request.signature is None or request.signature.signer != request.sender:
-                self.monitor.record(self.name, "request.unsigned", sender=request.sender)
-                return
-            if not verify(self.registry, request.signed_part(), request.signature):
-                self.monitor.record(self.name, "request.bad_signature", sender=request.sender)
-                return
+        if not self._signed_by_client(request, "request.unsigned",
+                                      "request.bad_signature"):
+            return
         if self.log.tracker.is_duplicate(request):
             result = self._replies.get(request.sender, request.seq)
             if result is not None:
@@ -401,6 +404,20 @@ class Replica(Actor):
             self._pending_since[request.key()] = self.loop.now
             self._arm_request_timer()
         self._maybe_propose()
+
+    def _signed_by_client(self, request: Request, unsigned: str,
+                          forged: str) -> bool:
+        """The client-signature check of admission and proposal validation;
+        a failure is recorded as ``unsigned`` or ``forged``."""
+        if not self.config.verify_client_signatures:
+            return True
+        if request.signature is None or request.signature.signer != request.sender:
+            self.monitor.record(self.name, unsigned, sender=request.sender)
+            return False
+        if not verify(self.registry, request.signed_part(), request.signature):
+            self.monitor.record(self.name, forged, sender=request.sender)
+            return False
+        return True
 
     # -------------------------------------------------------------- reads
 
@@ -484,12 +501,6 @@ class Replica(Actor):
         when nothing is claimed — the sequential depth-1 fast path.
         """
         floors: Dict[str, int] = {}
-
-        def claim(batch: Tuple[Request, ...]) -> None:
-            for request in batch:
-                if request.seq > floors.get(request.sender, 0):
-                    floors[request.sender] = request.seq
-
         cursor = self.log.next_execute
         for cid, regency in self._started.items():
             if cid < cursor:
@@ -497,9 +508,9 @@ class Replica(Actor):
             instance = self._consensus.get(cid)
             if (instance is not None and instance.proposed_batch is not None
                     and instance.proposal_regency == regency):
-                claim(instance.proposed_batch)
+                _raise_floors(floors, instance.proposed_batch)
         for cid, batch in self.log.buffered_decisions():
-            claim(batch)
+            _raise_floors(floors, batch)
         return floors or None
 
     def _maybe_propose(self) -> None:
@@ -510,7 +521,8 @@ class Replica(Actor):
         no timer.  The batch is whatever accumulated meanwhile, so its size
         follows the load.
         """
-        if not self.is_leader or self._assembling or self._state_xfer_active:
+        if (not self.is_leader or self._assembling
+                or self.state_transfer.active):
             return
         if self._open_count() >= self.config.max_in_flight:
             return
@@ -526,7 +538,7 @@ class Replica(Actor):
 
     def _begin_proposal(self) -> None:
         """Cut the batch (fixed cost already paid) and charge its per-request CPU."""
-        if not self.is_leader or self._state_xfer_active:
+        if not self.is_leader or self.state_transfer.active:
             self._assembling = False
             return
         batch = self.pool.admissible_batch(
@@ -636,11 +648,7 @@ class Replica(Actor):
             # Stale (already executed) or beyond the window (we are behind):
             # never echo now, but stash a slightly-ahead proposal so a
             # lagging replica can vote as soon as it catches up.
-            if (
-                proposal.cid >= cursor + window
-                and proposal.cid - cursor <= self._stash_bound()
-            ):
-                self._future_proposals[proposal.cid] = (src, proposal)
+            self._stash(src, proposal)
             record(self.name, "propose.wrong_cid", cid=proposal.cid)
             return False
         floors: Dict[str, int] = {}
@@ -651,8 +659,7 @@ class Replica(Actor):
             if chained is None:
                 # A link of the chain is unknown here (its PROPOSE is still
                 # in flight): stash and re-validate once it lands.
-                if proposal.cid - cursor <= self._stash_bound():
-                    self._future_proposals[proposal.cid] = (src, proposal)
+                self._stash(src, proposal)
                 record(self.name, "propose.missing_link", cid=proposal.cid)
                 return False
             floors = chained
@@ -673,18 +680,16 @@ class Replica(Actor):
                 record(self.name, "propose.fifo_violation", sender=request.sender)
                 return False
             virtual[request.sender] = request.seq
-            if self.config.verify_client_signatures:
-                if request.signature is None or request.signature.signer != request.sender:
-                    record(self.name, "propose.unsigned_request", sender=request.sender)
-                    return False
-                if not verify(self.registry, request.signed_part(), request.signature):
-                    record(self.name, "propose.bad_signature", sender=request.sender)
-                    return False
+            if not self._signed_by_client(request, "propose.unsigned_request",
+                                          "propose.bad_signature"):
+                return False
         return True
 
-    def _stash_bound(self) -> int:
-        """How far ahead of the cursor a proposal may be stashed."""
-        return max(8, 2 * self.config.max_in_flight)
+    def _stash(self, src: str, proposal: Propose) -> None:
+        """Keep a proposal ahead of the cursor, if not too far ahead."""
+        bound = max(8, 2 * self.config.max_in_flight)
+        if 0 < proposal.cid - self.log.next_execute <= bound:
+            self._future_proposals[proposal.cid] = (src, proposal)
 
     def _chain_floors(self, cid: int, regency: int) -> Optional[Dict[str, int]]:
         """Per-sender FIFO floors implied by instances below ``cid``.
@@ -710,17 +715,16 @@ class Replica(Actor):
                         batch = instance.proposed_batch
             if batch is None:
                 return None
-            for request in batch:
-                if request.seq > floors.get(request.sender, 0):
-                    floors[request.sender] = request.seq
+            _raise_floors(floors, batch)
         return floors
 
     def _reconfig_authorized(self, request: Request) -> bool:
         """Only the group's view manager may change membership.
 
-        Evaluated at execution time (deterministically, from ordered data),
-        so an unauthorized Reconfig is simply refused with an error reply
-        instead of poisoning proposals or the sender's FIFO stream.
+        Evaluated once, when the Reconfig is ordered (deterministically,
+        from ordered data), so an unauthorized Reconfig is simply refused
+        with an error reply instead of poisoning proposals or the sender's
+        FIFO stream.
         """
         command = request.command
         if request.sender != admin_identity(self.group_id):
@@ -743,14 +747,6 @@ class Replica(Actor):
             self._consensus[cid] = ConsensusInstance(cid=cid, quorum=self.view.quorum)
         return self._consensus[cid]
 
-    def _handle_write(self, src: str, write: Write) -> None:
-        if write.group != self.group_id or write.sender != src:
-            return
-        if src not in self.view.replicas:
-            return
-        self._note_progress_gap(write.cid)
-        self._apply_write(src, write)
-
     def _apply_write(self, sender: str, write: Write) -> None:
         if write.cid < self.log.next_execute:
             return
@@ -761,14 +757,6 @@ class Replica(Actor):
             accept = Accept(self.group_id, write.regency, write.cid, write.digest, self.name)
             self._broadcast(accept)
             self._apply_accept(self.name, accept)
-
-    def _handle_accept(self, src: str, accept: Accept) -> None:
-        if accept.group != self.group_id or accept.sender != src:
-            return
-        if src not in self.view.replicas:
-            return
-        self._note_progress_gap(accept.cid)
-        self._apply_accept(src, accept)
 
     def _apply_accept(self, sender: str, accept: Accept) -> None:
         if accept.cid < self.log.next_execute:
@@ -793,71 +781,84 @@ class Replica(Actor):
         self._execute_ready()
 
     def _execute_ready(self) -> None:
+        costs = self.config.costs
         for cid, batch in self.log.ready_batches():
-            self._consensus.pop(cid, None)
-            self._started.pop(cid, None)
-            # FIFO/ordering state advances *synchronously* at decision time:
-            # a proposal for cid+1 may be validated before the (CPU-deferred)
-            # execution job runs, and it must see the up-to-date tracker.
-            ordered = []
-            for request in batch:
-                self._pending_since.pop(request.key(), None)
-                self.pool.remove(request.sender, request.seq)
-                if self.log.mark_ordered(request):
-                    if (isinstance(request.command, Reconfig)
-                            and self._reconfig_authorized(request)):
-                        self._apply_reconfig(request.command)
-                    ordered.append(request)
-                # else: duplicate slipped through (e.g. a carried batch)
-            self.pool.prune_ordered(self.log.tracker)
-            costs = self.config.costs
+            ordered, boundary = self._order(cid, batch)
             cost = (costs.execute_per_msg + costs.reply_per_msg) * len(ordered)
             # Execution is per carried message, everything else per request.
-            carried = sum(self.app.carried(request) for request in ordered)
+            carried = sum(self.app.carried(request) for request, __, __ in ordered)
             cost += costs.execute_per_msg * (carried - len(ordered))
-            # The FIFO tracker and the view advance synchronously (above)
-            # while application execution is CPU-deferred, so a checkpoint's
-            # tracker/view must be captured *here* — at the cursor — or a
-            # later batch's Reconfig/ordering could leak into the snapshot
-            # and break digest agreement across replicas.
-            boundary = None
-            if self.checkpoints.due(cid):
-                boundary = (cid, self.log.tracker.snapshot(), self.view)
+            if boundary is not None:
                 cost += costs.checkpoint_fixed
-            self.work(cost, lambda b=tuple(ordered), m=boundary, c=cid:
-                      self._execute_batch(b, m, c))
+            self.work(cost, lambda c=cid, o=ordered, b=boundary:
+                      self._execute_batch(c, o, b))
         self._drain_future_proposals()
         self._maybe_propose()
 
-    def _execute_batch(
-        self,
-        batch: Tuple[Request, ...],
-        checkpoint_boundary: Optional[Tuple[int, Dict[str, int], View]] = None,
-        cid: int = -1,
-    ) -> None:
-        ctx = ExecutionContext(replica=self, time=self.loop.now)
+    def _order(self, cid: int,
+               batch: Tuple[Request, ...]) -> Tuple[Ordered, Boundary]:
+        """Advance the ordering state past decided batch ``cid``.
+
+        Runs synchronously at decision (or adoption) time, while execution
+        may be CPU-deferred: a proposal for cid+1 may be validated before
+        the execution job runs and must see the up-to-date FIFO tracker and
+        view.  For the same reason a due checkpoint's tracker and view are
+        captured here, or a later batch's Reconfig/ordering could leak into
+        the snapshot and break digest agreement across replicas.
+        """
+        self._consensus.pop(cid, None)
+        self._started.pop(cid, None)
+        ordered = []
         for request in batch:
-            if isinstance(request.command, Reconfig):
-                if self._reconfig_authorized(request):
-                    result = ("ok", "reconfig", request.command.new_replicas)
-                else:
-                    result = ("error", "reconfig denied")
-                    self.monitor.record(self.name, "reconfig.denied",
-                                        sender=request.sender)
-            else:
+            pending = self._pending_since.pop(request.key(), None) is not None
+            self.pool.remove(request.sender, request.seq)
+            if not self.log.mark_ordered(request):
+                continue  # a duplicate slipped through (e.g. a carried batch)
+            result = (self._apply_reconfig(request)
+                      if isinstance(request.command, Reconfig) else None)
+            ordered.append((request, result, pending))
+        self.pool.prune_ordered(self.log.tracker)
+        boundary = None
+        if self.checkpoints.due(cid):
+            boundary = (cid, self.log.tracker.snapshot(), self.view)
+        return ordered, boundary
+
+    def _execute_batch(self, cid: int, ordered: Ordered, boundary: Boundary,
+                       live: bool = True) -> None:
+        """Execute what ``_order`` returned for ``cid`` and reply.
+
+        A live batch runs as a CPU job, replies to every sender and lets
+        the leader propose again.  A batch adopted by state transfer runs
+        inline and replies only to requests that were pending here: those
+        senders asked *us* and are still waiting — in particular the admin
+        client behind a Reconfig needs f+1 matching replies to confirm the
+        new view.  Historical requests a joiner replays were never pending
+        here, so bulk catch-up stays reply-silent; every result is still
+        kept for a sender that retransmits.
+        """
+        ctx = ExecutionContext(replica=self, time=self.loop.now)
+        kind = "replica.executed" if live else "replica.executed_catchup"
+        for request, result, pending in ordered:
+            if result is None:
                 result = self.app.execute(request, ctx)
-            self.monitor.record(self.name, "replica.executed", sender=request.sender, seq=request.seq)
+            elif result[0] == "error":  # a refused Reconfig
+                self.monitor.record(self.name, "reconfig.denied",
+                                    sender=request.sender)
+            self.monitor.record(self.name, kind, sender=request.sender,
+                                seq=request.seq)
             if result is not None:
-                reply = Reply(self.group_id, self.name, request.sender, request.seq, result)
                 self._replies.keep(request.sender, request.seq, result)
-                self._send_reply(request, reply)
+                if live or pending:
+                    self._send_reply(request, Reply(
+                        self.group_id, self.name, request.sender,
+                        request.seq, result))
         self.app.end_batch(ctx)
         if cid > self._applied_cid:
             self._applied_cid = cid
-        if checkpoint_boundary is not None:
-            cid, tracker_state, view = checkpoint_boundary
-            self._take_checkpoint(cid, tracker_state, view)
-        self._maybe_propose()
+        if boundary is not None:
+            self._take_checkpoint(*boundary)
+        if live:
+            self._maybe_propose()
 
     def _drain_future_proposals(self) -> None:
         """Re-process stashed proposals that fell inside the window.
@@ -900,6 +901,7 @@ class Replica(Actor):
             return
         oldest = min(self._pending_since.values())
         waited = self.loop.now - oldest
+        delay = self.config.request_timeout - waited
         if waited >= self.config.request_timeout * 0.999:
             self._initiate_stop()
             # Anti-entropy: the stall may be because *we* fell behind the
@@ -909,12 +911,8 @@ class Replica(Actor):
             now = self.loop.now
             for key in self._pending_since:
                 self._pending_since[key] = now
-            self._request_timer = self.set_timer(
-                self.config.request_timeout, self._request_timer_fired
-            )
-        else:
-            remaining = self.config.request_timeout - waited
-            self._request_timer = self.set_timer(remaining, self._request_timer_fired)
+            delay = self.config.request_timeout
+        self._request_timer = self.set_timer(delay, self._request_timer_fired)
 
     # ------------------------------------------------------ regency change
 
@@ -932,10 +930,6 @@ class Replica(Actor):
         self._apply_stop(self.name, stop)
 
     def _handle_stop(self, src: str, stop: Stop) -> None:
-        if stop.group != self.group_id or stop.sender != src:
-            return
-        if src not in self.view.replicas:
-            return
         if (stop.regency < self.regency.current
                 and self.regency.has_sent_stop(stop.regency)):
             # Laggard assist: the sender is still collecting STOPs for a
@@ -1018,10 +1012,6 @@ class Replica(Actor):
             self.send(new_leader, data)
 
     def _handle_stopdata(self, src: str, data: StopData) -> None:
-        if data.group != self.group_id or data.sender != src:
-            return
-        if src not in self.view.replicas:
-            return
         if len(data.certs) > MAX_STOPDATA_CERTS:
             # A Byzantine peer cannot force unbounded sync work: honest
             # reports never exceed the pipeline window.
@@ -1053,7 +1043,7 @@ class Replica(Actor):
             self._apply_sync(self.name, sync)
 
     def _handle_sync(self, src: str, sync: Sync) -> None:
-        if sync.group != self.group_id or sync.leader != src:
+        if sync.leader != src:
             return
         self._apply_sync(src, sync)
 
@@ -1081,190 +1071,54 @@ class Replica(Actor):
 
     # ------------------------------------------------------- state transfer
 
-    def _note_progress_gap(self, cid: int) -> None:
-        threshold = self.config.max_in_flight + STATE_GAP_SLACK
-        if cid >= self.log.next_execute + threshold:
-            # Live protocol traffic proving a gap is fresh reachability
-            # evidence; the backoff only throttles an unreachable quorum.
-            self._state_backoff_until = 0.0
+    def _note_progress_gap(self, cid: int, lead: int = 0) -> None:
+        """Catch up if live traffic at ``cid`` leads our cursor by ``lead``
+        (default: the window plus slack); it proves any backoff stale."""
+        lead = lead or self.config.max_in_flight + STATE_GAP_SLACK
+        if cid >= self.log.next_execute + lead:
+            self.state_transfer.reachable()
             self._request_state()
 
     def _request_state(self) -> None:
-        if self._state_xfer_active:
-            return
-        if self.loop.now < self._state_backoff_until:
-            return  # backing off after failed rounds; the next probe is armed
-        self._state_xfer_active = True
-        self._state_responses.clear()
-        self.monitor.record(self.name, "state.request", from_cid=self.log.next_execute)
-        self._broadcast(StateRequest(self.group_id, self.name, self.log.next_execute))
-        self.set_timer(STATE_RETRY_TIMEOUT, self._state_timeout)
-
-    def _state_timeout(self) -> None:
-        if self._state_xfer_active:
-            # The f+1 quorum never answered within the round: count a
-            # failure so the next request backs off instead of hot-looping.
-            self._state_xfer_active = False
-            self._note_state_failure()
-
-    def _note_state_failure(self) -> None:
-        """Arm the capped, jittered backoff after a fruitless state round.
-
-        Same clamp shape as the client proxy's retransmit backoff (64x cap);
-        the jitter is deterministic per (replica, attempt) via crc32 — NOT
-        the process-salted builtin ``hash`` — so simulated runs stay
-        reproducible while a cohort of joiners still de-synchronizes
-        instead of re-requesting in lockstep.
-        """
-        self._state_attempts += 1
-        multiplier = min(2 ** (self._state_attempts - 1),
-                         MAX_STATE_BACKOFF_MULTIPLIER)
-        jitter = (zlib.crc32(f"{self.name}:{self._state_attempts}".encode())
-                  % 1024) / 4096.0  # [0, 0.25)
-        self._state_backoff_until = self.loop.now + (
-            STATE_RETRY_TIMEOUT * multiplier * (1.0 + jitter))
-        self.monitor.record(self.name, "state.backoff",
-                            attempts=self._state_attempts)
-
-    def _note_state_success(self) -> None:
-        self._state_attempts = 0
-        self._state_backoff_until = 0.0
+        if self.state_transfer.open(self.loop.now):
+            self._broadcast(StateRequest(self.group_id, self.name,
+                                         self.log.next_execute))
+            self.set_timer(STATE_RETRY_TIMEOUT,
+                           lambda: self.state_transfer.expire(self.loop.now))
 
     def _handle_state_request(self, src: str, request: StateRequest) -> None:
-        if request.group != self.group_id:
-            return
-        horizon = self.log.horizon
-        checkpoint = self.log.checkpoint if request.from_cid < horizon else None
-        # Behind the truncation horizon the answer is checkpoint + retained
-        # suffix — never a partial suffix with a silent gap the requester
-        # would misread as "nothing in between".
-        response = StateResponse(
-            group=self.group_id,
-            sender=self.name,
-            from_cid=request.from_cid,
-            next_cid=self.log.next_execute,
-            regency=self.regency.current,
-            batches=self.log.executed_suffix(max(request.from_cid, horizon)),
-            checkpoint=checkpoint,
-            horizon=horizon,
-        )
+        response = self.state_transfer.answer(request, self.regency.current)
         size = 64 * max(1, len(response.batches))
-        if checkpoint is not None:
+        if response.checkpoint is not None:
             size += 64 * max(1, self.config.checkpoint_interval)
         self.send(src, response, size=size)
 
     def _handle_state_response(self, src: str, response: StateResponse) -> None:
-        if response.group != self.group_id or response.sender != src:
+        adopted = self.state_transfer.offer(
+            src, response, len(self.view.replicas) - 1, self._adopt_state)
+        if adopted is None:
             return
-        if src not in self.view.replicas:
-            return
-        if not self._state_xfer_active:
-            # A straggler of a closed round still counts if it proves we
-            # are behind: the round's first f+1 answers may all come from
-            # peers stuck at our cursor — a cid decided at one correct
-            # replica whose ACCEPTs the others lost, so they can neither
-            # decide it again nor learn it from each other.  What the
-            # straggler vouches for needs f+1 matching answers (or our own
-            # write certificate) all the same.
-            if response.next_cid <= self.log.next_execute:
-                return
-            self._state_responses[src] = response
-            if self._try_adopt_state():
-                self._execute_ready()
-                self._drain_future_proposals()
-                self._maybe_propose()
-            return
-        self._state_responses[src] = response
-        if len(self._state_responses) < self.view.f + 1:
-            return
-        adopted = self._try_adopt_state()
-        if not adopted:
-            behind = any(r.next_cid > self.log.next_execute
-                         for r in self._state_responses.values())
-            if behind and len(self._state_responses) < len(self.view.replicas) - 1:
-                # f+1 peers answered but no position collected f+1 matching
-                # vouchers, and at least one responder proves we are behind.
-                # The first f+1 answers may simply be the wrong mix — e.g. a
-                # departed member whose log stops before the boundary cid
-                # answering ahead of the members that decided it — so keep
-                # the round open and re-attempt adoption as stragglers
-                # arrive.  STATE_RETRY_TIMEOUT still bounds the round, so a
-                # leader is never blocked from proposing for longer than a
-                # wholly unanswered round.
-                return
-        # The round is over: either something installed, every possible peer
-        # answered, or nobody vouches we are behind.  If we were genuinely
-        # behind but the responses disagreed (drops), the next timeout
-        # retries.  Either way an f+1 quorum is *reachable*, so the
-        # unreachability backoff resets — an inactive joiner then keeps its
-        # designed request_timeout poll cadence rather than the hot loop the
-        # backoff guards against.
-        self._state_xfer_active = False
-        self._note_state_success()
         if adopted:
             self._execute_ready()
         self._drain_future_proposals()
         self._maybe_propose()
 
-    def _try_adopt_state(self) -> bool:
-        """Install every log position vouched for by f+1 identical responses.
+    def _adopt_state(self) -> bool:
+        """Install what the state round vouches for — a checkpoint (jumping
+        the cursor past the peers' truncation horizon), then each batch
+        through the one execution path — and its regency; True if any."""
+        regency = self.state_transfer.adopt(
+            self._install_checkpoint, lambda cid, batch: self._execute_batch(
+                cid, *self._order(cid, batch), live=False))
+        if regency is not None and regency > self.regency.current:
+            self.regency.install(regency)
+        return regency is not None
 
-        A checkpoint, when one is vouched for ahead of the local cursor, is
-        installed first (jumping the cursor past the peers' truncation
-        horizon); the retained suffix is then replayed batch by batch.
-        """
-        checkpoint = self.checkpoints.elect(self._state_responses,
-                                            self.view.f)
-        if checkpoint is not None:
-            self._install_checkpoint(checkpoint)
-        installed_any = checkpoint is not None
-        per_cid: Dict[int, Dict[bytes, Tuple[int, Tuple[Request, ...]]]] = {}
-        counts: Dict[Tuple[int, bytes], int] = {}
-        regencies = []
-        for response in self._state_responses.values():
-            regencies.append(response.regency)
-            for cid, batch in response.batches:
-                d = digest(batch)
-                per_cid.setdefault(cid, {})[d] = (cid, batch)
-                counts[(cid, d)] = counts.get((cid, d), 0) + 1
-        while True:
-            cid = self.log.next_execute
-            options = per_cid.get(cid)
-            if not options:
-                break
-            chosen = None
-            for d, (__, batch) in options.items():
-                if counts.get((cid, d), 0) >= self.view.f + 1:
-                    chosen = batch
-                    break
-            if chosen is None:
-                # A single voucher suffices when the batch matches a write
-                # certificate we assembled ourselves: 2f+1 replicas
-                # write-certified this digest, so no other value can ever
-                # decide at this cid (quorum intersection, preserved across
-                # regency changes by the sync rule).  This is the only
-                # recovery path when exactly one correct replica decided a
-                # Reconfig at the view boundary: its post-reconfig STOP
-                # threshold is higher than the old view can muster, and no
-                # second voucher for the boundary cid exists anywhere.
-                instance = self._consensus.get(cid)
-                cert = instance.write_cert if instance is not None else None
-                if cert is not None:
-                    match = options.get(cert.digest)
-                    if match is not None:
-                        chosen = match[1]
-                        self.monitor.record(self.name, "state.cert_adopt",
-                                            cid=cid)
-            if chosen is None:
-                break
-            for installed_cid, batch in self.log.install_suffix(((cid, chosen),)):
-                self._run_installed_batch(installed_cid, batch)
-                installed_any = True
-        if installed_any:
-            target = max(regencies)
-            if target > self.regency.current:
-                self.regency.install(target)
-        return installed_any
+    def _certified_digest(self, cid: int) -> Optional[bytes]:
+        """The digest of our own write certificate for ``cid``, if any."""
+        instance = self._consensus.get(cid)
+        cert = instance.write_cert if instance is not None else None
+        return cert.digest if cert is not None else None
 
     def _install_checkpoint(self, checkpoint: CheckpointData) -> None:
         """Jump the replica's state to a verified peer checkpoint."""
@@ -1272,24 +1126,16 @@ class Replica(Actor):
         was_active = self.active
         self.app.restore(checkpoint.state)
         self.log.install_checkpoint(checkpoint)
-        for cid in [c for c in self._consensus if c <= checkpoint.cid]:
-            del self._consensus[cid]
-        for cid in [c for c in self._started if c <= checkpoint.cid]:
-            del self._started[cid]
+        for table in (self._consensus, self._started):
+            for cid in [c for c in table if c <= checkpoint.cid]:
+                del table[cid]
         if new_view.replicas != self.view.replicas:
             # The truncated prefix contained Reconfigs we will never
             # execute; the checkpoint carries the resulting view instead.
-            self.view = new_view
-            self.regency.update_view(new_view.n, new_view.f)
-            for open_cid, instance in self._consensus.items():
-                if open_cid > checkpoint.cid and not instance.decided:
-                    instance.rescope(new_view.replicas, new_view.quorum)
-            self.active = self.name in new_view
+            self._adopt_view(new_view)
             self._assembling = False
-            self._note_view_change()
         self.pool.prune_ordered(self.log.tracker)
-        if checkpoint.cid > self._applied_cid:
-            self._applied_cid = checkpoint.cid
+        self._applied_cid = checkpoint.cid  # at or past the cursor
         for key in [k for k in self._pending_since
                     if self.log.tracker.last(k[0]) >= k[1]]:
             del self._pending_since[key]
@@ -1297,48 +1143,6 @@ class Replica(Actor):
                             cid=checkpoint.cid, active=self.active)
         if self.active and not was_active:
             self._maybe_propose()
-
-    def _run_installed_batch(self, cid: int, batch: Tuple[Request, ...]) -> None:
-        """Execute a state-transferred batch.
-
-        Replies are sent only for requests still sitting in our pending
-        set: those senders asked *us* directly and are still waiting — in
-        particular the admin client behind a Reconfig needs f+1 matching
-        replies before it can confirm the new view.  Historical requests
-        replayed by a joiner were never pending here, so bulk catch-up
-        stays reply-silent; their replies are still kept for a sender that
-        retransmits.
-        """
-        ctx = ExecutionContext(replica=self, time=self.loop.now)
-        for request in batch:
-            was_pending = self._pending_since.pop(request.key(), None) is not None
-            self.pool.remove(request.sender, request.seq)
-            if not self.log.mark_ordered(request):
-                continue
-            if isinstance(request.command, Reconfig):
-                if self._reconfig_authorized(request):
-                    self._apply_reconfig(request.command)
-                    result = ("ok", "reconfig", request.command.new_replicas)
-                else:
-                    result = ("error", "reconfig denied")
-            else:
-                result = self.app.execute(request, ctx)
-            if result is not None:
-                reply = Reply(self.group_id, self.name, request.sender,
-                              request.seq, result)
-                self._replies.keep(request.sender, request.seq, result)
-                if was_pending:
-                    self._send_reply(request, reply)
-            self.monitor.record(self.name, "replica.executed_catchup",
-                                sender=request.sender, seq=request.seq)
-        self.app.end_batch(ctx)
-        self.pool.prune_ordered(self.log.tracker)
-        if cid > self._applied_cid:
-            self._applied_cid = cid
-        if self.checkpoints.due(cid):
-            # Catch-up runs synchronously, so tracker and view are exactly
-            # the post-``cid`` state here.
-            self._take_checkpoint(cid, self.log.tracker.snapshot(), self.view)
 
     def _take_checkpoint(self, cid: int, tracker_state: Dict[str, int],
                          view: View) -> None:

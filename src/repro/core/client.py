@@ -20,7 +20,7 @@ from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bcast.client import GroupProxy, ReadProxy
-from repro.bcast.config import BroadcastConfig
+from repro.bcast.config import BroadcastConfig, capped_backoff
 from repro.bcast.messages import ReadReply, Reply
 from repro.core.messages import DeliveryQuery, MulticastReply, WireMulticast
 from repro.core.tree import OverlayTree
@@ -375,7 +375,6 @@ class MulticastClient(Actor):
                 read_timeout=self.read_timeout,
                 min_cid=lambda mode, g=group_id:
                     self._read_high_water.get((g, mode), -1),
-                mode=mode,
             )
         return self._read_proxies[key]
 
@@ -407,9 +406,9 @@ class MulticastClient(Actor):
             if proxy is not None:
                 proxy.handle_reply(src, payload)
         elif isinstance(payload, ReadReply):
-            for read_proxy in self._read_proxies.values():
-                if read_proxy.handle_read_reply(src, payload):
-                    return
+            read_proxy = self._read_proxies.get((payload.group, payload.mode))
+            if read_proxy is not None:
+                read_proxy.handle_read_reply(src, payload)
         elif isinstance(payload, MulticastReply):
             self._handle_multicast_reply(src, payload)
 
@@ -476,8 +475,8 @@ class MulticastClient(Actor):
             if entry.next_query > now:
                 continue
             entry.queries += 1
-            entry.next_query = now + self.retransmit_timeout * min(
-                2 ** entry.queries, GroupProxy.MAX_BACKOFF_MULTIPLIER)
+            entry.next_query = now + capped_backoff(self.retransmit_timeout,
+                                                    entry.queries)
             self.monitor.count("client.delivery_query")
             for group in sorted(entry.needed - entry.confirmed):
                 query = DeliveryQuery(group, sender, seq)

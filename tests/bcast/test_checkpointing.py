@@ -224,7 +224,7 @@ class TestCheckpointQuorum:
         state = (("op", 0), ("op", 1))
         ckpt = make_checkpoint(7, state, (("c0", 2),),
                                h.config.replicas, h.config.f)
-        r0._state_xfer_active = True
+        r0._request_state()
         r0._handle_state_response("g1/r1", self._response("g1/r1", ckpt))
         assert r0.log.next_execute == 0  # one vote is not enough
         r0._handle_state_response("g1/r2", self._response("g1/r2", ckpt))
@@ -245,7 +245,7 @@ class TestCheckpointQuorum:
             state=(("evil", 666),), tracker=honest.tracker,
             view_replicas=honest.view_replicas, view_f=honest.view_f,
         )
-        r0._state_xfer_active = True
+        r0._request_state()
         r0._handle_state_response("g1/r1", self._response("g1/r1", honest))
         r0._handle_state_response("g1/r3", self._response("g1/r3", forged))
         assert r0.log.next_execute == 0
@@ -259,7 +259,7 @@ class TestCheckpointQuorum:
                               h.config.replicas, h.config.f)
         high = make_checkpoint(7, (("op", 0), ("op", 1)), (("c0", 2),),
                                h.config.replicas, h.config.f)
-        r0._state_xfer_active = True
+        r0._request_state()
         r0._handle_state_response("g1/r1", self._response("g1/r1", high))
         r0._handle_state_response("g1/r2", self._response("g1/r2", high))
         r0._handle_state_response("g1/r3", self._response("g1/r3", low))
@@ -274,11 +274,29 @@ class TestCheckpointQuorum:
         list(r0.log.ready_batches())
         stale = make_checkpoint(7, (("op", 0),), (("c0", 8),),
                                 h.config.replicas, h.config.f)
-        r0._state_xfer_active = True
+        r0._request_state()
         r0._handle_state_response("g1/r1", self._response("g1/r1", stale))
         r0._handle_state_response("g1/r2", self._response("g1/r2", stale))
         assert r0.log.next_execute == 10
         assert h.monitor.counters["checkpoint.installed"] == 0
+
+    def test_a_late_checkpoint_does_not_reactivate_a_retired_joiner(self):
+        # A joiner still in state transfer is retired; the f+1 answers to
+        # its earlier request arrive afterwards, as stragglers, and elect a
+        # verified checkpoint whose view includes it.  The install adopts
+        # that view but must leave the replica inactive: the view-agreement
+        # invariant counts every active replica.
+        h, r0 = self._fresh_replica()
+        r0.view = View(("g1/r1", "g1/r2", "g1/r3", "g1/r4"), h.config.f)
+        r0.active = False
+        r0.decommission()
+        ckpt = make_checkpoint(7, (("op", 0),), (("c0", 1),),
+                               h.config.replicas, h.config.f)
+        r0._handle_state_response("g1/r1", self._response("g1/r1", ckpt))
+        r0._handle_state_response("g1/r2", self._response("g1/r2", ckpt))
+        assert r0.log.next_execute == 8
+        assert r0.view.replicas == h.config.replicas
+        assert not r0.active
 
 
 # --------------------------------------------- composition with reconfig

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bcast.config import BroadcastConfig, CostModel
+from repro.bcast.config import BACKOFF_MULTIPLIER, BroadcastConfig
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.messages import Reply
 from repro.errors import ConfigurationError
-from tests.helpers import FAST_COSTS, Harness, make_config, replica_names
+from tests.helpers import Harness, make_config
 
 
 class TestBroadcastConfig:
@@ -129,10 +129,10 @@ class TestGroupProxy:
         seq = client.proxy.submit(("cmd",))
         entry = client.proxy._outstanding[seq]
         # Drive retries far past where 2**retries would explode: the delay
-        # must plateau at MAX_BACKOFF_MULTIPLIER × the initial timeout.
+        # must plateau at BACKOFF_MULTIPLIER × the initial timeout.
         for __ in range(200):
             client.proxy._retransmit(entry)
-        cap = client.proxy.retransmit_timeout * client.proxy.MAX_BACKOFF_MULTIPLIER
+        cap = client.proxy.retransmit_timeout * BACKOFF_MULTIPLIER
         assert max(delays) <= cap
         assert delays[-1] == cap
         # retries itself is capped too (no unbounded counter growth).

@@ -28,10 +28,10 @@ def test_a_straggler_answer_after_the_round_closed_is_adopted():
     instance.note_proposal(0, digest(batch), batch)
     for voter in ("g1/r0", "g1/r1", "g1/r2"):
         instance.add_write(0, digest(batch), voter)
-    r0._state_xfer_active = True
+    r0._request_state()
     r0._handle_state_response("g1/r1", answer("g1/r1", 0))
     r0._handle_state_response("g1/r2", answer("g1/r2", 0))
-    assert not r0._state_xfer_active and r0.log.next_execute == 0
+    assert not r0.state_transfer.active and r0.log.next_execute == 0
     r0._handle_state_response("g1/r3", answer("g1/r3", 1, (0, batch)))
     assert r0.log.next_execute == 1
     assert r0.app.executed == [("op", 1)]

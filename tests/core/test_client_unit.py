@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bcast.messages import Reply
+from repro.bcast.messages import ReadReply, Reply
 from repro.core.client import MAX_DELIVERY_QUERIES
 from repro.core.deployment import ByzCastDeployment
 from repro.core.messages import DeliveryQuery, MulticastReply
 from repro.core.tree import OverlayTree
+from repro.crypto.digest import digest
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -220,3 +221,21 @@ class TestDeliveryQueries:
                                        ("delivered", ("one",))))
         dep.run(until=1.01)
         assert self.rounds(sent) == [f"g2/r{index}" for index in range(4)]
+
+
+def test_a_read_reply_reaches_only_the_proxy_of_its_mode():
+    """Both read proxies of a group number their rounds from 1; a reply is
+    routed by (group, mode), so the other mode's round never sees it."""
+    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                            costs=FAST_COSTS)
+    client = dep.add_client("c1")
+    client.send = lambda dst, payload, *args, **kw: None
+    client.aread("g1", ("k",), mode="optimistic")
+    client.aread("g1", ("k",), mode="snapshot")
+    result = ("v",)
+    client.on_message("g1/r0", ReadReply(
+        group="g1", sender="g1/r0", req_sender="c1", rid=1, mode="snapshot",
+        cid=3, value_digest=digest(("readv", result)), result=result))
+    proxies = client._read_proxies
+    assert proxies[("g1", "optimistic")]._outstanding[1].replied == set()
+    assert proxies[("g1", "snapshot")]._outstanding[1].replied == {"g1/r0"}

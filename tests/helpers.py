@@ -224,3 +224,11 @@ def soak_spec(base: ScenarioSpec = DEFAULT_SOAK, **changes: Any) -> ScenarioSpec
                 getattr(base, section), **{key: value})
         base = dataclass_replace(base, **{key: value})
     return base
+
+
+#: the file the CI churn-soak job and scripts/run_experiments.py run
+CHURN_SOAK = ScenarioSpec.load(SCENARIOS / "soak_churn.json")
+#: the churn regression pins and the seed sweep: a short, narrow,
+#: churn-profile-only soak (run with ``messages=24``)
+CHURN_PIN = dict(duration=4.0, clients=2, max_in_flight=2,
+                 joins=0, leaves=0, scale_cycles=0)

@@ -13,14 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.chaos import run_chaos_soak
-from repro.scenario import ScenarioSpec
-from tests.helpers import SCENARIOS, soak_spec
-
-#: the file the CI churn-soak job and scripts/run_experiments.py run
-CHURN_SOAK = ScenarioSpec.load(SCENARIOS / "soak_churn.json")
-#: the regression pins below: a short, narrow, churn-profile-only soak
-PIN = dict(duration=4.0, clients=2, max_in_flight=2,
-           joins=0, leaves=0, scale_cycles=0)
+from tests.helpers import CHURN_PIN, CHURN_SOAK, soak_spec
 
 
 def test_churn_soak_passes_with_membership_invariants():
@@ -48,7 +41,7 @@ def test_churn_soak_boundary_decision_known_to_one_replica():
     # cid exists anywhere.  Recovery relies on write-certificate-matching
     # single-voucher adoption plus replies from catch-up execution so the
     # admin client can still confirm the view.
-    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=238, **PIN),
+    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=238, **CHURN_PIN),
                             messages=24)
     assert report.ok, report.summary()
 
@@ -59,7 +52,7 @@ def test_churn_soak_instance_opened_across_scale_down_boundary():
     # could write but never accept, cycling through regencies forever.
     # ConsensusInstance.rescope at the reconfig boundary fixes the quorum.
     report = run_chaos_soak(
-        soak_spec(CHURN_SOAK, seed=42, checkpoint_interval=0, **PIN),
+        soak_spec(CHURN_SOAK, seed=42, checkpoint_interval=0, **CHURN_PIN),
         messages=24)
     assert report.ok, report.summary()
 
@@ -69,9 +62,9 @@ def test_churn_soak_state_round_stays_open_for_straggler_vouchers():
     # mix — a departed member whose log stops before the boundary cid
     # answered ahead of the members that decided it — and the old code
     # closed the transfer round without adopting, wedging the joiner.
-    # _handle_state_response now keeps the round open while any responder
+    # StateTransfer.offer now keeps the round open while any responder
     # proves we are behind, until every peer has answered.
-    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=107, **PIN),
+    report = run_chaos_soak(soak_spec(CHURN_SOAK, seed=107, **CHURN_PIN),
                             messages=24)
     assert report.ok, report.summary()
 
@@ -87,7 +80,7 @@ def test_churn_soak_unconfirmed_scale_up_view_agreement():
     # fine (ROADMAP P0); which seeds fail moves with the proposal schedule.
     # Strict: the fix must flip this pin to a plain regression test.
     report = run_chaos_soak(
-        soak_spec(CHURN_SOAK, seed=1235, checkpoint_interval=0, **PIN),
+        soak_spec(CHURN_SOAK, seed=1235, checkpoint_interval=0, **CHURN_PIN),
         messages=24)
     assert report.ok, report.summary()
 
