@@ -19,10 +19,15 @@ it, the way ``bench/spans.py`` does.
 
 ``--gc`` adds a third un-profiled repeat that books what no function owns
 (:class:`RunWindow`): garbage collections and their pause time per
-generation, as a share of the time the backend ran, and — on the asyncio
-workloads — process CPU per completed op, the share of the run the loop
-sat idle inside its selector, and asyncio handles created per op (one per
-``call_soon`` / ``call_later``).
+generation, as a share of the time the backend ran, gc-tracked objects
+allocated per completed op (net of frees: the count gen-0 collections fire
+on), and — on the asyncio workloads — process CPU per completed op, the
+share of the run the loop sat idle inside its selector, and asyncio handles
+created per op (one per ``call_soon`` / ``call_later``).  A fourth repeat
+takes the census (:class:`GcCensus`): which types the collections of the
+window promoted into generations 1 and 2, the top 10 of each per op.  It
+lists every object of the older generation twice per collection, so it runs
+apart from the timed repeat.
 
 ``--messages`` adds an un-profiled repeat that counts every message a
 transport sends (:class:`MessageCensus`), by payload type and, for a
@@ -133,14 +138,20 @@ class RunWindow:
         self.selects = 0
         self.select_s = 0.0
         self.handles = 0
+        #: gc-tracked allocations net of frees (what gen 0's count adds up)
+        self.allocated = 0
         self._open = False
         self._gc_started = 0.0
+        self._count_mark = 0
 
     def on_gc(self, phase: str, info: Dict) -> None:
         if not self._open:
             return
         if phase == "start":
             self._gc_started = time.perf_counter()
+            # every collection resets gen 0's count: book it first
+            self.allocated += gc.get_count()[0] - self._count_mark
+            self._count_mark = 0
         else:
             generation = info["generation"]
             self.collections[generation] += 1
@@ -155,11 +166,13 @@ class RunWindow:
             if selector is not None and "select" not in vars(selector):
                 selector.select = self._timed_select(selector.select)
             wall, cpu = time.perf_counter(), time.process_time()
+            self._count_mark = gc.get_count()[0]
             self._open = True
             try:
                 return run(runner, *args, **kwargs)
             finally:
                 self._open = False
+                self.allocated += gc.get_count()[0] - self._count_mark
                 self.wall += time.perf_counter() - wall
                 self.cpu += time.process_time() - cpu
 
@@ -203,6 +216,8 @@ class RunWindow:
                 ("total", sum(self.collections), sum(self.pauses))):
             rows.append(f"{name:8s} {count:12d} {pause * 1e3:10.1f} "
                         f"{pause / self.wall:7.1%}")
+        rows.append(f"gc-tracked allocations per op    "
+                    f"{self.allocated / completed:8.1f} (net of frees)")
         if self.selects:
             rows += [
                 f"process CPU per completed op     "
@@ -212,6 +227,52 @@ class RunWindow:
                 f"({self.selects} select calls)",
                 f"asyncio handles created per op   "
                 f"{self.handles / completed:8.2f}"]
+        return "\n".join(rows)
+
+
+class GcCensus(RunWindow):
+    """What the window's collections promote, by type.
+
+    At the start of a collection of generation ``g`` the ids of the objects
+    in generation ``min(g + 1, 2)`` are noted; at its stop every object
+    there that was not is one the collection promoted (its survivors move
+    up one generation; a full collection's young survivors join gen 2).
+    The census's own id set survives every collection and is not counted.
+    """
+
+    TOP = 10
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.promoted = {1: Counter(), 2: Counter()}
+        self._target = 1
+        self._before: set = set()
+
+    def on_gc(self, phase: str, info: Dict) -> None:
+        if not self._open:
+            return
+        if phase == "start":
+            self._target = min(info["generation"] + 1, 2)
+            self._before = {id(obj) for obj in gc.get_objects(self._target)}
+            return
+        before, counts = self._before, self.promoted[self._target]
+        for obj in gc.get_objects(self._target):
+            if id(obj) not in before and obj is not before:
+                kind = type(obj)
+                module = kind.__module__
+                counts[kind.__qualname__ if module == "builtins"
+                       else f"{module}.{kind.__qualname__}"] += 1
+        self._before = set()
+
+    def report(self, completed: int) -> str:
+        rows = []
+        for generation, counts in self.promoted.items():
+            total = sum(counts.values())
+            rows.append(f"promoted into gen{generation} per op "
+                        f"{total / completed:10.2f} ({total} objects)")
+            for name, count in counts.most_common(self.TOP):
+                rows.append(f"  {name:48s} {count / completed:8.3f} "
+                            f"{count:9d}")
         return "\n".join(rows)
 
 
@@ -319,6 +380,15 @@ def phase_gc(args) -> int:
     return 0
 
 
+def phase_census(args) -> int:
+    census = GcCensus()
+    census.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} gc census: {summary(result)}")
+    print(census.report(result["completed"]))
+    return 0
+
+
 def phase_messages(args) -> int:
     census = MessageCensus()
     census.install()
@@ -329,7 +399,7 @@ def phase_messages(args) -> int:
 
 
 PHASES = {"profile": phase_profile, "share": phase_share, "gc": phase_gc,
-          "messages": phase_messages}
+          "census": phase_census, "messages": phase_messages}
 
 
 def main(argv: List[str] = None) -> int:
@@ -344,9 +414,11 @@ def main(argv: List[str] = None) -> int:
                         metavar="mod:Class.func",
                         help="time this function with profiling off")
     parser.add_argument("--gc", action="store_true",
-                        help="book GC pauses and, on asyncio workloads, "
-                             "process CPU, loop idle share and handles "
-                             "per op, with profiling off")
+                        help="book GC pauses, allocations per op and, on "
+                             "asyncio workloads, process CPU, loop idle "
+                             "share and handles per op, with profiling "
+                             "off; then a census of the types promoted "
+                             "into gen 1 and gen 2")
     parser.add_argument("--messages", action="store_true",
                         help="count messages sent per completed op, by "
                              "payload type and Reply result kind")
@@ -357,7 +429,8 @@ def main(argv: List[str] = None) -> int:
         return PHASES[args.phase](args)
     forwarded = sys.argv[1:] if argv is None else list(argv)
     phases = (["profile"] if args.top > 0 else []) + (
-        ["share"] if args.share else []) + (["gc"] if args.gc else []) + (
+        ["share"] if args.share else []) + (
+        ["gc", "census"] if args.gc else []) + (
         ["messages"] if args.messages else [])
     for phase in phases:
         done = subprocess.run([sys.executable, os.path.abspath(__file__),

@@ -10,6 +10,7 @@ drivers are protocol-agnostic.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bcast.app import Application, ExecutionContext
@@ -94,24 +95,24 @@ class SingleGroupClient(Actor):
         mid = MessageId(ClientId(self.name), seq)
         message = MulticastMessage(mid=mid, dst=frozenset(dst), payload=tuple(payload))
         unsigned = WireMulticast.from_message(message)
-        signature = sign(self.registry, self.name, unsigned.signed_part())
-        wire = WireMulticast.from_message(message, signature)
+        wire = unsigned.with_signature(
+            sign(self.registry, self.name, unsigned.signed_part()))
         self._sent_at[seq] = (message, self.loop.now)
-
-        def on_result(result: Any, seq=seq) -> None:
-            entry = self._sent_at.pop(seq, None)
-            if entry is None:
-                return
-            msg, started = entry
-            latency = self.loop.now - started
-            self.completions.append((msg, latency))
-            if callback is not None:
-                callback(msg, latency)
-            if self.on_complete is not None:
-                self.on_complete(msg, latency)
-
-        self.proxy.submit(wire, on_result)
+        self.proxy.submit(wire, partial(self._on_result, seq, callback))
         return mid
+
+    def _on_result(self, seq: int, callback: Optional[CompletionCallback],
+                   result: Any) -> None:
+        entry = self._sent_at.pop(seq, None)
+        if entry is None:
+            return
+        msg, started = entry
+        latency = self.loop.now - started
+        self.completions.append((msg, latency))
+        if callback is not None:
+            callback(msg, latency)
+        if self.on_complete is not None:
+            self.on_complete(msg, latency)
 
     def pending(self) -> int:
         return len(self._sent_at)

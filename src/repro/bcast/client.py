@@ -15,6 +15,7 @@ messages into child groups — both are just "senders" to a group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.bcast.config import capped_backoff
@@ -110,8 +111,8 @@ class GroupProxy(_GroupEndpoint):
         seq = self._next_seq
         self._next_seq += 1
         unsigned = Request(self.group_id, self.owner.name, seq, command, None)
-        signature = sign(self.registry, self.owner.name, unsigned.signed_part())
-        request = Request(self.group_id, self.owner.name, seq, command, signature)
+        request = unsigned.with_signature(
+            sign(self.registry, self.owner.name, unsigned.signed_part()))
         entry = _Outstanding(request=request, callback=callback)
         self._outstanding[seq] = entry
         self.submitted += 1
@@ -123,7 +124,7 @@ class GroupProxy(_GroupEndpoint):
         if self.retransmit_timeout is None:
             return
         delay = capped_backoff(self.retransmit_timeout, entry.retries)
-        entry.timer = self.owner.set_timer(delay, lambda: self._retransmit(entry))
+        entry.timer = self.owner.set_timer(delay, partial(self._retransmit, entry))
 
     def _retransmit(self, entry: _Outstanding) -> None:
         if entry.request.seq not in self._outstanding:
@@ -272,7 +273,7 @@ class ReadProxy(_GroupEndpoint):
     def _arm_timer(self, entry: _OutstandingRead) -> None:
         entry.timer = self.owner.set_timer(
             capped_backoff(self.read_timeout, entry.retries),
-            lambda: self._next_round(entry))
+            partial(self._next_round, entry))
 
     def _next_round(self, entry: _OutstandingRead) -> None:
         """Retry (fresh tally, backed-off timer) or report exhaustion."""

@@ -48,6 +48,19 @@ class Request:
             object.__setattr__(self, "_signed_part", cached)
         return cached
 
+    def with_signature(self, signature: Signature) -> "Request":
+        """This request carrying ``signature``, which covers its
+        :meth:`signed_part`.
+
+        The copy keeps that very tuple as its memo: a receiver verifies the
+        object the signer canonicalized, so the verification memo entry the
+        signing wrote is a hit and the tuple is encoded once per request.
+        """
+        signed = Request(self.group, self.sender, self.seq, self.command,
+                         signature)
+        object.__setattr__(signed, "_signed_part", self.signed_part())
+        return signed
+
     def key(self) -> Tuple[str, int]:
         """FIFO identity: (sender, seq).  Tuple is built once and reused."""
         cached = self.__dict__.get("_key")

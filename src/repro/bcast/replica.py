@@ -35,6 +35,7 @@ proposal) without duplicating the rest of the protocol.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.bcast.app import Application, ExecutionContext
@@ -328,9 +329,9 @@ class Replica(Actor):
         if not self.active and not isinstance(payload, (StateRequest, StateResponse)):
             return  # a joiner only catches up until a Reconfig activates it
         if type(payload) in self._CONTROL:
-            self.work(costs.vote_recv, lambda: self._handle_control(src, payload))
+            self.work(costs.vote_recv, partial(self._handle_control, src, payload))
         elif isinstance(payload, Request):
-            self.work(costs.request_recv, lambda: self._handle_request(src, payload))
+            self.work(costs.request_recv, partial(self._handle_request, src, payload))
         elif isinstance(payload, ReadRequest):
             # Served through the same FIFO work queue as batch execution:
             # a read enqueued behind a pending _execute_batch job observes
@@ -338,15 +339,15 @@ class Replica(Actor):
             # half-applied mixture.
             cost = (costs.request_recv + costs.execute_per_msg
                     + costs.reply_per_msg)
-            self.work(cost, lambda: self._handle_read_request(src, payload))
+            self.work(cost, partial(self._handle_read_request, src, payload))
         elif isinstance(payload, Propose):
             cost = costs.validate_fixed + costs.validate_per_msg * len(payload.batch)
-            self.work(cost, lambda: self._handle_propose(src, payload))
+            self.work(cost, partial(self._handle_propose, src, payload))
         elif isinstance(payload, AuthenticatedPropose):
             cost = (costs.validate_fixed
                     + costs.validate_per_msg * len(payload.proposal.batch))
             self.work(cost,
-                      lambda: self._handle_authenticated_propose(src, payload))
+                      partial(self._handle_authenticated_propose, src, payload))
         elif isinstance(payload, Reply):
             # Replies reach a replica when it acts as a *sender* to another
             # group (ByzCast relays); the application owns those proxies.
@@ -534,7 +535,7 @@ class Replica(Actor):
         # from a second job, so requests whose receive work queued behind
         # the fixed cost are pooled by then and ride in this instance.
         self.work(self.config.costs.propose_fixed,
-                  lambda: self.work(0.0, self._begin_proposal))
+                  partial(self.work, 0.0, self._begin_proposal))
 
     def _begin_proposal(self) -> None:
         """Cut the batch (fixed cost already paid) and charge its per-request CPU."""
@@ -550,7 +551,7 @@ class Replica(Actor):
         cid = self._next_cid()
         regency = self.regency.current
         cost = self.config.costs.propose_per_msg * len(batch)
-        self.work(cost, lambda: self._send_propose(cid, regency, batch))
+        self.work(cost, partial(self._send_propose, cid, regency, batch))
 
     def _send_propose(self, cid: int, regency: int, batch: Tuple[Request, ...]) -> None:
         """Emit the proposal (overridden by Byzantine behaviours)."""
@@ -790,8 +791,7 @@ class Replica(Actor):
             cost += costs.execute_per_msg * (carried - len(ordered))
             if boundary is not None:
                 cost += costs.checkpoint_fixed
-            self.work(cost, lambda c=cid, o=ordered, b=boundary:
-                      self._execute_batch(c, o, b))
+            self.work(cost, partial(self._execute_batch, cid, ordered, boundary))
         self._drain_future_proposals()
         self._maybe_propose()
 

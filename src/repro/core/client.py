@@ -176,8 +176,8 @@ class MulticastClient(Actor):
         mid = MessageId(ClientId(self.name), seq)
         message = MulticastMessage(mid=mid, dst=frozenset(dst), payload=tuple(payload))
         unsigned = WireMulticast.from_message(message)
-        signature = sign(self.registry, self.name, unsigned.signed_part())
-        wire = WireMulticast.from_message(message, signature)
+        wire = unsigned.with_signature(
+            sign(self.registry, self.name, unsigned.signed_part()))
 
         entry = _InFlight(
             message=message,
@@ -245,9 +245,8 @@ class MulticastClient(Actor):
         proxy = self._read_proxy(group, mode)
         proxy.read(
             entry.payload, mode,
-            on_accept=lambda cid, result, voters, k=key:
-                self._read_accepted(k, cid, result, voters),
-            on_exhausted=lambda k=key: self._read_exhausted(k),
+            on_accept=partial(self._read_accepted, key),
+            on_exhausted=partial(self._read_exhausted, key),
         )
         self.monitor.record(self.name, "client.aread", group=group, mode=mode)
         return rid

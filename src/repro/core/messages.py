@@ -46,14 +46,14 @@ class WireMulticast:
     signature: Optional[Signature] = None
 
     @classmethod
-    def from_message(cls, message: MulticastMessage,
-                     signature: Optional[Signature] = None) -> "WireMulticast":
+    def from_message(cls, message: MulticastMessage) -> "WireMulticast":
+        """The unsigned wire of ``message`` (sign it with
+        :meth:`with_signature`)."""
         wire = cls(
             sender=str(message.mid.sender),
             seq=message.mid.seq,
             dst=tuple(sorted(message.dst)),
             payload=tuple(message.payload),
-            signature=signature,
         )
         if wire.payload is message.payload:
             # ``message`` is exactly what to_message() would build: share
@@ -85,6 +85,23 @@ class WireMulticast:
             cached = ("amcast", self.sender, self.seq, self.dst, self.payload)
             object.__setattr__(self, "_signed_part", cached)
         return cached
+
+    def with_signature(self, signature: Signature) -> "WireMulticast":
+        """This wire carrying ``signature``, which covers its
+        :meth:`signed_part`.
+
+        The copy keeps that very tuple (and the carried message) as its
+        memos: a receiver verifies the object the client canonicalized, so
+        the verification memo entry the signing wrote is a hit and the
+        tuple is encoded once per multicast.
+        """
+        signed = WireMulticast(self.sender, self.seq, self.dst, self.payload,
+                               signature)
+        object.__setattr__(signed, "_signed_part", self.signed_part())
+        message = self.__dict__.get("_message")
+        if message is not None:
+            object.__setattr__(signed, "_message", message)
+        return signed
 
     def identity(self) -> Tuple:
         """Content identity used for relay dedup/counting keys (reused)."""

@@ -31,6 +31,7 @@ destination replies ``("ack",)``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from dataclasses import replace as dataclass_replace
@@ -430,7 +431,7 @@ class ByzCastApplication(Application):
             # The CPU queue is FIFO, so batches are submitted (and numbered
             # by the proxy) in act order — preserving FIFO into the child.
             ctx.replica.work(per_wire * len(batch.wires),
-                             lambda b=batch: proxy.submit(b))
+                             partial(proxy.submit, batch))
             ctx.monitor.record(ctx.replica_name, "byzcast.relay_batch",
                                child=child, size=len(batch.wires))
 

@@ -13,6 +13,7 @@ timers, client retransmission, ...).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.env.api import Runtime, RuntimeOrClock, TimerHandle
@@ -50,10 +51,12 @@ class Actor:
         self.clock = runtime.clock
         self.loop = runtime.clock  # compat alias: `actor.loop.now` is pervasive
         self.monitor = monitor if monitor is not None else Monitor()
-        self.cpu = runtime.create_executor()
+        self.cpu = runtime.create_executor(self)
         self.recv_cpu_cost = recv_cpu_cost
         self.network = runtime.transport  # re-attached by Transport.register
         self.crashed = False
+        #: crashes so far: a timer fires only in the incarnation that set it
+        self._crashes = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -64,9 +67,13 @@ class Actor:
         """Stop reacting to anything (benign crash).
 
         Timers set before the crash never fire their callback, and work
-        already sitting in the CPU queue is dropped — on every backend.
+        already sitting in the CPU queue is dropped — on every backend, and
+        even if the actor recovers (``crashed = False``) before either
+        would have run.
         """
         self.crashed = True
+        self._crashes += 1
+        self.cpu.drop_queued()
 
     # -- messaging ---------------------------------------------------------
 
@@ -83,14 +90,10 @@ class Actor:
         if self.crashed:
             return
         if self.recv_cpu_cost > 0:
-            self.cpu.submit(self.recv_cpu_cost, lambda: self._handle(src, payload))
+            self.cpu.submit(self.recv_cpu_cost,
+                            partial(self.on_message, src, payload))
         else:
-            self._handle(src, payload)
-
-    def _handle(self, src: str, payload: Any) -> None:
-        if self.crashed:
-            return
-        self.on_message(src, payload)
+            self.on_message(src, payload)
 
     def on_message(self, src: str, payload: Any) -> None:
         """Handle a delivered message.  Subclasses must override."""
@@ -99,22 +102,23 @@ class Actor:
     # -- timers ------------------------------------------------------------
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        """Run ``callback`` after ``delay`` seconds unless cancelled/crashed."""
+        """Run ``callback`` after ``delay`` seconds unless cancelled, or
+        crashed since: a crash in between cancels it for good."""
+        return self.clock.schedule(
+            delay, partial(self._timer_fired, self._crashes, callback))
 
-        def fire() -> None:
-            if not self.crashed:
-                callback()
-
-        return self.clock.schedule(delay, fire)
+    def _timer_fired(self, crashes: int, callback: Callable[[], None]) -> None:
+        if crashes == self._crashes and not self.crashed:
+            callback()
 
     def work(self, service_time: float, callback: Callable[[], None]) -> None:
-        """Charge ``service_time`` of CPU, then run ``callback``."""
+        """Charge ``service_time`` of CPU, then run ``callback`` — unless
+        this actor crashed meanwhile (the executor checks).
 
-        def fire() -> None:
-            if not self.crashed:
-                callback()
-
-        self.cpu.submit(service_time, fire)
+        Per-message code hands over a bound method or a
+        ``functools.partial``, never a lambda over locals.
+        """
+        self.cpu.submit(service_time, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

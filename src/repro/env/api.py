@@ -16,7 +16,9 @@ The contracts below are what the backend-conformance suite
 
 * **Clock** — timers fire in deadline order; ties fire in scheduling
   order; a cancelled timer never fires.
-* **Executor** — jobs submitted to one executor complete FIFO.
+* **Executor** — jobs submitted to one executor complete FIFO; a crashed
+  owner's queued jobs never run, even after a recover, and an executor
+  with no owner runs every job.
 * **Transport** — per-link FIFO delivery; unknown endpoints raise
   :class:`~repro.errors.NetworkError`; duplicate registration raises;
   partitioned links drop silently (counted on the monitor).
@@ -74,7 +76,14 @@ class Executor(Protocol):
         ...
 
     def submit(self, service_time: float, callback: Callable[[], None]) -> float:
-        """Enqueue a job of ``service_time`` seconds; FIFO completion order."""
+        """Enqueue a job of ``service_time`` seconds; FIFO completion order.
+
+        The job does not run if the executor's owner is crashed when it
+        completes."""
+        ...
+
+    def drop_queued(self) -> None:
+        """Never run the jobs queued now (the owner just crashed)."""
         ...
 
     def utilization(self, elapsed: float) -> float:
@@ -138,8 +147,12 @@ class Runtime(ABC):
         """The shared message transport (``None`` for bare-clock adapters)."""
 
     @abstractmethod
-    def create_executor(self) -> Executor:
-        """A fresh CPU executor for one node."""
+    def create_executor(self, owner: Optional[Any] = None) -> Executor:
+        """A fresh CPU executor for one node.
+
+        ``owner`` is the actor it serves: its jobs are skipped while the
+        owner is ``crashed``.  Without an owner every job runs.
+        """
 
     @abstractmethod
     def run(self, until: Optional[float] = None,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.env.api import Clock, Transport
@@ -203,9 +204,7 @@ class ChaosTransport:
         for _ in range(copies):
             if extra > 0:
                 self._clock.schedule(
-                    extra,
-                    lambda p=payload: self._inner.send(src, dst, p, size),
-                )
+                    extra, partial(self._inner.send, src, dst, payload, size))
             else:
                 self._inner.send(src, dst, payload, size)
 

@@ -9,7 +9,8 @@ the optional :class:`~repro.env.tcp.TcpTransport`.
 
 **Who owns FIFO.**  :class:`RealtimeClock` holds the one ready queue of a
 runtime: a ``deque`` of ``(fn, args)`` that :meth:`RealtimeExecutor.submit`
-(every ``Actor.work`` job) and the zero-delay branch of
+(every ``Actor.work`` job, as ``(executor._run, (callback,))``) and the
+zero-delay branch of
 :meth:`InProcessTransport.send` (every in-process delivery) push to with
 :meth:`RealtimeClock.soon`.  Entries run strictly in push order, whichever
 actor or link they belong to, and an entry pushed from inside another runs
@@ -43,6 +44,13 @@ the next ``run()`` picks the queue up where it stopped, in order.  The
 ``until`` deadline of ``run()`` fires between two slices, so it needs no
 pause.  A callback that raises reaches the loop's exception handler like
 any asyncio callback; the entries behind it are kept and run next.
+
+**Who checks ``crashed``.**  For a job, the executor: a
+:class:`RealtimeExecutor` knows its owning actor and skips the job if the
+owner is crashed when its turn comes, and ``Actor.crash`` makes it drop
+every job it still has queued (:meth:`RealtimeExecutor.drop_queued`).  For
+a delivery, the receiving actor (``Actor.receive``); for a timer, the actor
+that set it (``Actor.set_timer`` arms it with the actor's crash count).
 
 What is and is not modeled here:
 
@@ -157,12 +165,25 @@ class RealtimeExecutor:
     time the host CPU is the resource being spent.  The runtime's ready
     queue (a deque, not the timer heap) guarantees FIFO completion order,
     across executors too.
+
+    **Who checks ``crashed``.**  The executor does, not the job: it holds
+    its owning actor (``None`` runs every job) and skips a job whose owner
+    is crashed when the job's turn comes.  :meth:`drop_queued` — called by
+    ``Actor.crash`` — drops every job of this executor still in the ready
+    queue, so none of them runs even if the owner recovers first.
     """
 
-    def __init__(self, clock: RealtimeClock) -> None:
+    def __init__(self, clock: RealtimeClock, owner: Optional[Any] = None) -> None:
         self._clock = clock
+        self._owner = owner
         self.jobs_done = 0
         self.busy_time = 0.0
+        #: this executor's jobs still in the ready queue, and how many of
+        #: the oldest of them a crash dropped
+        self._queued = 0
+        self._dropped = 0
+        # bound once: every job's ready-queue entry carries this same object
+        self._run_job = self._run
 
     @property
     def backlog(self) -> float:
@@ -173,8 +194,20 @@ class RealtimeExecutor:
             raise ValueError("service time must be non-negative")
         self.jobs_done += 1
         self.busy_time += service_time
-        self._clock.soon(callback)
+        self._queued += 1
+        self._clock.soon(self._run_job, callback)
         return self._clock.now
+
+    def _run(self, callback: Callable[[], None]) -> None:
+        self._queued -= 1
+        if self._dropped:
+            self._dropped -= 1
+        elif self._owner is None or not self._owner.crashed:
+            callback()
+
+    def drop_queued(self) -> None:
+        """Never run the jobs queued now (the owner crashed)."""
+        self._dropped = self._queued
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
@@ -348,8 +381,8 @@ class RealtimeRuntime(Runtime):
     def transport(self) -> Optional[Transport]:
         return self.network
 
-    def create_executor(self) -> Executor:
-        return RealtimeExecutor(self._clock)
+    def create_executor(self, owner: Optional[Any] = None) -> Executor:
+        return RealtimeExecutor(self._clock, owner)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

@@ -9,7 +9,7 @@ after the `repro.env` refactor — the golden-trace test in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.env.api import Clock, Executor, Runtime, Transport
 from repro.env.monitor import Monitor
@@ -79,8 +79,8 @@ class SimRuntime(Runtime):
     def transport(self) -> Optional[Transport]:
         return self.network
 
-    def create_executor(self) -> Executor:
-        return CpuQueue(self.loop)
+    def create_executor(self, owner: Optional[Any] = None) -> Executor:
+        return CpuQueue(self.loop, owner)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

@@ -9,6 +9,7 @@ exactly the §II-A adversary.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Tuple
 
 from repro.bcast.messages import Accept, Propose, ReadReply, ReadRequest, Request, Write
@@ -68,7 +69,8 @@ class DelayingReplica(Replica):
     def send(self, dst: str, payload: Any, size: int = 64) -> None:
         if self.crashed:
             return
-        self.set_timer(self.delay, lambda: Replica.send(self, dst, payload, size))
+        self.set_timer(self.delay,
+                       partial(Replica.send, self, dst, payload, size))
 
 
 class WrongVoteReplica(Replica):

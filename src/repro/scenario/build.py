@@ -14,6 +14,7 @@ bit-identical across runs and hosts.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -183,6 +184,7 @@ def build_deployment(
                    if sites else None),
             **engine)
         deployment.kv = None
+        _freeze_once()
         return deployment
     tree = build_tree(spec.topology)
     overrides = dict(app_overrides or {})
@@ -214,7 +216,23 @@ def build_deployment(
         for app in deployment.apps(gid):
             app.relay_retransmit_timeout = proto.retransmit_timeout
     deployment.kv = kv
+    _freeze_once()
     return deployment
+
+
+_frozen = False
+
+
+def _freeze_once() -> None:
+    """Move everything alive after the process's first deployment build —
+    modules, classes, the deployment itself — out of the cycle collector's
+    reach (``gc.freeze``), so a full collection traverses only what the run
+    allocates.  Once per process: freezing at every build would pin the
+    garbage of earlier deployments (a test session builds hundreds)."""
+    global _frozen
+    if not _frozen:
+        _frozen = True
+        gc.freeze()
 
 
 def build_armed_deployment(spec: ScenarioSpec,

@@ -13,7 +13,8 @@ delay correct processes ... but not indefinitely").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.env.monitor import Monitor
@@ -58,6 +59,8 @@ class Network:
         self._endpoints: Dict[str, Tuple[Actor, str]] = {}
         self._blocked_pairs: Set[Tuple[str, str]] = set()
         self._blocked_sites: Set[Tuple[str, str]] = set()
+        #: (src, dst) -> (dst's bound receive, src site, dst site)
+        self._links: Dict[Tuple[str, str], Tuple[Callable[..., None], str, str]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -100,17 +103,15 @@ class Network:
         Messages to unknown destinations raise; dropped/partitioned messages
         vanish silently (counted on the monitor).
         """
-        if dst not in self._endpoints:
-            raise NetworkError(f"unknown destination endpoint {dst!r}")
-        if src not in self._endpoints:
-            raise NetworkError(f"unknown source endpoint {src!r}")
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._resolve(src, dst)
+        receive, src_site, dst_site = link
         self.monitor.count("net.sent")
-        if (src, dst) in self._blocked_pairs:
+        if self._blocked_pairs and (src, dst) in self._blocked_pairs:
             self.monitor.count("net.partitioned")
             return
-        src_site = self.site_of(src)
-        dst_site = self.site_of(dst)
-        if (src_site, dst_site) in self._blocked_sites:
+        if self._blocked_sites and (src_site, dst_site) in self._blocked_sites:
             self.monitor.count("net.partitioned")
             return
         if self.config.drop_rate > 0 and self._rng.random() < self.config.drop_rate:
@@ -119,5 +120,16 @@ class Network:
         delay = self.config.latency.delay(src_site, dst_site, self._rng)
         if self.config.bandwidth:
             delay += size / self.config.bandwidth
-        actor = self._endpoints[dst][0]
-        self.loop.schedule(delay, lambda: actor.receive(src, payload))
+        self.loop.schedule(delay, partial(receive, src, payload))
+
+    def _resolve(self, src: str, dst: str) -> Tuple[Callable[..., None], str, str]:
+        """First send on a link: check both ends, remember what every later
+        send needs (endpoints are never unregistered or re-sited)."""
+        if dst not in self._endpoints:
+            raise NetworkError(f"unknown destination endpoint {dst!r}")
+        if src not in self._endpoints:
+            raise NetworkError(f"unknown source endpoint {src!r}")
+        actor, dst_site = self._endpoints[dst]
+        link = self._links[(src, dst)] = (
+            actor.receive, self._endpoints[src][1], dst_site)
+        return link

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
 from repro.metrics.collector import LatencyCollector, ThroughputMeter
@@ -127,15 +128,13 @@ class _DriverBase:
         """
         if self._done() or self._done(at=self.now + delay):
             return
-        self._timer = self.client.set_timer(delay, self._fire_timer(callback))
+        self._timer = self.client.set_timer(
+            delay, partial(self._timer_fired, callback))
 
-    def _fire_timer(self, callback: Callable[[], None]) -> Callable[[], None]:
-        def fire() -> None:
-            self._timer = None
-            if not self._done():
-                callback()
-
-        return fire
+    def _timer_fired(self, callback: Callable[[], None]) -> None:
+        self._timer = None
+        if not self._done():
+            callback()
 
     # -- issuing and accounting ------------------------------------------------
 

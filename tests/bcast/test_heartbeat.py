@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from tests.helpers import Harness, make_config
 
 
@@ -49,3 +51,27 @@ def test_only_the_leader_beats():
     sent_after = h.monitor.counters["net.sent"]
     beats = sent_after - sent_before
     assert 6 <= beats <= 12  # 3 peers x ~3 ticks, one beating leader only
+
+
+def test_a_recover_before_the_next_beat_leaves_one_heartbeat_chain():
+    """The tick armed before a crash dies with it; ``recover`` arms the one
+    chain that runs afterwards (ticks at 1.0 s intervals, crash at 3.25 s
+    with a tick pending for 4.0 s, recover at 3.5 s)."""
+    h = Harness()
+    leader = h.group.replicas[0]
+    ticks = []
+    tick = leader._heartbeat_tick
+
+    def counted_tick():
+        ticks.append(h.loop.now)
+        tick()
+
+    leader._heartbeat_tick = counted_tick
+    h.run(until=3.25)
+    assert len(ticks) == 3
+    leader.crash()
+    h.loop.run(until=3.5)
+    leader.recover()
+    h.loop.run(until=13.6)
+    after = [at for at in ticks if at > 3.5]
+    assert after == pytest.approx([4.5 + k for k in range(10)])

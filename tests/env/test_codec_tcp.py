@@ -40,7 +40,7 @@ def test_codec_roundtrips_protocol_messages():
         dst=frozenset({"g1", "g2"}),
         payload=("tx", 1),
     )
-    wire = WireMulticast.from_message(message, signature)
+    wire = WireMulticast.from_message(message).with_signature(signature)
     decoded = roundtrip(wire)
     assert decoded == wire
     assert decoded.to_message() == message

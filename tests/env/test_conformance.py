@@ -11,6 +11,7 @@ whole suite stays fast.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 
 import pytest
 
@@ -139,6 +140,57 @@ def test_executor_completes_jobs_fifo(runtime):
     assert 0.0 <= cpu.utilization(1.0) <= 1.0
 
 
+class Sink:
+    """Callback targets that are not closures."""
+
+    def __init__(self):
+        self.log = []
+
+    def first(self):
+        self.log.append("bound")
+
+    def note(self, label):
+        self.log.append(label)
+
+
+def test_executor_completes_bound_method_and_partial_jobs_fifo(runtime):
+    cpu = runtime.create_executor()
+    sink = Sink()
+    cpu.submit(0.003, sink.first)
+    cpu.submit(0.001, partial(sink.note, "partial"))
+    cpu.submit(0.0, partial(sink.log.append, "builtin partial"))
+    cpu.submit(0.002, sink.first)
+    runtime.run(until=0.2)
+    assert sink.log == ["bound", "partial", "builtin partial", "bound"]
+
+
+def test_executor_without_an_owner_runs_every_job(runtime):
+    cpu = runtime.create_executor()
+    done = []
+    for index in range(5):
+        cpu.submit(0.001, partial(done.append, index))
+    runtime.run(until=0.2)
+    assert done == list(range(5))
+
+
+def test_crashed_owners_queued_jobs_never_run_even_after_a_recover(runtime):
+    a = Probe("a", runtime)
+    runtime.transport.register(a)
+    done = []
+
+    def crash_recover_resubmit():
+        a.work(0.010, partial(done.append, "queued before the crash"))
+        a.work(0.0, partial(done.append, "also queued"))
+        a.crash()
+        a.crashed = False  # recovered before either job's turn
+        a.work(0.010, partial(done.append, "submitted after the recover"))
+
+    runtime.clock.schedule(0.0, crash_recover_resubmit)
+    runtime.run(until=0.2)
+    assert done == ["submitted after the recover"]
+    assert a.cpu.jobs_done == 3
+
+
 def test_executor_rejects_negative_service_time(runtime):
     cpu = runtime.create_executor()
     with pytest.raises(ValueError):
@@ -215,6 +267,22 @@ def test_timer_set_before_crash_does_not_fire(runtime):
     runtime.run(until=0.2)
     assert fired == []
     assert a.crashed
+
+
+def test_timer_set_before_a_crash_never_fires_even_after_a_recover(runtime):
+    a = Probe("a", runtime)
+    runtime.transport.register(a)
+    fired = []
+    a.set_timer(0.030, partial(fired.append, "armed before the crash"))
+    runtime.clock.schedule(0.010, a.crash)
+
+    def recover():
+        a.crashed = False
+        a.set_timer(0.005, partial(fired.append, "armed after the recover"))
+
+    runtime.clock.schedule(0.020, recover)
+    runtime.run(until=0.2)
+    assert fired == ["armed after the recover"]
 
 
 def test_message_in_cpu_queue_at_crash_is_dropped(runtime):

@@ -46,7 +46,7 @@ def test_binary_roundtrips_protocol_messages():
         dst=frozenset({"g1", "g2"}),
         payload=("tx", 1),
     )
-    wired = WireMulticast.from_message(message, signature)
+    wired = WireMulticast.from_message(message).with_signature(signature)
     decoded = roundtrip(wired)
     assert decoded == wired
     assert decoded.to_message() == message

@@ -94,6 +94,21 @@ class TestCrashGating:
         loop.run()
         assert b.handled == []
 
+    def test_a_recover_does_not_resurrect_pre_crash_work_or_timers(self):
+        loop, a, b = wired()
+        ran = []
+        a.work(1.0, lambda: ran.append("work"))
+        a.set_timer(1.0, lambda: ran.append("timer"))
+        loop.schedule(0.5, a.crash)
+        loop.schedule(0.6, lambda: setattr(a, "crashed", False))
+        loop.run()
+        assert ran == []
+        # what is armed after the recover runs
+        a.work(1.0, lambda: ran.append("work"))
+        a.set_timer(1.0, lambda: ran.append("timer"))
+        loop.run()
+        assert ran == ["work", "timer"]
+
     def test_detached_actor_raises_on_send(self):
         loop = EventLoop()
         orphan = Probe("orphan", loop)

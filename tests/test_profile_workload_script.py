@@ -65,6 +65,60 @@ def test_run_window_books_only_what_happens_while_the_backend_runs(tool):
     assert "select" not in report         # no asyncio loop ran
 
 
+def test_run_window_counts_tracked_allocations_across_collections(tool):
+    window = tool.RunWindow()
+    gc.callbacks.append(window.on_gc)
+    try:
+        gc.collect()
+        # more than gen 0's threshold: collections happen inside the window
+        kept = window.around(lambda runner, count: Survivor.make(count))(
+            None, 2000)
+    finally:
+        gc.callbacks.remove(window.on_gc)
+    assert len(kept) == 2000 and window.collections[0] >= 2
+    # the kept objects and their list, give or take what the interpreter
+    # allocated on the way
+    assert 2000 <= window.allocated < 2100
+    (line,) = [row for row in window.report(completed=20).splitlines()
+               if row.startswith("gc-tracked allocations per op")]
+    assert 100.0 <= float(line.split()[4]) < 105.0
+
+
+class Survivor:
+    """An object the census can name (module-qualified)."""
+
+    @staticmethod
+    def make(count):
+        return [Survivor() for __ in range(count)]
+
+
+def test_gc_census_names_the_types_the_window_promotes(tool):
+    census = tool.GcCensus()
+
+    def promote(count):
+        kept = Survivor.make(count)
+        gc.collect(0)                     # young survivors move to gen 1
+        gc.collect(1)                     # and from there to gen 2
+        return kept
+
+    gc.callbacks.append(census.on_gc)
+    try:
+        gc.collect()
+        kept = census.around(lambda runner, count: promote(count))(None, 50)
+        Survivor.make(50)                 # outside the window: not counted
+        gc.collect(0)
+    finally:
+        gc.callbacks.remove(census.on_gc)
+    name = f"{Survivor.__module__}.Survivor"
+    assert len(kept) == 50
+    assert census.promoted[1][name] == 50
+    assert census.promoted[2][name] == 50
+    rows = census.report(completed=10).splitlines()
+    assert rows[0].startswith("promoted into gen1 per op")
+    assert [name, "5.000", "50"] in [row.split() for row in rows]
+    assert any(row.startswith("promoted into gen2 per op") for row in rows)
+
+
 def gc_rows(out):
     """``{"gen0": (collections, pause ms, share), ...}`` of a --gc report."""
     return {line.split()[0]: line.split()[1:] for line in out.splitlines()
@@ -98,6 +152,13 @@ def test_one_workload_end_to_end_prints_profile_rows_and_shares():
     assert int(collections["total"][0]) == sum(
         int(collections[f"gen{g}"][0]) for g in range(3)) > 0
     assert "asyncio handles" not in out
+    assert "gc-tracked allocations per op" in out
+    # then the census repeat: the types promoted into gens 1 and 2, per op
+    assert "leader_crash seed 11 gc census" in out
+    promoted = [line for line in out.splitlines()
+                if line.startswith("promoted into gen")]
+    assert [line.split()[2] for line in promoted] == ["gen1", "gen2"]
+    assert all(float(line.split()[5]) > 0.0 for line in promoted)
 
 
 def test_gc_phase_on_an_asyncio_workload_reports_cpu_idle_and_handles():

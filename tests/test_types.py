@@ -81,8 +81,8 @@ class TestWireRoundTrip:
         message = MulticastMessage(MessageId(ClientId("a"), 1),
                                    destination("g1"))
         unsigned = WireMulticast.from_message(message)
-        signed = WireMulticast.from_message(
-            message, sign(registry, "a", unsigned.signed_part()))
+        signed = unsigned.with_signature(
+            sign(registry, "a", unsigned.signed_part()))
         assert unsigned.identity() == signed.identity()
 
 
