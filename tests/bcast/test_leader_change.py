@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.bcast.messages import Stop
+from repro.bcast.reconfig import View
 from tests.helpers import Harness
 
 
@@ -73,3 +75,16 @@ def test_recovered_replica_catches_up_via_state_transfer():
     h.loop.run(until=12.0)
     assert lagger.app.executed == h.group.replicas[1].app.executed
     assert lagger.log.next_execute == h.group.replicas[1].log.next_execute
+
+
+def test_stops_left_by_departed_members_do_not_force_a_leader_change():
+    """After a 7 -> 4 scale-down, two STOPs from removed members and one from
+    a current member are one vote, not the new view's 2f+1 = 3."""
+    h = Harness(f=2)
+    replica = h.group.replicas[3]
+    for sender in ("g1/r5", "g1/r6"):
+        replica._handle_control(sender, Stop("g1", 0, sender))
+    replica._adopt_view(View(h.config.replicas[:4], 1))
+    replica._handle_control("g1/r1", Stop("g1", 0, "g1/r1"))
+    assert replica.regency.current == 0 and not replica.regency.in_transition
+    assert h.monitor.counters["regency.transition"] == 0
