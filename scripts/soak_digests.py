@@ -12,6 +12,9 @@ The cells:
 
 * the five ``examples/scenarios/soak_*.json`` files as the CI soaks run
   them (their own seed, 60 messages);
+* CI's pipelined heavy soak, ``soak_retention.json`` at seed 23, intensity
+  heavy, duration 6 (regency changes over a window of 4), named
+  ``soak_retention_heavy``;
 * the churn pins of ``tests/runtime/test_churn_soak.py``,
   ``soak_spec(CHURN_SOAK, seed=s, checkpoint_interval=iv, **CHURN_PIN)``
   with 24 messages, named ``s@iv``;
@@ -39,6 +42,9 @@ from repro.scenario import ScenarioSpec  # noqa: E402
 from tests.helpers import (CHURN_PIN, CHURN_SOAK, SCENARIOS,  # noqa: E402
                            soak_spec)
 
+#: CI's heavy soak of the retention file: the (seed, intensity, duration)
+#: it overrides
+HEAVY = dict(seed=23, intensity="heavy", duration=6.0)
 #: (seed, checkpoint_interval) of the churn pins; ``None`` keeps the file's
 PINS = ((238, None), (42, 0), (107, None), (1235, 0))
 SWEEP_SEEDS = (*range(200), *range(1200, 1400))
@@ -68,6 +74,9 @@ def cells(sweep_seeds: Iterable[int] = ()) -> Dict[str, Cell]:
     for path in sorted(SCENARIOS.glob("soak_*.json")):
         spec = ScenarioSpec.load(path)
         chosen[path.stem] = lambda spec=spec: run_chaos_soak(spec)
+    heavy = soak_spec(ScenarioSpec.load(SCENARIOS / "soak_retention.json"),
+                      **HEAVY)
+    chosen["soak_retention_heavy"] = lambda: run_chaos_soak(heavy)
     for seed, interval in PINS:
         chosen[churn_name(seed, interval)] = churn_cell(seed, interval)
     for seed in sweep_seeds:

@@ -30,11 +30,7 @@ class EquivocatingLeaderReplica(Replica):
     """
 
     def _send_propose(self, cid: int, regency: int, batch: Tuple[Request, ...]) -> None:
-        if regency != self.regency.current or self.regency.in_transition:
-            self._assembling = False
-            return
-        if self.config.leader_of(regency) != self.name:
-            self._assembling = False
+        if not self._still_leading(regency):
             return
         self._started[cid] = regency
         self._assembling = False

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bcast.app import ExecutionContext
+from repro.bcast.app import EchoApplication, ExecutionContext
 from repro.bcast.messages import Request
+from repro.bcast.reconfig import View
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all, check_prefix_order
 from repro.core.node import ByzCastApplication
@@ -72,6 +73,20 @@ class TestBroadcastLayerByzantine:
         assert sequences[0] == [("op", j) for j in range(5)]
         # A regency change dethroned the equivocator.
         assert all(r.regency.current >= 1 for r in correct)
+
+    @pytest.mark.parametrize("name, equivocations", [("g1/r0", 0),
+                                                     ("g1/r1", 1)])
+    def test_the_equivocator_leads_by_its_view(self, name, equivocations):
+        # After a Reconfig the view, not the static config, names the
+        # leader: this view gives regency 0 to r1, the config to r0.
+        h = Harness()
+        view = View(("g1/r1", "g1/r0", "g1/r2", "g1/r3"), 1)
+        replica = EquivocatingLeaderReplica(
+            name, h.config, h.loop, h.registry, EchoApplication(), h.monitor,
+            view=view)
+        replica.send = lambda dst, payload, size=64: None
+        replica._send_propose(0, 0, (Request("g1", "c0", 1, ("op", 1)),))
+        assert h.monitor.counters["byzantine.equivocation"] == equivocations
 
     def test_mute_replica_harmless(self):
         h = Harness(replica_classes={"g1/r2": MuteReplica})
