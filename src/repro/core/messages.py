@@ -132,12 +132,17 @@ class RelayBatch:
     The only form a relay takes (a single message is a batch of one): the
     parent replica acts on a whole decided batch in one job, so everything
     it forwards to one child travels as one ordered request.  ``wires`` is
-    in act order; the child pushes them into its quorum merge one by one,
-    so where a sender cuts its sequence into batches carries no meaning
+    in act order, and ``index`` is the batch's position in everything the
+    parent group relayed to this child (0, 1, 2, ...).  The cut is a
+    function of ordered execution — one flush per executed batch, chunked
+    at the child's replicated ``max_batch`` — so every correct parent
+    replica relays byte-identical batches under the same indexes, and the
+    child confirms a batch once f+1 of them relayed it, by its digest
     (docs/PROTOCOL.md §3.2).
     """
 
     wires: Tuple[WireMulticast, ...]
+    index: int
 
 
 @dataclass(frozen=True)

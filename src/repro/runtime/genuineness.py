@@ -85,9 +85,11 @@ class GenuinenessReport:
 def audit_genuineness(monitor: Monitor, tree: OverlayTree) -> GenuinenessReport:
     """Audit a traced run.
 
-    Participation is derived from ``byzcast.executed_wire`` trace records
-    (emitted by :class:`~repro.core.node.ByzCastApplication` for every
-    ordered multicast copy, including relays).
+    Participation is derived from ``byzcast.executed_wire`` trace records:
+    :class:`~repro.core.node.ByzCastApplication` emits one per wire each
+    replica admits — a direct submission at the entry group, and each
+    wire of a relayed batch once f+1 parent replicas confirmed it, not
+    once per relayed copy.
     """
     involved: Dict[Tuple[str, int], set] = {}
     destinations: Dict[Tuple[str, int], FrozenSet[str]] = {}

@@ -115,6 +115,7 @@ class Node:
                                         DecisionLog(interval),
                                         self.replica.monitor)
         self.seq = 0
+        self.relays = 0
         self.cid = -1
 
     def run_interval(self, messages: int = 6) -> CheckpointData:
@@ -126,7 +127,9 @@ class Node:
                                 ("g1", "g2"))
                 for parent in ("h2/r0", "h2/r1"):
                     execute(self.app, self.replica,
-                            relayed("g1", parent, self.seq, wire))
+                            relayed("g1", parent, self.seq, wire,
+                                    index=self.relays))
+                self.relays += 1
             else:
                 wire = wire_for(self.registry, "client", self.seq, ("g1",))
                 execute(self.app, self.replica,
@@ -142,7 +145,7 @@ class TestSequenceDigests:
             ckpt = node.run_interval()
             live = node.app.state_summary(ckpt.state)
             assert receiver.app.state_summary(ckpt.state) == live
-        acted, released = ckpt.state[1], ckpt.state[2][2][1]
+        acted, released = ckpt.state[1], ckpt.state[2][2][2][1]
         assert len(acted) == 18 and len(released) == 9
         # The summary carries digests where the state carries sequences.
         assert live[1] == SequenceDigest(acted).value()
@@ -179,6 +182,7 @@ class TestSequenceDigests:
         first = node.run_interval()
         restored.app.restore(first.state)
         restored.seq, restored.cid = node.seq, node.cid
+        restored.relays = node.relays
         assert ([m.mid for m in restored.app.delivered_messages()]
                 == [m.mid for m in node.app.delivered_messages()])
         ahead, behind = node.run_interval(), restored.run_interval()

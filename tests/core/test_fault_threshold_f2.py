@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import SilentRelayApp
 from repro.faults.injector import FaultPlan
 from repro.types import destination
+from tests.faults.test_byzantine import RELAY_ADVERSARIES, relay_battery
 from tests.helpers import FAST_COSTS, Harness, make_config
 
 
@@ -70,6 +73,12 @@ def test_byzcast_f2_with_two_silent_relays():
     for gid in ("g1", "g2"):
         order = [m.payload for m in dep.delivered_sequences(gid)[0]]
         assert order == [("m", j) for j in range(5)]
+
+
+@pytest.mark.parametrize("adversary", RELAY_ADVERSARIES,
+                         ids=lambda cls: cls.__name__)
+def test_relay_battery_with_two_adversaries_per_inner_group(adversary):
+    relay_battery(adversary, f=2)
 
 
 def test_mixed_f_per_group():

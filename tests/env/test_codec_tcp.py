@@ -44,7 +44,7 @@ def test_codec_roundtrips_protocol_messages():
     decoded = roundtrip(wire)
     assert decoded == wire
     assert decoded.to_message() == message
-    relay = Request("g1", "h1/r0", 2, RelayBatch((wire, wire)), signature)
+    relay = Request("g1", "h1/r0", 2, RelayBatch((wire, wire), 3), signature)
     assert roundtrip(relay) == relay
 
     accept = Accept("g1", 0, 3, b"digest", "r0")

@@ -26,6 +26,13 @@ travels as its ordered reply, so its destination group sends no
 ``MulticastReply``): the 542 trace records and the 10 completions are
 identical line for line; the only difference is the ``net.sent`` counter,
 506 -> 490 (4 local multicasts x 4 replicas).
+
+Re-pinned for confirming a relayed batch once (each relayed copy is pushed
+into the quorum merge whole, and a confirmed batch's wires are admitted
+once): 542 -> 374 records.  The whole difference is 168 fewer
+``byzcast.executed_wire`` records (264 -> 96), one per admitted wire
+instead of one per ordered copy of it; with those removed, the two traces
+and counter lists are identical line for line, completions included.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ import hashlib
 from repro.core import OverlayTree
 from repro.core.deployment import ByzCastDeployment
 
-GOLDEN_SHA256 = "25bd979efb00d36fdd1f0b0624a83d5c0f617dd332d6a92015f8f716bcbdd2a6"
-GOLDEN_RECORDS = 542
+GOLDEN_SHA256 = "65e2e5bfc52b7e93ebea93d9e28019adff71af3f73206f3e66a7f8c3c0aa0e27"
+GOLDEN_RECORDS = 374
 GOLDEN_COMPLETIONS = 10
 
 

@@ -50,7 +50,7 @@ def test_binary_roundtrips_protocol_messages():
     decoded = roundtrip(wired)
     assert decoded == wired
     assert decoded.to_message() == message
-    relay = Request("g1", "h1/r0", 2, RelayBatch((wired, wired)), signature)
+    relay = Request("g1", "h1/r0", 2, RelayBatch((wired, wired), 3), signature)
     assert roundtrip(relay) == relay
 
     accept = Accept("g1", 0, 3, b"digest", "r0")

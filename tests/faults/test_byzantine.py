@@ -10,15 +10,17 @@ from repro.bcast.reconfig import View
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all, check_prefix_order
 from repro.core.node import ByzCastApplication
-from repro.core.relay import QuorumMerge
+from repro.core.relay import BatchMerge
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import (
     DuplicatingRelayApp,
     EquivocatingLeaderReplica,
+    EquivocatingRelayApp,
     FabricatingRelayApp,
     MuteReplica,
     ReorderingRelayApp,
     SilentRelayApp,
+    SubsetRelayApp,
     WithholdingRelayApp,
     WrongVoteReplica,
 )
@@ -169,48 +171,56 @@ class TestByzCastRelayFaults:
 
 
 RELAY_ADVERSARIES = (SilentRelayApp, FabricatingRelayApp, DuplicatingRelayApp,
-                     ReorderingRelayApp, WithholdingRelayApp)
+                     ReorderingRelayApp, WithholdingRelayApp,
+                     EquivocatingRelayApp, SubsetRelayApp)
+
+
+def relay_battery(adversary, f: int = 1) -> None:
+    """f ``adversary`` relayers in *each* group that relays, all at once,
+    under bursts to every destination set: every op completes and the
+    order checks hold."""
+    targets = ("g1", "g2", "g3", "g4")
+    destinations = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
+                    ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
+    tree = OverlayTree.paper_tree()
+    plan = FaultPlan()
+    for index, gid in enumerate(sorted(tree.auxiliaries)):
+        for slot in range(f):
+            plan.byzantine_app(gid, f"{gid}/r{index + 1 + 3 * slot}", adversary)
+    dep = make_deployment(plan, tree=tree, f=f)
+    rounds = 6
+    clients = [dep.add_client(f"c{i}") for i in range(3)]
+    # Bursts: every client multicasts to every destination set at once,
+    # so entry groups order (and relay) multi-message batches — what the
+    # in-batch adversaries attack.
+    for round_ in range(rounds):
+        for client in clients:
+            for dst in destinations:
+                client.amulticast(destination(*dst),
+                                  payload=(client.name, round_))
+        dep.run(until=2.0 * (round_ + 1))
+    dep.run(until=2.0 * rounds + 10.0)
+
+    expected = rounds * len(destinations)
+    assert [len(c.completions) for c in clients] == [expected] * 3
+    assert all(c.pending() == 0 for c in clients)
+    sequences = {gid: dep.delivered_sequences(gid) for gid in targets}
+    sent = [message for c in clients for message, __ in c.completions]
+    assert check_all(sequences, sent, quiescent=True) == []
+    for replica_sequences in sequences.values():
+        for seq in replica_sequences:
+            assert all(m.payload != ("fabricated",) for m in seq)
+    counters = dep.monitor.counters
+    assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
 
 
 class TestRelayAdversariesInEveryInnerGroup:
     """f Byzantine relayers in *each* group that relays, all at once."""
 
-    TARGETS = ("g1", "g2", "g3", "g4")
-    DESTINATIONS = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
-                    ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
-    ROUNDS = 6
-
     @pytest.mark.parametrize("adversary", RELAY_ADVERSARIES,
                              ids=lambda cls: cls.__name__)
     def test_every_op_completes_and_order_holds(self, adversary):
-        tree = OverlayTree.paper_tree()
-        plan = FaultPlan()
-        for index, gid in enumerate(sorted(tree.auxiliaries)):
-            plan.byzantine_app(gid, f"{gid}/r{index + 1}", adversary)
-        dep = make_deployment(plan, tree=tree)
-        clients = [dep.add_client(f"c{i}") for i in range(3)]
-        # Bursts: every client multicasts to every destination set at once,
-        # so entry groups order (and relay) multi-message batches — what
-        # the in-batch adversaries attack.
-        for round_ in range(self.ROUNDS):
-            for client in clients:
-                for dst in self.DESTINATIONS:
-                    client.amulticast(destination(*dst),
-                                      payload=(client.name, round_))
-            dep.run(until=2.0 * (round_ + 1))
-        dep.run(until=2.0 * self.ROUNDS + 10.0)
-
-        expected = self.ROUNDS * len(self.DESTINATIONS)
-        assert [len(c.completions) for c in clients] == [expected] * 3
-        assert all(c.pending() == 0 for c in clients)
-        sequences = {gid: dep.delivered_sequences(gid) for gid in self.TARGETS}
-        sent = [message for c in clients for message, __ in c.completions]
-        assert check_all(sequences, sent, quiescent=True) == []
-        for replica_sequences in sequences.values():
-            for seq in replica_sequences:
-                assert all(m.payload != ("fabricated",) for m in seq)
-        counters = dep.monitor.counters
-        assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
+        relay_battery(adversary)
 
 
 class FCopiesApp(ByzCastApplication):
@@ -219,7 +229,7 @@ class FCopiesApp(ByzCastApplication):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         parent = self.group_configs[self.tree.parent(self.group_id)]
-        self._merge = QuorumMerge(parent.replicas, parent.f)
+        self._merge = BatchMerge(parent.replicas, parent.f)
 
 
 def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():

@@ -164,9 +164,14 @@ def wire_for(registry, sender, seq, dst, payload=("p",)) -> WireMulticast:
     )
 
 
-def relayed(group, parent_replica, seq, *wires) -> Request:
-    """The request a parent replica's relay of ``wires`` arrives as."""
-    return Request(group, parent_replica, seq, RelayBatch(tuple(wires)))
+def relayed(group, parent_replica, seq, *wires, index=None) -> Request:
+    """The request a parent replica's relay of ``wires`` arrives as.
+
+    A correct parent relays to a child through one proxy, so its request
+    ``seq`` carries the batch of index ``seq - 1``: the default ``index``.
+    """
+    index = seq - 1 if index is None else index
+    return Request(group, parent_replica, seq, RelayBatch(tuple(wires), index))
 
 
 def execute(app, replica, request):
@@ -191,9 +196,9 @@ def reshaped(ckpt: CheckpointData, acted=None, released=None) -> CheckpointData:
     """A ``ByzCastApplication`` checkpoint claiming the same digest over a
     state whose acted and/or released id sequence went through a forger."""
     tag, old_acted, merge, *rest = ckpt.state
-    senders, threshold, (queues, old_released) = merge
-    merge = (senders, threshold,
-             (queues, released(old_released) if released else old_released))
+    senders, threshold, (next_index, parked, (queues, old_released)) = merge
+    merge = (senders, threshold, (next_index, parked, (
+        queues, released(old_released) if released else old_released)))
     state = (tag, acted(old_acted) if acted else old_acted, merge, *rest)
     return dataclass_replace(ckpt, state=state)
 
@@ -207,7 +212,10 @@ def doubled(ids):
 
 
 def first_altered(ids):
-    sender, seq, dst, payload = ids[0]
+    first = ids[0]
+    if isinstance(first, bytes):  # a released batch's digest
+        return (bytes([first[0] ^ 1]) + first[1:],) + ids[1:]
+    sender, seq, dst, payload = first
     return ((sender, seq, dst, ("tampered",)),) + ids[1:]
 
 

@@ -79,56 +79,58 @@ def test_fabricated_messages_never_released(schedule, fab_position):
     assert [m for m in released if m != "FAKE"] == sequence
 
 
-# ---------------------------------------------- batch boundaries mean nothing
+# ----------------------------------------- whole batches, in index order
 
 
 @st.composite
-def chunked_schedules(draw):
-    """A relay schedule whose streams are cut into batches at random points
-    (Byzantine stream included), plus the order the child orders them in."""
+def batched_schedules(draw):
+    """The correct sequence cut once into indexed batches; the streams of
+    copies each relayer sends; and the order the child orders them in.
+
+    Every correct relayer sends that cut, but up to ``F`` of them skip a
+    prefix of it, as a replica restored past those batches does.  A
+    Byzantine relayer re-cuts its (skipping, maybe reordered) stream at will
+    and stamps each piece with any index.
+    """
     sequence, streams, __ = draw(relay_schedules())
-    chunks = {}
-    for sender, stream in streams.items():
-        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(stream) - 1)))))
-        bounds = [0] + [c for c in cuts if c < len(stream)] + [len(stream)]
-        chunks[sender] = [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    pulls = [sender for sender, parts in chunks.items() for __ in parts]
-    return sequence, chunks, draw(st.permutations(pulls))
+    cuts = draw(st.sets(st.integers(1, max(1, len(sequence) - 1))))
+    bounds = sorted({0, len(sequence), *cuts})
+    batches = [(index, sequence[a:b])
+               for index, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    copies = {}
+    for position, sender in enumerate(CORRECT):
+        skipped = draw(st.integers(0, len(batches))) if position < F else 0
+        copies[sender] = batches[skipped:]
+    for sender in BYZANTINE:
+        stream = streams[sender]
+        pieces = sorted(draw(st.sets(st.integers(1, max(1, len(stream))))))
+        edges = sorted({0, len(stream), *pieces})
+        copies[sender] = [
+            (draw(st.integers(0, len(batches))), stream[a:b])
+            for a, b in zip(edges, edges[1:])]
+    pulls = [sender for sender, sent in copies.items() for __ in sent]
+    return sequence, copies, draw(st.permutations(pulls))
 
 
-@given(chunked_schedules())
+@given(batched_schedules())
 @settings(max_examples=200, deadline=None)
-def test_any_chunking_releases_what_unbatched_pushes_release(schedule):
-    """A child fed ``RelayBatch``es acts in exactly the order it would act in
-    had every wire arrived as its own relay, whatever the cut points."""
-    sequence, chunks, pulls = schedule
+def test_correct_relayers_cutting_alike_release_the_correct_order(schedule):
+    """A child fed indexed ``RelayBatch``es acts in exactly the correct
+    relayers' order, whatever the Byzantine relayers send and however far
+    behind a restored correct relayer starts."""
+    sequence, copies, pulls = schedule
     tree = OverlayTree.paper_tree()
     configs = configs_for(tree)
-    parents = configs["h2"].replicas  # g1's parent group
-    names = dict(zip(PARENTS, parents))
+    names = dict(zip(PARENTS, configs["h2"].replicas))  # g1's parent group
     wire_of = {m: WireMulticast("client", int(m[1:]), ("g1", "g2"), (m,))
                for m in sequence}
-
-    def child():
-        app = ByzCastApplication("g1", tree, configs, KeyRegistry())
-        return app, FakeReplica("g1/r0", EventLoop(), configs["g1"])
-
-    batched, batched_replica = child()
-    unbatched, unbatched_replica = child()
-    reference = QuorumMerge(parents, threshold=F + 1)
-    released = []
-    cursors = {sender: 0 for sender in chunks}
-    for seq, sender in enumerate(pulls, start=1):
-        chunk = chunks[sender][cursors[sender]]
+    app = ByzCastApplication("g1", tree, configs, KeyRegistry())
+    replica = FakeReplica("g1/r0", EventLoop(), configs["g1"])
+    cursors = {sender: 0 for sender in copies}
+    for sender in pulls:
+        index, chunk = copies[sender][cursors[sender]]
         cursors[sender] += 1
-        wires = [wire_of[m] for m in chunk]
-        execute(batched, batched_replica, relayed("g1", names[sender], seq, *wires))
-        for wire in wires:
-            execute(unbatched, unbatched_replica,
-                    relayed("g1", names[sender], seq, wire))
-            released.extend(reference.push(names[sender], wire.identity(), wire))
-
-    acted = [m.payload[0] for m in batched.delivered_messages()]
-    assert acted == [m.payload[0] for m in unbatched.delivered_messages()]
-    assert acted == [w.payload[0] for w in released]
-    assert acted == sequence
+        execute(app, replica, relayed("g1", names[sender], cursors[sender],
+                                      *(wire_of[m] for m in chunk),
+                                      index=index))
+    assert [m.payload[0] for m in app.delivered_messages()] == sequence
