@@ -2,7 +2,8 @@
 
 :mod:`repro.faults.behaviors` provides replica classes and ByzCast
 application classes exhibiting specific misbehaviours (equivocating leader,
-mute replica, corrupted votes, silent/fabricating/duplicating relays);
+mute replica, corrupted votes, silent/fabricating/duplicating/reordering/
+withholding/equivocating/subset relays);
 :mod:`repro.faults.injector` wires them into deployments and schedules
 benign crashes and partitions.
 
@@ -23,10 +24,12 @@ from repro.faults.behaviors import (
     DelayingReplica,
     DuplicatingRelayApp,
     EquivocatingLeaderReplica,
+    EquivocatingRelayApp,
     FabricatingRelayApp,
     MuteReplica,
     ReorderingRelayApp,
     SilentRelayApp,
+    SubsetRelayApp,
     WithholdingRelayApp,
     WrongVoteReplica,
 )
@@ -61,6 +64,8 @@ __all__ = [
     "DuplicatingRelayApp",
     "ReorderingRelayApp",
     "WithholdingRelayApp",
+    "EquivocatingRelayApp",
+    "SubsetRelayApp",
     "FaultPlan",
     "schedule_crash",
     "schedule_partition",
