@@ -2,7 +2,7 @@
 
 These are conventional per-operation benchmarks (many rounds, statistical
 timing) for the hot paths of the library: canonicalization/digests, the
-quorum-head merge, overlay-tree queries, consensus vote counting, and the
+f+1 relay ballot, overlay-tree queries, consensus vote counting, and the
 event loop itself.  They carry no paper assertions — they exist so a
 change that slows a hot path by an order of magnitude is visible.
 """

@@ -114,9 +114,9 @@ class WireMulticast:
     def identity_digest(self) -> bytes:
         """``digest(identity())``, memoised beside it.
 
-        What the running sequence digests of a checkpoint are fed (acted
-        and released ids); a wire shared by reference is hashed once.  It
-        covers the identity, not the wire: ``signature`` is no part of it.
+        What the running digest of a checkpoint's acted ids is fed; a
+        wire shared by reference is hashed once.  It covers the identity,
+        not the wire: ``signature`` is no part of it.
         """
         cached = self.__dict__.get("_identity_digest")
         if cached is None:

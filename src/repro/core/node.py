@@ -11,8 +11,8 @@ Algorithm 1, whether the message
   verified), or
 * was relayed by the parent group (it arrives inside a
   :class:`~repro.core.messages.RelayBatch` whose sender is one of the
-  parent's replicas — the whole batch is confirmed through the f+1
-  quorum-head merge of :class:`~repro.core.relay.BatchMerge`),
+  parent's replicas — the whole batch is confirmed once f+1 of them voted
+  for it at its index, in :class:`~repro.core.relay.BatchMerge`),
 
 and then *acts* on it, once per message identity: re-broadcast into every
 child whose reach intersects ``m.dst`` (line 10-11) and a-deliver it if this
@@ -205,7 +205,7 @@ class ByzCastApplication(Application):
 
     def _execute_relay_batch(self, sender: str, batch: RelayBatch,
                              ctx: ExecutionContext) -> Any:
-        """Push one relayer's copy of a batch into its quorum merge, whole.
+        """Push one relayer's copy of a batch into its vote merge, whole.
 
         Correct relayers cut identically, so f+1 of them push
         byte-identical copies and the batch is confirmed once, by digest;
@@ -286,10 +286,10 @@ class ByzCastApplication(Application):
         Executes at one consensus boundary on every replica of this group,
         so the relay wiring that captured construction-time membership —
         child proxies into ``update.group`` and, when it is our overlay
-        parent, the authorized-relayer set plus the f+1 quorum-head merge —
+        parent, the authorized-relayer set plus the f+1 vote merge —
         changes at the same logical point everywhere.  Messages the merge
-        releases *because* of the change (a removed dissenting queue) are
-        acted on right here, inside ordered execution.
+        releases *because* of the change (a lower threshold) are acted on
+        right here, inside ordered execution.
         """
         if request.sender != admin_identity(self.group_id):
             ctx.monitor.record(ctx.replica_name, "byzcast.membership_denied",
@@ -313,7 +313,7 @@ class ByzCastApplication(Application):
             self._release(self._merge.update_members(config.replicas,
                                                      config.f + 1), ctx)
         # A former parent reconfiguring mid-drain must not strand its
-        # retained merge on departed replica queues.
+        # retained merge on departed replicas' votes.
         for parent_gid, merge in self._prev_merges:
             if update.group == parent_gid:
                 self._release(merge.update_members(config.replicas,
@@ -541,20 +541,19 @@ class ByzCastApplication(Application):
 
         Covers the acted ids (in act order — what was a-delivered here is
         the subsequence addressed to this group, so it is not stored
-        twice), the parent quorum merge (queues, released batch digests,
-        next index and parked copies), the next relay index per child, and
-        (via ``on_snapshot``) the business state the delivery callback
-        maintains.  The two id sequences grow with history and are copied
-        as they stand, without sorting or encoding; everything else is
-        bounded by in-flight work and deployment size.  Child relay proxies
-        are *not* captured: their retransmission state is per-replica
-        (timers, local sequence numbers), and a restored replica skipping
-        the relays of the batches it skipped is what the relay indexes let
-        the children tolerate.
+        twice), the parent merge (next index and the copies kept from
+        it on), the next relay index per child, and (via ``on_snapshot``)
+        the business state the delivery callback maintains.  The id
+        sequence grows with history and is copied as it stands, without
+        sorting or encoding; everything else is bounded by in-flight work
+        and deployment size.  Child relay proxies are *not* captured: their
+        retransmission state is per-replica (timers, local sequence
+        numbers), and a restored replica skipping the relays of the batches
+        it skipped is what the relay indexes let the children tolerate.
         """
         # The merge's membership is itself replicated state under elastic
         # membership (an ordered MembershipUpdate changes it), so the
-        # snapshot carries (senders, threshold) alongside the queue state.
+        # snapshot carries (senders, threshold) alongside the kept copies.
         merge = _merge_state(self._merge) if self._merge is not None else None
         # The overlay itself is replicated state under adaptive trees (an
         # ordered TreeUpdate changes it): a joiner restoring a post-switch
@@ -579,49 +578,27 @@ class ByzCastApplication(Application):
                       tuple(sorted(self.tree.targets)), drains)
         state = ("byzcast", tuple(self._acted), merge, payload, configs,
                  tree_state, tuple(sorted(self._relay_index.items())))
-        merges = [] if self._merge is None else [self._merge]
-        merges += [m for __, m in self._prev_merges]
-        self._summarised = (state, self._summary(
-            state, self._acted_digest.value(),
-            [m.released_digest() for m in merges]))
+        self._summarised = (state, self._summary(state,
+                                                 self._acted_digest.value()))
         return state
 
     def state_summary(self, state: Tuple) -> Tuple:
-        """``state`` with each id sequence replaced by its digest.
+        """``state`` with the acted id sequence replaced by its digest.
 
-        For the snapshot just taken the running digests are at hand, so a
+        For the snapshot just taken the running digest is at hand, so a
         checkpoint hashes nothing older than the previous one; for a
-        peer's state this is the one linear pass that recomputes them, so
-        every id, its position and the sequence lengths are bound.
+        peer's state this is the one linear pass that recomputes it, so
+        every id, its position and the sequence length are bound.
         """
         taken, summary = self._summarised
         if state is taken:
             return summary
-        __, acted, merge, ___, ____, tree_state, _____ = state
-        merges = ([merge] if merge is not None else []) + list(tree_state[3])
-        return self._summary(
-            state, SequenceDigest(acted).value(),
-            [SequenceDigest(entry[-1][-1][1]).value() for entry in merges])
+        return self._summary(state, SequenceDigest(state[1]).value())
 
     @staticmethod
-    def _summary(state: Tuple, acted_digest: bytes,
-                 released_digests: List[bytes]) -> Tuple:
-        """``state`` with the acted ids and each merge's released ids (the
-        parent merge first, then the drains) replaced by these digests."""
-        tag, __, merge, payload, configs, tree_state, relays = state
-        tree_epoch, edges, targets, drains = tree_state
-        digests = iter(released_digests)
-
-        def bounded(entry: Tuple) -> Tuple:
-            next_index, parked, (queues, ___) = entry[-1]
-            return (*entry[:-1], next_index, parked, queues, next(digests))
-
-        return (tag, acted_digest,
-                None if merge is None else bounded(merge),
-                payload, configs,
-                (tree_epoch, edges, targets,
-                 tuple(bounded(drain) for drain in drains)),
-                relays)
+    def _summary(state: Tuple, acted_digest: bytes) -> Tuple:
+        """``state`` with the acted ids replaced by ``acted_digest``."""
+        return (state[0], acted_digest, *state[2:])
 
     def restore(self, state: Tuple) -> None:
         """Adopt a peer's :meth:`snapshot` (checkpoint install path)."""

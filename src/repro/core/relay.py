@@ -9,46 +9,34 @@ of ``m'`` arrive before the (f+1)-th copy of ``m`` in one child group and
 after it in a sibling — violating the order the parent induced (the
 invariant behind Lemma 4 / prefix order).
 
-:class:`QuorumMerge` implements the rule the correctness argument actually
-needs: one FIFO queue per parent replica, and a value is *released* only
-when it sits at the **head** of at least ``f + 1`` queues.  If all ``2f +
-1`` correct parents push the same sequence, a value reaches f+1 heads
-exactly in that sequence's order: Byzantine queues can never outvote the
-correct heads.  ``tests/core/test_relay.py`` contains the adversarial
-scenario.
-
-That premise does not hold by itself.  A parent replica that installs a
-checkpoint never relays the batches the checkpoint skipped, and one that
-joined by state transfer relays only from its activation on: its queue head
-is a later batch while an earlier one is still unreleased, and f+1 such
-heads (two lagging correct replicas at f = 1, or one and a withholding
-Byzantine relayer) would release the later batch first.  :class:`BatchMerge`
-restores the premise.  Each parent replica stamps every ``RelayBatch`` with
-its index in the parent's per-child relay sequence — replicated parent
-state, checkpointed with the rest — and the child pushes a copy into the
-merge only once its index is the next one to release, parking later copies
-until then.  Every queue then holds copies of one index at a time, so a
-skipped batch is never overtaken.  The unit of the merge is a whole batch,
-keyed by its digest: correct relayers cut identically (the cut is a
-function of ordered execution), so the f+1 copies of one batch are
+The order comes from an index.  Each parent replica stamps every
+``RelayBatch`` with its position in the parent's per-child relay sequence —
+replicated parent state, checkpointed with the rest, so every correct
+parent stamps a batch alike, even one that installed a checkpoint or joined
+by state transfer and so never relayed the batches before it.
+:class:`BatchMerge` releases index ``i`` only after index ``i - 1``, and
+at index ``i`` a copy is one vote: a relayer's first copy of an index
+counts, for the digest of the batch it carries, and the batch is released
+once ``f + 1`` distinct relayers voted for that digest (:class:`QuorumMerge`
+is that ballot).  ``f`` Byzantine votes never reach ``f + 1``, whatever
+digest or index they carry, and a skipped index is never overtaken.  The
+unit of the vote is a whole batch: correct relayers cut identically (the
+cut is a function of ordered execution), so the f+1 copies of one batch are
 byte-identical and the child confirms it once instead of wire by wire.
+``tests/core/test_relay.py`` contains the adversarial scenarios.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Hashable, Iterable, List, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Set, Tuple
 
-from repro.crypto.digest import SequenceDigest, digest
+from repro.crypto.digest import digest
 
 
 class QuorumMerge:
-    """Per-sender FIFO merge releasing values confirmed by f+1 queue heads.
-
-    Args:
-        senders: the authorized relayers (the parent group's replicas).
-        threshold: number of distinct queue heads required (``f + 1``).
-    """
+    """A ballot among ``senders`` (the parent group's replicas): a value is
+    released once ``threshold`` (``f + 1``) distinct senders voted for its
+    key."""
 
     def __init__(self, senders: Iterable[str], threshold: int) -> None:
         self.senders = frozenset(senders)
@@ -57,190 +45,121 @@ class QuorumMerge:
         if threshold > len(self.senders):
             raise ValueError("threshold cannot exceed the number of senders")
         self.threshold = threshold
-        self._queues: Dict[str, Deque[Tuple[Hashable, Any]]] = {
-            sender: deque() for sender in self.senders
-        }
-        #: released keys in release order.  Pushes happen only during
-        #: ordered execution, so the order is the same at every correct
-        #: replica of the group: it is the canonical order, and a running
-        #: digest over it stands for the whole sequence in a checkpoint.
-        self._released: Dict[Hashable, None] = {}
-        self._released_digest = SequenceDigest()
+        #: key -> the senders that voted for it
+        self._votes: Dict[Hashable, Set[str]] = {}
 
     def push(self, sender: str, key: Hashable, value: Any) -> List[Any]:
-        """Record that ``sender``'s copy of ``key`` was ordered locally.
+        """Record ``sender``'s vote for ``key``; returns ``[value]`` if this
+        is the key's ``threshold``-th distinct voter, else ``[]``.
 
-        Returns the values newly released by this push, in release order.
-        Pushes from unknown senders are ignored (the caller should have
+        Votes from unknown senders are ignored (the caller should have
         validated membership; this is defense in depth).
         """
-        if sender not in self._queues:
+        if sender not in self.senders:
             return []
-        if key in self._released:
+        voters = self._votes.setdefault(key, set())
+        if sender in voters:
             return []
-        self._queues[sender].append((key, value))
-        return self._drain()
-
-    def _drain(self) -> List[Any]:
-        released: List[Any] = []
-        progress = True
-        while progress:
-            progress = False
-            heads: Dict[Hashable, List[str]] = {}
-            for sender, queue in self._queues.items():
-                while queue and queue[0][0] in self._released:
-                    queue.popleft()
-                if queue:
-                    heads.setdefault(queue[0][0], []).append(sender)
-            for key, supporters in heads.items():
-                if len(supporters) >= self.threshold:
-                    value = self._queues[supporters[0]][0][1]
-                    self._released[key] = None
-                    self._released_digest.add(digest(key))
-                    for sender in supporters:
-                        self._queues[sender].popleft()
-                    released.append(value)
-                    progress = True
-                    break  # re-scan heads after every release
-        return released
-
-    def update_members(self, senders: Iterable[str], threshold: int) -> List[Any]:
-        """Adopt a new relayer membership (parent-group reconfiguration).
-
-        Queues of retained senders survive (their relayed-but-unconfirmed
-        prefixes stay valid), removed senders' queues are dropped, and new
-        senders start with empty queues.  The released set is kept so
-        already-confirmed messages are never re-released.  Returns any
-        values the membership change itself unblocks (e.g. a withheld
-        message whose only dissenting queue belonged to a removed replica).
-        """
-        new_senders = frozenset(senders)
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if threshold > len(new_senders):
-            raise ValueError("threshold cannot exceed the number of senders")
-        self.senders = new_senders
-        self.threshold = threshold
-        self._queues = {
-            sender: self._queues.get(sender, deque())
-            for sender in new_senders
-        }
-        return self._drain()
-
-    def is_released(self, key: Hashable) -> bool:
-        return key in self._released
-
-    def pending_counts(self) -> Dict[str, int]:
-        """Queue depths per sender (diagnostics)."""
-        return {sender: len(queue) for sender, queue in self._queues.items()}
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> Tuple:
-        """Deterministic, canonicalizable capture of the merge state.
-
-        Queues are keyed by sender name (sorted); the released keys are in
-        release order.  Replicas that ordered the same request prefix hold
-        identical merge state (pushes happen only during ordered
-        execution), so this snapshot is digest-stable.
-        """
-        queues = tuple(
-            (sender, tuple(self._queues[sender]))
-            for sender in sorted(self._queues)
-        )
-        return (queues, tuple(self._released))
-
-    def released_digest(self) -> bytes:
-        """``SequenceDigest(released).value()`` of :meth:`snapshot`'s
-        released keys, kept running — no pass over them."""
-        return self._released_digest.value()
-
-    def restore(self, state: Tuple) -> None:
-        """Adopt a peer's :meth:`snapshot` (membership must match)."""
-        queues, released = state
-        self._queues = {sender: deque() for sender in self.senders}
-        for sender, entries in queues:
-            if sender in self._queues:
-                self._queues[sender] = deque(entries)
-        self._released = dict.fromkeys(released)
-        self._released_digest = SequenceDigest(released)
+        voters.add(sender)
+        return [value] if len(voters) == self.threshold else []
 
 
 class BatchMerge:
     """One parent group's relayed batches at a child, released in index order.
 
-    A :class:`QuorumMerge` keyed by ``digest(batch)``, fed each copy once
-    its ``index`` is :attr:`next_index`.  A copy whose index was already
-    released (a late correct copy, a replay) is dropped; one from further
-    ahead is parked until the batches before it are released.  Both happen
-    during ordered execution, so the parked copies, like the queues, are
-    the same at every correct replica and belong in a checkpoint.
+    Keeps each relayer's first copy of every index from :attr:`next_index`
+    on, in arrival order — at most one copy per relayer and index — and
+    votes the copies of :attr:`next_index` into a :class:`QuorumMerge`
+    keyed by ``digest(batch)``.  A release drops that index's copies and
+    votes the next index's into a fresh ballot.  A copy of an index already
+    released (a late correct copy, a replay) is dropped.  Copies arrive
+    during ordered execution, so the kept copies are the same at every
+    correct replica and belong in a checkpoint; the ballot is rebuilt from
+    them.
     """
 
     def __init__(self, senders: Iterable[str], threshold: int) -> None:
-        self._merge = QuorumMerge(senders, threshold)
+        self._ballot = QuorumMerge(senders, threshold)
         #: the index of the next batch to release
         self.next_index = 0
-        #: index -> the ``(sender, batch)`` copies parked under it, in
+        #: index -> each relayer's first ``(sender, batch)`` copy of it, in
         #: arrival order
-        self._parked: Dict[int, List[Tuple[str, Any]]] = {}
+        self._copies: Dict[int, List[Tuple[str, Any]]] = {}
 
     @property
     def senders(self) -> frozenset:
-        return self._merge.senders
+        return self._ballot.senders
 
     @property
     def threshold(self) -> int:
-        return self._merge.threshold
+        return self._ballot.threshold
 
     def push(self, sender: str, index: int, batch: Any) -> List[Any]:
         """Record that ``sender``'s copy of batch ``index`` was ordered
         locally; returns the batches this releases, in index order."""
-        if sender not in self._merge.senders or index < self.next_index:
+        if sender not in self.senders or index < self.next_index:
             return []
+        copies = self._copies.setdefault(index, [])
+        if any(voter == sender for voter, __ in copies):
+            return []
+        copies.append((sender, batch))
         if index > self.next_index:
-            self._parked.setdefault(index, []).append((sender, batch))
             return []
-        return self._advance(self._merge.push(sender, digest(batch), batch))
+        return self._advance(self._ballot.push(sender, digest(batch), batch))
 
     def update_members(self, senders: Iterable[str],
                        threshold: int) -> List[Any]:
-        """:meth:`QuorumMerge.update_members`, then whatever that unblocks
-        among the parked copies."""
-        return self._advance(self._merge.update_members(senders, threshold))
+        """Adopt a new relayer membership (parent-group reconfiguration).
+
+        Removed relayers' copies are dropped and the ballot is recounted
+        over the rest; returns the batches that unblocks (e.g. one whose
+        only missing votes belonged to a removed replica), in index order.
+        """
+        self._ballot = QuorumMerge(senders, threshold)
+        self._drop_strangers()
+        return self._advance(self._vote())
+
+    def _drop_strangers(self) -> None:
+        """Keep only the copies of relayers in the membership."""
+        self._copies = {
+            index: [(voter, batch) for voter, batch in copies
+                    if voter in self.senders]
+            for index, copies in self._copies.items()}
+
+    def _vote(self) -> List[Any]:
+        """Vote the copies of :attr:`next_index` into a fresh ballot;
+        returns the batch they release, if any."""
+        self._ballot = QuorumMerge(self.senders, self.threshold)
+        for sender, batch in self._copies.get(self.next_index, ()):
+            released = self._ballot.push(sender, digest(batch), batch)
+            if released:
+                return released
+        return []
 
     def _advance(self, released: List[Any]) -> List[Any]:
         """``released`` (the batch at :attr:`next_index`, if any) and every
-        batch the parked copies then release, one index at a time."""
+        batch the kept copies then release, one index at a time."""
         batches: List[Any] = []
         while released:
             batches += released
+            del self._copies[self.next_index]
             self.next_index += 1
-            released = []
-            for sender, batch in self._parked.pop(self.next_index, ()):
-                released = self._merge.push(sender, digest(batch), batch)
-                if released:
-                    break  # later copies of this index are stale
+            released = self._vote()
         return batches
-
-    def pending_counts(self) -> Dict[str, int]:
-        """Queue depths per sender (diagnostics)."""
-        return self._merge.pending_counts()
 
     # -- checkpointing ------------------------------------------------------
 
     def snapshot(self) -> Tuple:
-        """``(next_index, parked copies by index, QuorumMerge snapshot)``."""
-        parked = tuple((index, tuple(self._parked[index]))
-                       for index in sorted(self._parked))
-        return (self.next_index, parked, self._merge.snapshot())
-
-    def released_digest(self) -> bytes:
-        return self._merge.released_digest()
+        """``(next_index, kept copies by index)``: everything else is
+        rebuilt from them."""
+        return (self.next_index,
+                tuple((index, tuple(self._copies[index]))
+                      for index in sorted(self._copies)))
 
     def restore(self, state: Tuple) -> None:
-        """Adopt a peer's :meth:`snapshot` (membership must match)."""
-        next_index, parked, merge = state
-        self.next_index = next_index
-        self._parked = {index: list(copies) for index, copies in parked}
-        self._merge.restore(merge)
+        """Adopt a peer's :meth:`snapshot` (copies from relayers outside
+        this merge's membership are dropped)."""
+        self.next_index, copies = state
+        self._copies = dict(copies)
+        self._drop_strangers()
+        self._vote()

@@ -218,7 +218,7 @@ class ReorderingRelayApp(ByzCastApplication):
     """Relays each outgoing batch back to front.
 
     An attack on the order the parent induced (Lemma 4): a child that acted
-    on fewer than f+1 queue heads would release in this replica's order.
+    on fewer than f+1 votes would release in this replica's order.
     """
 
     def _flush_relays(self, child: str, wires, ctx) -> None:

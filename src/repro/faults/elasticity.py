@@ -13,7 +13,7 @@ controller
   client's proxy and vote arithmetic), and
 * announce the change to the group's overlay parent and children as ordered
   :class:`~repro.core.messages.MembershipUpdate` commands, so the relay
-  wiring (child proxies, the f+1 quorum-head merge) switches at one
+  wiring (child proxies, the f+1 vote merge) switches at one
   consensus boundary on every neighbour replica.
 
 Ops on one group are serialized (one ``Reconfig`` in flight at a time);

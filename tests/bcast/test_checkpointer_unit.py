@@ -145,15 +145,14 @@ class TestSequenceDigests:
             ckpt = node.run_interval()
             live = node.app.state_summary(ckpt.state)
             assert receiver.app.state_summary(ckpt.state) == live
-        acted, released = ckpt.state[1], ckpt.state[2][2][2][1]
-        assert len(acted) == 18 and len(released) == 9
-        # The summary carries digests where the state carries sequences.
+        acted = ckpt.state[1]
+        assert len(acted) == 18
+        # The summary carries a digest where the state carries the ids.
         assert live[1] == SequenceDigest(acted).value()
-        assert live[2][-1] == SequenceDigest(released).value()
         assert receiver.checkpoints.verified(ckpt)
 
     @pytest.mark.parametrize("forge", [swapped, doubled, first_altered])
-    @pytest.mark.parametrize("sequence", ["acted", "released"])
+    @pytest.mark.parametrize("sequence", ["acted"])
     def test_order_multiplicity_and_every_old_id_are_bound(self, sequence,
                                                            forge):
         node, receiver = Node(), Node()
@@ -236,9 +235,8 @@ class TestCheckpointCost:
         # the bounded rest: the same count at every boundary.
         assert all(c["hash"] == 0 for c in in_take)
         assert len({c["encode"] for c in in_take}) == 1
-        # Over a whole interval — execution included — the work is a fixed
-        # amount per new id (one update per acted, one per released id).
-        assert all(c["hash"] == per_interval + per_interval // 2
-                   for c in in_interval)
+        # Over a whole interval — execution included — the work is one
+        # update per acted id.
+        assert all(c["hash"] == per_interval for c in in_interval)
         assert len({c["encode"] for c in in_interval}) == 1
         assert in_interval[-1]["encode"] <= 40 * per_interval

@@ -192,15 +192,11 @@ def state_response(sender: str, ckpt: CheckpointData) -> StateResponse:
                          checkpoint=ckpt, horizon=ckpt.cid + 1)
 
 
-def reshaped(ckpt: CheckpointData, acted=None, released=None) -> CheckpointData:
+def reshaped(ckpt: CheckpointData, acted) -> CheckpointData:
     """A ``ByzCastApplication`` checkpoint claiming the same digest over a
-    state whose acted and/or released id sequence went through a forger."""
-    tag, old_acted, merge, *rest = ckpt.state
-    senders, threshold, (next_index, parked, (queues, old_released)) = merge
-    merge = (senders, threshold, (next_index, parked, (
-        queues, released(old_released) if released else old_released)))
-    state = (tag, acted(old_acted) if acted else old_acted, merge, *rest)
-    return dataclass_replace(ckpt, state=state)
+    state whose acted id sequence went through a forger."""
+    tag, old_acted, *rest = ckpt.state
+    return dataclass_replace(ckpt, state=(tag, acted(old_acted), *rest))
 
 
 def swapped(ids):
@@ -212,10 +208,7 @@ def doubled(ids):
 
 
 def first_altered(ids):
-    first = ids[0]
-    if isinstance(first, bytes):  # a released batch's digest
-        return (bytes([first[0] ^ 1]) + first[1:],) + ids[1:]
-    sender, seq, dst, payload = first
+    sender, seq, dst, payload = ids[0]
     return ((sender, seq, dst, ("tampered",)),) + ids[1:]
 
 

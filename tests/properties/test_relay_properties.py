@@ -1,4 +1,4 @@
-"""Property-based tests of the quorum-head merge (order preservation)."""
+"""Property-based tests of the indexed f+1 merge (order preservation)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import WireMulticast
 from repro.core.node import ByzCastApplication
-from repro.core.relay import QuorumMerge
+from repro.core.relay import BatchMerge
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from repro.sim.events import EventLoop
@@ -39,44 +39,46 @@ def relay_schedules(draw):
     return sequence, streams, pulls
 
 
+def pushed(merge, streams, pulls, fabricate=None):
+    """Feed ``merge`` every stream in the ``pulls`` interleaving.
+
+    Each relayer stamps its copies with their position in its own stream,
+    so a Byzantine one that skipped or reordered claims wrong indexes.
+    ``fabricate`` (a pull position) turns the first Byzantine relayer's
+    first copy from there on into ``"FAKE"``, or appends one past its
+    stream if it has no copy left by then.
+    """
+    cursors = {sender: 0 for sender in streams}
+    released = []
+    byz = BYZANTINE[0]
+    for position, sender in enumerate(pulls):
+        index = cursors[sender]
+        cursors[sender] += 1
+        batch = streams[sender][index]
+        if fabricate is not None and sender == byz and position >= fabricate:
+            batch, fabricate = "FAKE", None
+        released.extend(merge.push(sender, index, batch))
+    if fabricate is not None:
+        released.extend(merge.push(byz, cursors[byz], "FAKE"))
+    return released
+
+
 @given(relay_schedules())
 @settings(max_examples=200, deadline=None)
 def test_release_order_equals_correct_order(schedule):
     sequence, streams, pulls = schedule
-    merge = QuorumMerge(PARENTS, threshold=F + 1)
-    cursors = {sender: 0 for sender in streams}
-    released = []
-    for sender in pulls:
-        stream = streams[sender]
-        key = stream[cursors[sender]]
-        cursors[sender] += 1
-        released.extend(merge.push(sender, key, key))
+    merge = BatchMerge(PARENTS, threshold=F + 1)
     # Everything the correct parents relayed is eventually released, in
     # exactly their order — regardless of Byzantine skipping/reordering.
-    assert released == sequence
+    assert pushed(merge, streams, pulls) == sequence
 
 
 @given(relay_schedules(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_fabricated_messages_never_released(schedule, fab_position):
     sequence, streams, pulls = schedule
-    merge = QuorumMerge(PARENTS, threshold=F + 1)
-    cursors = {sender: 0 for sender in streams}
-    released = []
-    byz = BYZANTINE[0]
-    injected = False
-    for index, sender in enumerate(pulls):
-        if not injected and sender == byz and index >= fab_position:
-            released.extend(merge.push(byz, "FAKE", "FAKE"))
-            injected = True
-        stream = streams[sender]
-        key = stream[cursors[sender]]
-        cursors[sender] += 1
-        released.extend(merge.push(sender, key, key))
-    if not injected:
-        released.extend(merge.push(byz, "FAKE", "FAKE"))
-    assert "FAKE" not in released
-    assert [m for m in released if m != "FAKE"] == sequence
+    merge = BatchMerge(PARENTS, threshold=F + 1)
+    assert pushed(merge, streams, pulls, fabricate=fab_position) == sequence
 
 
 # ----------------------------------------- whole batches, in index order
