@@ -58,9 +58,18 @@ class _GroupEndpoint:
             self.owner.send(replica, message)
 
     def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
-        """Adopt a reconfigured membership (keeps sequence and round ids)."""
+        """Adopt a reconfigured membership (keeps sequence and round ids).
+
+        Departed replicas' votes leave every outstanding tally: at most
+        ``f`` of the *current* members are faulty, so an f+1 count only
+        vouches for a result when every vote in it is a current member's.
+        """
         self.replicas = tuple(replicas)
         self.f = f
+        members = set(self.replicas)
+        for entry in self._outstanding.values():
+            for voters in entry.votes.values():
+                voters &= members
 
     def pending(self) -> int:
         """Requests (or read rounds) still waiting for their quorum."""
@@ -196,24 +205,33 @@ class _OutstandingRead:
     #: (cid, value digest) -> replicas vouching for exactly that pair
     votes: Dict[Tuple[int, bytes], Set[str]] = field(default_factory=dict)
     results: Dict[Tuple[int, bytes], Any] = field(default_factory=dict)
-    #: replicas heard from this round (vote or malformed) — exhaustion gate
+    #: replicas probed this round — widening and exhaustion gate
+    asked: Set[str] = field(default_factory=set)
+    #: replicas heard from this round (vote or malformed)
     replied: Set[str] = field(default_factory=set)
     timer: Optional[TimerHandle] = None
     retries: int = 0
 
 
 class ReadProxy(_GroupEndpoint):
-    """Fans a read probe to every replica and accepts f+1 matching replies.
+    """Probes f+1 replicas of a group and accepts f+1 matching replies.
 
     The unordered read discipline (BFT-SMaRt ``invokeUnordered``): a reply
     joins the tally only if its carried digest re-hashes locally from the
     carried value (a Byzantine replica cannot vote for a value it did not
     send), and a tally wins only when ``f + 1`` distinct replicas agree on
     the *same* (cid, digest) pair **and** that cid clears the owner's
-    monotone floor.  When the full membership has answered without an
-    acceptable quorum — or the round times out — the proxy retries with
-    exponential backoff and finally reports exhaustion so the owner can
-    fall back to an ordered multicast.
+    monotone floor.
+
+    A round first asks :attr:`voters` — the last accepted quorum's voters
+    that are still members, topped up in membership order to
+    :attr:`quorum` — or everyone before any quorum was accepted.  Once
+    every replica asked has answered without an acceptable quorum, the
+    same round *widens* to the rest of the membership (``read.widened``;
+    same rid, tally and timer, not a retry).  When the full membership has
+    answered without an acceptable quorum — or the round times out — the
+    proxy retries to every member with exponential backoff and finally
+    reports exhaustion so the owner can fall back to an ordered multicast.
 
     Backoff discipline (mirrors :meth:`GroupProxy.note_progress`): replies
     are **never** progress — only an accepted quorum completes the round.
@@ -243,12 +261,26 @@ class ReadProxy(_GroupEndpoint):
         #: correct replicas plus a Byzantine echo could serve a past state)
         self._min_cid = min_cid if min_cid is not None else (lambda mode: -1)
         self._next_rid = 1
+        #: the last accepted quorum's voters, a round's first probes
+        #: (``None`` until a quorum was accepted: then a round asks everyone)
+        self.voters: Optional[FrozenSet[str]] = None
         self.accepted = 0
         self.exhausted = 0
 
     @property
     def quorum(self) -> int:
         return self.f + 1
+
+    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
+        super().update_replicas(replicas, f)
+        members = set(self.replicas)
+        if self.voters is not None:
+            self.voters &= members
+        for entry in list(self._outstanding.values()):
+            entry.asked &= members
+            entry.replied &= members
+            # a departed probe will never vouch: widen now, not at the timer
+            self._maybe_widen(entry)
 
     # -- submission ----------------------------------------------------------
 
@@ -266,9 +298,22 @@ class ReadProxy(_GroupEndpoint):
         entry = _OutstandingRead(request=request, on_accept=on_accept,
                                  on_exhausted=on_exhausted)
         self._outstanding[rid] = entry
-        self._send_to_all(request)
+        self._ask(entry, self._first_probes())
         self._arm_timer(entry)
         return rid
+
+    def _first_probes(self) -> Tuple[str, ...]:
+        """The last quorum's voters still in the group, topped up in
+        membership order to :attr:`quorum`; everyone before any quorum."""
+        if self.voters is None:
+            return self.replicas
+        first = sorted(self.replicas, key=lambda r: r not in self.voters)
+        return tuple(first[:self.quorum])
+
+    def _ask(self, entry: _OutstandingRead, replicas: Tuple[str, ...]) -> None:
+        entry.asked.update(replicas)
+        for replica in replicas:
+            self.owner.send(replica, entry.request)
 
     def _arm_timer(self, entry: _OutstandingRead) -> None:
         entry.timer = self.owner.set_timer(
@@ -292,9 +337,10 @@ class ReadProxy(_GroupEndpoint):
         entry.retries += 1
         entry.votes.clear()
         entry.results.clear()
+        entry.asked.clear()
         entry.replied.clear()
         self.owner.monitor.count("read.retry")
-        self._send_to_all(entry.request)
+        self._ask(entry, self.replicas)
         self._arm_timer(entry)
 
     # -- replies ------------------------------------------------------------
@@ -319,7 +365,7 @@ class ReadProxy(_GroupEndpoint):
         local = digest(("readv", reply.result))
         if local != reply.value_digest:
             self.owner.monitor.count("read.forged_digest")
-            self._maybe_exhaust(entry)
+            self._maybe_widen(entry)
             return True
         key = (reply.cid, local)
         voters = entry.votes.setdefault(key, set())
@@ -333,12 +379,19 @@ class ReadProxy(_GroupEndpoint):
             # A matching quorum below the monotone floor: the session
             # guarantee forbids serving it; keep collecting / retry.
             self.owner.monitor.count("read.stale_quorum")
-        self._maybe_exhaust(entry)
+        self._maybe_widen(entry)
         return True
 
-    def _maybe_exhaust(self, entry: _OutstandingRead) -> None:
-        """Full evidence: everyone answered, no acceptable quorum formed."""
-        if len(entry.replied) >= len(self.replicas):
+    def _maybe_widen(self, entry: _OutstandingRead) -> None:
+        """Everyone asked answered, no acceptable quorum formed: ask the
+        rest of the group, or retry once the full membership answered."""
+        if not entry.replied >= entry.asked:
+            return
+        rest = tuple(r for r in self.replicas if r not in entry.asked)
+        if rest:
+            self.owner.monitor.count("read.widened")
+            self._ask(entry, rest)
+        else:
             self._next_round(entry)
 
     def _accept(self, entry: _OutstandingRead, cid: int, result: Any,
@@ -347,4 +400,5 @@ class ReadProxy(_GroupEndpoint):
         if entry.timer is not None:
             entry.timer.cancel()
         self.accepted += 1
+        self.voters = voters
         entry.on_accept(cid, result, voters)

@@ -72,7 +72,7 @@ class Request:
 
 @dataclass(frozen=True)
 class ReadRequest:
-    """An unordered read probe sent directly to every replica of one group.
+    """An unordered read probe sent directly to replicas of one group.
 
     Reads bypass consensus entirely (the BFT-SMaRt ``invokeUnordered``
     pattern): each replica answers from its current executed state, and the

@@ -384,8 +384,9 @@ class MulticastClient(Actor):
         Out-of-band delivery is safe for clients: vote counting is local
         (not replicated state), and replies from replicas outside the
         currently-known membership are simply ignored until the update
-        lands.  Any live proxy into the group re-sprays its un-acked
-        requests at the new membership.
+        lands.  Departed replicas' votes leave the proxies' outstanding
+        tallies; retransmission (and a read round's widening) is what
+        reaches new members.
         """
         config = self.group_configs.get(group_id)
         if config is None:

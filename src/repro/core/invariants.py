@@ -75,14 +75,18 @@ def check_validity(sequences: GroupSequences,
 
     Only meaningful once the run is quiescent.
     """
+    delivered = {
+        group: [{_key(m) for m in sequence} for sequence in replicas]
+        for group, replicas in sequences.items()
+    }
     violations = []
     for message in sent:
+        key = _key(message)
         for group in message.dst:
-            replicas = sequences.get(group, [])
-            for index, sequence in enumerate(replicas):
-                if _key(message) not in {_key(m) for m in sequence}:
+            for index, keys in enumerate(delivered.get(group, ())):
+                if key not in keys:
                     violations.append(
-                        f"message {_key(message)} missing at {group} replica {index}"
+                        f"message {key} missing at {group} replica {index}"
                     )
     return violations
 

@@ -173,6 +173,34 @@ class FabricatedReadReplica(Replica):
             value_digest=digest(("readv", result)), result=result))
 
 
+class SilentReadReplica(Replica):
+    """Orders and executes like a correct replica, never answers a read.
+
+    Among a client's first probes it costs that client one round timeout:
+    the retry asks everyone, and the replicas that answer become the
+    client's next first probes.
+    """
+
+    def _serve_read(self, src: str, request: ReadRequest) -> None:
+        self.monitor.count("byzantine.silent_read")
+
+
+class SlowReadReplica(Replica):
+    """Answers reads correctly, ``delay`` seconds late.
+
+    ``delay`` sits just inside ``ReadProxy``'s default 1 s round timeout:
+    a slow first probe holds a read back without ever timing it out or
+    changing its value.
+    """
+
+    delay: float = 0.9
+
+    def _serve_read(self, src: str, request: ReadRequest) -> None:
+        self.monitor.count("byzantine.slow_read")
+        self.set_timer(self.delay,
+                       partial(Replica._serve_read, self, src, request))
+
+
 class SilentRelayApp(ByzCastApplication):
     """Algorithm 1 with the relay step removed: never forwards to children.
 

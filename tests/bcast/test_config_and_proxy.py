@@ -121,6 +121,21 @@ class TestGroupProxy:
         assert client.proxy.submit(("b",)) == 2  # sequence continues
         assert client.proxy.replicas == reordered
 
+    def test_a_departed_replicas_vote_no_longer_counts(self):
+        h = Harness()
+        client = h.add_client()
+        results = []
+        seq = client.proxy.submit(("cmd",), results.append)
+        client.proxy.handle_reply(
+            "g1/r0", Reply("g1", "g1/r0", client.name, seq, ("ok",)))
+        client.proxy.update_replicas(("g1/r1", "g1/r2", "g1/r3", "g1/r4"), 1)
+        client.proxy.handle_reply(
+            "g1/r1", Reply("g1", "g1/r1", client.name, seq, ("ok",)))
+        assert results == []
+        client.proxy.handle_reply(
+            "g1/r2", Reply("g1", "g1/r2", client.name, seq, ("ok",)))
+        assert results == [("ok",)]
+
     def test_retransmit_backoff_is_clamped(self):
         h = Harness()
         client = h.add_client(retransmit_timeout=1.0)

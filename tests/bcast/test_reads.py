@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
+import pytest
+
 from repro.bcast.client import GroupProxy, ReadProxy
-from repro.bcast.messages import ReadReply, Reply
+from repro.bcast.messages import ReadReply, ReadRequest, Reply
 from repro.crypto.digest import digest
 from repro.env.actor import Actor
 from repro.faults.behaviors import (
     EquivocatingReadReplica,
     FabricatedReadReplica,
     ForgedReadDigestReplica,
+    SilentReadReplica,
+    SlowReadReplica,
     StaleReadReplica,
 )
 from tests.helpers import Harness, make_config
@@ -59,6 +63,16 @@ class ReadClient(Actor):
         #: (cid, result, voters) per accepted read, in acceptance order
         self.accepted: List[Tuple[int, Any, frozenset]] = []
         self.exhausted = 0
+        #: (rid, replica) per read probe sent, in send order
+        self.probes: List[Tuple[int, str]] = []
+
+    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+        if isinstance(payload, ReadRequest):
+            self.probes.append((payload.rid, dst))
+        super().send(dst, payload, size)
+
+    def asked(self, rid: int) -> set:
+        return {dst for probe, dst in self.probes if probe == rid}
 
     def submit(self, command: Any) -> int:
         return self.proxy.submit(command, self.results.append)
@@ -288,6 +302,145 @@ def test_correct_client_never_returns_unexecuted_value():
     }
     for _, result, _ in client.accepted:
         assert result in correct
+
+
+# -- first probes at f+1 ------------------------------------------------------
+
+
+def test_a_round_first_asks_the_last_quorums_voters():
+    h = Harness()
+    client = add_read_client(h)
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    first = client.read()
+    h.loop.run(until=3.0)
+    second = client.read()
+    h.loop.run(until=4.0)
+    assert client.asked(first) == set(h.config.replicas)
+    assert client.asked(second) == client.accepted[0][2]
+    assert len(client.asked(second)) == h.config.f + 1
+    assert [result for _, result, _ in client.accepted] == [("executed", 1)] * 2
+    assert h.monitor.counters["read.widened"] == 0
+
+
+def test_an_f2_groups_first_probes_are_three():
+    h = Harness(config=make_config("g2", f=2))
+    client = add_read_client(h)
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    first = client.read()
+    h.loop.run(until=3.0)
+    second = client.read()
+    h.loop.run(until=4.0)
+    assert len(client.asked(first)) == 7
+    assert len(client.asked(second)) == 3
+    assert len(client.accepted) == 2
+
+
+def test_a_silent_first_probe_costs_one_round_timeout_once():
+    h = Harness(replica_classes={"g1/r1": SilentReadReplica})
+    client = add_read_client(h)
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    client.reads.voters = frozenset({"g1/r1", "g1/r2"})  # r1 fell silent
+    start = h.loop.now
+    rid = client.read()
+    h.loop.run(until=start + client.reads.read_timeout - 0.01)
+    assert client.accepted == []   # r2 alone cannot vouch; r1 never will
+    assert client.asked(rid) == {"g1/r1", "g1/r2"}
+    h.loop.run(until=start + client.reads.read_timeout + 0.05)
+    [(_, result, voters)] = client.accepted
+    assert result == ("executed", 1) and "g1/r1" not in voters
+    assert h.monitor.counters["read.retry"] == 1
+    # the retry's voters are the next first probes: no second timeout
+    start = h.loop.now
+    rid = client.read()
+    h.loop.run(until=start + 0.05)
+    assert len(client.accepted) == 2
+    assert client.asked(rid) == voters
+    assert h.monitor.counters["read.retry"] == 1
+
+
+@pytest.mark.parametrize("liar", [FabricatedReadReplica, StaleReadReplica,
+                                  ForgedReadDigestReplica,
+                                  EquivocatingReadReplica])
+def test_a_lying_first_probe_costs_one_widening_and_no_timeout(liar):
+    h = Harness(replica_classes={"g1/r1": liar})
+    client = add_read_client(h)
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    client.read()   # asks everyone; pins the stale replica at op 0
+    h.loop.run(until=3.0)
+    client.submit(("op", 1))
+    h.loop.run(until=5.0)
+    client.reads.voters = frozenset({"g1/r1", "g1/r2"})
+    start = h.loop.now
+    rid = client.read()
+    h.loop.run(until=start + client.reads.read_timeout - 0.01)
+    assert client.asked(rid) == set(h.config.replicas)
+    assert h.monitor.counters["read.widened"] == 1
+    assert h.monitor.counters["read.retry"] == 0
+    _, result, voters = client.accepted[-1]
+    assert len(client.accepted) == 2
+    assert result == ("executed", 2)
+    assert "g1/r1" not in voters and "g1/r1" not in client.reads.voters
+
+
+def test_a_slow_first_probe_delays_a_read_less_than_a_round_timeout():
+    h = Harness(replica_classes={"g1/r1": SlowReadReplica})
+    client = add_read_client(h, read_timeout=1.0)
+    assert SlowReadReplica.delay < client.reads.read_timeout
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    client.reads.voters = frozenset({"g1/r1", "g1/r2"})
+    start = h.loop.now
+    rid = client.read()
+    h.loop.run(until=start + SlowReadReplica.delay - 0.01)
+    assert client.accepted == []
+    h.loop.run(until=start + client.reads.read_timeout - 0.01)
+    [(_, result, voters)] = client.accepted
+    assert result == ("executed", 1)
+    assert result in correct_read_values(h, ())
+    assert voters == {"g1/r1", "g1/r2"} == client.asked(rid)
+    assert h.monitor.counters["read.retry"] == 0
+    assert h.monitor.counters["read.widened"] == 0
+
+
+def test_a_departed_voter_is_replaced_by_a_current_member():
+    h = Harness()
+    client = add_read_client(h)
+    client.submit(("op", 0))
+    h.run(until=2.0)
+    client.read()
+    h.loop.run(until=3.0)
+    voters = client.accepted[0][2]
+    gone = min(voters)
+    members = tuple(r for r in h.config.replicas if r != gone)
+    client.reads.update_replicas(members, 1)
+    rid = client.read()
+    h.loop.run(until=4.0)
+    stand_in = next(r for r in members if r not in voters)
+    assert client.asked(rid) == (voters - {gone}) | {stand_in}
+    assert len(client.accepted) == 2
+
+
+def test_a_departed_replicas_read_vote_no_longer_counts():
+    h = Harness()
+    client = add_read_client(h)
+    rid = client.read()   # replies are fed by hand below
+    value = ("executed", 0)
+
+    def reply(src):
+        return ReadReply(group="g1", sender=src, req_sender=client.name,
+                         rid=rid, mode="optimistic", cid=0,
+                         value_digest=digest(("readv", value)), result=value)
+
+    client.reads.handle_read_reply("g1/r0", reply("g1/r0"))
+    client.reads.update_replicas(("g1/r1", "g1/r2", "g1/r3", "g1/r4"), 1)
+    client.reads.handle_read_reply("g1/r1", reply("g1/r1"))
+    assert client.accepted == []
+    client.reads.handle_read_reply("g1/r2", reply("g1/r2"))
+    assert client.accepted == [(0, value, frozenset({"g1/r1", "g1/r2"}))]
 
 
 # -- the retransmit-backoff bugfix (note_progress discipline) ----------------

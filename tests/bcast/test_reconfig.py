@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bcast.app import EchoApplication
+from repro.bcast.messages import Reply
 from repro.bcast.reconfig import Reconfig, View, ViewManager, admin_identity
 from repro.bcast.replica import Replica
 from repro.errors import ConfigurationError
@@ -129,6 +130,23 @@ def test_unauthorized_reconfig_rejected():
     # ...and no replica changed its view.
     for replica in h.group.replicas:
         assert replica.view.replicas == h.config.replicas
+
+
+def test_a_departed_replicas_vote_no_longer_confirms_a_reconfig():
+    h = ReconfigHarness()
+    confirmed = []
+    swapped = ("g1/r1", "g1/r2", "g1/r3", "g1/r4")
+    h.admin.reconfigure(swapped, confirmed.append)
+
+    def reply(src):
+        return Reply("g1", src, h.admin.name, 1, ("ok",))
+
+    h.admin.on_message("g1/r0", reply("g1/r0"))
+    h.admin.update_view(swapped, 1)   # r0 leaves before the quorum formed
+    h.admin.on_message("g1/r1", reply("g1/r1"))
+    assert confirmed == []
+    h.admin.on_message("g1/r2", reply("g1/r2"))
+    assert confirmed == [("ok",)]
 
 
 def test_admin_identity_is_namespaced():
