@@ -20,7 +20,7 @@ from repro.bcast.group import BroadcastGroup
 from repro.bcast.messages import Reply, Request
 from repro.core.messages import WireMulticast
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign, verify
+from repro.crypto.signatures import sign, verify_signed
 from repro.env import Actor, Monitor, NetworkConfig, Runtime, RuntimeOrClock
 from repro.env.simbackend import SimRuntime
 from repro.types import ClientId, Delivery, Destination, MessageId, MulticastMessage
@@ -42,7 +42,7 @@ class RecordingApplication(Application):
             return ("error", "not a multicast")
         if wire.signature is None or wire.signature.signer != wire.sender:
             return ("error", "unsigned")
-        if not verify(self.registry, wire.signed_part(), wire.signature):
+        if not verify_signed(self.registry, wire):
             return ("error", "invalid origin signature")
         message = wire.to_message()
         self.deliveries.append(

@@ -90,8 +90,6 @@ class BroadcastConfig:
             PROPOSE→WRITE→ACCEPT round trips of consecutive instances while
             execution stays strictly in consensus order.
         costs: the CPU cost model.
-        verify_client_signatures: charge + perform signature verification of
-            client requests (disabled only in focused microbenchmarks).
         authenticate_batches: leaders wrap each proposal in an
             :class:`~repro.bcast.messages.AuthenticatedPropose` carrying a
             per-link MAC vector, and receivers verify their tag before any
@@ -109,7 +107,6 @@ class BroadcastConfig:
     checkpoint_interval: int = 0
     max_in_flight: int = 4
     costs: CostModel = field(default_factory=CostModel)
-    verify_client_signatures: bool = True
     authenticate_batches: bool = False
 
     def __post_init__(self) -> None:

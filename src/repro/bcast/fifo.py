@@ -102,9 +102,6 @@ class PendingPool:
         self._size += 1
         return True
 
-    def contains(self, sender: str, seq: int) -> bool:
-        return seq in self._by_sender.get(sender, {})
-
     def remove(self, sender: str, seq: int) -> Optional[Request]:
         """Remove and return the request, if pooled."""
         per_sender = self._by_sender.get(sender)
@@ -112,18 +109,37 @@ class PendingPool:
             return None
         self._size -= 1
         request = per_sender.pop(seq)
+        if not per_sender:
+            del self._by_sender[sender]
         self._compact()
         return request
 
-    def prune_ordered(self, tracker: SenderTracker) -> None:
-        """Drop every pooled request that is already ordered."""
-        for sender, per_sender in self._by_sender.items():
+    def prune_ordered(self, tracker: SenderTracker,
+                      senders: Optional[Iterable[str]] = None) -> None:
+        """Drop every pooled request that is already ordered.
+
+        ``senders`` limits the walk to the senders whose tracker entry
+        moved (a decided batch's); without it every pooled sender is
+        checked (a checkpoint restore moves them all).  A sender left with
+        nothing pooled loses its entry, so the pool is bounded by the live
+        senders, not by every sender ever seen.
+        """
+        by_sender = self._by_sender
+        pruned = 0
+        for sender in (list(by_sender) if senders is None else senders):
+            per_sender = by_sender.get(sender)
+            if per_sender is None:
+                continue
             last = tracker.last(sender)
             stale = [seq for seq in per_sender if seq <= last]
             for seq in stale:
                 del per_sender[seq]
-                self._size -= 1
-        self._compact()
+            pruned += len(stale)
+            if not per_sender:
+                del by_sender[sender]
+        if pruned:
+            self._size -= pruned
+            self._compact()
 
     def admissible_batch(
         self,
@@ -189,6 +205,3 @@ class PendingPool:
             for sender, seq in self._arrival
             if seq in self._by_sender.get(sender, {})
         ]
-
-    def senders(self) -> Iterable[str]:
-        return self._by_sender.keys()

@@ -70,7 +70,7 @@ from repro.bcast.statetransfer import STATE_RETRY_TIMEOUT, StateTransfer
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import mac_vector, verify_mac_vector
-from repro.crypto.signatures import verify
+from repro.crypto.signatures import verify_signed
 from repro.env import Actor, Monitor, RuntimeOrClock
 
 #: consensus-id lead *beyond the pipeline window* that makes a replica
@@ -164,6 +164,9 @@ class Replica(Actor):
         #: (req_sender, rid, mode, cid, value_digest) of reads we answered
         self.read_journal: Deque[Tuple[str, int, str, int, bytes]] = deque(
             maxlen=READ_JOURNAL_CAP)
+        #: (view, its members but us): ``peers()`` per View object
+        self._peers: Tuple[Optional[View], Tuple[str, ...]] = (None, ())
+        self._inflight_gauge = f"consensus.in_flight.{name}"
 
     # ------------------------------------------------------------------ api
 
@@ -180,7 +183,12 @@ class Replica(Actor):
 
     def peers(self) -> Tuple[str, ...]:
         """All group members except this replica."""
-        return tuple(r for r in self.view.replicas if r != self.name)
+        view, peers = self._peers
+        if view is not self.view:
+            view = self.view
+            peers = tuple(r for r in view.replicas if r != self.name)
+            self._peers = (view, peers)
+        return peers
 
     # --------------------------------------------------------- membership
 
@@ -406,12 +414,10 @@ class Replica(Actor):
                           forged: str) -> bool:
         """The client-signature check of admission and proposal validation;
         a failure is recorded as ``unsigned`` or ``forged``."""
-        if not self.config.verify_client_signatures:
-            return True
         if request.signature is None or request.signature.signer != request.sender:
             self.monitor.record(self.name, unsigned, sender=request.sender)
             return False
-        if not verify(self.registry, request.signed_part(), request.signature):
+        if not verify_signed(self.registry, request):
             self.monitor.record(self.name, forged, sender=request.sender)
             return False
         return True
@@ -583,8 +589,7 @@ class Replica(Actor):
         return False
 
     def _update_inflight_gauge(self) -> None:
-        self.monitor.gauge(f"consensus.in_flight.{self.name}",
-                           float(self._open_count()))
+        self.monitor.gauge(self._inflight_gauge, float(self._open_count()))
 
     # ------------------------------------------------------ proposal intake
 
@@ -817,7 +822,9 @@ class Replica(Actor):
             result = (self._apply_reconfig(request)
                       if isinstance(request.command, Reconfig) else None)
             ordered.append((request, result, pending))
-        self.pool.prune_ordered(self.log.tracker)
+        # only the batch's senders moved in the tracker
+        self.pool.prune_ordered(self.log.tracker,
+                                {request.sender for request in batch})
         boundary = None
         if self.checkpoints.due(cid):
             boundary = (cid, self.log.tracker.snapshot(), self.view)
@@ -867,6 +874,8 @@ class Replica(Actor):
         is still missing), so each cid is attempted at most once per drain
         to guarantee termination.
         """
+        if not self._future_proposals:
+            return
         stale = [cid for cid in self._future_proposals if cid < self.log.next_execute]
         for cid in stale:
             del self._future_proposals[cid]

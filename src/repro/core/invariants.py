@@ -104,6 +104,10 @@ def check_prefix_order(sequences: GroupSequences) -> List[str]:
     Uses the first replica of each group (run :func:`check_agreement` first).
     Missing deliveries are the business of :func:`check_validity`; this
     checker only compares relative orders of commonly delivered pairs.
+    Two groups agree on every such pair iff their orders restricted to the
+    common messages are equal lists, so each group pair costs one pass and
+    reports its first mismatch.  A message delivered twice counts at its
+    last position.
     """
     orders = _first_replica_orders(sequences)
     positions: Dict[str, Dict[Tuple, int]] = {
@@ -114,32 +118,33 @@ def check_prefix_order(sequences: GroupSequences) -> List[str]:
     groups = sorted(orders)
     for i, g in enumerate(groups):
         for h in groups[i + 1:]:
-            common = sorted(set(positions[g]) & set(positions[h]))
-            for a_index, m in enumerate(common):
-                for m2 in common[a_index + 1:]:
-                    g_order = positions[g][m] < positions[g][m2]
-                    h_order = positions[h][m] < positions[h][m2]
-                    if g_order != h_order:
-                        violations.append(
-                            f"groups {g}/{h} disagree on order of {m} and {m2}"
-                        )
+            in_g, in_h = (
+                [key for index, key in enumerate(orders[a])
+                 if positions[a][key] == index and key in positions[b]]
+                for a, b in ((g, h), (h, g)))
+            for m, m2 in zip(in_g, in_h):
+                if m != m2:
+                    m, m2 = sorted((m, m2))
+                    violations.append(
+                        f"groups {g}/{h} disagree on order of {m} and {m2}")
+                    break
     return violations
 
 
 def check_acyclic_order(sequences: GroupSequences) -> List[str]:
     """The global delivery relation ``<`` contains no cycle.
 
-    Builds the union of every group's delivery order and searches for a
-    cycle with an iterative DFS (no recursion limits on large runs).
+    Each group's order is a chain, so its consecutive pairs (the chain's
+    transitive reduction) reach everything its full relation reaches: the
+    union of those O(deliveries) edges has a cycle iff ``<`` has one.  An
+    iterative DFS (no recursion limits on large runs) searches for it.
     """
-    orders = _first_replica_orders(sequences)
     edges: Dict[Tuple, Set[Tuple]] = {}
-    for order in orders.values():
-        for i in range(len(order)):
-            edges.setdefault(order[i], set())
-            for j in range(i + 1, len(order)):
-                edges[order[i]].add(order[j])
-                edges.setdefault(order[j], set())
+    for order in _first_replica_orders(sequences).values():
+        for node in order:
+            edges.setdefault(node, set())
+        for before, after in zip(order, order[1:]):
+            edges[before].add(after)
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in edges}
     for start in edges:

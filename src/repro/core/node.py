@@ -54,7 +54,7 @@ from repro.core.relay import BatchMerge
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import SequenceDigest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import verify
+from repro.crypto.signatures import verify_signed
 from repro.types import Delivery, MulticastMessage
 
 DeliverCallback = Callable[[MulticastMessage, ExecutionContext], None]
@@ -398,7 +398,7 @@ class ByzCastApplication(Application):
     def _origin_signature_valid(self, wire: WireMulticast) -> bool:
         if wire.signature is None or wire.signature.signer != wire.sender:
             return False
-        return verify(self.registry, wire.signed_part(), wire.signature)
+        return verify_signed(self.registry, wire)
 
     # ------------------------------------------------------------------ act
 

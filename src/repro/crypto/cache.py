@@ -9,14 +9,17 @@ a single observable result:
 
 * **Memos on the message** — canonical bytes and digest of a frozen
   dataclass live in its ``__dict__`` (:mod:`repro.canonical`,
-  :mod:`repro.crypto.digest`) and die with it.
+  :mod:`repro.crypto.digest`) and die with it, and so does the verdict of
+  a signed request or multicast under one key registry
+  (:func:`repro.crypto.signatures.verify_signed`): a repeated signature
+  check is one dictionary lookup.
 * **Identity-keyed LRUs** (:class:`IdentityCache`) for what has no object
-  to live on: verification verdicts per signed tuple, and the JSON codec's
-  frame bodies.  Entries are keyed on ``id(obj)`` and hold a strong
-  reference to the object, so a key can never be reused by a different
-  object while its entry is alive (value-based keys would be unsound:
-  ``1 == 1.0 == True`` yet their canonical forms differ), and each LRU has
-  a fixed entry budget.
+  to live on: the canonical bytes of each signed tuple (``verify``), and
+  the JSON codec's frame bodies (``encode``).  Entries are keyed on
+  ``id(obj)`` and hold a strong reference to the object, so a key can
+  never be reused by a different object while its entry is alive
+  (value-based keys would be unsound: ``1 == 1.0 == True`` yet their
+  canonical forms differ), and each LRU has a fixed entry budget.
 
 All memoised functions are pure, so behaviour (and the sim backend's
 golden traces) is bit-identical with memoisation on or off — pinned by

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass, is_dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 from repro.crypto import cache as _cache
 from repro.crypto.digest import canonical_bytes
@@ -27,21 +27,26 @@ class Signature:
     tag: bytes
 
 
-def _signed_bytes(obj: Any) -> Tuple[bytes, Optional[Dict]]:
-    """``(canonical bytes, verdict table)`` of a signed tuple or message.
+#: ``__dict__`` key of the verdict memo on a signed message (see
+#: :func:`verify_signed`)
+VERDICT_MEMO = "_verdict"
 
-    Both are kept in one identity-keyed entry per object (see
-    :mod:`repro.crypto.cache`), so signing and then verifying one object —
-    or verifying it under several signatures — canonicalizes it once.
-    Scalars are not worth an entry; with memoisation off nothing is kept.
+
+def _signed_bytes(obj: Any) -> bytes:
+    """The canonical bytes of a signed tuple or message.
+
+    Kept in one identity-keyed LRU entry per object (see
+    :mod:`repro.crypto.cache`), so signing and then verifying one object
+    canonicalizes it once.  Scalars are not worth an entry; with
+    memoisation off nothing is kept.
     """
     if not (_cache.enabled()
             and (isinstance(obj, tuple) or is_dataclass(obj))):
-        return canonical_bytes(obj), None
-    entry = _cache.verify_cache.get(obj)
-    if entry is None:
-        entry = _cache.verify_cache.put(obj, (canonical_bytes(obj), {}))
-    return entry
+        return canonical_bytes(obj)
+    body = _cache.verify_cache.get(obj)
+    if body is None:
+        body = _cache.verify_cache.put(obj, canonical_bytes(obj))
+    return body
 
 
 def _tag(registry: KeyRegistry, identity: str, body: bytes) -> bytes:
@@ -51,26 +56,37 @@ def _tag(registry: KeyRegistry, identity: str, body: bytes) -> bytes:
 
 def sign(registry: KeyRegistry, identity: str, obj: Any) -> Signature:
     """Sign the canonical form of ``obj`` as ``identity``."""
-    return Signature(identity, _tag(registry, identity, _signed_bytes(obj)[0]))
+    return Signature(identity, _tag(registry, identity, _signed_bytes(obj)))
 
 
 def verify(registry: KeyRegistry, obj: Any, signature: Signature) -> bool:
-    """True iff ``signature`` is a valid signature of ``obj`` by its signer.
+    """True iff ``signature`` is a valid signature of ``obj`` by its signer."""
+    return hmac.compare_digest(
+        _tag(registry, signature.signer, _signed_bytes(obj)), signature.tag)
 
-    Verdicts are memoised per message object: a ByzCast child group
+
+def verify_signed(registry: KeyRegistry, message: Any) -> bool:
+    """``verify(registry, message.signed_part(), message.signature)``,
+    memoised on ``message``.
+
+    For a frozen message with a ``signed_part()`` and a ``signature``
+    (:class:`~repro.bcast.messages.Request`,
+    :class:`~repro.core.messages.WireMulticast`).  A ByzCast child group
     receives ``3f + 1`` relayed copies of one multicast and every replica
-    of the entry group re-verifies the client signature at admission *and*
-    proposal validation — identical bytes each time.  The verdict key
-    includes the signer's derived secret, so registries with different
-    master seeds never share verdicts.
+    of the entry group checks the client signature at admission *and* at
+    proposal validation — the same object each time on the simulation
+    backend.  The first check under ``registry`` runs :func:`verify`;
+    every later one is a lookup in the object's ``__dict__``.  The memo is
+    keyed on the registry object, so two registries never share a
+    verdict, and only :func:`verify` writes it: a decoded or copied
+    message starts without one.
     """
-    body, verdicts = _signed_bytes(obj)
-    if verdicts is None:
-        return hmac.compare_digest(
-            _tag(registry, signature.signer, body), signature.tag)
-    key = (signature.signer, signature.tag, registry.secret(signature.signer))
-    result = verdicts.get(key)
-    if result is None:
-        result = verdicts[key] = hmac.compare_digest(
-            _tag(registry, signature.signer, body), signature.tag)
-    return result
+    if not _cache.enabled():
+        return verify(registry, message.signed_part(), message.signature)
+    attrs = message.__dict__
+    memo = attrs.get(VERDICT_MEMO)
+    if memo is not None and memo[0] is registry:
+        return memo[1]
+    verdict = verify(registry, message.signed_part(), message.signature)
+    attrs[VERDICT_MEMO] = (registry, verdict)
+    return verdict

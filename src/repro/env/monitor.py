@@ -35,9 +35,9 @@ class Monitor:
     def __init__(self, trace_capacity: int = 0) -> None:
         self.counters: Counter = Counter()
         self.trace_capacity = trace_capacity
-        #: fast-path guard for :meth:`record` — hot protocol paths check it
-        #: before building keyword details, so a traceless run allocates no
-        #: trace entries at all
+        #: whether :meth:`record` keeps trace entries; when it is off a
+        #: record only bumps its counter (the keyword details are still
+        #: built by the caller, then dropped)
         self.enabled = bool(trace_capacity)
         #: ring buffer of the *last* ``trace_capacity`` records — late-run
         #: events stay observable in long runs; evictions are counted under

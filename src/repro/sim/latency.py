@@ -9,7 +9,8 @@ the delay (e.g. the LAN model returns ~0.05 ms, half the paper's 0.1 ms RTT).
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 
 class LatencyModel:
@@ -17,6 +18,29 @@ class LatencyModel:
 
     def delay(self, src_site: str, dst_site: str, rng: random.Random) -> float:
         raise NotImplementedError
+
+    def sampler(self, src_site: str, dst_site: str,
+                rng: random.Random) -> Callable[[], float]:
+        """A zero-argument draw of ``delay(src_site, dst_site, rng)``.
+
+        The :class:`~repro.sim.network.Network` keeps one per link, so a
+        send pays one call.  From the same ``rng`` state it yields exactly
+        the sequence ``delay`` would.
+        """
+        return partial(self.delay, src_site, dst_site, rng)
+
+
+def _jittered(base: float, jitter: float,
+              rng: random.Random) -> Callable[[], float]:
+    """A draw of ``base * rng.uniform(1 - jitter, 1 + jitter)``, with
+    ``uniform``'s own arithmetic inlined (the same floats); the only place
+    the jittered models compute a delay, for ``delay`` and ``sampler``."""
+    if jitter == 0:
+        return lambda: base
+    lo = 1 - jitter
+    span = (1 + jitter) - lo
+    draw = rng.random
+    return lambda: base * (lo + span * draw())
 
 
 class ConstantLatency(LatencyModel):
@@ -50,9 +74,11 @@ class JitterLatency(LatencyModel):
         self.jitter = jitter
 
     def delay(self, src_site: str, dst_site: str, rng: random.Random) -> float:
-        if self.jitter == 0:
-            return self.base
-        return self.base * rng.uniform(1 - self.jitter, 1 + self.jitter)
+        return _jittered(self.base, self.jitter, rng)()
+
+    def sampler(self, src_site: str, dst_site: str,
+                rng: random.Random) -> Callable[[], float]:
+        return _jittered(self.base, self.jitter, rng)
 
 
 class LogNormalLatency(LatencyModel):
@@ -127,6 +153,11 @@ class MatrixLatency(LatencyModel):
         base = self.base_delay(src_site, dst_site)
         if base is None:
             raise KeyError(f"no latency entry for sites {src_site!r}→{dst_site!r}")
-        if self.jitter == 0:
-            return base
-        return base * rng.uniform(1 - self.jitter, 1 + self.jitter)
+        return _jittered(base, self.jitter, rng)()
+
+    def sampler(self, src_site: str, dst_site: str,
+                rng: random.Random) -> Callable[[], float]:
+        base = self.base_delay(src_site, dst_site)
+        if base is None:  # raises at the draw, as delay() does
+            return super().sampler(src_site, dst_site, rng)
+        return _jittered(base, self.jitter, rng)

@@ -25,6 +25,8 @@ from repro.sim.rng import SeededRng
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.env
     from repro.env.actor import Actor
 
+_Link = Tuple[Callable[..., None], str, str, Callable[[], float]]
+
 
 @dataclass
 class NetworkConfig:
@@ -53,14 +55,26 @@ class Network:
         monitor: Optional[Monitor] = None,
     ) -> None:
         self.loop = loop
-        self.config = config if config is not None else NetworkConfig()
+        self._config = config if config is not None else NetworkConfig()
         self.monitor = monitor if monitor is not None else Monitor()
         self._rng = (rng if rng is not None else SeededRng(0)).stream("network")
         self._endpoints: Dict[str, Tuple[Actor, str]] = {}
         self._blocked_pairs: Set[Tuple[str, str]] = set()
         self._blocked_sites: Set[Tuple[str, str]] = set()
-        #: (src, dst) -> (dst's bound receive, src site, dst site)
-        self._links: Dict[Tuple[str, str], Tuple[Callable[..., None], str, str]] = {}
+        #: (src, dst) -> (dst's bound receive, src site, dst site, the
+        #: link's delay draw)
+        self._links: Dict[Tuple[str, str], _Link] = {}
+
+    @property
+    def config(self) -> NetworkConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: NetworkConfig) -> None:
+        """Swap the whole configuration; every link takes its delay draw
+        from the new latency model at its next send."""
+        self._config = config
+        self._links.clear()
 
     # -- registration ------------------------------------------------------
 
@@ -106,7 +120,7 @@ class Network:
         link = self._links.get((src, dst))
         if link is None:
             link = self._resolve(src, dst)
-        receive, src_site, dst_site = link
+        receive, src_site, dst_site, draw = link
         self.monitor.count("net.sent")
         if self._blocked_pairs and (src, dst) in self._blocked_pairs:
             self.monitor.count("net.partitioned")
@@ -114,22 +128,26 @@ class Network:
         if self._blocked_sites and (src_site, dst_site) in self._blocked_sites:
             self.monitor.count("net.partitioned")
             return
-        if self.config.drop_rate > 0 and self._rng.random() < self.config.drop_rate:
+        config = self._config
+        if config.drop_rate > 0 and self._rng.random() < config.drop_rate:
             self.monitor.count("net.dropped")
             return
-        delay = self.config.latency.delay(src_site, dst_site, self._rng)
-        if self.config.bandwidth:
-            delay += size / self.config.bandwidth
+        delay = draw()
+        if config.bandwidth:
+            delay += size / config.bandwidth
         self.loop.schedule(delay, partial(receive, src, payload))
 
-    def _resolve(self, src: str, dst: str) -> Tuple[Callable[..., None], str, str]:
+    def _resolve(self, src: str, dst: str) -> _Link:
         """First send on a link: check both ends, remember what every later
-        send needs (endpoints are never unregistered or re-sited)."""
+        send needs (endpoints are never unregistered or re-sited, and the
+        latency model's draw for the link is taken here, once)."""
         if dst not in self._endpoints:
             raise NetworkError(f"unknown destination endpoint {dst!r}")
         if src not in self._endpoints:
             raise NetworkError(f"unknown source endpoint {src!r}")
         actor, dst_site = self._endpoints[dst]
+        src_site = self._endpoints[src][1]
         link = self._links[(src, dst)] = (
-            actor.receive, self._endpoints[src][1], dst_site)
+            actor.receive, src_site, dst_site,
+            self._config.latency.sampler(src_site, dst_site, self._rng))
         return link

@@ -12,7 +12,8 @@ from repro.crypto import cache as cache_mod
 from repro.crypto.cache import IdentityCache, caching_disabled
 from repro.crypto.digest import canonical_bytes, digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import Signature, sign, verify
+from repro.crypto.signatures import (
+    VERDICT_MEMO, Signature, sign, verify, verify_signed)
 
 
 @pytest.fixture(autouse=True)
@@ -177,7 +178,7 @@ class TestMessageMemo:
         signature = sign(reg_a, "p1", payload)
         assert verify(reg_a, payload, signature)
         assert not verify(reg_b, payload, signature)
-        # repeat in the other order to exercise the cached verdicts
+        # repeat in the other order: the LRU keeps bytes, never a verdict
         assert not verify(reg_b, payload, signature)
         assert verify(reg_a, payload, signature)
 
@@ -212,9 +213,15 @@ class TestSignOnce:
         assert wire.to_message() is message
         assert verify(registry, wire.signed_part(), wire.signature)
 
-    def test_a_local_multicast_costs_one_verify_miss_per_signature(self):
+    def test_a_local_multicast_costs_one_verify_miss_per_signature(
+            self, monkeypatch):
         from repro import ByzCastDeployment, OverlayTree, destination
+        from repro.crypto import signatures
 
+        hmacs = []
+        tag = signatures._tag
+        monkeypatch.setattr(signatures, "_tag", lambda *args: (
+            hmacs.append(args[1]), tag(*args))[1])
         deployment = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]))
         client = deployment.add_client("c1")
         cache_mod.clear_caches()
@@ -222,7 +229,96 @@ class TestSignOnce:
         deployment.run(until=2.0)
         assert len(client.completions) == 1
         # the client's Request and WireMulticast signatures: each tuple is
-        # encoded and memoised once, when it is signed; all four replicas'
-        # verifications of both hit that entry
+        # encoded and memoised once, when it is signed, and each signature
+        # is checked by one HMAC, whose verdict every later check of the
+        # shared message (admission and proposal validation at all four
+        # replicas, execution) reads from the message
         assert _stats("verify")["misses"] == 2
-        assert _stats("verify")["hits"] >= 8
+        assert _stats("verify")["hits"] == 2
+        assert hmacs == ["c1"] * 4      # two signed, two verified
+
+
+class TestVerdictMemo:
+    """A signature check's verdict lives on the signed message."""
+
+    @staticmethod
+    def _signed(registry, seq=1, signer="c1"):
+        unsigned = Request("g1", "c1", seq, ("put", "k", 1))
+        return unsigned.with_signature(
+            sign(registry, signer, unsigned.signed_part()))
+
+    def test_a_repeated_check_is_one_lookup(self, monkeypatch):
+        from repro.crypto import signatures
+
+        registry = KeyRegistry()
+        request = self._signed(registry)
+        calls = []
+        real = signatures.verify
+        monkeypatch.setattr(signatures, "verify", lambda *args: (
+            calls.append(args), real(*args))[1])
+        assert all(verify_signed(registry, request) for __ in range(5))
+        assert len(calls) == 1
+        assert request.__dict__[VERDICT_MEMO] == (registry, True)
+
+    def test_a_verdict_never_answers_for_another_registry(self):
+        reg_a = KeyRegistry(master_seed=b"seed-a")
+        reg_b = KeyRegistry(master_seed=b"seed-b")
+        request = self._signed(reg_a)
+        assert verify_signed(reg_a, request)
+        assert not verify_signed(reg_b, request)
+        assert verify_signed(reg_a, request)
+        # equal seeds, distinct registry objects: checked afresh, same answer
+        twin = KeyRegistry(master_seed=b"seed-a")
+        assert verify_signed(twin, request)
+        assert request.__dict__[VERDICT_MEMO][0] is twin
+
+    def test_a_forgery_is_rejected_after_a_valid_copy_was_memoised(self):
+        registry = KeyRegistry()
+        honest = self._signed(registry)
+        assert verify_signed(registry, honest)
+        forged = honest.with_signature(Signature("c1", bytes(16)))
+        assert forged.signed_part() is honest.signed_part()
+        assert not verify_signed(registry, forged)
+        assert not verify_signed(registry, forged)    # the memoised failure
+        impostor = self._signed(registry, signer="c2")
+        assert not verify_signed(registry, dataclasses.replace(
+            impostor, signature=Signature("c1", impostor.signature.tag)))
+
+    def test_decoded_messages_carry_no_verdict(self):
+        from repro.core.messages import WireMulticast
+        from repro.env import wire
+
+        registry = KeyRegistry()
+        request = self._signed(registry)
+        bare = WireMulticast("c1", 1, ("g1",), ("x",))
+        multicast = bare.with_signature(
+            sign(registry, "c1", bare.signed_part()))
+        for message in (request, multicast):
+            assert verify_signed(registry, message)
+            copy = wire.decode(wire.encode(message))
+            assert copy == message
+            assert VERDICT_MEMO not in copy.__dict__
+            assert verify_signed(registry, copy)
+
+    def test_caching_disabled_neither_reads_nor_writes_the_verdict(self):
+        registry = KeyRegistry()
+        request = self._signed(registry)
+        forged = request.with_signature(Signature("c1", bytes(16)))
+        with caching_disabled():
+            # a planted verdict would be returned if it were read
+            forged.__dict__[VERDICT_MEMO] = (registry, True)
+            assert not verify_signed(registry, forged)
+            assert verify_signed(registry, request)
+            assert VERDICT_MEMO not in request.__dict__
+
+    def test_every_failed_check_is_recorded(self):
+        from tests.helpers import Harness
+
+        h = Harness()
+        replica = h.group.replicas[0]
+        forged = self._signed(h.registry).with_signature(
+            Signature("c1", bytes(16)))
+        for __ in range(3):
+            replica._handle_request("c1", forged)
+        assert h.monitor.counters["request.bad_signature"] == 3
+        assert len(replica.pool) == 0

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bcast.fifo import PendingPool, SenderTracker
+from repro.bcast.messages import Request
 from tests.helpers import Harness
+
+SENDERS = ("a", "b", "c", "d")
 
 
 @st.composite
@@ -42,3 +46,42 @@ def test_fifo_per_sender_and_total_order(case):
     # Completeness: nothing lost, nothing duplicated.
     assert len(reference) == sum(counts)
     assert len(set(reference)) == len(reference)
+
+
+@st.composite
+def pools_and_batches(draw):
+    """Pooled (sender, seq)s, the tracker they were pruned against, and
+    the tracker positions a decided batch moves to."""
+    pooled = draw(st.lists(st.tuples(st.sampled_from(SENDERS),
+                                     st.integers(1, 10)), max_size=40))
+    floors = draw(st.fixed_dictionaries(
+        {sender: st.integers(0, 5) for sender in SENDERS}))
+    moved = draw(st.dictionaries(st.sampled_from(SENDERS),
+                                 st.integers(1, 10)))
+    return pooled, floors, moved
+
+
+@given(pools_and_batches())
+def test_batch_scoped_prune_leaves_the_full_prunes_pool(case):
+    """Pruning only the decided batch's senders, as ``Replica._order``
+    does, leaves exactly the pool a prune of every sender leaves."""
+    pooled, floors, moved = case
+    tracker = SenderTracker()
+    for sender, last in floors.items():
+        tracker.advance(sender, last)
+    scoped, full = PendingPool(), PendingPool()
+    for pool in (scoped, full):
+        for sender, seq in pooled:
+            pool.add(Request("g1", sender, seq, ("op", seq)))
+        pool.prune_ordered(tracker)  # the pool a replica holds: no duplicate
+    for sender, seq in moved.items():
+        tracker.advance(sender, max(seq, tracker.last(sender)))
+    scoped.prune_ordered(tracker, moved)
+    full.prune_ordered(tracker)
+    assert scoped._by_sender == full._by_sender
+    assert scoped._arrival == full._arrival
+    assert len(scoped) == len(full) == sum(
+        len(per_sender) for per_sender in full._by_sender.values())
+    assert all(scoped._by_sender.values())  # no empty sender entry kept
+    assert scoped.admissible_batch(tracker, 64) == \
+        full.admissible_batch(tracker, 64)

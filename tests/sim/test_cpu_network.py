@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.env.actor import Actor
 from repro.errors import NetworkError
 from repro.sim.cpu import CpuQueue
 from repro.sim.events import EventLoop
-from repro.sim.latency import ConstantLatency, JitterLatency, MatrixLatency
+from repro.sim.latency import (
+    ConstantLatency, JitterLatency, LogNormalLatency, MatrixLatency)
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SeededRng
 
@@ -88,6 +90,32 @@ class TestLatencyModels:
         with pytest.raises(KeyError):
             model.delay("A", "C", random.Random(0))
 
+    def test_matrix_sampler_of_an_unknown_pair_raises_at_the_draw(self):
+        draw = MatrixLatency({("A", "B"): 0.05}).sampler(
+            "A", "C", random.Random(0))
+        with pytest.raises(KeyError):
+            draw()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           sites=st.sampled_from([("A", "A"), ("A", "B"), ("B", "C")]),
+           model=st.sampled_from([
+               ConstantLatency(0.01),
+               JitterLatency(0.00005, 0.2), JitterLatency(0.001, 0.0),
+               LogNormalLatency(0.001, sigma=0.2), LogNormalLatency(0.001, 0.0),
+               MatrixLatency({("A", "B"): 0.05, ("B", "C"): 0.08,
+                              ("A", "C"): 0.1}),
+               MatrixLatency({("A", "B"): 0.05, ("B", "C"): 0.08,
+                              ("A", "C"): 0.1}, jitter=0.0),
+           ]))
+    def test_sampler_draws_what_delay_draws(self, seed, sites, model):
+        """A link's closure yields ``delay()``'s sequence, float for
+        float, from the same seed."""
+        by_delay, by_sampler = random.Random(seed), random.Random(seed)
+        draw = model.sampler(*sites, by_sampler)
+        for __ in range(50):
+            assert draw() == model.delay(*sites, by_delay)
+        assert by_sampler.getstate() == by_delay.getstate()
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
@@ -143,6 +171,15 @@ class TestNetwork:
         a.send("b", "hello")
         loop.run()
         assert b.received == [(0.25, "a", "hello")]
+
+    def test_a_swapped_config_applies_its_latency_to_used_links(self):
+        loop, network, a, b = wired_pair(NetworkConfig(latency=ConstantLatency(0.25)))
+        a.send("b", "before")
+        loop.run()
+        network.config = NetworkConfig(latency=ConstantLatency(0.5))
+        a.send("b", "after")
+        loop.run()
+        assert b.received == [(0.25, "a", "before"), (0.75, "a", "after")]
 
     def test_unknown_destination_raises(self):
         loop, network, a, b = wired_pair()
