@@ -65,7 +65,7 @@ def run_workload(backend: str) -> None:
 
 def main() -> None:
     run_workload("sim")
-    run_workload("asyncio")
+    run_workload("rt")
 
 
 if __name__ == "__main__":

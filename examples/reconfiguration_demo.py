@@ -20,17 +20,12 @@ from repro.bcast.messages import Reply
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.crypto.keys import KeyRegistry
-from repro.env.actor import Actor
-from repro.env.monitor import Monitor
-from repro.sim.events import EventLoop
-from repro.sim.latency import JitterLatency
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.rng import SeededRng
+from repro.env import Actor, JitterLatency, NetworkConfig, make_runtime
 
 
 class Client(Actor):
-    def __init__(self, name, loop, config, registry):
-        super().__init__(name, loop)
+    def __init__(self, name, runtime, config, registry):
+        super().__init__(name, runtime)
         self.proxy = GroupProxy(self, config.group_id, config.replicas,
                                 config.f, registry)
         self.results = []
@@ -44,11 +39,10 @@ class Client(Actor):
 
 
 def main() -> None:
-    loop = EventLoop()
-    monitor = Monitor(trace_capacity=20000)
-    monitor.bind_clock(lambda: loop.now)
-    network = Network(loop, NetworkConfig(latency=JitterLatency(0.00005)),
-                      rng=SeededRng(1), monitor=monitor)
+    runtime = make_runtime(
+        "sim", network_config=NetworkConfig(latency=JitterLatency(0.00005)),
+        seed=1, trace_capacity=20000)
+    network = runtime.transport
     registry = KeyRegistry()
     config = BroadcastConfig(
         group_id="g1",
@@ -56,18 +50,17 @@ def main() -> None:
         f=1,
         request_timeout=0.5,
     )
-    group = BroadcastGroup.build(loop, network, config, registry,
-                                 app_factory=lambda name: EchoApplication(),
-                                 monitor=monitor)
+    group = BroadcastGroup.build(runtime, config, registry,
+                                 app_factory=lambda name: EchoApplication())
     initial_view = View(config.replicas, config.f)
 
     # A standby replica, outside the initial view.
-    standby = Replica("g1/r4", config, loop, registry, EchoApplication(),
-                      monitor, view=initial_view)
+    standby = Replica("g1/r4", config, runtime, registry, EchoApplication(),
+                      view=initial_view)
     network.register(standby)
-    admin = ViewManager("g1", loop, initial_view, registry, monitor)
+    admin = ViewManager("g1", runtime, initial_view, registry)
     network.register(admin)
-    client = Client("client", loop, config, registry)
+    client = Client("client", runtime, config, registry)
     network.register(client)
 
     group.start()
@@ -76,7 +69,7 @@ def main() -> None:
     print("Phase 1: 10 requests under the initial membership")
     for j in range(10):
         client.submit(("phase1", j))
-    loop.run(until=1.0)
+    runtime.run(until=1.0)
     print(f"  completed: {len(client.results)}; "
           f"standby executed: {len(standby.app.executed)} (not a member)")
 
@@ -85,9 +78,9 @@ def main() -> None:
     admin.reconfigure(new_members)
     for j in range(10):
         client.submit(("phase2", j))
-    loop.run(until=6.0)
+    runtime.run(until=6.0)
     client.proxy.update_replicas(new_members, config.f)
-    loop.run(until=8.0)
+    runtime.run(until=8.0)
 
     print(f"  completed: {len(client.results)} / 20")
     print(f"  old member g1/r3 active: {group.replica('g1/r3').active}")
@@ -101,7 +94,7 @@ def main() -> None:
     print("\nPhase 3: the new membership keeps making progress")
     for j in range(5):
         client.submit(("phase3", j))
-    loop.run(until=12.0)
+    runtime.run(until=12.0)
     print(f"  completed: {len(client.results)} / 25")
     assert len(client.results) == 25
     print("OK: membership changed mid-stream with zero lost requests.")

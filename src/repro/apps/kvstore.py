@@ -30,6 +30,7 @@ Example::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # ShardStateMachine is re-exported: callers and bench/spans.py find it here
@@ -155,22 +156,14 @@ class ShardedStore:
         self._machines = self.kv._machines
         self.deployment = ByzCastDeployment(
             tree, f=f, app_overrides=self.kv.app_overrides(), **deployment)
+        self.deployment.client_class = partial(StoreClient,
+                                               shard_of=self.shard_of)
         self.clients: List[StoreClient] = []
 
     # -- clients and execution ------------------------------------------------------
 
     def client(self, name: str, site: str = "site0") -> StoreClient:
-        client = StoreClient(
-            name=name,
-            loop=self.deployment.loop,
-            tree=self.tree,
-            group_configs=self.deployment.group_configs,
-            registry=self.deployment.registry,
-            monitor=self.deployment.monitor,
-            shard_of=self.shard_of,
-        )
-        self.deployment.network.register(client, site=site)
-        self.deployment.clients.append(client)
+        client = self.deployment.add_client(name, site=site)
         self.clients.append(client)
         return client
 
@@ -183,5 +176,6 @@ class ShardedStore:
         for __ in range(max_steps):
             if all(client.pending() == 0 for client in self.clients):
                 return True
-            self.deployment.loop.run(until=self.deployment.loop.now + step)
+            runtime = self.deployment.runtime
+            runtime.run(until=runtime.clock.now + step)
         return all(client.pending() == 0 for client in self.clients)

@@ -212,21 +212,13 @@ class OrderingService:
         }
         self.deployment = ByzCastDeployment(
             tree, f=f, app_overrides=overrides, **deployment)
+        self.deployment.client_class = LedgerClient
         self.clients: List[LedgerClient] = []
 
     # -- clients -----------------------------------------------------------------
 
     def client(self, name: str, site: str = "site0") -> LedgerClient:
-        client = LedgerClient(
-            name=name,
-            loop=self.deployment.loop,
-            tree=self.tree,
-            group_configs=self.deployment.group_configs,
-            registry=self.deployment.registry,
-            monitor=self.deployment.monitor,
-        )
-        self.deployment.network.register(client, site=site)
-        self.deployment.clients.append(client)
+        client = self.deployment.add_client(name, site=site)
         self.clients.append(client)
         return client
 
@@ -238,7 +230,8 @@ class OrderingService:
         for __ in range(max_steps):
             if all(client.pending() == 0 for client in self.clients):
                 return True
-            self.deployment.loop.run(until=self.deployment.loop.now + step)
+            runtime = self.deployment.runtime
+            runtime.run(until=runtime.clock.now + step)
         return all(client.pending() == 0 for client in self.clients)
 
     # -- inspection ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.bcast.messages import Reply, Request
 from repro.core.messages import WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign, verify_signed
-from repro.env import Actor, Monitor, NetworkConfig, Runtime, RuntimeOrClock
+from repro.env import Actor, NetworkConfig, Runtime
 from repro.env.simbackend import SimRuntime
 from repro.types import ClientId, Delivery, Destination, MessageId, MulticastMessage
 
@@ -65,14 +65,13 @@ class SingleGroupClient(Actor):
     def __init__(
         self,
         name: str,
-        loop: RuntimeOrClock,
+        runtime: Runtime,
         config: BroadcastConfig,
         registry: KeyRegistry,
-        monitor: Optional[Monitor] = None,
         on_complete: Optional[CompletionCallback] = None,
         retransmit_timeout: Optional[float] = 4.0,
     ) -> None:
-        super().__init__(name, loop, monitor)
+        super().__init__(name, runtime)
         self.config = config
         self.registry = registry
         self.on_complete = on_complete
@@ -97,7 +96,7 @@ class SingleGroupClient(Actor):
         unsigned = WireMulticast.from_message(message)
         wire = unsigned.with_signature(
             sign(self.registry, self.name, unsigned.signed_part()))
-        self._sent_at[seq] = (message, self.loop.now)
+        self._sent_at[seq] = (message, self.clock.now)
         self.proxy.submit(wire, partial(self._on_result, seq, callback))
         return mid
 
@@ -107,7 +106,7 @@ class SingleGroupClient(Actor):
         if entry is None:
             return
         msg, started = entry
-        latency = self.loop.now - started
+        latency = self.clock.now - started
         self.completions.append((msg, latency))
         if callback is not None:
             callback(msg, latency)
@@ -145,19 +144,16 @@ class SingleGroupDeployment:
                 trace_capacity=trace_capacity,
             )
         self.runtime = runtime
-        self.loop = runtime.clock
         self.monitor = runtime.monitor
         self.rng = runtime.rng
         self.network = runtime.transport
         self.registry = KeyRegistry()
         self.config = BroadcastConfig.for_group(group_id, **engine)
         self.group = BroadcastGroup.build(
-            loop=self.runtime,
-            network=self.network,
+            runtime=self.runtime,
             config=self.config,
             registry=self.registry,
             app_factory=lambda name: RecordingApplication(group_id, self.registry),
-            monitor=self.monitor,
             sites=sites,
         )
         #: same shape as a tree deployment's, so harness code walks both
@@ -170,7 +166,7 @@ class SingleGroupDeployment:
                    retransmit_timeout: Optional[float] = 4.0,
                    ) -> SingleGroupClient:
         client = SingleGroupClient(name, self.runtime, self.config, self.registry,
-                                   self.monitor, on_complete=on_complete,
+                                   on_complete=on_complete,
                                    retransmit_timeout=retransmit_timeout)
         self.network.register(client, site=site)
         self.clients.append(client)

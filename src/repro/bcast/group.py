@@ -14,7 +14,7 @@ from repro.bcast.app import Application
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.replica import Replica
 from repro.crypto.keys import KeyRegistry
-from repro.env import Monitor, RuntimeOrClock, Transport
+from repro.env import Runtime
 
 AppFactory = Callable[[str], Application]
 
@@ -30,16 +30,14 @@ class BroadcastGroup:
     @classmethod
     def build(
         cls,
-        loop: RuntimeOrClock,
-        network: Transport,
+        runtime: Runtime,
         config: BroadcastConfig,
         registry: KeyRegistry,
         app_factory: AppFactory,
-        monitor: Optional[Monitor] = None,
         sites: Optional[Sequence[str]] = None,
         replica_classes: Optional[Dict[str, Type[Replica]]] = None,
     ) -> "BroadcastGroup":
-        """Create, register and return a group.
+        """Create, register on ``runtime.transport`` and return a group.
 
         Args:
             app_factory: called once per replica name; must return a fresh
@@ -58,13 +56,12 @@ class BroadcastGroup:
             replica = replica_cls(
                 name=name,
                 config=config,
-                loop=loop,
+                runtime=runtime,
                 registry=registry,
                 app=app_factory(name),
-                monitor=monitor,
             )
             site = sites[index] if sites is not None else "site0"
-            network.register(replica, site=site)
+            runtime.transport.register(replica, site=site)
             replicas.append(replica)
         return cls(config, replicas)
 

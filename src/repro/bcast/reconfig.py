@@ -27,7 +27,7 @@ from typing import Any, Optional, Tuple
 from repro.bcast.messages import Reply
 from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
-from repro.env import Actor, Monitor, RuntimeOrClock
+from repro.env import Actor, Runtime
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,11 @@ class ViewManager(Actor):
     def __init__(
         self,
         group_id: str,
-        loop: RuntimeOrClock,
+        runtime: Runtime,
         initial_view: View,
         registry: KeyRegistry,
-        monitor: Optional[Monitor] = None,
     ) -> None:
-        super().__init__(admin_identity(group_id), loop, monitor)
+        super().__init__(admin_identity(group_id), runtime)
         from repro.bcast.client import GroupProxy
 
         self.group_id = group_id

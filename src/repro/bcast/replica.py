@@ -71,7 +71,7 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import mac_vector, verify_mac_vector
 from repro.crypto.signatures import verify_signed
-from repro.env import Actor, Monitor, RuntimeOrClock
+from repro.env import Actor, Runtime
 
 #: consensus-id lead *beyond the pipeline window* that makes a replica
 #: suspect it is missing decisions (the effective threshold is
@@ -103,13 +103,12 @@ class Replica(Actor):
         self,
         name: str,
         config: BroadcastConfig,
-        loop: RuntimeOrClock,
+        runtime: Runtime,
         registry: KeyRegistry,
         app: Application,
-        monitor: Optional[Monitor] = None,
         view: Optional[View] = None,
     ) -> None:
-        super().__init__(name, loop, monitor)
+        super().__init__(name, runtime)
         if view is None and name not in config.replicas:
             raise ValueError(f"{name!r} is not a member of group {config.group_id!r}")
         self.config = config
@@ -127,7 +126,7 @@ class Replica(Actor):
             name, self.log, self.checkpoints, self.monitor,
             f=lambda: self.view.f, certified=self._certified_digest)
         self.regency = RegencyManager(
-            name, config, lambda: self.view, self.monitor, self.loop,
+            name, config, lambda: self.view, self.monitor, self.clock,
             send=self.send, broadcast=self._broadcast,
             cursor=lambda: self.log.next_execute,
             cert_reports=self._cert_reports,
@@ -406,7 +405,7 @@ class Replica(Actor):
                                                 result))
             return
         if self.pool.add(request):
-            self._pending_since[request.key()] = self.loop.now
+            self._pending_since[request.key()] = self.clock.now
             self._arm_request_timer()
         self._maybe_propose()
 
@@ -843,7 +842,7 @@ class Replica(Actor):
         here, so bulk catch-up stays reply-silent; every result is still
         kept for a sender that retransmits.
         """
-        ctx = ExecutionContext(replica=self, time=self.loop.now)
+        ctx = ExecutionContext(replica=self, time=self.clock.now)
         kind = "replica.executed" if live else "replica.executed_catchup"
         for request, result, pending in ordered:
             if result is None:
@@ -909,7 +908,7 @@ class Replica(Actor):
         if not self._pending_since:
             return
         oldest = min(self._pending_since.values())
-        waited = self.loop.now - oldest
+        waited = self.clock.now - oldest
         delay = self.config.request_timeout - waited
         if waited >= self.config.request_timeout * 0.999:
             self.regency.suspect()
@@ -917,7 +916,7 @@ class Replica(Actor):
             # quorum (our votes or decisions were lost); ask peers for their
             # executed log alongside the leader-change vote.
             self._request_state()
-            now = self.loop.now
+            now = self.clock.now
             for key in self._pending_since:
                 self._pending_since[key] = now
             delay = self.config.request_timeout
@@ -961,7 +960,7 @@ class Replica(Actor):
 
     def _regency_installed(self, sync: Sync) -> None:
         """Run the new regency: its carries first, then fresh proposals."""
-        now = self.loop.now
+        now = self.clock.now
         for key in self._pending_since:
             self._pending_since[key] = now
         for cid, batch in sync.carries:
@@ -987,11 +986,11 @@ class Replica(Actor):
             self._request_state()
 
     def _request_state(self) -> None:
-        if self.state_transfer.open(self.loop.now):
+        if self.state_transfer.open(self.clock.now):
             self._broadcast(StateRequest(self.group_id, self.name,
                                          self.log.next_execute))
             self.set_timer(STATE_RETRY_TIMEOUT,
-                           lambda: self.state_transfer.expire(self.loop.now))
+                           lambda: self.state_transfer.expire(self.clock.now))
 
     def _handle_state_request(self, src: str, request: StateRequest) -> None:
         response = self.state_transfer.answer(request, self.regency.current)

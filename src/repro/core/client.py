@@ -27,7 +27,7 @@ from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
-from repro.env import Actor, Monitor, RuntimeOrClock
+from repro.env import Actor, Runtime
 from repro.types import ClientId, Destination, MessageId, MulticastMessage, destination
 
 CompletionCallback = Callable[[MulticastMessage, float], None]
@@ -115,16 +115,15 @@ class MulticastClient(Actor):
     def __init__(
         self,
         name: str,
-        loop: RuntimeOrClock,
+        runtime: Runtime,
         tree: OverlayTree,
         group_configs: Dict[str, BroadcastConfig],
         registry: KeyRegistry,
-        monitor: Optional[Monitor] = None,
         on_complete: Optional[CompletionCallback] = None,
         retransmit_timeout: Optional[float] = 4.0,
         read_timeout: float = 1.0,
     ) -> None:
-        super().__init__(name, loop, monitor)
+        super().__init__(name, runtime)
         self.tree = tree
         self.group_configs = dict(group_configs)
         self.registry = registry
@@ -181,7 +180,7 @@ class MulticastClient(Actor):
 
         entry = _InFlight(
             message=message,
-            sent_at=self.loop.now,
+            sent_at=self.clock.now,
             needed=frozenset(message.dst),
             callback=callback,
         )
@@ -236,7 +235,7 @@ class MulticastClient(Actor):
         self._next_read += 1
         self.reads_issued += 1
         entry = _InFlightRead(group=group, mode=mode, payload=tuple(payload),
-                              issued_at=self.loop.now, callback=callback)
+                              issued_at=self.clock.now, callback=callback)
         key = (group, mode, rid)
         self._inflight_reads[key] = entry
         if mode == "ordered":
@@ -263,7 +262,7 @@ class MulticastClient(Actor):
         self.reads_accepted += 1
         outcome = ReadOutcome(
             group=group, mode=mode, rid=rid, result=result, cid=cid,
-            fallback=False, latency=self.loop.now - entry.issued_at,
+            fallback=False, latency=self.clock.now - entry.issued_at,
             voters=voters,
         )
         self.read_log.append(outcome)
@@ -295,7 +294,7 @@ class MulticastClient(Actor):
             outcome = ReadOutcome(
                 group=group, mode=mode, rid=rid, result=result, cid=-1,
                 fallback=(mode != "ordered"),
-                latency=self.loop.now - inflight.issued_at,
+                latency=self.clock.now - inflight.issued_at,
             )
             self.read_log.append(outcome)
             if inflight.callback is not None:
@@ -452,7 +451,7 @@ class MulticastClient(Actor):
         elif result != ("ack",):
             return
         if key in self._inflight and self.retransmit_timeout is not None:
-            entry.next_query = self.loop.now + self.retransmit_timeout
+            entry.next_query = self.clock.now + self.retransmit_timeout
             if self._query_timer is None:
                 self._query_timer = self.set_timer(self.retransmit_timeout,
                                                    self._query_deliveries)
@@ -466,7 +465,7 @@ class MulticastClient(Actor):
         any message still waits.
         """
         self._query_timer = None
-        now = self.loop.now
+        now = self.clock.now
         waiting = False
         for (sender, seq), entry in self._inflight.items():
             if entry.next_query is None or entry.queries >= MAX_DELIVERY_QUERIES:
@@ -504,7 +503,7 @@ class MulticastClient(Actor):
 
     def _complete(self, key: Tuple[str, int], entry: _InFlight) -> None:
         del self._inflight[key]
-        latency = self.loop.now - entry.sent_at
+        latency = self.clock.now - entry.sent_at
         self.completions.append((entry.message, latency))
         #: confirmed per-group application results, by message id
         self.results[(entry.message.mid.sender, entry.message.mid.seq)] = dict(

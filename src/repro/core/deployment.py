@@ -47,8 +47,9 @@ class ByzCastDeployment:
 
     #: what a protocol variant over the same machinery overrides
     #: (:class:`~repro.baseline.naive.BaselineDeployment`): the client
-    #: endpoint class and extra :class:`ByzCastApplication` keyword arguments
-    client_class: Type[MulticastClient] = MulticastClient
+    #: endpoint class (or a factory taking its arguments: the apps'
+    #: clients) and extra :class:`ByzCastApplication` keyword arguments
+    client_class: Callable[..., MulticastClient] = MulticastClient
     app_kwargs: Mapping[str, Any] = {}
 
     def __init__(
@@ -79,7 +80,6 @@ class ByzCastDeployment:
                 trace_capacity=trace_capacity,
             )
         self.runtime = runtime
-        self.loop = runtime.clock
         self.monitor = runtime.monitor
         self.rng = runtime.rng
         self.network = runtime.transport
@@ -101,12 +101,10 @@ class ByzCastDeployment:
                 self._sites(group_id, index) for index in range(config.n)
             ]
             self.groups[group_id] = BroadcastGroup.build(
-                loop=self.runtime,
-                network=self.network,
+                runtime=self.runtime,
                 config=config,
                 registry=self.registry,
                 app_factory=lambda name, gid=group_id: self._make_app(gid, name),
-                monitor=self.monitor,
                 sites=group_sites,
                 replica_classes=overrides.get(group_id),
             )
@@ -159,11 +157,10 @@ class ByzCastDeployment:
         """Create and register a multicast client endpoint."""
         client = self.client_class(
             name=name,
-            loop=self.runtime,
+            runtime=self.runtime,
             tree=self.tree,
             group_configs=self.group_configs,
             registry=self.registry,
-            monitor=self.monitor,
             on_complete=on_complete,
             retransmit_timeout=retransmit_timeout,
             read_timeout=read_timeout,

@@ -1,4 +1,4 @@
-"""Memoisation for the crypto hot path: the switch, the LRUs, the counters.
+"""Memoisation for the crypto hot path: the switch, the LRU, the counters.
 
 The broadcast engine repeatedly canonicalizes, digests and verifies the
 *same* message objects: every replica of a group digests the same proposal
@@ -13,13 +13,14 @@ a single observable result:
   a signed request or multicast under one key registry
   (:func:`repro.crypto.signatures.verify_signed`): a repeated signature
   check is one dictionary lookup.
-* **Identity-keyed LRUs** (:class:`IdentityCache`) for what has no object
-  to live on: the canonical bytes of each signed tuple (``verify``), and
-  the JSON codec's frame bodies (``encode``).  Entries are keyed on
+* **An identity-keyed LRU** (:class:`IdentityCache`) for what has no
+  object to live on: the JSON codec's frame bodies (``encode``).  A
+  signature over a tuple is checked once per message (the verdict memo),
+  so the tuple's canonical bytes are not kept.  Entries are keyed on
   ``id(obj)`` and hold a strong reference to the object, so a key can
   never be reused by a different object while its entry is alive
   (value-based keys would be unsound: ``1 == 1.0 == True`` yet their
-  canonical forms differ), and each LRU has a fixed entry budget.
+  canonical forms differ), and the LRU has a fixed entry budget.
 
 All memoised functions are pure, so behaviour (and the sim backend's
 golden traces) is bit-identical with memoisation on or off — pinned by
@@ -35,9 +36,8 @@ from typing import Any, Dict, Iterator
 
 from repro import canonical as _canonical
 
-#: entry budgets; sized for a few in-flight consensus instances per group
+#: entry budget; sized for a few in-flight consensus instances per group
 #: across a large deployment, not for a whole run's history
-VERIFY_CACHE_SIZE = 4096
 ENCODE_CACHE_SIZE = 2048
 
 
@@ -86,14 +86,12 @@ class IdentityCache:
         self.misses = 0
 
 
-verify_cache = IdentityCache(VERIFY_CACHE_SIZE)
 #: the JSON codec's encode memo (repro.env.codec)
 encode_cache = IdentityCache(ENCODE_CACHE_SIZE)
 
 _COUNTERS = {
     "canonical": _canonical.canonical_stats,
     "digest": _canonical.digest_stats,
-    "verify": verify_cache,
     "encode": encode_cache,
 }
 
@@ -104,7 +102,7 @@ def enabled() -> bool:
 
 
 def configure(enable: bool) -> None:
-    """Turn memoisation on or off (clears the LRUs and counters either way).
+    """Turn memoisation on or off (clears the LRU and counters either way).
 
     Memos already written on live messages stay where they are; while
     memoisation is off nothing reads or writes them.
@@ -124,12 +122,16 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
 
     ``size`` is the live entry count of an LRU and the number of memos
     written since the last clear for ``canonical`` and ``digest``.
+    ``verify`` is all zeros: signature checks keep no LRU (their verdict
+    lives on the message), and the key stays so reports keep their shape.
     """
-    return {
+    stats = {
         name: {"hits": counted.hits, "misses": counted.misses,
                "size": len(counted)}
         for name, counted in _COUNTERS.items()
     }
+    stats["verify"] = {"hits": 0, "misses": 0, "size": 0}
+    return stats
 
 
 @contextmanager

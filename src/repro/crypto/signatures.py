@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto import cache as _cache
@@ -32,23 +32,6 @@ class Signature:
 VERDICT_MEMO = "_verdict"
 
 
-def _signed_bytes(obj: Any) -> bytes:
-    """The canonical bytes of a signed tuple or message.
-
-    Kept in one identity-keyed LRU entry per object (see
-    :mod:`repro.crypto.cache`), so signing and then verifying one object
-    canonicalizes it once.  Scalars are not worth an entry; with
-    memoisation off nothing is kept.
-    """
-    if not (_cache.enabled()
-            and (isinstance(obj, tuple) or is_dataclass(obj))):
-        return canonical_bytes(obj)
-    body = _cache.verify_cache.get(obj)
-    if body is None:
-        body = _cache.verify_cache.put(obj, canonical_bytes(obj))
-    return body
-
-
 def _tag(registry: KeyRegistry, identity: str, body: bytes) -> bytes:
     return hmac.new(registry.secret(identity), body,
                     hashlib.blake2b).digest()[:16]
@@ -56,13 +39,13 @@ def _tag(registry: KeyRegistry, identity: str, body: bytes) -> bytes:
 
 def sign(registry: KeyRegistry, identity: str, obj: Any) -> Signature:
     """Sign the canonical form of ``obj`` as ``identity``."""
-    return Signature(identity, _tag(registry, identity, _signed_bytes(obj)))
+    return Signature(identity, _tag(registry, identity, canonical_bytes(obj)))
 
 
 def verify(registry: KeyRegistry, obj: Any, signature: Signature) -> bool:
     """True iff ``signature`` is a valid signature of ``obj`` by its signer."""
     return hmac.compare_digest(
-        _tag(registry, signature.signer, _signed_bytes(obj)), signature.tag)
+        _tag(registry, signature.signer, canonical_bytes(obj)), signature.tag)
 
 
 def verify_signed(registry: KeyRegistry, message: Any) -> bool:

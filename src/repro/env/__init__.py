@@ -10,8 +10,11 @@ replicas, clients and applications run under:
   ``make_runtime("sim", seed=...)`` — virtual time, calibrated CPU costs,
   latency models, bit-identical traces per seed;
 * the **real-time asyncio runtime**:
-  ``make_runtime("asyncio")`` — wall-clock timers, in-process queue or TCP
+  ``make_runtime("rt")`` — wall-clock timers, in-process queue or TCP
   transports, no CPU modeling.
+
+Every actor is built on a :class:`Runtime` — ``Actor(name, runtime)`` —
+and takes its clock, CPU executor, transport and monitor from it.
 
 Shared building blocks (:class:`Actor`, :class:`Monitor`) live here;
 sim-flavoured configuration types (:class:`NetworkConfig`, the latency
@@ -23,7 +26,6 @@ from repro.env.api import (
     Clock,
     Executor,
     Runtime,
-    RuntimeOrClock,
     TimerHandle,
     Transport,
 )
@@ -46,12 +48,10 @@ _LAZY_REEXPORTS = {
     "SeededRng": "repro.sim.rng",
 }
 
-#: backend name → (module, class); extendable by downstream code
+#: backend name → (module, class); the names the scenario schema knows
 BACKENDS = {
     "sim": ("repro.env.simbackend", "SimRuntime"),
-    "asyncio": ("repro.env.rtbackend", "RealtimeRuntime"),
     "rt": ("repro.env.rtbackend", "RealtimeRuntime"),
-    "realtime": ("repro.env.rtbackend", "RealtimeRuntime"),
 }
 
 
@@ -69,7 +69,7 @@ def make_runtime(backend: str = "sim", **kwargs) -> Runtime:
     except KeyError:
         raise ValueError(
             f"unknown execution backend {backend!r}; "
-            f"choose one of {sorted(set(BACKENDS))}"
+            f"choose one of {sorted(BACKENDS)}"
         ) from None
     module = importlib.import_module(module_name)
     return getattr(module, class_name)(**kwargs)
@@ -90,7 +90,6 @@ __all__ = [
     "Executor",
     "Monitor",
     "Runtime",
-    "RuntimeOrClock",
     "TimerHandle",
     "TraceRecord",
     "Transport",

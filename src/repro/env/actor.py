@@ -4,20 +4,19 @@ Actors communicate exclusively through their runtime's
 :class:`~repro.env.api.Transport` (no shared memory, no global state —
 matching the system model of §II-A) and are backend-agnostic: the same
 actor runs unmodified under the deterministic simulator and under the
-real-time asyncio runtime.  Incoming messages are funneled through
-:meth:`Actor.receive`, which charges the configured per-message CPU cost
-before invoking :meth:`Actor.on_message`.  Subclasses implement
-``on_message`` and may use :meth:`set_timer` for timeouts (leader-change
-timers, client retransmission, ...).
+real-time asyncio runtime.  Incoming messages arrive at
+:meth:`Actor.receive`, which hands them to :meth:`Actor.on_message`;
+a subclass charges receive cost there with :meth:`work`.  Subclasses
+implement ``on_message`` and may use :meth:`set_timer` for timeouts
+(leader-change timers, client retransmission, ...).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.env.api import Runtime, RuntimeOrClock, TimerHandle
-from repro.env.monitor import Monitor
+from repro.env.api import Runtime, TimerHandle
 
 
 class Actor:
@@ -25,34 +24,16 @@ class Actor:
 
     Args:
         name: globally unique endpoint name; also the transport address.
-        runtime: the deployment's :class:`~repro.env.api.Runtime` — or, for
-            backward compatibility, a bare simulator ``EventLoop``, which is
-            wrapped in a clock-only sim runtime on the fly.
-        monitor: shared monitor for counters/trace.
-        recv_cpu_cost: CPU service time charged for every received message
-            before ``on_message`` runs (models deserialization + MAC check).
+        runtime: the deployment's :class:`~repro.env.api.Runtime`; the actor
+            takes its clock, CPU executor, transport and monitor from it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        runtime: RuntimeOrClock,
-        monitor: Optional[Monitor] = None,
-        recv_cpu_cost: float = 0.0,
-    ) -> None:
-        if not isinstance(runtime, Runtime):
-            # Legacy construction from a bare EventLoop: adapt it into a
-            # clock-only sim runtime (the transport attaches at register()).
-            from repro.env.simbackend import SimRuntime
-
-            runtime = SimRuntime.from_clock(runtime)
+    def __init__(self, name: str, runtime: Runtime) -> None:
         self.name = name
         self.runtime = runtime
         self.clock = runtime.clock
-        self.loop = runtime.clock  # compat alias: `actor.loop.now` is pervasive
-        self.monitor = monitor if monitor is not None else Monitor()
+        self.monitor = runtime.monitor
         self.cpu = runtime.create_executor(self)
-        self.recv_cpu_cost = recv_cpu_cost
         self.network = runtime.transport  # re-attached by Transport.register
         self.crashed = False
         #: crashes so far: a timer fires only in the incarnation that set it
@@ -81,18 +62,11 @@ class Actor:
         """Send ``payload`` to the actor named ``dst`` via the transport."""
         if self.crashed:
             return
-        if self.network is None:
-            raise RuntimeError(f"actor {self.name} is not attached to a transport")
         self.network.send(self.name, dst, payload, size)
 
     def receive(self, src: str, payload: Any) -> None:
-        """Called by the transport on message arrival; charges CPU then handles."""
-        if self.crashed:
-            return
-        if self.recv_cpu_cost > 0:
-            self.cpu.submit(self.recv_cpu_cost,
-                            partial(self.on_message, src, payload))
-        else:
+        """Called by the transport on message arrival."""
+        if not self.crashed:
             self.on_message(src, payload)
 
     def on_message(self, src: str, payload: Any) -> None:

@@ -27,7 +27,9 @@ The contracts below are what the backend-conformance suite
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, Tuple, runtime_checkable
+
+from repro.env.monitor import Monitor
 
 
 @runtime_checkable
@@ -125,16 +127,22 @@ class Transport(Protocol):
 
 
 class Runtime(ABC):
-    """Facade bundling a clock, a transport and per-node executors.
+    """Facade bundling a clock, a transport, a monitor and per-node executors.
 
     Deployments own exactly one runtime; every actor they build draws its
-    clock, CPU executor and network transport from it.  ``deterministic``
-    tells callers whether two runs with the same seed produce identical
-    traces (true only for the simulation backend).
+    clock, CPU executor, network transport and monitor from it — there is
+    no other way for a component to get its environment.
+    ``deterministic`` tells callers whether two runs with the same seed
+    produce identical traces (true only for the simulation backend).
     """
 
     #: True iff same-seed runs produce bit-identical traces.
     deterministic: bool = False
+    #: the counters and trace every actor of the runtime reports to
+    monitor: Monitor
+    #: the seeded RNG (:class:`~repro.sim.rng.SeededRng`) whose named
+    #: streams the transport and fault injection draw from
+    rng: Any
 
     @property
     @abstractmethod
@@ -143,8 +151,8 @@ class Runtime(ABC):
 
     @property
     @abstractmethod
-    def transport(self) -> Optional[Transport]:
-        """The shared message transport (``None`` for bare-clock adapters)."""
+    def transport(self) -> Transport:
+        """The shared message transport."""
 
     @abstractmethod
     def create_executor(self, owner: Optional[Any] = None) -> Executor:
@@ -185,7 +193,3 @@ class Runtime(ABC):
     def close(self) -> None:
         """Release backend resources (sockets, event loops).  Idempotent."""
 
-
-#: What actor constructors accept: a full runtime, or (legacy) a bare clock
-#: such as the simulator's :class:`~repro.sim.events.EventLoop`.
-RuntimeOrClock = Union[Runtime, Clock]

@@ -71,10 +71,11 @@ import asyncio
 import inspect
 from collections import deque
 from time import monotonic
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.errors import NetworkError, SimulationError
+from repro.errors import SimulationError
 from repro.env.api import Clock, Executor, Runtime, TimerHandle, Transport
+from repro.env.links import LinkTable
 from repro.env.monitor import Monitor
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import NetworkConfig
@@ -215,14 +216,16 @@ class RealtimeExecutor:
         return min(1.0, self.busy_time / elapsed)
 
 
-class InProcessTransport:
+class InProcessTransport(LinkTable):
     """Named endpoints delivering through the runtime's ready queue.
 
-    Semantics mirror :class:`~repro.sim.network.Network`: unknown endpoints
-    raise, partitioned/dropped messages vanish silently but are counted,
-    and delivery is FIFO per link.  Latency shaping (``config.latency``)
-    is applied as real ``call_later`` delays; per-link delivery times are
-    clamped monotonically so shaped links still deliver FIFO even when the
+    Semantics mirror :class:`~repro.sim.network.Network` (the same
+    :class:`~repro.env.links.LinkTable`): unknown endpoints raise,
+    partitioned/dropped messages vanish silently but are counted, and
+    delivery is FIFO per link.  Latency shaping (``config.latency``) is
+    drawn through the link's sampler, as on the simulator, and applied as
+    real ``call_later`` delays; per-link delivery times are clamped
+    monotonically so shaped links still deliver FIFO even when the
     sampled delays would reorder.
     """
 
@@ -230,52 +233,16 @@ class InProcessTransport:
         self,
         aloop: asyncio.AbstractEventLoop,
         clock: RealtimeClock,
-        config: Optional[NetworkConfig] = None,
-        rng: Optional[SeededRng] = None,
-        monitor: Optional[Monitor] = None,
+        config: Optional[NetworkConfig],
+        rng: SeededRng,
+        monitor: Monitor,
     ) -> None:
+        super().__init__(
+            config if config is not None else realtime_network_config(),
+            rng, monitor)
         self._aloop = aloop
         self._clock = clock
-        self.config = config if config is not None else realtime_network_config()
-        self.monitor = monitor if monitor is not None else Monitor()
-        self._rng = (rng if rng is not None else SeededRng(0)).stream("network")
-        self._endpoints: Dict[str, Tuple[Any, str]] = {}
-        self._blocked_pairs: Set[Tuple[str, str]] = set()
-        self._blocked_sites: Set[Tuple[str, str]] = set()
         self._link_due: Dict[Tuple[str, str], float] = {}
-        #: (src, dst) -> (dst's receive, src site, dst site)
-        self._links: Dict[Tuple[str, str],
-                          Tuple[Callable[..., None], str, str]] = {}
-
-    # -- registration ------------------------------------------------------
-
-    def register(self, actor: Any, site: str = "site0") -> None:
-        if actor.name in self._endpoints:
-            raise NetworkError(f"endpoint {actor.name!r} already registered")
-        self._endpoints[actor.name] = (actor, site)
-        actor.network = self
-
-    def site_of(self, name: str) -> str:
-        return self._endpoints[name][1]
-
-    def endpoints(self) -> Tuple[str, ...]:
-        return tuple(self._endpoints)
-
-    # -- partitions --------------------------------------------------------
-
-    def partition(self, a: str, b: str, *, sites: bool = False) -> None:
-        target = self._blocked_sites if sites else self._blocked_pairs
-        target.add((a, b))
-        target.add((b, a))
-
-    def heal(self, a: str, b: str, *, sites: bool = False) -> None:
-        target = self._blocked_sites if sites else self._blocked_pairs
-        target.discard((a, b))
-        target.discard((b, a))
-
-    def heal_all(self) -> None:
-        self._blocked_pairs.clear()
-        self._blocked_sites.clear()
 
     # -- sending -----------------------------------------------------------
 
@@ -283,7 +250,7 @@ class InProcessTransport:
         link = self._links.get((src, dst))
         if link is None:
             link = self._resolve(src, dst)
-        receive, src_site, dst_site = link
+        receive, src_site, dst_site, draw = link
         self.monitor.count("net.sent")
         if self._blocked_pairs and (src, dst) in self._blocked_pairs:
             self.monitor.count("net.partitioned")
@@ -291,11 +258,11 @@ class InProcessTransport:
         if self._blocked_sites and (src_site, dst_site) in self._blocked_sites:
             self.monitor.count("net.partitioned")
             return
-        config = self.config
+        config = self._config
         if config.drop_rate > 0 and self._rng.random() < config.drop_rate:
             self.monitor.count("net.dropped")
             return
-        delay = config.latency.delay(src_site, dst_site, self._rng)
+        delay = draw()
         if config.bandwidth:
             delay += size / config.bandwidth
         if delay <= 0:
@@ -309,18 +276,6 @@ class InProcessTransport:
         due = max(now + delay, self._link_due.get((src, dst), 0.0) + 1e-9)
         self._link_due[(src, dst)] = due
         self._aloop.call_later(max(0.0, due - now), receive, src, payload)
-
-    def _resolve(self, src: str, dst: str) -> Tuple[Callable[..., None], str, str]:
-        """First send on a link: check both ends, remember what every later
-        send needs (endpoints are never unregistered or re-sited)."""
-        if dst not in self._endpoints:
-            raise NetworkError(f"unknown destination endpoint {dst!r}")
-        if src not in self._endpoints:
-            raise NetworkError(f"unknown source endpoint {src!r}")
-        actor, dst_site = self._endpoints[dst]
-        link = self._links[(src, dst)] = (
-            actor.receive, self._endpoints[src][1], dst_site)
-        return link
 
 
 class RealtimeRuntime(Runtime):
@@ -341,15 +296,12 @@ class RealtimeRuntime(Runtime):
         network_config: Optional[NetworkConfig] = None,
         seed: int = 1,
         trace_capacity: int = 0,
-        monitor: Optional[Monitor] = None,
         transport_factory: Optional[Callable[..., Transport]] = None,
         wire: str = "json",
     ) -> None:
         self._aloop = asyncio.new_event_loop()
         self._clock = RealtimeClock(self._aloop)
-        self.monitor = monitor if monitor is not None else Monitor(
-            trace_capacity=trace_capacity
-        )
+        self.monitor = Monitor(trace_capacity=trace_capacity)
         self.monitor.bind_clock(lambda: self._clock.now)
         self.rng = SeededRng(seed)
         self.wire = wire
@@ -378,7 +330,7 @@ class RealtimeRuntime(Runtime):
         return self._clock
 
     @property
-    def transport(self) -> Optional[Transport]:
+    def transport(self) -> Transport:
         return self.network
 
     def create_executor(self, owner: Optional[Any] = None) -> Executor:

@@ -35,39 +35,17 @@ class SimRuntime(Runtime):
         network_config: Optional[NetworkConfig] = None,
         seed: int = 1,
         trace_capacity: int = 0,
-        monitor: Optional[Monitor] = None,
-        loop: Optional[EventLoop] = None,
-        network: Optional[Network] = None,
     ) -> None:
-        self.loop = loop if loop is not None else EventLoop()
-        self.monitor = monitor if monitor is not None else Monitor(
-            trace_capacity=trace_capacity
-        )
+        self.loop = EventLoop()
+        self.monitor = Monitor(trace_capacity=trace_capacity)
         self.monitor.bind_clock(lambda: self.loop.now)
         self.rng = SeededRng(seed)
-        if network is not None:
-            self.network = network
-        else:
-            self.network = Network(
-                self.loop,
-                network_config if network_config is not None else NetworkConfig(),
-                rng=self.rng,
-                monitor=self.monitor,
-            )
-
-    @classmethod
-    def from_clock(cls, loop: EventLoop) -> "SimRuntime":
-        """Clock-only adapter for actors built around a bare event loop.
-
-        No network/monitor/rng is created; the actor's transport attaches
-        when some :class:`~repro.sim.network.Network` registers it.
-        """
-        runtime = cls.__new__(cls)
-        runtime.loop = loop
-        runtime.monitor = None
-        runtime.rng = None
-        runtime.network = None
-        return runtime
+        self.network = Network(
+            self.loop,
+            network_config if network_config is not None else NetworkConfig(),
+            self.rng,
+            self.monitor,
+        )
 
     # -- Runtime interface -------------------------------------------------
 
@@ -76,7 +54,7 @@ class SimRuntime(Runtime):
         return self.loop
 
     @property
-    def transport(self) -> Optional[Transport]:
+    def transport(self) -> Transport:
         return self.network
 
     def create_executor(self, owner: Optional[Any] = None) -> Executor:

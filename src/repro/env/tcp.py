@@ -38,10 +38,11 @@ before cancelling the pumps.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.env.codec import get_codec
+from repro.env.links import LinkTable
 from repro.env.monitor import Monitor
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import SeededRng
@@ -57,8 +58,14 @@ DRAIN_TIMEOUT = 0.5
 WRITE_BATCH = 64
 
 
-class TcpTransport:
-    """One host's endpoints behind a TCP listener (length-prefixed frames)."""
+class TcpTransport(LinkTable):
+    """One host's endpoints behind a TCP listener (length-prefixed frames).
+
+    The :class:`~repro.env.links.LinkTable` holds this host's *local*
+    endpoints; :meth:`register` also publishes them to the shared
+    directories, and :meth:`site_of` falls back to the site directory for
+    endpoints on other hosts.
+    """
 
     def __init__(
         self,
@@ -72,10 +79,11 @@ class TcpTransport:
         host: str = "127.0.0.1",
         wire: str = "json",
     ) -> None:
+        super().__init__(
+            config if config is not None else NetworkConfig(),
+            rng if rng is not None else SeededRng(0),
+            monitor if monitor is not None else Monitor())
         self._aloop = aloop
-        self.config = config if config is not None else NetworkConfig()
-        self.monitor = monitor if monitor is not None else Monitor()
-        self._rng = (rng if rng is not None else SeededRng(0)).stream("network")
         self.directory = directory if directory is not None else {}
         #: endpoint name -> site label, shared across hosts like the address
         #: directory so site partitions can resolve *remote* endpoints
@@ -85,9 +93,6 @@ class TcpTransport:
         self.wire = wire
         self._codec = get_codec(wire)
         self.port: Optional[int] = None
-        self._endpoints: Dict[str, Tuple[Any, str]] = {}
-        self._blocked_pairs: Set[Tuple[str, str]] = set()
-        self._blocked_sites: Set[Tuple[str, str]] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._out_queues: Dict[Tuple[str, int], asyncio.Queue] = {}
         self._out_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
@@ -122,9 +127,6 @@ class TcpTransport:
             self._server.close()
             self._server = None
 
-    #: alias so runtimes treating transports uniformly can call close()
-    close = shutdown
-
     async def drain(self) -> None:
         """Wait until every outbound queue has been flushed to its socket."""
         while any(not q.empty() for q in self._out_queues.values()):
@@ -133,11 +135,8 @@ class TcpTransport:
     # -- registration ------------------------------------------------------
 
     def register(self, actor: Any, site: str = "site0") -> None:
-        if actor.name in self._endpoints:
-            raise NetworkError(f"endpoint {actor.name!r} already registered")
-        self._endpoints[actor.name] = (actor, site)
+        super().register(actor, site)
         self.site_directory[actor.name] = site
-        actor.network = self
         if self.port is not None:
             self.directory[actor.name] = (self.host, self.port)
 
@@ -146,25 +145,6 @@ class TcpTransport:
         if entry is not None:
             return entry[1]
         return self.site_directory.get(name, "site0")
-
-    def endpoints(self) -> Tuple[str, ...]:
-        return tuple(self._endpoints)
-
-    # -- partitions --------------------------------------------------------
-
-    def partition(self, a: str, b: str, *, sites: bool = False) -> None:
-        target = self._blocked_sites if sites else self._blocked_pairs
-        target.add((a, b))
-        target.add((b, a))
-
-    def heal(self, a: str, b: str, *, sites: bool = False) -> None:
-        target = self._blocked_sites if sites else self._blocked_pairs
-        target.discard((a, b))
-        target.discard((b, a))
-
-    def heal_all(self) -> None:
-        self._blocked_pairs.clear()
-        self._blocked_sites.clear()
 
     # -- sending -----------------------------------------------------------
 
@@ -182,7 +162,7 @@ class TcpTransport:
                 (self.site_of(src), self.site_of(dst)) in self._blocked_sites):
             self.monitor.count("net.partitioned")
             return
-        if self.config.drop_rate > 0 and self._rng.random() < self.config.drop_rate:
+        if self._config.drop_rate > 0 and self._rng.random() < self._config.drop_rate:
             self.monitor.count("net.dropped")
             return
         if local:

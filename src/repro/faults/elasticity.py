@@ -35,7 +35,7 @@ from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.core.messages import MembershipUpdate, TreeUpdate
 from repro.core.tree import OverlayTree
-from repro.faults.injector import _at, fault_clock
+from repro.faults.injector import _at
 
 #: replicas added per scale step (a view has 3f+1 members, so f -> f+1
 #: adds exactly three)
@@ -48,7 +48,7 @@ class ElasticityController:
     def __init__(self, deployment) -> None:
         self.deployment = deployment
         self.monitor = deployment.monitor
-        self.clock = fault_clock(deployment)
+        self.clock = deployment.runtime.clock
         self._managers: Dict[str, ViewManager] = {}
         #: per-group FIFO of churn thunks; one Reconfig in flight per group
         self._queues: Dict[str, List[Any]] = {}
@@ -229,7 +229,7 @@ class ElasticityController:
             config = dep.group_configs[group_id]
             manager = ViewManager(group_id, dep.runtime,
                                   View(config.replicas, config.f),
-                                  dep.registry, self.monitor)
+                                  dep.registry)
             # co-locate the admin with the group's first replica so WAN
             # site assigners give it a real region
             dep.network.register(manager, site=dep._sites(group_id, 0))
@@ -262,12 +262,11 @@ class ElasticityController:
         replica = Replica(
             name=name,
             config=config,
-            loop=dep.runtime,
+            runtime=dep.runtime,
             registry=dep.registry,
             app=dep._make_app(group_id, name,
                               group_configs=dep.initial_group_configs,
                               tree=dep.initial_tree),
-            monitor=self.monitor,
             view=View(config.replicas, config.f),
         )
         dep.network.register(replica, site=dep._sites(group_id, index))

@@ -24,27 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.bcast.replica import Replica
-from repro.env.api import Clock, Transport
-
-
-def fault_clock(deployment) -> Clock:
-    """The clock fault events should be scheduled on.
-
-    Prefers the deployment's runtime facade; falls back to the historical
-    ``deployment.loop`` attribute for bare sim harnesses.
-    """
-    runtime = getattr(deployment, "runtime", None)
-    if runtime is not None:
-        return runtime.clock
-    return deployment.loop
-
-
-def fault_transport(deployment) -> Transport:
-    """The transport fault events should act on (runtime facade first)."""
-    runtime = getattr(deployment, "runtime", None)
-    if runtime is not None and runtime.transport is not None:
-        return runtime.transport
-    return deployment.network
+from repro.env.api import Clock
 
 
 def _at(clock: Clock, at: float, callback: Callable[[], None]) -> None:
@@ -143,20 +123,20 @@ class FaultPlan:
 def schedule_crash(deployment, group_id: str, replica_name: str, at: float) -> None:
     """Crash ``replica_name`` of ``group_id`` at time ``at``."""
     replica = deployment.groups[group_id].replica(replica_name)
-    _at(fault_clock(deployment), at, replica.crash)
+    _at(deployment.runtime.clock, at, replica.crash)
 
 
 def schedule_recover(deployment, group_id: str, replica_name: str, at: float) -> None:
     """Recover a crashed replica (state transfer) at time ``at``."""
     replica = deployment.groups[group_id].replica(replica_name)
-    _at(fault_clock(deployment), at, replica.recover)
+    _at(deployment.runtime.clock, at, replica.recover)
 
 
 def schedule_partition(deployment, a: str, b: str, at: float,
                        heal_at: Optional[float] = None) -> None:
     """Partition endpoints ``a``/``b`` at ``at``; optionally heal later."""
-    clock = fault_clock(deployment)
-    transport = fault_transport(deployment)
+    clock = deployment.runtime.clock
+    transport = deployment.runtime.transport
     _at(clock, at, lambda: transport.partition(a, b))
     if heal_at is not None:
         _at(clock, heal_at, lambda: transport.heal(a, b))

@@ -49,12 +49,7 @@ from repro.faults.behaviors import (
     SilentRelayApp,
     WrongVoteReplica,
 )
-from repro.faults.injector import (
-    fault_clock,
-    fault_transport,
-    schedule_crash,
-    schedule_recover,
-)
+from repro.faults.injector import schedule_crash, schedule_recover
 
 #: Byzantine replica classes safe for liveness with <= f victims per group.
 BYZANTINE_REPLICAS: Tuple[Type, ...] = (MuteReplica, WrongVoteReplica)
@@ -349,8 +344,8 @@ class NemesisSchedule:
         the chaos layer is calmed and victim partitions healed, so a
         quiescence check after ``horizon`` is meaningful.
         """
-        clock = fault_clock(deployment)
-        transport = fault_transport(deployment)
+        clock = deployment.runtime.clock
+        transport = deployment.runtime.transport
         kinds = {op.kind for op in self.ops}
         needs_chaos = {"burst", "delay", "flap"} & kinds
         if needs_chaos and chaos is None:

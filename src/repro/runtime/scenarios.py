@@ -95,17 +95,15 @@ def table1_wan_latency() -> Dict[Tuple[str, str], Dict[str, float]]:
     from repro.runtime.environments import TABLE1_RTT_MS
 
     runtime = SimRuntime(network_config=wan_network_config(jitter=0.0), seed=1)
-    loop = runtime.clock
-    network = runtime.transport
 
     class Ping(Actor):
-        def __init__(self, name, loop):
-            super().__init__(name, loop)
+        def __init__(self, name):
+            super().__init__(name, runtime)
             self.echoes: List[Tuple[str, float]] = []
             self.sent_at: Dict[str, float] = {}
 
         def ping(self, other: str) -> None:
-            self.sent_at[other] = self.loop.now
+            self.sent_at[other] = self.clock.now
             self.send(other, ("ping", self.name))
 
         def on_message(self, src, payload):
@@ -113,17 +111,17 @@ def table1_wan_latency() -> Dict[Tuple[str, str], Dict[str, float]]:
             if kind == "ping":
                 self.send(src, ("pong", self.name))
             else:
-                self.echoes.append((src, self.loop.now - self.sent_at[src]))
+                self.echoes.append((src, self.clock.now - self.sent_at[src]))
 
     actors = {}
     for region in REGIONS:
-        actor = Ping(f"node-{region}", loop)
-        network.register(actor, site=region)
+        actor = Ping(f"node-{region}")
+        runtime.transport.register(actor, site=region)
         actors[region] = actor
     results: Dict[Tuple[str, str], Dict[str, float]] = {}
     for (a, b), paper_ms in TABLE1_RTT_MS.items():
         actors[a].ping(f"node-{b}")
-        loop.run()
+        runtime.run()
         src, rtt = actors[a].echoes[-1]
         results[(a, b)] = {"paper_ms": paper_ms, "measured_ms": rtt * 1000.0}
     return results

@@ -301,7 +301,8 @@ def arm_adaptive_tree(spec: ScenarioSpec, deployment, elasticity):
     from repro.optimizer.traffic import TrafficCollector
 
     traffic = TrafficCollector()
-    traffic.bind_clock(lambda: deployment.loop.now)
+    runtime_clock = deployment.runtime.clock
+    traffic.bind_clock(lambda: runtime_clock.now)
     for client in deployment.clients:
         client.traffic = traffic
     planner = None
@@ -401,7 +402,8 @@ def build_drivers(
     """One driver per client of the workload, wired to the deployment."""
     workload = spec.workload
     targets = sorted(spec.target_names())
-    clock = lambda: deployment.loop.now  # noqa: E731 - tiny adaptor
+    runtime_clock = deployment.runtime.clock
+    clock = lambda: runtime_clock.now  # noqa: E731 - tiny adaptor
     op_sampler = None
     read_sampler = None
     if spec.app == "sharded_kv":

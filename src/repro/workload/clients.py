@@ -102,7 +102,7 @@ class _DriverBase:
 
     @property
     def now(self) -> float:
-        return self.client.loop.now
+        return self.client.clock.now
 
     def _done(self, at: Optional[float] = None) -> bool:
         if self._stopped:

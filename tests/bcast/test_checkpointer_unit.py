@@ -25,7 +25,6 @@ from repro.crypto.cache import caching_disabled
 from repro.crypto.digest import SequenceDigest, digest
 from repro.crypto.keys import KeyRegistry
 from repro.env import Monitor
-from repro.sim.events import EventLoop
 from tests.helpers import (FakeReplica, configs_for, doubled, execute,
                            first_altered, relayed, replica_names, reshaped,
                            state_response, swapped, wire_for)
@@ -110,7 +109,7 @@ class Node:
         configs = configs_for(tree)
         self.registry = KeyRegistry()
         self.app = ByzCastApplication("g1", tree, configs, self.registry)
-        self.replica = FakeReplica("g1/r0", EventLoop(), configs["g1"])
+        self.replica = FakeReplica("g1/r0", configs["g1"])
         self.checkpoints = Checkpointer("g1/r0", self.app,
                                         DecisionLog(interval),
                                         self.replica.monitor)

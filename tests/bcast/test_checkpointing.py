@@ -314,15 +314,14 @@ class LateJoinerHarness(Harness):
         self.joiner = Replica(
             name="g1/r4",
             config=self.config,
-            loop=self.loop,
+            runtime=self.runtime,
             registry=self.registry,
             app=EchoApplication(),
-            monitor=self.monitor,
             view=initial,
         )
         self.network.register(self.joiner)
-        self.admin = ViewManager("g1", self.loop, initial, self.registry,
-                                 self.monitor)
+        self.admin = ViewManager("g1", self.runtime, initial,
+                                 self.registry)
         self.network.register(self.admin)
 
 
@@ -468,7 +467,7 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
         return proxy.submitted if proxy is not None else 0
 
     before = relayed_by_joiner()
-    burst("post", 10, until=dep.loop.now + 3.0)
+    burst("post", 10, until=dep.runtime.clock.now + 3.0)
     assert relayer.app._relay_buffers == {}
     assert relayed_by_joiner() > before
     expected = [("pre", j) for j in range(30)] + [("post", j) for j in range(10)]
@@ -507,8 +506,8 @@ def laggard_run():
         timeout=30.0)
     assert dep.monitor.counters["checkpoint.installed"] >= 1
     installed_at = lagger.log.checkpoint.cid
-    burst("after", 20, until=dep.loop.now + 3.0)
-    dep.run(until=dep.loop.now + 1.0)
+    burst("after", 20, until=dep.runtime.clock.now + 3.0)
+    dep.run(until=dep.runtime.clock.now + 1.0)
     checkpoints = [r.log.checkpoint for r in dep.groups["g1"].replicas]
     assert lagger.log.checkpoint.cid > installed_at, "no checkpoint of its own"
     assert dep.monitor.counters["checkpoint.bad_digest"] == 0

@@ -25,16 +25,15 @@ class ChurnHarness(Harness):
             standby = Replica(
                 name=f"g1/r{4 + i}",
                 config=self.config,
-                loop=self.loop,
+                runtime=self.runtime,
                 registry=self.registry,
                 app=EchoApplication(),
-                monitor=self.monitor,
                 view=initial,
             )
             self.network.register(standby)
             self.standbys.append(standby)
-        self.admin = ViewManager("g1", self.loop, initial, self.registry,
-                                 self.monitor)
+        self.admin = ViewManager("g1", self.runtime, initial,
+                                 self.registry)
         self.network.register(self.admin)
 
     def start_all(self):

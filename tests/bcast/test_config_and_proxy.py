@@ -182,7 +182,7 @@ class TestBroadcastGroup:
         config = make_config("g9")
         with pytest.raises(ValueError):
             BroadcastGroup.build(
-                h.loop, h.network, config, h.registry,
+                h.runtime, config, h.registry,
                 app_factory=lambda name: None, sites=["a", "b"],
             )
 

@@ -13,9 +13,8 @@ class KvHarness(Harness):
         # Rebuild the group with KV applications instead of Echo.
         self.config = make_config("kv")
         self.group = BroadcastGroup.build(
-            self.loop, self.network, self.config, self.registry,
+            self.runtime, self.config, self.registry,
             app_factory=lambda name: KeyValueApplication(),
-            monitor=self.monitor,
         )
 
 

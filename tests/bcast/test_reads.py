@@ -47,10 +47,10 @@ class FVotesReadProxy(ReadProxy):
 class ReadClient(Actor):
     """A scripted client speaking both tiers: ordered writes + read probes."""
 
-    def __init__(self, name, loop, config, registry, monitor=None,
+    def __init__(self, name, runtime, config, registry,
                  read_timeout: float = 0.3, max_retries: int = 1,
                  read_proxy=ReadProxy) -> None:
-        super().__init__(name, loop, monitor)
+        super().__init__(name, runtime)
         self.proxy = GroupProxy(
             self, config.group_id, config.replicas, config.f, registry,
             retransmit_timeout=4.0,
@@ -93,8 +93,8 @@ class ReadClient(Actor):
 
 
 def add_read_client(h: Harness, **kwargs) -> ReadClient:
-    client = ReadClient(f"rc{len(h.clients)}", h.loop, h.config, h.registry,
-                        h.monitor, **kwargs)
+    client = ReadClient(f"rc{len(h.clients)}", h.runtime, h.config,
+                        h.registry, **kwargs)
     h.network.register(client)
     h.clients.append(client)
     return client
@@ -468,10 +468,9 @@ class _Sink(Actor):
 
 def _dead_group(h: Harness, config) -> None:
     """Register the 'dead' group: one garbage fast-replier, three sinks."""
-    h.network.register(_FastGarbageReplier(config.replicas[0], h.loop,
-                                           h.monitor))
+    h.network.register(_FastGarbageReplier(config.replicas[0], h.runtime))
     for name in config.replicas[1:]:
-        h.network.register(_Sink(name, h.loop, h.monitor))
+        h.network.register(_Sink(name, h.runtime))
 
 
 def test_bare_replies_never_reset_backoff():
@@ -483,7 +482,7 @@ def test_bare_replies_never_reset_backoff():
     """
     h = Harness()
     config = make_config("dead")   # nobody home but the garbage replier
-    client = ReadClient("rc0", h.loop, config, h.registry, h.monitor)
+    client = ReadClient("rc0", h.runtime, config, h.registry)
     client.proxy.retransmit_timeout = 0.1
     h.network.register(client)
     _dead_group(h, config)
@@ -499,7 +498,7 @@ def test_bare_replies_never_reset_backoff():
 def test_note_progress_resets_backoff_only_when_called():
     h = Harness()
     config = make_config("dead")
-    client = ReadClient("rc0", h.loop, config, h.registry, h.monitor)
+    client = ReadClient("rc0", h.runtime, config, h.registry)
     client.proxy.retransmit_timeout = 0.1
     h.network.register(client)
     _dead_group(h, config)

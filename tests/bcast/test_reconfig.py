@@ -38,15 +38,14 @@ class ReconfigHarness(Harness):
         self.joiner = Replica(
             name="g1/r4",
             config=self.config,
-            loop=self.loop,
+            runtime=self.runtime,
             registry=self.registry,
             app=EchoApplication(),
-            monitor=self.monitor,
             view=initial,
         )
         self.network.register(self.joiner)
-        self.admin = ViewManager("g1", self.loop, initial, self.registry,
-                                 self.monitor)
+        self.admin = ViewManager("g1", self.runtime, initial,
+                                 self.registry)
         self.network.register(self.admin)
 
     def run(self, until=10.0, **kwargs):

@@ -71,7 +71,7 @@ class TestConstruction:
         dep.start()
         dep.run(until=0.1)
         dep.run(until=0.2)
-        assert dep.loop.now == pytest.approx(0.2)
+        assert dep.runtime.clock.now == pytest.approx(0.2)
 
 
 class TestAccessors:

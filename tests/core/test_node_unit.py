@@ -30,7 +30,7 @@ def setup():
 
     def make(group_id, replica_name=None, **kwargs):
         app = ByzCastApplication(group_id, tree, configs, registry, **kwargs)
-        replica = FakeReplica(replica_name or f"{group_id}/r0", loop,
+        replica = FakeReplica(replica_name or f"{group_id}/r0",
                               configs[group_id])
         return app, replica
 
@@ -161,16 +161,15 @@ class TestReplyPaths:
         tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
         configs = configs_for(tree)
         registry = KeyRegistry()
-        loop = EventLoop()
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
         lca = ByzCastApplication("g1", tree, configs, registry)
-        lca_replica = FakeReplica("g1/r0", loop, configs["g1"])
+        lca_replica = FakeReplica("g1/r0", configs["g1"])
         result = execute(lca, lca_replica, Request("g1", "client", 1, wire))
         assert result == ("delivered", None)
         assert self.multicast_replies(lca_replica) == []
         assert {dst for dst, __ in lca_replica.sent} == set(configs["g2"].replicas)
         child = ByzCastApplication("g2", tree, configs, registry)
-        child_replica = FakeReplica("g2/r0", loop, configs["g2"])
+        child_replica = FakeReplica("g2/r0", configs["g2"])
         for parent in ("g1/r0", "g1/r1"):
             assert execute(child, child_replica,
                            relayed("g2", parent, 1, wire)) == ("ack",)
@@ -567,7 +566,7 @@ class TestRelayFlush:
         tree, configs, registry, loop, make = setup
         small = dict(configs, h2=configs_for(tree, max_batch=2)["h2"])
         app = ByzCastApplication("h1", tree, small, registry)
-        replica = FakeReplica("h1/r0", loop, small["h1"])
+        replica = FakeReplica("h1/r0", small["h1"])
         ctx = ExecutionContext(replica=replica, time=loop.now)
         for seq in range(1, 6):
             wire = wire_for(registry, "client", seq, ("g1", "g3"))
@@ -615,11 +614,10 @@ class TestRelayIndex:
         tree = OverlayTree.paper_tree()
         configs = configs_for(tree)
         registry = KeyRegistry()
-        loop = EventLoop()
         first, second = (wire_for(registry, "client", seq, ("g1", "g2"))
                          for seq in (1, 2))
         parents = {name: (ByzCastApplication("h2", tree, configs, registry),
-                          FakeReplica(name, loop, configs["h2"]))
+                          FakeReplica(name, configs["h2"]))
                    for name in configs["h2"].replicas}
 
         def order(name, wire):
@@ -646,7 +644,7 @@ class TestRelayIndex:
         for child, arrival in (("g1", ("h2/r0", "h2/r1", "h2/r2", "h2/r3")),
                                ("g2", ("h2/r2", "h2/r3", "h2/r0", "h2/r1"))):
             app = ByzCastApplication(child, tree, configs, registry)
-            replica = FakeReplica(f"{child}/r0", loop, configs[child])
+            replica = FakeReplica(f"{child}/r0", configs[child])
             for name in arrival:
                 for request in relays(name, child):
                     execute(app, replica, request)

@@ -52,7 +52,7 @@ def test_replay_of_another_clients_wire_delivers_once():
         signature=sign(dep.registry, "honest", wire.signed_part()),
     )
     attacker._proxy("g2").submit(signed)
-    dep.loop.run(until=5.0)
+    dep.runtime.run(until=5.0)
     for sequence in dep.delivered_sequences("g2"):
         assert len(sequence) == 1
 

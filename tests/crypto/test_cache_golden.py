@@ -53,4 +53,4 @@ def test_caches_actually_exercised_by_a_deployment():
     _timeline_hash(seed=7)
     stats = cache_mod.cache_stats()
     assert stats["canonical"]["hits"] > 0
-    assert stats["verify"]["hits"] > 0
+    assert stats["digest"]["hits"] > 0

@@ -18,6 +18,7 @@ import pytest
 from repro.env import Actor, Runtime, make_runtime
 from repro.env.rtbackend import DRAIN_SLICE, RealtimeRuntime
 from repro.env.simbackend import SimRuntime
+from repro.env.tcp import TcpTransport
 from repro.errors import NetworkError, SimulationError
 from tests.env.test_realtime_e2e import HostPerActor
 
@@ -31,25 +32,49 @@ def runtime(request):
     rt.close()
 
 
-class Probe(Actor):
-    """Records every delivered message."""
+@pytest.fixture(params=[*BACKENDS, "tcp"])
+def linked(request):
+    """A runtime per transport: the simulator's Network, the in-process
+    queue and (``tcp``) one TcpTransport host — the three share one link
+    table, which the registration and partition cases pin."""
+    if request.param == "tcp":
+        rt = make_runtime("rt", seed=7, transport_factory=TcpTransport)
+    else:
+        rt = make_runtime(request.param, seed=7)
+    yield rt
+    rt.close()
 
-    def __init__(self, name, runtime, recv_cpu_cost=0.0):
-        super().__init__(name, runtime, recv_cpu_cost=recv_cpu_cost)
+
+def charge_then(actor, cost, handle, *args):
+    """Handle a delivery the way replicas charge receive cost: as a CPU job
+    of ``cost`` seconds when ``cost`` is positive, inline otherwise."""
+    if cost:
+        actor.work(cost, partial(handle, *args))
+    else:
+        handle(*args)
+
+
+class Probe(Actor):
+    """Records every delivered message, after ``receive_cost`` of CPU."""
+
+    def __init__(self, name, runtime, receive_cost=0.0):
+        super().__init__(name, runtime)
+        self.receive_cost = receive_cost
         self.got = []
 
     def on_message(self, src, payload):
-        self.got.append((src, payload))
+        charge_then(self, self.receive_cost, self.got.append, (src, payload))
 
 
 def test_make_runtime_backends():
     sim = make_runtime("sim")
     assert isinstance(sim, SimRuntime) and sim.deterministic
-    rt = make_runtime("asyncio")
+    rt = make_runtime("rt")
     assert isinstance(rt, RealtimeRuntime) and not rt.deterministic
     rt.close()
-    with pytest.raises(ValueError):
-        make_runtime("no-such-backend")
+    for unknown in ("no-such-backend", "asyncio"):
+        with pytest.raises(ValueError):
+            make_runtime(unknown)
 
 
 def test_runtime_interface(runtime):
@@ -200,7 +225,8 @@ def test_executor_rejects_negative_service_time(runtime):
 # -- Transport --------------------------------------------------------------
 
 
-def test_transport_per_link_fifo(runtime):
+def test_transport_per_link_fifo(linked):
+    runtime = linked
     a = Probe("a", runtime)
     b = Probe("b", runtime)
     runtime.transport.register(a)
@@ -212,7 +238,8 @@ def test_transport_per_link_fifo(runtime):
     assert b.got == [("a", ("msg", i)) for i in range(20)]
 
 
-def test_transport_unknown_endpoint_raises(runtime):
+def test_transport_unknown_endpoint_raises(linked):
+    runtime = linked
     a = Probe("a", runtime)
     runtime.transport.register(a)
     with pytest.raises(NetworkError):
@@ -221,7 +248,16 @@ def test_transport_unknown_endpoint_raises(runtime):
         runtime.transport.send("ghost", "a", "x")
 
 
-def test_transport_duplicate_registration_raises(runtime):
+def test_unregistered_actor_cannot_send(linked):
+    runtime = linked
+    runtime.transport.register(Probe("a", runtime))
+    orphan = Probe("orphan", runtime)  # built on the runtime, not registered
+    with pytest.raises(NetworkError):
+        orphan.send("a", "x")
+
+
+def test_transport_duplicate_registration_raises(linked):
+    runtime = linked
     a = Probe("a", runtime)
     runtime.transport.register(a)
     with pytest.raises(NetworkError):
@@ -229,13 +265,15 @@ def test_transport_duplicate_registration_raises(runtime):
     assert runtime.transport.endpoints() == ("a",)
 
 
-def test_transport_sites_recorded(runtime):
+def test_transport_sites_recorded(linked):
+    runtime = linked
     a = Probe("a", runtime)
     runtime.transport.register(a, site="zurich")
     assert runtime.transport.site_of("a") == "zurich"
 
 
-def test_partition_blocks_and_heal_restores(runtime):
+def test_partition_blocks_and_heal_restores(linked):
+    runtime = linked
     a = Probe("a", runtime)
     b = Probe("b", runtime)
     runtime.transport.register(a)
@@ -253,6 +291,30 @@ def test_partition_blocks_and_heal_restores(runtime):
     assert b.got == [("a", "delivered")]
     assert a.got == []
     assert runtime.monitor.counters["net.partitioned"] == 2
+
+
+def test_site_partition_blocks_and_heal_all_restores(linked):
+    runtime = linked
+    a, b, c = (Probe(name, runtime) for name in "abc")
+    runtime.transport.register(a, site="east")
+    runtime.transport.register(b, site="west")
+    runtime.transport.register(c, site="east")
+    runtime.transport.partition("east", "west", sites=True)
+    runtime.transport.partition("a", "c")
+
+    def phase():
+        a.send("b", "lost across sites")
+        b.send("c", "lost across sites too")
+        a.send("c", "lost on the pair")
+        runtime.transport.heal_all()
+        a.send("b", "healed")
+        a.send("c", "healed")
+
+    runtime.clock.schedule(0.0, phase)
+    runtime.run(until=0.2)
+    assert b.got == [("a", "healed")]
+    assert c.got == [("a", "healed")]
+    assert runtime.monitor.counters["net.partitioned"] == 3
 
 
 # -- Crash semantics --------------------------------------------------------
@@ -286,9 +348,9 @@ def test_timer_set_before_a_crash_never_fires_even_after_a_recover(runtime):
 
 
 def test_message_in_cpu_queue_at_crash_is_dropped(runtime):
-    # recv_cpu_cost > 0 puts delivery through the CPU queue; crashing after
+    # A receive cost puts handling through the CPU queue; crashing after
     # transport delivery but before the CPU job runs must drop the message.
-    a = Probe("a", runtime, recv_cpu_cost=0.010)
+    a = Probe("a", runtime, receive_cost=0.010)
     b = Probe("b", runtime)
     runtime.transport.register(a)
     runtime.transport.register(b)
@@ -344,14 +406,16 @@ def rt():
 
 
 class Journal(Actor):
-    """Appends what it receives to a log shared between actors."""
+    """Appends what it receives to a log shared between actors, after
+    ``receive_cost`` of CPU."""
 
     def __init__(self, name, runtime, log):
         super().__init__(name, runtime)
         self.log = log
+        self.receive_cost = 0.0
 
     def on_message(self, src, payload):
-        self.log.append(payload)
+        charge_then(self, self.receive_cost, self.log.append, payload)
 
 
 def journals(runtime, names):
@@ -484,7 +548,7 @@ def test_ready_queue_beside_socket_deliveries():
         log = []
         a = Journal("a", runtime, log)
         b = Journal("b", runtime, log)
-        b.recv_cpu_cost = 0.001
+        b.receive_cost = 0.001
         for actor in (a, b):
             runtime.transport.register(actor)
         runtime.asyncio_loop.run_until_complete(runtime.transport.start())

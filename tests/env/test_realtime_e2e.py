@@ -66,7 +66,7 @@ def run_closed_loop(runtime, total, when_done):
 
 def test_realtime_two_group_tree_delivers_100_messages():
     started = time.monotonic()
-    runtime = make_runtime("asyncio", seed=11)
+    runtime = make_runtime("rt", seed=11)
     # Quiesce: give trailing replicas a beat to a-deliver, then stop.
     dep, completed = run_closed_loop(
         runtime, TOTAL, lambda: runtime.clock.schedule(0.1, runtime.stop))
@@ -90,7 +90,7 @@ def test_asyncio_wakeups_scale_with_bursts_not_messages():
     """200 closed-loop ops: every delivery and every CPU job rides the
     runtime's ready queue, so asyncio sees one ``call_soon`` per burst —
     far fewer than messages sent, let alone one or two per message."""
-    runtime = make_runtime("asyncio", seed=11)
+    runtime = make_runtime("rt", seed=11)
     total = 200
     wakeups = []
     call_soon = runtime.asyncio_loop.call_soon
@@ -152,7 +152,7 @@ class RelayRecordingApp(ByzCastApplication):
 
 
 def test_global_multicast_round_trips_a_relay_batch_over_tcp_binary():
-    runtime = make_runtime("asyncio", seed=5, transport_factory=HostPerGroup,
+    runtime = make_runtime("rt", seed=5, transport_factory=HostPerGroup,
                            wire="binary")
     tree = OverlayTree.two_level(["g1", "g2"])
     recording = {f"g1/r{i}": RelayRecordingApp for i in range(4)}
@@ -206,7 +206,7 @@ class HostPerActor(HostPerGroup):
 
 
 def authenticated_tcp_deployment():
-    runtime = make_runtime("asyncio", seed=5, transport_factory=HostPerActor,
+    runtime = make_runtime("rt", seed=5, transport_factory=HostPerActor,
                            wire="binary")
     dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                             runtime=runtime, authenticate_batches=True)

@@ -84,7 +84,7 @@ class TestBroadcastLayerByzantine:
         h = Harness()
         view = View(("g1/r1", "g1/r0", "g1/r2", "g1/r3"), 1)
         replica = EquivocatingLeaderReplica(
-            name, h.config, h.loop, h.registry, EchoApplication(), h.monitor,
+            name, h.config, h.runtime, h.registry, EchoApplication(),
             view=view)
         replica.send = lambda dst, payload, size=64: None
         replica._send_propose(0, 0, (Request("g1", "c0", 1, ("op", 1)),))
@@ -248,7 +248,7 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
     relays = {}  # relayer -> child -> the request it sent
     for index, cls in enumerate([ByzCastApplication] * 3 + [ReorderingRelayApp]):
         app = cls("h1", tree, configs, registry)
-        replica = FakeReplica(f"h1/r{index}", loop, configs["h1"])
+        replica = FakeReplica(f"h1/r{index}", configs["h1"])
         ctx = ExecutionContext(replica=replica, time=loop.now)
         for wire in wires:
             app.execute(Request("h1", "client", wire.seq, wire), ctx)
@@ -263,7 +263,7 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
                              ("g2", ("h1/r0", "h1/r1", "h1/r2", "h1/r3"))):
             app = child_app(group_id=gid, tree=tree, group_configs=configs,
                             registry=registry)
-            replica = FakeReplica(f"{gid}/r0", loop, configs[gid])
+            replica = FakeReplica(f"{gid}/r0", configs[gid])
             for relayer in arrival:
                 assert execute(app, replica, relays[relayer][gid]) == ("ack",)
             assert len(app.delivered_messages()) == len(wires)

@@ -15,13 +15,12 @@ from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.env.actor import Actor
-from repro.env.monitor import Monitor
+from repro.env.api import Runtime
+from repro.env.simbackend import SimRuntime
 from repro.runtime.chaos import DEFAULT_SOAK
 from repro.scenario import ScenarioSpec
-from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.rng import SeededRng
+from repro.sim.network import NetworkConfig
 
 #: the shipped scenario files (the named soaks CI runs live here)
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -61,10 +60,10 @@ class TestClient(Actor):
 
     __test__ = False  # not a pytest collectible
 
-    def __init__(self, name: str, loop: EventLoop, config: BroadcastConfig,
-                 registry: KeyRegistry, monitor: Optional[Monitor] = None,
+    def __init__(self, name: str, runtime: Runtime, config: BroadcastConfig,
+                 registry: KeyRegistry,
                  retransmit_timeout: Optional[float] = 4.0) -> None:
-        super().__init__(name, loop, monitor)
+        super().__init__(name, runtime)
         self.proxy = GroupProxy(
             self, config.group_id, config.replicas, config.f, registry,
             retransmit_timeout=retransmit_timeout,
@@ -91,30 +90,26 @@ class Harness:
                  config: Optional[BroadcastConfig] = None,
                  replica_classes: Optional[dict] = None,
                  trace_capacity: int = 5000) -> None:
-        self.loop = EventLoop()
-        self.monitor = Monitor(trace_capacity=trace_capacity)
-        self.monitor.bind_clock(lambda: self.loop.now)
-        self.rng = SeededRng(seed)
-        self.network = Network(
-            self.loop,
+        self.runtime = SimRuntime(
             NetworkConfig(latency=JitterLatency(0.00005, 0.2)),
-            rng=self.rng,
-            monitor=self.monitor,
-        )
+            seed=seed, trace_capacity=trace_capacity)
+        self.loop = self.runtime.loop
+        self.monitor = self.runtime.monitor
+        self.rng = self.runtime.rng
+        self.network = self.runtime.network
         self.registry = KeyRegistry()
         self.config = config if config is not None else make_config(group_id, f=f)
         self.group = BroadcastGroup.build(
-            self.loop, self.network, self.config, self.registry,
+            self.runtime, self.config, self.registry,
             app_factory=lambda name: EchoApplication(),
-            monitor=self.monitor,
             replica_classes=replica_classes,
         )
         self.clients: List[TestClient] = []
 
     def add_client(self, name: str = None, **kwargs: Any) -> TestClient:
         name = name if name is not None else f"c{len(self.clients)}"
-        client = TestClient(name, self.loop, self.config, self.registry,
-                            self.monitor, **kwargs)
+        client = TestClient(name, self.runtime, self.config, self.registry,
+                            **kwargs)
         self.network.register(client)
         self.clients.append(client)
         return client
@@ -137,10 +132,12 @@ def configs_for(tree, f: int = 1, **overrides: Any) -> Dict[str, BroadcastConfig
 
 
 class FakeReplica(Actor):
-    """A minimal actor standing in for a Replica during app unit tests."""
+    """A minimal actor standing in for a Replica during app unit tests;
+    ``runtime`` defaults to a fresh sim runtime with a small trace."""
 
-    def __init__(self, name, loop, config):
-        super().__init__(name, loop, Monitor(trace_capacity=100))
+    def __init__(self, name, config, runtime=None):
+        super().__init__(name, runtime if runtime is not None
+                         else SimRuntime(trace_capacity=100))
         self.config = config
         self.sent = []
 
@@ -176,7 +173,7 @@ def relayed(group, parent_replica, seq, *wires, index=None) -> Request:
 
 def execute(app, replica, request):
     """Run ``request`` as a decided batch of one (execute, then the boundary)."""
-    ctx = ExecutionContext(replica=replica, time=replica.loop.now)
+    ctx = ExecutionContext(replica=replica, time=replica.clock.now)
     result = app.execute(request, ctx)
     app.end_batch(ctx)
     return result

@@ -9,7 +9,6 @@ from repro.core.node import ByzCastApplication
 from repro.core.relay import BatchMerge
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
-from repro.sim.events import EventLoop
 from tests.helpers import FakeReplica, configs_for, execute, relayed
 
 F = 1
@@ -127,7 +126,7 @@ def test_correct_relayers_cutting_alike_release_the_correct_order(schedule):
     wire_of = {m: WireMulticast("client", int(m[1:]), ("g1", "g2"), (m,))
                for m in sequence}
     app = ByzCastApplication("g1", tree, configs, KeyRegistry())
-    replica = FakeReplica("g1/r0", EventLoop(), configs["g1"])
+    replica = FakeReplica("g1/r0", configs["g1"])
     cursors = {sender: 0 for sender in copies}
     for sender in pulls:
         index, chunk = copies[sender][cursors[sender]]

@@ -25,7 +25,6 @@ from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from repro.errors import TreeError
-from repro.sim.events import EventLoop
 from tests.helpers import FakeReplica, make_config, wire_for
 
 NODES = [f"n{i}" for i in range(9)]
@@ -144,7 +143,7 @@ def test_a_replica_routes_on_the_new_tree_after_a_tree_update(data):
     configs = {gid: make_config(gid) for gid in NODES}
     registry = KeyRegistry()
     app = ByzCastApplication("n0", old, configs, registry)
-    replica = FakeReplica("n0/r0", EventLoop(), configs["n0"])
+    replica = FakeReplica("n0/r0", configs["n0"])
     ctx = ExecutionContext(replica=replica, time=0.0)
     seqs = iter(range(1, 100))
 

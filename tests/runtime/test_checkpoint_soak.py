@@ -98,12 +98,12 @@ def test_long_soak_20k_rejoin_via_checkpoint_bounded_memory():
         for __ in range(2):
             issue(client)
     deadline = 3_000.0
-    while state["done"] < total and dep.loop.now < deadline:
-        dep.run(until=dep.loop.now + 50.0)
+    while state["done"] < total and dep.runtime.clock.now < deadline:
+        dep.run(until=dep.runtime.clock.now + 50.0)
     assert state["done"] == total
     # Trailing a-deliveries: clients confirm on f+1 replies, stragglers
     # (including the recovered laggard) need a few more timeouts to drain.
-    dep.run(until=dep.loop.now + 10.0)
+    dep.run(until=dep.runtime.clock.now + 10.0)
 
     # The outage spanned thousands of cids at interval 32: every peer
     # truncated far past the laggard's crash point, so the rejoin must

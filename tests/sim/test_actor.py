@@ -2,31 +2,41 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.env.actor import Actor
-from repro.sim.events import EventLoop
-from repro.sim.network import Network
-from repro.sim.rng import SeededRng
+from repro.env.simbackend import SimRuntime
+from repro.errors import NetworkError
 
 
 class Probe(Actor):
-    def __init__(self, name, loop, **kwargs):
-        super().__init__(name, loop, **kwargs)
+    """Records deliveries; with a ``receive_cost`` it charges that much CPU
+    before handling one, the way replicas charge receive cost."""
+
+    def __init__(self, name, runtime, receive_cost=0.0):
+        super().__init__(name, runtime)
+        self.receive_cost = receive_cost
         self.handled = []
 
     def on_message(self, src, payload):
-        self.handled.append((self.loop.now, src, payload))
+        if self.receive_cost:
+            self.work(self.receive_cost, partial(self.handle, src, payload))
+        else:
+            self.handle(src, payload)
+
+    def handle(self, src, payload):
+        self.handled.append((self.clock.now, src, payload))
 
 
-def wired(recv_cpu_cost=0.0):
-    loop = EventLoop()
-    network = Network(loop, rng=SeededRng(0))
-    a = Probe("a", loop, recv_cpu_cost=recv_cpu_cost)
-    b = Probe("b", loop, recv_cpu_cost=recv_cpu_cost)
-    network.register(a)
-    network.register(b)
-    return loop, a, b
+def wired(receive_cost=0.0):
+    runtime = SimRuntime(seed=0)
+    a = Probe("a", runtime, receive_cost)
+    b = Probe("b", runtime, receive_cost)
+    runtime.transport.register(a)
+    runtime.transport.register(b)
+    return runtime.loop, a, b
 
 
 class TestTimers:
@@ -72,7 +82,7 @@ class TestWork:
         assert done == []
 
     def test_recv_cpu_cost_delays_handling(self):
-        loop, a, b = wired(recv_cpu_cost=0.5)
+        loop, a, b = wired(receive_cost=0.5)
         a.send("b", "hello")
         loop.run()
         assert len(b.handled) == 1
@@ -110,13 +120,13 @@ class TestCrashGating:
         assert ran == ["work", "timer"]
 
     def test_detached_actor_raises_on_send(self):
-        loop = EventLoop()
-        orphan = Probe("orphan", loop)
-        with pytest.raises(RuntimeError):
-            orphan.send("anyone", "x")
+        loop, a, b = wired()
+        orphan = Probe("orphan", a.runtime)  # built, never registered
+        with pytest.raises(NetworkError):
+            orphan.send("b", "x")
 
     def test_base_on_message_is_abstract(self):
         loop, a, b = wired()
-        bare = Actor("bare", loop)
+        bare = Actor("bare", a.runtime)
         with pytest.raises(NotImplementedError):
             bare.on_message("a", "x")

@@ -8,31 +8,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.env.actor import Actor
+from repro.env.simbackend import SimRuntime
 from repro.errors import NetworkError
 from repro.sim.cpu import CpuQueue
 from repro.sim.events import EventLoop
 from repro.sim.latency import (
     ConstantLatency, JitterLatency, LogNormalLatency, MatrixLatency)
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
 from repro.sim.rng import SeededRng
 
 
 class Sink(Actor):
-    def __init__(self, name, loop, **kwargs):
-        super().__init__(name, loop, **kwargs)
+    def __init__(self, name, runtime):
+        super().__init__(name, runtime)
         self.received = []
 
     def on_message(self, src, payload):
-        self.received.append((self.loop.now, src, payload))
+        self.received.append((self.clock.now, src, payload))
 
 
 def wired_pair(config=None, sites=("site0", "site0")):
-    loop = EventLoop()
-    network = Network(loop, config or NetworkConfig(), rng=SeededRng(1))
-    a, b = Sink("a", loop), Sink("b", loop)
+    runtime = SimRuntime(config, seed=1)
+    network = runtime.network
+    a, b = Sink("a", runtime), Sink("b", runtime)
     network.register(a, site=sites[0])
     network.register(b, site=sites[1])
-    return loop, network, a, b
+    return runtime.loop, network, a, b
 
 
 class TestCpuQueue:
@@ -189,7 +190,7 @@ class TestNetwork:
     def test_duplicate_registration_rejected(self):
         loop, network, a, b = wired_pair()
         with pytest.raises(NetworkError):
-            network.register(Sink("a", loop))
+            network.register(Sink("a", a.runtime))
 
     def test_partition_blocks_and_heals(self):
         loop, network, a, b = wired_pair()

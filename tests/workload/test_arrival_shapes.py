@@ -25,14 +25,14 @@ class StubClient:
     """Records send times; enough client surface for an open-loop driver."""
 
     def __init__(self, loop: EventLoop) -> None:
-        self.loop = loop
+        self.clock = loop
         self.sends = []
 
     def set_timer(self, delay, callback):
-        return self.loop.schedule(delay, callback)
+        return self.clock.schedule(delay, callback)
 
     def amulticast(self, dst, payload=None, callback=None):
-        self.sends.append(self.loop.now)
+        self.sends.append(self.clock.now)
 
 
 def arrivals_in(sends, lo, hi):
