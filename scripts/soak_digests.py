@@ -46,7 +46,8 @@ from tests.helpers import (CHURN_PIN, CHURN_SOAK, SCENARIOS,  # noqa: E402
 #: it overrides
 HEAVY = dict(seed=23, intensity="heavy", duration=6.0)
 #: (seed, checkpoint_interval) of the churn pins; ``None`` keeps the file's
-PINS = ((238, None), (42, 0), (107, None), (1235, 0))
+PINS = ((238, None), (42, 0), (107, None), (1235, 0), (36, 0), (83, 16),
+        (1326, 0), (1392, 16))
 SWEEP_SEEDS = (*range(200), *range(1200, 1400))
 SWEEP_INTERVALS = (0, 16)
 

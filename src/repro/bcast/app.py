@@ -11,7 +11,7 @@ clients accept a result only once ``f + 1`` replicas report it identically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Optional
 
 from repro.bcast.messages import Request
 from repro.env import Monitor
@@ -96,6 +96,41 @@ class Application:
         everything else is per request.  Must not raise on any command.
         """
         return 1
+
+    # -- unordered intake: requests the application makes itself ----------
+
+    def intake(self, request: Request, replica: Any) -> bool:
+        """Take a signed ``request`` unordered instead of pooling it.
+
+        Called on receipt, after the sender's signature checked out; True
+        means the application keeps ``request`` (ByzCast counts a parent's
+        relayed copy as a vote) and the replica neither pools nor answers
+        it.  The application may then pool requests of its own with
+        ``replica.offer`` — unsigned, under a pseudo-sender no endpoint
+        has — which the group orders like any other once :meth:`vouch`
+        accepts them.  Default: takes nothing.
+        """
+        return False
+
+    def vouch(self, request: Request,
+              ahead: Iterable[Request]) -> Optional[bool]:
+        """Whether the unsigned ``request`` — one the application offered,
+        say — is valid where it executes: after the application's current
+        state, then every request in ``ahead`` (ordered or proposed before
+        it, not executed yet).
+
+        ``None``: a request in ``ahead`` may change the answer, so the
+        replica waits until it executed (a leader leaves ``request`` out of
+        its batch, a follower holds the proposal back).  Must be a function
+        of replicated state and ``request``.  Default: False — a request
+        without a signature is never valid.
+        """
+        return False
+
+    def reoffer(self, replica: Any) -> None:
+        """Offer again whatever the application pools itself: the replica
+        dropped its pool (a restart, a departure) or jumped it to a
+        checkpoint.  Default: nothing."""
 
     def end_batch(self, ctx: ExecutionContext) -> None:
         """Called once after the last :meth:`execute` of a decided batch.

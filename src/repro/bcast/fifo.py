@@ -102,6 +102,23 @@ class PendingPool:
         self._size += 1
         return True
 
+    def put(self, request: Request) -> bool:
+        """Insert ``request``, or swap it for the pooled request with its
+        sender and seq (keeping that one's arrival position); True if it
+        was not pooled."""
+        per_sender = self._by_sender.get(request.sender)
+        if per_sender is not None and request.seq in per_sender:
+            per_sender[request.seq] = request
+            return False
+        return self.add(request)
+
+    def drop_sender(self, sender: str) -> None:
+        """Remove every pooled request of ``sender``."""
+        per_sender = self._by_sender.pop(sender, None)
+        if per_sender:
+            self._size -= len(per_sender)
+            self._compact()
+
     def remove(self, sender: str, seq: int) -> Optional[Request]:
         """Remove and return the request, if pooled."""
         per_sender = self._by_sender.get(sender)

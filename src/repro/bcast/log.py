@@ -76,6 +76,15 @@ class DecisionLog:
         """(cid, batch) view of decided-but-not-yet-executed instances."""
         return self._decided.items()
 
+    def ordered_since(self, cid: int):
+        """The batches ordered after ``cid``, newest first (the executed
+        prefix is retained above the last checkpoint, which is at or below
+        the last batch the replica finished executing)."""
+        for ordered, batch in reversed(self._executed):
+            if ordered <= cid:
+                return
+            yield batch
+
     def ready_batches(self):
         """Yield (cid, batch) pairs executable now, advancing the cursor.
 

@@ -38,7 +38,9 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from operator import attrgetter
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.bcast.app import Application, ExecutionContext
 from repro.bcast.checkpoint import Checkpointer
@@ -153,6 +155,9 @@ class Replica(Actor):
         self._retired = False
         #: proposals for consensus ids we have not reached yet (bounded stash)
         self._future_proposals: Dict[int, Tuple[str, Propose]] = {}
+        #: a stashed proposal waits for an ordered batch to execute (its
+        #: application-vouched request could not be judged before)
+        self._stashed_for_execution = False
         #: highest consensus id whose batch has *finished executing* here.
         #: Distinct from ``log.next_execute``: the cursor advances
         #: synchronously at decision time while execution is CPU-deferred,
@@ -243,6 +248,7 @@ class Replica(Actor):
         self._request_timer = None
         self.regency.forget_assists()
         self.state_transfer.abandon()
+        self.app.reoffer(self)
 
     def _teardown_departure(self) -> None:
         """Cleanly drop a departing replica's in-flight consensus state.
@@ -397,6 +403,9 @@ class Replica(Actor):
         if not self._signed_by_client(request, "request.unsigned",
                                       "request.bad_signature"):
             return
+        if self.app.intake(request, self):
+            self._maybe_propose()  # it may have offered a request
+            return
         if self.log.tracker.is_duplicate(request):
             result = self._replies.get(request.sender, request.seq)
             if result is not None:
@@ -408,6 +417,23 @@ class Replica(Actor):
             self._pending_since[request.key()] = self.clock.now
             self._arm_request_timer()
         self._maybe_propose()
+
+    def offer(self, request: Request) -> None:
+        """Pool ``request``, one the application made itself (see
+        ``Application.intake``), in place of a pooled request with its
+        sender and seq; one ordered already is dropped."""
+        if not self.active or self.log.tracker.is_duplicate(request):
+            return
+        if self.pool.put(request):
+            self._pending_since.setdefault(request.key(), self.clock.now)
+            self._arm_request_timer()
+
+    def withdraw(self, sender: str) -> None:
+        """Drop every pooled request of ``sender``, one of the application's
+        pseudo-senders."""
+        self.pool.drop_sender(sender)
+        for key in [key for key in self._pending_since if key[0] == sender]:
+            del self._pending_since[key]
 
     def _signed_by_client(self, request: Request, unsigned: str,
                           forged: str) -> bool:
@@ -551,8 +577,42 @@ class Replica(Actor):
             return
         cid = self._next_cid()
         regency = self.regency.current
+        batch = self._vouched(batch, cid, regency)
+        if not batch:
+            self._assembling = False
+            return
         cost = self.config.costs.propose_per_msg * len(batch)
         self.work(cost, partial(self._send_propose, cid, regency, batch))
+
+    def _vouched(self, batch: Tuple[Request, ...], cid: int,
+                 regency: int) -> Tuple[Request, ...]:
+        """``batch`` without the unsigned requests the application does not
+        vouch for at ``cid`` yet, nor their senders' later ones (FIFO)."""
+        if all(request.signature is not None for request in batch):
+            return batch
+        chain = self._chain(cid, regency)
+        held = set()
+        kept: List[Request] = []
+        for request in batch:
+            if request.sender in held:
+                continue
+            if request.signature is None and (chain is None or self.app.vouch(
+                    request, self._ahead(chain, kept)) is not True):
+                held.add(request.sender)
+                continue
+            kept.append(request)
+        return tuple(kept)
+
+    def _ahead(self, chain: List[Tuple[Request, ...]],
+               prior: Sequence[Request]) -> Iterator[Request]:
+        """Every request ordered or proposed before one and not executed
+        yet: the batches ordered since the last one executed, the proposals
+        ``chain`` up to its cid, then ``prior`` in its own batch."""
+        for batch in self.log.ordered_since(self._applied_cid):
+            yield from batch
+        for batch in chain:
+            yield from batch
+        yield from prior
 
     def _send_propose(self, cid: int, regency: int, batch: Tuple[Request, ...]) -> None:
         """Emit the proposal (overridden by Byzantine behaviours)."""
@@ -656,21 +716,23 @@ class Replica(Actor):
             self._stash(src, proposal)
             record(self.name, "propose.wrong_cid", cid=proposal.cid)
             return False
-        floors: Dict[str, int] = {}
+        chain: List[Tuple[Request, ...]] = []
         if proposal.cid > cursor:
             # Pipelined proposal: per-sender FIFO must chain through the
             # batches of every instance between the cursor and this cid.
-            chained = self._chain_floors(proposal.cid, proposal.regency)
-            if chained is None:
+            chain = self._chain(proposal.cid, proposal.regency)
+            if chain is None:
                 # A link of the chain is unknown here (its PROPOSE is still
                 # in flight): stash and re-validate once it lands.
                 self._stash(src, proposal)
                 record(self.name, "propose.missing_link", cid=proposal.cid)
                 return False
-            floors = chained
+        floors: Dict[str, int] = {}
+        for batch in chain:
+            _raise_floors(floors, batch)
         virtual: Dict[str, int] = {}
         seen = set()
-        for request in proposal.batch:
+        for position, request in enumerate(proposal.batch):
             if request.group != self.group_id:
                 record(self.name, "propose.foreign_request")
                 return False
@@ -685,29 +747,45 @@ class Replica(Actor):
                 record(self.name, "propose.fifo_violation", sender=request.sender)
                 return False
             virtual[request.sender] = request.seq
-            if not self._signed_by_client(request, "propose.unsigned_request",
-                                          "propose.bad_signature"):
+            if request.signature is None:
+                verdict = self.app.vouch(request, self._ahead(
+                    chain, proposal.batch[:position]))
+                if verdict is None:
+                    # An ordered batch ahead may change the verdict: judge
+                    # the proposal again once it executed.
+                    self._stash(src, proposal)
+                    self._stashed_for_execution = True
+                    record(self.name, "propose.unsettled_request",
+                           sender=request.sender)
+                    return False
+                if not verdict:
+                    record(self.name, "propose.unsigned_request",
+                           sender=request.sender)
+                    return False
+            elif not self._signed_by_client(request, "propose.unsigned_request",
+                                            "propose.bad_signature"):
                 return False
         return True
 
     def _stash(self, src: str, proposal: Propose) -> None:
         """Keep a proposal ahead of the cursor, if not too far ahead."""
         bound = max(8, 2 * self.config.max_in_flight)
-        if 0 < proposal.cid - self.log.next_execute <= bound:
+        if 0 <= proposal.cid - self.log.next_execute <= bound:
             self._future_proposals[proposal.cid] = (src, proposal)
 
-    def _chain_floors(self, cid: int, regency: int) -> Optional[Dict[str, int]]:
-        """Per-sender FIFO floors implied by instances below ``cid``.
+    def _chain(self, cid: int,
+               regency: int) -> Optional[List[Tuple[Request, ...]]]:
+        """The batches of the instances below ``cid``, from the cursor on.
 
         A pipelined proposal at ``cid > next_execute`` must extend the
         sender sequences claimed by every instance in ``[next_execute,
-        cid)``: decided batches (buffered or still in their instance) count
-        unconditionally, undecided instances count through their proposal
-        of the *same* regency (the leader's own chain — each link was
-        FIFO-validated before being recorded, so the floors compose).
-        Returns ``None`` when any link is unknown locally.
+        cid)`` (the FIFO floors): decided batches (buffered or still in
+        their instance) count unconditionally, undecided instances count
+        through their proposal of the *same* regency (the leader's own
+        chain — each link was FIFO-validated before being recorded, so the
+        floors compose).  Returns ``None`` when any link is unknown locally.
         """
-        floors: Dict[str, int] = {}
+        chain: List[Tuple[Request, ...]] = []
         for link in range(self.log.next_execute, cid):
             batch = self.log.decided_batch(link)
             if batch is None:
@@ -720,8 +798,8 @@ class Replica(Actor):
                         batch = instance.proposed_batch
             if batch is None:
                 return None
-            _raise_floors(floors, batch)
-        return floors
+            chain.append(batch)
+        return chain
 
     def _reconfig_authorized(self, request: Request) -> bool:
         """Only the group's view manager may change membership.
@@ -864,6 +942,9 @@ class Replica(Actor):
         if boundary is not None:
             self._take_checkpoint(*boundary)
         if live:
+            if self._stashed_for_execution:
+                self._stashed_for_execution = False
+                self._drain_future_proposals()
             self._maybe_propose()
 
     def _drain_future_proposals(self) -> None:
@@ -1045,6 +1126,7 @@ class Replica(Actor):
         for key in [k for k in self._pending_since
                     if self.log.tracker.last(k[0]) >= k[1]]:
             del self._pending_since[key]
+        self.app.reoffer(self)
         self.monitor.record(self.name, "checkpoint.installed",
                             cid=checkpoint.cid, active=self.active)
         if self.active and not was_active:

@@ -157,6 +157,7 @@ def _register_builtin_types() -> None:
         bmsg.AuthenticatedPropose,
         cmsg.RelayBatch,
         cmsg.DeliveryQuery,
+        cmsg.RelayCertificate,
     ):
         register_wire_type(cls)
 

@@ -24,6 +24,7 @@ from typing import Any, Optional, Tuple
 # per-group discipline, not a tree-wide one) but are part of the public
 # client-facing message surface, so they are re-exported here.
 from repro.bcast.messages import ReadReply, ReadRequest  # noqa: F401
+from repro.bcast.messages import Request
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature
 from repro.types import (
@@ -143,6 +144,32 @@ class RelayBatch:
 
     wires: Tuple[WireMulticast, ...]
     index: int
+
+
+@dataclass(frozen=True)
+class RelayCertificate:
+    """``f + 1`` parent relayers' signed copies of one relayed batch.
+
+    A child replica makes one once ``f + 1`` distinct replicas of ``parent``
+    sent it copies of the ``RelayBatch`` of ``index`` with one digest
+    (:class:`~repro.core.relay.RelayInbox`), and pools it as request ``seq =
+    index + 1`` of the pseudo-sender
+    :func:`~repro.core.relay.relay_sender`; the group orders it once instead
+    of every relayer's copy.  ``copies`` are the relayers' own signed
+    requests, carried as they arrived, so
+    every follower checks each signature (docs/PROTOCOL.md §3.2).  Anything
+    else in ``copies`` is refused at construction, so a frame that carries
+    it does not decode.
+    """
+
+    parent: str
+    index: int
+    copies: Tuple[Request, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.copies, tuple) or not all(
+                isinstance(copy, Request) for copy in self.copies):
+            raise TypeError("a relay certificate carries signed requests")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ Algorithm 1, whether the message
   client and this group is ``lca(m.dst)`` — the client's signature is
   verified), or
 * was relayed by the parent group (it arrives inside a
-  :class:`~repro.core.messages.RelayBatch` whose sender is one of the
-  parent's replicas — the whole batch is confirmed once f+1 of them voted
-  for it at its index, in :class:`~repro.core.relay.BatchMerge`),
+  :class:`~repro.core.messages.RelayBatch`, one signed copy from each of
+  the parent's replicas; the copies are votes, kept unordered in a
+  :class:`~repro.core.relay.RelayInbox`, and the group orders the batch
+  once, as a :class:`~repro.core.messages.RelayCertificate` of f+1 matching
+  copies),
 
 and then *acts* on it, once per message identity: re-broadcast into every
 child whose reach intersects ``m.dst`` (line 10-11) and a-deliver it if this
@@ -32,7 +34,9 @@ destination replies ``("ack",)``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from dataclasses import replace as dataclass_replace
 
@@ -47,10 +51,11 @@ from repro.core.messages import (
     MembershipUpdate,
     MulticastReply,
     RelayBatch,
+    RelayCertificate,
     TreeUpdate,
     WireMulticast,
 )
-from repro.core.relay import BatchMerge
+from repro.core.relay import RelayInbox, certificate_problem, relay_sender
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import SequenceDigest
 from repro.crypto.keys import KeyRegistry
@@ -58,17 +63,6 @@ from repro.crypto.signatures import verify_signed
 from repro.types import Delivery, MulticastMessage
 
 DeliverCallback = Callable[[MulticastMessage, ExecutionContext], None]
-
-
-def _merge_state(merge: BatchMerge) -> Tuple:
-    return (tuple(sorted(merge.senders)), merge.threshold, merge.snapshot())
-
-
-def _restored_merge(senders, threshold: int, state: Tuple) -> BatchMerge:
-    """The merge a :func:`_merge_state` entry describes."""
-    merge = BatchMerge(senders, threshold)
-    merge.restore(state)
-    return merge
 
 
 class ByzCastApplication(Application):
@@ -119,31 +113,27 @@ class ByzCastApplication(Application):
         self.accept_any_ancestor = accept_any_ancestor
 
         self.config = self.group_configs[group_id]
+        #: one relay stream per group that is or was this group's parent:
+        #: a former parent's keeps draining after a tree switch, and one
+        #: that becomes the parent again goes on at its next index.  Each
+        #: stream's next index is replicated state; the copies it holds are
+        #: this replica's own votes.
+        self._inboxes: Dict[str, RelayInbox] = {}
         parent = tree.parent(group_id)
-        self._parent_replicas: Tuple[str, ...] = ()
-        self._merge = None
         if parent is not None:
-            parent_config = self.group_configs[parent]
-            self._parent_replicas = parent_config.replicas
-            self._merge = BatchMerge(parent_config.replicas,
-                                     parent_config.f + 1)
+            self._open_stream(parent)
 
         #: monotonically increasing overlay epoch — bumped by each ordered
         #: :class:`~repro.core.messages.TreeUpdate` (replicated state)
         self.tree_epoch = 0
-        #: quorum merges of *former* parents still draining relayed copies
-        #: after a tree switch: list of ``(parent_gid, merge)``.  The switch
-        #: barrier drains client traffic first, so these are normally empty
-        #: moments after a switch; they stay registered so a straggling
-        #: correct old-parent replica can still complete an f+1 release.
-        self._prev_merges: List[Tuple[str, Any]] = []
         self._child_proxies: Dict[str, GroupProxy] = {}
         #: wires acted on in the batch being executed, per routed child, in
         #: act order; flushed by :meth:`end_batch`, so empty at every
         #: batch boundary (and therefore never part of a snapshot)
         self._relay_buffers: Dict[str, List[WireMulticast]] = {}
         #: per child, the index the next ``RelayBatch`` to it carries: how
-        #: many this group relayed to it so far (replicated, checkpointed)
+        #: many this group relayed to it so far (replicated, checkpointed,
+        #: and kept for a child a tree switch takes away)
         self._relay_index: Dict[str, int] = {}
         #: identities acted on, in act order.  Execution order is the same
         #: at every correct replica of the group, so insertion order *is*
@@ -170,8 +160,12 @@ class ByzCastApplication(Application):
             return self._apply_membership_update(request, wire, ctx)
         if isinstance(wire, TreeUpdate):
             return self._apply_tree_update(request, wire, ctx)
+        if isinstance(wire, RelayCertificate):
+            return self._execute_certificate(request, wire, ctx)
         if isinstance(wire, RelayBatch):
-            return self._execute_relay_batch(request.sender, wire, ctx)
+            # A copy a (Byzantine) leader ordered: still only a vote.
+            self._vote(request, ctx.replica)
+            return None
         problem = self._admit(wire, ctx)
         if problem is not None:
             return ("error", problem)
@@ -203,53 +197,162 @@ class ByzCastApplication(Application):
         delivered = self._act(wire, ctx, entered=True)
         return ("ack",) if delivered is None else delivered
 
-    def _execute_relay_batch(self, sender: str, batch: RelayBatch,
-                             ctx: ExecutionContext) -> Any:
-        """Push one relayer's copy of a batch into its vote merge, whole.
+    # ----------------------------------------------------- relay streams (§3.2)
 
-        Correct relayers cut identically, so f+1 of them push
-        byte-identical copies and the batch is confirmed once, by digest;
-        its wires are then validated and acted on once each.  Nothing a
-        relayer puts in a batch changes the reply: f of them are
-        Byzantine, and the correct relayers' f+1 reply match must not
-        depend on what those sent.
+    def _open_stream(self, parent: str) -> None:
+        """Accept relayed copies from ``parent``'s replicas from now on."""
+        if parent not in self._inboxes:
+            config = self.group_configs[parent]
+            self._inboxes[parent] = RelayInbox(config.replicas, config.f + 1)
+
+    def _stream_of(self,
+                   relayer: str) -> Tuple[Optional[str], Optional[RelayInbox]]:
+        """``(parent, inbox)`` of the stream ``relayer`` relays in, if any.
+
+        Replica names embed the group id, so the relayer sets are disjoint.
         """
-        merge = self._relayer_merge(sender)
-        if merge is None:
-            ctx.monitor.record(ctx.replica_name, "byzcast.relay_denied",
-                               sender=sender)
-            return ("error", "relay batch from a non-relayer")
+        for parent, inbox in self._inboxes.items():
+            if relayer in inbox.relayers:
+                return parent, inbox
+        return None, None
+
+    def intake(self, request: Request, replica: Any) -> bool:
+        """A parent replica's signed ``RelayBatch`` copy is a vote, never a
+        request to order (docs/PROTOCOL.md §3.2)."""
+        if not isinstance(request.command, RelayBatch):
+            return False
+        self._vote(request, replica)
+        return True
+
+    def _vote(self, copy: Request, replica: Any) -> None:
+        """Count one relayer's copy in its stream's inbox.
+
+        A copy of a released index is acknowledged at once; one that gives
+        its index a quorum pools that index's certificate.  Nothing a
+        relayer puts in a copy changes its ack: f relayers are Byzantine,
+        and the correct relayers' f+1 ack match must not depend on what
+        those sent.
+        """
+        parent, inbox = self._stream_of(copy.sender)
+        if inbox is None:
+            replica.monitor.record(replica.name, "byzcast.relay_denied",
+                                   sender=copy.sender)
+            return
+        batch = copy.command
         index = batch.index
         if (self._carried_wires(batch) is None or type(index) is not int
                 or index < 0):
-            ctx.monitor.record(ctx.replica_name, "byzcast.invalid_relay_batch",
-                               sender=sender)
-            return ("ack",)
-        self._release(merge.push(sender, index, batch), ctx)
-        return ("ack",)
+            replica.monitor.record(replica.name, "byzcast.invalid_relay_batch",
+                                   sender=copy.sender)
+            self._ack(replica, copy)
+            return
+        if index < inbox.next_index:
+            self._ack(replica, copy)
+            return
+        copies = inbox.vote(copy)
+        if copies is not None:
+            replica.offer(self._certificate(parent, index, copies))
 
-    def _release(self, batches: List[RelayBatch],
-                 ctx: ExecutionContext) -> None:
-        """Admit and act on every wire of each confirmed batch, in order."""
-        for batch in batches:
-            for wire in batch.wires:
-                if self._admit(wire, ctx) is None:
-                    self._act(wire, ctx)
+    def _ack(self, replica: Any, copy: Request) -> None:
+        replica.send(copy.sender, Reply(self.group_id, replica.name,
+                                        copy.sender, copy.seq, ("ack",)))
 
-    def _relayer_merge(self, sender: str) -> Optional[Any]:
-        """The quorum merge ``sender`` feeds, if it is an authorized relayer.
+    def _certificate(self, parent: str, index: int,
+                     copies: Tuple[Request, ...]) -> Request:
+        """The request that orders ``parent``'s batch ``index`` once."""
+        return Request(self.group_id, relay_sender(parent), index + 1,
+                       RelayCertificate(parent, index, copies))
 
-        Besides the parent's replicas that is a *former* parent's (the tree
-        switched while their copies were in flight): the retained drain
-        merge lets slow correct replicas still complete an f+1 release.
-        Replica names embed the group id, so the sender sets are disjoint.
-        """
-        if sender in self._parent_replicas:
-            return self._merge
-        for __, merge in self._prev_merges:
-            if sender in merge.senders:
-                return merge
+    def _recertify(self, replica: Any, parent: str, inbox: RelayInbox) -> None:
+        """Pool the certificates ``inbox`` holds now, and nothing else of
+        its stream."""
+        replica.withdraw(relay_sender(parent))
+        for index, copies in inbox.certificates():
+            replica.offer(self._certificate(parent, index, copies))
+
+    def reoffer(self, replica: Any) -> None:
+        for parent, inbox in self._inboxes.items():
+            self._recertify(replica, parent, inbox)
+
+    def vouch(self, request: Request,
+              ahead: Iterable[Request]) -> Optional[bool]:
+        """Whether the relay certificate ``request`` is valid where it
+        executes.  Its stream and relayers change only through an ordered
+        ``TreeUpdate`` or a ``MembershipUpdate`` of its parent, so with one
+        of those ahead the answer waits for it to execute."""
+        certificate = request.command
+        if not isinstance(certificate, RelayCertificate):
+            return False
+        admin = admin_identity(self.group_id)
+        for earlier in ahead:
+            command = earlier.command
+            if earlier.sender == admin and (
+                    isinstance(command, TreeUpdate)
+                    or (isinstance(command, MembershipUpdate)
+                        and command.group == certificate.parent)):
+                return None
+        return self._certificate_problem(request) is None
+
+    def _certificate_problem(self, request: Request) -> Optional[str]:
+        """Why the certificate ``request`` does not prove the batch its
+        pseudo-sender and seq stand for, or None."""
+        certificate = request.command
+        parent = certificate.parent
+        inbox = self._inboxes.get(parent) if type(parent) is str else None
+        if inbox is None:
+            return "no relay stream from that group"
+        problem = certificate_problem(
+            certificate, self.group_id, inbox.relayers, inbox.threshold,
+            partial(self._copy_verified, inbox, certificate.index))
+        if problem is not None:
+            return problem
+        if (request.sender != relay_sender(parent)
+                or request.seq != certificate.index + 1):
+            return "not its stream's request"
+        if self._carried_wires(certificate.copies[0].command) is None:
+            return "a malformed batch"
         return None
+
+    def _copy_verified(self, inbox: RelayInbox, index: int,
+                       copy: Request) -> bool:
+        """Whether ``copy``'s signature holds.  A copy equal to the one this
+        replica holds from that relayer was checked on receipt: a copy
+        decoded from a proposal is not verified again."""
+        held = inbox.held(copy.sender, index)
+        if held is not None and (held is copy or held == copy):
+            return True
+        signature = copy.signature
+        return (signature is not None and signature.signer == copy.sender
+                and verify_signed(self.registry, copy))
+
+    def _execute_certificate(self, request: Request,
+                             certificate: RelayCertificate,
+                             ctx: ExecutionContext) -> None:
+        """Release a certified batch: ack every relayer whose copy of it
+        this replica holds, then admit and act on each of its wires once.
+
+        The proposal check (:meth:`vouch`) ran against the membership that
+        holds here, and the FIFO tracker orders a stream by index, so a
+        decided certificate is valid; the re-check only guards execution.
+        No reply: the pseudo-sender is no endpoint.
+        """
+        problem = self._certificate_problem(request)
+        inbox = self._inboxes.get(certificate.parent)
+        if problem is None and certificate.index != inbox.next_index:
+            problem = "not the next index"
+        if problem is not None:
+            ctx.monitor.record(ctx.replica_name, "byzcast.invalid_certificate",
+                               reason=problem)
+            return
+        for copy in inbox.release(certificate.index):
+            self._ack(ctx.replica, copy)
+        self._release(certificate.copies[0].command, ctx)
+
+    def _release(self, batch: RelayBatch, ctx: ExecutionContext) -> None:
+        """Admit and act on every wire of a confirmed batch, in order."""
+        for wire in batch.wires:
+            if self._admit(wire, ctx) is None:
+                self._act(wire, ctx)
 
     def _carried_wires(self, batch: RelayBatch) -> Optional[Tuple]:
         """``batch.wires`` if it is a tuple of at most ``max_batch`` elements."""
@@ -260,6 +363,8 @@ class ByzCastApplication(Application):
 
     def carried(self, request: Request) -> int:
         command = request.command
+        if isinstance(command, RelayCertificate) and command.copies:
+            command = command.copies[0].command
         wires = (self._carried_wires(command)
                  if isinstance(command, RelayBatch) else None)
         return len(wires) if wires else 1
@@ -285,11 +390,12 @@ class ByzCastApplication(Application):
 
         Executes at one consensus boundary on every replica of this group,
         so the relay wiring that captured construction-time membership —
-        child proxies into ``update.group`` and, when it is our overlay
-        parent, the authorized-relayer set plus the f+1 vote merge —
-        changes at the same logical point everywhere.  Messages the merge
-        releases *because* of the change (a lower threshold) are acted on
-        right here, inside ordered execution.
+        child proxies into ``update.group`` and, when it is (or was) our
+        overlay parent, the relayers and threshold its certificates are
+        checked against — changes at the same logical point everywhere.
+        The stream's inbox drops departed relayers' votes and recounts, and
+        its certificates are pooled anew: one signed by a departed relayer
+        is void from here on, and a lower threshold may complete another.
         """
         if request.sender != admin_identity(self.group_id):
             ctx.monitor.record(ctx.replica_name, "byzcast.membership_denied",
@@ -307,17 +413,10 @@ class ByzCastApplication(Application):
         proxy = self._child_proxies.get(update.group)
         if proxy is not None:
             proxy.update_replicas(config.replicas, config.f)
-        if update.group == self.tree.parent(self.group_id):
-            assert self._merge is not None
-            self._parent_replicas = config.replicas
-            self._release(self._merge.update_members(config.replicas,
-                                                     config.f + 1), ctx)
-        # A former parent reconfiguring mid-drain must not strand its
-        # retained merge on departed replicas' votes.
-        for parent_gid, merge in self._prev_merges:
-            if update.group == parent_gid:
-                self._release(merge.update_members(config.replicas,
-                                                   config.f + 1), ctx)
+        inbox = self._inboxes.get(update.group)
+        if inbox is not None:
+            inbox.restore(config.replicas, config.f + 1, inbox.next_index)
+            self._recertify(ctx.replica, update.group, inbox)
         ctx.monitor.record(ctx.replica_name, "byzcast.membership_update",
                            group=update.group,
                            members=",".join(update.replicas))
@@ -329,7 +428,7 @@ class ByzCastApplication(Application):
 
         Executes at one consensus boundary on every replica of this group,
         so routing (``route_children``), entry validation (``lca``) and the
-        parent quorum merge all flip at the same logical point everywhere —
+        parent's relay stream all flip at the same logical point everywhere —
         the same discipline as :meth:`_apply_membership_update`.  A stale or
         replayed epoch is a no-op, which keeps checkpoint-log replay (and
         joiners catching up through a switch) idempotent.
@@ -352,27 +451,14 @@ class ByzCastApplication(Application):
         for gid in tree.nodes:
             if gid not in self.group_configs:
                 return ("error", f"unknown group {gid!r} in tree update")
-        old_parent = self.tree.parent(self.group_id)
         new_parent = tree.parent(self.group_id)
         self.tree = tree
         self.tree_epoch = update.epoch
-        # A former child's relay sequence ends here: if it becomes a child
-        # again, it starts a new merge for this group, from index 0.
-        self._relay_index = {child: index
-                             for child, index in self._relay_index.items()
-                             if tree.parent(child) == self.group_id}
-        if new_parent != old_parent:
-            if self._merge is not None:
-                # Keep the old merge draining: straggling relays from the
-                # former parent may still need f+1 confirmation.
-                self._prev_merges.append((old_parent, self._merge))
-            if new_parent is not None:
-                config = self.group_configs[new_parent]
-                self._parent_replicas = config.replicas
-                self._merge = BatchMerge(config.replicas, config.f + 1)
-            else:
-                self._parent_replicas = ()
-                self._merge = None
+        # The former parent's stream keeps draining, and a former child's
+        # relay index is kept: if it becomes a child again, its stream from
+        # this group goes on where it stopped.
+        if new_parent is not None:
+            self._open_stream(new_parent)
         ctx.monitor.record(ctx.replica_name, "byzcast.tree_update",
                            epoch=update.epoch,
                            parent=new_parent or "(root)")
@@ -541,8 +627,9 @@ class ByzCastApplication(Application):
 
         Covers the acted ids (in act order — what was a-delivered here is
         the subsequence addressed to this group, so it is not stored
-        twice), the parent merge (next index and the copies kept from
-        it on), the next relay index per child, and (via ``on_snapshot``)
+        twice), the next index of each parent stream (its copies are this
+        replica's votes, not replicated state), the next relay index per
+        child, and (via ``on_snapshot``)
         the business state the delivery callback maintains.  The id
         sequence grows with history and is copied as it stands, without
         sorting or encoding; everything else is bounded by in-flight work
@@ -551,16 +638,9 @@ class ByzCastApplication(Application):
         numbers), and a restored replica skipping the relays of the batches
         it skipped is what the relay indexes let the children tolerate.
         """
-        # The merge's membership is itself replicated state under elastic
-        # membership (an ordered MembershipUpdate changes it), so the
-        # snapshot carries (senders, threshold) alongside the kept copies.
-        merge = _merge_state(self._merge) if self._merge is not None else None
-        # The overlay itself is replicated state under adaptive trees (an
-        # ordered TreeUpdate changes it): a joiner restoring a post-switch
-        # checkpoint must route on the tree its epoch agreed on, drain
-        # merges included.
-        drains = tuple((parent_gid, *_merge_state(m))
-                       for parent_gid, m in self._prev_merges)
+        # A stream's relayers are its parent's membership, in ``configs``.
+        streams = tuple((parent, inbox.next_index)
+                        for parent, inbox in sorted(self._inboxes.items()))
         # The checkpoint boundary is a deterministic cid, so advancing the
         # stable-read mirror here keeps it identical across replicas.
         self._stable_delivered = len(self.deliveries)
@@ -574,9 +654,12 @@ class ByzCastApplication(Application):
             (gid, tuple(config.replicas), config.f)
             for gid, config in sorted(self.group_configs.items())
         )
+        # The overlay itself is replicated state under adaptive trees (an
+        # ordered TreeUpdate changes it): a joiner restoring a post-switch
+        # checkpoint must route on the tree its epoch agreed on.
         tree_state = (self.tree_epoch, self.tree.parent_edges(),
-                      tuple(sorted(self.tree.targets)), drains)
-        state = ("byzcast", tuple(self._acted), merge, payload, configs,
+                      tuple(sorted(self.tree.targets)))
+        state = ("byzcast", tuple(self._acted), streams, payload, configs,
                  tree_state, tuple(sorted(self._relay_index.items())))
         self._summarised = (state, self._summary(state,
                                                  self._acted_digest.value()))
@@ -602,7 +685,7 @@ class ByzCastApplication(Application):
 
     def restore(self, state: Tuple) -> None:
         """Adopt a peer's :meth:`snapshot` (checkpoint install path)."""
-        __, acted, merge, payload, configs, tree_state, relays = state
+        __, acted, streams, payload, configs, tree_state, relays = state
         self._acted = dict.fromkeys(acted)
         # Reseeded from the ids, so the next checkpoint taken here digests
         # to what the replicas that never restored compute.
@@ -618,16 +701,21 @@ class ByzCastApplication(Application):
             if proxy is not None:
                 proxy.update_replicas(config.replicas, config.f)
         self.config = self.group_configs[self.group_id]
-        # The merge state belongs to the snapshot's parent, which after a
-        # switch is not necessarily this replica's construction-time parent.
-        tree_epoch, edges, targets, drains = tree_state
+        tree_epoch, edges, targets = tree_state
         if tree_epoch != self.tree_epoch:
             self.tree = OverlayTree(dict(edges), targets)
             self.tree_epoch = tree_epoch
-        self._merge = None if merge is None else _restored_merge(*merge)
-        self._parent_replicas = () if merge is None else tuple(merge[0])
-        self._prev_merges = [(parent_gid, _restored_merge(*entry))
-                             for parent_gid, *entry in drains]
+        # The snapshot's streams (after a switch not necessarily this
+        # replica's construction-time parent's); the votes held for their
+        # unreleased indexes stay.
+        inboxes = {}
+        for parent, next_index in streams:
+            config = self.group_configs[parent]
+            inbox = self._inboxes.get(parent) or RelayInbox(config.replicas,
+                                                            config.f + 1)
+            inbox.restore(config.replicas, config.f + 1, next_index)
+            inboxes[parent] = inbox
+        self._inboxes = inboxes
         self._relay_index = dict(relays)
         # Rebuild the delivery record so the a-delivery *sequence* survives
         # the restore; timestamps/process are local observations, not

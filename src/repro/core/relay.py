@@ -1,4 +1,5 @@
-"""Order-preserving f+1 confirmation of relayed batches (Algorithm 1, line 9).
+"""Order-preserving f+1 confirmation of relayed batches (Algorithm 1, line 9),
+ordered once per batch.
 
 Algorithm 1 says a group handles a message from its parent once it has
 delivered it ``f + 1`` times — proof that at least one *correct* parent
@@ -13,24 +14,48 @@ The order comes from an index.  Each parent replica stamps every
 ``RelayBatch`` with its position in the parent's per-child relay sequence —
 replicated parent state, checkpointed with the rest, so every correct
 parent stamps a batch alike, even one that installed a checkpoint or joined
-by state transfer and so never relayed the batches before it.
-:class:`BatchMerge` releases index ``i`` only after index ``i - 1``, and
-at index ``i`` a copy is one vote: a relayer's first copy of an index
-counts, for the digest of the batch it carries, and the batch is released
-once ``f + 1`` distinct relayers voted for that digest (:class:`QuorumMerge`
-is that ballot).  ``f`` Byzantine votes never reach ``f + 1``, whatever
-digest or index they carry, and a skipped index is never overtaken.  The
-unit of the vote is a whole batch: correct relayers cut identically (the
-cut is a function of ordered execution), so the f+1 copies of one batch are
-byte-identical and the child confirms it once instead of wire by wire.
-``tests/core/test_relay.py`` contains the adversarial scenarios.
+by state transfer and so never relayed the batches before it.  Correct
+relayers cut identically (the cut is a function of ordered execution), so
+the f+1 copies of one batch are byte-identical and a batch's digest is its
+vote.
+
+The copies are votes, not requests.  A child replica keeps each relayer's
+first signed copy of an index in a :class:`RelayInbox`, outside consensus,
+as one vote for the digest of the batch it carries (:class:`QuorumMerge` is
+that ballot, one per index).  Once ``f + 1`` distinct relayers voted for one
+digest, the replica pools those copies as one
+:class:`~repro.core.messages.RelayCertificate`, the request ``seq = index +
+1`` of the stream's pseudo-sender (:func:`relay_sender`).  The leader orders
+it like any request, so the FIFO tracker releases a stream's batches in
+index order and a skipped index is never overtaken; each follower checks
+the certificate (:func:`certificate_problem`) before it votes for the
+proposal.  ``f`` Byzantine votes never reach ``f + 1``, whatever digest or
+index they carry.  ``tests/core/test_relay.py`` contains the adversarial
+scenarios and ``tests/properties/test_relay_inbox_machine.py`` the state
+machine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set,
+    Tuple,
+)
 
+from repro.bcast.messages import Request
+from repro.core.messages import RelayBatch, RelayCertificate
 from repro.crypto.digest import digest
+
+#: how far past the next index to release a relayer's copy may point; a
+#: copy beyond is dropped unacknowledged (its relayer retransmits), so a
+#: Byzantine relayer cannot grow a child's inbox without bound
+RELAY_WINDOW = 1024
+
+
+def relay_sender(parent: str) -> str:
+    """The pseudo-sender of ``parent``'s relay certificates at a child: no
+    endpoint has that name, and no key signs for it."""
+    return f"relay@{parent}"
 
 
 class QuorumMerge:
@@ -64,102 +89,132 @@ class QuorumMerge:
         return [value] if len(voters) == self.threshold else []
 
 
-class BatchMerge:
-    """One parent group's relayed batches at a child, released in index order.
+def certificate_problem(certificate: RelayCertificate, group: str,
+                        relayers: Iterable[str], threshold: int,
+                        verified: Callable[[Request], bool]) -> Optional[str]:
+    """Why ``certificate`` does not prove its batch, or None.
 
-    Keeps each relayer's first copy of every index from :attr:`next_index`
-    on, in arrival order — at most one copy per relayer and index — and
-    votes the copies of :attr:`next_index` into a :class:`QuorumMerge`
-    keyed by ``digest(batch)``.  A release drops that index's copies and
-    votes the next index's into a fresh ballot.  A copy of an index already
-    released (a late correct copy, a replay) is dropped.  Copies arrive
-    during ordered execution, so the kept copies are the same at every
-    correct replica and belong in a checkpoint; the ballot is rebuilt from
-    them.
+    It proves it with ``threshold`` copies or more, for ``group``, from
+    distinct ``relayers``, each a ``RelayBatch`` of the certificate's index
+    with one digest, each ``verified`` (its signature holds).  ``threshold``
+    is ``f + 1``, so one of them is a correct relayer's.
+    """
+    index, copies = certificate.index, certificate.copies
+    if type(index) is not int or index < 0:
+        return "not an index"
+    if len(copies) < threshold:
+        return "too few copies"
+    signers: Set[str] = set()
+    key = None
+    for copy in copies:
+        if copy.group != group:
+            return "a copy for another group"
+        if copy.sender not in relayers or copy.sender in signers:
+            return "not distinct relayers"
+        signers.add(copy.sender)
+        batch = copy.command
+        if (not isinstance(batch, RelayBatch) or type(batch.index) is not int
+                or batch.index != index):
+            return "a copy of another index"
+        if key is None:
+            key = digest(batch)
+        elif digest(batch) != key:
+            return "copies of different batches"
+        if not verified(copy):
+            return "a forged copy"
+    return None
+
+
+class RelayInbox:
+    """One parent stream's relayed copies at one child replica, as votes.
+
+    :attr:`next_index` — the index of the stream's next batch to release —
+    is replicated: it advances only when that batch's certificate executes,
+    and a checkpoint carries it.  Everything else is this replica's own and
+    never replicated: each relayer's first copy of every index from
+    :attr:`next_index` on, in arrival order, voted into one
+    :class:`QuorumMerge` per index keyed by the digest of the batch, and the
+    certificate copies of each index that reached ``threshold``.
     """
 
-    def __init__(self, senders: Iterable[str], threshold: int) -> None:
-        self._ballot = QuorumMerge(senders, threshold)
-        #: the index of the next batch to release
-        self.next_index = 0
-        #: index -> each relayer's first ``(sender, batch)`` copy of it, in
-        #: arrival order
-        self._copies: Dict[int, List[Tuple[str, Any]]] = {}
+    def __init__(self, relayers: Iterable[str], threshold: int,
+                 next_index: int = 0) -> None:
+        #: index -> relayer -> its first copy, in arrival order
+        self._copies: Dict[int, Dict[str, Request]] = {}
+        self._ballots: Dict[int, QuorumMerge] = {}
+        #: index -> the first ``threshold`` copies with one digest
+        self._quorums: Dict[int, Tuple[Request, ...]] = {}
+        self.restore(relayers, threshold, next_index)
 
-    @property
-    def senders(self) -> frozenset:
-        return self._ballot.senders
+    def held(self, relayer: str, index: int) -> Optional[Request]:
+        """``relayer``'s copy of ``index``, if this inbox holds one."""
+        return self._copies.get(index, {}).get(relayer)
 
-    @property
-    def threshold(self) -> int:
-        return self._ballot.threshold
+    def vote(self, copy: Request) -> Optional[Tuple[Request, ...]]:
+        """Count ``copy`` — a relayer's signed ``RelayBatch`` request whose
+        signature the caller checked — as its sender's vote at its index.
 
-    def push(self, sender: str, index: int, batch: Any) -> List[Any]:
-        """Record that ``sender``'s copy of batch ``index`` was ordered
-        locally; returns the batches this releases, in index order."""
-        if sender not in self.senders or index < self.next_index:
-            return []
-        copies = self._copies.setdefault(index, [])
-        if any(voter == sender for voter, __ in copies):
-            return []
-        copies.append((sender, batch))
-        if index > self.next_index:
-            return []
-        return self._advance(self._ballot.push(sender, digest(batch), batch))
-
-    def update_members(self, senders: Iterable[str],
-                       threshold: int) -> List[Any]:
-        """Adopt a new relayer membership (parent-group reconfiguration).
-
-        Removed relayers' copies are dropped and the ballot is recounted
-        over the rest; returns the batches that unblocks (e.g. one whose
-        only missing votes belonged to a removed replica), in index order.
+        Returns the certificate copies of that index when this vote
+        completes its quorum, or repeats a vote at an index that has one (a
+        retransmission offers the certificate again); else None.  A copy
+        from outside the membership, of a released index or beyond
+        :data:`RELAY_WINDOW` counts nothing.
         """
-        self._ballot = QuorumMerge(senders, threshold)
-        self._drop_strangers()
-        return self._advance(self._vote())
+        index = copy.command.index
+        if (copy.sender not in self.relayers or index < self.next_index
+                or index >= self.next_index + RELAY_WINDOW):
+            return None
+        copies = self._copies.setdefault(index, {})
+        if copy.sender in copies:
+            return self._quorums.get(index)
+        copies[copy.sender] = copy
+        return self._count(index, copy)
 
-    def _drop_strangers(self) -> None:
-        """Keep only the copies of relayers in the membership."""
-        self._copies = {
-            index: [(voter, batch) for voter, batch in copies
-                    if voter in self.senders]
-            for index, copies in self._copies.items()}
+    def _count(self, index: int,
+               copy: Request) -> Optional[Tuple[Request, ...]]:
+        """Push ``copy`` into its index's ballot; the certificate copies if
+        this completed the quorum."""
+        ballot = self._ballots.get(index)
+        if ballot is None:
+            ballot = self._ballots[index] = QuorumMerge(self.relayers,
+                                                        self.threshold)
+        key = digest(copy.command)
+        if not ballot.push(copy.sender, key, copy):
+            return None
+        quorum = self._quorums[index] = tuple(
+            kept for kept in self._copies[index].values()
+            if digest(kept.command) == key)[:self.threshold]
+        return quorum
 
-    def _vote(self) -> List[Any]:
-        """Vote the copies of :attr:`next_index` into a fresh ballot;
-        returns the batch they release, if any."""
-        self._ballot = QuorumMerge(self.senders, self.threshold)
-        for sender, batch in self._copies.get(self.next_index, ()):
-            released = self._ballot.push(sender, digest(batch), batch)
-            if released:
-                return released
-        return []
+    def certificates(self) -> Iterator[Tuple[int, Tuple[Request, ...]]]:
+        """``(index, certificate copies)`` of every index with a quorum."""
+        return iter(sorted(self._quorums.items()))
 
-    def _advance(self, released: List[Any]) -> List[Any]:
-        """``released`` (the batch at :attr:`next_index`, if any) and every
-        batch the kept copies then release, one index at a time."""
-        batches: List[Any] = []
-        while released:
-            batches += released
-            del self._copies[self.next_index]
-            self.next_index += 1
-            released = self._vote()
-        return batches
+    def release(self, index: int) -> List[Request]:
+        """Advance past ``index``, whose certificate executed; returns every
+        copy held for it — each of those relayers is owed an ack."""
+        held = list(self._copies.pop(index, {}).values())
+        self._ballots.pop(index, None)
+        self._quorums.pop(index, None)
+        self.next_index = index + 1
+        return held
 
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> Tuple:
-        """``(next_index, kept copies by index)``: everything else is
-        rebuilt from them."""
-        return (self.next_index,
-                tuple((index, tuple(self._copies[index]))
-                      for index in sorted(self._copies)))
-
-    def restore(self, state: Tuple) -> None:
-        """Adopt a peer's :meth:`snapshot` (copies from relayers outside
-        this merge's membership are dropped)."""
-        self.next_index, copies = state
-        self._copies = dict(copies)
-        self._drop_strangers()
-        self._vote()
+    def restore(self, relayers: Iterable[str], threshold: int,
+                next_index: int) -> None:
+        """Adopt a membership and a next index (a parent reconfiguration, a
+        checkpoint install): the copies of departed relayers and of released
+        indexes are dropped, and every ballot is recounted over the rest."""
+        QuorumMerge(relayers, threshold)  # validates the threshold
+        self.relayers = frozenset(relayers)
+        self.threshold = threshold
+        #: the index of the next batch to release
+        self.next_index = next_index
+        kept = self._copies
+        self._copies, self._ballots, self._quorums = {}, {}, {}
+        for index, copies in kept.items():
+            if index < next_index:
+                continue
+            for copy in copies.values():
+                if copy.sender in self.relayers:
+                    self._copies.setdefault(index, {})[copy.sender] = copy
+                    self._count(index, copy)

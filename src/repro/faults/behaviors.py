@@ -15,10 +15,10 @@ from typing import Any, Tuple
 from repro.bcast.client import GroupProxy
 from repro.bcast.messages import Accept, Propose, ReadReply, ReadRequest, Request, Write
 from repro.bcast.replica import Replica
-from repro.core.messages import RelayBatch, WireMulticast
+from repro.core.messages import RelayBatch, RelayCertificate, WireMulticast
 from repro.core.node import ByzCastApplication
 from repro.crypto.digest import digest
-from repro.crypto.signatures import sign
+from repro.crypto.signatures import Signature, sign
 
 
 class EquivocatingLeaderReplica(Replica):
@@ -49,6 +49,49 @@ class EquivocatingLeaderReplica(Replica):
                 self.send(peer, proposal_b, size=64 * max(1, len(batch)))
         self.monitor.record(self.name, "byzantine.equivocation", cid=cid)
         self._process_proposal(self.name, proposal_a)
+
+
+class ForgingCertificateLeaderReplica(Replica):
+    """A child-group leader that proposes relay certificates no correct
+    replica accepts.
+
+    Each certificate it proposes keeps its first f genuine copies and, by
+    turns, adds one of them again (a duplicated signer), the last copy under
+    a signature of its own key (a forged signer), or the last batch signed
+    as itself, a replica that is no relayer of the parent (as a departed
+    relayer is not) — or it moves the certificate to the next index (out
+    of FIFO order).  Correct followers refuse the proposal, their request
+    timers change the regency, and the next leader orders the genuine
+    certificates.
+    """
+
+    def _send_propose(self, cid: int, regency: int,
+                      batch: Tuple[Request, ...]) -> None:
+        spoilt = tuple(self._spoil(request, cid)
+                       if isinstance(request.command, RelayCertificate)
+                       else request for request in batch)
+        super()._send_propose(cid, regency, spoilt)
+
+    def _spoil(self, request: Request, turn: int) -> Request:
+        self.monitor.count("byzantine.bad_certificate")
+        certificate = request.command
+        *genuine, last = certificate.copies
+        kind = turn % 4
+        if kind == 3:
+            return Request(request.group, request.sender, request.seq + 1,
+                           RelayCertificate(certificate.parent,
+                                            certificate.index + 1,
+                                            certificate.copies))
+        if kind == 0:
+            extra = genuine[0]
+        else:
+            signer = last.sender if kind == 1 else self.name
+            unsigned = Request(last.group, signer, last.seq, last.command)
+            tag = sign(self.registry, self.name, unsigned.signed_part()).tag
+            extra = unsigned.with_signature(Signature(signer, tag))
+        return Request(request.group, request.sender, request.seq,
+                       RelayCertificate(certificate.parent, certificate.index,
+                                        (*genuine, extra)))
 
 
 class MuteReplica(Replica):

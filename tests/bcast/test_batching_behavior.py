@@ -34,10 +34,10 @@ def test_max_batch_caps_round_size():
     assert rounds >= 10  # at most 10 requests per instance
 
 
-def test_natural_batching_coalesces_relay_copies():
-    """With no batch timer, the 3f+1 relayed copies of one global message
-    are ordered by the child group in a single consensus instance: they
-    arrive while the leader pays the first instance's fixed cost."""
+def test_a_relayed_batch_is_one_child_instance_at_any_batch_size():
+    """The 3f+1 relayed copies of one global message are votes, not
+    requests: the child group orders the one certificate they make, in a
+    single consensus instance, whatever its ``max_batch``."""
     tree = OverlayTree.two_level(["g1", "g2"])
 
     def child_rounds(**engine) -> int:
@@ -49,8 +49,5 @@ def test_natural_batching_coalesces_relay_copies():
         assert client.pending() == 0
         return consensus_rounds(dep.groups["g1"].replicas[0])
 
-    # One instance at the root (client request), one at each child (all
-    # four relayed copies together) ...
     assert child_rounds() == 1
-    # ... where one request per instance needs one per copy.
-    assert child_rounds(max_batch=1) == 4
+    assert child_rounds(max_batch=1) == 1

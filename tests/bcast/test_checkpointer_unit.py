@@ -181,6 +181,8 @@ class TestSequenceDigests:
         restored.app.restore(first.state)
         restored.seq, restored.cid = node.seq, node.cid
         restored.relays = node.relays
+        # the FIFO tracker travels with a checkpoint
+        restored.replica.ordered = dict(node.replica.ordered)
         assert ([m.mid for m in restored.app.delivered_messages()]
                 == [m.mid for m in node.app.delivered_messages()])
         ahead, behind = node.run_interval(), restored.run_interval()

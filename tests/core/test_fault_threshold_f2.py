@@ -9,7 +9,9 @@ from repro.core.tree import OverlayTree
 from repro.faults.behaviors import SilentRelayApp
 from repro.faults.injector import FaultPlan
 from repro.types import destination
-from tests.faults.test_byzantine import RELAY_ADVERSARIES, relay_battery
+from tests.faults.test_byzantine import (
+    RELAY_ADVERSARIES, certificate_battery, relay_battery,
+)
 from tests.helpers import FAST_COSTS, Harness, make_config
 
 
@@ -49,8 +51,7 @@ def test_byzcast_with_f2_groups():
         for app in dep.apps(gid):
             assert ("global",) in [m.payload for m in app.delivered_messages()]
     # Relay confirmation now needs f+1 = 3 distinct parents.
-    merge = dep.apps("g1")[0]._merge
-    assert merge.threshold == 3
+    assert dep.apps("g1")[0]._inboxes["h1"].threshold == 3
 
 
 def test_byzcast_f2_with_two_silent_relays():
@@ -79,6 +80,10 @@ def test_byzcast_f2_with_two_silent_relays():
                          ids=lambda cls: cls.__name__)
 def test_relay_battery_with_two_adversaries_per_inner_group(adversary):
     relay_battery(adversary, f=2)
+
+
+def test_two_certificate_forging_leaders_per_child_group():
+    certificate_battery(f=2)
 
 
 def test_mixed_f_per_group():

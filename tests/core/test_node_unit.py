@@ -9,8 +9,8 @@ from repro.bcast.messages import Request
 from repro.bcast.reconfig import admin_identity
 from repro.core.invariants import check_prefix_order
 from repro.core.messages import (
-    DeliveryQuery, MembershipUpdate, MulticastReply, RelayBatch, TreeUpdate,
-    WireMulticast,
+    DeliveryQuery, MembershipUpdate, MulticastReply, RelayBatch,
+    RelayCertificate, TreeUpdate, WireMulticast,
 )
 from repro.core.node import ByzCastApplication
 from repro.core.relay import QuorumMerge
@@ -18,7 +18,9 @@ from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from repro.sim.events import EventLoop
 from repro.types import ClientId, GroupId, MessageId, MulticastMessage
-from tests.helpers import FakeReplica, configs_for, execute, relayed, wire_for
+from tests.helpers import (
+    FakeReplica, acks, configs_for, execute, relayed, wire_for,
+)
 
 
 @pytest.fixture
@@ -136,11 +138,13 @@ class TestReplyPaths:
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1", "h2/r2"):
-            assert execute(app, replica, relayed("g1", parent, 1, wire)) == ("ack",)
+            assert execute(app, replica, relayed("g1", parent, 1, wire)) is None
         assert self.multicast_replies(replica) == [
             ("client", MulticastReply(group="g1", replica="g1/r0",
                                       sender="client", seq=1,
                                       result=("value", 7)))]
+        # The relayers are acked once the batch released, a late one at once.
+        assert acks(replica) == [("h2/r0", 1), ("h2/r1", 1), ("h2/r2", 1)]
 
     def test_a_delivery_query_repeats_the_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
@@ -171,8 +175,8 @@ class TestReplyPaths:
         child = ByzCastApplication("g2", tree, configs, registry)
         child_replica = FakeReplica("g2/r0", configs["g2"])
         for parent in ("g1/r0", "g1/r1"):
-            assert execute(child, child_replica,
-                           relayed("g2", parent, 1, wire)) == ("ack",)
+            execute(child, child_replica, relayed("g2", parent, 1, wire))
+        assert acks(child_replica) == [("g1/r0", 1), ("g1/r1", 1)]
         assert [(dst, p.group) for dst, p in
                 self.multicast_replies(child_replica)] == [("client", "g2")]
 
@@ -206,7 +210,8 @@ class TestRelayedCopies:
         wire = wire_for(registry, "client", 1, ("g2", "g3"))
         for parent in ("h1/r0", "h1/r1"):
             execute(app, replica, relayed("h2", parent, 1, wire))
-        targets = {dst.split("/")[0] for dst, p in replica.sent}
+        targets = {dst.split("/")[0] for dst, p in replica.sent
+                   if isinstance(p, Request)}
         assert targets == {"g2"}  # g3 is h3's business
 
     def test_duplicate_relays_act_once(self, setup):
@@ -240,6 +245,7 @@ class TestRelayedCopies:
         assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
         restored, restored_replica = make("g1", "g1/r1")
         restored.restore(app.snapshot())
+        restored_replica.ordered = dict(replica.ordered)  # the FIFO tracker
         assert [m.mid.seq for m in restored.delivered_messages()] == [1, 2]
         replay(restored, restored_replica, 3)
         assert [m.mid.seq for m in restored.delivered_messages()] == [1, 2]
@@ -296,17 +302,28 @@ class TestRelayedCopies:
         assert app.delivered_messages() == []
 
 
+def held(app, parent="h2"):
+    """The relayed copies ``app`` holds, as ``{index: [relayer, ...]}``."""
+    return {index: list(copies)
+            for index, copies in app._inboxes[parent]._copies.items()}
+
+
+def next_index(app, parent="h2"):
+    return app._inboxes[parent].next_index
+
+
 class TestRelayBatchHardening:
     """What a child accepts inside a ``RelayBatch``, and from whom."""
 
-    def test_batch_from_non_relayer_is_an_error_and_pushes_nothing(self, setup):
+    def test_a_copy_from_a_non_relayer_is_denied_and_counts_nothing(
+            self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
         for outsider in ("h3/r0", "client", "g1/r1"):
-            result = execute(app, replica, relayed("g1", outsider, 1, wire))
-            assert result[0] == "error", outsider
-        assert app._merge.snapshot() == (0, ())
+            assert execute(app, replica,
+                           relayed("g1", outsider, 1, wire)) is None
+        assert held(app) == {} and replica.sent == []
         assert replica.monitor.counters["byzcast.relay_denied"] == 3
         assert "byzcast.executed_wire" not in replica.monitor.counters
 
@@ -323,7 +340,8 @@ class TestRelayBatchHardening:
         )
         batch = (junk[0], first, junk[1], junk[2], second, junk[3])
         for parent in ("h2/r0", "h2/r1", "h2/r2"):
-            assert execute(app, replica, relayed("g1", parent, 1, *batch)) == ("ack",)
+            execute(app, replica, relayed("g1", parent, 1, *batch))
+        assert len(acks(replica)) == 3
         assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
         # Validated once, when the batch is released: not once per copy.
         assert replica.monitor.counters["byzcast.invalid_wire"] == len(junk)
@@ -337,10 +355,12 @@ class TestRelayBatchHardening:
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1"):
             request = Request("g1", parent, 1, RelayBatch((wire,), index))
-            assert execute(app, replica, request) == ("ack",)
+            execute(app, replica, request)
         assert app.delivered_messages() == []
         assert replica.monitor.counters["byzcast.invalid_relay_batch"] == 2
-        assert app._merge.next_index == 0
+        # acked at once: no index will ever release them
+        assert acks(replica) == [("h2/r0", 1), ("h2/r1", 1)]
+        assert held(app) == {} and next_index(app) == 0
 
     def test_oversize_batch_is_dropped_whole(self, setup):
         tree, configs, registry, loop, make = setup
@@ -351,7 +371,7 @@ class TestRelayBatchHardening:
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 1, *wires))
         assert app.delivered_messages() == []
-        assert app._merge.snapshot() == (0, ())
+        assert held(app) == {} and next_index(app) == 0
         # One wire fewer is within the limit and goes through.
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica,
@@ -365,20 +385,27 @@ class TestRelayBatchHardening:
         for wires in (None, 7, [wire], wire):
             request = Request("g1", "h2/r0", 1, RelayBatch(wires, 0))
             assert app.carried(request) == 1
-            assert execute(app, replica, request) == ("ack",)
-        assert app._merge.snapshot() == (0, ())
+            execute(app, replica, request)
+        assert acks(replica) == [("h2/r0", 1)] * 4
+        assert held(app) == {}
 
     def test_ack_does_not_depend_on_content(self, setup):
         """f+1 correct relayers must get matching replies whatever the f
-        Byzantine ones sent before them."""
+        Byzantine ones sent before them: every copy is acked ``("ack",)``,
+        once, when its index released (or at once, if it never will)."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
         limit = configs["g1"].max_batch
         contents = [(), (wire,), (wire, wire), (("raw",),), (wire,) * (limit + 1)]
-        replies = {execute(app, replica, relayed("g1", "h2/r0", seq, *wires))
-                   for seq, wires in enumerate(contents, start=1)}
-        assert replies == {("ack",)}
+        for seq, wires in enumerate(contents, start=1):
+            execute(app, replica, relayed("g1", "h2/r0", seq, *wires))
+        for parent in ("h2/r1", "h2/r2"):
+            for seq in range(1, len(contents) + 1):
+                execute(app, replica, relayed("g1", parent, seq, wire))
+        replies = [reply for dst, reply in replica.sent if dst == "h2/r0"]
+        assert {reply.result for reply in replies} == {("ack",)}
+        assert sorted(reply.req_seq for reply in replies) == [1, 2, 3, 4, 5]
 
     def test_carried_counts_wires_of_a_wellformed_batch(self, setup):
         tree, configs, registry, loop, make = setup
@@ -387,19 +414,25 @@ class TestRelayBatchHardening:
         assert app.carried(Request("g1", "client", 1, wire)) == 1
         assert app.carried(relayed("g1", "h2/r0", 1, wire, wire, wire)) == 3
         assert app.carried(relayed("g1", "h2/r0", 1)) == 1
+        # A certificate carries its batch's wires once.
+        copies = tuple(relayed("g1", parent, 1, wire, wire)
+                       for parent in ("h2/r0", "h2/r1"))
+        certificate = Request("g1", "relay@h2", 1,
+                              RelayCertificate("h2", 0, copies))
+        assert app.carried(certificate) == 2
 
 
-def parked(app):
-    """The relayed copies ``app`` holds back for an earlier index."""
-    next_index, by_index = app._merge.snapshot()
-    return sum(len(copies) for index, copies in by_index
-               if index > next_index)
+def parked(app, parent="h2"):
+    """The relayed copies ``app`` holds for a later index than its next."""
+    return sum(len(copies) for index, copies in held(app, parent).items()
+               if index > next_index(app, parent))
 
 
 class TestBatchRule:
-    """A relayed batch is confirmed whole: each copy is pushed into the
-    quorum merge once, by digest and in index order, and the wires of a
-    confirmed batch are admitted and acted on once each."""
+    """A relayed batch is confirmed whole: each copy is one vote, by digest
+    at its index, a certificate of f+1 matching votes is ordered once per
+    index and in index order, and the wires of a confirmed batch are
+    admitted and acted on once each."""
 
     @staticmethod
     def count_pushes(monkeypatch):
@@ -431,7 +464,7 @@ class TestBatchRule:
             execute(app, replica, relayed("h2", parent, 1, *wires))
         assert pushes == ["h1/r0", "h1/r1"]
         assert counters["byzcast.executed_wire"] == 3
-        assert app._merge.snapshot() == (1, ())
+        assert next_index(app, "h1") == 1 and held(app, "h1") == {}
 
     @pytest.mark.parametrize("recut", ["order", "cut", "index"])
     def test_a_byzantine_recut_never_releases_alone(self, setup, recut):
@@ -459,7 +492,7 @@ class TestBatchRule:
         execute(app, replica, relayed("g1", "h2/r3", 2, wire, index=1))
         assert len(app.delivered_messages()) == 1
         assert replica.monitor.counters["byzcast.executed_wire"] == 1
-        assert app._merge.next_index == 1
+        assert next_index(app) == 1
 
     def test_a_later_batch_waits_for_an_earlier_one(self, setup):
         tree, configs, registry, loop, make = setup
@@ -472,7 +505,7 @@ class TestBatchRule:
         execute(app, replica, relayed("g1", "h2/r2", 1, first))
         execute(app, replica, relayed("g1", "h2/r3", 1, first))
         assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
-        assert parked(app) == 0 and app._merge.next_index == 2
+        assert parked(app) == 0 and next_index(app) == 2
 
     def test_a_membership_update_releases_whole_batches(self, setup):
         tree, configs, registry, loop, make = setup
@@ -504,8 +537,9 @@ class TestBatchRule:
         assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
         assert replica.monitor.counters["byzcast.executed_wire"] == 2
 
-    def test_restore_agrees_on_state_parked_copies_and_relay_indexes(
-            self, setup):
+    def test_restore_agrees_on_stream_and_relay_indexes(self, setup):
+        """A checkpoint carries each stream's next index, not the votes: a
+        restored replica holds only the copies it received itself."""
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
         wires = [wire_for(registry, "client", seq, ("g1", "g2"))
@@ -515,10 +549,17 @@ class TestBatchRule:
         execute(app, replica, relayed("h2", "h1/r0", 2, wires[1]))
         execute(app, replica, relayed("h2", "h1/r0", 3, wires[2]))  # parked
         state = app.snapshot()
+        assert state[2] == (("h1", 1),)
         assert state[-1] == (("g1", 1), ("g2", 1))
-        assert parked(app) == 1
+        assert parked(app, "h1") == 1
         restored, restored_replica = make("h2", "h2/r1")
         restored.restore(state)
+        restored_replica.ordered = dict(replica.ordered)  # the FIFO tracker
+        assert held(restored, "h1") == {}
+        # h1/r0's copies reach the restored replica too (a retransmission).
+        for seq, wire in ((2, wires[1]), (3, wires[2])):
+            execute(restored, restored_replica,
+                    relayed("h2", "h1/r0", seq, wire))
         assert restored.snapshot() == state
         assert restored.state_summary(state) == app.state_summary(state)
         assert restored.state_summary(restored.snapshot()) == \
@@ -581,9 +622,9 @@ class TestRelayFlush:
         assert [b.index for b in to_h2] == [0, 1, 2]
         assert [b.index for b in to_h3] == [0]
 
-    def test_a_child_that_a_switch_takes_away_restarts_at_index_zero(
-            self, setup):
-        """When it comes back, the child's merge for this group is new."""
+    def test_a_child_that_a_switch_takes_away_keeps_its_index(self, setup):
+        """When it comes back, the child's stream from this group goes on
+        where it stopped: its FIFO tracker has passed the earlier seqs."""
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
         ctx = ExecutionContext(replica=replica, time=loop.now)
@@ -601,7 +642,7 @@ class TestRelayFlush:
         to_g1 = [r.command.index for dst, r in replica.sent if dst == "g1/r0"]
         to_g2 = [r.command.index for dst, r in replica.sent if dst == "g2/r0"]
         # While g1 hangs under h1, {g1, g2} enters at h1: h2 relays nothing.
-        assert to_g1 == [0, 0, 1]
+        assert to_g1 == [0, 1, 2]
         assert to_g2 == [0, 1, 2]
 
 

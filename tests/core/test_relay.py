@@ -1,12 +1,15 @@
-"""Unit tests for the f+1 relay confirmation: the ballot, and the indexed
-batch merge that keeps the parent's order."""
+"""Unit tests for the f+1 relay confirmation: the ballot, the per-stream
+inbox of relayed copies, and the certificate check."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.relay import BatchMerge, QuorumMerge
-from repro.crypto.digest import canonical_bytes
+from repro.bcast.messages import Request
+from repro.core.messages import RelayBatch, RelayCertificate
+from repro.core.relay import (
+    RELAY_WINDOW, QuorumMerge, RelayInbox, certificate_problem, relay_sender,
+)
 
 PARENTS = ("p0", "p1", "p2", "p3")  # 3f+1 with f=1
 
@@ -15,16 +18,17 @@ def make_merge() -> QuorumMerge:
     return QuorumMerge(PARENTS, threshold=2)  # f+1 = 2
 
 
-def make_batches() -> BatchMerge:
-    return BatchMerge(PARENTS, threshold=2)
+def make_inbox() -> RelayInbox:
+    return RelayInbox(PARENTS, threshold=2)
 
 
-def push_stream(merge: BatchMerge, sender: str, batches, start=0) -> list:
-    """``sender`` relays ``batches`` as indexes ``start``, ``start + 1``..."""
-    released = []
-    for index, batch in enumerate(batches, start):
-        released.extend(merge.push(sender, index, batch))
-    return released
+def copy(sender: str, index: int, batch: str = "a") -> Request:
+    """``sender``'s copy of the batch ``index``, as the child receives it."""
+    return Request("g1", sender, index + 1, RelayBatch((batch,), index))
+
+
+def senders(copies) -> list:
+    return [held.sender for held in copies]
 
 
 # ------------------------------------------------------------- the ballot
@@ -56,17 +60,54 @@ def test_threshold_validation():
         QuorumMerge(PARENTS, threshold=0)
     with pytest.raises(ValueError):
         QuorumMerge(PARENTS, threshold=5)
+    with pytest.raises(ValueError):
+        RelayInbox(PARENTS, threshold=5)
 
 
-# ------------------------------------------------- batches, in index order
+# ---------------------------------------------------- the inbox of votes
+
+
+class Stream:
+    """One parent stream at a child replica: its inbox, and the leader that
+    orders the inbox's certificates — one per index, in index order, as the
+    FIFO tracker orders a pseudo-sender's requests."""
+
+    def __init__(self, relayers=PARENTS, threshold=2):
+        self.inbox = RelayInbox(relayers, threshold)
+
+    def push(self, sender: str, index: int, batch: str) -> list:
+        """``sender``'s copy reaches the child; returns the batches
+        released meanwhile."""
+        self.inbox.vote(copy(sender, index, batch))
+        return self.order()
+
+    def stream(self, sender: str, batches, start: int = 0) -> list:
+        """``sender`` relays ``batches`` as indexes ``start``, ``start + 1``..."""
+        released = []
+        for index, batch in enumerate(batches, start):
+            released += self.push(sender, index, batch)
+        return released
+
+    def order(self) -> list:
+        released = []
+        certified = dict(self.inbox.certificates())
+        while self.inbox.next_index in certified:
+            copies = certified[self.inbox.next_index]
+            self.inbox.release(self.inbox.next_index)
+            released.append(copies[0].command.wires[0])
+        return released
+
+    def held(self) -> dict:
+        return {index: sorted(copies)
+                for index, copies in self.inbox._copies.items()}
 
 
 def test_correct_order_is_preserved():
-    merge = make_batches()
+    stream = Stream()
     order = ["a", "b", "c"]
     released = []
     for sender in ("p0", "p1", "p2"):
-        released.extend(push_stream(merge, sender, order))
+        released += stream.stream(sender, order)
     assert released == order
 
 
@@ -74,122 +115,241 @@ def test_byzantine_skipping_cannot_invert_order():
     """The adversarial scenario that breaks naive f+1 counting.
 
     Correct parents p0..p2 relay m1 then m2.  Byzantine p3 relays only m2,
-    claiming it for both indexes, and its copies are ordered *first*.
-    Naive counting would release m2 after p0's copy (2 distinct copies of
-    m2 vs 1 of m1); the indexed merge must still release m1 first.
+    claiming it for both indexes, and its copies arrive *first*.  Naive
+    counting would release m2 after p0's copy (2 distinct copies of m2 vs
+    1 of m1); index 1 does certify m2 then, but its certificate waits for
+    index 0's.
     """
-    merge = make_batches()
-    released = push_stream(merge, "p3", ["m2", "m2"])  # byzantine: skips m1
-    released += push_stream(merge, "p0", ["m1", "m2"])  # naive would fire m2
+    stream = Stream()
+    released = stream.stream("p3", ["m2", "m2"])  # byzantine: skips m1
+    released += stream.stream("p0", ["m1", "m2"])  # naive would fire m2
     assert released == []
-    released += merge.push("p1", 0, "m1")                # m1 gets its 2nd vote
+    assert [index for index, __ in stream.inbox.certificates()] == [1]
+    released += stream.push("p1", 0, "m1")          # m1 gets its 2nd vote
     assert released == ["m1", "m2"]
 
 
 def test_byzantine_fabrication_never_released_and_does_not_block():
-    merge = make_batches()
-    released = push_stream(merge, "p3", ["fake", "fake"])
+    stream = Stream()
+    released = stream.stream("p3", ["fake", "fake"])
     for sender in ("p0", "p1", "p2"):
-        released.extend(push_stream(merge, sender, ["a", "b"]))
+        released += stream.stream(sender, ["a", "b"])
     assert released == ["a", "b"]
-    # The garbage went with its indexes: nothing is kept.
-    assert merge.snapshot() == (2, ())
+    # The garbage went with its indexes: nothing is held.
+    assert stream.inbox.next_index == 2 and stream.held() == {}
 
 
 def test_a_junk_copy_does_not_outlive_its_index():
     """A relayer's first copy of an index is its vote there, and only that
-    copy is kept: a later copy of the same index is dropped, and once the
-    index is released the relayer's vote at the next one counts."""
-    merge = make_batches()
-    assert merge.push("p3", 0, "junk") == []
-    assert merge.push("p3", 0, "a") == []     # a second copy: no vote
-    assert merge.snapshot() == (0, ((0, (("p3", "junk"),)),))
-    assert merge.push("p0", 0, "a") == []
-    assert merge.push("p1", 0, "a") == ["a"]
-    assert merge.snapshot() == (1, ())
-    assert merge.push("p3", 1, "b") == []
-    assert merge.push("p0", 1, "b") == ["b"]
+    copy is held: a later copy of the same index counts nothing, and once
+    the index is released the relayer's vote at the next one counts."""
+    stream = Stream()
+    assert stream.push("p3", 0, "junk") == []
+    assert stream.push("p3", 0, "a") == []     # a second copy: no vote
+    assert stream.held() == {0: ["p3"]}
+    assert stream.push("p0", 0, "a") == []
+    assert stream.push("p1", 0, "a") == ["a"]
+    assert stream.held() == {}
+    assert stream.push("p3", 1, "b") == []
+    assert stream.push("p0", 1, "b") == ["b"]
 
 
 def test_interleaved_lagging_senders():
-    merge = make_batches()
-    released = push_stream(merge, "p0", ["a", "b", "c"])
-    assert released == []
-    released.extend(merge.push("p1", 0, "a"))
-    assert released == ["a"]
-    released = push_stream(merge, "p2", ["a", "b", "c"])
+    stream = Stream()
+    assert stream.stream("p0", ["a", "b", "c"]) == []
+    assert stream.push("p1", 0, "a") == ["a"]
     # p2's "a" is stale (index 0 is released); b and c complete with p0.
-    assert released == ["b", "c"]
+    assert stream.stream("p2", ["a", "b", "c"]) == ["b", "c"]
 
 
 def test_a_membership_update_checks_the_threshold():
-    merge = make_batches()
+    stream = Stream()
     with pytest.raises(ValueError):
-        merge.update_members(PARENTS[:1], 2)
+        stream.inbox.restore(PARENTS[:1], 2, 0)
     # Dropping a relayer drops its copies and recounts the rest.
-    merge.push("p3", 0, "a")
-    merge.push("p0", 0, "b")
-    assert merge.update_members(PARENTS[:3], 1) == ["b"]
-    assert merge.snapshot() == (1, ())
+    stream.push("p3", 0, "a")
+    stream.push("p0", 0, "b")
+    stream.inbox.restore(PARENTS[:3], 1, 0)
+    assert stream.order() == ["b"]
+    assert stream.inbox.next_index == 1 and stream.held() == {}
 
 
 def test_late_joiner_catches_up_cleanly():
-    merge = make_batches()
+    stream = Stream()
     for sender in ("p0", "p1"):
-        push_stream(merge, sender, ["a", "b", "c"])
-    # p2 saw nothing so far; its stale copies are absorbed silently.
-    assert push_stream(merge, "p2", ["a", "b", "c"]) == []
-    assert merge.snapshot() == (3, ())
+        stream.stream(sender, ["a", "b", "c"])
+    # p2 sent nothing so far; its stale copies count nothing.
+    assert stream.stream("p2", ["a", "b", "c"]) == []
+    assert stream.inbox.next_index == 3 and stream.held() == {}
 
 
 def test_a_relayer_restored_past_a_batch_cannot_release_a_later_one_first():
-    merge = make_batches()
+    stream = Stream()
     # p0 installed a checkpoint past batch 0; p3 withholds batch 0.
-    released = push_stream(merge, "p0", ["b"], start=1)
-    released += push_stream(merge, "p3", ["b"], start=1)
+    released = stream.stream("p0", ["b"], start=1)
+    released += stream.stream("p3", ["b"], start=1)
     assert released == []
-    released += push_stream(merge, "p1", ["a", "b"])
+    released += stream.stream("p1", ["a", "b"])
     assert released == []                       # one vote for a
-    released += merge.push("p2", 0, "a")
+    released += stream.push("p2", 0, "a")
     assert released == ["a", "b"]
 
 
 def test_snapshot_restore_roundtrip():
-    merge = make_batches()
-    push_stream(merge, "p0", ["a", "b", "c"])
-    push_stream(merge, "p1", ["a", "b"])       # releases a, b; c kept at p0
-    state = merge.snapshot()
-    assert state == (2, ((2, (("p0", "c"),)),))
-    clone = make_batches()
-    clone.restore(state)
-    assert clone.snapshot() == state
-    # The restored merge continues exactly where the original would: p0's
-    # kept copy is a vote in the rebuilt ballot.
+    """A checkpoint carries a stream's next index; the votes are each
+    replica's own.  An inbox restored at that index, sent the same copies,
+    goes on exactly where the original does."""
+    stream = Stream()
+    stream.stream("p0", ["a", "b", "c"])
+    stream.stream("p1", ["a", "b"])       # releases a, b; c held from p0
+    assert (stream.inbox.next_index, stream.held()) == (2, {2: ["p0"]})
+    clone = Stream()
+    clone.inbox.restore(PARENTS, 2, stream.inbox.next_index)
+    assert clone.push("p0", 1, "b") == [] and clone.held() == {}
+    assert clone.push("p0", 2, "c") == []     # p0's copy, retransmitted
     assert clone.push("p1", 2, "c") == ["c"]
-    assert merge.push("p1", 2, "c") == ["c"]
-    assert clone.snapshot() == merge.snapshot()
+    assert stream.push("p1", 2, "c") == ["c"]
+    assert clone.inbox.next_index == stream.inbox.next_index == 3
 
 
 def test_snapshot_is_deterministic_across_instances():
-    # Two replicas that pushed the same ordered sequence must produce
-    # byte-identical snapshots — the basis of the checkpoint digest quorum
-    # — and so must one that restored the other's snapshot.
-    first, second = make_batches(), make_batches()
-    for merge in (first, second):
-        push_stream(merge, "p2", ["a", "b", "c"])
-        merge.push("p3", 4, "z")
-        push_stream(merge, "p0", ["a"])
-        merge.push("p1", 1, "b")
-    restored = make_batches()
-    restored.restore(first.snapshot())
-    assert (canonical_bytes(first.snapshot())
-            == canonical_bytes(second.snapshot())
-            == canonical_bytes(restored.snapshot()))
+    """Two replicas that received the same copies in different orders
+    release the same batches and agree on the next index — the only part
+    of the stream a checkpoint carries."""
+    pushes = [("p2", 0, "a"), ("p2", 1, "b"), ("p2", 2, "c"), ("p3", 4, "z"),
+              ("p0", 0, "a"), ("p1", 1, "b")]
+    first, second = Stream(), Stream()
+    released = [first.push(*push) for push in pushes]
+    assert sum(released, []) == ["a", "b"]
+    assert sum((second.push(*push) for push in reversed(pushes)), []) \
+        == ["a", "b"]
+    assert first.inbox.next_index == second.inbox.next_index == 2
 
 
 def test_restore_ignores_unknown_senders():
-    merge = make_batches()
-    merge.restore((0, ((0, (("px", "k"), ("p0", "k"))),)))
-    assert merge.snapshot() == (0, ((0, (("p0", "k"),)),))
-    # p0's copy is the one vote: px's never counted.
-    assert merge.push("p1", 0, "k") == ["k"]
+    stream = Stream()
+    stream.push("p3", 0, "k")
+    stream.inbox.restore(PARENTS[:3], 2, 0)    # p3 is no relayer any more
+    assert stream.held() == {}
+    assert stream.push("p0", 0, "k") == []
+    # p0's copy is the one vote: p3's never counts again.
+    assert stream.push("p3", 0, "k") == []
+    assert stream.push("p1", 0, "k") == ["k"]
+
+
+def test_f_plus_1_copies_of_one_batch_certify_its_index():
+    inbox = make_inbox()
+    assert inbox.vote(copy("p0", 0)) is None
+    assert senders(inbox.vote(copy("p1", 0))) == ["p0", "p1"]
+    # A third copy joins no certificate and offers none: it has its f+1.
+    assert inbox.vote(copy("p2", 0)) is None
+    assert [senders(copies) for __, copies in inbox.certificates()] == \
+        [["p0", "p1"]]
+
+
+def test_a_relayers_first_copy_of_an_index_is_its_vote():
+    """An equivocating relayer's second copy of an index counts nothing —
+    but repeating a vote returns the certificate again (a retransmission
+    offers it again)."""
+    inbox = make_inbox()
+    inbox.vote(copy("p3", 0, "junk"))
+    assert inbox.vote(copy("p3", 0)) is None
+    assert inbox.held("p3", 0) == copy("p3", 0, "junk")
+    assert inbox.vote(copy("p0", 0)) is None
+    certificate = inbox.vote(copy("p1", 0))
+    assert senders(certificate) == ["p0", "p1"]
+    assert inbox.vote(copy("p0", 0)) == certificate
+
+
+def test_released_stranger_and_far_copies_count_nothing():
+    inbox = make_inbox()
+    inbox.vote(copy("p0", 0))
+    inbox.vote(copy("p1", 0))
+    assert senders(inbox.release(0)) == ["p0", "p1"]
+    assert inbox.next_index == 1
+    for stale in (copy("p2", 0), copy("p3", 0)):
+        assert inbox.vote(stale) is None and inbox.held(stale.sender, 0) is None
+    assert inbox.vote(copy("stranger", 1)) is None
+    assert inbox.held("stranger", 1) is None
+    far = 1 + RELAY_WINDOW
+    assert inbox.vote(copy("p0", far)) is None and inbox.held("p0", far) is None
+    assert list(inbox.certificates()) == []
+
+
+def test_release_returns_every_copy_held_for_the_index():
+    """Each relayer whose copy a replica holds is owed an ack, junk too."""
+    inbox = make_inbox()
+    inbox.vote(copy("p3", 0, "junk"))
+    inbox.vote(copy("p0", 0))
+    inbox.vote(copy("p1", 0))
+    inbox.vote(copy("p0", 1, "b"))
+    assert senders(inbox.release(0)) == ["p3", "p0", "p1"]
+    assert inbox.held("p0", 1) == copy("p0", 1, "b")
+
+
+def test_every_certified_index_is_listed_in_order():
+    """Indexes certify independently — the FIFO tracker orders them."""
+    inbox = make_inbox()
+    for index in (2, 0):
+        for sender in ("p0", "p1"):
+            inbox.vote(copy(sender, index))
+    inbox.vote(copy("p0", 1))
+    assert [index for index, __ in inbox.certificates()] == [0, 2]
+
+
+def test_the_pseudo_sender_is_nobody():
+    assert relay_sender("h2") == "relay@h2"
+
+
+# -------------------------------------------------- the certificate check
+
+
+def certificate(*copies, index=0):
+    return RelayCertificate("h", index, tuple(copies))
+
+
+def problem(cert, relayers=PARENTS, threshold=2, verified=lambda c: True):
+    return certificate_problem(cert, "g1", relayers, threshold, verified)
+
+
+def test_f_plus_1_matching_copies_prove_the_batch():
+    assert problem(certificate(copy("p0", 0), copy("p1", 0))) is None
+    assert problem(certificate(copy("p0", 0), copy("p1", 0),
+                               copy("p2", 0))) is None
+
+
+@pytest.mark.parametrize("cert, reason", [
+    (certificate(copy("p0", 0)), "too few copies"),
+    (certificate(copy("p0", 0), copy("p0", 0)), "not distinct relayers"),
+    (certificate(copy("p0", 0), copy("gone", 0)), "not distinct relayers"),
+    (certificate(copy("p0", 0), copy("p1", 0, "b")),
+     "copies of different batches"),
+    (certificate(copy("p0", 0), copy("p1", 1)), "a copy of another index"),
+    (certificate(copy("p0", 1), copy("p1", 1)), "a copy of another index"),
+    (certificate(copy("p0", 0), Request("g2", "p1", 1, RelayBatch(("a",), 0))),
+     "a copy for another group"),
+    (certificate(copy("p0", 0), Request("g1", "p1", 1, ("a",))),
+     "a copy of another index"),
+    (certificate(copy("p0", 0), copy("p1", 0), index=-1), "not an index"),
+])
+def test_a_certificate_that_proves_nothing_is_refused(cert, reason):
+    assert problem(cert) == reason
+
+
+def test_a_forged_copy_voids_the_certificate():
+    forged = copy("p1", 0)
+    cert = certificate(copy("p0", 0), forged)
+    assert problem(cert, verified=lambda c: c is not forged) == "a forged copy"
+
+
+def test_a_departed_relayer_does_not_count():
+    cert = certificate(copy("p0", 0), copy("p3", 0))
+    assert problem(cert) is None
+    assert problem(cert, relayers=PARENTS[:3]) == "not distinct relayers"
+
+
+def test_a_certificate_carries_requests_only():
+    with pytest.raises(TypeError):
+        RelayCertificate("h", 0, (copy("p0", 0), ("not", "a request")))
+    with pytest.raises(TypeError):
+        RelayCertificate("h", 0, [copy("p0", 0)])

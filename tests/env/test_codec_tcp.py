@@ -7,9 +7,9 @@ import dataclasses
 
 import pytest
 
-from repro.bcast.messages import Accept, Reply, Request
+from repro.bcast.messages import Accept, Propose, Reply, Request
 from repro.bcast.reconfig import View
-from repro.core.messages import RelayBatch, WireMulticast
+from repro.core.messages import RelayBatch, RelayCertificate, WireMulticast
 from repro.crypto.signatures import Signature
 from repro.env import codec
 from repro.env.tcp import TcpTransport
@@ -269,6 +269,74 @@ def test_tcp_frame_failing_its_class_validation_is_skipped(wire_name):
         host_b.shutdown()
         aloop.run_until_complete(asyncio.sleep(0.05))
         aloop.close()
+
+
+def relay_certificate():
+    """Two relayers' signed copies of one batch, as a child pools them."""
+    wire = WireMulticast("c1", 1, ("g1", "g2"), ("tx", b"\x00"),
+                         Signature("c1", b"\x07"))
+    copies = tuple(Request("g1", f"h1/r{i}", 3, RelayBatch((wire,), 2),
+                           Signature(f"h1/r{i}", bytes([i])))
+                   for i in range(2))
+    return Request("g1", "relay@h1", 3, RelayCertificate("h1", 2, copies))
+
+
+def test_tcp_transport_round_trips_a_relay_certificate():
+    """A proposal carrying a certificate crosses a socket whole: each copy
+    decodes as a new ``Request`` equal to the one the relayer signed."""
+    aloop = asyncio.new_event_loop()
+    directory = {}
+    host_a = TcpTransport(aloop, directory=directory, wire="binary")
+    host_b = TcpTransport(aloop, directory=directory, wire="binary")
+    a, b = Probe("g1/r0"), Probe("g1/r1")
+    host_a.register(a)
+    host_b.register(b)
+    certificate = relay_certificate()
+    proposal = Propose("g1", 0, 5, (certificate,), "g1/r0")
+
+    async def scenario():
+        await host_a.start()
+        await host_b.start()
+        host_a.send("g1/r0", "g1/r1", proposal)
+        for _ in range(500):
+            if b.got:
+                break
+            await asyncio.sleep(0.01)
+
+    try:
+        aloop.run_until_complete(scenario())
+        ((src, got),) = b.got
+        assert src == "g1/r0" and got == proposal
+        (decoded,) = got.batch
+        assert decoded.signature is None
+        for copy, sent in zip(decoded.command.copies,
+                              certificate.command.copies):
+            assert isinstance(copy, Request) and copy is not sent
+            assert copy == sent and copy.command.wires[0].payload[1] == b"\x00"
+    finally:
+        host_a.shutdown()
+        host_b.shutdown()
+        aloop.run_until_complete(asyncio.sleep(0.05))
+        aloop.close()
+
+
+@pytest.mark.parametrize("wire_name", ["binary", "json"])
+def test_a_certificate_whose_copies_are_not_requests_does_not_decode(
+        wire_name):
+    """The strict decoder rebuilds a certificate through its constructor,
+    which takes signed requests only: a frame whose copies are anything
+    else is a ``NetworkError``, never a certificate."""
+    wire_codec = codec.get_codec(wire_name)
+    certificate = relay_certificate().command
+    assert wire_codec.decode(wire_codec.encode(certificate)) == certificate
+    for copies in ((Reply("g1", "h1/r0", "c1", 1, ("ack",)),),
+                   (certificate.copies[0], ("not", "a", "request")),
+                   ((certificate.copies[0].command,))):
+        forged = object.__new__(RelayCertificate)
+        for name, value in (("parent", "h1"), ("index", 2), ("copies", copies)):
+            object.__setattr__(forged, name, value)
+        with pytest.raises(NetworkError, match="RelayCertificate"):
+            wire_codec.decode(wire_codec.encode(forged))
 
 
 def test_tcp_pump_reconnects_after_connection_loss():

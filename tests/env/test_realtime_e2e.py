@@ -18,7 +18,7 @@ from repro.canonical import MEMO
 from repro.core import OverlayTree
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all
-from repro.core.messages import RelayBatch
+from repro.core.messages import RelayBatch, RelayCertificate
 from repro.core.node import ByzCastApplication
 from repro.crypto import cache as crypto_cache
 from repro.crypto.digest import digest
@@ -139,15 +139,15 @@ class HostPerGroup:
 
 
 class RelayRecordingApp(ByzCastApplication):
-    """Keeps the ``RelayBatch`` commands it executes, as decoded."""
+    """Keeps the relay certificates it executes, as decoded."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.relay_batches = []
+        self.certificates = []
 
     def execute(self, request, ctx):
-        if isinstance(request.command, RelayBatch):
-            self.relay_batches.append(request.command)
+        if isinstance(request.command, RelayCertificate):
+            self.certificates.append(request.command)
         return super().execute(request, ctx)
 
 
@@ -183,10 +183,14 @@ def test_global_multicast_round_trips_a_relay_batch_over_tcp_binary():
         for sequence in dep.delivered_sequences(gid):
             assert [m.payload for m in sequence] == [payload]
     for app in dep.apps("g1"):
-        # f+1 copies suffice to act; each arrived as a decoded RelayBatch
-        # of one wire whose fields kept their types across the socket.
-        assert len(app.relay_batches) >= 2
-        for batch in app.relay_batches:
+        # One certificate of f+1 signed copies, ordered once; each copy
+        # arrived as a decoded RelayBatch of one wire whose fields kept
+        # their types across the socket.
+        (certificate,) = app.certificates
+        assert len(certificate.copies) == 2
+        for copy in certificate.copies:
+            batch = copy.command
+            assert isinstance(batch, RelayBatch) and batch.index == 0
             assert isinstance(batch.wires, tuple) and len(batch.wires) == 1
             assert batch.wires[0].payload == payload
             assert batch.wires[0].to_message() == completed[0]

@@ -10,13 +10,14 @@ from repro.bcast.reconfig import View
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all, check_prefix_order
 from repro.core.node import ByzCastApplication
-from repro.core.relay import BatchMerge
+from repro.core.relay import RelayInbox
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import (
     DuplicatingRelayApp,
     EquivocatingLeaderReplica,
     EquivocatingRelayApp,
     FabricatingRelayApp,
+    ForgingCertificateLeaderReplica,
     MuteReplica,
     ReorderingRelayApp,
     SilentRelayApp,
@@ -179,15 +180,43 @@ def relay_battery(adversary, f: int = 1) -> None:
     """f ``adversary`` relayers in *each* group that relays, all at once,
     under bursts to every destination set: every op completes and the
     order checks hold."""
-    targets = ("g1", "g2", "g3", "g4")
-    destinations = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
-                    ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
     tree = OverlayTree.paper_tree()
     plan = FaultPlan()
     for index, gid in enumerate(sorted(tree.auxiliaries)):
         for slot in range(f):
             plan.byzantine_app(gid, f"{gid}/r{index + 1 + 3 * slot}", adversary)
     dep = make_deployment(plan, tree=tree, f=f)
+    burst_and_check(dep)
+    counters = dep.monitor.counters
+    assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
+
+
+def certificate_battery(f: int = 1) -> None:
+    """The first f leaders of *each* group that receives relays propose bad
+    relay certificates (``ForgingCertificateLeaderReplica``), under the
+    relay battery's bursts: correct followers refuse them, regency changes
+    recover, every op completes and the order checks hold."""
+    tree = OverlayTree.paper_tree()
+    plan = FaultPlan()
+    for gid in sorted(tree.nodes):
+        if tree.parent(gid) is not None:
+            for slot in range(f):
+                plan.byzantine_replica(gid, f"{gid}/r{slot}",
+                                       ForgingCertificateLeaderReplica)
+    dep = make_deployment(plan, tree=tree, f=f)
+    burst_and_check(dep)
+    counters = dep.monitor.counters
+    assert counters["byzantine.bad_certificate"] > 0
+    assert counters["propose.unsigned_request"] > 0
+    assert counters["regency.installed"] > 0
+
+
+def burst_and_check(dep) -> None:
+    """Bursts from three clients to every destination set; every op
+    completes and the order checks hold."""
+    targets = ("g1", "g2", "g3", "g4")
+    destinations = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
+                    ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
     rounds = 6
     clients = [dep.add_client(f"c{i}") for i in range(3)]
     # Bursts: every client multicasts to every destination set at once,
@@ -210,8 +239,6 @@ def relay_battery(adversary, f: int = 1) -> None:
     for replica_sequences in sequences.values():
         for seq in replica_sequences:
             assert all(m.payload != ("fabricated",) for m in seq)
-    counters = dep.monitor.counters
-    assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
 
 
 class TestRelayAdversariesInEveryInnerGroup:
@@ -222,23 +249,27 @@ class TestRelayAdversariesInEveryInnerGroup:
     def test_every_op_completes_and_order_holds(self, adversary):
         relay_battery(adversary)
 
+    def test_forged_certificates_are_refused_and_a_regency_change_recovers(
+            self):
+        certificate_battery()
+
 
 class FCopiesApp(ByzCastApplication):
-    """Mutant: acts on a parent's message after f relayed copies, not f+1."""
+    """Mutant: certifies a parent's batch on f relayed copies, not f+1."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        parent = self.group_configs[self.tree.parent(self.group_id)]
-        self._merge = BatchMerge(parent.replicas, parent.f)
+    def _open_stream(self, parent):
+        config = self.group_configs[parent]
+        self._inboxes[parent] = RelayInbox(config.replicas, config.f)
 
 
 def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
-    """Why the threshold is f+1: with f, whichever relayer's batch a child
-    orders first dictates that child's order — and one of them lies.
+    """Why the threshold is f+1: with f, whichever relayer's copy a child
+    receives first is a certificate and dictates that child's order — and
+    one of them lies.
 
     Real parent and child applications, with the one thing an asynchronous
-    network leaves to the adversary made explicit: g1 orders the reordering
-    relayer's batch first, g2 orders it last.
+    network leaves to the adversary made explicit: g1 receives the
+    reordering relayer's copy first, g2 receives it last.
     """
     tree = OverlayTree.two_level(["g1", "g2"])
     configs = configs_for(tree)
@@ -265,7 +296,7 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
                             registry=registry)
             replica = FakeReplica(f"{gid}/r0", configs[gid])
             for relayer in arrival:
-                assert execute(app, replica, relays[relayer][gid]) == ("ack",)
+                execute(app, replica, relays[relayer][gid])
             assert len(app.delivered_messages()) == len(wires)
             sequences[gid] = [app.delivered_messages()]
         return check_prefix_order(sequences)

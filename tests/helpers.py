@@ -133,13 +133,22 @@ def configs_for(tree, f: int = 1, **overrides: Any) -> Dict[str, BroadcastConfig
 
 class FakeReplica(Actor):
     """A minimal actor standing in for a Replica during app unit tests;
-    ``runtime`` defaults to a fresh sim runtime with a small trace."""
+    ``runtime`` defaults to a fresh sim runtime with a small trace.
+
+    What the application pools itself (``offer``) waits in :attr:`pool`
+    until :meth:`order_pooled` orders it, each sender's requests in seq
+    order, as a leader would.
+    """
 
     def __init__(self, name, config, runtime=None):
         super().__init__(name, runtime if runtime is not None
                          else SimRuntime(trace_capacity=100))
         self.config = config
         self.sent = []
+        #: (sender, seq) -> the request the application offered
+        self.pool = {}
+        #: sender -> the last seq ordered
+        self.ordered = {}
 
     def send(self, dst, payload, size=64):
         self.sent.append((dst, payload))
@@ -149,6 +158,25 @@ class FakeReplica(Actor):
 
     def on_message(self, src, payload):  # pragma: no cover - unused
         pass
+
+    def offer(self, request):
+        if request.seq > self.ordered.get(request.sender, 0):
+            self.pool[request.key()] = request
+
+    def withdraw(self, sender):
+        for key in [key for key in self.pool if key[0] == sender]:
+            del self.pool[key]
+
+    def order_pooled(self, app) -> None:
+        """Order every pooled request that is next in its sender's FIFO
+        sequence, one decided batch each, until none is."""
+        while True:
+            key = next((key for key in sorted(self.pool)
+                        if key[1] == self.ordered.get(key[0], 0) + 1), None)
+            if key is None:
+                return
+            self.ordered[key[0]] = key[1]
+            run_batch(app, self, self.pool.pop(key))
 
 
 def wire_for(registry, sender, seq, dst, payload=("p",)) -> WireMulticast:
@@ -171,12 +199,29 @@ def relayed(group, parent_replica, seq, *wires, index=None) -> Request:
     return Request(group, parent_replica, seq, RelayBatch(tuple(wires), index))
 
 
-def execute(app, replica, request):
+def run_batch(app, replica, request):
     """Run ``request`` as a decided batch of one (execute, then the boundary)."""
     ctx = ExecutionContext(replica=replica, time=replica.clock.now)
     result = app.execute(request, ctx)
     app.end_batch(ctx)
     return result
+
+
+def execute(app, replica, request):
+    """``request`` reaching ``replica`` of ``app``: a relayed copy is a vote
+    (``intake``, no result), anything else a decided batch of one; then the
+    replica orders whatever the application pooled meanwhile."""
+    result = None
+    if not app.intake(request, replica):
+        result = run_batch(app, replica, request)
+    replica.order_pooled(app)
+    return result
+
+
+def acks(replica):
+    """The ``("ack",)`` replies ``replica`` sent, as ``(relayer, seq)``."""
+    return [(dst, reply.req_seq) for dst, reply in replica.sent
+            if isinstance(reply, Reply) and reply.result == ("ack",)]
 
 
 # ------------------------------------------------- shipped (forged) checkpoints

@@ -1,12 +1,14 @@
-"""Property-based tests of the indexed f+1 merge (order preservation)."""
+"""Property-based tests of the indexed f+1 relay rule (order preservation):
+the per-stream inbox of votes, and a child ordering its certificates."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.messages import WireMulticast
+from repro.bcast.messages import Request
+from repro.core.messages import RelayBatch, WireMulticast
 from repro.core.node import ByzCastApplication
-from repro.core.relay import BatchMerge
+from repro.core.relay import RelayInbox
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from tests.helpers import FakeReplica, configs_for, execute, relayed
@@ -38,8 +40,22 @@ def relay_schedules(draw):
     return sequence, streams, pulls
 
 
-def pushed(merge, streams, pulls, fabricate=None):
-    """Feed ``merge`` every stream in the ``pulls`` interleaving.
+def push(inbox, sender, index, batch) -> list:
+    """``sender``'s copy of ``batch`` at ``index`` reaches the child; returns
+    the batches released meanwhile — a leader orders each certified index
+    once, in index order (the FIFO tracker's order of the stream)."""
+    inbox.vote(Request("g1", sender, index + 1, RelayBatch((batch,), index)))
+    released = []
+    certified = dict(inbox.certificates())
+    while inbox.next_index in certified:
+        copies = certified[inbox.next_index]
+        inbox.release(inbox.next_index)
+        released.append(copies[0].command.wires[0])
+    return released
+
+
+def pushed(inbox, streams, pulls, fabricate=None):
+    """Feed ``inbox`` every stream in the ``pulls`` interleaving.
 
     Each relayer stamps its copies with their position in its own stream,
     so a Byzantine one that skipped or reordered claims wrong indexes.
@@ -56,9 +72,9 @@ def pushed(merge, streams, pulls, fabricate=None):
         batch = streams[sender][index]
         if fabricate is not None and sender == byz and position >= fabricate:
             batch, fabricate = "FAKE", None
-        released.extend(merge.push(sender, index, batch))
+        released.extend(push(inbox, sender, index, batch))
     if fabricate is not None:
-        released.extend(merge.push(byz, cursors[byz], "FAKE"))
+        released.extend(push(inbox, byz, cursors[byz], "FAKE"))
     return released
 
 
@@ -66,18 +82,18 @@ def pushed(merge, streams, pulls, fabricate=None):
 @settings(max_examples=200, deadline=None)
 def test_release_order_equals_correct_order(schedule):
     sequence, streams, pulls = schedule
-    merge = BatchMerge(PARENTS, threshold=F + 1)
+    inbox = RelayInbox(PARENTS, threshold=F + 1)
     # Everything the correct parents relayed is eventually released, in
     # exactly their order — regardless of Byzantine skipping/reordering.
-    assert pushed(merge, streams, pulls) == sequence
+    assert pushed(inbox, streams, pulls) == sequence
 
 
 @given(relay_schedules(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_fabricated_messages_never_released(schedule, fab_position):
     sequence, streams, pulls = schedule
-    merge = BatchMerge(PARENTS, threshold=F + 1)
-    assert pushed(merge, streams, pulls, fabricate=fab_position) == sequence
+    inbox = RelayInbox(PARENTS, threshold=F + 1)
+    assert pushed(inbox, streams, pulls, fabricate=fab_position) == sequence
 
 
 # ----------------------------------------- whole batches, in index order

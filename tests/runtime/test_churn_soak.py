@@ -69,6 +69,24 @@ def test_churn_soak_state_round_stays_open_for_straggler_vouchers():
     assert report.ok, report.summary()
 
 
+@pytest.mark.parametrize("seed, interval", [(36, 0), (83, 16), (1326, 0),
+                                            (1392, 16)])
+def test_churn_soak_parent_reconfiguration_keeps_relay_streams_live(
+        seed, interval):
+    # Regression pins for relay certificates: each cell scales or shrinks a
+    # *parent* group under drop bursts.  A certificate checked only at
+    # execution against a parent membership changed in between used up its
+    # index unreleased (ops left outstanding, or views diverging), and a
+    # certificate lost from a pool came back only with a new copy.
+    # ByzCastApplication.vouch holds the proposal until the update
+    # executed, and Application.reoffer pools a lost certificate again.
+    report = run_chaos_soak(
+        soak_spec(CHURN_SOAK, seed=seed, checkpoint_interval=interval,
+                  **CHURN_PIN),
+        messages=24)
+    assert report.ok, report.summary()
+
+
 @pytest.mark.xfail(strict=True, reason="open: the controller and a replica "
                    "end on different views (ROADMAP P0)")
 def test_churn_soak_unconfirmed_scale_up_view_agreement():

@@ -14,36 +14,39 @@ FAST = dict(warmup=0.3, duration=0.8)
 #: began to travel as its ordered reply (one reply per replica instead of
 #: two shifts the sim's jitter stream); the values before it are in
 #: EXPERIMENTS.md, "One reply per replica", and those before natural
-#: batching under "Natural batching".
+#: batching under "Natural batching".  Every cell that relays was
+#: re-recorded when a child began to order each relayed batch once, as a
+#: relay certificate; the values before it are in EXPERIMENTS.md, "Relay
+#: certificates".
 PINS = {
-    "fig3:skewed/2-level": (1300.0, 0.006256637271271976, 0.0, 0.006256637271271976),
-    "fig3:skewed/3-level": (1400.0, 0.005992147321361892, 0.0, 0.005992147321361892),
-    "fig3:uniform/2-level": (1050.0, 0.006057841010299852, 0.0, 0.006057841010299852),
-    "fig3:uniform/3-level": (787.5, 0.007656996102461032, 0.0, 0.007656996102461032),
-    "fig4a:baseline/2": (1950.0, 0.00631787158081856, 0.00631787158081856, 0.0),
+    "fig3:skewed/2-level": (1400.0, 0.006072672338030421, 0.0, 0.006072672338030421),
+    "fig3:skewed/3-level": (1300.0, 0.005848830956449865, 0.0, 0.005848830956449865),
+    "fig3:uniform/2-level": (975.0, 0.005924490476605624, 0.0, 0.005924490476605624),
+    "fig3:uniform/3-level": (787.5, 0.00788845996858206, 0.0, 0.00788845996858206),
+    "fig4a:baseline/2": (1950.0, 0.006128479344263915, 0.006128479344263915, 0.0),
     "fig4a:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
     "fig4a:byzcast/2": (4050.0, 0.0029577708415626167, 0.0029577708415626167, 0.0),
-    "fig4b:baseline/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
+    "fig4b:baseline/2": (1800.0, 0.006600098007105291, 0.0, 0.006600098007105291),
     "fig4b:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
-    "fig4b:byzcast/2": (1650.0, 0.0069152492222718425, 0.0, 0.0069152492222718425),
-    "fig5a:baseline": (350.0, 0.005752344531493543, 0.005752344531493543, 0.0),
+    "fig4b:byzcast/2": (1800.0, 0.006600098007105291, 0.0, 0.006600098007105291),
+    "fig5a:baseline": (350.0, 0.005657054509853197, 0.005657054509853197, 0.0),
     "fig5a:bft-smart": (700.0, 0.0028243719351531637, 0.0028243719351531637, 0.0),
     "fig5a:byzcast": (725.0, 0.002806901558627374, 0.002806901558627374, 0.0),
-    "fig6:baseline": (975.0, 0.00592818240835534, 0.005918914275246889, 0.005999238095520134),
-    "fig6:byzcast": (1850.0, 0.003215358363252678, 0.002825918921249515, 0.005859447206326794),
+    "fig6:baseline": (975.0, 0.005824498941202064, 0.005818283087632664, 0.005872153818567459),
+    "fig6:byzcast": (1850.0, 0.0032060701819956283, 0.002832725849313075, 0.005740881703892981),
     "fig6:byzcast/pure-local": (2100.0, 0.0028287892819561004, 0.0028287892819561004, 0.0),
-    "fig7:baseline/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
-    "fig7:baseline/local/2": (175.0, 0.0056948061116385, 0.0056948061116385, 0.0),
+    "fig7:baseline/global/2": (175.0, 0.005635645358655392, 0.0, 0.005635645358655392),
+    "fig7:baseline/local/2": (175.0, 0.005613604394607197, 0.005613604394607197, 0.0),
     "fig7:bftsmart": (362.5, 0.002793811584722583, 0.002793811584722583, 0.0),
-    "fig7:byzcast/global/2": (175.0, 0.005722785420424148, 0.0, 0.005722785420424148),
+    "fig7:byzcast/global/2": (175.0, 0.005635645358655392, 0.0, 0.005635645358655392),
     "fig7:byzcast/local/2": (362.5, 0.002793877379899919, 0.002793877379899919, 0.0),
-    "fig8:baseline/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
-    "fig8:baseline/local": (9.0, 0.4335577413279835, 0.4335577413279835, 0.0),
+    "fig8:baseline/global": (9.0, 0.42768476128793403, 0.0, 0.42768476128793403),
+    "fig8:baseline/local": (9.0, 0.4256459539313867, 0.4256459539313867, 0.0),
     "fig8:bftsmart": (16.666666666666668, 0.23987837425921893, 0.23987837425921893, 0.0),
-    "fig8:byzcast/global": (8.666666666666666, 0.45343285612983397, 0.0, 0.45343285612983397),
+    "fig8:byzcast/global": (9.0, 0.42768476128793403, 0.0, 0.42768476128793403),
     "fig8:byzcast/local": (16.666666666666668, 0.2400465118654026, 0.2400465118654026, 0.0),
-    "fig9:baseline": (18.5, 0.44653916115082043, 0.44865411969651037, 0.42256963096633354),
-    "fig9:byzcast": (31.0, 0.2577185820870842, 0.24252157159657486, 0.45190260502137125),
+    "fig9:baseline": (18.75, 0.43403172479212626, 0.43587465434491823, 0.41283803493501914),
+    "fig9:byzcast": (31.75, 0.2540567061030587, 0.23893809111068132, 0.43094450151387564),
 }
 
 
