@@ -89,6 +89,13 @@ class Application:
         """
         raise NotImplementedError
 
+    def sends_reply(self, request: Request, result: Any) -> bool:
+        """Whether the replica sends ``result`` to ``request``'s sender as it
+        executes ``request``.  It keeps the result either way, and answers a
+        retransmission with it.  Default: True.
+        """
+        return True
+
     def carried(self, request: Request) -> int:
         """How many application messages ``request`` carries (default 1).
 

@@ -8,8 +8,8 @@ stay unanswered are retransmitted with exponential backoff, which also
 covers replicas that missed the request (their reply cache answers
 duplicates).
 
-The same proxy is used by external clients and by ByzCast replicas relaying
-messages into child groups — both are just "senders" to a group.
+External clients submit through it; ByzCast replicas relaying into child
+groups keep their own outbox (:class:`repro.core.relay.RelayOutbox`).
 """
 
 from __future__ import annotations
@@ -164,17 +164,36 @@ class GroupProxy(_GroupEndpoint):
             entry.timer.cancel()
         self._arm_retransmit(entry)
 
+    def settle(self, seq: int) -> bool:
+        """Complete ``seq`` without its reply quorum, because the owner holds
+        f+1-vouched proof of its outcome from elsewhere (a destination group
+        confirmed the multicast the entry group ordered); its callback does
+        not fire.  True if ``seq`` was outstanding."""
+        entry = self._outstanding.get(seq)
+        if entry is None:
+            return False
+        self._complete(entry, None, notify=False)
+        return True
+
     # -- replies ------------------------------------------------------------
 
-    def handle_reply(self, src: str, reply: Reply) -> bool:
-        """Feed a :class:`Reply` received by the owner.
+    def handle_reply(self, src: str, reply: Any) -> bool:
+        """Feed an answer from the group received by the owner: a
+        :class:`Reply`, or what a subclass's group answers with
+        (:meth:`_count`).  Only a member's, under its own name, counts.
 
         Returns True when the reply belonged to this proxy (matched group and
         an outstanding request), so owners with several proxies can dispatch.
         """
-        if reply.group != self.group_id or reply.req_sender != self.owner.name:
+        if reply.group != self.group_id:
             return False
         if src not in self.replicas or reply.sender != src:
+            return False
+        return self._count(src, reply)
+
+    def _count(self, src: str, reply: Reply) -> bool:
+        """Count member ``src``'s ``reply``; True if it was this proxy's."""
+        if reply.req_sender != self.owner.name:
             return False
         entry = self._outstanding.get(reply.req_seq)
         if entry is None:
@@ -186,12 +205,13 @@ class GroupProxy(_GroupEndpoint):
             self._complete(entry, entry.results[key])
         return True
 
-    def _complete(self, entry: _Outstanding, result: Any) -> None:
+    def _complete(self, entry: _Outstanding, result: Any,
+                  notify: bool = True) -> None:
         del self._outstanding[entry.request.seq]
         if entry.timer is not None:
             entry.timer.cancel()
         self.completed += 1
-        if entry.callback is not None:
+        if notify and entry.callback is not None:
             entry.callback(result)
 
 

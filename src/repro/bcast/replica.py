@@ -357,15 +357,10 @@ class Replica(Actor):
                     + costs.validate_per_msg * len(payload.proposal.batch))
             self.work(cost,
                       partial(self._handle_authenticated_propose, src, payload))
-        elif isinstance(payload, Reply):
-            # Replies reach a replica when it acts as a *sender* to another
-            # group (ByzCast relays); the application owns those proxies.
-            handler = getattr(self.app, "handle_reply", None)
-            if handler is not None:
-                handler(src, payload)
         elif hasattr(self.app, "answer"):
             # The application's own unordered traffic (ByzCast's
-            # DeliveryQuery): whatever it answers goes back to the sender.
+            # DeliveryQuery and RelayAck): whatever it answers goes back to
+            # the sender.
             answer = self.app.answer(src, payload)
             if answer is not None:
                 self.send(src, answer)
@@ -911,7 +906,8 @@ class Replica(Actor):
                        live: bool = True) -> None:
         """Execute what ``_order`` returned for ``cid`` and reply.
 
-        A live batch runs as a CPU job, replies to every sender and lets
+        A live batch runs as a CPU job, replies to every sender the
+        application answers at once (``Application.sends_reply``) and lets
         the leader propose again.  A batch adopted by state transfer runs
         inline and replies only to requests that were pending here: those
         senders asked *us* and are still waiting — in particular the admin
@@ -932,7 +928,7 @@ class Replica(Actor):
                                 seq=request.seq)
             if result is not None:
                 self._replies.keep(request.sender, request.seq, result)
-                if live or pending:
+                if (live or pending) and self.app.sends_reply(request, result):
                     self._send_reply(request, Reply(
                         self.group_id, self.name, request.sender,
                         request.seq, result))

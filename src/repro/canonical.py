@@ -158,6 +158,7 @@ def _register_builtin_types() -> None:
         cmsg.RelayBatch,
         cmsg.DeliveryQuery,
         cmsg.RelayCertificate,
+        cmsg.RelayAck,
     ):
         register_wire_type(cls)
 

@@ -9,8 +9,11 @@ is the ordered request's reply, ``("delivered", result)``, gathered by the
 entry proxy; every other destination group sends a
 :class:`~repro.core.messages.MulticastReply`, which the client asks for
 again with a :class:`~repro.core.messages.DeliveryQuery` when too few
-arrive.  Latency is measured from submission to that last confirmation —
-the figure the paper's latency plots report.
+arrive.  An entry group that is not a destination answers only a
+retransmission (``("ack",)``): the first destination group's confirmation
+proves that it ordered the message, and completes the entry request.
+Latency is measured from submission to the last confirmation — the figure
+the paper's latency plots report.
 """
 
 from __future__ import annotations
@@ -434,11 +437,12 @@ class MulticastClient(Actor):
         """The entry proxy's f+1-matched result for the message ``key``.
 
         ``("delivered", r)`` confirms a destination entry group with its
-        a-delivery result ``r``; ``("ack",)`` from an entry group that only
-        relays confirms nothing.  Either way the proxy stops retransmitting,
-        so the groups still unconfirmed wait on MulticastReplies, asked for
-        again by :meth:`_query_deliveries`.  An error: the message never
-        entered the tree.
+        a-delivery result ``r``; the groups still unconfirmed then wait on
+        MulticastReplies, asked for again by :meth:`_query_deliveries`.
+        ``("ack",)`` from an entry group that only relays confirms nothing:
+        it answers a retransmission, so no destination confirmed within a
+        retransmission timeout, and the destinations are asked at once.  An
+        error: the message never entered the tree.
         """
         entry = self._inflight.get(key)
         if entry is None:
@@ -448,13 +452,24 @@ class MulticastClient(Actor):
             group = entry.entry_group
             if group in entry.needed and group not in entry.confirmed:
                 self._confirm(key, entry, group, result[1])
-        elif result != ("ack",):
+            self._await_deliveries(key, entry, self.retransmit_timeout)
+        elif result == ("ack",):
+            self._await_deliveries(key, entry, 0.0)
+
+    def _await_deliveries(self, key: Tuple[str, int], entry: _InFlight,
+                          delay: Optional[float]) -> None:
+        """The entry group answered for message ``key``: ask the destination
+        groups still unconfirmed in ``delay``, then back off."""
+        if key not in self._inflight or self.retransmit_timeout is None:
             return
-        if key in self._inflight and self.retransmit_timeout is not None:
-            entry.next_query = self.clock.now + self.retransmit_timeout
-            if self._query_timer is None:
-                self._query_timer = self.set_timer(self.retransmit_timeout,
-                                                   self._query_deliveries)
+        entry.next_query = self.clock.now + delay
+        if delay <= 0:
+            if self._query_timer is not None:
+                self._query_timer.cancel()
+            self._query_deliveries()
+        elif self._query_timer is None:
+            self._query_timer = self.set_timer(self.retransmit_timeout,
+                                               self._query_deliveries)
 
     def _query_deliveries(self) -> None:
         """Send a DeliveryQuery round for each message that is due one.
@@ -487,19 +502,26 @@ class MulticastClient(Actor):
 
     def _confirm(self, key: Tuple[str, int], entry: _InFlight, group: str,
                  result: Any) -> None:
-        """Destination ``group`` confirmed on f+1 matching ``result``s."""
+        """Destination ``group`` confirmed on f+1 matching ``result``s.
+
+        That proves the entry group ordered the message: an entry group
+        that is not a destination is answered by it (its proxy request
+        completes).  For a destination entry group it is progress that
+        resets the proxy's backoff — only *accepted* progress does, a full
+        f+1 match vouched by at least one correct replica; a single
+        Byzantine fast-replier could emit bare replies at will and pin the
+        backoff at its floor forever.
+        """
         entry.confirmed.add(group)
         entry.group_results[group] = result
-        # Backoff resets only on *accepted* progress — a full f+1 match for
-        # a destination group, vouched by at least one correct replica.  A
-        # bare reply must never count: a single Byzantine fast-replier
-        # could emit those at will and pin the entry proxy's retransmit
-        # backoff at its floor forever.
-        entry_proxy = self._proxies.get(entry.entry_group)
-        if entry_proxy is not None:
-            entry_proxy.note_progress(entry.entry_seq)
+        entry_proxy = self._proxies[entry.entry_group]
         if entry.confirmed == entry.needed:
+            entry_proxy.settle(entry.entry_seq)
             self._complete(key, entry)
+        elif entry.entry_group in entry.needed:
+            entry_proxy.note_progress(entry.entry_seq)
+        elif entry_proxy.settle(entry.entry_seq):
+            self._await_deliveries(key, entry, self.retransmit_timeout)
 
     def _complete(self, key: Tuple[str, int], entry: _InFlight) -> None:
         del self._inflight[key]

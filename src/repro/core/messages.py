@@ -173,6 +173,31 @@ class RelayCertificate:
 
 
 @dataclass(frozen=True)
+class RelayAck:
+    """A child replica's cumulative acknowledgement of one relay stream.
+
+    ``sender``, a replica of the child ``group``, has released every batch
+    ``parent`` relayed to ``group`` below ``next_index``.  Unordered: each
+    child replica sends it to the parent's current replicas at most once per
+    ack interval, and at once to a relayer whose copy it will never count
+    (docs/PROTOCOL.md §3.2).  A parent drops a copy once ``f + 1`` current
+    child members acknowledged past its index
+    (:class:`~repro.core.relay.RelayOutbox`).  Anything but a natural
+    ``next_index`` is refused at construction, so a frame that carries it
+    does not decode.
+    """
+
+    group: str
+    parent: str
+    sender: str
+    next_index: int
+
+    def __post_init__(self) -> None:
+        if type(self.next_index) is not int or self.next_index < 0:
+            raise TypeError("a relay ack carries a natural next index")
+
+
+@dataclass(frozen=True)
 class MembershipUpdate:
     """An ordered notice that another group's membership changed.
 

@@ -27,8 +27,10 @@ Each replica answers the client once per group: a message that entered
 here and is a-delivered here is answered by the ordered request's reply,
 ``("delivered", result)``; one a-delivered after a relay by a
 :class:`~repro.core.messages.MulticastReply`, sent again on the client's
-:class:`~repro.core.messages.DeliveryQuery`; an entry group that is not a
-destination replies ``("ack",)``.
+:class:`~repro.core.messages.DeliveryQuery`.  An entry group that is not a
+destination keeps ``("ack",)`` as the reply a retransmission gets, but does
+not send it as it executes: the client learns the same from its first
+destination group's confirmation (:meth:`ByzCastApplication.sends_reply`).
 """
 
 from __future__ import annotations
@@ -41,40 +43,47 @@ from typing import (
 from dataclasses import replace as dataclass_replace
 
 from repro.bcast.app import Application, ExecutionContext
-from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.fifo import ReplyWindow
-from repro.bcast.messages import Reply, Request
+from repro.bcast.messages import Request
 from repro.bcast.reconfig import admin_identity
 from repro.core.messages import (
     DeliveryQuery,
     MembershipUpdate,
     MulticastReply,
+    RelayAck,
     RelayBatch,
     RelayCertificate,
     TreeUpdate,
     WireMulticast,
 )
-from repro.core.relay import RelayInbox, certificate_problem, relay_sender
+from repro.core.relay import (
+    RelayInbox, RelayOutbox, certificate_problem, relay_sender,
+)
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import SequenceDigest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify_signed
+from repro.env import TimerHandle
 from repro.types import Delivery, MulticastMessage
 
 DeliverCallback = Callable[[MulticastMessage, ExecutionContext], None]
+
+#: what an entry group that is not a destination answers a retransmission
+ENTRY_ACK = ("ack",)
 
 
 class ByzCastApplication(Application):
     """One replica's ByzCast protocol state (Algorithm 1)."""
 
-    #: first retransmission delay of the relay proxies into child groups;
-    #: class-level so harnesses (e.g. the chaos soak) can tighten it without
+    #: first retransmission delay of the relay outboxes into child groups;
+    #: a quarter of it is the ack interval of each relay stream.
+    #: Class-level so harnesses (e.g. the chaos soak) can tighten it without
     #: threading a parameter through every deployment builder.
     relay_retransmit_timeout: Optional[float] = 4.0
-    #: the proxy class relaying into child groups (relay adversaries in
+    #: the outbox class relaying into child groups (relay adversaries in
     #: :mod:`repro.faults.behaviors` send through their own)
-    relay_proxy_class = GroupProxy
+    relay_outbox_class = RelayOutbox
 
     def __init__(
         self,
@@ -119,6 +128,10 @@ class ByzCastApplication(Application):
         #: stream's next index is replicated state; the copies it holds are
         #: this replica's own votes.
         self._inboxes: Dict[str, RelayInbox] = {}
+        #: per stream, when this replica last acknowledged it, and the timer
+        #: of an ack due before the ack interval since then is over
+        self._acked_at: Dict[str, float] = {}
+        self._ack_timers: Dict[str, TimerHandle] = {}
         parent = tree.parent(group_id)
         if parent is not None:
             self._open_stream(parent)
@@ -126,7 +139,7 @@ class ByzCastApplication(Application):
         #: monotonically increasing overlay epoch — bumped by each ordered
         #: :class:`~repro.core.messages.TreeUpdate` (replicated state)
         self.tree_epoch = 0
-        self._child_proxies: Dict[str, GroupProxy] = {}
+        self._outboxes: Dict[str, RelayOutbox] = {}
         #: wires acted on in the batch being executed, per routed child, in
         #: act order; flushed by :meth:`end_batch`, so empty at every
         #: batch boundary (and therefore never part of a snapshot)
@@ -195,7 +208,13 @@ class ByzCastApplication(Application):
         # A destination entry group answers with the a-delivery result in
         # this ordered reply; any other entry group only acknowledges.
         delivered = self._act(wire, ctx, entered=True)
-        return ("ack",) if delivered is None else delivered
+        return ENTRY_ACK if delivered is None else delivered
+
+    def sends_reply(self, request: Request, result: Any) -> bool:
+        """An entry acknowledgement waits for a retransmission: the client
+        learns that the entry group ordered its multicast from the first
+        destination group's f+1 confirmations."""
+        return result != ENTRY_ACK
 
     # ----------------------------------------------------- relay streams (§3.2)
 
@@ -227,11 +246,10 @@ class ByzCastApplication(Application):
     def _vote(self, copy: Request, replica: Any) -> None:
         """Count one relayer's copy in its stream's inbox.
 
-        A copy of a released index is acknowledged at once; one that gives
-        its index a quorum pools that index's certificate.  Nothing a
-        relayer puts in a copy changes its ack: f relayers are Byzantine,
-        and the correct relayers' f+1 ack match must not depend on what
-        those sent.
+        A copy this replica will never count — of a released index, or
+        malformed — is answered at once with the stream's ack, which says
+        nothing about the copy: only the stream's next index.  One that
+        gives its index a quorum pools that index's certificate.
         """
         parent, inbox = self._stream_of(copy.sender)
         if inbox is None:
@@ -240,22 +258,46 @@ class ByzCastApplication(Application):
             return
         batch = copy.command
         index = batch.index
-        if (self._carried_wires(batch) is None or type(index) is not int
-                or index < 0):
+        malformed = (self._carried_wires(batch) is None
+                     or type(index) is not int or index < 0)
+        if malformed:
             replica.monitor.record(replica.name, "byzcast.invalid_relay_batch",
                                    sender=copy.sender)
-            self._ack(replica, copy)
-            return
-        if index < inbox.next_index:
-            self._ack(replica, copy)
+        if malformed or index < inbox.next_index:
+            replica.send(copy.sender, self._stream_ack(replica, parent))
             return
         copies = inbox.vote(copy)
         if copies is not None:
             replica.offer(self._certificate(parent, index, copies))
 
-    def _ack(self, replica: Any, copy: Request) -> None:
-        replica.send(copy.sender, Reply(self.group_id, replica.name,
-                                        copy.sender, copy.seq, ("ack",)))
+    def _stream_ack(self, replica: Any, parent: str) -> RelayAck:
+        return RelayAck(self.group_id, parent, replica.name,
+                        self._inboxes[parent].next_index)
+
+    def _ack_due(self, replica: Any, parent: str) -> None:
+        """``parent``'s stream moved: acknowledge it now, or at the end of
+        the ack interval that began with its last ack."""
+        if parent in self._ack_timers:
+            return
+        timeout = self.relay_retransmit_timeout
+        last = self._acked_at.get(parent)
+        wait = (0.0 if timeout is None or last is None
+                else last + timeout / 4 - replica.clock.now)
+        if wait > 0:
+            self._ack_timers[parent] = replica.set_timer(
+                wait, partial(self._ack_stream, replica, parent))
+        else:
+            self._ack_stream(replica, parent)
+
+    def _ack_stream(self, replica: Any, parent: str) -> None:
+        """Send the stream's ack to each of ``parent``'s current replicas."""
+        self._ack_timers.pop(parent, None)
+        if parent not in self._inboxes:
+            return  # a restore closed the stream
+        self._acked_at[parent] = replica.clock.now
+        ack = self._stream_ack(replica, parent)
+        for relayer in self.group_configs[parent].replicas:
+            replica.send(relayer, ack)
 
     def _certificate(self, parent: str, index: int,
                      copies: Tuple[Request, ...]) -> Request:
@@ -271,8 +313,18 @@ class ByzCastApplication(Application):
             replica.offer(self._certificate(parent, index, copies))
 
     def reoffer(self, replica: Any) -> None:
+        """Pool every stream's certificates again, acknowledge every stream
+        at once (a checkpoint may have moved it) and restart the outboxes'
+        timers (a crash cancelled them)."""
+        for timer in self._ack_timers.values():
+            timer.cancel()
+        self._ack_timers.clear()
         for parent, inbox in self._inboxes.items():
             self._recertify(replica, parent, inbox)
+            if inbox.next_index:
+                self._ack_stream(replica, parent)
+        for outbox in self._outboxes.values():
+            outbox.restart()
 
     def vouch(self, request: Request,
               ahead: Iterable[Request]) -> Optional[bool]:
@@ -328,8 +380,8 @@ class ByzCastApplication(Application):
     def _execute_certificate(self, request: Request,
                              certificate: RelayCertificate,
                              ctx: ExecutionContext) -> None:
-        """Release a certified batch: ack every relayer whose copy of it
-        this replica holds, then admit and act on each of its wires once.
+        """Release a certified batch — its stream's ack is due — and admit
+        and act on each of its wires once.
 
         The proposal check (:meth:`vouch`) ran against the membership that
         holds here, and the FIFO tracker orders a stream by index, so a
@@ -344,8 +396,8 @@ class ByzCastApplication(Application):
             ctx.monitor.record(ctx.replica_name, "byzcast.invalid_certificate",
                                reason=problem)
             return
-        for copy in inbox.release(certificate.index):
-            self._ack(ctx.replica, copy)
+        inbox.release(certificate.index)
+        self._ack_due(ctx.replica, certificate.parent)
         self._release(certificate.copies[0].command, ctx)
 
     def _release(self, batch: RelayBatch, ctx: ExecutionContext) -> None:
@@ -390,7 +442,7 @@ class ByzCastApplication(Application):
 
         Executes at one consensus boundary on every replica of this group,
         so the relay wiring that captured construction-time membership —
-        child proxies into ``update.group`` and, when it is (or was) our
+        the outbox into ``update.group`` and, when it is (or was) our
         overlay parent, the relayers and threshold its certificates are
         checked against — changes at the same logical point everywhere.
         The stream's inbox drops departed relayers' votes and recounts, and
@@ -410,9 +462,9 @@ class ByzCastApplication(Application):
         except Exception:
             return ("error", "invalid membership")
         self.group_configs[update.group] = config
-        proxy = self._child_proxies.get(update.group)
-        if proxy is not None:
-            proxy.update_replicas(config.replicas, config.f)
+        outbox = self._outboxes.get(update.group)
+        if outbox is not None:
+            outbox.update_replicas(config.replicas, config.f)
         inbox = self._inboxes.get(update.group)
         if inbox is not None:
             inbox.restore(config.replicas, config.f + 1, inbox.next_index)
@@ -527,24 +579,23 @@ class ByzCastApplication(Application):
     def _flush_relays(self, child: str, wires: List[WireMulticast],
                       ctx: ExecutionContext) -> None:
         """Submit ``wires`` (act order) to ``child`` as ``RelayBatch``es."""
-        proxy = self._child_proxy(child, ctx)
-        per_wire = self.config.costs.relay_per_dest * len(proxy.replicas)
+        outbox = self._outbox(child, ctx)
+        per_wire = self.config.costs.relay_per_dest * len(outbox.replicas)
         limit = self.group_configs[child].max_batch
         for start in range(0, len(wires), limit):
             index = self._relay_index.get(child, 0)
             self._relay_index[child] = index + 1
             batch = RelayBatch(tuple(wires[start:start + limit]), index)
-            # The CPU queue is FIFO, so batches are submitted (and numbered
-            # by the proxy) in act order — preserving FIFO into the child.
+            # The CPU queue is FIFO, so batches leave in act order.
             ctx.replica.work(per_wire * len(batch.wires),
-                             partial(proxy.submit, batch))
+                             partial(outbox.submit, batch))
             ctx.monitor.record(ctx.replica_name, "byzcast.relay_batch",
                                child=child, size=len(batch.wires))
 
-    def _child_proxy(self, child: str, ctx: ExecutionContext) -> GroupProxy:
-        if child not in self._child_proxies:
+    def _outbox(self, child: str, ctx: ExecutionContext) -> RelayOutbox:
+        if child not in self._outboxes:
             child_config = self.group_configs[child]
-            self._child_proxies[child] = self.relay_proxy_class(
+            self._outboxes[child] = self.relay_outbox_class(
                 owner=ctx.replica,
                 group_id=child,
                 replicas=child_config.replicas,
@@ -552,7 +603,7 @@ class ByzCastApplication(Application):
                 registry=self.registry,
                 retransmit_timeout=self.relay_retransmit_timeout,
             )
-        return self._child_proxies[child]
+        return self._outboxes[child]
 
     def _a_deliver(self, wire: WireMulticast, ctx: ExecutionContext) -> Any:
         """Record the a-delivery; returns what ``on_deliver`` returned."""
@@ -594,14 +645,14 @@ class ByzCastApplication(Application):
 
     # ---------------------------------------------------------------- replies
 
-    def handle_reply(self, src: str, reply: Reply) -> None:
-        """Route child-group acks to the relay proxies (retransmission)."""
-        proxy = self._child_proxies.get(reply.group)
-        if proxy is not None:
-            proxy.handle_reply(src, reply)
-
     def answer(self, src: str, query: Any) -> Optional[MulticastReply]:
-        """A client's :class:`DeliveryQuery`: our MulticastReply again."""
+        """A client's :class:`DeliveryQuery`: our MulticastReply again.  A
+        child replica's :class:`RelayAck` goes to that child's outbox."""
+        if isinstance(query, RelayAck):
+            outbox = self._outboxes.get(query.group)
+            if outbox is not None and query.parent == self.group_id:
+                outbox.handle_reply(src, query)
+            return None
         if (not isinstance(query, DeliveryQuery) or query.sender != src
                 or query.group != self.group_id):
             return None
@@ -633,10 +684,10 @@ class ByzCastApplication(Application):
         the business state the delivery callback maintains.  The id
         sequence grows with history and is copied as it stands, without
         sorting or encoding; everything else is bounded by in-flight work
-        and deployment size.  Child relay proxies are *not* captured: their
-        retransmission state is per-replica (timers, local sequence
-        numbers), and a restored replica skipping the relays of the batches
-        it skipped is what the relay indexes let the children tolerate.
+        and deployment size.  Relay outboxes are *not* captured: what a
+        child acknowledged is per-replica, and a restored replica skipping
+        the relays of the batches it skipped is what the relay indexes let
+        the children tolerate.
         """
         # A stream's relayers are its parent's membership, in ``configs``.
         streams = tuple((parent, inbox.next_index)
@@ -697,9 +748,9 @@ class ByzCastApplication(Application):
             config = dataclass_replace(known, replicas=tuple(replicas),
                                        f=group_f)
             self.group_configs[gid] = config
-            proxy = self._child_proxies.get(gid)
-            if proxy is not None:
-                proxy.update_replicas(config.replicas, config.f)
+            outbox = self._outboxes.get(gid)
+            if outbox is not None:
+                outbox.update_replicas(config.replicas, config.f)
         self.config = self.group_configs[self.group_id]
         tree_epoch, edges, targets = tree_state
         if tree_epoch != self.tree_epoch:

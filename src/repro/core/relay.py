@@ -33,6 +33,15 @@ proposal.  ``f`` Byzantine votes never reach ``f + 1``, whatever digest or
 index they carry.  ``tests/core/test_relay.py`` contains the adversarial
 scenarios and ``tests/properties/test_relay_inbox_machine.py`` the state
 machine.
+
+Acknowledgements are cumulative.  A child replica answers a stream, not a
+copy: one :class:`~repro.core.messages.RelayAck` carrying its next index to
+release, to every current relayer, at most once per ack interval.  A parent
+replica's :class:`RelayOutbox` keeps each copy it relayed until ``f + 1``
+current child members acknowledged past it — one of them is correct and
+executed the certificate, so the child group decided the batch — and
+retransmits the rest, each to the members that did not acknowledge it
+(``tests/properties/test_relay_outbox_machine.py``).
 """
 
 from __future__ import annotations
@@ -42,9 +51,14 @@ from typing import (
     Tuple,
 )
 
+from repro.bcast.client import GroupProxy
+from repro.bcast.config import capped_backoff
 from repro.bcast.messages import Request
-from repro.core.messages import RelayBatch, RelayCertificate
+from repro.core.messages import RelayAck, RelayBatch, RelayCertificate
 from repro.crypto.digest import digest
+from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import sign
+from repro.env import Actor, TimerHandle
 
 #: how far past the next index to release a relayer's copy may point; a
 #: copy beyond is dropped unacknowledged (its relayer retransmits), so a
@@ -190,14 +204,13 @@ class RelayInbox:
         """``(index, certificate copies)`` of every index with a quorum."""
         return iter(sorted(self._quorums.items()))
 
-    def release(self, index: int) -> List[Request]:
-        """Advance past ``index``, whose certificate executed; returns every
-        copy held for it — each of those relayers is owed an ack."""
-        held = list(self._copies.pop(index, {}).values())
+    def release(self, index: int) -> None:
+        """Advance past ``index``, whose certificate executed, dropping every
+        copy held for it."""
+        self._copies.pop(index, None)
         self._ballots.pop(index, None)
         self._quorums.pop(index, None)
         self.next_index = index + 1
-        return held
 
     def restore(self, relayers: Iterable[str], threshold: int,
                 next_index: int) -> None:
@@ -218,3 +231,135 @@ class RelayInbox:
                 if copy.sender in self.relayers:
                     self._copies.setdefault(index, {})[copy.sender] = copy
                     self._count(index, copy)
+
+
+class RelayOutbox(GroupProxy):
+    """A parent replica's proxy into one child group: what it relayed there
+    and the child has not acknowledged yet.
+
+    Each ``RelayBatch`` is signed once, as the owner's request ``seq = index
+    + 1``, and sent to every child member.  The child answers the stream,
+    not a request: the outbox records each current member's highest
+    :class:`~repro.core.messages.RelayAck` (fed to :meth:`handle_reply`) and
+    keeps a copy until ``f + 1`` of those cover it (acknowledge a next index
+    past it): at least one of them is correct and has executed the batch's
+    certificate, so the child group decided it.  A Byzantine member's absurd
+    or regressing index is one vote at most.  A copy is due for
+    retransmission a backoff period after it was last sent and after the
+    covered :attr:`horizon` last advanced — the first step after an
+    advance, doubling with each retransmission while none comes.  One timer
+    per stream fires when the first copy is due and sends every copy due
+    then to the members that do not cover it.  Retransmissions are counted
+    as ``proxy.retransmit``, one per copy resent.
+    """
+
+    def __init__(self, owner: Actor, group_id: str, replicas: Tuple[str, ...],
+                 f: int, registry: KeyRegistry,
+                 retransmit_timeout: Optional[float] = 4.0,
+                 max_retries: int = 16) -> None:
+        super().__init__(owner, group_id, replicas, f, registry,
+                         retransmit_timeout, max_retries)
+        #: index -> (the signed copy, when it was last sent), until f+1
+        #: current members cover it
+        self._unacked: Dict[int, Tuple[Request, float]] = {}
+        #: current member -> the highest next index it acknowledged
+        self._acked: Dict[str, int] = {}
+        #: every index below is covered by f+1 current members
+        self.horizon = 0
+        self._timer: Optional[TimerHandle] = None
+        self._retries = 0
+        #: when the horizon last advanced (or the owner recovered)
+        self._progress = 0.0
+        #: when the armed timer fires: the earliest time a copy is due
+        self._due_at = 0.0
+
+    def unacked(self) -> Dict[int, Request]:
+        """The copies kept, by index."""
+        return {index: copy for index, (copy, __) in self._unacked.items()}
+
+    def submit(self, batch: RelayBatch) -> Request:
+        """Sign ``batch`` and send it to the child, unless the child already
+        covers its index; returns the signed copy."""
+        unsigned = Request(self.group_id, self.owner.name, batch.index + 1,
+                           batch)
+        copy = unsigned.with_signature(
+            sign(self.registry, self.owner.name, unsigned.signed_part()))
+        if batch.index >= self.horizon:
+            self._unacked[batch.index] = (copy, self.owner.clock.now)
+            self._send(copy, self.replicas)
+            if self._timer is None:
+                self._arm()
+        return copy
+
+    def _send(self, copy: Request, replicas: Iterable[str]) -> None:
+        """Send ``copy`` to ``replicas`` (the relay adversaries' seam)."""
+        for replica in replicas:
+            self.owner.send(replica, copy)
+
+    def _count(self, src: str, ack: RelayAck) -> bool:
+        if isinstance(ack, RelayAck) and ack.next_index > self._acked.get(src, 0):
+            self._acked[src] = ack.next_index
+            self._cover()
+        return True
+
+    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
+        """Adopt the child's reconfigured membership: departed members'
+        acknowledgements stop counting."""
+        super().update_replicas(replicas, f)
+        self._acked = {member: index for member, index in self._acked.items()
+                       if member in self.replicas}
+        self._cover()
+
+    def _cover(self) -> None:
+        """Recompute :attr:`horizon`; on an advance, drop the copies below
+        it and restart the retransmission backoff."""
+        marks = sorted(self._acked.values(), reverse=True)
+        horizon = marks[self.f] if len(marks) > self.f else 0
+        advanced = horizon > self.horizon
+        self.horizon = horizon
+        if not advanced:
+            return
+        for index in [index for index in self._unacked if index < horizon]:
+            del self._unacked[index]
+        self.restart()
+
+    def restart(self) -> None:
+        """Re-arm the retransmission timer from the first backoff step (an
+        advance, or the owner's recovery: a crash cancelled the timer)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._retries = 0
+        self._progress = self.owner.clock.now
+        if self._unacked:
+            self._arm()
+
+    def _due(self, sent: float) -> float:
+        """When a copy last sent at ``sent`` is due for retransmission."""
+        return (max(sent, self._progress)
+                + capped_backoff(self.retransmit_timeout, self._retries))
+
+    def _arm(self) -> None:
+        if self.retransmit_timeout is None:
+            return
+        self._due_at = self._due(min(sent for __, sent
+                                     in self._unacked.values()))
+        self._timer = self.owner.set_timer(
+            max(0.0, self._due_at - self.owner.clock.now), self._resend)
+
+    def _resend(self) -> None:
+        """Send every copy due to the members that do not cover it."""
+        self._timer = None
+        if not self._unacked or self._retries >= self.max_retries:
+            return  # give up quietly until the child acknowledges again
+        due = [index for index, (__, sent) in self._unacked.items()
+               if self._due(sent) <= self._due_at]
+        self._retries += 1
+        now = self.owner.clock.now
+        for index in due:
+            copy = self._unacked[index][0]
+            self.owner.monitor.count("proxy.retransmit")
+            self._send(copy, [member for member in self.replicas
+                              if self._acked.get(member, 0) <= index])
+            self._unacked[index] = (copy, now)
+        self._arm()

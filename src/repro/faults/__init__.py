@@ -3,7 +3,7 @@
 :mod:`repro.faults.behaviors` provides replica classes and ByzCast
 application classes exhibiting specific misbehaviours (equivocating leader,
 mute replica, corrupted votes, silent/fabricating/duplicating/reordering/
-withholding/equivocating/subset relays);
+withholding/equivocating/subset relays, lying/silent relay acks);
 :mod:`repro.faults.injector` wires them into deployments and schedules
 benign crashes and partitions.
 
@@ -26,8 +26,10 @@ from repro.faults.behaviors import (
     EquivocatingLeaderReplica,
     EquivocatingRelayApp,
     FabricatingRelayApp,
+    LyingAckReplica,
     MuteReplica,
     ReorderingRelayApp,
+    SilentAckReplica,
     SilentRelayApp,
     SubsetRelayApp,
     WithholdingRelayApp,
@@ -66,6 +68,8 @@ __all__ = [
     "WithholdingRelayApp",
     "EquivocatingRelayApp",
     "SubsetRelayApp",
+    "LyingAckReplica",
+    "SilentAckReplica",
     "FaultPlan",
     "schedule_crash",
     "schedule_partition",

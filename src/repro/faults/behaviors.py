@@ -10,13 +10,15 @@ exactly the §II-A adversary.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Tuple
+from typing import Any, Iterable, Set, Tuple
 
-from repro.bcast.client import GroupProxy
 from repro.bcast.messages import Accept, Propose, ReadReply, ReadRequest, Request, Write
 from repro.bcast.replica import Replica
-from repro.core.messages import RelayBatch, RelayCertificate, WireMulticast
+from repro.core.messages import (
+    RelayAck, RelayBatch, RelayCertificate, WireMulticast,
+)
 from repro.core.node import ByzCastApplication
+from repro.core.relay import RelayOutbox
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature, sign
 
@@ -310,18 +312,19 @@ class WithholdingRelayApp(ByzCastApplication):
         super()._flush_relays(child, wires[:middle] + wires[middle + 1:], ctx)
 
 
-class _EquivocatingProxy(GroupProxy):
-    """Sends half the child's replicas each request as submitted and the
-    other half another batch under the same seq; the halves swap from one
-    seq to the next, so the child's leader orders either version."""
+class _EquivocatingOutbox(RelayOutbox):
+    """Sends half the child's replicas each copy as submitted and the other
+    half another batch under the same seq; the halves swap from one seq to
+    the next, so the child's leader orders either version."""
 
-    def _send_to_all(self, request: Request) -> None:
+    def _send(self, request: Request, replicas: Iterable[str]) -> None:
         half = len(self.replicas) // 2
         versions = (request, self._twisted(request))
         if request.seq % 2:
             versions = versions[::-1]
         self.owner.monitor.count("byzantine.equivocated_relay")
-        for position, replica in enumerate(self.replicas):
+        for replica in replicas:
+            position = self.replicas.index(replica)
             self.owner.send(replica, versions[position >= half])
 
     def _twisted(self, request: Request) -> Request:
@@ -340,14 +343,15 @@ class _EquivocatingProxy(GroupProxy):
             sign(self.registry, self.owner.name, unsigned.signed_part()))
 
 
-class _SubsetProxy(GroupProxy):
-    """Sends every request to all of the child's replicas but its first,
-    the leader of regency 0."""
+class _SubsetOutbox(RelayOutbox):
+    """Sends every copy to all of the child's replicas but its first, the
+    leader of regency 0."""
 
-    def _send_to_all(self, request: Request) -> None:
+    def _send(self, request: Request, replicas: Iterable[str]) -> None:
         self.owner.monitor.count("byzantine.subset_relay")
-        for replica in self.replicas[1:]:
-            self.owner.send(replica, request)
+        for replica in replicas:
+            if replica != self.replicas[0]:
+                self.owner.send(replica, request)
 
 
 class EquivocatingRelayApp(ByzCastApplication):
@@ -360,7 +364,7 @@ class EquivocatingRelayApp(ByzCastApplication):
     release alone nor stop the honest batch from being released.
     """
 
-    relay_proxy_class = _EquivocatingProxy
+    relay_outbox_class = _EquivocatingOutbox
 
 
 class SubsetRelayApp(ByzCastApplication):
@@ -374,4 +378,52 @@ class SubsetRelayApp(ByzCastApplication):
     so the child's order must not depend on this relayer at all.
     """
 
-    relay_proxy_class = _SubsetProxy
+    relay_outbox_class = _SubsetOutbox
+
+
+class LyingAckReplica(Replica):
+    """A child replica that acknowledges every relay stream far past what
+    it released: at ``next_index + LEAD``, on the stream's first copy it
+    receives, and every ack it sends after that.
+
+    It is one member's vote at each parent's outbox, so with the other f-1
+    liars it stays short of the f+1 that drop a copy: the copies the
+    correct members have not acknowledged are kept and retransmitted.
+    """
+
+    LEAD = 10 ** 6
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: the parents whose stream it acknowledged on a first copy
+        self._lied: Set[str] = set()
+
+    def _handle_request(self, src: str, request: Request) -> None:
+        if isinstance(request.command, RelayBatch):
+            parent, inbox = self.app._stream_of(request.sender)
+            if inbox is not None and parent not in self._lied:
+                self._lied.add(parent)
+                ack = RelayAck(self.group_id, parent, self.name,
+                               inbox.next_index)
+                for relayer in self.app.group_configs[parent].replicas:
+                    self.send(relayer, ack)
+        super()._handle_request(src, request)
+
+    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+        if isinstance(payload, RelayAck):
+            self.monitor.count("byzantine.lying_ack")
+            payload = RelayAck(payload.group, payload.parent, payload.sender,
+                               payload.next_index + self.LEAD)
+        super().send(dst, payload, size)
+
+
+class SilentAckReplica(Replica):
+    """A child replica that orders and executes like a correct one and
+    never acknowledges a relay stream: the parents' outboxes must empty on
+    the other members' acks."""
+
+    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+        if isinstance(payload, RelayAck):
+            self.monitor.count("byzantine.silent_ack")
+            return
+        super().send(dst, payload, size)

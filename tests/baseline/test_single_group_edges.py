@@ -51,6 +51,27 @@ def test_latency_measured_from_submit_to_f_plus_1_replies():
     assert 0 < seen[0] < 0.1
 
 
+def test_the_single_group_answers_live_its_ack_is_the_delivery():
+    """``("ack",)`` is what a ByzCast entry group that is not a destination
+    holds back until a retransmission; here it is the delivery itself, so
+    every replica sends it as it executes and no request is retransmitted."""
+    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+    replies = []
+    handle = client.on_message
+
+    def spy(src, payload):
+        replies.append((src, payload.result))
+        handle(src, payload)
+
+    client.on_message = spy
+    client.amulticast(destination("g1"), payload=("x",))
+    dep.run(until=5.0)
+    assert sorted(replies) == [(name, ("ack",)) for name in dep.config.replicas]
+    assert client.completions[0][1] < 0.1
+    assert "proxy.retransmit" not in dep.monitor.counters
+
+
 def test_wan_site_placement():
     dep = SingleGroupDeployment(costs=FAST_COSTS,
                                 sites=["CA", "VA", "EU", "JP"])

@@ -17,6 +17,7 @@ from repro.bcast.messages import CheckpointData, Request, StateRequest, StateRes
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.core.deployment import ByzCastDeployment
+from repro.core.messages import RelayBatch
 from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.cache import caching_disabled
@@ -462,14 +463,19 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
     assert relayer.active and merger.active
     assert dep.monitor.counters["checkpoint.installed"] >= 2
 
-    def relayed_by_joiner():
-        proxy = relayer.app._child_proxies.get("g1")
-        return proxy.submitted if proxy is not None else 0
+    relayed_by_joiner = []
+    send = relayer.send
 
-    before = relayed_by_joiner()
+    def spy(dst, payload, size=64):
+        if isinstance(payload, Request) and isinstance(payload.command,
+                                                       RelayBatch):
+            relayed_by_joiner.append(dst)
+        send(dst, payload, size)
+
+    relayer.send = spy
     burst("post", 10, until=dep.runtime.clock.now + 3.0)
     assert relayer.app._relay_buffers == {}
-    assert relayed_by_joiner() > before
+    assert any(dst.startswith("g1/") for dst in relayed_by_joiner)
     expected = [("pre", j) for j in range(30)] + [("post", j) for j in range(10)]
     for gid in ("g1", "g2"):
         for replica in dep.groups[gid].replicas:

@@ -106,7 +106,10 @@ class TestResultVoting:
 class TestReplyPaths:
     """An entry destination group confirms through the entry proxy's f+1
     matching ``("delivered", result)`` replies; a relayed destination
-    through ``MulticastReply``; an ``("ack",)`` confirms no group."""
+    through ``MulticastReply``; an ``("ack",)`` — an entry group that is no
+    destination answering a retransmission — confirms no group.  Such an
+    entry group's request completes with the first destination's
+    confirmation."""
 
     @staticmethod
     def client_for(tree, dst):
@@ -144,6 +147,15 @@ class TestReplyPaths:
         assert client.pending() == 0
         assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
 
+    def test_the_first_destination_confirmation_completes_an_aux_entry(
+            self, client_rig):
+        dep, client = client_rig
+        feed(client, reply("g2", "g2/r0"))
+        assert client._proxies["h1"].pending() == 1  # one vote is no proof
+        feed(client, reply("g2", "g2/r1"))
+        assert client._proxies["h1"].pending() == 0
+        assert client.pending() == 1
+
     def test_inner_target_lca_confirms_by_reply_its_child_by_multicast_reply(
             self):
         tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
@@ -180,10 +192,12 @@ class TestDeliveryQueries:
                 if isinstance(payload, DeliveryQuery)]
 
     def test_only_unconfirmed_groups_are_asked_with_backoff(self):
+        """The first destination's confirmation answers for the entry
+        group, which sends no ack: a round after one timeout."""
         dep, client, sent = self.rig()
         for index in (0, 1):
-            feed(client, ordered_reply("h1", f"h1/r{index}", ("ack",)))
             feed(client, reply("g1", f"g1/r{index}"))
+        assert client._proxies["h1"].pending() == 0
         dep.run(until=0.99)
         assert self.rounds(sent) == []
         dep.run(until=1.01)

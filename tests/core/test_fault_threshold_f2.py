@@ -10,7 +10,8 @@ from repro.faults.behaviors import SilentRelayApp
 from repro.faults.injector import FaultPlan
 from repro.types import destination
 from tests.faults.test_byzantine import (
-    RELAY_ADVERSARIES, certificate_battery, relay_battery,
+    ACK_ADVERSARIES, RELAY_ADVERSARIES, ack_battery, certificate_battery,
+    relay_battery,
 )
 from tests.helpers import FAST_COSTS, Harness, make_config
 
@@ -84,6 +85,12 @@ def test_relay_battery_with_two_adversaries_per_inner_group(adversary):
 
 def test_two_certificate_forging_leaders_per_child_group():
     certificate_battery(f=2)
+
+
+@pytest.mark.parametrize("adversary", ACK_ADVERSARIES,
+                         ids=lambda cls: cls.__name__)
+def test_two_ack_adversaries_per_child_group_on_a_lossy_link(adversary):
+    ack_battery(adversary, f=2)
 
 
 def test_mixed_f_per_group():

@@ -194,9 +194,9 @@ def test_lost_delivery_replies_of_a_local_multicast_are_sent_again():
 
 def test_lost_multicast_replies_of_a_relayed_delivery_are_asked_for_again():
     """The MulticastReplies of g2/r1..r3 for a global message are lost, so
-    the client holds one.  The aux entry group h2 has acknowledged, so its
-    proxy no longer retransmits; the client asks g2 again with a
-    DeliveryQuery and g2's replicas repeat their replies."""
+    the client holds one.  g1's confirmation answers for the aux entry
+    group h2, so its proxy no longer retransmits; the client asks g2 again
+    with a DeliveryQuery and g2's replicas repeat their replies."""
     dep = make_deployment()
     client = dep.add_client("c1", retransmit_timeout=1.0)
     lost = []
@@ -216,4 +216,57 @@ def test_lost_multicast_replies_of_a_relayed_delivery_are_asked_for_again():
     assert client.pending() == 0
     assert dep.monitor.counters["client.delivery_query"] == 1
     assert "proxy.retransmit" not in dep.monitor.counters
+    assert 1.0 <= client.completions[0][1] < 1.1
+
+
+def test_a_destination_entry_group_answers_live():
+    """An entry group that is a destination sends ``("delivered", r)`` as
+    it executes, from every replica; only the ack of an entry group that
+    is not a destination waits for a retransmission."""
+    dep = make_deployment()
+    client = dep.add_client("c1", retransmit_timeout=1.0)
+    replies = []
+    handle = client.on_message
+
+    def spy(src, payload):
+        if isinstance(payload, Reply):
+            replies.append((src, payload.result))
+        handle(src, payload)
+
+    client.on_message = spy
+    client.amulticast(destination("g3"), payload=("local",))
+    client.amulticast(destination("g1", "g2"), payload=("global",))
+    dep.run(until=5.0)
+    assert sorted(replies) == [(f"g3/r{index}", ("delivered", None))
+                               for index in range(4)]
+    assert client.pending() == 0
+    assert all(latency < 0.1 for __, latency in client.completions)
+    assert "proxy.retransmit" not in dep.monitor.counters
+
+
+def test_a_non_destination_entry_that_loses_every_multicast_reply():
+    """Every replica's first MulticastReply of a global message is lost, so
+    no destination confirms and the aux entry group h2, which sent no ack,
+    is asked again after one timeout.  It answers the retransmission with
+    ``("ack",)`` from its reply windows, which says the destinations are
+    overdue: the client asks them at once and completes within the one
+    timeout it took when h2 acknowledged as it executed."""
+    dep = make_deployment()
+    client = dep.add_client("c1", retransmit_timeout=1.0)
+    lost = []
+    handle = client.on_message
+
+    def lossy(src, payload):
+        if isinstance(payload, MulticastReply) and src not in lost:
+            lost.append(src)
+            return
+        handle(src, payload)
+
+    client.on_message = lossy
+    client.amulticast(destination("g1", "g2"), payload=("m",))
+    dep.run(until=10.0)
+    assert len(lost) == 8 and client.pending() == 0
+    counters = dep.monitor.counters
+    assert counters["proxy.retransmit"] == 1
+    assert counters["client.delivery_query"] == 1
     assert 1.0 <= client.completions[0][1] < 1.1

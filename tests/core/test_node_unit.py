@@ -9,7 +9,7 @@ from repro.bcast.messages import Request
 from repro.bcast.reconfig import admin_identity
 from repro.core.invariants import check_prefix_order
 from repro.core.messages import (
-    DeliveryQuery, MembershipUpdate, MulticastReply, RelayBatch,
+    DeliveryQuery, MembershipUpdate, MulticastReply, RelayAck, RelayBatch,
     RelayCertificate, TreeUpdate, WireMulticast,
 )
 from repro.core.node import ByzCastApplication
@@ -111,7 +111,8 @@ class TestReplyPaths:
     entry destination through the ordered reply (the local case is
     ``test_local_message_delivered_and_acked``), a relayed destination
     through a ``MulticastReply``; an entry group that is not a destination
-    acknowledges only."""
+    keeps ``("ack",)`` for a retransmission and does not send it live
+    (``sends_reply``).  A child acknowledges a relay stream, not a copy."""
 
     @staticmethod
     def multicast_replies(replica):
@@ -122,7 +123,9 @@ class TestReplyPaths:
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
-        assert execute(app, replica, Request("h2", "client", 1, wire)) == ("ack",)
+        request = Request("h2", "client", 1, wire)
+        assert execute(app, replica, request) == ("ack",)
+        assert not app.sends_reply(request, ("ack",))
         assert self.multicast_replies(replica) == []
         assert {dst.split("/")[0] for dst, __ in replica.sent} == {"g1", "g2"}
 
@@ -130,8 +133,19 @@ class TestReplyPaths:
         tree, configs, registry, loop, make = setup
         app, replica = make("h1", "h1/r0", accept_any_ancestor=True)
         wire = wire_for(registry, "client", 1, ("g1",))
-        assert execute(app, replica, Request("h1", "client", 1, wire)) == ("ack",)
+        request = Request("h1", "client", 1, wire)
+        assert execute(app, replica, request) == ("ack",)
+        assert not app.sends_reply(request, ("ack",))
         assert self.multicast_replies(replica) == []
+
+    def test_every_other_result_is_sent_live(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = wire_for(registry, "client", 1, ("g1",))
+        request = Request("g1", "client", 1, wire)
+        for result in (execute(app, replica, request), ("error", "x"),
+                       ("ok", "membership", "g1", ())):
+            assert app.sends_reply(request, result)
 
     def test_relayed_delivery_sends_a_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
@@ -143,8 +157,12 @@ class TestReplyPaths:
             ("client", MulticastReply(group="g1", replica="g1/r0",
                                       sender="client", seq=1,
                                       result=("value", 7)))]
-        # The relayers are acked once the batch released, a late one at once.
-        assert acks(replica) == [("h2/r0", 1), ("h2/r1", 1), ("h2/r2", 1)]
+        # Every relayer is acked once the batch released, a late one's
+        # copy again at once; each ack names the stream's next index.
+        assert acks(replica) == [("h2/r0", 1), ("h2/r1", 1), ("h2/r2", 1),
+                                 ("h2/r3", 1), ("h2/r2", 1)]
+        assert {(ack.group, ack.parent, ack.sender) for __, ack in replica.sent
+                if isinstance(ack, RelayAck)} == {("g1", "h2", "g1/r0")}
 
     def test_a_delivery_query_repeats_the_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
@@ -176,7 +194,8 @@ class TestReplyPaths:
         child_replica = FakeReplica("g2/r0", configs["g2"])
         for parent in ("g1/r0", "g1/r1"):
             execute(child, child_replica, relayed("g2", parent, 1, wire))
-        assert acks(child_replica) == [("g1/r0", 1), ("g1/r1", 1)]
+        assert acks(child_replica) == [(relayer, 1) for relayer
+                                       in configs["g1"].replicas]
         assert [(dst, p.group) for dst, p in
                 self.multicast_replies(child_replica)] == [("client", "g2")]
 
@@ -312,6 +331,66 @@ def next_index(app, parent="h2"):
     return app._inboxes[parent].next_index
 
 
+class TestStreamAcks:
+    """A child replica acknowledges a relay stream, not a copy: one
+    ``RelayAck`` of its next index to every relayer, at most once per ack
+    interval (a quarter of the relay retransmission timeout)."""
+
+    @staticmethod
+    def release(app, replica, registry, count):
+        for seq in range(1, count + 1):
+            wire = wire_for(registry, "client", seq, ("g1", "g2"))
+            for parent in ("h2/r0", "h2/r1"):
+                execute(app, replica, relayed("g1", parent, seq, wire))
+
+    def test_one_ack_per_interval_covers_every_release_since(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        relayers = configs["h2"].replicas
+        self.release(app, replica, registry, 3)
+        # the first release is acked at once, the next two wait
+        assert acks(replica) == [(relayer, 1) for relayer in relayers]
+        replica.runtime.run(until=app.relay_retransmit_timeout / 4)
+        assert acks(replica)[4:] == [(relayer, 3) for relayer in relayers]
+        replica.runtime.run(until=app.relay_retransmit_timeout)
+        assert len(acks(replica)) == 8
+
+    def test_without_retransmission_every_release_is_acked_at_once(
+            self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        app.relay_retransmit_timeout = None
+        self.release(app, replica, registry, 3)
+        assert acks(replica) == [(relayer, index) for index in (1, 2, 3)
+                                 for relayer in configs["h2"].replicas]
+
+    def test_a_checkpoint_install_acks_every_stream_at_once(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        self.release(app, replica, registry, 3)
+        restored, restored_replica = make("g1", "g1/r1")
+        restored.restore(app.snapshot())
+        restored.reoffer(restored_replica)
+        assert acks(restored_replica) == [
+            (relayer, 3) for relayer in configs["h2"].replicas]
+
+    def test_a_parent_counts_acks_from_its_child_only(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("h2", "h2/r0")
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        execute(app, replica, Request("h2", "client", 1, wire))
+        outbox = app._outboxes["g1"]
+        assert list(outbox.unacked()) == [0]
+        for src, ack in (("g1/r0", RelayAck("g1", "h1", "g1/r0", 1)),
+                         ("g1/r1", RelayAck("g1", "h2", "g1/r2", 1)),
+                         ("g2/r0", RelayAck("g1", "h2", "g2/r0", 1)),
+                         ("g1/r0", RelayAck("g1", "h2", "g1/r0", 1))):
+            assert app.answer(src, ack) is None
+        assert list(outbox.unacked()) == [0]
+        app.answer("g1/r1", RelayAck("g1", "h2", "g1/r1", 1))
+        assert outbox.unacked() == {} and list(app._outboxes["g2"].unacked()) == [0]
+
+
 class TestRelayBatchHardening:
     """What a child accepts inside a ``RelayBatch``, and from whom."""
 
@@ -341,7 +420,7 @@ class TestRelayBatchHardening:
         batch = (junk[0], first, junk[1], junk[2], second, junk[3])
         for parent in ("h2/r0", "h2/r1", "h2/r2"):
             execute(app, replica, relayed("g1", parent, 1, *batch))
-        assert len(acks(replica)) == 3
+        assert len(acks(replica)) == 4 + 1  # the stream, the late copy
         assert [m.mid.seq for m in app.delivered_messages()] == [1, 2]
         # Validated once, when the batch is released: not once per copy.
         assert replica.monitor.counters["byzcast.invalid_wire"] == len(junk)
@@ -359,7 +438,7 @@ class TestRelayBatchHardening:
         assert app.delivered_messages() == []
         assert replica.monitor.counters["byzcast.invalid_relay_batch"] == 2
         # acked at once: no index will ever release them
-        assert acks(replica) == [("h2/r0", 1), ("h2/r1", 1)]
+        assert acks(replica) == [("h2/r0", 0), ("h2/r1", 0)]
         assert held(app) == {} and next_index(app) == 0
 
     def test_oversize_batch_is_dropped_whole(self, setup):
@@ -386,13 +465,14 @@ class TestRelayBatchHardening:
             request = Request("g1", "h2/r0", 1, RelayBatch(wires, 0))
             assert app.carried(request) == 1
             execute(app, replica, request)
-        assert acks(replica) == [("h2/r0", 1)] * 4
+        assert acks(replica) == [("h2/r0", 0)] * 4
         assert held(app) == {}
 
     def test_ack_does_not_depend_on_content(self, setup):
-        """f+1 correct relayers must get matching replies whatever the f
-        Byzantine ones sent before them: every copy is acked ``("ack",)``,
-        once, when its index released (or at once, if it never will)."""
+        """What the f Byzantine relayers sent changes no ack: an ack names
+        the stream's next index only, and the stream's acks go to every
+        relayer alike — to one that sent junk as to one that sent nothing.
+        Within an ack interval the acks of several releases are one."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         wire = wire_for(registry, "client", 1, ("g1", "g2"))
@@ -403,9 +483,15 @@ class TestRelayBatchHardening:
         for parent in ("h2/r1", "h2/r2"):
             for seq in range(1, len(contents) + 1):
                 execute(app, replica, relayed("g1", parent, seq, wire))
-        replies = [reply for dst, reply in replica.sent if dst == "h2/r0"]
-        assert {reply.result for reply in replies} == {("ack",)}
-        assert sorted(reply.req_seq for reply in replies) == [1, 2, 3, 4, 5]
+        assert next_index(app) == len(contents)
+        replica.runtime.run(until=app.relay_retransmit_timeout)
+        sent = [ack for __, ack in replica.sent if isinstance(ack, RelayAck)]
+        assert {(ack.group, ack.parent, ack.sender) for ack in sent} == {
+            ("g1", "h2", "g1/r0")}
+        assert [index for dst, index in acks(replica) if dst == "h2/r3"] == [
+            1, len(contents)]
+        assert {dst for dst, index in acks(replica)
+                if index == len(contents)} == set(configs["h2"].replicas)
 
     def test_carried_counts_wires_of_a_wellformed_batch(self, setup):
         tree, configs, registry, loop, make = setup

@@ -6,10 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.bcast.messages import Request
-from repro.core.messages import RelayBatch, RelayCertificate
+from repro.core.messages import RelayAck, RelayBatch, RelayCertificate
 from repro.core.relay import (
-    RELAY_WINDOW, QuorumMerge, RelayInbox, certificate_problem, relay_sender,
+    RELAY_WINDOW, QuorumMerge, RelayInbox, RelayOutbox, certificate_problem,
+    relay_sender,
 )
+from repro.crypto.keys import KeyRegistry
+from repro.env.simbackend import SimRuntime
+from tests.helpers import FakeReplica, make_config
 
 PARENTS = ("p0", "p1", "p2", "p3")  # 3f+1 with f=1
 
@@ -265,7 +269,7 @@ def test_released_stranger_and_far_copies_count_nothing():
     inbox = make_inbox()
     inbox.vote(copy("p0", 0))
     inbox.vote(copy("p1", 0))
-    assert senders(inbox.release(0)) == ["p0", "p1"]
+    inbox.release(0)
     assert inbox.next_index == 1
     for stale in (copy("p2", 0), copy("p3", 0)):
         assert inbox.vote(stale) is None and inbox.held(stale.sender, 0) is None
@@ -276,15 +280,17 @@ def test_released_stranger_and_far_copies_count_nothing():
     assert list(inbox.certificates()) == []
 
 
-def test_release_returns_every_copy_held_for_the_index():
-    """Each relayer whose copy a replica holds is owed an ack, junk too."""
+def test_release_drops_every_copy_held_for_the_index():
+    """Released, an index keeps no copy, junk included; later ones stay."""
     inbox = make_inbox()
     inbox.vote(copy("p3", 0, "junk"))
     inbox.vote(copy("p0", 0))
     inbox.vote(copy("p1", 0))
     inbox.vote(copy("p0", 1, "b"))
-    assert senders(inbox.release(0)) == ["p3", "p0", "p1"]
+    inbox.release(0)
+    assert [inbox.held(name, 0) for name in PARENTS] == [None] * 4
     assert inbox.held("p0", 1) == copy("p0", 1, "b")
+    assert list(inbox.certificates()) == []
 
 
 def test_every_certified_index_is_listed_in_order():
@@ -353,3 +359,63 @@ def test_a_certificate_carries_requests_only():
         RelayCertificate("h", 0, (copy("p0", 0), ("not", "a request")))
     with pytest.raises(TypeError):
         RelayCertificate("h", 0, [copy("p0", 0)])
+
+
+# ---------------------------------------------------------- the relay outbox
+
+CHILD = ("g1/r0", "g1/r1", "g1/r2", "g1/r3")
+
+
+def make_outbox(retransmit_timeout=1.0):
+    owner = FakeReplica("h1/r0", make_config("h1"), SimRuntime())
+    return owner, RelayOutbox(owner, "g1", CHILD, 1, KeyRegistry(),
+                              retransmit_timeout=retransmit_timeout)
+
+
+def ack(member, next_index):
+    return RelayAck("g1", "h1", member, next_index)
+
+
+def test_the_outbox_signs_each_batch_once_as_its_index_plus_one():
+    owner, outbox = make_outbox()
+    copy = outbox.submit(RelayBatch(("w",), 4))
+    assert copy.seq == 5 and copy.sender == "h1/r0"
+    assert copy.signature is not None and copy.signature.signer == "h1/r0"
+    assert owner.sent == [(member, copy) for member in CHILD]
+    assert outbox.unacked() == {4: copy}
+
+
+def test_a_lying_ack_alone_never_empties_the_outbox():
+    owner, outbox = make_outbox()
+    for index in range(3):
+        outbox.submit(RelayBatch(("w",), index))
+    outbox.handle_reply("g1/r3", ack("g1/r3", 10 ** 6))
+    outbox.handle_reply("g1/r3", ack("g1/r3", 0))  # regressing: still 10**6
+    assert sorted(outbox.unacked()) == [0, 1, 2]
+    outbox.handle_reply("g1/r0", ack("g1/r0", 2))
+    assert sorted(outbox.unacked()) == [2] and outbox.horizon == 2
+
+
+def test_a_timer_resends_each_copy_to_the_members_that_do_not_cover_it():
+    owner, outbox = make_outbox()
+    for index in range(2):
+        outbox.submit(RelayBatch(("w",), index))
+    outbox.handle_reply("g1/r1", ack("g1/r1", 1))
+    owner.sent.clear()
+    owner.runtime.run(until=1.0)
+    assert [(dst, copy.seq) for dst, copy in owner.sent] == [
+        ("g1/r0", 1), ("g1/r2", 1), ("g1/r3", 1),
+        ("g1/r0", 2), ("g1/r1", 2), ("g1/r2", 2), ("g1/r3", 2)]
+    assert owner.monitor.counters["proxy.retransmit"] == 2
+    outbox.update_replicas(CHILD[1:] + ("g1/r4",), 1)
+    outbox.handle_reply("g1/r4", ack("g1/r4", 2))
+    assert sorted(outbox.unacked()) == [1]
+
+
+def test_a_batch_the_child_covers_is_not_sent():
+    owner, outbox = make_outbox()
+    for member in CHILD[:2]:
+        outbox.handle_reply(member, ack(member, 3))
+    copy = outbox.submit(RelayBatch(("w",), 2))
+    assert owner.sent == [] and outbox.unacked() == {}
+    assert copy.seq == 3

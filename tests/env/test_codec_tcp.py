@@ -9,7 +9,9 @@ import pytest
 
 from repro.bcast.messages import Accept, Propose, Reply, Request
 from repro.bcast.reconfig import View
-from repro.core.messages import RelayBatch, RelayCertificate, WireMulticast
+from repro.core.messages import (
+    RelayAck, RelayBatch, RelayCertificate, WireMulticast,
+)
 from repro.crypto.signatures import Signature
 from repro.env import codec
 from repro.env.tcp import TcpTransport
@@ -336,6 +338,57 @@ def test_a_certificate_whose_copies_are_not_requests_does_not_decode(
         for name, value in (("parent", "h1"), ("index", 2), ("copies", copies)):
             object.__setattr__(forged, name, value)
         with pytest.raises(NetworkError, match="RelayCertificate"):
+            wire_codec.decode(wire_codec.encode(forged))
+
+
+def test_tcp_transport_round_trips_a_relay_ack():
+    """A child replica's stream ack crosses a socket as a ``RelayAck``
+    equal to the one sent (type id 26)."""
+    aloop = asyncio.new_event_loop()
+    directory = {}
+    host_a = TcpTransport(aloop, directory=directory, wire="binary")
+    host_b = TcpTransport(aloop, directory=directory, wire="binary")
+    a, b = Probe("g1/r0"), Probe("h1/r0")
+    host_a.register(a)
+    host_b.register(b)
+    ack = RelayAck("g1", "h1", "g1/r0", 41)
+
+    async def scenario():
+        await host_a.start()
+        await host_b.start()
+        host_a.send("g1/r0", "h1/r0", ack)
+        for _ in range(500):
+            if b.got:
+                break
+            await asyncio.sleep(0.01)
+
+    try:
+        aloop.run_until_complete(scenario())
+        assert b.got == [("g1/r0", ack)]
+        assert isinstance(b.got[0][1], RelayAck)
+    finally:
+        host_a.shutdown()
+        host_b.shutdown()
+        aloop.run_until_complete(asyncio.sleep(0.05))
+        aloop.close()
+
+
+@pytest.mark.parametrize("wire_name", ["binary", "json"])
+def test_a_relay_ack_without_a_natural_index_does_not_decode(wire_name):
+    """The strict decoder rebuilds a ``RelayAck`` through its constructor,
+    which takes a natural next index only: a frame carrying a negative, a
+    boolean or a non-integer index is a ``NetworkError``."""
+    wire_codec = codec.get_codec(wire_name)
+    ack = RelayAck("g1", "h1", "g1/r0", 3)
+    assert wire_codec.decode(wire_codec.encode(ack)) == ack
+    for index in (-1, True, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            RelayAck("g1", "h1", "g1/r0", index)
+        forged = object.__new__(RelayAck)
+        for name, value in (("group", "g1"), ("parent", "h1"),
+                            ("sender", "g1/r0"), ("next_index", index)):
+            object.__setattr__(forged, name, value)
+        with pytest.raises(NetworkError, match="RelayAck"):
             wire_codec.decode(wire_codec.encode(forged))
 
 

@@ -10,7 +10,7 @@ from repro.bcast.reconfig import View
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all, check_prefix_order
 from repro.core.node import ByzCastApplication
-from repro.core.relay import RelayInbox
+from repro.core.relay import RelayInbox, RelayOutbox
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import (
     DuplicatingRelayApp,
@@ -18,8 +18,10 @@ from repro.faults.behaviors import (
     EquivocatingRelayApp,
     FabricatingRelayApp,
     ForgingCertificateLeaderReplica,
+    LyingAckReplica,
     MuteReplica,
     ReorderingRelayApp,
+    SilentAckReplica,
     SilentRelayApp,
     SubsetRelayApp,
     WithholdingRelayApp,
@@ -28,6 +30,8 @@ from repro.faults.behaviors import (
 from repro.crypto.keys import KeyRegistry
 from repro.faults.injector import FaultPlan
 from repro.sim.events import EventLoop
+from repro.sim.latency import JitterLatency
+from repro.sim.network import NetworkConfig
 from repro.types import destination
 from tests.helpers import (
     FAST_COSTS,
@@ -211,14 +215,68 @@ def certificate_battery(f: int = 1) -> None:
     assert counters["regency.installed"] > 0
 
 
-def burst_and_check(dep) -> None:
+ACK_ADVERSARIES = (LyingAckReplica, SilentAckReplica)
+
+
+class AuditedOutbox(RelayOutbox):
+    """A relay outbox that fails the run if a copy leaves before a member
+    other than the ack adversaries acknowledged past it."""
+
+    adversaries = frozenset()
+
+    def _cover(self) -> None:
+        kept = set(self._unacked)
+        super()._cover()
+        honest = [index for member, index in self._acked.items()
+                  if member not in self.adversaries]
+        for index in kept - set(self._unacked):
+            assert any(mark > index for mark in honest), (
+                f"{self.owner.name} dropped copy {index} for {self.group_id} "
+                f"on the adversaries' acks alone")
+
+
+def ack_battery(adversary, f: int = 1) -> None:
+    """f ``adversary`` replicas in every group that receives relays, on a
+    link that drops 5 % of all messages: every multicast is delivered, the
+    order checks hold, no copy leaves an outbox on the adversaries' acks
+    alone, and every outbox empties."""
+    tree = OverlayTree.paper_tree()
+    plan = FaultPlan()
+    adversaries = set()
+    for gid in sorted(tree.nodes):
+        if tree.parent(gid) is not None:
+            for slot in range(f):
+                name = f"{gid}/r{1 + 3 * slot}"
+                plan.byzantine_replica(gid, name, adversary)
+                adversaries.add(name)
+    lossy = NetworkConfig(latency=JitterLatency(0.00005, 0.2), drop_rate=0.05)
+    dep = make_deployment(plan, tree=tree, f=f, network_config=lossy)
+    outbox = type("Outbox", (AuditedOutbox,),
+                  {"adversaries": frozenset(adversaries)})
+    for group in dep.groups.values():
+        for replica in group.replicas:
+            replica.app.relay_outbox_class = outbox
+            replica.app.relay_retransmit_timeout = 0.5
+    burst_and_check(dep, retransmit_timeout=0.5)
+    counters = dep.monitor.counters
+    assert counters["byzantine.lying_ack" if adversary is LyingAckReplica
+                    else "byzantine.silent_ack"] > 0
+    assert counters["net.dropped"] > 0
+    for gid in tree.auxiliaries:
+        for replica in dep.groups[gid].replicas:
+            for child, kept in replica.app._outboxes.items():
+                assert kept.unacked() == {}, (replica.name, child)
+
+
+def burst_and_check(dep, retransmit_timeout: float = 4.0) -> None:
     """Bursts from three clients to every destination set; every op
     completes and the order checks hold."""
     targets = ("g1", "g2", "g3", "g4")
     destinations = (("g1", "g2"), ("g1", "g3"), ("g2", "g4"), ("g3", "g4"),
                     ("g1", "g2", "g3"), ("g1", "g2", "g3", "g4"))
     rounds = 6
-    clients = [dep.add_client(f"c{i}") for i in range(3)]
+    clients = [dep.add_client(f"c{i}", retransmit_timeout=retransmit_timeout)
+               for i in range(3)]
     # Bursts: every client multicasts to every destination set at once,
     # so entry groups order (and relay) multi-message batches — what the
     # in-batch adversaries attack.
@@ -252,6 +310,11 @@ class TestRelayAdversariesInEveryInnerGroup:
     def test_forged_certificates_are_refused_and_a_regency_change_recovers(
             self):
         certificate_battery()
+
+    @pytest.mark.parametrize("adversary", ACK_ADVERSARIES,
+                             ids=lambda cls: cls.__name__)
+    def test_ack_adversaries_in_every_child_on_a_lossy_link(self, adversary):
+        ack_battery(adversary)
 
 
 class FCopiesApp(ByzCastApplication):

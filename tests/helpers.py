@@ -11,7 +11,7 @@ from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig, CostModel
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.messages import CheckpointData, Reply, Request, StateResponse
-from repro.core.messages import RelayBatch, WireMulticast
+from repro.core.messages import RelayAck, RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.env.actor import Actor
@@ -219,9 +219,9 @@ def execute(app, replica, request):
 
 
 def acks(replica):
-    """The ``("ack",)`` replies ``replica`` sent, as ``(relayer, seq)``."""
-    return [(dst, reply.req_seq) for dst, reply in replica.sent
-            if isinstance(reply, Reply) and reply.result == ("ack",)]
+    """The ``RelayAck``s ``replica`` sent, as ``(relayer, next_index)``."""
+    return [(dst, ack.next_index) for dst, ack in replica.sent
+            if isinstance(ack, RelayAck)]
 
 
 # ------------------------------------------------- shipped (forged) checkpoints

@@ -17,36 +17,40 @@ FAST = dict(warmup=0.3, duration=0.8)
 #: batching under "Natural batching".  Every cell that relays was
 #: re-recorded when a child began to order each relayed batch once, as a
 #: relay certificate; the values before it are in EXPERIMENTS.md, "Relay
-#: certificates".
+#: certificates".  Every cell that relays was re-recorded once more when a
+#: child began to acknowledge a relay stream instead of each copy, and an
+#: entry group that is not a destination to answer only a retransmission
+#: (fewer messages, fewer jitter draws); the values before it are in
+#: EXPERIMENTS.md, "Stream acks".
 PINS = {
-    "fig3:skewed/2-level": (1400.0, 0.006072672338030421, 0.0, 0.006072672338030421),
-    "fig3:skewed/3-level": (1300.0, 0.005848830956449865, 0.0, 0.005848830956449865),
-    "fig3:uniform/2-level": (975.0, 0.005924490476605624, 0.0, 0.005924490476605624),
-    "fig3:uniform/3-level": (787.5, 0.00788845996858206, 0.0, 0.00788845996858206),
-    "fig4a:baseline/2": (1950.0, 0.006128479344263915, 0.006128479344263915, 0.0),
+    "fig3:skewed/2-level": (1400.0, 0.0060716900073497955, 0.0, 0.0060716900073497955),
+    "fig3:skewed/3-level": (1300.0, 0.005849731292149857, 0.0, 0.005849731292149857),
+    "fig3:uniform/2-level": (975.0, 0.005945499603183415, 0.0, 0.005945499603183415),
+    "fig3:uniform/3-level": (787.5, 0.007894556467396271, 0.0, 0.007894556467396271),
+    "fig4a:baseline/2": (1950.0, 0.006129274416102732, 0.006129274416102732, 0.0),
     "fig4a:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
     "fig4a:byzcast/2": (4050.0, 0.0029577708415626167, 0.0029577708415626167, 0.0),
-    "fig4b:baseline/2": (1800.0, 0.006600098007105291, 0.0, 0.006600098007105291),
+    "fig4b:baseline/2": (1800.0, 0.00660060510293943, 0.0, 0.00660060510293943),
     "fig4b:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
-    "fig4b:byzcast/2": (1800.0, 0.006600098007105291, 0.0, 0.006600098007105291),
-    "fig5a:baseline": (350.0, 0.005657054509853197, 0.005657054509853197, 0.0),
+    "fig4b:byzcast/2": (1800.0, 0.00660060510293943, 0.0, 0.00660060510293943),
+    "fig5a:baseline": (350.0, 0.00565652930039383, 0.00565652930039383, 0.0),
     "fig5a:bft-smart": (700.0, 0.0028243719351531637, 0.0028243719351531637, 0.0),
     "fig5a:byzcast": (725.0, 0.002806901558627374, 0.002806901558627374, 0.0),
-    "fig6:baseline": (975.0, 0.005824498941202064, 0.005818283087632664, 0.005872153818567459),
-    "fig6:byzcast": (1850.0, 0.0032060701819956283, 0.002832725849313075, 0.005740881703892981),
+    "fig6:baseline": (975.0, 0.005825298813083931, 0.005821150070165294, 0.005857105842126795),
+    "fig6:byzcast": (1850.0, 0.0032078390924079113, 0.002836758157462937, 0.005727283334929044),
     "fig6:byzcast/pure-local": (2100.0, 0.0028287892819561004, 0.0028287892819561004, 0.0),
-    "fig7:baseline/global/2": (175.0, 0.005635645358655392, 0.0, 0.005635645358655392),
-    "fig7:baseline/local/2": (175.0, 0.005613604394607197, 0.005613604394607197, 0.0),
+    "fig7:baseline/global/2": (175.0, 0.005633296230097359, 0.0, 0.005633296230097359),
+    "fig7:baseline/local/2": (175.0, 0.00561291135287793, 0.00561291135287793, 0.0),
     "fig7:bftsmart": (362.5, 0.002793811584722583, 0.002793811584722583, 0.0),
-    "fig7:byzcast/global/2": (175.0, 0.005635645358655392, 0.0, 0.005635645358655392),
+    "fig7:byzcast/global/2": (175.0, 0.005633296230097359, 0.0, 0.005633296230097359),
     "fig7:byzcast/local/2": (362.5, 0.002793877379899919, 0.002793877379899919, 0.0),
-    "fig8:baseline/global": (9.0, 0.42768476128793403, 0.0, 0.42768476128793403),
-    "fig8:baseline/local": (9.0, 0.4256459539313867, 0.4256459539313867, 0.0),
+    "fig8:baseline/global": (9.0, 0.42743704096616, 0.0, 0.42743704096616),
+    "fig8:baseline/local": (9.0, 0.42759789125122605, 0.42759789125122605, 0.0),
     "fig8:bftsmart": (16.666666666666668, 0.23987837425921893, 0.23987837425921893, 0.0),
-    "fig8:byzcast/global": (9.0, 0.42768476128793403, 0.0, 0.42768476128793403),
+    "fig8:byzcast/global": (9.0, 0.42743704096616, 0.0, 0.42743704096616),
     "fig8:byzcast/local": (16.666666666666668, 0.2400465118654026, 0.2400465118654026, 0.0),
-    "fig9:baseline": (18.75, 0.43403172479212626, 0.43587465434491823, 0.41283803493501914),
-    "fig9:byzcast": (31.75, 0.2540567061030587, 0.23893809111068132, 0.43094450151387564),
+    "fig9:baseline": (18.75, 0.43470205907916304, 0.43674545320132796, 0.41120302667426484),
+    "fig9:byzcast": (32.0, 0.25453695030615053, 0.23944437181691236, 0.43262937647916094),
 }
 
 

@@ -242,3 +242,39 @@ def test_messages_phase_on_sim_is_deterministic_and_one_reply_per_replica():
     assert "MulticastReply" not in first and "Reply ack" not in first
     assert int(first["total"][1]) == sum(
         int(count) for kind, (__, count) in first.items() if kind != "total")
+
+
+#: the census of :func:`test_census_of_a_small_tree_run_is_pinned`, by kind
+TREE_CENSUS = {"Request": 448, "Propose": 45, "Write": 180, "Accept": 180,
+               "Reply delivered": 96, "MulticastReply": 480, "RelayAck": 160,
+               "Heartbeat": 105}
+
+
+def test_census_of_a_small_tree_run_is_pinned(tool):
+    """Every message of a small deterministic run on the Fig. 1(a) tree, by
+    kind, pinned exactly.  No ``Reply ack`` is among them: a child
+    acknowledges a relay stream with ``RelayAck``, and an entry group that
+    is not a destination answers only a retransmission — so ack traffic
+    that creeps back fails here first."""
+    from repro.core.deployment import ByzCastDeployment
+    from repro.core.tree import OverlayTree
+    from repro.types import destination
+    from tests.helpers import FAST_COSTS
+
+    dep = ByzCastDeployment(OverlayTree.paper_tree(), seed=11,
+                            costs=FAST_COSTS, max_in_flight=4)
+    census = tool.MessageCensus()
+    network = dep.network
+    network.send = census.wrap(type(network).send).__get__(network)
+    destinations = (("g1",), ("g1", "g2"), ("g3", "g4"), ("g2", "g3"),
+                    ("g1", "g2", "g3", "g4"), ("g4",))
+    clients = [dep.add_client(f"c{index}") for index in range(3)]
+    for round_ in range(4):
+        for client in clients:
+            for dst in destinations:
+                client.amulticast(destination(*dst), payload=(round_,))
+    dep.run(until=5.0)
+    assert [len(client.completions) for client in clients] == [24] * 3
+    counts = dict(census.counts)
+    assert "Reply ack" not in counts
+    assert counts == TREE_CENSUS
