@@ -3,7 +3,7 @@
 
     python3 scripts/profile_workload.py W [--seed N] [--seconds S] [--top K]
                                         [--share mod:Class.func ...] [--gc]
-                                        [--messages]
+                                        [--messages] [--retained] [--hops]
 
 Runs one ``bench/run.py --child`` repeat of workload ``W`` under cProfile
 and prints the top rows by self time and by cumulative time — candidates
@@ -35,6 +35,22 @@ transport sends (:class:`MessageCensus`), by payload type and, for a
 completed op.  Its total is ``env.net_msgs_per_op``; on a sim workload the
 census is deterministic per seed.
 
+``--retained`` adds a repeat under ``tracemalloc`` (:class:`Retained`)
+that takes a snapshot at the moment the benchmark reads ``peak_rss_mb``
+(its ``resource.getrusage``, wrapped from outside) and prints the traced
+MiB against peak RSS, then the 15 source lines whose allocations are
+still alive there, by size, with their object counts.  It refuses
+``rt_mixed``: tracemalloc slows its wall-clock loop so much that a repeat
+completes a twentieth of its usual ops (1 176 on seed 11), which is not
+the run being asked about.
+
+``--hops`` adds an un-profiled repeat that times each relay hop in three
+stages (:class:`HopStages`), in the backend's clock: a parent replica's
+decision of a batch → the relayed copy it submits to the child (split where
+``end_batch`` cuts the relay batches, before the relay job's CPU); the child
+leader's (f+1)-th copy of an index → the proposal carrying its
+certificate; and that proposal → its decision at the leader.
+
 Each repeat runs in a fresh process (this file with ``--phase``), so the
 profiled repeat and the timed ones share no warm caches.
 """
@@ -51,11 +67,15 @@ import inspect
 import io
 import json
 import os
+import linecache
 import pstats
+import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -320,6 +340,190 @@ class MessageCensus:
         return "\n".join(rows)
 
 
+class Retained:
+    """The traced allocations alive when the benchmark reads ``peak_rss_mb``.
+
+    ``bench/deploy.py`` and ``bench/fanout.py`` read it through their module's
+    ``resource.getrusage``; each module gets a stand-in whose ``getrusage``
+    snapshots tracemalloc first (the last read wins).  The traces keep one
+    frame: a line is where an object was allocated, not who keeps it.
+    """
+
+    TOP = 15
+    MODULES = ("bench.deploy", "bench.fanout")
+
+    def __init__(self) -> None:
+        self.snapshot = None
+        self.traced = 0
+        self.peak_rss_mb = 0.0
+
+    def wrap(self, getrusage: Callable) -> Callable:
+        def snapshotting(who):
+            self.traced = tracemalloc.get_traced_memory()[0]
+            self.snapshot = tracemalloc.take_snapshot()
+            usage = getrusage(who)
+            self.peak_rss_mb = usage.ru_maxrss / 1024.0
+            return usage
+
+        return snapshotting
+
+    def install(self) -> None:
+        stand_in = SimpleNamespace(getrusage=self.wrap(resource.getrusage),
+                                   RUSAGE_SELF=resource.RUSAGE_SELF)
+        for name in self.MODULES:
+            importlib.import_module(name).resource = stand_in
+        tracemalloc.start(1)
+
+    def report(self) -> str:
+        if self.snapshot is None:
+            return "the benchmark never read peak_rss_mb"
+        rows = [f"traced at the peak_rss_mb read {self.traced / 2**20:8.1f} MiB"
+                f" of peak RSS {self.peak_rss_mb:.1f} MiB",
+                f"{'KiB':>10s} {'objects':>9s}  line"]
+        snapshot = self.snapshot.filter_traces(
+            (tracemalloc.Filter(False, tracemalloc.__file__),))
+        for stat in snapshot.statistics("lineno")[:self.TOP]:
+            frame = stat.traceback[0]
+            where = os.path.relpath(frame.filename, ROOT)
+            if where.startswith(".."):
+                where = frame.filename
+            code = linecache.getline(frame.filename, frame.lineno).strip()
+            rows.append(f"{stat.size / 1024:10.1f} {stat.count:9d}  "
+                        f"{where}:{frame.lineno}  {code[:60]}")
+        return "\n".join(rows)
+
+
+class HopStages:
+    """Three stages of every relay hop, the first in two parts, in the
+    backend's clock.
+
+    * ``decided → submitted``: a parent replica decides a batch and
+      executes it (``decided → flushed``: ``end_batch`` cuts the relay
+      batches), then the relay job's CPU charge runs and submits each
+      ``RelayBatch`` to the child's outbox (``flushed → submitted``; the
+      CPU queue is FIFO, so a replica's batches to one child leave in act
+      order);
+    * ``(f+1)-th copy → proposed``: the child leader's inbox pools an
+      index's certificate, which waits for a pipeline slot, the batch cut
+      and the proposal's CPU;
+    * ``proposed → decided``: that proposal's WRITE and ACCEPT rounds, at
+      the leader.
+    """
+
+    STAGES = ("decided → flushed", "flushed → submitted",
+              "(f+1)-th copy → proposed", "proposed → decided")
+
+    def __init__(self) -> None:
+        self.samples: Dict[str, List[float]] = {
+            stage: [] for stage in self.STAGES}
+        self._decided: Dict[tuple, float] = {}
+        self._executing: Dict[str, int] = {}
+        #: (parent replica, child) -> flush times of submits to come
+        self._relays: Dict[tuple, List[float]] = {}
+        #: (leader, certificate sender, seq) -> when the leader pooled it
+        self._pooled: Dict[tuple, float] = {}
+        #: (leader, cid) -> when it proposed a batch with a certificate
+        self._proposed: Dict[tuple, float] = {}
+
+    def install(self) -> None:
+        from repro.bcast.replica import Replica
+        from repro.core.messages import RelayCertificate
+        from repro.core.node import ByzCastApplication
+        from repro.core.relay import RelayOutbox
+
+        hops = self
+
+        def on_decided(original):
+            def timed(replica, instance):
+                now = replica.clock.now
+                hops._decided[(replica.name, instance.cid)] = now
+                proposed = hops._proposed.pop((replica.name, instance.cid),
+                                              None)
+                if proposed is not None:
+                    hops.samples[hops.STAGES[3]].append(now - proposed)
+                return original(replica, instance)
+            return timed
+
+        def execute_batch(original):
+            def timed(replica, cid, *args, **kwargs):
+                hops._executing[replica.name] = cid
+                return original(replica, cid, *args, **kwargs)
+            return timed
+
+        def flush_relays(original):
+            def timed(app, child, wires, ctx):
+                name = ctx.replica.name
+                decided = hops._decided.get(
+                    (name, hops._executing.get(name)))
+                if decided is not None:
+                    now = ctx.replica.clock.now
+                    hops.samples[hops.STAGES[0]].append(now - decided)
+                    limit = app.group_configs[child].max_batch
+                    hops._relays.setdefault((name, child), []).extend(
+                        [now] * -(-len(wires) // limit))
+                return original(app, child, wires, ctx)
+            return timed
+
+        def submit(original):
+            def timed(outbox, batch):
+                name = outbox.owner.name
+                pending = hops._relays.get((name, outbox.group_id))
+                if pending:
+                    hops.samples[hops.STAGES[1]].append(
+                        outbox.owner.clock.now - pending.pop(0))
+                return original(outbox, batch)
+            return timed
+
+        def offer(original):
+            def timed(replica, request):
+                if (isinstance(request.command, RelayCertificate)
+                        and replica.is_leader):
+                    hops._pooled.setdefault(
+                        (replica.name, request.sender, request.seq),
+                        replica.clock.now)
+                return original(replica, request)
+            return timed
+
+        def send_propose(original):
+            def timed(replica, cid, regency, batch):
+                now = replica.clock.now
+                carried = False
+                for request in batch:
+                    pooled = hops._pooled.pop(
+                        (replica.name, request.sender, request.seq), None)
+                    if pooled is not None:
+                        hops.samples[hops.STAGES[2]].append(now - pooled)
+                        carried = True
+                if carried:
+                    hops._proposed[(replica.name, cid)] = now
+                return original(replica, cid, regency, batch)
+            return timed
+
+        for cls, name, wrapper in (
+                (Replica, "_on_decided", on_decided),
+                (Replica, "_execute_batch", execute_batch),
+                (Replica, "offer", offer),
+                (Replica, "_send_propose", send_propose),
+                (ByzCastApplication, "_flush_relays", flush_relays),
+                (RelayOutbox, "submit", submit)):
+            setattr(cls, name, wrapper(getattr(cls, name)))
+
+    def report(self) -> str:
+        rows = [f"{'relay hop stage':28s} {'count':>7s} {'mean ms':>9s} "
+                f"{'p50 ms':>9s} {'p95 ms':>9s}"]
+        for stage, samples in self.samples.items():
+            ordered = sorted(samples)
+            if not ordered:
+                rows.append(f"{stage:28s} {0:7d}")
+                continue
+            p50 = ordered[len(ordered) // 2]
+            p95 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))]
+            rows.append(f"{stage:28s} {len(ordered):7d} "
+                        f"{sum(ordered) / len(ordered) * 1e3:9.2f} "
+                        f"{p50 * 1e3:9.2f} {p95 * 1e3:9.2f}")
+        return "\n".join(rows)
+
+
 def run_repeat(args) -> Dict:
     """One ``--child`` repeat in this process; returns its result record."""
     from bench import run as bench_run
@@ -398,8 +602,28 @@ def phase_messages(args) -> int:
     return 0
 
 
+def phase_retained(args) -> int:
+    retained = Retained()
+    retained.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} under tracemalloc: "
+          f"{summary(result)}")
+    print(retained.report())
+    return 0
+
+
+def phase_hops(args) -> int:
+    hops = HopStages()
+    hops.install()
+    result = run_repeat(args)
+    print(f"{args.workload} seed {args.seed} un-profiled: {summary(result)}")
+    print(hops.report())
+    return 0
+
+
 PHASES = {"profile": phase_profile, "share": phase_share, "gc": phase_gc,
-          "census": phase_census, "messages": phase_messages}
+          "census": phase_census, "messages": phase_messages,
+          "retained": phase_retained, "hops": phase_hops}
 
 
 def main(argv: List[str] = None) -> int:
@@ -422,16 +646,31 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--messages", action="store_true",
                         help="count messages sent per completed op, by "
                              "payload type and Reply result kind")
+    parser.add_argument("--retained", action="store_true",
+                        help="snapshot tracemalloc where the benchmark reads "
+                             "peak_rss_mb: traced MiB and the top 15 lines "
+                             "by retained size (not on rt_mixed)")
+    parser.add_argument("--hops", action="store_true",
+                        help="time each relay hop's stages: parent "
+                             "decision to relay cut to relayed copy, "
+                             "(f+1)-th copy to proposal, proposal to "
+                             "decision")
     parser.add_argument("--phase", choices=tuple(PHASES),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.retained and args.workload == "rt_mixed":
+        parser.error("--retained refuses rt_mixed: under tracemalloc its "
+                     "wall-clock loop completes a twentieth of its usual "
+                     "ops, not the run peak_rss_mb is read from")
     if args.phase is not None:
         return PHASES[args.phase](args)
     forwarded = sys.argv[1:] if argv is None else list(argv)
     phases = (["profile"] if args.top > 0 else []) + (
         ["share"] if args.share else []) + (
         ["gc", "census"] if args.gc else []) + (
-        ["messages"] if args.messages else [])
+        ["messages"] if args.messages else []) + (
+        ["retained"] if args.retained else []) + (
+        ["hops"] if args.hops else [])
     for phase in phases:
         done = subprocess.run([sys.executable, os.path.abspath(__file__),
                                *forwarded, "--phase", phase], cwd=ROOT)

@@ -69,6 +69,7 @@ from repro.bcast.messages import (
 from repro.bcast.reconfig import Reconfig, View, admin_identity
 from repro.bcast.regency import RegencyManager
 from repro.bcast.statetransfer import STATE_RETRY_TIMEOUT, StateTransfer
+from repro.canonical import detach
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import mac_vector, verify_mac_vector
@@ -142,6 +143,9 @@ class Replica(Actor):
         #: live entries (cid >= execution cursor, undecided) are the
         #: pipeline's in-flight window
         self._started: Dict[int, int] = {}
+        #: leader-side: the :meth:`_claims_stamp` of the last time the pool
+        #: held nothing admissible
+        self._refused: Optional[Tuple] = None
 
         self._pending_since: Dict[Tuple[str, int], float] = {}
         self._request_timer = None
@@ -536,6 +540,23 @@ class Replica(Actor):
             _raise_floors(floors, batch)
         return floors or None
 
+    def _claims_stamp(self) -> Tuple:
+        """Everything :meth:`_maybe_propose`'s pool scan reads, cheaply: the
+        pool and the tracker by their change counters, the buffered
+        decisions by the cursor and their count (one is only added, or
+        removed by moving the cursor), and the open instances by their
+        proposals (compared by identity first)."""
+        cursor = self.log.next_execute
+        consensus = self._consensus
+        open_ = []
+        for cid, regency in self._started.items():
+            instance = consensus.get(cid)
+            if cid >= cursor and instance is not None:
+                open_.append((cid, regency, instance.proposal_regency,
+                              instance.proposed_batch))
+        return (self.pool, self.pool.changes, self.log.tracker.changes,
+                cursor, len(self.log.buffered_decisions()), open_)
+
     def _maybe_propose(self) -> None:
         """Leader: open another consensus instance if the window has room.
 
@@ -549,8 +570,14 @@ class Replica(Actor):
             return
         if self._open_count() >= self.config.max_in_flight:
             return
-        if not len(self.pool) or not self.pool.admissible_batch(
+        if not len(self.pool):
+            return
+        # While nothing the scan reads changed since it last found nothing
+        # admissible, it would find nothing again.
+        stamp = self._claims_stamp()
+        if stamp == self._refused or not self.pool.admissible_batch(
                 self.log.tracker, 1, self._reserved_floors()):
+            self._refused = stamp
             return
         self._assembling = True
         # The instance's fixed cost runs first; the batch is cut after it,
@@ -1105,6 +1132,9 @@ class Replica(Actor):
 
     def _install_checkpoint(self, checkpoint: CheckpointData) -> None:
         """Jump the replica's state to a verified peer checkpoint."""
+        # Kept until the next checkpoint, its state for good: neither may
+        # hold a view of the StateResponse frame it arrived in.
+        checkpoint = detach(checkpoint)
         new_view = View(tuple(checkpoint.view_replicas), checkpoint.view_f)
         was_active = self.active
         self.app.restore(checkpoint.state)

@@ -22,12 +22,18 @@ application types nobody put on a wire; ``encode`` reports the class and
 itself (``obj.__dict__``), at every nesting depth: a batch is walked once
 for its MAC vector and all its links, and ``digest(proposal.batch)`` is a
 concatenation of the requests' memos.  :func:`repro.env.wire.decode` seeds
-the memo of every dataclass it builds with the slice it was decoded from,
-so a receiver authenticates what arrived without walking it again — which
-is why decoding rejects every non-canonical encoding.  A memo dies with
-its object; there is nothing to size or evict.  Bytes that contain a
-name-tagged header are never memoised, so a memo is always a valid wire
-body.
+the memo of every dataclass it builds with a read-only ``memoryview`` of
+the slice it was decoded from, so a receiver authenticates what arrived
+without walking it again — which is why decoding rejects every
+non-canonical encoding — and a decoded batch holds its bytes once, in the
+frame body all its memos view.  A memo is therefore *bytes-like*:
+:func:`encode` returns it as it is, and every caller uses it as a buffer
+(concatenated after ``bytes``, joined, hashed, MACed, written to a
+socket), never as ``bytes`` (no ``startswith``, no ordering).  A memo dies
+with its object; there is nothing to size or evict — but a view keeps its
+whole frame alive, so state kept past the message that carried it goes
+through :func:`detach`.  Bytes that contain a name-tagged header are never
+memoised, so a memo is always a valid wire body.
 """
 
 from __future__ import annotations
@@ -159,6 +165,8 @@ def _register_builtin_types() -> None:
         cmsg.DeliveryQuery,
         cmsg.RelayCertificate,
         cmsg.RelayAck,
+        # A StateResponse behind the truncation horizon carries one.
+        bmsg.CheckpointData,
     ):
         register_wire_type(cls)
 
@@ -329,6 +337,7 @@ def encode(obj: Any) -> Tuple[bytes, Optional[Type]]:
     """``(canonical bytes of obj, first unregistered dataclass in it)``.
 
     The second item is ``None`` when the bytes are a decodable wire body.
+    The first is ``bytes``, or the ``memoryview`` memo of a decoded object.
     """
     attrs = getattr(obj, "__dict__", _NO_MEMO) if memo_on else _NO_MEMO
     cached = attrs.get(MEMO)
@@ -339,3 +348,36 @@ def encode(obj: Any) -> Tuple[bytes, Optional[Type]]:
     unregistered = encode_into(out, obj)
     # A memoisable ``obj`` now carries these bytes: hand out its copy.
     return attrs.get(MEMO) or bytes(out), unregistered
+
+
+def detach(value: Any) -> Any:
+    """``value`` without any view of a decoded frame.
+
+    Every dataclass whose memo is a ``memoryview`` (one
+    :func:`repro.env.wire.decode` built) is rebuilt through its
+    constructor without a memo, and every container around one is rebuilt
+    around the copies; the rest is returned as it is — so on a backend
+    that never decodes, ``detach(value) is value``.  For a decoded object
+    that outlives its message (a peer's checkpoint taken over, say): its
+    memo would keep the whole frame alive, and the frame may hold far more
+    than the object.
+    """
+    kind = type(value)
+    if kind is tuple or kind is list or kind is frozenset:
+        items = [detach(item) for item in value]
+        changed = any(new is not old for new, old in zip(items, value))
+        return kind(items) if changed else value
+    if kind is dict:
+        pairs = [(detach(key), detach(item)) for key, item in value.items()]
+        changed = any(new is not old or copy is not item for (new, copy),
+                      (old, item) in zip(pairs, value.items()))
+        return dict(pairs) if changed else value
+    if dataclasses.is_dataclass(kind):
+        fields = [getattr(value, field.name)
+                  for field in dataclasses.fields(kind)]
+        copies = [detach(field) for field in fields]
+        memo = getattr(value, "__dict__", _NO_MEMO).get(MEMO)
+        if type(memo) is memoryview or any(
+                new is not old for new, old in zip(copies, fields)):
+            return kind(*copies)
+    return value

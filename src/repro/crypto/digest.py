@@ -25,7 +25,9 @@ def canonical_bytes(obj: Any) -> bytes:
     ``(1,)``, which a peer decodes as different values.
 
     The bytes of a frozen dataclass are memoised on the object (at every
-    nesting depth), and decoded messages arrive with theirs.
+    nesting depth), and decoded messages arrive with theirs — as a
+    ``memoryview`` of the frame they came in, which is what this returns
+    for them: bytes-like, to be hashed or joined, not ``bytes``.
     """
     return _canonical.encode(obj)[0]
 

@@ -31,14 +31,24 @@ encoding of every frozen dataclass is memoised on the object, at every
 nesting depth — a broadcast to ``n - 1`` peers walks the object graph
 once, however the message is wrapped.
 
-:func:`decode` seeds that memo on every dataclass it builds with the
-slice it was decoded from, so it accepts canonical encodings only: a
+:func:`decode` seeds that memo on every dataclass it builds with a
+read-only ``memoryview`` of the slice it was decoded from — a view into
+the one frame body, not a copy, so a decoded batch holds its bytes once —
+and so it accepts canonical encodings only: a
 big-int tag on a value that fits ``>q``, set items or dict keys out of
 order or repeated, unknown tags and type ids, truncated payloads,
 trailing bytes and fields the dataclass's own constructor rejects all
 raise :class:`~repro.errors.NetworkError` — the transport counts
 ``net.bad_frame`` and skips the frame rather than crashing the reader.
 ``encode(decode(b)) == b`` for every ``b`` that decodes.
+
+For a decoded object, :func:`encode` (like :func:`repro.canonical.encode`
+and :func:`repro.crypto.digest.canonical_bytes`) therefore returns that
+view: a bytes-like body, not necessarily ``bytes``.  Every consumer takes
+a buffer — ``bytes + body``, ``b"".join``, hashing, HMAC, a transport's
+``writelines`` — and a view keeps its whole frame alive, so an object kept
+in long-lived state is stored through :func:`repro.canonical.detach`
+(docs/WIRE.md, "Memo seeding").
 """
 
 from __future__ import annotations
@@ -69,7 +79,10 @@ def _dc_decode_meta(type_id: int) -> Tuple[type, int, bool]:
 
 
 def encode(obj: Any) -> bytes:
-    """Serialize ``obj`` to a binary frame body (no length prefix)."""
+    """Serialize ``obj`` to a binary frame body (no length prefix).
+
+    The body is bytes-like: a decoded object's memo is a view of its frame.
+    """
     body, unregistered = _canonical.encode(obj)
     if unregistered is not None:
         name = unregistered.__name__
@@ -79,7 +92,7 @@ def encode(obj: Any) -> bytes:
     return body
 
 
-def _decode_from(data: bytes, offset: int, limit: int,
+def _decode_from(data: bytes, offset: int, limit: int, view: memoryview,
                  _unpack_i64=_canonical.I64.unpack_from,
                  _unpack_u32=_canonical.U32.unpack_from,
                  _unpack_u16=_canonical.U16.unpack_from,
@@ -148,7 +161,7 @@ def _decode_from(data: bytes, offset: int, limit: int,
                 append(data[offset:end])
                 offset = end
             else:
-                item, offset = _decode_from(data, offset, limit)
+                item, offset = _decode_from(data, offset, limit, view)
                 append(item)
         if cls is None:
             return tuple(items), offset
@@ -161,8 +174,9 @@ def _decode_from(data: bytes, offset: int, limit: int,
                 f"cannot rebuild {cls.__name__} from frame: {exc}") from exc
         if memoise and _canonical.memo_on:
             # Only canonical encodings get this far, so the slice is what
-            # encoding ``value`` would produce.
-            value.__dict__[MEMO] = data[start:offset]
+            # encoding ``value`` would produce; a view of the frame body,
+            # so the batch's bytes are held once, however deep it nests.
+            value.__dict__[MEMO] = view[start:offset]
         return value, offset
     if tag == BYTES:
         (length,) = _unpack_u32(data, offset)
@@ -184,7 +198,7 @@ def _decode_from(data: bytes, offset: int, limit: int,
         previous = None
         for _ in range(count):
             at = offset
-            key, offset = _decode_from(data, offset, limit)
+            key, offset = _decode_from(data, offset, limit, view)
             raw = data[at:offset]
             if previous is not None and raw <= previous:
                 raise NetworkError(
@@ -193,7 +207,7 @@ def _decode_from(data: bytes, offset: int, limit: int,
             previous = raw
             keys.append(key)
             if tag == DICT:
-                value, offset = _decode_from(data, offset, limit)
+                value, offset = _decode_from(data, offset, limit, view)
                 values.append(value)
         built = dict(zip(keys, values)) if tag == DICT else frozenset(keys)
         if len(built) != count:
@@ -214,7 +228,7 @@ def _decode_from(data: bytes, offset: int, limit: int,
         items = []
         append = items.append
         for _ in range(count):
-            item, offset = _decode_from(data, offset, limit)
+            item, offset = _decode_from(data, offset, limit, view)
             append(item)
         return items, offset
     if tag == INTBIG:
@@ -235,11 +249,15 @@ def _decode_from(data: bytes, offset: int, limit: int,
 
 
 def decode(body) -> Any:
-    """Inverse of :func:`encode`; accepts canonical encodings only."""
+    """Inverse of :func:`encode`; accepts canonical encodings only.
+
+    The memos it seeds are views of ``body`` (copied to ``bytes`` first
+    when it is not), passed down the recursion rather than kept anywhere.
+    """
     if type(body) is not bytes:
         body = bytes(body)   # memoryview / bytearray input
     try:
-        value, offset = _decode_from(body, 0, len(body))
+        value, offset = _decode_from(body, 0, len(body), memoryview(body))
     except IndexError:
         raise NetworkError(
             "truncated binary frame: ran out of bytes") from None
@@ -277,7 +295,8 @@ def frame_route_parts(src: str, dst: str, payload: Any) -> Tuple[bytes, ...]:
 
     ``b"".join(parts)`` is byte-identical to ``frame((src, dst, payload))``;
     the payload body is the memoised :func:`encode` result spliced in by
-    reference for the transport's ``writelines`` zero-copy write path.
+    reference for the transport's ``writelines`` zero-copy write path — for
+    a decoded payload being forwarded, a view of the frame it arrived in.
     """
     body = encode(payload)
     head = _route_head(src, dst)

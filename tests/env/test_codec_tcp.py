@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 
 import pytest
 
-from repro.bcast.messages import Accept, Propose, Reply, Request
+from repro.bcast.messages import (
+    Accept, CheckpointData, Propose, Reply, Request, StateResponse,
+)
 from repro.bcast.reconfig import View
+from repro.canonical import MEMO
 from repro.core.messages import (
     RelayAck, RelayBatch, RelayCertificate, WireMulticast,
 )
+from repro.crypto.cache import caching_disabled
+from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature
-from repro.env import codec
+from repro.env import codec, wire
 from repro.env.tcp import TcpTransport
 from repro.errors import NetworkError
 from repro.types import ClientId, MessageId, MulticastMessage
+from tests.helpers import Harness, make_config
 
 
 def roundtrip(obj):
@@ -320,6 +327,94 @@ def test_tcp_transport_round_trips_a_relay_certificate():
         host_b.shutdown()
         aloop.run_until_complete(asyncio.sleep(0.05))
         aloop.close()
+
+
+def test_decoded_messages_forwarded_over_tcp_arrive_byte_identical():
+    """The forward and relay paths re-send what they decoded: a ``Propose``
+    and the ``RelayCertificate`` request inside it, whose memos are views
+    of the frame they arrived in.  The next hop receives the very bytes
+    the first sender encoded."""
+    aloop = asyncio.new_event_loop()
+    directory = {}
+    hosts = [TcpTransport(aloop, directory=directory, wire="binary")
+             for _ in range(3)]
+    probes = [Probe(f"g1/r{i}") for i in range(3)]
+    for host, probe in zip(hosts, probes):
+        host.register(probe)
+    certificate = relay_certificate()
+    proposal = Propose("g1", 0, 5, (certificate,), "g1/r0")
+    sent = {"proposal": wire.encode(proposal),
+            "certificate": wire.encode(certificate)}
+
+    async def until(probe, count):
+        for _ in range(500):
+            if len(probe.got) >= count:
+                return
+            await asyncio.sleep(0.01)
+
+    async def scenario():
+        for host in hosts:
+            await host.start()
+        hosts[0].send("g1/r0", "g1/r1", proposal)
+        await until(probes[1], 1)
+        ((__, decoded),) = probes[1].got
+        forwarded = (decoded, decoded.batch[0])
+        for message in forwarded:
+            assert type(message.__dict__[MEMO]) is memoryview
+            hosts[1].send("g1/r1", "g1/r2", message)
+        await until(probes[2], 2)
+
+    try:
+        aloop.run_until_complete(scenario())
+        (__, got_proposal), (__, got_certificate) = probes[2].got
+        assert got_proposal == proposal and got_certificate == certificate
+        with caching_disabled():
+            assert wire.encode(got_proposal) == sent["proposal"]
+            assert wire.encode(got_certificate) == sent["certificate"]
+        assert bytes(got_proposal.__dict__[MEMO]) == sent["proposal"]
+        assert bytes(got_certificate.__dict__[MEMO]) == sent["certificate"]
+    finally:
+        for host in hosts:
+            host.shutdown()
+        aloop.run_until_complete(asyncio.sleep(0.05))
+        aloop.close()
+
+
+def test_a_checkpoint_taken_over_from_decoded_answers_keeps_no_frame():
+    """f+1 peers' decoded ``StateResponse`` frames install a checkpoint
+    whose view differs from the replica's.  Once the state round lets go of
+    the answers, nothing the replica keeps — the checkpoint, its state, the
+    new ``View`` — holds a view of either frame: no memory view of a frame
+    body is left anywhere (``gc.get_referrers``)."""
+    h = Harness(config=make_config("g1", checkpoint_interval=4))
+    r0 = h.group.replicas[0]
+    r0.send = lambda dst, payload, **kw: None
+    r0._broadcast = lambda payload, **kw: None
+    state = (("op", 0), ("op", 1))
+    tracker = (("c0", 2),)
+    members = ("g1/r0", "g1/r1", "g1/r2", "g1/r4")
+    checkpoint = CheckpointData(
+        cid=7, state_digest=digest(("ckpt", 7, state, tracker, members, 1)),
+        state=state, tracker=tracker, view_replicas=members, view_f=1)
+    frames = []
+    r0._request_state()
+    for sender in ("g1/r1", "g1/r2"):
+        frames.append(wire.encode(StateResponse(
+            group="g1", sender=sender, from_cid=0, next_cid=8, regency=0,
+            batches=(), checkpoint=checkpoint, horizon=8)))
+        decoded = wire.decode(frames[-1])
+        assert decoded.checkpoint.__dict__[MEMO].obj is frames[-1]
+        r0._handle_state_response(sender, decoded)
+    del decoded
+    assert r0.log.next_execute == 8 and r0.view.replicas == members
+    assert r0.log.checkpoint == checkpoint
+    assert MEMO not in r0.log.checkpoint.__dict__
+    r0.state_transfer.abandon()     # the round's answers are let go
+    gc.collect()
+    for frame in frames:
+        holders = [type(holder).__name__ for holder in gc.get_referrers(frame)
+                   if holder is not frames]
+        assert holders == [], f"a frame is still referenced by {holders}"
 
 
 @pytest.mark.parametrize("wire_name", ["binary", "json"])

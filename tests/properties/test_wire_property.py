@@ -11,7 +11,8 @@ The binary body is also the canonical byte form that is digested and
 signed, and decoding seeds each message's memo with the bytes it came
 from.  So the binary decoder must accept canonical encodings *only*:
 ``encode(decode(b)) == b`` for every ``b`` it accepts, and every seeded
-memo equals a memo-free re-encoding of the object it sits on.
+memo equals a memo-free re-encoding of the object it sits on and is a
+read-only view of the body it was decoded from.
 """
 
 from __future__ import annotations
@@ -165,12 +166,17 @@ def test_binary_roundtrip_is_exact_in_both_directions(value):
 @given(value=canonical_values)
 @settings(max_examples=150, deadline=None)
 def test_every_seeded_memo_is_what_encoding_would_produce(value):
-    decoded = wire.decode(reencoded(value))
+    body = reencoded(value)
+    decoded = wire.decode(body)
     found = list(dataclasses_in(decoded))
     assert len(found) == len(list(dataclasses_in(value)))
     for message in found:
-        assert message.__dict__[MEMO] == reencoded(message)
-    assert wire.encode(decoded) == reencoded(value)     # memos spliced
+        memo = message.__dict__[MEMO]
+        assert memo == reencoded(message)
+        # a read-only view into the one frame body, not a copy of a slice
+        assert type(memo) is memoryview and memo.readonly
+        assert memo.obj is body
+    assert wire.encode(decoded) == body                 # memos spliced
 
 
 @given(value=canonical_values, position=st.integers(min_value=0),

@@ -278,3 +278,43 @@ def test_census_of_a_small_tree_run_is_pinned(tool):
     counts = dict(census.counts)
     assert "Reply ack" not in counts
     assert counts == TREE_CENSUS
+
+
+def test_retained_and_hops_phases_on_a_short_sim_run(tool):
+    """``--retained`` snapshots tracemalloc where ``bench/deploy.py`` reads
+    ``peak_rss_mb`` and names the lines holding the traced bytes;
+    ``--hops`` times the three stages of every relay hop on the tree."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "global_tree", "--seconds", "1",
+         "--top", "0", "--retained", "--hops"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "global_tree seed 11 under tracemalloc" in done.stdout
+    (head,) = [line for line in lines
+               if line.startswith("traced at the peak_rss_mb read")]
+    traced, peak = float(head.split()[5]), float(head.split()[-2])
+    assert 0.0 < traced < peak
+    start = lines.index(next(line for line in lines
+                             if line.split()[:2] == ["KiB", "objects"]))
+    rows = lines[start + 1:start + 1 + tool.Retained.TOP]
+    assert len(rows) == tool.Retained.TOP
+    sizes = [float(row.split()[0]) for row in rows]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > 0.0
+    assert all(int(row.split()[1]) > 0 and ":" in row.split()[2]
+               for row in rows)
+    stages = {line.rsplit(None, 4)[0]: line.rsplit(None, 4)[1:]
+              for line in lines if "→" in line}
+    assert list(stages) == ["decided → flushed", "flushed → submitted",
+                            "(f+1)-th copy → proposed", "proposed → decided"]
+    for count, mean, p50, p95 in stages.values():
+        assert int(count) > 0 and 0.0 < float(p50) <= float(p95)
+
+
+def test_retained_refuses_rt_mixed():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "rt_mixed", "--top", "0", "--retained"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--retained refuses rt_mixed" in done.stderr
+    assert "under tracemalloc" not in done.stdout
