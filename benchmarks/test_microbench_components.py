@@ -84,7 +84,8 @@ def test_bench_consensus_vote_counting(benchmark):
     d = digest(batch)
 
     def run_instance():
-        instance = ConsensusInstance(cid=0, quorum=3)
+        instance = ConsensusInstance(cid=0, quorum=3,
+                                     members=("r0", "r1", "r2", "r3"))
         instance.note_proposal(0, d, batch)
         for replica in ("r0", "r1", "r2", "r3"):
             instance.add_write(0, d, replica)

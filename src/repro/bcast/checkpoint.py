@@ -8,17 +8,18 @@ state responses — and installs what :meth:`Checkpointer.elect` returns;
 everything a checkpoint's ``state_digest`` means is here.  The rule is in
 ``docs/CHECKPOINTS.md``: a checkpoint counts only when its payload
 re-hashes to the digest it claims, and is adopted only on ``f + 1`` such
-vouchers from distinct peers.
+vouchers (docs/PROTOCOL.md, "Who counts").
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.bcast.app import Application
 from repro.bcast.log import DecisionLog
 from repro.bcast.messages import CheckpointData, StateResponse
 from repro.bcast.reconfig import View
+from repro.bcast.tally import Tally
 from repro.crypto.digest import digest
 from repro.env import Monitor
 from repro.errors import CryptoError
@@ -93,11 +94,10 @@ class Checkpointer:
     def elect(self, responses: Mapping[str, StateResponse],
               f: int) -> Optional[CheckpointData]:
         """The highest checkpoint at or past the cursor that ``f + 1``
-        distinct responders vouch for, each with a verified payload."""
+        responders vouch for, each with a verified payload."""
         if not self.enabled:
             return None
-        votes: Dict[Tuple[int, bytes], Set[str]] = {}
-        payloads: Dict[Tuple[int, bytes], CheckpointData] = {}
+        votes = Tally()
         for src, response in responses.items():
             ckpt = response.checkpoint
             if ckpt is None or ckpt.cid < self.log.next_execute:
@@ -109,14 +109,10 @@ class Checkpointer:
                 self.monitor.record(self.owner, "checkpoint.bad_digest",
                                     src=src)
                 continue
-            key = (ckpt.cid, ckpt.state_digest)
-            votes.setdefault(key, set()).add(src)
-            payloads[key] = ckpt
+            votes.add((ckpt.cid, ckpt.state_digest), src, ckpt)
         chosen: Optional[CheckpointData] = None
-        for key, supporters in votes.items():
-            if len(supporters) < f + 1:
-                continue
-            candidate = payloads[key]
+        for key in votes.carried(responses, f + 1):
+            candidate = votes.values(key, responses)[-1]
             if chosen is None or candidate.cid > chosen.cid:
                 chosen = candidate
         return chosen

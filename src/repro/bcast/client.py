@@ -2,8 +2,8 @@
 
 The proxy implements the BFT client discipline of §II-D / §IV: it signs and
 sends each request to **every** replica of the group, then accepts a result
-only once ``f + 1`` replicas returned the *same* result (at most ``f`` can
-be faulty, so at least one correct replica vouches for it).  Requests that
+only once ``f + 1`` current members returned the *same* result
+(docs/PROTOCOL.md, "Who counts").  Requests that
 stay unanswered are retransmitted with exponential backoff, which also
 covers replicas that missed the request (their reply cache answers
 duplicates).
@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.bcast.config import capped_backoff
 from repro.bcast.messages import ReadReply, ReadRequest, Reply, Request
+from repro.bcast.tally import Tally
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -36,8 +37,8 @@ class _Outstanding:
 
     request: Request
     callback: Optional[ResultCallback]
-    votes: Dict[bytes, Set[str]] = field(default_factory=dict)
-    results: Dict[bytes, Any] = field(default_factory=dict)
+    #: the replies, by result digest
+    votes: Tally = field(default_factory=Tally)
     timer: Optional[TimerHandle] = None
     retries: int = 0
 
@@ -58,18 +59,10 @@ class _GroupEndpoint:
             self.owner.send(replica, message)
 
     def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
-        """Adopt a reconfigured membership (keeps sequence and round ids).
-
-        Departed replicas' votes leave every outstanding tally: at most
-        ``f`` of the *current* members are faulty, so an f+1 count only
-        vouches for a result when every vote in it is a current member's.
-        """
+        """Adopt a reconfigured membership (keeps sequence and round ids);
+        the outstanding tallies count among it from now on."""
         self.replicas = tuple(replicas)
         self.f = f
-        members = set(self.replicas)
-        for entry in self._outstanding.values():
-            for voters in entry.votes.values():
-                voters &= members
 
     def pending(self) -> int:
         """Requests (or read rounds) still waiting for their quorum."""
@@ -77,7 +70,7 @@ class _GroupEndpoint:
 
 
 class GroupProxy(_GroupEndpoint):
-    """Submits commands to one group and gathers ``f + 1`` matching replies.
+    """Submits commands to one group and gathers matching replies.
 
     Args:
         owner: the actor on whose behalf requests are sent (its name is the
@@ -114,8 +107,8 @@ class GroupProxy(_GroupEndpoint):
     def submit(self, command: Any, callback: Optional[ResultCallback] = None) -> int:
         """Sign, number and broadcast ``command``; returns its sequence number.
 
-        ``callback(result)`` fires exactly once, when f+1 matching replies
-        arrived.
+        ``callback(result)`` fires exactly once, when matching replies
+        carry.
         """
         seq = self._next_seq
         self._next_seq += 1
@@ -199,10 +192,9 @@ class GroupProxy(_GroupEndpoint):
         if entry is None:
             return True  # ours, but already completed
         key = digest(("reply", reply.result))
-        entry.votes.setdefault(key, set()).add(src)
-        entry.results[key] = reply.result
-        if len(entry.votes[key]) >= self.f + 1:
-            self._complete(entry, entry.results[key])
+        entry.votes.add(key, src)
+        if entry.votes.carries(key, self.replicas, self.f + 1):
+            self._complete(entry, reply.result)
         return True
 
     def _complete(self, entry: _Outstanding, result: Any,
@@ -222,9 +214,8 @@ class _OutstandingRead:
     request: ReadRequest
     on_accept: ReadAcceptCallback
     on_exhausted: Callable[[], None]
-    #: (cid, value digest) -> replicas vouching for exactly that pair
-    votes: Dict[Tuple[int, bytes], Set[str]] = field(default_factory=dict)
-    results: Dict[Tuple[int, bytes], Any] = field(default_factory=dict)
+    #: the replies, by (cid, value digest)
+    votes: Tally = field(default_factory=Tally)
     #: replicas probed this round — widening and exhaustion gate
     asked: Set[str] = field(default_factory=set)
     #: replicas heard from this round (vote or malformed)
@@ -239,9 +230,8 @@ class ReadProxy(_GroupEndpoint):
     The unordered read discipline (BFT-SMaRt ``invokeUnordered``): a reply
     joins the tally only if its carried digest re-hashes locally from the
     carried value (a Byzantine replica cannot vote for a value it did not
-    send), and a tally wins only when ``f + 1`` distinct replicas agree on
-    the *same* (cid, digest) pair **and** that cid clears the owner's
-    monotone floor.
+    send), and a tally wins only when its (cid, digest) pair carries **and**
+    that cid clears the owner's monotone floor.
 
     A round first asks :attr:`voters` — the last accepted quorum's voters
     that are still members, topped up in membership order to
@@ -356,7 +346,6 @@ class ReadProxy(_GroupEndpoint):
             return
         entry.retries += 1
         entry.votes.clear()
-        entry.results.clear()
         entry.asked.clear()
         entry.replied.clear()
         self.owner.monitor.count("read.retry")
@@ -388,13 +377,11 @@ class ReadProxy(_GroupEndpoint):
             self._maybe_widen(entry)
             return True
         key = (reply.cid, local)
-        voters = entry.votes.setdefault(key, set())
-        voters.add(src)
-        entry.results[key] = reply.result
-        if len(voters) >= self.quorum:
+        entry.votes.add(key, src)
+        if entry.votes.carries(key, self.replicas, self.quorum):
             if reply.cid >= self._min_cid(entry.request.mode):
-                self._accept(entry, reply.cid, entry.results[key],
-                             frozenset(voters))
+                self._accept(entry, reply.cid, reply.result, frozenset(
+                    entry.votes.voters(key, self.replicas)))
                 return True
             # A matching quorum below the monotone floor: the session
             # guarantee forbids serving it; keep collecting / retry.

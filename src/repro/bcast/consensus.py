@@ -6,19 +6,20 @@ objects.  Keeping it free of I/O makes the quorum logic directly unit- and
 property-testable.
 
 Phases (paper §IV): the leader PROPOSEs a batch; replicas WRITE the batch
-digest to all; a replica ACCEPTs when it holds ``quorum`` matching WRITEs;
-the batch is decided when ``quorum`` matching ACCEPTs are held.  Quorum is
-``n - f = 2f + 1``, so any two quorums intersect in at least one correct
-replica — a Byzantine leader that equivocates can never get two different
-digests write-certified for the same (cid, regency).
+digest to all; a replica ACCEPTs once the WRITEs for one digest carry; the
+batch is decided once the ACCEPTs for one digest carry (both at ``2f + 1``
+members, docs/PROTOCOL.md "Who counts").  Any two quorums intersect in at
+least one correct replica — a Byzantine leader that equivocates can never
+get two different digests write-certified for the same (cid, regency).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.bcast.messages import Request
+from repro.bcast.tally import Tally
 
 
 @dataclass
@@ -34,22 +35,23 @@ class WriteCertificate:
 class ConsensusInstance:
     """State of consensus id ``cid`` at one replica.
 
-    The instance survives regency changes: vote sets are per-regency, while
+    The instance survives regency changes: votes are per-regency, while
     the strongest write certificate seen is kept across regencies so the new
-    leader's re-proposal can be matched against it.
+    leader's re-proposal can be matched against it.  Votes count among
+    ``members``, the view the instance runs in, at its ``quorum``.
     """
 
     cid: int
     quorum: int
+    members: Tuple[str, ...]
 
     proposed_digest: Optional[bytes] = None
     proposed_batch: Optional[Tuple[Request, ...]] = None
     proposal_regency: int = -1
 
-    #: (regency, digest) -> set of replica names that sent WRITE
-    writes: Dict[Tuple[int, bytes], Set[str]] = field(default_factory=dict)
-    #: (regency, digest) -> set of replica names that sent ACCEPT
-    accepts: Dict[Tuple[int, bytes], Set[str]] = field(default_factory=dict)
+    #: the WRITEs and the ACCEPTs, by (regency, digest)
+    writes: Tally = field(default_factory=Tally)
+    accepts: Tally = field(default_factory=Tally)
 
     sent_write: Set[int] = field(default_factory=set)    # regencies
     sent_accept: Set[int] = field(default_factory=set)   # regencies
@@ -89,10 +91,8 @@ class ConsensusInstance:
 
     def add_write(self, regency: int, digest: bytes, sender: str) -> bool:
         """Record a WRITE; True iff it completes a write quorum (first time)."""
-        votes = self.writes.setdefault((regency, digest), set())
-        before = len(votes)
-        votes.add(sender)
-        if before < self.quorum <= len(votes):
+        if self.writes.reaches((regency, digest), sender, self.members,
+                               self.quorum):
             self._update_cert(regency, digest)
             return True
         return False
@@ -105,24 +105,19 @@ class ConsensusInstance:
             self.write_cert = WriteCertificate(regency, digest, batch)
 
     def rescope(self, members: Tuple[str, ...], quorum: int) -> None:
-        """Re-anchor this instance in a new view.
+        """Run in the view a reconfiguration boundary installs.
 
-        An instance for a cid beyond a reconfiguration boundary runs in the
-        post-boundary view: its quorum must be that view's 2f+1 and votes
-        from replicas no longer in the view must not count toward it.  The
-        quorum is otherwise frozen at creation time, so an instance opened
-        by a pipelined proposal (or an early peer vote) just before the
-        boundary executes would keep the *old* view's threshold — after a
-        scale-down that threshold can exceed the number of remaining
-        members and the instance can never decide (observed as an endless
-        regency cycle with full write sets at every regency).
+        An undecided instance beyond the boundary takes the new view's
+        members and quorum: after a scale-down the old quorum can exceed
+        the members left (an endless regency cycle).  A decided instance
+        only gathers the write certificate STOPDATA reports: it keeps its
+        quorum and counts the members of every view it ran in.
         """
+        if self.decided:
+            self.members += tuple(m for m in members if m not in self.members)
+            return
+        self.members = members
         self.quorum = quorum
-        keep = set(members)
-        for votes in self.writes.values():
-            votes &= keep
-        for votes in self.accepts.values():
-            votes &= keep
 
     def should_accept(self, regency: int, digest: bytes) -> bool:
         """True iff a write quorum for (regency, digest) exists, the digest
@@ -132,7 +127,8 @@ class ConsensusInstance:
             and regency not in self.sent_accept
             and digest == self.proposed_digest
             and self.proposal_regency == regency
-            and len(self.writes.get((regency, digest), ())) >= self.quorum
+            and self.writes.carries((regency, digest), self.members,
+                                    self.quorum)
         )
 
     def mark_accept_sent(self, regency: int) -> None:
@@ -142,10 +138,8 @@ class ConsensusInstance:
         """Record an ACCEPT; True iff it completes a decision (first time)."""
         if self.decided:
             return False
-        votes = self.accepts.setdefault((regency, digest), set())
-        before = len(votes)
-        votes.add(sender)
-        if before < self.quorum <= len(votes):
+        if self.accepts.reaches((regency, digest), sender, self.members,
+                                self.quorum):
             self.decided = True
             self.decided_digest = digest
             return True

@@ -34,8 +34,6 @@ class SenderTracker:
 
     def __init__(self) -> None:
         self._last: Dict[str, int] = {}
-        #: bumped by every change (read by ``Replica._claims_stamp``)
-        self.changes = 0
 
     def last(self, sender: str) -> int:
         """Highest ordered seq for ``sender`` (0 = nothing ordered yet)."""
@@ -48,7 +46,6 @@ class SenderTracker:
     def advance(self, sender: str, seq: int) -> None:
         """Record that ``seq`` was ordered for ``sender`` (must be next)."""
         self._last[sender] = seq
-        self.changes += 1
 
     def is_duplicate(self, request: Request) -> bool:
         return request.seq <= self.last(request.sender)
@@ -58,7 +55,6 @@ class SenderTracker:
 
     def restore(self, state: Dict[str, int]) -> None:
         self._last = dict(state)
-        self.changes += 1
 
 
 class ReplyWindow:
@@ -92,10 +88,6 @@ class PendingPool:
         self._by_sender: Dict[str, Dict[int, Request]] = {}
         self._arrival: List[Tuple[str, int]] = []  # FIFO across senders
         self._size = 0
-        #: bumped by every insertion and removal (read by
-        #: ``Replica._claims_stamp``; replacing a request changes no answer
-        #: of :meth:`admissible_batch`)
-        self.changes = 0
 
     def __len__(self) -> int:
         return self._size
@@ -108,7 +100,6 @@ class PendingPool:
         per_sender[request.seq] = request
         self._arrival.append((request.sender, request.seq))
         self._size += 1
-        self.changes += 1
         return True
 
     def put(self, request: Request) -> bool:
@@ -126,7 +117,6 @@ class PendingPool:
         per_sender = self._by_sender.pop(sender, None)
         if per_sender:
             self._size -= len(per_sender)
-            self.changes += 1
             self._compact()
 
     def remove(self, sender: str, seq: int) -> Optional[Request]:
@@ -135,7 +125,6 @@ class PendingPool:
         if not per_sender or seq not in per_sender:
             return None
         self._size -= 1
-        self.changes += 1
         request = per_sender.pop(seq)
         if not per_sender:
             del self._by_sender[sender]
@@ -167,7 +156,6 @@ class PendingPool:
                 del by_sender[sender]
         if pruned:
             self._size -= pruned
-            self.changes += 1
             self._compact()
 
     def admissible_batch(

@@ -3,11 +3,12 @@
 A *regency* is a leader epoch; the leader of regency ``r`` is replica
 ``r mod n``.  When requests time out, replicas vote STOP for the current
 regency.  ``f + 1`` STOPs make a replica join the vote (a correct replica
-detected a problem), ``2f + 1`` STOPs install the next regency: replicas
-send STOPDATA (their strongest write certificate *per open consensus
-instance* of the pipeline window, see ``docs/PIPELINE.md``) to the new
-leader, which re-proposes every certified value — and deterministic fillers
-for uncertified gaps below a certified cid — in a SYNC message.
+detected a problem), ``2f + 1`` STOPs install the next regency (counted as
+docs/PROTOCOL.md "Who counts" says): replicas send STOPDATA (their
+strongest write certificate *per open consensus instance* of the pipeline
+window, see ``docs/PIPELINE.md``) to the new leader, which re-proposes
+every certified value — and deterministic fillers for uncertified gaps
+below a certified cid — in a SYNC message.
 
 :class:`RegencyManager` owns the whole phase at one replica — the votes,
 the sends and the installation — and knows of the replica only its view and
@@ -22,6 +23,7 @@ from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 from repro.bcast.config import BroadcastConfig
 from repro.bcast.messages import CertReport, Request, Stop, StopData, Sync
 from repro.bcast.reconfig import View
+from repro.bcast.tally import Tally
 from repro.env import Monitor
 
 
@@ -70,9 +72,10 @@ class RegencyManager:
         self.installed = installed
         self.current = 0
         self.in_transition = False
-        self._stops: Dict[int, Set[str]] = {}
+        #: the STOPs, and the STOPDATA reports filed, by regency
+        self._stops = Tally()
         self._sent_stop: Set[int] = set()
-        self._stopdata: Dict[int, Dict[str, StopData]] = {}
+        self._stopdata = Tally()
         self._sync_sent: Set[int] = set()
         #: (peer, regency) -> last time we re-sent them our old STOP vote
         self._assist_at: Dict[Tuple[str, int], float] = {}
@@ -118,19 +121,16 @@ class RegencyManager:
                 self._assist_at[key] = self.clock.now
                 self.monitor.count("regency.stop_assist")
                 self.send(src, Stop(self.config.group_id, regency, self.owner))
-        votes = self._stops.setdefault(regency, set())
-        votes.add(src)
+        self._stops.add(regency, src)
         if regency < self.current:
             return
-        # Only members of the current view count: a replica that has left
-        # may have voted before it did.
         view = self.view()
         if (regency not in self._sent_stop
-                and len(votes.intersection(view.replicas)) >= view.f + 1):
+                and self._stops.carries(regency, view.replicas, view.f + 1)):
             self._sent_stop.add(regency)
             self.broadcast(Stop(self.config.group_id, regency, self.owner))
-            votes.add(self.owner)
-        if len(votes.intersection(view.replicas)) >= view.quorum:
+            self._stops.add(regency, self.owner)
+        if self._stops.carries(regency, view.replicas, view.quorum):
             self.current = regency + 1
             self.in_transition = True
             self._transition(regency + 1)
@@ -186,9 +186,8 @@ class RegencyManager:
             return
         if regency < self.current:
             return
-        filed = self._stopdata.setdefault(regency, {})
-        filed[data.sender] = data
-        reports = [report for sender, report in filed.items() if sender in view]
+        self._stopdata.add(regency, data.sender, data)
+        reports = self._stopdata.values(regency, view.replicas)
         if regency in self._sync_sent or len(reports) < view.quorum:
             return
         decision = self.choose_sync(reports, self.cursor(),

@@ -143,9 +143,6 @@ class Replica(Actor):
         #: live entries (cid >= execution cursor, undecided) are the
         #: pipeline's in-flight window
         self._started: Dict[int, int] = {}
-        #: leader-side: the :meth:`_claims_stamp` of the last time the pool
-        #: held nothing admissible
-        self._refused: Optional[Tuple] = None
 
         self._pending_since: Dict[Tuple[str, int], float] = {}
         self._request_timer = None
@@ -203,12 +200,12 @@ class Replica(Actor):
     def _adopt_view(self, view: View) -> None:
         """Switch to ``view`` at the execution cursor (the one view switch).
 
-        Undecided instances beyond the cursor run in the new view (see
+        Instances beyond the cursor run in the new view (see
         ConsensusInstance.rescope); a retired replica stays inactive.
         """
         self.view = view
         for cid, instance in self._consensus.items():
-            if cid >= self.log.next_execute and not instance.decided:
+            if cid >= self.log.next_execute:
                 instance.rescope(view.replicas, view.quorum)
         self.active = self.name in view and not self._retired
         self._view_epoch += 1
@@ -540,23 +537,6 @@ class Replica(Actor):
             _raise_floors(floors, batch)
         return floors or None
 
-    def _claims_stamp(self) -> Tuple:
-        """Everything :meth:`_maybe_propose`'s pool scan reads, cheaply: the
-        pool and the tracker by their change counters, the buffered
-        decisions by the cursor and their count (one is only added, or
-        removed by moving the cursor), and the open instances by their
-        proposals (compared by identity first)."""
-        cursor = self.log.next_execute
-        consensus = self._consensus
-        open_ = []
-        for cid, regency in self._started.items():
-            instance = consensus.get(cid)
-            if cid >= cursor and instance is not None:
-                open_.append((cid, regency, instance.proposal_regency,
-                              instance.proposed_batch))
-        return (self.pool, self.pool.changes, self.log.tracker.changes,
-                cursor, len(self.log.buffered_decisions()), open_)
-
     def _maybe_propose(self) -> None:
         """Leader: open another consensus instance if the window has room.
 
@@ -570,14 +550,8 @@ class Replica(Actor):
             return
         if self._open_count() >= self.config.max_in_flight:
             return
-        if not len(self.pool):
-            return
-        # While nothing the scan reads changed since it last found nothing
-        # admissible, it would find nothing again.
-        stamp = self._claims_stamp()
-        if stamp == self._refused or not self.pool.admissible_batch(
+        if not len(self.pool) or not self.pool.admissible_batch(
                 self.log.tracker, 1, self._reserved_floors()):
-            self._refused = stamp
             return
         self._assembling = True
         # The instance's fixed cost runs first; the batch is cut after it,
@@ -849,7 +823,8 @@ class Replica(Actor):
 
     def _instance(self, cid: int) -> ConsensusInstance:
         if cid not in self._consensus:
-            self._consensus[cid] = ConsensusInstance(cid=cid, quorum=self.view.quorum)
+            self._consensus[cid] = ConsensusInstance(
+                cid=cid, quorum=self.view.quorum, members=self.view.replicas)
         return self._consensus[cid]
 
     def _apply_write(self, sender: str, write: Write) -> None:

@@ -16,13 +16,14 @@ path and installs the regency (``docs/CHECKPOINTS.md``).
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.bcast.checkpoint import Checkpointer
 from repro.bcast.config import capped_backoff
 from repro.bcast.log import DecisionLog
 from repro.bcast.messages import (
     CheckpointData, Request, StateRequest, StateResponse)
+from repro.bcast.tally import Tally
 from repro.crypto.digest import digest
 from repro.env import Monitor
 
@@ -179,22 +180,23 @@ class StateTransfer:
         checkpoint = self.checkpoints.elect(self._responses, self.f())
         if checkpoint is not None:
             install(checkpoint)
+        # An executed Reconfig may abandon the round: count this round's.
+        responders = frozenset(self._responses)
         per_cid: Dict[int, Dict[bytes, Tuple[Request, ...]]] = {}
-        # (cid, digest) -> the responders vouching for it: an entry a
-        # responder repeats is still one voucher
-        vouchers: Dict[Tuple[int, bytes], Set[str]] = {}
+        vouchers = Tally()   # by (cid, digest)
         for src, response in self._responses.items():
             for cid, batch in response.batches:
                 d = digest(batch)
                 per_cid.setdefault(cid, {})[d] = batch
-                vouchers.setdefault((cid, d), set()).add(src)
+                vouchers.add((cid, d), src)
         while True:
             cid = self.log.next_execute
             options = per_cid.get(cid)
             if not options:
                 break
             chosen = next((batch for d, batch in options.items()
-                           if len(vouchers[(cid, d)]) >= self.f() + 1), None)
+                           if vouchers.carries((cid, d), responders,
+                                               self.f() + 1)), None)
             if chosen is None:
                 # A single voucher suffices when the batch matches a write
                 # certificate the owner assembled itself: 2f+1 replicas

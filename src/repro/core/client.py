@@ -2,11 +2,11 @@
 
 A client signs its message, submits it to every replica of the lowest
 common ancestor group of the destination set, and considers it delivered
-once ``f + 1`` replicas of **each** destination group acknowledged delivery
-(at most ``f`` per group are faulty, so one correct replica per group
-vouches).  When the entry group is itself a destination, its acknowledgement
-is the ordered request's reply, ``("delivered", result)``, gathered by the
-entry proxy; every other destination group sends a
+once the acknowledgements of **each** destination group carry (``f + 1`` of
+its members, docs/PROTOCOL.md "Who counts").  When the entry group is
+itself a destination, its acknowledgement is the ordered request's reply,
+``("delivered", result)``, gathered by the entry proxy; every other
+destination group sends a
 :class:`~repro.core.messages.MulticastReply`, which the client asks for
 again with a :class:`~repro.core.messages.DeliveryQuery` when too few
 arrive.  An entry group that is not a destination answers only a
@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.bcast.client import GroupProxy, ReadProxy
 from repro.bcast.config import BroadcastConfig, capped_backoff
 from repro.bcast.messages import ReadReply, Reply
+from repro.bcast.tally import Tally
 from repro.core.messages import DeliveryQuery, MulticastReply, WireMulticast
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
@@ -83,10 +84,8 @@ class _InFlight:
     message: MulticastMessage
     sent_at: float
     needed: FrozenSet[str]
-    #: per group: result-digest -> replicas vouching for that result
-    votes: Dict[str, Dict[bytes, Set[str]]] = field(default_factory=dict)
-    #: per group: candidate results by digest
-    candidates: Dict[str, Dict[bytes, object]] = field(default_factory=dict)
+    #: the MulticastReplies, by (group, result digest)
+    votes: Tally = field(default_factory=Tally)
     confirmed: Set[str] = field(default_factory=set)
     #: per group: the f+1-confirmed application result
     group_results: Dict[str, object] = field(default_factory=dict)
@@ -386,8 +385,8 @@ class MulticastClient(Actor):
         Out-of-band delivery is safe for clients: vote counting is local
         (not replicated state), and replies from replicas outside the
         currently-known membership are simply ignored until the update
-        lands.  Departed replicas' votes leave the proxies' outstanding
-        tallies; retransmission (and a read round's widening) is what
+        lands.  Every outstanding tally counts among the new membership
+        from now on; retransmission (and a read round's widening) is what
         reaches new members.
         """
         config = self.group_configs.get(group_id)
@@ -425,13 +424,11 @@ class MulticastClient(Actor):
             return
         if reply.group not in entry.needed or reply.group in entry.confirmed:
             return
-        key = digest(("mreply", reply.result))
-        votes = entry.votes.setdefault(reply.group, {}).setdefault(key, set())
-        votes.add(src)
-        entry.candidates.setdefault(reply.group, {})[key] = reply.result
-        if len(votes) >= config.f + 1:
+        key = (reply.group, digest(("mreply", reply.result)))
+        entry.votes.add(key, src)
+        if entry.votes.carries(key, config.replicas, config.f + 1):
             self._confirm((reply.sender, reply.seq), entry, reply.group,
-                          entry.candidates[reply.group][key])
+                          reply.result)
 
     def _entry_replied(self, key: Tuple[str, int], result: Any) -> None:
         """The entry proxy's f+1-matched result for the message ``key``.

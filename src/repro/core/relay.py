@@ -22,8 +22,8 @@ vote.
 The copies are votes, not requests.  A child replica keeps each relayer's
 first signed copy of an index in a :class:`RelayInbox`, outside consensus,
 as one vote for the digest of the batch it carries (:class:`QuorumMerge` is
-that ballot, one per index).  Once ``f + 1`` distinct relayers voted for one
-digest, the replica pools those copies as one
+that ballot, one per index).  Once one digest carries (``f + 1`` relayers,
+docs/PROTOCOL.md "Who counts"), the replica pools those copies as one
 :class:`~repro.core.messages.RelayCertificate`, the request ``seq = index +
 1`` of the stream's pseudo-sender (:func:`relay_sender`).  The leader orders
 it like any request, so the FIFO tracker releases a stream's batches in
@@ -54,6 +54,7 @@ from typing import (
 from repro.bcast.client import GroupProxy
 from repro.bcast.config import capped_backoff
 from repro.bcast.messages import Request
+from repro.bcast.tally import Tally
 from repro.core.messages import RelayAck, RelayBatch, RelayCertificate
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -74,8 +75,7 @@ def relay_sender(parent: str) -> str:
 
 class QuorumMerge:
     """A ballot among ``senders`` (the parent group's replicas): a value is
-    released once ``threshold`` (``f + 1``) distinct senders voted for its
-    key."""
+    released once its key carries at ``threshold`` (``f + 1``)."""
 
     def __init__(self, senders: Iterable[str], threshold: int) -> None:
         self.senders = frozenset(senders)
@@ -84,23 +84,15 @@ class QuorumMerge:
         if threshold > len(self.senders):
             raise ValueError("threshold cannot exceed the number of senders")
         self.threshold = threshold
-        #: key -> the senders that voted for it
-        self._votes: Dict[Hashable, Set[str]] = {}
+        self.tally = Tally()
 
     def push(self, sender: str, key: Hashable, value: Any) -> List[Any]:
-        """Record ``sender``'s vote for ``key``; returns ``[value]`` if this
-        is the key's ``threshold``-th distinct voter, else ``[]``.
-
-        Votes from unknown senders are ignored (the caller should have
-        validated membership; this is defense in depth).
-        """
-        if sender not in self.senders:
-            return []
-        voters = self._votes.setdefault(key, set())
-        if sender in voters:
-            return []
-        voters.add(sender)
-        return [value] if len(voters) == self.threshold else []
+        """Record ``sender``'s vote for ``key``; returns ``[value]`` if it
+        is the vote that makes the key carry, else ``[]``."""
+        if self.tally.reaches(key, sender, self.senders, self.threshold,
+                              value):
+            return [value]
+        return []
 
 
 def certificate_problem(certificate: RelayCertificate, group: str,
@@ -148,7 +140,7 @@ class RelayInbox:
     never replicated: each relayer's first copy of every index from
     :attr:`next_index` on, in arrival order, voted into one
     :class:`QuorumMerge` per index keyed by the digest of the batch, and the
-    certificate copies of each index that reached ``threshold``.
+    certificate copies of each index that carried.
     """
 
     def __init__(self, relayers: Iterable[str], threshold: int,
@@ -182,12 +174,6 @@ class RelayInbox:
         if copy.sender in copies:
             return self._quorums.get(index)
         copies[copy.sender] = copy
-        return self._count(index, copy)
-
-    def _count(self, index: int,
-               copy: Request) -> Optional[Tuple[Request, ...]]:
-        """Push ``copy`` into its index's ballot; the certificate copies if
-        this completed the quorum."""
         ballot = self._ballots.get(index)
         if ballot is None:
             ballot = self._ballots[index] = QuorumMerge(self.relayers,
@@ -196,8 +182,7 @@ class RelayInbox:
         if not ballot.push(copy.sender, key, copy):
             return None
         quorum = self._quorums[index] = tuple(
-            kept for kept in self._copies[index].values()
-            if digest(kept.command) == key)[:self.threshold]
+            ballot.tally.values(key, self.relayers)[:self.threshold])
         return quorum
 
     def certificates(self) -> Iterator[Tuple[int, Tuple[Request, ...]]]:
@@ -215,8 +200,8 @@ class RelayInbox:
     def restore(self, relayers: Iterable[str], threshold: int,
                 next_index: int) -> None:
         """Adopt a membership and a next index (a parent reconfiguration, a
-        checkpoint install): the copies of departed relayers and of released
-        indexes are dropped, and every ballot is recounted over the rest."""
+        checkpoint install): every copy held is voted again, as if it had
+        just arrived."""
         QuorumMerge(relayers, threshold)  # validates the threshold
         self.relayers = frozenset(relayers)
         self.threshold = threshold
@@ -224,13 +209,9 @@ class RelayInbox:
         self.next_index = next_index
         kept = self._copies
         self._copies, self._ballots, self._quorums = {}, {}, {}
-        for index, copies in kept.items():
-            if index < next_index:
-                continue
+        for copies in kept.values():
             for copy in copies.values():
-                if copy.sender in self.relayers:
-                    self._copies.setdefault(index, {})[copy.sender] = copy
-                    self._count(index, copy)
+                self.vote(copy)
 
 
 class RelayOutbox(GroupProxy):

@@ -11,8 +11,12 @@ def batch(*labels):
     return tuple(Request("g", "c", i + 1, ("cmd", l)) for i, l in enumerate(labels))
 
 
+#: the view the instances run in (tests pick their quorum separately)
+MEMBERS = tuple(f"r{i}" for i in range(7))
+
+
 def make_instance(quorum=3):
-    return ConsensusInstance(cid=0, quorum=quorum)
+    return ConsensusInstance(cid=0, quorum=quorum, members=MEMBERS)
 
 
 class TestProposal:
@@ -111,6 +115,27 @@ class TestQuorums:
         inst.add_write(0, d, "r1")
         inst.add_write(0, d, "r2")
         assert inst.should_accept(0, d)
+
+    def test_rescope_keeps_a_decided_instances_quorum_and_old_members(self):
+        # Decided in the old view before a 4 -> 7 boundary executed: the
+        # instance still gathers its write certificate for STOPDATA, at its
+        # own quorum, from the members of both views.
+        inst = ConsensusInstance(cid=0, quorum=3,
+                                 members=("r0", "r1", "r2", "r3"))
+        b = batch("a")
+        d = digest(b)
+        inst.note_proposal(0, d, b)
+        for replica in ("r0", "r1", "r2"):
+            inst.add_write(0, d, replica)
+            inst.add_accept(0, d, replica)
+        assert inst.decided
+        inst.rescope(tuple(f"r{i}" for i in range(7)), 5)
+        assert inst.quorum == 3
+        inst.add_write(1, d, "r0")
+        inst.add_write(1, d, "r4")
+        assert inst.write_cert.regency == 0
+        assert inst.add_write(1, d, "r5")
+        assert inst.write_cert.regency == 1
 
     def test_decision_and_batch_recovery(self):
         inst = make_instance()

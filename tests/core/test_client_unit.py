@@ -102,6 +102,23 @@ class TestResultVoting:
         client._handle_multicast_reply("g1/r2", reply("g1", "g1/r2"))
         assert len(client.completions) == 1
 
+    def test_a_departed_replicas_vote_stops_counting(self, client_rig):
+        """g2/r3 votes for a forged result and is swapped out: with one
+        current member's vote for it, the forgery is one vote, not f+1."""
+        dep, client = client_rig
+        for replica in ("g1/r0", "g1/r1"):
+            client._handle_multicast_reply(replica, reply("g1", replica))
+        forged = ("forged",)
+        client._handle_multicast_reply(
+            "g2/r3", reply("g2", "g2/r3", result=forged))
+        client.update_group("g2", ("g2/r0", "g2/r1", "g2/r2", "g2/r4"), 1)
+        client._handle_multicast_reply(
+            "g2/r0", reply("g2", "g2/r0", result=forged))
+        assert client.pending() == 1
+        for replica in ("g2/r1", "g2/r4"):
+            client._handle_multicast_reply(replica, reply("g2", replica))
+        assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
+
 
 class TestReplyPaths:
     """An entry destination group confirms through the entry proxy's f+1

@@ -54,7 +54,8 @@ def test_no_two_correct_replicas_decide_differently(scenario):
     proposals, byz_votes, order = scenario
     digests = {"A": DIG_A, "B": DIG_B}
     batches = {"A": BATCH_A, "B": BATCH_B}
-    instances = {r: ConsensusInstance(cid=0, quorum=QUORUM) for r in CORRECT}
+    instances = {r: ConsensusInstance(cid=0, quorum=QUORUM,
+                                      members=REPLICAS) for r in CORRECT}
     for r in CORRECT:
         label = proposals[r]
         instances[r].note_proposal(0, digests[label], batches[label])
