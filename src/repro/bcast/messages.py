@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.signatures import Signature
+from repro import canonical as _canonical
+from repro.crypto.digest import digest
+from repro.crypto.signatures import Signature, share_signed_part, signed_bytes
 
 
 @dataclass(frozen=True)
@@ -34,31 +36,23 @@ class Request:
     command: Any
     signature: Optional[Signature] = None
 
-    def signed_part(self) -> Tuple:
-        """The tuple covered by :attr:`signature`.
+    def signed_part(self) -> bytes:
+        """What :attr:`signature` covers: the canonical bytes of
+        ``("req", group, sender, seq, command)``.
 
-        Built once and reused: replicas call this on every admission check,
-        proposal validation and duplicate delivery, and returning the *same*
-        tuple object lets the identity-keyed verification cache
-        (:mod:`repro.crypto.cache`) recognize repeat verifications.
+        Encoded once and memoised on the request
+        (:func:`~repro.crypto.signatures.signed_bytes`): the signer walks
+        the tuple, and every check of the signed copy tags the same bytes.
         """
-        cached = self.__dict__.get("_signed_part")
-        if cached is None:
-            cached = ("req", self.group, self.sender, self.seq, self.command)
-            object.__setattr__(self, "_signed_part", cached)
-        return cached
+        return signed_bytes(
+            self, ("req", self.group, self.sender, self.seq, self.command))
 
     def with_signature(self, signature: Signature) -> "Request":
         """This request carrying ``signature``, which covers its
-        :meth:`signed_part`.
-
-        The copy keeps that very tuple as its memo: a receiver verifies the
-        object the signer canonicalized, so the verification memo entry the
-        signing wrote is a hit and the tuple is encoded once per request.
-        """
+        :meth:`signed_part`; the copy keeps those bytes as its memo."""
         signed = Request(self.group, self.sender, self.seq, self.command,
                          signature)
-        object.__setattr__(signed, "_signed_part", self.signed_part())
+        share_signed_part(self, signed)
         return signed
 
     def key(self) -> Tuple[str, int]:
@@ -116,6 +110,10 @@ class ReadReply:
     result: Any
 
 
+#: ``__dict__`` key of :meth:`Propose.batch_digest`'s memo
+BATCH_DIGEST_MEMO = "_batch_digest"
+
+
 @dataclass(frozen=True)
 class Propose:
     """Leader's proposal of a batch for consensus instance ``cid``."""
@@ -126,6 +124,21 @@ class Propose:
     batch: Tuple[Request, ...]
     leader: str
 
+    def batch_digest(self) -> bytes:
+        """``digest(batch)``, memoised on the proposal.
+
+        What every WRITE and ACCEPT of the instance carries; on the
+        simulation backend all replicas of a group share one proposal
+        object, so the batch is hashed once, not once per replica.
+        """
+        if not _canonical.memo_on:
+            return digest(self.batch)
+        attrs = self.__dict__
+        value = attrs.get(BATCH_DIGEST_MEMO)
+        if value is None:
+            value = attrs[BATCH_DIGEST_MEMO] = digest(self.batch)
+        return value
+
 
 @dataclass(frozen=True)
 class AuthenticatedPropose:
@@ -133,12 +146,13 @@ class AuthenticatedPropose:
 
     With ``BroadcastConfig.authenticate_batches`` on, the leader attaches
     one :func:`repro.crypto.mac.mac_vector` tag per follower link — one
-    memoised batch digest, one 16-byte HMAC per peer — and each receiver
-    checks its own tag (:func:`~repro.crypto.mac.verify_mac_vector`)
-    *before* paying the per-request validation cost: a tampered or
-    spoofed batch dies on one cheap HMAC instead of ``len(batch)``
-    signature verifies.  ``vector`` maps receiver name → tag; the frozen
-    tuple-of-pairs form keeps the message hashable/canonicalizable.
+    memoised proposal digest, one 16-byte keyed-BLAKE2b tag per peer — and
+    each receiver checks its own tag
+    (:func:`~repro.crypto.mac.verify_mac_vector`) *before* paying the
+    per-request validation cost: a tampered or spoofed batch dies on one
+    cheap tag instead of ``len(batch)`` signature verifies.  ``vector``
+    maps receiver name → tag; the frozen tuple-of-pairs form keeps the
+    message hashable/canonicalizable.
     """
 
     proposal: Propose

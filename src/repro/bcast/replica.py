@@ -662,10 +662,11 @@ class Replica(Actor):
         The MAC check is per-link and happens *first*: a batch whose tag
         does not verify under the (src, self) channel key was tampered
         with in flight or sent by an impersonator, and is dropped for the
-        cost of one digest (memoised) + one HMAC over 32 bytes — never
-        reaching the ``len(batch)``-signature validation loop.  A valid
-        tag proves nothing about the *content* (the leader may be
-        Byzantine), so the full proposal validation still runs after.
+        cost of one digest (memoised) + one keyed BLAKE2b over its 16
+        bytes — never reaching the ``len(batch)``-signature validation
+        loop.  A valid tag proves nothing about the *content* (the leader
+        may be Byzantine), so the full proposal validation still runs
+        after.
         """
         if not verify_mac_vector(self.registry, src, self.name,
                                  wrapped.proposal, dict(wrapped.vector)):
@@ -676,7 +677,7 @@ class Replica(Actor):
     def _process_proposal(self, src: str, proposal: Propose) -> bool:
         if not self._validate_proposal(src, proposal):
             return False
-        d = digest(proposal.batch)
+        d = proposal.batch_digest()
         instance = self._instance(proposal.cid)
         if not instance.note_proposal(proposal.regency, d, proposal.batch):
             self.monitor.record(self.name, "consensus.equivocation", cid=proposal.cid)

@@ -26,7 +26,7 @@ from typing import Any, Optional, Tuple
 from repro.bcast.messages import ReadReply, ReadRequest  # noqa: F401
 from repro.bcast.messages import Request
 from repro.crypto.digest import digest
-from repro.crypto.signatures import Signature
+from repro.crypto.signatures import Signature, share_signed_part, signed_bytes
 from repro.types import (
     ClientId, Destination, GroupId, MessageId, MulticastMessage,
 )
@@ -75,30 +75,26 @@ class WireMulticast:
             object.__setattr__(self, "_message", cached)
         return cached
 
-    def signed_part(self) -> Tuple:
-        """The tuple covered by the originating client's signature.
+    def signed_part(self) -> bytes:
+        """What the originating client's signature covers: the canonical
+        bytes of ``("amcast", sender, seq, dst, payload)``.
 
-        Built once and reused so the ``f + 1`` duplicate verifications of a
-        relayed multicast hit the identity-keyed verification cache.
+        Encoded once and memoised on the wire
+        (:func:`~repro.crypto.signatures.signed_bytes`): the client walks
+        the tuple, and every check of the signed copy — the ``f + 1``
+        duplicate verifications of a relayed multicast among them — tags
+        the same bytes.
         """
-        cached = self.__dict__.get("_signed_part")
-        if cached is None:
-            cached = ("amcast", self.sender, self.seq, self.dst, self.payload)
-            object.__setattr__(self, "_signed_part", cached)
-        return cached
+        return signed_bytes(
+            self, ("amcast", self.sender, self.seq, self.dst, self.payload))
 
     def with_signature(self, signature: Signature) -> "WireMulticast":
         """This wire carrying ``signature``, which covers its
-        :meth:`signed_part`.
-
-        The copy keeps that very tuple (and the carried message) as its
-        memos: a receiver verifies the object the client canonicalized, so
-        the verification memo entry the signing wrote is a hit and the
-        tuple is encoded once per multicast.
-        """
+        :meth:`signed_part`; the copy keeps those bytes and the carried
+        message as its memos."""
         signed = WireMulticast(self.sender, self.seq, self.dst, self.payload,
                                signature)
-        object.__setattr__(signed, "_signed_part", self.signed_part())
+        share_signed_part(self, signed)
         message = self.__dict__.get("_message")
         if message is not None:
             object.__setattr__(signed, "_message", message)

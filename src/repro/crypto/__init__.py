@@ -2,8 +2,10 @@
 
 The protocols only require three properties from cryptography (§II-A):
 message digests, authenticated channels (MACs), and unforgeable signatures.
-We implement them with :mod:`hashlib`/:mod:`hmac` over per-identity secret
-keys held in a :class:`~repro.crypto.keys.KeyRegistry`.  Within a simulation
+We implement them with BLAKE2b from :mod:`hashlib` — plain for digests,
+keyed (the MAC mode of RFC 7693) for MACs and signature tags — over
+per-identity secret keys held in a
+:class:`~repro.crypto.keys.KeyRegistry`.  Within a simulation
 the unforgeability guarantee is real: a Byzantine actor can only produce
 signatures for identities whose secret key it holds, so fabricated messages
 fail verification at correct replicas exactly as they would in a deployment.

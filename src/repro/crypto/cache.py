@@ -9,18 +9,20 @@ a single observable result:
 
 * **Memos on the message** — canonical bytes and digest of a frozen
   dataclass live in its ``__dict__`` (:mod:`repro.canonical`,
-  :mod:`repro.crypto.digest`) and die with it, and so does the verdict of
-  a signed request or multicast under one key registry
-  (:func:`repro.crypto.signatures.verify_signed`): a repeated signature
-  check is one dictionary lookup.
+  :mod:`repro.crypto.digest`) and die with it, and so do the canonical
+  bytes a signed request or multicast's signature covers
+  (:func:`repro.crypto.signatures.signed_bytes`), its verdict under one
+  key registry (:func:`repro.crypto.signatures.verify_signed`: a repeated
+  signature check is one dictionary lookup) and a proposal's batch digest
+  (:meth:`repro.bcast.messages.Propose.batch_digest`).  A signature or
+  MAC tag is one keyed BLAKE2b call over bytes that are already there.
 * **An identity-keyed LRU** (:class:`IdentityCache`) for what has no
-  object to live on: the JSON codec's frame bodies (``encode``).  A
-  signature over a tuple is checked once per message (the verdict memo),
-  so the tuple's canonical bytes are not kept.  Entries are keyed on
-  ``id(obj)`` and hold a strong reference to the object, so a key can
-  never be reused by a different object while its entry is alive
-  (value-based keys would be unsound: ``1 == 1.0 == True`` yet their
-  canonical forms differ), and the LRU has a fixed entry budget.
+  object to live on: the JSON codec's frame bodies (``encode``).
+  Entries are keyed on ``id(obj)`` and hold a strong reference to the
+  object, so a key can never be reused by a different object while its
+  entry is alive (value-based keys would be unsound: ``1 == 1.0 == True``
+  yet their canonical forms differ), and the LRU has a fixed entry
+  budget.
 
 All memoised functions are pure, so behaviour (and the sim backend's
 golden traces) is bit-identical with memoisation on or off — pinned by

@@ -1,15 +1,17 @@
 """Pairwise message-authentication codes and batch MAC vectors.
 
 BFT-SMaRt authenticates replica-to-replica channels with MAC vectors: the
-sender hashes a message once and attaches one small per-link HMAC over
-that hash for each destination — n cheap HMACs over 32 bytes instead of n
-full-body MACs (Bessani et al., DSN 2014).  We model both levels: a
-pairwise MAC keyed by the unordered pair of identities — enough to detect
-tampering and impersonation between two honest endpoints — and the
-amortised batch vector of :func:`mac_vector` / :func:`verify_mac_vector`,
-where the single body digest is memoised on the batch beside its wire
-bytes (:mod:`repro.crypto.digest`): a sender walks the batch once for the
-vector and all its links, and a receiver hashes the bytes that arrived.
+sender hashes a message once and attaches one small per-link MAC over
+that hash for each destination — n cheap MACs over 16 bytes instead of n
+full-body MACs (Bessani et al., DSN 2014).  A MAC here is keyed
+BLAKE2b-128 (the MAC mode of RFC 7693: one C call per tag).  We model
+both levels: a pairwise MAC keyed by the unordered pair of identities —
+enough to detect tampering and impersonation between two honest
+endpoints — and the amortised batch vector of :func:`mac_vector` /
+:func:`verify_mac_vector`, where the single body digest is memoised on
+the batch beside its wire bytes (:mod:`repro.crypto.digest`): a sender
+walks the batch once for the vector and all its links, and a receiver
+hashes the bytes that arrived.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _pair_key(registry: KeyRegistry, a: str, b: str) -> bytes:
 
 def mac(registry: KeyRegistry, src: str, dst: str, obj: Any) -> bytes:
     """MAC of ``obj`` under the pairwise key of (src, dst)."""
-    return hmac.new(_pair_key(registry, src, dst), canonical_bytes(obj), hashlib.blake2b).digest()[:16]
+    return _link_tag(registry, src, dst, canonical_bytes(obj))
 
 
 def verify_mac(registry: KeyRegistry, src: str, dst: str, obj: Any, tag: bytes) -> bool:
@@ -53,8 +55,8 @@ def verify_mac(registry: KeyRegistry, src: str, dst: str, obj: Any, tag: bytes) 
 
 
 def _link_tag(registry: KeyRegistry, src: str, dst: str, body: bytes) -> bytes:
-    return hmac.new(_pair_key(registry, src, dst), body,
-                    hashlib.blake2b).digest()[:16]
+    return hashlib.blake2b(body, key=_pair_key(registry, src, dst),
+                           digest_size=16).digest()
 
 
 def mac_vector(registry: KeyRegistry, src: str, dsts: Iterable[str],
@@ -63,8 +65,8 @@ def mac_vector(registry: KeyRegistry, src: str, dsts: Iterable[str],
 
     ``obj`` (typically a proposal batch) is canonicalized and digested
     exactly once — memoised on the object, so repeated vectors over the
-    same batch skip even that — and each link's tag is an HMAC over the
-    16-byte digest under the pairwise channel key.
+    same batch skip even that — and each link's tag is a keyed BLAKE2b
+    over the 16-byte digest under the pairwise channel key.
     """
     body = digest(obj)
     return {dst: _link_tag(registry, src, dst, body) for dst in dsts}

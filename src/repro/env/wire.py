@@ -45,7 +45,7 @@ raise :class:`~repro.errors.NetworkError` — the transport counts
 For a decoded object, :func:`encode` (like :func:`repro.canonical.encode`
 and :func:`repro.crypto.digest.canonical_bytes`) therefore returns that
 view: a bytes-like body, not necessarily ``bytes``.  Every consumer takes
-a buffer — ``bytes + body``, ``b"".join``, hashing, HMAC, a transport's
+a buffer — ``bytes + body``, ``b"".join``, hashing, MACs, a transport's
 ``writelines`` — and a view keeps its whole frame alive, so an object kept
 in long-lived state is stored through :func:`repro.canonical.detach`
 (docs/WIRE.md, "Memo seeding").

@@ -191,9 +191,9 @@ class TestMessageMemo:
 
 
 class TestSignOnce:
-    """A signed request or wire keeps the tuple its signature covers, so the
-    receivers verify the object the signer canonicalized — and each
-    signature costs one HMAC to make and one to check."""
+    """A signed request or wire keeps the canonical bytes its signature
+    covers, so the receivers tag the bytes the signer walked — and each
+    signature costs one tag to make and one to check."""
 
     def test_signed_copy_keeps_the_signed_tuple(self):
         from repro.core.messages import WireMulticast
@@ -214,15 +214,15 @@ class TestSignOnce:
         assert wire.to_message() is message
         assert verify(registry, wire.signed_part(), wire.signature)
 
-    def test_a_local_multicast_costs_one_hmac_per_signature(
+    def test_a_local_multicast_costs_one_tag_per_signature(
             self, monkeypatch):
         from repro import ByzCastDeployment, OverlayTree, destination
         from repro.crypto import signatures
 
-        hmacs = []
+        tags = []
         tag = signatures._tag
         monkeypatch.setattr(signatures, "_tag", lambda *args: (
-            hmacs.append(args[1]), tag(*args))[1])
+            tags.append(args[1]), tag(*args))[1])
         deployment = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]))
         client = deployment.add_client("c1")
         cache_mod.clear_caches()
@@ -230,11 +230,34 @@ class TestSignOnce:
         deployment.run(until=2.0)
         assert len(client.completions) == 1
         # the client's Request and WireMulticast signatures: each is made
-        # by one HMAC and checked by one HMAC, whose verdict every later
+        # by one tag and checked by one tag, whose verdict every later
         # check of the shared message (admission and proposal validation
         # at all four replicas, execution) reads from the message
-        assert hmacs == ["c1"] * 4      # two signed, two verified
+        assert tags == ["c1"] * 4      # two signed, two verified
         assert _stats("verify") == {"hits": 0, "misses": 0, "size": 0}
+
+    def test_a_local_multicast_walks_each_signed_tuple_once(
+            self, monkeypatch):
+        """The signer encodes the tuple; the check of the signed copy
+        tags the bytes the copy was handed, and walks nothing."""
+        from repro import ByzCastDeployment, OverlayTree, destination
+        from repro.crypto import signatures
+
+        walked = []
+        encode = signatures.canonical_bytes
+
+        def counted(obj):
+            if type(obj) is tuple and obj[0] in ("req", "amcast"):
+                walked.append(obj[0])
+            return encode(obj)
+
+        monkeypatch.setattr(signatures, "canonical_bytes", counted)
+        deployment = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]))
+        client = deployment.add_client("c1")
+        client.amulticast(destination("g1"), payload=("x",))
+        deployment.run(until=2.0)
+        assert len(client.completions) == 1
+        assert walked == ["amcast", "req"]
 
 
 class TestVerdictMemo:

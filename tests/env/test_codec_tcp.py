@@ -487,6 +487,29 @@ def test_a_relay_ack_without_a_natural_index_does_not_decode(wire_name):
             wire_codec.decode(wire_codec.encode(forged))
 
 
+@pytest.mark.parametrize("wire_name", ["binary", "json"])
+def test_a_signature_that_is_not_a_str_signer_and_bytes_tag_does_not_decode(
+        wire_name):
+    """The strict decoder rebuilds a ``Signature`` through its constructor,
+    which takes a ``str`` signer and a ``bytes`` tag only: a request whose
+    signature carries anything else is a ``NetworkError`` (one
+    ``net.bad_frame`` on a socket), never a request the verifier chokes
+    on."""
+    wire_codec = codec.get_codec(wire_name)
+    request = Request("g1", "c1", 1, ("op",), Signature("c1", b"t"))
+    assert wire_codec.decode(wire_codec.encode(request)) == request
+    for signer, tag in (("c1", "not-bytes"), (7, b"t"), ("c1", None),
+                        (None, b"t"), ("c1", 5)):
+        with pytest.raises(TypeError):
+            Signature(signer, tag)
+        forged = object.__new__(Signature)
+        object.__setattr__(forged, "signer", signer)
+        object.__setattr__(forged, "tag", tag)
+        with pytest.raises(NetworkError, match="Signature"):
+            wire_codec.decode(wire_codec.encode(
+                dataclasses.replace(request, signature=forged)))
+
+
 def test_tcp_pump_reconnects_after_connection_loss():
     """When the server side kills the connection mid-stream, the outbound
     pump reconnects (net.reconnect) and later traffic still arrives."""
