@@ -1,12 +1,15 @@
 """Client-side submission proxy for one broadcast group.
 
 The proxy implements the BFT client discipline of §II-D / §IV: it signs and
-sends each request to **every** replica of the group, then accepts a result
-only once ``f + 1`` current members returned the *same* result
-(docs/PROTOCOL.md, "Who counts").  Requests that
-stay unanswered are retransmitted with exponential backoff, which also
-covers replicas that missed the request (their reply cache answers
-duplicates).
+sends each request to the 2f+1 replicas of the quorum of the regency it
+estimates the group runs (:func:`~repro.bcast.reconfig.regency_quorum`),
+then accepts a result only once ``f + 1`` current members returned the
+*same* result (docs/PROTOCOL.md, "Who counts").  Those replicas answer
+live; requests that stay unanswered are retransmitted to **every**
+replica with exponential backoff, which also covers replicas that missed
+the request (their reply cache answers duplicates).  Each reply carries
+its sender's regency, and the estimate follows the (f+1)-th highest that
+distinct members report (docs/PROTOCOL.md, "Who is sent what").
 
 External clients submit through it; ByzCast replicas relaying into child
 groups keep their own outbox (:class:`repro.core.relay.RelayOutbox`).
@@ -20,6 +23,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.bcast.config import capped_backoff
 from repro.bcast.messages import ReadReply, ReadRequest, Reply, Request
+from repro.bcast.reconfig import regency_quorum
 from repro.bcast.tally import Tally
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -54,8 +58,8 @@ class _GroupEndpoint:
         self.f = f
         self._outstanding: Dict[int, Any] = {}
 
-    def _send_to_all(self, message: Any) -> None:
-        for replica in self.replicas:
+    def _send_to(self, replicas: Tuple[str, ...], message: Any) -> None:
+        for replica in replicas:
             self.owner.send(replica, message)
 
     def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
@@ -101,11 +105,42 @@ class GroupProxy(_GroupEndpoint):
         self._next_seq = 1
         self.submitted = 0
         self.completed = 0
+        #: the regency the group is estimated to run: the (f+1)-th highest
+        #: that distinct current members reported, never lowered
+        self.regency = 0
+        #: current member -> the highest regency it reported above the
+        #: estimate
+        self._reported: Dict[str, int] = {}
+
+    def targets(self) -> Tuple[str, ...]:
+        """The members a first send goes to: the estimated regency's
+        quorum."""
+        return regency_quorum(self.replicas, self.f, self.regency)
+
+    def _heard(self, src: str, regency: Any) -> None:
+        """Member ``src`` runs ``regency``: raise the estimate to the
+        (f+1)-th highest report of distinct current members, so f liars
+        cannot raise it past a correct member's regency."""
+        if (type(regency) is not int or regency <= self.regency
+                or regency <= self._reported.get(src, 0)):
+            return
+        self._reported[src] = regency
+        marks = sorted(self._reported.values(), reverse=True)
+        if len(marks) > self.f and marks[self.f] > self.regency:
+            self.regency = marks[self.f]
+
+    def update_replicas(self, replicas: Tuple[str, ...], f: int) -> None:
+        """Adopt a reconfigured membership: a departed member's report
+        stops counting, as its votes do."""
+        super().update_replicas(replicas, f)
+        self._reported = {member: regency for member, regency
+                          in self._reported.items() if member in self.replicas}
 
     # -- submission ----------------------------------------------------------
 
     def submit(self, command: Any, callback: Optional[ResultCallback] = None) -> int:
-        """Sign, number and broadcast ``command``; returns its sequence number.
+        """Sign and number ``command`` and send it to :meth:`targets`;
+        returns its sequence number.
 
         ``callback(result)`` fires exactly once, when matching replies
         carry.
@@ -118,7 +153,7 @@ class GroupProxy(_GroupEndpoint):
         entry = _Outstanding(request=request, callback=callback)
         self._outstanding[seq] = entry
         self.submitted += 1
-        self._send_to_all(request)
+        self._send_to(self.targets(), request)
         self._arm_retransmit(entry)
         return seq
 
@@ -135,7 +170,7 @@ class GroupProxy(_GroupEndpoint):
             return  # give up quietly; the owner may inspect pending()
         entry.retries = min(entry.retries + 1, self.max_retries)
         self.owner.monitor.count("proxy.retransmit")
-        self._send_to_all(entry.request)
+        self._send_to(self.replicas, entry.request)
         self._arm_retransmit(entry)
 
     def note_progress(self, seq: int) -> None:
@@ -173,7 +208,8 @@ class GroupProxy(_GroupEndpoint):
     def handle_reply(self, src: str, reply: Any) -> bool:
         """Feed an answer from the group received by the owner: a
         :class:`Reply`, or what a subclass's group answers with
-        (:meth:`_count`).  Only a member's, under its own name, counts.
+        (:meth:`_count`).  Only a member's, under its own name, counts,
+        and the regency it reports feeds the estimate.
 
         Returns True when the reply belonged to this proxy (matched group and
         an outstanding request), so owners with several proxies can dispatch.
@@ -182,6 +218,7 @@ class GroupProxy(_GroupEndpoint):
             return False
         if src not in self.replicas or reply.sender != src:
             return False
+        self._heard(src, reply.regency)
         return self._count(src, reply)
 
     def _count(self, src: str, reply: Reply) -> bool:

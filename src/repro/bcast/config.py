@@ -29,7 +29,7 @@ class CostModel:
     §V-C), and ≈4 ms single-client latency in the LAN (§V-F).
 
     Attributes:
-        request_recv: per client/relay request received, at every replica.
+        request_recv: per client/relay request received, at each replica.
         propose_fixed: leader cost to assemble + send one proposal.
         propose_per_msg: leader cost per request included in a proposal.
         validate_fixed: per-replica cost to validate a received proposal.
@@ -37,7 +37,8 @@ class CostModel:
             (signature checks, FIFO admission re-check).
         vote_recv: cost of processing one WRITE or ACCEPT message.
         execute_per_msg: cost of executing one ordered request.
-        reply_per_msg: cost of building + sending one reply.
+        reply_per_msg: cost of building + sending one reply (charged where
+            a reply may leave live, ``Replica._execute_ready``).
         relay_per_dest: cost, at a ByzCast replica, of re-broadcasting one
             ordered global message to one replica of a child group.
         checkpoint_fixed: cost of snapshotting application state + hashing

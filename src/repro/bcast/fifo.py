@@ -11,7 +11,8 @@ this with per-(sender) sequence numbers:
   number ordered so far, so proposals (and executions) can be validated and
   duplicates dropped;
 * a :class:`ReplyWindow` keeps each sender's latest replies, so a
-  retransmitted request is answered again.
+  retransmitted request is answered again (also by a replica that did not
+  send its reply live).
 
 A Byzantine leader that proposes a gap is caught by proposal validation at
 correct replicas (they refuse to WRITE), which eventually triggers a regency
@@ -58,7 +59,9 @@ class SenderTracker:
 
 
 class ReplyWindow:
-    """The last ``REPLY_WINDOW`` replies sent to each sender, by seq.
+    """The last ``REPLY_WINDOW`` replies to each sender, by seq, whether
+    sent live or not: a replica outside the current regency's quorum keeps
+    its reply here for a retransmission without sending it.
 
     Local to one replica, never part of a snapshot: a replica that skipped
     a request (it installed a checkpoint past it) has no reply to repeat

@@ -183,13 +183,19 @@ class Accept:
 
 @dataclass(frozen=True)
 class Reply:
-    """A replica's response to an ordered request."""
+    """A replica's response to an ordered request.
+
+    ``regency`` is the sender's current regency: a client proxy sends its
+    next requests to the quorum of the (f+1)-th highest one its members
+    report (:class:`~repro.bcast.client.GroupProxy`).
+    """
 
     group: str
     sender: str
     req_sender: str
     req_seq: int
     result: Any
+    regency: int = 0
 
 
 @dataclass(frozen=True)

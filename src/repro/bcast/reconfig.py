@@ -14,7 +14,7 @@ the leader schedule stay consistent.
   activates it once it appears in the view.
 
 The protocol view (who votes, who leads, quorum arithmetic) always has
-exactly ``3f + 1`` members; clients may keep spraying requests at old
+exactly ``3f + 1`` members; clients may keep sending requests to old
 members (they simply stop answering), and re-transmission plus the f+1
 reply rule keep clients correct across the change.
 """
@@ -22,12 +22,27 @@ reply rule keep clients correct across the change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional, Tuple
 
 from repro.bcast.messages import Reply
 from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.env import Actor, Runtime
+
+
+@lru_cache(maxsize=1024)
+def regency_quorum(replicas: Tuple[str, ...], f: int,
+                   regency: int) -> Tuple[str, ...]:
+    """The 2f+1 members of ``regency``'s quorum: its leader, then the next
+    2f members in view order (docs/PROTOCOL.md, "Who is sent what").
+
+    Requests and relay copies go to them, and they reply live.  Any 2f+1
+    members hold f+1 correct ones, and the quorum of ``r`` holds the
+    leaders of ``r`` to ``r + 2f``.
+    """
+    n = len(replicas)
+    return tuple(replicas[(regency + i) % n] for i in range(min(n, 2 * f + 1)))
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,10 @@ class View:
 
     def leader_of(self, regency: int) -> str:
         return self.replicas[regency % self.n]
+
+    def quorum_of(self, regency: int) -> Tuple[str, ...]:
+        """``regency``'s leader and the next 2f members."""
+        return regency_quorum(self.replicas, self.f, regency)
 
     def __contains__(self, name: str) -> bool:
         return name in self.replicas

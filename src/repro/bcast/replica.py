@@ -195,6 +195,11 @@ class Replica(Actor):
             self._peers = (view, peers)
         return peers
 
+    def in_quorum(self) -> bool:
+        """Whether we are in the current regency's quorum, whose members
+        reply live (docs/PROTOCOL.md, "Who is sent what")."""
+        return self.name in self.view.quorum_of(self.regency.current)
+
     # --------------------------------------------------------- membership
 
     def _adopt_view(self, view: View) -> None:
@@ -405,9 +410,9 @@ class Replica(Actor):
         if self.log.tracker.is_duplicate(request):
             result = self._replies.get(request.sender, request.seq)
             if result is not None:
-                self.send(request.sender, Reply(self.group_id, self.name,
-                                                request.sender, request.seq,
-                                                result))
+                self.send(request.sender, Reply(
+                    self.group_id, self.name, request.sender, request.seq,
+                    result, self.regency.current))
             return
         if self.pool.add(request):
             self._pending_since[request.key()] = self.clock.now
@@ -865,7 +870,11 @@ class Replica(Actor):
         costs = self.config.costs
         for cid, batch in self.log.ready_batches():
             ordered, boundary = self._order(cid, batch)
-            cost = (costs.execute_per_msg + costs.reply_per_msg) * len(ordered)
+            # A reply is charged where it may leave live (_execute_batch).
+            replied = (len(ordered) if self.in_quorum()
+                       else sum(pending for __, __, pending in ordered))
+            cost = ((costs.execute_per_msg + costs.reply_per_msg) * replied
+                    + costs.execute_per_msg * (len(ordered) - replied))
             # Execution is per carried message, everything else per request.
             carried = sum(self.app.carried(request) for request, __, __ in ordered)
             cost += costs.execute_per_msg * (carried - len(ordered))
@@ -909,11 +918,13 @@ class Replica(Actor):
                        live: bool = True) -> None:
         """Execute what ``_order`` returned for ``cid`` and reply.
 
-        A live batch runs as a CPU job, replies to every sender the
-        application answers at once (``Application.sends_reply``) and lets
-        the leader propose again.  A batch adopted by state transfer runs
-        inline and replies only to requests that were pending here: those
-        senders asked *us* and are still waiting — in particular the admin
+        A live batch runs as a CPU job and lets the leader propose again.
+        It replies to every sender the application answers at once
+        (``Application.sends_reply``) when we are in the current regency's
+        quorum, and otherwise to the requests that were pending here: those
+        senders asked *us* (docs/PROTOCOL.md, "Who is sent what").  A batch
+        adopted by state transfer runs inline and replies only to requests
+        that were pending here, still waiting — in particular the admin
         client behind a Reconfig needs f+1 matching replies to confirm the
         new view.  Historical requests a joiner replays were never pending
         here, so bulk catch-up stays reply-silent; every result is still
@@ -921,6 +932,8 @@ class Replica(Actor):
         """
         ctx = ExecutionContext(replica=self, time=self.clock.now)
         kind = "replica.executed" if live else "replica.executed_catchup"
+        answer_all = live and self.in_quorum()
+        regency = self.regency.current
         for request, result, pending in ordered:
             if result is None:
                 result = self.app.execute(request, ctx)
@@ -931,10 +944,11 @@ class Replica(Actor):
                                 seq=request.seq)
             if result is not None:
                 self._replies.keep(request.sender, request.seq, result)
-                if (live or pending) and self.app.sends_reply(request, result):
+                if ((answer_all or pending)
+                        and self.app.sends_reply(request, result)):
                     self._send_reply(request, Reply(
                         self.group_id, self.name, request.sender,
-                        request.seq, result))
+                        request.seq, result, regency))
         self.app.end_batch(ctx)
         if cid > self._applied_cid:
             self._applied_cid = cid

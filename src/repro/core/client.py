@@ -1,7 +1,8 @@
 """The atomic multicast client (``a-multicast``, §IV client behaviour).
 
-A client signs its message, submits it to every replica of the lowest
-common ancestor group of the destination set, and considers it delivered
+A client signs its message, submits it to the 2f+1 replicas of the quorum
+of the lowest common ancestor group of the destination set
+(docs/PROTOCOL.md, "Who is sent what"), and considers it delivered
 once the acknowledgements of **each** destination group carry (``f + 1`` of
 its members, docs/PROTOCOL.md "Who counts").  When the entry group is
 itself a destination, its acknowledgement is the ordered request's reply,

@@ -187,6 +187,9 @@ class RelayAck:
     parent: str
     sender: str
     next_index: int
+    #: the sender's current regency, which the parent's outbox tracks as a
+    #: client proxy does (:class:`~repro.bcast.client.GroupProxy`)
+    regency: int = 0
 
     def __post_init__(self) -> None:
         if type(self.next_index) is not int or self.next_index < 0:

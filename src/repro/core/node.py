@@ -27,10 +27,14 @@ Each replica answers the client once per group: a message that entered
 here and is a-delivered here is answered by the ordered request's reply,
 ``("delivered", result)``; one a-delivered after a relay by a
 :class:`~repro.core.messages.MulticastReply`, sent again on the client's
-:class:`~repro.core.messages.DeliveryQuery`.  An entry group that is not a
-destination keeps ``("ack",)`` as the reply a retransmission gets, but does
-not send it as it executes: the client learns the same from its first
-destination group's confirmation (:meth:`ByzCastApplication.sends_reply`).
+:class:`~repro.core.messages.DeliveryQuery`.  Live answers come from the
+2f+1 members of the current regency's quorum, and a request's also from
+the replicas it was pending at (docs/PROTOCOL.md, "Who is sent what"); the
+others keep theirs for a retransmission or a query.  An entry group that
+is not a destination keeps ``("ack",)`` as the reply a retransmission
+gets, but does not send it as it executes: the client learns the same
+from its first destination group's confirmation
+(:meth:`ByzCastApplication.sends_reply`).
 """
 
 from __future__ import annotations
@@ -272,7 +276,8 @@ class ByzCastApplication(Application):
 
     def _stream_ack(self, replica: Any, parent: str) -> RelayAck:
         return RelayAck(self.group_id, parent, replica.name,
-                        self._inboxes[parent].next_index)
+                        self._inboxes[parent].next_index,
+                        replica.regency.current)
 
     def _ack_due(self, replica: Any, parent: str) -> None:
         """``parent``'s stream moved: acknowledge it now, or at the end of
@@ -546,8 +551,9 @@ class ByzCastApplication(Application):
 
         A wire that ``entered`` the tree here is answered by its ordered
         reply: the a-delivery comes back as ``("delivered", result)``
-        instead of leaving as a :class:`MulticastReply`.  None when nothing
-        was a-delivered.
+        instead of leaving as a :class:`MulticastReply`, which only the
+        current regency's quorum sends live (the rest keep it for a
+        DeliveryQuery).  None when nothing was a-delivered.
         """
         key = wire.identity()
         if key in self._acted:
@@ -565,7 +571,8 @@ class ByzCastApplication(Application):
         reply = MulticastReply(group=self.group_id, replica=ctx.replica_name,
                                sender=wire.sender, seq=wire.seq, result=result)
         self._multicast_replies.keep(wire.sender, wire.seq, reply)
-        ctx.replica.send(wire.sender, reply)
+        if ctx.replica.in_quorum():
+            ctx.replica.send(wire.sender, reply)
         return None
 
     def end_batch(self, ctx: ExecutionContext) -> None:

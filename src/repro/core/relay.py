@@ -37,8 +37,9 @@ machine.
 Acknowledgements are cumulative.  A child replica answers a stream, not a
 copy: one :class:`~repro.core.messages.RelayAck` carrying its next index to
 release, to every current relayer, at most once per ack interval.  A parent
-replica's :class:`RelayOutbox` keeps each copy it relayed until ``f + 1``
-current child members acknowledged past it — one of them is correct and
+replica's :class:`RelayOutbox` sends each copy to the 2f+1 members of the
+child's quorum (docs/PROTOCOL.md, "Who is sent what"), keeps it until ``f +
+1`` current child members acknowledged past it — one of them is correct and
 executed the certificate, so the child group decided the batch — and
 retransmits the rest, each to the members that did not acknowledge it
 (``tests/properties/test_relay_outbox_machine.py``).
@@ -219,7 +220,9 @@ class RelayOutbox(GroupProxy):
     and the child has not acknowledged yet.
 
     Each ``RelayBatch`` is signed once, as the owner's request ``seq = index
-    + 1``, and sent to every child member.  The child answers the stream,
+    + 1``, and sent to the quorum of the child's estimated regency
+    (:meth:`~repro.bcast.client.GroupProxy.targets`; each ack reports its
+    sender's regency).  The child answers the stream,
     not a request: the outbox records each current member's highest
     :class:`~repro.core.messages.RelayAck` (fed to :meth:`handle_reply`) and
     keeps a copy until ``f + 1`` of those cover it (acknowledge a next index
@@ -230,8 +233,10 @@ class RelayOutbox(GroupProxy):
     covered :attr:`horizon` last advanced — the first step after an
     advance, doubling with each retransmission while none comes.  One timer
     per stream fires when the first copy is due and sends every copy due
-    then to the members that do not cover it.  Retransmissions are counted
-    as ``proxy.retransmit``, one per copy resent.
+    then to the members that do not cover it, those outside the quorum
+    included: a retransmission widens to the whole child group.
+    Retransmissions are counted as ``proxy.retransmit``, one per copy
+    resent.
     """
 
     def __init__(self, owner: Actor, group_id: str, replicas: Tuple[str, ...],
@@ -267,7 +272,7 @@ class RelayOutbox(GroupProxy):
             sign(self.registry, self.owner.name, unsigned.signed_part()))
         if batch.index >= self.horizon:
             self._unacked[batch.index] = (copy, self.owner.clock.now)
-            self._send(copy, self.replicas)
+            self._send(copy, self.targets())
             if self._timer is None:
                 self._arm()
         return copy

@@ -12,10 +12,12 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Iterable, Set, Tuple
 
-from repro.bcast.messages import Accept, Propose, ReadReply, ReadRequest, Request, Write
+from repro.bcast.messages import (
+    Accept, Propose, ReadReply, ReadRequest, Reply, Request, Write,
+)
 from repro.bcast.replica import Replica
 from repro.core.messages import (
-    RelayAck, RelayBatch, RelayCertificate, WireMulticast,
+    MulticastReply, RelayAck, RelayBatch, RelayCertificate, WireMulticast,
 )
 from repro.core.node import ByzCastApplication
 from repro.core.relay import RelayOutbox
@@ -404,7 +406,7 @@ class LyingAckReplica(Replica):
             if inbox is not None and parent not in self._lied:
                 self._lied.add(parent)
                 ack = RelayAck(self.group_id, parent, self.name,
-                               inbox.next_index)
+                               inbox.next_index, self.regency.current)
                 for relayer in self.app.group_configs[parent].replicas:
                     self.send(relayer, ack)
         super()._handle_request(src, request)
@@ -413,7 +415,8 @@ class LyingAckReplica(Replica):
         if isinstance(payload, RelayAck):
             self.monitor.count("byzantine.lying_ack")
             payload = RelayAck(payload.group, payload.parent, payload.sender,
-                               payload.next_index + self.LEAD)
+                               payload.next_index + self.LEAD,
+                               payload.regency)
         super().send(dst, payload, size)
 
 
@@ -425,5 +428,25 @@ class SilentAckReplica(Replica):
     def send(self, dst: str, payload: Any, size: int = 64) -> None:
         if isinstance(payload, RelayAck):
             self.monitor.count("byzantine.silent_ack")
+            return
+        super().send(dst, payload, size)
+
+
+class QuorumSilentReplica(Replica):
+    """A follower inside the quorum that takes what the quorum is sent and
+    gives nothing back: it drops every client request and relay copy, and
+    never sends a ``Reply`` or ``MulticastReply``.  It votes, orders and
+    executes like a correct replica.
+
+    The quorum is 2f+1 members, so with f of these the other f+1 hold every
+    request and answer live: no client retransmits and none asks a
+    ``DeliveryQuery`` (docs/PROTOCOL.md, "Who is sent what").
+    """
+
+    def _handle_request(self, src: str, request: Request) -> None:
+        self.monitor.count("byzantine.quorum_silent")
+
+    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+        if isinstance(payload, (Reply, MulticastReply)):
             return
         super().send(dst, payload, size)

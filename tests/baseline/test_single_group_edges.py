@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.bcast.reconfig import regency_quorum
 from repro.baseline.single_group import SingleGroupDeployment
 from repro.types import destination
 from tests.helpers import FAST_COSTS
@@ -54,7 +55,8 @@ def test_latency_measured_from_submit_to_f_plus_1_replies():
 def test_the_single_group_answers_live_its_ack_is_the_delivery():
     """``("ack",)`` is what a ByzCast entry group that is not a destination
     holds back until a retransmission; here it is the delivery itself, so
-    every replica sends it as it executes and no request is retransmitted."""
+    each of the 2f+1 members of regency 0's quorum, which the request went
+    to, sends it as it executes and no request is retransmitted."""
     dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
     client = dep.add_client("c1", retransmit_timeout=0.5)
     replies = []
@@ -67,7 +69,8 @@ def test_the_single_group_answers_live_its_ack_is_the_delivery():
     client.on_message = spy
     client.amulticast(destination("g1"), payload=("x",))
     dep.run(until=5.0)
-    assert sorted(replies) == [(name, ("ack",)) for name in dep.config.replicas]
+    assert sorted(replies) == [(name, ("ack",)) for name in regency_quorum(
+        dep.config.replicas, dep.config.f, 0)]
     assert client.completions[0][1] < 0.1
     assert "proxy.retransmit" not in dep.monitor.counters
 

@@ -170,8 +170,12 @@ def test_stale_read_replica_cannot_roll_back():
 
 
 def test_forged_digest_discarded_as_malformed():
-    h = Harness(replica_classes={"g1/r1": ForgedReadDigestReplica})
-    client = add_read_client(h)
+    """Two honest replicas answer late, so the forged reply lands while the
+    round is open and is inspected, whatever order the link draws."""
+    h = Harness(replica_classes={"g1/r1": ForgedReadDigestReplica,
+                                 "g1/r2": SlowReadReplica,
+                                 "g1/r3": SlowReadReplica})
+    client = add_read_client(h, read_timeout=1.0)
     client.submit(("op", 0))
     h.run(until=2.0)
     client.read()

@@ -11,7 +11,7 @@ from repro.faults.injector import FaultPlan
 from repro.types import destination
 from tests.faults.test_byzantine import (
     ACK_ADVERSARIES, RELAY_ADVERSARIES, ack_battery, certificate_battery,
-    relay_battery,
+    quorum_silent_battery, relay_battery,
 )
 from tests.helpers import FAST_COSTS, Harness, make_config
 
@@ -91,6 +91,10 @@ def test_two_certificate_forging_leaders_per_child_group():
                          ids=lambda cls: cls.__name__)
 def test_two_ack_adversaries_per_child_group_on_a_lossy_link(adversary):
     ack_battery(adversary, f=2)
+
+
+def test_two_silent_quorum_members_per_group_cost_no_timeout():
+    quorum_silent_battery(f=2)
 
 
 def test_mixed_f_per_group():

@@ -107,10 +107,11 @@ class TestDirectSubmissions:
 
 
 class TestReplyPaths:
-    """Each replica answers the client once per group it a-delivers in: an
-    entry destination through the ordered reply (the local case is
-    ``test_local_message_delivered_and_acked``), a relayed destination
-    through a ``MulticastReply``; an entry group that is not a destination
+    """Each member of the current regency's quorum answers the client once
+    per group it a-delivers in: an entry destination through the ordered
+    reply (the local case is ``test_local_message_delivered_and_acked``), a
+    relayed destination through a ``MulticastReply``, which the others keep
+    for a ``DeliveryQuery``; an entry group that is not a destination
     keeps ``("ack",)`` for a retransmission and does not send it live
     (``sends_reply``).  A child acknowledges a relay stream, not a copy."""
 
@@ -164,6 +165,23 @@ class TestReplyPaths:
         assert {(ack.group, ack.parent, ack.sender) for __, ack in replica.sent
                 if isinstance(ack, RelayAck)} == {("g1", "h2", "g1/r0")}
 
+    def test_a_member_outside_the_quorum_keeps_its_multicast_reply(
+            self, setup):
+        """g1/r3 is outside regency 0's quorum (g1/r0 to g1/r2): it
+        a-delivers and acknowledges like the others, and keeps its
+        MulticastReply for a DeliveryQuery instead of sending it."""
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1", "g1/r3", on_deliver=lambda m, ctx: 7)
+        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        for parent in ("h2/r0", "h2/r1"):
+            execute(app, replica, relayed("g1", parent, 1, wire))
+        assert len(app.delivered_messages()) == 1
+        assert self.multicast_replies(replica) == []
+        assert acks(replica) != []
+        assert app.answer("client", DeliveryQuery("g1", "client", 1)) == (
+            MulticastReply(group="g1", replica="g1/r3", sender="client",
+                           seq=1, result=7))
+
     def test_a_delivery_query_repeats_the_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
@@ -189,7 +207,9 @@ class TestReplyPaths:
         result = execute(lca, lca_replica, Request("g1", "client", 1, wire))
         assert result == ("delivered", None)
         assert self.multicast_replies(lca_replica) == []
-        assert {dst for dst, __ in lca_replica.sent} == set(configs["g2"].replicas)
+        # relayed to regency 0's quorum of the child
+        assert {dst for dst, __ in lca_replica.sent} == set(
+            configs["g2"].replicas[:3])
         child = ByzCastApplication("g2", tree, configs, registry)
         child_replica = FakeReplica("g2/r0", configs["g2"])
         for parent in ("g1/r0", "g1/r1"):

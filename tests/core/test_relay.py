@@ -372,8 +372,8 @@ def make_outbox(retransmit_timeout=1.0):
                               retransmit_timeout=retransmit_timeout)
 
 
-def ack(member, next_index):
-    return RelayAck("g1", "h1", member, next_index)
+def ack(member, next_index, regency=0):
+    return RelayAck("g1", "h1", member, next_index, regency)
 
 
 def test_the_outbox_signs_each_batch_once_as_its_index_plus_one():
@@ -381,8 +381,24 @@ def test_the_outbox_signs_each_batch_once_as_its_index_plus_one():
     copy = outbox.submit(RelayBatch(("w",), 4))
     assert copy.seq == 5 and copy.sender == "h1/r0"
     assert copy.signature is not None and copy.signature.signer == "h1/r0"
-    assert owner.sent == [(member, copy) for member in CHILD]
+    # sent once, to the 2f+1 members of regency 0's quorum
+    assert owner.sent == [(member, copy) for member in CHILD[:3]]
     assert outbox.unacked() == {4: copy}
+
+
+def test_the_outbox_sends_to_the_quorum_f_plus_1_members_report():
+    """One member reporting regency 2 moves nothing (it may lie); a second
+    one does, and the next copy goes to regency 2's leader and the two
+    members after it."""
+    owner, outbox = make_outbox()
+    outbox.handle_reply("g1/r3", ack("g1/r3", 0, regency=2))
+    outbox.submit(RelayBatch(("w",), 0))
+    assert [dst for dst, __ in owner.sent] == list(CHILD[:3])
+    outbox.handle_reply("g1/r1", ack("g1/r1", 0, regency=5))
+    assert outbox.regency == 2
+    owner.sent.clear()
+    outbox.submit(RelayBatch(("w",), 1))
+    assert [dst for dst, __ in owner.sent] == ["g1/r2", "g1/r3", "g1/r0"]
 
 
 def test_a_lying_ack_alone_never_empties_the_outbox():

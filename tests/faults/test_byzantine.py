@@ -20,6 +20,7 @@ from repro.faults.behaviors import (
     ForgingCertificateLeaderReplica,
     LyingAckReplica,
     MuteReplica,
+    QuorumSilentReplica,
     ReorderingRelayApp,
     SilentAckReplica,
     SilentRelayApp,
@@ -215,6 +216,27 @@ def certificate_battery(f: int = 1) -> None:
     assert counters["regency.installed"] > 0
 
 
+def quorum_silent_battery(f: int = 1) -> None:
+    """f ``QuorumSilentReplica`` followers inside regency 0's quorum of
+    *every* group, under the relay battery's bursts: every op completes and
+    the order checks hold, with no client or relay retransmission and no
+    ``DeliveryQuery`` — the quorum's other f+1 members are correct
+    (docs/PROTOCOL.md, "Who is sent what")."""
+    tree = OverlayTree.paper_tree()
+    plan = FaultPlan()
+    for gid in sorted(tree.nodes):
+        for slot in range(f):
+            plan.byzantine_replica(gid, f"{gid}/r{1 + slot}",
+                                   QuorumSilentReplica)
+    dep = make_deployment(plan, tree=tree, f=f)
+    burst_and_check(dep)
+    counters = dep.monitor.counters
+    assert counters["byzantine.quorum_silent"] > 0
+    assert "proxy.retransmit" not in counters
+    assert "client.delivery_query" not in counters
+    assert "regency.installed" not in counters
+
+
 ACK_ADVERSARIES = (LyingAckReplica, SilentAckReplica)
 
 
@@ -310,6 +332,9 @@ class TestRelayAdversariesInEveryInnerGroup:
     def test_forged_certificates_are_refused_and_a_regency_change_recovers(
             self):
         certificate_battery()
+
+    def test_f_silent_quorum_members_cost_no_timeout(self):
+        quorum_silent_battery()
 
     @pytest.mark.parametrize("adversary", ACK_ADVERSARIES,
                              ids=lambda cls: cls.__name__)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import replace as dataclass_replace
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bcast.app import EchoApplication, ExecutionContext
@@ -11,6 +12,7 @@ from repro.bcast.client import GroupProxy
 from repro.bcast.config import BroadcastConfig, CostModel
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.messages import CheckpointData, Reply, Request, StateResponse
+from repro.bcast.reconfig import regency_quorum
 from repro.core.messages import RelayAck, RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
@@ -144,6 +146,8 @@ class FakeReplica(Actor):
         super().__init__(name, runtime if runtime is not None
                          else SimRuntime(trace_capacity=100))
         self.config = config
+        #: regency 0 for good: its leader is the group's first member
+        self.regency = SimpleNamespace(current=0)
         self.sent = []
         #: (sender, seq) -> the request the application offered
         self.pool = {}
@@ -152,6 +156,10 @@ class FakeReplica(Actor):
 
     def send(self, dst, payload, size=64):
         self.sent.append((dst, payload))
+
+    def in_quorum(self):
+        return self.name in regency_quorum(self.config.replicas,
+                                           self.config.f, 0)
 
     def work(self, cost, callback):
         callback()  # synchronous for unit tests

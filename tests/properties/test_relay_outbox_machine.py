@@ -11,9 +11,12 @@ by the child's ack rule.  Rules are what the outbox can see:
   child already decided it: other relayers went first);
 * the child deciding its next batch;
 * a correct member's ack: its own released next index, which never passes
-  what the child decided and never falls (the ack rule);
+  what the child decided and never falls (the ack rule), and its regency,
+  which never passes the child's highest and never falls;
 * a Byzantine member's ack: regressing, absurd (``next_index + 10**6``, as
-  :class:`~repro.faults.behaviors.LyingAckReplica` sends) or any index;
+  :class:`~repro.faults.behaviors.LyingAckReplica` sends) or any index,
+  under any regency;
+* the child changing regency;
 * a departed member's or a stranger's ack, at any index;
 * every ack travels on a link that delivers it late, out of order, or
   drops it;
@@ -22,7 +25,10 @@ by the child's ack rule.  Rules are what the outbox can see:
 
 The invariants: a copy leaves the outbox only when f+1 current members
 acknowledged past it — so the child decided it — whatever the Byzantine,
-departed and reordered acks said; a timer fire resends at least the copy
+departed and reordered acks said; a first send goes to the quorum of the
+regency the outbox estimates, the (f+1)-th highest that current members
+reported, which never falls and never passes the child's; a timer fire
+resends at least the copy
 sent longest ago, and each copy it resends to exactly the current members
 that do not cover it, never within a retransmission timeout of that copy's
 last send or of the last advance of the covered prefix; and a timer is
@@ -39,6 +45,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule,
 )
 
+from repro.bcast.reconfig import regency_quorum
 from repro.core.messages import RelayAck, RelayBatch, WireMulticast
 from repro.core.relay import RelayOutbox
 from repro.crypto.keys import KeyRegistry
@@ -114,8 +121,10 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         #: how many batches the parent relayed, and the child decided
         self.relayed = 0
         self.decided = 0
-        #: correct member -> the next index it released (its ack rule)
+        #: correct member -> the next index it released (its ack rule),
+        #: and the regency it runs
         self.released = {name: 0 for name in CORRECT}
+        self.regencies = {}
         #: acks sent and not delivered or dropped yet, in sending order
         self.links = []
         #: current member -> the highest next index the outbox heard from
@@ -127,6 +136,11 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         self.sent_at = {}
         self.progress = 0.0
         self.covered = 0
+        #: the child's highest regency; per current member, the highest
+        #: regency the outbox heard from it; the estimate those give
+        self.child_regency = 0
+        self.reported = {}
+        self.estimate = 0
 
     # -- the model's bookkeeping ---------------------------------------------
 
@@ -160,7 +174,8 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         sent = self.owner.sent[before:]
         if index in self.outbox.unacked():
             self.sent_at[index] = self.owner.clock.now
-            assert [dst for dst, __ in sent] == list(self.members)
+            assert [dst for dst, __ in sent] == list(
+                regency_quorum(self.members, F, self.estimate))
             assert all(copy.seq == index + 1 and copy.command == SEQUENCE[index]
                        and copy.sender == self.owner.name for __, copy in sent)
         else:
@@ -180,20 +195,35 @@ class RelayOutboxMachine(RuleBasedStateMachine):
             self.deliver(ack)
 
     def deliver(self, ack: RelayAck) -> None:
-        if ack.sender in self.members and ack.next_index > self.heard.get(
-                ack.sender, 0):
-            self.heard[ack.sender] = ack.next_index
+        if ack.sender in self.members:
+            if ack.next_index > self.heard.get(ack.sender, 0):
+                self.heard[ack.sender] = ack.next_index
+            if ack.regency > self.reported.get(ack.sender, 0):
+                self.reported[ack.sender] = ack.regency
+            marks = sorted((self.reported.get(name, 0)
+                            for name in self.members), reverse=True)
+            self.estimate = max(self.estimate, marks[F])
         self.outbox.handle_reply(ack.sender, ack)
+        assert self.outbox.regency == self.estimate
+        assert self.estimate <= self.child_regency, (
+            f"f liars raised the estimate to {self.estimate}")
         self.settle()
 
     @rule(member=st.sampled_from(CORRECT), late=st.booleans(), data=st.data())
     def correct_ack(self, member, late, data):
         """The member releases up to what the child decided and acks its
-        next index (an ack of a member that departed or did not join yet
-        is sent all the same: the outbox must ignore it)."""
+        next index and its regency (an ack of a member that departed or
+        did not join yet is sent all the same: the outbox must ignore it)."""
         released = data.draw(st.integers(self.released[member], self.decided))
         self.released[member] = released
-        self.send(RelayAck("g1", "h1", member, released), late)
+        regency = data.draw(st.integers(self.regencies.get(member, 0),
+                                        self.child_regency))
+        self.regencies[member] = regency
+        self.send(RelayAck("g1", "h1", member, released, regency), late)
+
+    @rule()
+    def child_changes_regency(self):
+        self.child_regency += 1
 
     @rule(member=st.sampled_from(BYZANTINE),
           kind=st.sampled_from(("absurd", "regress", "any")),
@@ -205,7 +235,9 @@ class RelayOutboxMachine(RuleBasedStateMachine):
             index = self.decided + LEAD
         else:
             index = data.draw(st.integers(0, LENGTH + 2))
-        self.send(RelayAck("g1", "h1", member, index), late)
+        regency = data.draw(st.sampled_from(
+            (0, self.child_regency, self.child_regency + 1, LEAD)))
+        self.send(RelayAck("g1", "h1", member, index, regency), late)
 
     @rule(data=st.data())
     def stranger_ack(self, data):
@@ -213,7 +245,7 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         replica, a client."""
         index = data.draw(st.integers(0, LENGTH + LEAD))
         sender = data.draw(st.sampled_from(("g2/r0", "h1/r1", "client")))
-        self.deliver(RelayAck("g1", "h1", sender, index))
+        self.deliver(RelayAck("g1", "h1", sender, index, LEAD))
 
     @precondition(lambda self: self.links)
     @rule(newest=st.booleans(), drop=st.booleans())
@@ -229,6 +261,8 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         self.members = members
         self.heard = {name: index for name, index in self.heard.items()
                       if name in members}
+        self.reported = {name: regency for name, regency
+                         in self.reported.items() if name in members}
         self.outbox.update_replicas(members, F)
         self.settle()
 

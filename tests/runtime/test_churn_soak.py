@@ -90,15 +90,17 @@ def test_churn_soak_parent_reconfiguration_keeps_relay_streams_live(
 @pytest.mark.xfail(strict=True, reason="open: the controller and a replica "
                    "end on different views (ROADMAP P0)")
 def test_churn_soak_unconfirmed_scale_up_view_agreement():
-    # Known failure (seed 1235): g2 scales up to 7 members, swaps one in,
-    # and scales back down to 4; the controller confirms all three.  g2/r3,
-    # down from 1.10 s to 1.56 s, catches up through the swap but never
-    # installs the scale_down, so at quiesce it still holds the 7-member
-    # view and the view-agreement invariant fails.  Workload liveness is
-    # fine (ROADMAP P0); which seeds fail moves with the proposal schedule.
+    # Known failure (seed 180): h1 scales up to 7 members at 1.17 s, swaps
+    # h1/r3 for h1/r7 and scales back down to 4 at 2.81 s; the controller
+    # confirms all three.  h1/r0, a member of every view, never installs
+    # the scale_down, so at quiesce it still holds the 7-member view and the
+    # view-agreement invariant fails.  Workload liveness is fine (ROADMAP
+    # P0); which seeds fail moves with the proposal schedule: this pin was
+    # seed 1235 until requests and replies went to the 2f+1 replicas of a
+    # quorum, which moved the failing cells (the same symptom each time).
     # Strict: the fix must flip this pin to a plain regression test.
     report = run_chaos_soak(
-        soak_spec(CHURN_SOAK, seed=1235, checkpoint_interval=0, **CHURN_PIN),
+        soak_spec(CHURN_SOAK, seed=180, checkpoint_interval=0, **CHURN_PIN),
         messages=24)
     assert report.ok, report.summary()
 

@@ -21,36 +21,39 @@ FAST = dict(warmup=0.3, duration=0.8)
 #: child began to acknowledge a relay stream instead of each copy, and an
 #: entry group that is not a destination to answer only a retransmission
 #: (fewer messages, fewer jitter draws); the values before it are in
-#: EXPERIMENTS.md, "Stream acks".
+#: EXPERIMENTS.md, "Stream acks".  Every cell was re-recorded when requests,
+#: relay copies and live replies began to go to or come from the 2f+1
+#: replicas of the current regency's quorum; the values before it are in
+#: EXPERIMENTS.md, "Quorum sends".
 PINS = {
-    "fig3:skewed/2-level": (1400.0, 0.0060716900073497955, 0.0, 0.0060716900073497955),
-    "fig3:skewed/3-level": (1300.0, 0.005849731292149857, 0.0, 0.005849731292149857),
-    "fig3:uniform/2-level": (975.0, 0.005945499603183415, 0.0, 0.005945499603183415),
-    "fig3:uniform/3-level": (787.5, 0.007894556467396271, 0.0, 0.007894556467396271),
-    "fig4a:baseline/2": (1950.0, 0.006129274416102732, 0.006129274416102732, 0.0),
-    "fig4a:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
-    "fig4a:byzcast/2": (4050.0, 0.0029577708415626167, 0.0029577708415626167, 0.0),
-    "fig4b:baseline/2": (1800.0, 0.00660060510293943, 0.0, 0.00660060510293943),
-    "fig4b:bftsmart": (3750.0, 0.003151200260480551, 0.003151200260480551, 0.0),
-    "fig4b:byzcast/2": (1800.0, 0.00660060510293943, 0.0, 0.00660060510293943),
-    "fig5a:baseline": (350.0, 0.00565652930039383, 0.00565652930039383, 0.0),
-    "fig5a:bft-smart": (700.0, 0.0028243719351531637, 0.0028243719351531637, 0.0),
-    "fig5a:byzcast": (725.0, 0.002806901558627374, 0.002806901558627374, 0.0),
-    "fig6:baseline": (975.0, 0.005825298813083931, 0.005821150070165294, 0.005857105842126795),
-    "fig6:byzcast": (1850.0, 0.0032078390924079113, 0.002836758157462937, 0.005727283334929044),
-    "fig6:byzcast/pure-local": (2100.0, 0.0028287892819561004, 0.0028287892819561004, 0.0),
-    "fig7:baseline/global/2": (175.0, 0.005633296230097359, 0.0, 0.005633296230097359),
-    "fig7:baseline/local/2": (175.0, 0.00561291135287793, 0.00561291135287793, 0.0),
-    "fig7:bftsmart": (362.5, 0.002793811584722583, 0.002793811584722583, 0.0),
-    "fig7:byzcast/global/2": (175.0, 0.005633296230097359, 0.0, 0.005633296230097359),
-    "fig7:byzcast/local/2": (362.5, 0.002793877379899919, 0.002793877379899919, 0.0),
-    "fig8:baseline/global": (9.0, 0.42743704096616, 0.0, 0.42743704096616),
-    "fig8:baseline/local": (9.0, 0.42759789125122605, 0.42759789125122605, 0.0),
-    "fig8:bftsmart": (16.666666666666668, 0.23987837425921893, 0.23987837425921893, 0.0),
-    "fig8:byzcast/global": (9.0, 0.42743704096616, 0.0, 0.42743704096616),
-    "fig8:byzcast/local": (16.666666666666668, 0.2400465118654026, 0.2400465118654026, 0.0),
-    "fig9:baseline": (18.75, 0.43470205907916304, 0.43674545320132796, 0.41120302667426484),
-    "fig9:byzcast": (32.0, 0.25453695030615053, 0.23944437181691236, 0.43262937647916094),
+    "fig3:skewed/2-level": (1400.0, 0.006097743772239175, 0.0, 0.006097743772239175),
+    "fig3:skewed/3-level": (1300.0, 0.005845021677836123, 0.0, 0.005845021677836123),
+    "fig3:uniform/2-level": (975.0, 0.00592358698038173, 0.0, 0.00592358698038173),
+    "fig3:uniform/3-level": (787.5, 0.007887852681108755, 0.0, 0.007887852681108755),
+    "fig4a:baseline/2": (1950.0, 0.006123304233378669, 0.006123304233378669, 0.0),
+    "fig4a:bftsmart": (3750.0, 0.0031585592576732924, 0.0031585592576732924, 0.0),
+    "fig4a:byzcast/2": (4050.0, 0.002962032383288238, 0.002962032383288238, 0.0),
+    "fig4b:baseline/2": (1800.0, 0.0065987614786599345, 0.0, 0.0065987614786599345),
+    "fig4b:bftsmart": (3750.0, 0.0031585592576732924, 0.0031585592576732924, 0.0),
+    "fig4b:byzcast/2": (1800.0, 0.0065987614786599345, 0.0, 0.0065987614786599345),
+    "fig5a:baseline": (350.0, 0.005654193507265215, 0.005654193507265215, 0.0),
+    "fig5a:bft-smart": (700.0, 0.0028250361444216413, 0.0028250361444216413, 0.0),
+    "fig5a:byzcast": (725.0, 0.002804869402959516, 0.002804869402959516, 0.0),
+    "fig6:baseline": (975.0, 0.005824016440425244, 0.005819614223390189, 0.00585776677102733),
+    "fig6:byzcast": (1850.0, 0.0032074826555472872, 0.0028357548433439878, 0.005731318854190755),
+    "fig6:byzcast/pure-local": (2100.0, 0.002830105380134737, 0.002830105380134737, 0.0),
+    "fig7:baseline/global/2": (175.0, 0.005633216627991247, 0.0, 0.005633216627991247),
+    "fig7:baseline/local/2": (175.0, 0.005610398009726445, 0.005610398009726445, 0.0),
+    "fig7:bftsmart": (362.5, 0.002794094783555412, 0.002794094783555412, 0.0),
+    "fig7:byzcast/global/2": (175.0, 0.005633216627991247, 0.0, 0.005633216627991247),
+    "fig7:byzcast/local/2": (362.5, 0.0027943170638765054, 0.0027943170638765054, 0.0),
+    "fig8:baseline/global": (9.0, 0.43123551434779295, 0.0, 0.43123551434779295),
+    "fig8:baseline/local": (9.0, 0.43005291515543753, 0.43005291515543753, 0.0),
+    "fig8:bftsmart": (16.333333333333332, 0.24208757132758169, 0.24208757132758169, 0.0),
+    "fig8:byzcast/global": (9.0, 0.43123551434779295, 0.0, 0.43123551434779295),
+    "fig8:byzcast/local": (16.333333333333332, 0.24169260915580357, 0.24169260915580357, 0.0),
+    "fig9:baseline": (18.25, 0.43513206702092394, 0.4373560125425024, 0.410298008696631),
+    "fig9:byzcast": (31.5, 0.2557294903411074, 0.2421673627891584, 0.4320371485164462),
 }
 
 

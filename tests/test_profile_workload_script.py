@@ -224,7 +224,7 @@ def census_rows(out):
             for line in lines[start + 1:] if line.strip()}
 
 
-def test_messages_phase_on_sim_is_deterministic_and_one_reply_per_replica():
+def test_messages_phase_is_deterministic_one_reply_per_quorum_member():
     runs = [subprocess.run(
         [sys.executable, str(SCRIPT), "local_lan", "--seconds", "1",
          "--top", "0", "--messages"],
@@ -235,18 +235,19 @@ def test_messages_phase_on_sim_is_deterministic_and_one_reply_per_replica():
         assert "0 failed" in done.stdout
     first, second = (census_rows(done.stdout) for done in runs)
     assert first == second
-    # every op is local: each of the 4 destination replicas answers once,
-    # with the delivery in its ordered reply, and sends no MulticastReply
-    assert first["Reply delivered"][0] == "4.000"
-    assert first["Request"][0] == "4.000"
+    # every op is local: it goes to the 3 replicas of the destination's
+    # quorum, each answers once with the delivery in its ordered reply, and
+    # none sends a MulticastReply
+    assert first["Reply delivered"][0] == "3.000"
+    assert first["Request"][0] == "3.000"
     assert "MulticastReply" not in first and "Reply ack" not in first
     assert int(first["total"][1]) == sum(
         int(count) for kind, (__, count) in first.items() if kind != "total")
 
 
 #: the census of :func:`test_census_of_a_small_tree_run_is_pinned`, by kind
-TREE_CENSUS = {"Request": 448, "Propose": 45, "Write": 180, "Accept": 180,
-               "Reply delivered": 96, "MulticastReply": 480, "RelayAck": 160,
+TREE_CENSUS = {"Request": 336, "Propose": 45, "Write": 180, "Accept": 180,
+               "Reply delivered": 72, "MulticastReply": 360, "RelayAck": 160,
                "Heartbeat": 105}
 
 
@@ -255,7 +256,9 @@ def test_census_of_a_small_tree_run_is_pinned(tool):
     kind, pinned exactly.  No ``Reply ack`` is among them: a child
     acknowledges a relay stream with ``RelayAck``, and an entry group that
     is not a destination answers only a retransmission — so ack traffic
-    that creeps back fails here first."""
+    that creeps back fails here first.  Requests, relay copies, replies and
+    ``MulticastReply``s go to or come from a group's 3-replica quorum, not
+    all 4."""
     from repro.core.deployment import ByzCastDeployment
     from repro.core.tree import OverlayTree
     from repro.types import destination
