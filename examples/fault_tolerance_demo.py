@@ -28,27 +28,26 @@ from repro.faults.behaviors import (
     FabricatingRelayApp,
     SilentRelayApp,
 )
-from repro.faults.injector import FaultPlan
+from repro.faults.injector import schedule_ops
+from repro.faults.nemesis import NemesisOp
 
 
 def main() -> None:
     tree = OverlayTree.paper_tree()
-    plan = (
-        FaultPlan()
-        .byzantine_replica("h1", "h1/r0", EquivocatingLeaderReplica)
-        .byzantine_app("h1", "h1/r1", SilentRelayApp)
-        .byzantine_app("h2", "h2/r0", FabricatingRelayApp)
-        .crash("g4", "g4/r2", at=0.5)
-        .recover("g4", "g4/r2", at=4.0)
-    )
+    # Byzantine code is construction-time: group -> replica -> class.
     deployment = ByzCastDeployment(
         tree,
-        replica_classes=plan.replica_classes,
-        app_overrides=plan.app_overrides,
+        replica_classes={"h1": {"h1/r0": EquivocatingLeaderReplica}},
+        app_overrides={"h1": {"h1/r1": SilentRelayApp},
+                       "h2": {"h2/r0": FabricatingRelayApp}},
         request_timeout=0.5,
         trace_capacity=50000,
     )
-    plan.apply_runtime(deployment)
+    # Benign events are a timeline of ops on the runtime clock.
+    schedule_ops(deployment, [
+        NemesisOp(0.5, "crash", ("g4", "g4/r2"), until=4.0),
+        NemesisOp(4.0, "recover", ("g4", "g4/r2"), until=4.0),
+    ])
 
     clients = [deployment.add_client(f"c{i}") for i in range(3)]
     sent = []

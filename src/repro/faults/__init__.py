@@ -4,12 +4,14 @@
 application classes exhibiting specific misbehaviours (equivocating leader,
 mute replica, corrupted votes, silent/fabricating/duplicating/reordering/
 withholding/equivocating/subset relays, lying/silent relay acks);
-:mod:`repro.faults.injector` wires them into deployments and schedules
-benign crashes and partitions.
+:mod:`repro.faults.injector` arms a fault timeline on a deployment: a
+list of :class:`NemesisOp` (crash, recover, partition, heal, burst, delay,
+flap, join, leave, scale_up, scale_down), scheduled by
+:func:`schedule_ops`.  A hand-written plan is a literal op list; Byzantine
+code is the deployment's ``replica_classes`` / ``app_overrides`` dicts.
 
-:mod:`repro.faults.nemesis` generates seeded, randomized fault timelines
-(the chaos-engineering counterpart of a hand-written :class:`FaultPlan`)
-bounded by ``f`` faults per group.
+:mod:`repro.faults.nemesis` generates seeded, randomized timelines of the
+same ops, bounded by ``f`` faults per group.
 
 :mod:`repro.faults.elasticity` makes membership churn a schedulable fault:
 join/leave swaps and f-changing scale ops driven through each group's
@@ -40,15 +42,7 @@ from repro.faults.elasticity import (
     ElasticityController,
     elasticity_controller,
 )
-from repro.faults.injector import (
-    FaultPlan,
-    schedule_crash,
-    schedule_join,
-    schedule_leave,
-    schedule_partition,
-    schedule_recover,
-    schedule_scale,
-)
+from repro.faults.injector import schedule_crash, schedule_ops
 from repro.faults.nemesis import (
     PROFILES,
     IntensityProfile,
@@ -70,13 +64,8 @@ __all__ = [
     "SubsetRelayApp",
     "LyingAckReplica",
     "SilentAckReplica",
-    "FaultPlan",
     "schedule_crash",
-    "schedule_partition",
-    "schedule_recover",
-    "schedule_join",
-    "schedule_leave",
-    "schedule_scale",
+    "schedule_ops",
     "ElasticityController",
     "AutoscalePolicy",
     "elasticity_controller",

@@ -3,28 +3,33 @@
 Two kinds of injection:
 
 * **Construction-time** (Byzantine code): pass ``replica_classes`` /
-  ``app_overrides`` to the deployment builders; the helpers here build
-  those dictionaries.
-* **Run-time** (benign events): :func:`schedule_crash`,
-  :func:`schedule_recover` and :func:`schedule_partition` arrange crashes,
-  recoveries and network partitions at chosen times.
+  ``app_overrides`` (group id → replica name → class, written as dict
+  literals) to the deployment builders.
+* **Run-time** (benign events and churn): :func:`schedule_ops` arms a list
+  of :class:`~repro.faults.nemesis.NemesisOp`.  A hand-written plan is a
+  literal op list; a seeded one is a
+  :class:`~repro.faults.nemesis.NemesisSchedule`, whose ``apply`` arms its
+  ops here and adds the final heal at its horizon.
 
 Run-time scheduling is backend-agnostic: events route through the
 deployment's :class:`~repro.env.api.Runtime` facade (``runtime.clock`` /
-``runtime.transport``), so the same :class:`FaultPlan` runs unchanged on
-the deterministic simulator and on the real-time asyncio runtime.  Times
-are absolute on the runtime's clock (virtual seconds under simulation,
-seconds since creation under real time); times already in the past fire
+``runtime.transport``), so the same op list runs unchanged on the
+deterministic simulator and on the real-time asyncio runtime.  Times are
+absolute on the runtime's clock (virtual seconds under simulation, seconds
+since creation under real time); times already in the past fire
 immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Type
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.bcast.replica import Replica
 from repro.env.api import Clock
+from repro.env.chaos import ChaosTransport
+
+if TYPE_CHECKING:
+    from repro.faults.nemesis import NemesisOp
 
 
 def _at(clock: Clock, at: float, callback: Callable[[], None]) -> None:
@@ -37,132 +42,71 @@ def _at(clock: Clock, at: float, callback: Callable[[], None]) -> None:
     clock.schedule(max(0.0, at - clock.now), callback)
 
 
-@dataclass
-class FaultPlan:
-    """Accumulates fault wiring for a ByzCast deployment.
-
-    Usage::
-
-        plan = FaultPlan()
-        plan.byzantine_replica("h1", "h1/r0", EquivocatingLeaderReplica)
-        plan.byzantine_app("h1", "h1/r1", SilentRelayApp)
-        dep = ByzCastDeployment(tree, replica_classes=plan.replica_classes,
-                                app_overrides=plan.app_overrides)
-        plan.apply_runtime(dep)   # scheduled crashes/partitions
-    """
-
-    replica_classes: Dict[str, Dict[str, Type[Replica]]] = field(default_factory=dict)
-    app_overrides: Dict[str, Dict[str, Callable]] = field(default_factory=dict)
-    _runtime: List[Callable] = field(default_factory=list)
-
-    def byzantine_replica(self, group_id: str, replica_name: str,
-                          replica_cls: Type[Replica]) -> "FaultPlan":
-        self.replica_classes.setdefault(group_id, {})[replica_name] = replica_cls
-        return self
-
-    def byzantine_app(self, group_id: str, replica_name: str,
-                      app_cls: Callable) -> "FaultPlan":
-        self.app_overrides.setdefault(group_id, {})[replica_name] = app_cls
-        return self
-
-    def crash(self, group_id: str, replica_name: str, at: float) -> "FaultPlan":
-        self._runtime.append(
-            lambda dep: schedule_crash(dep, group_id, replica_name, at)
-        )
-        return self
-
-    def recover(self, group_id: str, replica_name: str, at: float) -> "FaultPlan":
-        self._runtime.append(
-            lambda dep: schedule_recover(dep, group_id, replica_name, at)
-        )
-        return self
-
-    def partition(self, a: str, b: str, at: float,
-                  heal_at: Optional[float] = None) -> "FaultPlan":
-        self._runtime.append(
-            lambda dep: schedule_partition(dep, a, b, at, heal_at)
-        )
-        return self
-
-    # ------------------------------------------------------- membership churn
-
-    def join(self, group_id: str, at: float,
-             member: Optional[str] = None) -> "FaultPlan":
-        """Swap a freshly spawned replica in for ``member`` at ``at``."""
-        self._runtime.append(
-            lambda dep: schedule_join(dep, group_id, at, member)
-        )
-        return self
-
-    def leave(self, group_id: str, member: str, at: float) -> "FaultPlan":
-        """Remove ``member`` (back-filled by a standby) at ``at``."""
-        self._runtime.append(
-            lambda dep: schedule_leave(dep, group_id, member, at)
-        )
-        return self
-
-    def scale_up(self, group_id: str, at: float) -> "FaultPlan":
-        """Grow ``group_id`` to ``f + 1`` (3 extra replicas) at ``at``."""
-        self._runtime.append(
-            lambda dep: schedule_scale(dep, group_id, at, up=True)
-        )
-        return self
-
-    def scale_down(self, group_id: str, at: float) -> "FaultPlan":
-        """Shrink ``group_id`` to ``f - 1`` at ``at`` (no-op at f == 1)."""
-        self._runtime.append(
-            lambda dep: schedule_scale(dep, group_id, at, up=False)
-        )
-        return self
-
-    def apply_runtime(self, deployment) -> None:
-        for arm in self._runtime:
-            arm(deployment)
-
-
 def schedule_crash(deployment, group_id: str, replica_name: str, at: float) -> None:
     """Crash ``replica_name`` of ``group_id`` at time ``at``."""
     replica = deployment.groups[group_id].replica(replica_name)
     _at(deployment.runtime.clock, at, replica.crash)
 
 
-def schedule_recover(deployment, group_id: str, replica_name: str, at: float) -> None:
-    """Recover a crashed replica (state transfer) at time ``at``."""
-    replica = deployment.groups[group_id].replica(replica_name)
-    _at(deployment.runtime.clock, at, replica.recover)
+def schedule_ops(deployment, ops: Sequence["NemesisOp"]) -> None:
+    """Arm every op on the deployment's runtime, in list order.
 
+    ``crash``/``recover`` and ``partition``/``heal`` take a ``(group,
+    replica)`` target; a partition isolates the replica from every peer of
+    its group until the matching heal.  ``burst``, ``delay`` and ``flap``
+    act on the deployment's transport, which must be a
+    :class:`~repro.env.chaos.ChaosTransport` (``install_chaos`` before the
+    deployment is built).  ``join``/``leave``/``scale_up``/``scale_down``
+    go through the deployment's cached
+    :func:`~repro.faults.elasticity.elasticity_controller`.
+    """
+    from repro.faults.elasticity import elasticity_controller
 
-def schedule_partition(deployment, a: str, b: str, at: float,
-                       heal_at: Optional[float] = None) -> None:
-    """Partition endpoints ``a``/``b`` at ``at``; optionally heal later."""
     clock = deployment.runtime.clock
     transport = deployment.runtime.transport
-    _at(clock, at, lambda: transport.partition(a, b))
-    if heal_at is not None:
-        _at(clock, heal_at, lambda: transport.heal(a, b))
+    needs_chaos = {"burst", "delay", "flap"} & {op.kind for op in ops}
+    if needs_chaos and not isinstance(transport, ChaosTransport):
+        raise ValueError(
+            f"ops {sorted(needs_chaos)} need a ChaosTransport; install_chaos "
+            f"on the runtime before building the deployment"
+        )
 
+    def isolate(cut: Callable[[str, str], None], gid: str, victim: str) -> None:
+        for peer in deployment.group_configs[gid].replicas:
+            if peer != victim:
+                cut(victim, peer)
 
-def schedule_join(deployment, group_id: str, at: float,
-                  member: Optional[str] = None) -> None:
-    """Schedule a join (standby swapped in for ``member``) at ``at``."""
-    from repro.faults.elasticity import elasticity_controller
-
-    elasticity_controller(deployment).join(group_id, at=at, member=member)
-
-
-def schedule_leave(deployment, group_id: str, member: str, at: float) -> None:
-    """Schedule ``member`` leaving ``group_id`` at ``at``."""
-    from repro.faults.elasticity import elasticity_controller
-
-    elasticity_controller(deployment).leave(group_id, member=member, at=at)
-
-
-def schedule_scale(deployment, group_id: str, at: float, up: bool) -> None:
-    """Schedule a scale-up (f+1) or scale-down (f-1) at ``at``."""
-    from repro.faults.elasticity import elasticity_controller
-
-    controller = elasticity_controller(deployment)
-    if up:
-        controller.scale_up(group_id, at=at)
-    else:
-        controller.scale_down(group_id, at=at)
+    for op in ops:
+        delay = max(0.0, op.time - clock.now)
+        kind, target, length = op.kind, op.target, op.until - op.time
+        if kind == "crash":
+            schedule_crash(deployment, target[0], target[1], op.time)
+        elif kind == "recover":
+            replica = deployment.groups[target[0]].replica(target[1])
+            clock.schedule(delay, replica.recover)
+        elif kind in ("partition", "heal"):
+            cut = transport.partition if kind == "partition" else transport.heal
+            clock.schedule(delay, partial(isolate, cut, *target))
+        elif kind == "burst":
+            clock.schedule(delay, partial(transport.burst, length,
+                                          **dict(op.detail)))
+        elif kind == "delay":
+            clock.schedule(delay, partial(transport.delay_endpoint, target[0],
+                                          dict(op.detail)["extra"],
+                                          duration=length))
+        elif kind == "flap":
+            detail = dict(op.detail)
+            clock.schedule(delay, partial(transport.flap_link, *target,
+                                          detail["period"], int(detail["cycles"])))
+        elif kind == "join":
+            elasticity_controller(deployment).join(
+                target[0], at=op.time, member=target[1])
+        elif kind == "leave":
+            elasticity_controller(deployment).leave(
+                target[0], member=target[1], at=op.time)
+        elif kind == "scale_up":
+            elasticity_controller(deployment).scale_up(target[0], at=op.time)
+        elif kind == "scale_down":
+            elasticity_controller(deployment).scale_down(target[0], at=op.time)
+        else:
+            raise ValueError(f"unknown fault op kind {kind!r}")

@@ -2,7 +2,8 @@
 
 A :class:`NemesisSchedule` expands ``(seed, intensity profile, group
 membership)`` into a deterministic timeline of fault operations — the
-randomized counterpart of a hand-written :class:`~repro.faults.injector.FaultPlan`.
+randomized counterpart of a hand-written list of :class:`NemesisOp`, armed
+by the same :func:`~repro.faults.injector.schedule_ops`.
 The same seed always yields the same timeline (``generate`` draws from a
 private :class:`random.Random`), so any failure a chaos soak surfaces is
 reproducible from its seed alone.
@@ -22,7 +23,8 @@ Fault taxonomy (see ``docs/FAULTS.md``):
 * ``flap`` — rapid partition/heal cycles on one link;
 * ``join`` / ``leave`` — membership churn: a fresh standby is swapped in
   for an existing member through the group's ordered reconfiguration
-  (requires an :class:`~repro.faults.elasticity.ElasticityController`);
+  (driven by the deployment's
+  :class:`~repro.faults.elasticity.ElasticityController`);
 * ``scale_up`` / ``scale_down`` — a paired scale cycle growing a group to
   ``f + 1`` and later shrinking it back.
 
@@ -41,15 +43,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple, Type
 
+from repro.env.chaos import ChaosTransport
 from repro.faults.behaviors import (
     DuplicatingRelayApp,
     MuteReplica,
     SilentRelayApp,
     WrongVoteReplica,
 )
-from repro.faults.injector import schedule_crash, schedule_recover
+from repro.faults.injector import schedule_ops
 
 #: Byzantine replica classes safe for liveness with <= f victims per group.
 BYZANTINE_REPLICAS: Tuple[Type, ...] = (MuteReplica, WrongVoteReplica)
@@ -120,7 +123,7 @@ PROFILES: Dict[str, IntensityProfile] = {
                               leave_ops=1, scale_cycles=1),
 }
 
-#: op kinds that require an ElasticityController to apply
+#: op kinds driven through the deployment's ElasticityController
 CHURN_KINDS = frozenset({"join", "leave", "scale_up", "scale_down"})
 
 
@@ -142,6 +145,11 @@ class NemesisSchedule:
         """Time by which every op has ended (the final heal)."""
         latest = max((op.until for op in self.ops), default=0.0)
         return max(latest, 0.85 * self.duration)
+
+    def byzantine_in(self, gid: str) -> Set[str]:
+        """Replicas of ``gid`` running a Byzantine replica or app class."""
+        return (set(self.replica_classes.get(gid, {}))
+                | set(self.app_overrides.get(gid, {})))
 
     def kinds(self) -> Tuple[str, ...]:
         """The distinct fault kinds this schedule activates, sorted."""
@@ -333,96 +341,18 @@ class NemesisSchedule:
 
     # -------------------------------------------------------------- applying
 
-    def apply(self, deployment, chaos=None, elasticity=None) -> None:
-        """Arm every op on the deployment's runtime.
-
-        ``chaos`` is the deployment's :class:`~repro.env.chaos.ChaosTransport`
-        (required when the schedule contains burst/delay/flap ops).
-        ``elasticity`` is an
-        :class:`~repro.faults.elasticity.ElasticityController` (required
-        when the schedule contains join/leave/scale ops).  At the horizon
-        the chaos layer is calmed and victim partitions healed, so a
-        quiescence check after ``horizon`` is meaningful.
-        """
+    def apply(self, deployment) -> None:
+        """Arm every op on the deployment's runtime
+        (:func:`~repro.faults.injector.schedule_ops`), then calm the chaos
+        layer and heal every partition at the horizon, so a quiescence
+        check after ``horizon`` is meaningful."""
+        schedule_ops(deployment, self.ops)
         clock = deployment.runtime.clock
         transport = deployment.runtime.transport
-        kinds = {op.kind for op in self.ops}
-        needs_chaos = {"burst", "delay", "flap"} & kinds
-        if needs_chaos and chaos is None:
-            raise ValueError(
-                f"schedule contains {sorted(needs_chaos)} ops; pass the "
-                f"deployment's ChaosTransport as chaos="
-            )
-        needs_elasticity = CHURN_KINDS & kinds
-        if needs_elasticity and elasticity is None:
-            raise ValueError(
-                f"schedule contains {sorted(needs_elasticity)} ops; pass an "
-                f"ElasticityController as elasticity="
-            )
-
-        def peers_of(gid: str, victim: str) -> List[str]:
-            return [r for r in deployment.group_configs[gid].replicas
-                    if r != victim]
-
-        for op in self.ops:
-            delay = max(0.0, op.time - clock.now)
-            if op.kind == "crash":
-                schedule_crash(deployment, op.target[0], op.target[1], op.time)
-            elif op.kind == "recover":
-                schedule_recover(deployment, op.target[0], op.target[1], op.time)
-            elif op.kind == "partition":
-                gid, victim = op.target
-
-                def cut(gid=gid, victim=victim) -> None:
-                    for peer in peers_of(gid, victim):
-                        transport.partition(victim, peer)
-
-                clock.schedule(delay, cut)
-            elif op.kind == "heal":
-                gid, victim = op.target
-
-                def mend(gid=gid, victim=victim) -> None:
-                    for peer in peers_of(gid, victim):
-                        transport.heal(victim, peer)
-
-                clock.schedule(delay, mend)
-            elif op.kind == "burst":
-                rates = dict(op.detail)
-                clock.schedule(
-                    delay,
-                    lambda rates=rates, length=op.until - op.time:
-                        chaos.burst(length, **rates),
-                )
-            elif op.kind == "delay":
-                extra = dict(op.detail)["extra"]
-                clock.schedule(
-                    delay,
-                    lambda name=op.target[0], extra=extra,
-                           length=op.until - op.time:
-                        chaos.delay_endpoint(name, extra, duration=length),
-                )
-            elif op.kind == "flap":
-                detail = dict(op.detail)
-                clock.schedule(
-                    delay,
-                    lambda a=op.target[0], b=op.target[1],
-                           period=detail["period"], cycles=int(detail["cycles"]):
-                        chaos.flap_link(a, b, period, cycles),
-                )
-            elif op.kind == "join":
-                elasticity.join(op.target[0], at=op.time, member=op.target[1])
-            elif op.kind == "leave":
-                elasticity.leave(op.target[0], member=op.target[1], at=op.time)
-            elif op.kind == "scale_up":
-                elasticity.scale_up(op.target[0], at=op.time)
-            elif op.kind == "scale_down":
-                elasticity.scale_down(op.target[0], at=op.time)
-            else:  # pragma: no cover - generator never emits unknown kinds
-                raise ValueError(f"unknown nemesis op kind {op.kind!r}")
 
         def final_heal() -> None:
-            if chaos is not None:
-                chaos.calm()
+            if isinstance(transport, ChaosTransport):
+                transport.calm()
             transport.heal_all()
 
         clock.schedule(max(0.0, self.horizon - clock.now), final_heal)

@@ -429,8 +429,7 @@ def _churn_violations(deployment, schedule, elasticity) -> List[str]:
         return []
     problems: List[str] = []
     for gid in sorted(deployment.groups):
-        byzantine = set(schedule.replica_classes.get(gid, {}))
-        byzantine |= set(schedule.app_overrides.get(gid, {}))
+        byzantine = schedule.byzantine_in(gid)
         expected_members, expected_f = elasticity.expected_view(gid)
         spawned = set(elasticity.spawned.get(gid, ()))
         reference = None
@@ -487,8 +486,7 @@ def _read_violations(deployment, schedule, clients) -> List[str]:
             if outcome.fallback or outcome.mode == "ordered":
                 continue
             gid = outcome.group
-            byzantine = set(schedule.replica_classes.get(gid, {}))
-            byzantine |= set(schedule.app_overrides.get(gid, {}))
+            byzantine = schedule.byzantine_in(gid)
             group = deployment.groups.get(gid)
             vouched = False
             for name in sorted(outcome.voters):
@@ -534,8 +532,7 @@ def _tree_violations(deployment, schedule, elasticity) -> List[str]:
     problems: List[str] = []
     expected_epoch, expected_edges = elasticity.expected_tree()
     for gid in sorted(deployment.groups):
-        byzantine = set(schedule.replica_classes.get(gid, {}))
-        byzantine |= set(schedule.app_overrides.get(gid, {}))
+        byzantine = schedule.byzantine_in(gid)
         for replica in deployment.groups[gid].replicas:
             if (replica.name in byzantine or replica.crashed
                     or not replica.active):

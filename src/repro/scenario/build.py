@@ -252,12 +252,12 @@ def build_armed_deployment(spec: ScenarioSpec,
     if owns_runtime:
         runtime = build_runtime(spec)
     try:
-        chaos = schedule = None
+        schedule = None
         if spec.faults is not None:
             from repro.env.chaos import ChaosConfig, install_chaos
             from repro.faults.nemesis import CHURN_KINDS, NemesisSchedule
 
-            chaos = install_chaos(runtime, ChaosConfig())
+            install_chaos(runtime, ChaosConfig())
             schedule = NemesisSchedule.generate(
                 groups=scenario_membership(spec),
                 seed=spec.fault_seed(),
@@ -278,7 +278,7 @@ def build_armed_deployment(spec: ScenarioSpec,
 
             elasticity = elasticity_controller(deployment)
         if schedule is not None:
-            schedule.apply(deployment, chaos=chaos, elasticity=elasticity)
+            schedule.apply(deployment)
     except BaseException:
         if owns_runtime:
             runtime.close()

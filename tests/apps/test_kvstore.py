@@ -139,8 +139,6 @@ class TestFaultTolerance:
         assert client.take_results()[-1][1] == "truth"
 
     def test_silent_relay_does_not_block_cross_shard_ops(self):
-        from repro.faults.injector import FaultPlan
-
         # Build the store on the paper tree, with a silent relay at the root.
         from repro.core.tree import OverlayTree
 

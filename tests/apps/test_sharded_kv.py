@@ -162,7 +162,7 @@ class TestCrossShardUnderChaos:
         spec = CHAOS_SPEC.check()
         runtime = make_runtime("sim", seed=spec.seed)
         try:
-            chaos = install_chaos(runtime, ChaosConfig())
+            install_chaos(runtime, ChaosConfig())
             membership = scenario_membership(spec)
             schedule = NemesisSchedule.generate(
                 groups=membership,
@@ -177,7 +177,7 @@ class TestCrossShardUnderChaos:
                 replica_classes=schedule.replica_classes,
                 app_overrides=schedule.app_overrides,
             )
-            schedule.apply(deployment, chaos=chaos)
+            schedule.apply(deployment)
             drivers = build_drivers(spec, deployment)
             deployment.start()
             for driver in drivers:

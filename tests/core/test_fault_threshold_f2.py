@@ -7,7 +7,6 @@ import pytest
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import SilentRelayApp
-from repro.faults.injector import FaultPlan
 from repro.types import destination
 from tests.faults.test_byzantine import (
     ACK_ADVERSARIES, RELAY_ADVERSARIES, ack_battery, certificate_battery,
@@ -58,14 +57,10 @@ def test_byzcast_with_f2_groups():
 def test_byzcast_f2_with_two_silent_relays():
     """Up to f=2 silent relayers in the root cannot block delivery."""
     tree = OverlayTree.two_level(["g1", "g2"])
-    plan = (
-        FaultPlan()
-        .byzantine_app("h1", "h1/r0", SilentRelayApp)
-        .byzantine_app("h1", "h1/r1", SilentRelayApp)
-    )
     dep = ByzCastDeployment(
         tree, f=2, costs=FAST_COSTS, request_timeout=0.5,
-        app_overrides=plan.app_overrides,
+        app_overrides={"h1": {"h1/r0": SilentRelayApp,
+                              "h1/r1": SilentRelayApp}},
     )
     client = dep.add_client("c1")
     for j in range(5):

@@ -29,7 +29,8 @@ from repro.faults.behaviors import (
     WrongVoteReplica,
 )
 from repro.crypto.keys import KeyRegistry
-from repro.faults.injector import FaultPlan
+from repro.faults.injector import schedule_ops
+from repro.faults.nemesis import NemesisOp
 from repro.sim.events import EventLoop
 from repro.sim.latency import JitterLatency
 from repro.sim.network import NetworkConfig
@@ -44,18 +45,14 @@ from tests.helpers import (
 )
 
 
-def make_deployment(plan: FaultPlan = None, tree=None, **kwargs) -> ByzCastDeployment:
+def make_deployment(tree=None, ops=(), **kwargs) -> ByzCastDeployment:
+    """A deployment (Byzantine code via ``replica_classes`` /
+    ``app_overrides`` in ``kwargs``) with the fault ``ops`` armed."""
     tree = tree if tree is not None else OverlayTree.paper_tree()
     kwargs.setdefault("costs", FAST_COSTS)
     kwargs.setdefault("request_timeout", 0.3)
-    plan = plan or FaultPlan()
-    dep = ByzCastDeployment(
-        tree,
-        replica_classes=plan.replica_classes,
-        app_overrides=plan.app_overrides,
-        **kwargs,
-    )
-    plan.apply_runtime(dep)
+    dep = ByzCastDeployment(tree, **kwargs)
+    schedule_ops(dep, ops)
     return dep
 
 
@@ -122,9 +119,9 @@ class TestBroadcastLayerByzantine:
 
 class TestByzCastRelayFaults:
     def test_silent_relay_does_not_block_delivery(self):
-        plan = FaultPlan().byzantine_app("h1", "h1/r0", SilentRelayApp)
         tree = OverlayTree.two_level(["g1", "g2", "g3", "g4"])
-        dep = make_deployment(plan, tree=tree)
+        dep = make_deployment(
+            tree, app_overrides={"h1": {"h1/r0": SilentRelayApp}})
         client = dep.add_client("c1")
         for j in range(5):
             client.amulticast(destination("g1", "g2"), payload=("m", j))
@@ -135,9 +132,9 @@ class TestByzCastRelayFaults:
             assert order == [("m", j) for j in range(5)]
 
     def test_fabricated_relay_never_delivered(self):
-        plan = FaultPlan().byzantine_app("h1", "h1/r1", FabricatingRelayApp)
         tree = OverlayTree.two_level(["g1", "g2", "g3", "g4"])
-        dep = make_deployment(plan, tree=tree)
+        dep = make_deployment(
+            tree, app_overrides={"h1": {"h1/r1": FabricatingRelayApp}})
         client = dep.add_client("c1")
         client.amulticast(destination("g1", "g2"), payload=("real",))
         dep.run(until=10.0)
@@ -149,9 +146,9 @@ class TestByzCastRelayFaults:
                 assert all(m.payload != ("fabricated",) for m in seq)
 
     def test_duplicating_relay_delivers_once(self):
-        plan = FaultPlan().byzantine_app("h1", "h1/r2", DuplicatingRelayApp)
         tree = OverlayTree.two_level(["g1", "g2", "g3", "g4"])
-        dep = make_deployment(plan, tree=tree)
+        dep = make_deployment(
+            tree, app_overrides={"h1": {"h1/r2": DuplicatingRelayApp}})
         client = dep.add_client("c1")
         for j in range(5):
             client.amulticast(destination("g1", "g3"), payload=("m", j))
@@ -162,12 +159,10 @@ class TestByzCastRelayFaults:
             assert order == [("m", j) for j in range(5)]
 
     def test_silent_relay_in_three_level_tree(self):
-        plan = (
-            FaultPlan()
-            .byzantine_app("h1", "h1/r0", SilentRelayApp)
-            .byzantine_app("h2", "h2/r3", SilentRelayApp)
-        )
-        dep = make_deployment(plan)
+        dep = make_deployment(app_overrides={
+            "h1": {"h1/r0": SilentRelayApp},
+            "h2": {"h2/r3": SilentRelayApp},
+        })
         client = dep.add_client("c1")
         client.amulticast(destination("g1", "g3"), payload=("deep",))
         dep.run(until=10.0)
@@ -186,11 +181,10 @@ def relay_battery(adversary, f: int = 1) -> None:
     under bursts to every destination set: every op completes and the
     order checks hold."""
     tree = OverlayTree.paper_tree()
-    plan = FaultPlan()
-    for index, gid in enumerate(sorted(tree.auxiliaries)):
-        for slot in range(f):
-            plan.byzantine_app(gid, f"{gid}/r{index + 1 + 3 * slot}", adversary)
-    dep = make_deployment(plan, tree=tree, f=f)
+    apps = {gid: {f"{gid}/r{index + 1 + 3 * slot}": adversary
+                  for slot in range(f)}
+            for index, gid in enumerate(sorted(tree.auxiliaries))}
+    dep = make_deployment(tree, app_overrides=apps, f=f)
     burst_and_check(dep)
     counters = dep.monitor.counters
     assert counters["byzcast.relay"] > 2 * counters["byzcast.relay_batch"]
@@ -202,13 +196,10 @@ def certificate_battery(f: int = 1) -> None:
     relay battery's bursts: correct followers refuse them, regency changes
     recover, every op completes and the order checks hold."""
     tree = OverlayTree.paper_tree()
-    plan = FaultPlan()
-    for gid in sorted(tree.nodes):
-        if tree.parent(gid) is not None:
-            for slot in range(f):
-                plan.byzantine_replica(gid, f"{gid}/r{slot}",
-                                       ForgingCertificateLeaderReplica)
-    dep = make_deployment(plan, tree=tree, f=f)
+    classes = {gid: {f"{gid}/r{slot}": ForgingCertificateLeaderReplica
+                     for slot in range(f)}
+               for gid in sorted(tree.nodes) if tree.parent(gid) is not None}
+    dep = make_deployment(tree, replica_classes=classes, f=f)
     burst_and_check(dep)
     counters = dep.monitor.counters
     assert counters["byzantine.bad_certificate"] > 0
@@ -223,12 +214,10 @@ def quorum_silent_battery(f: int = 1) -> None:
     ``DeliveryQuery`` — the quorum's other f+1 members are correct
     (docs/PROTOCOL.md, "Who is sent what")."""
     tree = OverlayTree.paper_tree()
-    plan = FaultPlan()
-    for gid in sorted(tree.nodes):
-        for slot in range(f):
-            plan.byzantine_replica(gid, f"{gid}/r{1 + slot}",
-                                   QuorumSilentReplica)
-    dep = make_deployment(plan, tree=tree, f=f)
+    classes = {gid: {f"{gid}/r{1 + slot}": QuorumSilentReplica
+                     for slot in range(f)}
+               for gid in sorted(tree.nodes)}
+    dep = make_deployment(tree, replica_classes=classes, f=f)
     burst_and_check(dep)
     counters = dep.monitor.counters
     assert counters["byzantine.quorum_silent"] > 0
@@ -263,16 +252,12 @@ def ack_battery(adversary, f: int = 1) -> None:
     order checks hold, no copy leaves an outbox on the adversaries' acks
     alone, and every outbox empties."""
     tree = OverlayTree.paper_tree()
-    plan = FaultPlan()
-    adversaries = set()
-    for gid in sorted(tree.nodes):
-        if tree.parent(gid) is not None:
-            for slot in range(f):
-                name = f"{gid}/r{1 + 3 * slot}"
-                plan.byzantine_replica(gid, name, adversary)
-                adversaries.add(name)
+    classes = {gid: {f"{gid}/r{1 + 3 * slot}": adversary for slot in range(f)}
+               for gid in sorted(tree.nodes) if tree.parent(gid) is not None}
+    adversaries = {name for members in classes.values() for name in members}
     lossy = NetworkConfig(latency=JitterLatency(0.00005, 0.2), drop_rate=0.05)
-    dep = make_deployment(plan, tree=tree, f=f, network_config=lossy)
+    dep = make_deployment(tree, replica_classes=classes, f=f,
+                          network_config=lossy)
     outbox = type("Outbox", (AuditedOutbox,),
                   {"adversaries": frozenset(adversaries)})
     for group in dep.groups.values():
@@ -395,12 +380,10 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
 
 class TestRuntimeFaults:
     def test_crash_and_recover_target_replica(self):
-        plan = (
-            FaultPlan()
-            .crash("g2", "g2/r3", at=0.5)
-            .recover("g2", "g2/r3", at=3.0)
-        )
-        dep = make_deployment(plan)
+        dep = make_deployment(ops=[
+            NemesisOp(0.5, "crash", ("g2", "g2/r3"), until=3.0),
+            NemesisOp(3.0, "recover", ("g2", "g2/r3"), until=3.0),
+        ])
         client = dep.add_client("c1")
         for j in range(20):
             client.amulticast(destination("g2"), payload=("op", j))
@@ -411,11 +394,12 @@ class TestRuntimeFaults:
         assert replicas[3].log.next_execute == replicas[0].log.next_execute
 
     def test_partitioned_aux_replica_heals(self):
-        plan = FaultPlan()
-        for peer in ("h1/r1", "h1/r2", "h1/r3"):
-            plan.partition("h1/r0", peer, at=0.2, heal_at=2.0)
+        # h1/r0 is cut off from every peer of its group for 1.8 s
         tree = OverlayTree.two_level(["g1", "g2", "g3", "g4"])
-        dep = make_deployment(plan, tree=tree)
+        dep = make_deployment(tree, ops=[
+            NemesisOp(0.2, "partition", ("h1", "h1/r0"), until=2.0),
+            NemesisOp(2.0, "heal", ("h1", "h1/r0"), until=2.0),
+        ])
         client = dep.add_client("c1")
         for j in range(10):
             client.amulticast(destination("g1", "g4"), payload=("op", j))

@@ -1,44 +1,52 @@
-"""Unit tests for the fault-plan builder and proxy give-up behaviour."""
+"""Unit tests for the fault-op scheduler and proxy give-up behaviour."""
 
 from __future__ import annotations
 
-from repro.faults.behaviors import MuteReplica, SilentRelayApp
-from repro.faults.injector import FaultPlan
-from tests.helpers import Harness
+import pytest
+
+from repro.core.deployment import ByzCastDeployment
+from repro.core.tree import OverlayTree
+from repro.env import make_runtime
+from repro.faults.injector import schedule_ops
+from repro.faults.nemesis import NemesisOp
+from tests.helpers import FAST_COSTS, Harness
+
+#: a hand-written plan: one crash window and one isolation window
+PLAN = [
+    NemesisOp(0.02, "crash", ("g1", "g1/r3"), until=0.15),
+    NemesisOp(0.02, "partition", ("g2", "g2/r0"), until=0.15),
+    NemesisOp(0.15, "recover", ("g1", "g1/r3"), until=0.15),
+    NemesisOp(0.15, "heal", ("g2", "g2/r0"), until=0.15),
+]
 
 
-class TestFaultPlan:
-    def test_builder_accumulates(self):
-        plan = (
-            FaultPlan()
-            .byzantine_replica("g1", "g1/r0", MuteReplica)
-            .byzantine_app("h1", "h1/r1", SilentRelayApp)
-            .crash("g1", "g1/r2", at=1.0)
-            .recover("g1", "g1/r2", at=2.0)
-            .partition("a", "b", at=0.5, heal_at=1.5)
-        )
-        assert plan.replica_classes == {"g1": {"g1/r0": MuteReplica}}
-        assert plan.app_overrides == {"h1": {"h1/r1": SilentRelayApp}}
-        assert len(plan._runtime) == 3
+class TestScheduleOps:
+    @pytest.mark.parametrize("backend", ["sim", "rt"])
+    def test_op_list_runs_on_each_backend(self, backend):
+        """The scheduler arms through the Runtime facade, so one op list
+        runs unchanged on the simulated and the real-time backend."""
+        runtime = make_runtime(backend, seed=0)
+        try:
+            dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                                    runtime=runtime, costs=FAST_COSTS)
+            schedule_ops(dep, PLAN)
+            replica = dep.groups["g1"].replica("g1/r3")
+            blocked = runtime.transport._blocked_pairs
+            dep.run(until=0.08)
+            assert replica.crashed
+            assert blocked == {pair for peer in ("g2/r1", "g2/r2", "g2/r3")
+                               for pair in (("g2/r0", peer), (peer, "g2/r0"))}
+            dep.run(until=0.3)
+            assert not replica.crashed
+            assert not blocked
+        finally:
+            runtime.close()
 
-    def test_apply_runtime_schedules_events(self):
-        from repro.core.deployment import ByzCastDeployment
-        from repro.core.tree import OverlayTree
-        from tests.helpers import FAST_COSTS
-
+    def test_unknown_kind_is_rejected(self):
         dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                                 costs=FAST_COSTS)
-        plan = FaultPlan().crash("g1", "g1/r3", at=0.5).recover("g1", "g1/r3", at=1.0)
-        plan.apply_runtime(dep)
-        dep.run(until=0.7)
-        assert dep.groups["g1"].replica("g1/r3").crashed
-        dep.run(until=1.2)
-        assert not dep.groups["g1"].replica("g1/r3").crashed
-
-    def test_fluent_chaining_returns_self(self):
-        plan = FaultPlan()
-        assert plan.crash("g", "r", 1.0) is plan
-        assert plan.partition("a", "b", 1.0) is plan
+        with pytest.raises(ValueError, match="unknown fault op kind"):
+            schedule_ops(dep, [NemesisOp(0.1, "meteor", ("g1",), until=0.1)])
 
 
 class TestProxyGiveUp:

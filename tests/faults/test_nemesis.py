@@ -14,7 +14,6 @@ from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.env import make_runtime
 from repro.env.chaos import install_chaos
-from repro.faults.injector import FaultPlan
 from repro.faults.nemesis import (
     BYZANTINE_APPS,
     BYZANTINE_REPLICAS,
@@ -116,13 +115,17 @@ def test_describe_format():
 
 
 def test_apply_requires_chaos_for_transport_ops():
+    # burst/delay/flap act on the runtime's transport; without
+    # install_chaos it is not a ChaosTransport, so nothing is armed.
     schedule = NemesisSchedule.generate(GROUPS, seed=7, duration=12.0,
                                         profile="medium")
     assert any(op.kind in ("burst", "delay", "flap") for op in schedule.ops)
     dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                             costs=FAST_COSTS)
-    with pytest.raises(ValueError):
-        schedule.apply(dep, chaos=None)
+    armed = dep.runtime.clock.pending
+    with pytest.raises(ValueError, match="ChaosTransport"):
+        schedule.apply(dep)
+    assert dep.runtime.clock.pending == armed
 
 
 def test_apply_on_sim_deployment_runs_and_quiesces():
@@ -131,7 +134,7 @@ def test_apply_on_sim_deployment_runs_and_quiesces():
     tree = OverlayTree.two_level(["g1", "g2"])
     dep = ByzCastDeployment(tree, runtime=runtime, costs=FAST_COSTS)
     schedule = NemesisSchedule.for_deployment(dep, seed=3, duration=4.0)
-    schedule.apply(dep, chaos)
+    schedule.apply(dep)
     dep.run(until=schedule.horizon + 0.5)
     # Every crashed victim recovered by the horizon...
     for gid, victims in schedule.victims.items():
@@ -140,23 +143,4 @@ def test_apply_on_sim_deployment_runs_and_quiesces():
     # ...and the final heal calmed the chaos layer.
     assert runtime.monitor.counters["chaos.calm"] == 1
     assert chaos.config.drop_rate == 0.0
-    runtime.close()
-
-
-def test_fault_plan_is_runtime_agnostic():
-    """The same FaultPlan schedules through the Runtime facade, so it works
-    unchanged on the real-time backend."""
-    runtime = make_runtime("rt", seed=0)
-    dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
-                            runtime=runtime, costs=FAST_COSTS)
-    plan = (FaultPlan()
-            .crash("g1", "g1/r3", at=0.02)
-            .recover("g1", "g1/r3", at=0.15)
-            .partition("g2/r0", "g2/r1", at=0.02, heal_at=0.15))
-    plan.apply_runtime(dep)
-    dep.run(until=0.08)
-    replica = dep.groups["g1"].replica("g1/r3")
-    assert replica.crashed
-    dep.run(until=0.3)
-    assert not replica.crashed
     runtime.close()

@@ -9,12 +9,11 @@ support landed (no extra rng draws).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.env import make_runtime
 from repro.env.chaos import install_chaos
+from repro.faults.elasticity import elasticity_controller
 from repro.faults.nemesis import CHURN_KINDS, PROFILES, NemesisSchedule
 from tests.helpers import FAST_COSTS, replica_names
 
@@ -80,14 +79,20 @@ def test_existing_profiles_emit_no_churn():
         assert not CHURN_KINDS & set(schedule.kinds())
 
 
-def test_apply_churn_requires_elasticity_controller():
+def test_apply_churn_arms_through_cached_controller():
+    """Churn ops take no controller argument: they queue on the
+    deployment's cached ``elasticity_controller``, so the controller a
+    caller fetches afterwards is the one that confirms them."""
     schedule = NemesisSchedule.generate(GROUPS, seed=0, duration=10.0,
                                         profile="churn")
-    assert CHURN_KINDS & set(schedule.kinds())
+    churn = [op.kind for op in schedule.ops if op.kind in CHURN_KINDS]
+    assert churn
     runtime = make_runtime("sim", seed=0)
-    chaos = install_chaos(runtime)
+    install_chaos(runtime)
     dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                             runtime=runtime, costs=FAST_COSTS)
-    with pytest.raises(ValueError, match="ElasticityController"):
-        schedule.apply(dep, chaos=chaos)
+    schedule.apply(dep)
+    controller = elasticity_controller(dep)
+    dep.run(until=schedule.horizon + 1.0)
+    assert sorted(kind for _, kind, _, _ in controller.events) == sorted(churn)
     runtime.close()

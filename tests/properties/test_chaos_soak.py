@@ -68,12 +68,12 @@ def test_same_seed_same_soak_report():
 def test_same_seed_same_sim_delivery_order():
     def deliveries(seed):
         runtime = make_runtime("sim", seed=seed)
-        chaos = install_chaos(runtime)
+        install_chaos(runtime)
         dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                                 runtime=runtime, costs=FAST_COSTS,
                                 request_timeout=0.5)
         schedule = NemesisSchedule.for_deployment(dep, seed=seed, duration=3.0)
-        schedule.apply(dep, chaos)
+        schedule.apply(dep)
         client = dep.add_client("c1", retransmit_timeout=0.5)
         for index, dst in enumerate([("g1",), ("g2",), ("g1", "g2")] * 4):
             client.amulticast(destination(*dst), payload=("m", index))

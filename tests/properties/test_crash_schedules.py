@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_acyclic_order, check_agreement, check_integrity, check_prefix_order
 from repro.core.tree import OverlayTree
-from repro.faults.injector import schedule_crash, schedule_recover
+from repro.faults.injector import schedule_ops
+from repro.faults.nemesis import NemesisOp
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -42,11 +43,14 @@ def test_invariants_hold_under_crash_schedules(case):
     tree = OverlayTree.two_level(TARGETS)
     dep = ByzCastDeployment(tree, costs=FAST_COSTS, seed=seed,
                             request_timeout=0.4)
+    ops = []
     for group, replica_index, crash_at, recover_at in plans:
-        name = f"{group}/r{replica_index}"
-        schedule_crash(dep, group, name, crash_at)
+        target = (group, f"{group}/r{replica_index}")
+        end = crash_at if recover_at is None else recover_at
+        ops.append(NemesisOp(crash_at, "crash", target, until=end))
         if recover_at is not None:
-            schedule_recover(dep, group, name, recover_at)
+            ops.append(NemesisOp(recover_at, "recover", target, until=end))
+    schedule_ops(dep, ops)
     client = dep.add_client("c1")
     for index, dst in enumerate(messages):
         client.amulticast(destination(*dst), payload=("m", index))

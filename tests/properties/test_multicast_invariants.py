@@ -14,7 +14,6 @@ from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all
 from repro.core.tree import OverlayTree
 from repro.faults.behaviors import SilentRelayApp
-from repro.faults.injector import FaultPlan
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -84,10 +83,9 @@ def test_random_workload_with_silent_relay_replica(workload, bad_replica):
     if tree_name == "chain":
         return  # chain tree has no h1 group
     tree = TREES[tree_name]()
-    plan = FaultPlan().byzantine_app("h1", bad_replica, SilentRelayApp)
     dep = ByzCastDeployment(
         tree, costs=FAST_COSTS, seed=seed, request_timeout=0.5,
-        app_overrides=plan.app_overrides,
+        app_overrides={"h1": {bad_replica: SilentRelayApp}},
     )
     clients = [dep.add_client(f"c{i}") for i in range(n_clients)]
     for client_index, dst in messages:

@@ -46,10 +46,10 @@ def test_interleaved_reads_resolve_once_monotone_and_safe(plan):
                             request_timeout=0.5)
     horizon = 0.0
     if chaos:
-        controller = install_chaos(runtime)
+        install_chaos(runtime)
         schedule = NemesisSchedule.for_deployment(dep, seed=seed,
                                                   duration=3.0)
-        schedule.apply(dep, controller)
+        schedule.apply(dep)
         horizon = schedule.horizon
     client = dep.add_client("c1", retransmit_timeout=0.5, read_timeout=0.25)
     writes = reads = 0
