@@ -158,6 +158,7 @@ class ShardedStore:
             tree, f=f, app_overrides=self.kv.app_overrides(), **deployment)
         self.deployment.client_class = partial(StoreClient,
                                                shard_of=self.shard_of)
+        self.run_until_quiescent = self.deployment.run_until_quiescent
         self.clients: List[StoreClient] = []
 
     # -- clients and execution ------------------------------------------------------
@@ -169,13 +170,3 @@ class ShardedStore:
 
     def run(self, until: float) -> None:
         self.deployment.run(until=until)
-
-    def run_until_quiescent(self, step: float = 1.0, max_steps: int = 120) -> bool:
-        """Advance the simulation until all clients' operations completed."""
-        self.deployment.start()
-        for __ in range(max_steps):
-            if all(client.pending() == 0 for client in self.clients):
-                return True
-            runtime = self.deployment.runtime
-            runtime.run(until=runtime.clock.now + step)
-        return all(client.pending() == 0 for client in self.clients)

@@ -213,6 +213,7 @@ class OrderingService:
         self.deployment = ByzCastDeployment(
             tree, f=f, app_overrides=overrides, **deployment)
         self.deployment.client_class = LedgerClient
+        self.run_until_quiescent = self.deployment.run_until_quiescent
         self.clients: List[LedgerClient] = []
 
     # -- clients -----------------------------------------------------------------
@@ -224,15 +225,6 @@ class OrderingService:
 
     def run(self, until: float) -> None:
         self.deployment.run(until=until)
-
-    def run_until_quiescent(self, step: float = 1.0, max_steps: int = 120) -> bool:
-        self.deployment.start()
-        for __ in range(max_steps):
-            if all(client.pending() == 0 for client in self.clients):
-                return True
-            runtime = self.deployment.runtime
-            runtime.run(until=runtime.clock.now + step)
-        return all(client.pending() == 0 for client in self.clients)
 
     # -- inspection ---------------------------------------------------------------
 

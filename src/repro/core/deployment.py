@@ -180,6 +180,15 @@ class ByzCastDeployment:
         self.start()
         self.runtime.run(until=until, max_events=max_events)
 
+    def run_until_quiescent(self, step: float = 1.0, max_steps: int = 120) -> bool:
+        """Start (if needed) and run in ``step``-second chunks until no
+        client has an operation pending; False if ``max_steps`` chunks
+        were not enough."""
+        self.start()
+        return self.runtime.run_until(
+            lambda: all(client.pending() == 0 for client in self.clients),
+            timeout=step * max_steps, poll=step)
+
     def update_group_membership(self, group_id: str,
                                 replicas: Sequence[str], f: int) -> BroadcastConfig:
         """Adopt a confirmed reconfiguration in deployment bookkeeping.

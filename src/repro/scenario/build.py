@@ -105,7 +105,7 @@ def scenario_membership(spec: ScenarioSpec) -> Dict[str, Tuple[str, ...]]:
     count = 3 * spec.topology.f + 1
     return {
         gid: tuple(f"{gid}/r{i}" for i in range(count))
-        for gid in build_tree(spec.topology).nodes
+        for gid in spec.build_tree().nodes
     }
 
 
@@ -153,7 +153,9 @@ def build_deployment(
 
     ``protocol.kind`` picks the protocol: a
     :class:`~repro.core.deployment.ByzCastDeployment` over the topology's
-    tree, the Baseline over the same targets, or one BFT-SMaRt group.
+    tree, the Baseline over the same targets, or BFT-SMaRt — a
+    ``ByzCastDeployment`` over the one group g1, placed like the
+    topology's g1.
 
     ``replica_classes`` / ``app_overrides`` compose nemesis Byzantine
     assignments on top of the scenario's own application: when the spec
@@ -175,18 +177,7 @@ def build_deployment(
         max_in_flight=proto.max_in_flight,
         runtime=runtime,
     )
-    if proto.kind == "bftsmart":
-        from repro.baseline.single_group import SingleGroupDeployment
-
-        deployment = SingleGroupDeployment(
-            sites=([sites("g1", index)
-                    for index in range(3 * spec.topology.f + 1)]
-                   if sites else None),
-            **engine)
-        deployment.kv = None
-        _freeze_once()
-        return deployment
-    tree = build_tree(spec.topology)
+    tree = spec.build_tree()
     overrides = dict(app_overrides or {})
     if spec.app == "sharded_kv":
         from repro.apps.sharded_kv import ShardedKVApp
@@ -427,9 +418,6 @@ def build_drivers(
     sampler = None
     if op_sampler is None and not per_client:
         sampler = build_destination_sampler(workload, targets, clock=clock)
-    timeouts = {"retransmit_timeout": spec.protocol.retransmit_timeout}
-    if spec.protocol.kind != "bftsmart":  # its clients have no read path
-        timeouts["read_timeout"] = spec.protocol.read_timeout
     stop_after = spec.horizon
     drivers = []
     client_sites: Optional[Tuple[str, ...]] = None
@@ -446,7 +434,8 @@ def build_drivers(
             name,
             site=(client_sites[index % len(client_sites)]
                   if client_sites else "site0"),
-            **timeouts)
+            retransmit_timeout=spec.protocol.retransmit_timeout,
+            read_timeout=spec.protocol.read_timeout)
         common = dict(
             sampler=(build_destination_sampler(workload, targets, client=index)
                      if per_client else sampler),

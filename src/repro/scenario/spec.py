@@ -246,9 +246,9 @@ class ProtocolSpec:
     """The protocol under test and its broadcast-engine tuning."""
 
     #: ``byzcast`` | ``baseline`` (§V-A3: one sequencer group orders every
-    #: message, then the targets order it again) | ``bftsmart`` (one group
-    #: orders everything; the topology only names the destinations the
-    #: workload draws)
+    #: message, then the targets order it again) | ``bftsmart`` (ByzCast
+    #: over the one group g1, which orders everything; the topology only
+    #: places g1's replicas)
     kind: str = "byzcast"
     max_batch: int = 400
     #: inert: accepted and ignored, kept only because the benchmark's
@@ -504,10 +504,16 @@ class ScenarioSpec:
             problems.append(
                 "protocol.kind 'baseline' is the 2-level sequencer protocol; "
                 "it needs topology.layout 'two_level'")
+        if self.protocol.kind == "bftsmart" and not (
+                self.workload.destinations == "fixed"
+                and tuple(self.workload.fixed) == ("g1",)):
+            problems.append(
+                "protocol.kind 'bftsmart' is the one group g1; it needs "
+                "workload.destinations 'fixed' with fixed ['g1']")
         if self.protocol.kind in ("baseline", "bftsmart"):
-            # the comparison protocols are measured, not soaked: they have
-            # no application wiring, nemesis membership, tree to adapt or
-            # read path
+            # the comparison protocols are measured, not soaked: the specs
+            # that build them wire no application, nemesis membership,
+            # adaptive tree or read workload
             for bad, what in (
                 (self.app != "none", f"app {self.app!r}"),
                 (self.faults is not None, "faults"),
@@ -564,8 +570,13 @@ class ScenarioSpec:
     # call sites (`spec.build_tree()`) free of an extra import
 
     def build_tree(self):
+        """The tree the deployment runs: the topology's, or for
+        ``bftsmart`` the one group g1, which orders everything alone."""
+        from repro.core.tree import OverlayTree
         from repro.scenario.build import build_tree
 
+        if self.protocol.kind == "bftsmart":
+            return OverlayTree({}, ("g1",))
         return build_tree(self.topology)
 
     def build_deployment(self, **kwargs):

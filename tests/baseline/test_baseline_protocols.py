@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.baseline.naive import BaselineDeployment
-from repro.baseline.single_group import SingleGroupDeployment
+from repro.core.deployment import ByzCastDeployment
+from repro.core.tree import OverlayTree
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -17,14 +18,16 @@ def make_baseline(**kwargs) -> BaselineDeployment:
 
 
 def test_single_group_orders_and_replies():
-    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+    """BFT-SMaRt, the single-group comparator, is ByzCast over g1 alone."""
+    dep = ByzCastDeployment(OverlayTree({}, ("g1",)), costs=FAST_COSTS,
+                            request_timeout=0.5)
     client = dep.add_client("c1")
     for j in range(10):
         client.amulticast(destination("g1"), payload=("op", j))
     dep.run(until=5.0)
     assert client.pending() == 0
     assert len(client.completions) == 10
-    sequences = [app.delivered_messages() for app in dep.apps()]
+    sequences = dep.delivered_sequences("g1")
     assert all(len(seq) == 10 for seq in sequences)
     payloads = [[m.payload for m in seq] for seq in sequences]
     assert all(p == payloads[0] for p in payloads)

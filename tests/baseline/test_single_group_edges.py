@@ -1,16 +1,25 @@
-"""Edge cases for the single-group (BFT-SMaRt) deployment."""
+"""Edge cases for the single-group (BFT-SMaRt) comparator: ByzCast over the
+one group g1, the deployment ``protocol.kind: "bftsmart"`` builds."""
 
 from __future__ import annotations
 
 from repro.bcast.reconfig import regency_quorum
-from repro.baseline.single_group import SingleGroupDeployment
+from repro.core.deployment import ByzCastDeployment
+from repro.core.messages import WireMulticast
+from repro.core.tree import OverlayTree
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
 
+def one_group(**kwargs) -> ByzCastDeployment:
+    kwargs.setdefault("costs", FAST_COSTS)
+    kwargs.setdefault("request_timeout", 0.5)
+    return ByzCastDeployment(OverlayTree({}, ("g1",)), **kwargs)
+
+
 def test_f2_group_works():
-    dep = SingleGroupDeployment(f=2, costs=FAST_COSTS, request_timeout=0.5)
-    assert dep.config.n == 7
+    dep = one_group(f=2)
+    assert dep.group_configs["g1"].n == 7
     client = dep.add_client("c1")
     for j in range(5):
         client.amulticast(destination("g1"), payload=("op", j))
@@ -20,29 +29,27 @@ def test_f2_group_works():
 
 
 def test_invalid_wire_gets_error_not_delivery():
-    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+    dep = one_group()
     client = dep.add_client("c1")
     # Submit a raw (non-WireMulticast) command through the proxy.
-    client.proxy.submit(("raw", "junk"))
+    client._proxy("g1").submit(("raw", "junk"))
     dep.run(until=5.0)
-    for app in dep.apps():
+    for app in dep.apps("g1"):
         assert app.delivered_messages() == []
 
 
 def test_unsigned_wire_rejected():
-    from repro.core.messages import WireMulticast
-
-    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+    dep = one_group()
     client = dep.add_client("c1")
-    client.proxy.submit(WireMulticast(sender="c1", seq=1, dst=("g1",),
-                                      payload=("x",)))
+    client._proxy("g1").submit(WireMulticast(sender="c1", seq=1, dst=("g1",),
+                                             payload=("x",)))
     dep.run(until=5.0)
-    for app in dep.apps():
+    for app in dep.apps("g1"):
         assert app.delivered_messages() == []
 
 
 def test_latency_measured_from_submit_to_f_plus_1_replies():
-    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+    dep = one_group()
     client = dep.add_client("c1")
     seen = []
     client.amulticast(destination("g1"), payload=("x",),
@@ -52,33 +59,35 @@ def test_latency_measured_from_submit_to_f_plus_1_replies():
     assert 0 < seen[0] < 0.1
 
 
-def test_the_single_group_answers_live_its_ack_is_the_delivery():
-    """``("ack",)`` is what a ByzCast entry group that is not a destination
-    holds back until a retransmission; here it is the delivery itself, so
-    each of the 2f+1 members of regency 0's quorum, which the request went
-    to, sends it as it executes and no request is retransmitted."""
-    dep = SingleGroupDeployment(costs=FAST_COSTS, request_timeout=0.5)
+def test_the_single_group_answers_live_with_the_delivery():
+    """g1 is the message's destination entry group, so its ordered reply is
+    the delivery itself: each of the 2f+1 members of regency 0's quorum,
+    which the request went to, sends ``("delivered", ...)`` as it executes
+    and no request is retransmitted."""
+    dep = one_group()
     client = dep.add_client("c1", retransmit_timeout=0.5)
     replies = []
     handle = client.on_message
 
     def spy(src, payload):
-        replies.append((src, payload.result))
+        replies.append((src, payload.result[0]))
         handle(src, payload)
 
     client.on_message = spy
     client.amulticast(destination("g1"), payload=("x",))
     dep.run(until=5.0)
-    assert sorted(replies) == [(name, ("ack",)) for name in regency_quorum(
-        dep.config.replicas, dep.config.f, 0)]
+    config = dep.group_configs["g1"]
+    assert sorted(replies) == [(name, "delivered") for name in regency_quorum(
+        config.replicas, config.f, 0)]
     assert client.completions[0][1] < 0.1
     assert "proxy.retransmit" not in dep.monitor.counters
 
 
 def test_wan_site_placement():
-    dep = SingleGroupDeployment(costs=FAST_COSTS,
-                                sites=["CA", "VA", "EU", "JP"])
-    sites = {dep.network.site_of(name) for name in dep.config.replicas}
+    regions = ["CA", "VA", "EU", "JP"]
+    dep = one_group(sites=lambda group_id, index: regions[index])
+    sites = {dep.network.site_of(name)
+             for name in dep.group_configs["g1"].replicas}
     # Sites were honored... but the default network has no WAN matrix, so
     # just assert registration happened per-site.
-    assert sites == {"CA", "VA", "EU", "JP"}
+    assert sites == set(regions)

@@ -76,7 +76,8 @@ class TestExperimentRunners:
 
     def test_baseline_and_bftsmart_kinds(self):
         base = lan_cell("t", "baseline", 4, 1, "local", 0.2, 1.0)
-        smart = lan_cell("t", "bftsmart", 4, 1, "local", 0.2, 1.0)
+        smart = lan_cell("t", "bftsmart", 4, 1, "fixed", 0.2, 1.0,
+                         fixed=("g1",))
         assert base.protocol == "baseline"
         assert smart.protocol == "bftsmart"
         # Baseline pays double ordering even at a single client.

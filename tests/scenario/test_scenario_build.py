@@ -110,6 +110,17 @@ class TestMembership:
             for gid, config in deployment.group_configs.items()
         }
 
+    def test_bftsmart_spec_reports_the_one_group_it_deploys(self):
+        spec = TINY.with_(
+            topology=TopologySpec(groups=4, f=2),
+            workload=WorkloadSpec(destinations="fixed", fixed=("g1",)),
+            protocol=ProtocolSpec(kind="bftsmart"))
+        deployment = spec.build_deployment()
+        assert set(spec.build_tree().nodes) == set(deployment.groups) == {"g1"}
+        assert scenario_membership(spec) == {
+            "g1": deployment.group_configs["g1"].replicas}
+        assert len(deployment.group_configs["g1"].replicas) == 7
+
     def test_scales_with_f(self):
         spec = TINY.with_(topology=TopologySpec(groups=2, f=2))
         members = scenario_membership(spec)
@@ -132,7 +143,10 @@ class TestEngineParameters:
             changed[name] = ("bench" if name == "costs" else
                              not default if isinstance(default, bool) else
                              default + 3)
-        spec = ScenarioSpec(name="p", protocol=ProtocolSpec(kind=kind, **changed))
+        # fixed g1: the one destination every kind (bftsmart too) accepts
+        spec = ScenarioSpec(name="p", protocol=ProtocolSpec(kind=kind, **changed),
+                            workload=WorkloadSpec(destinations="fixed",
+                                                  fixed=("g1",)))
         deployment = spec.check().build_deployment()
         configs = [group.config for group in deployment.groups.values()]
         assert configs

@@ -67,7 +67,7 @@ def test_unsupported_schema_is_rejected(schema):
                  workload=WorkloadSpec(destinations="fixed", fixed=("g1", "g2")),
                  protocol=ProtocolSpec(kind="baseline", max_in_flight=4)),
     ScenarioSpec(name="bftsmart", topology=TopologySpec(groups=4),
-                 workload=WorkloadSpec(destinations="skewed"),
+                 workload=WorkloadSpec(destinations="fixed", fixed=("g1",)),
                  protocol=ProtocolSpec(kind="bftsmart")),
     ScenarioSpec(name="home", topology=TopologySpec(groups=8),
                  workload=WorkloadSpec(clients=16, destinations="home")),
@@ -263,6 +263,11 @@ def test_hotpairs_needs_at_least_two_targets():
      "adaptive_tree needs"),
     ({"protocol": {"kind": "bftsmart"}, "workload": {"read_ratio": 0.5}},
      "read_ratio > 0 needs"),
+    ({"protocol": {"kind": "bftsmart"}, "topology": {"groups": 4},
+      "workload": {"destinations": "skewed"}}, "kind 'bftsmart' is"),
+    ({"protocol": {"kind": "bftsmart"}, "topology": {"groups": 4},
+      "workload": {"destinations": "fixed", "fixed": ["g1", "g2"]}},
+     "with fixed ['g1']"),
     ({"workload": {"destinations": "fixed"}}, "workload.fixed"),
     ({"workload": {"destinations": "fixed", "fixed": ["g1", "g9"]}},
      "workload.fixed"),
