@@ -20,7 +20,7 @@ from repro.bcast.messages import Reply
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.crypto.keys import KeyRegistry
-from repro.env import Actor, JitterLatency, NetworkConfig, make_runtime
+from repro.env import Actor, JitterLatency, make_runtime
 
 
 class Client(Actor):
@@ -40,7 +40,7 @@ class Client(Actor):
 
 def main() -> None:
     runtime = make_runtime(
-        "sim", network_config=NetworkConfig(latency=JitterLatency(0.00005)),
+        "sim", latency=JitterLatency(0.00005),
         seed=1, trace_capacity=20000)
     network = runtime.transport
     registry = KeyRegistry()

@@ -18,7 +18,7 @@ from repro.metrics.stats import summarize
 from repro.runtime.environments import (
     REGIONS,
     TABLE1_RTT_MS,
-    wan_network_config,
+    wan_latency_model,
     wan_site_assigner,
 )
 
@@ -33,7 +33,7 @@ def main() -> None:
     tree = OverlayTree.two_level(TARGETS)
     deployment = ByzCastDeployment(
         tree,
-        network_config=wan_network_config(),
+        latency=wan_latency_model(),
         sites=wan_site_assigner,           # replica i of each group -> region i
     )
     clients = {}

@@ -319,9 +319,9 @@ class MessageCensus:
         return f"Reply {type(result).__name__}"
 
     def wrap(self, send: Callable) -> Callable:
-        def counted(transport, src, dst, payload, *args, **kwargs):
+        def counted(transport, src, dst, payload):
             self.counts[self.kind(payload)] += 1
-            return send(transport, src, dst, payload, *args, **kwargs)
+            return send(transport, src, dst, payload)
 
         return counted
 

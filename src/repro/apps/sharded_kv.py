@@ -146,14 +146,13 @@ class ShardedKVApp:
         tree: OverlayTree,
         f: int = 1,
         keys: int = 64,
-        key_prefix: str = "key",
     ) -> None:
         if not tree.targets:
             raise ConfigurationError("tree has no target groups to shard over")
         self.tree = tree
         self.f = f
         self.shards: Tuple[str, ...] = tuple(sorted(tree.targets))
-        self.keys: Tuple[str, ...] = key_space(keys, key_prefix)
+        self.keys: Tuple[str, ...] = key_space(keys)
         self._machines: Dict[str, List[ShardStateMachine]] = {}
 
     # -- placement ------------------------------------------------------------

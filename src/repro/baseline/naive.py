@@ -47,17 +47,11 @@ class BaselineDeployment(ByzCastDeployment):
     client_class = BaselineClient
     app_kwargs = {"accept_any_ancestor": True}
 
-    def __init__(
-        self,
-        targets: List[str],
-        aux_id: str = "h1",
-        **kwargs,
-    ) -> None:
-        self.aux_id = aux_id
-        super().__init__(OverlayTree.two_level(list(targets), root=aux_id),
+    def __init__(self, targets: List[str], **kwargs) -> None:
+        super().__init__(OverlayTree.two_level(list(targets), root="h1"),
                          **kwargs)
 
     @property
     def aux_group(self):
         """The sequencer group ordering every message."""
-        return self.groups[self.aux_id]
+        return self.groups["h1"]

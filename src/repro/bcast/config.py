@@ -75,9 +75,6 @@ class BroadcastConfig:
             ByzCast message land in one instance without any batch timer.
         request_timeout: seconds a replica waits for a pending request to be
             executed before voting to change the leader.
-        heartbeat_interval: seconds between leader progress beacons
-            (0 disables); lets quiesced laggards detect that they are
-            behind the quorum.
         checkpoint_interval: executed consensus ids between application
             checkpoints (0 disables).  With an interval set, each replica
             periodically snapshots its application, truncates the executed
@@ -104,7 +101,6 @@ class BroadcastConfig:
     f: int = 1
     max_batch: int = 400
     request_timeout: float = 2.0
-    heartbeat_interval: float = 1.0
     checkpoint_interval: int = 0
     max_in_flight: int = 4
     costs: CostModel = field(default_factory=CostModel)
@@ -123,8 +119,6 @@ class BroadcastConfig:
             raise ConfigurationError(f"group {self.group_id!r}: duplicate replica names")
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be at least 1")
-        if self.heartbeat_interval < 0:
-            raise ConfigurationError("heartbeat_interval must be non-negative")
         if self.checkpoint_interval < 0:
             raise ConfigurationError("checkpoint_interval must be non-negative")
         if self.max_in_flight < 1:

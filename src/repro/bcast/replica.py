@@ -81,6 +81,9 @@ from repro.env import Actor, Runtime
 #: ``max_in_flight + STATE_GAP_SLACK``; at depth 1 this reproduces the
 #: historical threshold of 2)
 STATE_GAP_SLACK = 1
+#: seconds between leader progress beacons, which let quiesced laggards
+#: detect that they are behind the quorum
+HEARTBEAT_INTERVAL = 1.0
 #: bounded audit trail of served reads (the chaos invariant cross-checks
 #: accepted client reads against the journals of correct voters)
 READ_JOURNAL_CAP = 4096
@@ -296,15 +299,14 @@ class Replica(Actor):
     def start(self) -> None:
         self._export_membership()
         self._inactive_poll()
-        if self.config.heartbeat_interval > 0:
-            self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.set_timer(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
         if self.active and self.is_leader:
             beat = Heartbeat(self.group_id, self.regency.current,
                              self.log.next_execute, self.name)
             self._broadcast(beat)
-        self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.set_timer(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _handle_heartbeat(self, src: str, beat: Heartbeat) -> None:
         # The beacon carries the leader's cursor: any lead is a gap.
@@ -324,8 +326,7 @@ class Replica(Actor):
         self._started.clear()
         self.state_transfer.forgive()
         self.monitor.record(self.name, "replica.recover")
-        if self.config.heartbeat_interval > 0:
-            self.set_timer(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.set_timer(HEARTBEAT_INTERVAL, self._heartbeat_tick)
         self._request_state()
 
     # ----------------------------------------------------------- dispatch
@@ -373,10 +374,10 @@ class Replica(Actor):
         else:
             self.monitor.record(self.name, "replica.unknown_message", kind=type(payload).__name__)
 
-    def _broadcast(self, message: Any, size: int = 64) -> None:
+    def _broadcast(self, message: Any) -> None:
         """Send ``message`` to every peer (not to self)."""
         for peer in self.peers():
-            self.send(peer, message, size)
+            self.send(peer, message)
 
     def _handle_control(self, src: str, message: Any) -> None:
         """The one guard of every peer message, then its handler: our group,
@@ -630,9 +631,9 @@ class Replica(Actor):
             vec = mac_vector(self.registry, self.name, self.peers(), proposal)
             wrapped = AuthenticatedPropose(
                 proposal, tuple(sorted(vec.items())))
-            self._broadcast(wrapped, size=64 * max(1, len(batch)))
+            self._broadcast(wrapped)
         else:
-            self._broadcast(proposal, size=64 * max(1, len(batch)))
+            self._broadcast(proposal)
         # Local processing of our own proposal (no network hop for self).
         self._process_proposal(self.name, proposal)
         self._update_inflight_gauge()
@@ -1087,11 +1088,7 @@ class Replica(Actor):
                            lambda: self.state_transfer.expire(self.clock.now))
 
     def _handle_state_request(self, src: str, request: StateRequest) -> None:
-        response = self.state_transfer.answer(request, self.regency.current)
-        size = 64 * max(1, len(response.batches))
-        if response.checkpoint is not None:
-            size += 64 * max(1, self.config.checkpoint_interval)
-        self.send(src, response, size=size)
+        self.send(src, self.state_transfer.answer(request, self.regency.current))
 
     def _handle_state_response(self, src: str, response: StateResponse) -> None:
         adopted = self.state_transfer.offer(

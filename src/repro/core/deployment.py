@@ -31,7 +31,7 @@ from repro.core.client import MulticastClient
 from repro.core.node import ByzCastApplication, DeliverCallback
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
-from repro.env import NetworkConfig, Runtime
+from repro.env import LatencyModel, Runtime
 from repro.env.simbackend import SimRuntime
 
 #: maps (group_id, replica_index) -> network site, for WAN placement
@@ -56,7 +56,7 @@ class ByzCastDeployment:
         self,
         tree: OverlayTree,
         *,
-        network_config: Optional[NetworkConfig] = None,
+        latency: Optional[LatencyModel] = None,
         seed: int = 1,
         specs: Optional[Mapping[str, Mapping[str, Any]]] = None,
         sites: Optional[SiteAssigner] = None,
@@ -75,7 +75,7 @@ class ByzCastDeployment:
         self.tree = tree
         if runtime is None:
             runtime = SimRuntime(
-                network_config=network_config,
+                latency=latency,
                 seed=seed,
                 trace_capacity=trace_capacity,
             )

@@ -126,7 +126,6 @@ class OverlayTree:
         cls,
         targets: Sequence[str],
         fanout: int = 8,
-        aux_prefix: str = "h",
     ) -> "OverlayTree":
         """A balanced tree of auxiliary groups over many target groups.
 
@@ -134,7 +133,7 @@ class OverlayTree:
         under fresh auxiliary groups, then those auxiliaries are chunked in
         turn until a single root remains.  With ``len(targets) <= fanout``
         this degenerates to :meth:`two_level`.  Auxiliary names are
-        ``{aux_prefix}1``, ``{aux_prefix}2``, ... in construction order
+        ``h1``, ``h2``, ... in construction order
         (the root gets the highest number), so the same inputs always
         produce the same tree — scale scenarios stay deterministic.
         """
@@ -152,7 +151,7 @@ class OverlayTree:
             next_level: List[str] = []
             for start in range(0, len(level), fanout):
                 aux_count += 1
-                parent = f"{aux_prefix}{aux_count}"
+                parent = f"h{aux_count}"
                 for node in level[start:start + fanout]:
                     parents[node] = parent
                 next_level.append(parent)

@@ -17,8 +17,8 @@ Every actor is built on a :class:`Runtime` — ``Actor(name, runtime)`` —
 and takes its clock, CPU executor, transport and monitor from it.
 
 Shared building blocks (:class:`Actor`, :class:`Monitor`) live here;
-sim-flavoured configuration types (:class:`NetworkConfig`, the latency
-models, :class:`SeededRng`) are re-exported lazily so that importing
+sim-flavoured configuration types (the latency models,
+:class:`SeededRng`) are re-exported lazily so that importing
 ``repro.env`` never drags in a backend.
 """
 
@@ -39,11 +39,9 @@ _LAZY_REEXPORTS = {
     "ChaosConfig": "repro.env.chaos",
     "ChaosTransport": "repro.env.chaos",
     "install_chaos": "repro.env.chaos",
-    "NetworkConfig": "repro.sim.network",
     "LatencyModel": "repro.sim.latency",
     "ConstantLatency": "repro.sim.latency",
     "JitterLatency": "repro.sim.latency",
-    "LogNormalLatency": "repro.sim.latency",
     "MatrixLatency": "repro.sim.latency",
     "SeededRng": "repro.sim.rng",
 }

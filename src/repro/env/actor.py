@@ -58,11 +58,11 @@ class Actor:
 
     # -- messaging ---------------------------------------------------------
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         """Send ``payload`` to the actor named ``dst`` via the transport."""
         if self.crashed:
             return
-        self.network.send(self.name, dst, payload, size)
+        self.network.send(self.name, dst, payload)
 
     def receive(self, src: str, payload: Any) -> None:
         """Called by the transport on message arrival."""

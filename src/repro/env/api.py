@@ -95,7 +95,12 @@ class Executor(Protocol):
 
 @runtime_checkable
 class Transport(Protocol):
-    """Named endpoints with point-to-point send and link shaping."""
+    """Named endpoints with point-to-point send and link shaping.
+
+    A transport delivers and delays; it loses a message only to a
+    partition.  Loss is injected above it
+    (:class:`~repro.env.chaos.ChaosTransport`).
+    """
 
     def register(self, actor: Any, site: str = "site0") -> None:
         """Attach ``actor`` at ``site``; its name becomes its address."""
@@ -109,7 +114,7 @@ class Transport(Protocol):
         """All registered endpoint names."""
         ...
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, src: str, dst: str, payload: Any) -> None:
         """Deliver ``payload`` from ``src`` to ``dst`` (per-link FIFO)."""
         ...
 

@@ -6,7 +6,8 @@ the simulator's :class:`~repro.sim.network.Network`, the real-time
 :class:`~repro.env.rtbackend.InProcessTransport`, or the socket-backed
 :class:`~repro.env.tcp.TcpTransport` — and injects faults *above* the
 inner transport's own shaping, so the same chaos semantics hold on every
-execution backend:
+execution backend.  It is the only place a message is lost: the transports
+themselves only deliver and delay.
 
 * **drops** — i.i.d. message loss at ``drop_rate``;
 * **duplication** — a second delivery of the same payload at ``dup_rate``;
@@ -123,7 +124,7 @@ class ChaosTransport:
         config: initial chaos rates (default: everything off).
         rng: seeded stream factory; chaos draws from its own ``"chaos"``
             stream so enabling chaos never perturbs the inner transport's
-            latency/drop draws.
+            latency draws.
         monitor: shared monitor; injected events are counted as ``chaos.*``.
     """
 
@@ -180,7 +181,7 @@ class ChaosTransport:
 
     # -- chaos injection ----------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, src: str, dst: str, payload: Any) -> None:
         cfg = self.config
         rng = self._rng
         if cfg.drop_rate and rng.random() < cfg.drop_rate:
@@ -204,9 +205,9 @@ class ChaosTransport:
         for _ in range(copies):
             if extra > 0:
                 self._clock.schedule(
-                    extra, partial(self._inner.send, src, dst, payload, size))
+                    extra, partial(self._inner.send, src, dst, payload))
             else:
-                self._inner.send(src, dst, payload, size)
+                self._inner.send(src, dst, payload)
 
     # -- scheduled chaos ops -------------------------------------------------
 

@@ -3,9 +3,16 @@
 :class:`~repro.sim.network.Network`,
 :class:`~repro.env.rtbackend.InProcessTransport` and
 :class:`~repro.env.tcp.TcpTransport` all derive from :class:`LinkTable`.
-Each keeps its own ``send`` — the hot path, with the partition and drop
-gate inline; ``TcpTransport`` also publishes what it registers to the
-shared directories and looks up remote endpoints' sites there.
+Each keeps its own ``send`` — the hot path, with the partition gate
+inline; ``TcpTransport`` also publishes what it registers to the shared
+directories and looks up remote endpoints' sites there.
+
+Links only deliver and delay: the two shaping transports
+(:class:`DelayedLinkTable`) draw each link's delay from a
+:class:`~repro.sim.latency.LatencyModel`, and no transport loses a
+message on its own.  Loss, duplication and corruption are the
+adversary's, injected above any transport by
+:class:`~repro.env.chaos.ChaosTransport`.
 """
 
 from __future__ import annotations
@@ -21,36 +28,17 @@ Link = Tuple[Callable[..., None], str, str, Callable[[], float]]
 
 
 class LinkTable:
-    """Endpoint registration, site lookup, partitions and link resolution.
+    """Endpoint registration, site lookup and partitions.
 
     Args:
-        config: the network configuration (``latency``, ``bandwidth``,
-            ``drop_rate``; :class:`~repro.sim.network.NetworkConfig`).
-        rng: the runtime's seeded RNG; the table draws from its
-            ``"network"`` stream.
         monitor: where ``net.*`` counters go.
     """
 
-    def __init__(self, config: Any, rng: Any, monitor: Monitor) -> None:
-        self._config = config
+    def __init__(self, monitor: Monitor) -> None:
         self.monitor = monitor
-        self._rng = rng.stream("network")
         self._endpoints: Dict[str, Tuple[Any, str]] = {}
         self._blocked_pairs: Set[Tuple[str, str]] = set()
         self._blocked_sites: Set[Tuple[str, str]] = set()
-        #: (src, dst) -> what every later send on the link needs
-        self._links: Dict[Tuple[str, str], Link] = {}
-
-    @property
-    def config(self) -> Any:
-        return self._config
-
-    @config.setter
-    def config(self, config: Any) -> None:
-        """Swap the whole configuration; every link takes its delay draw
-        from the new latency model at its next send."""
-        self._config = config
-        self._links.clear()
 
     # -- registration ------------------------------------------------------
 
@@ -86,7 +74,35 @@ class LinkTable:
         self._blocked_pairs.clear()
         self._blocked_sites.clear()
 
-    # -- links -------------------------------------------------------------
+
+class DelayedLinkTable(LinkTable):
+    """A link table whose links delay by a latency model's draws.
+
+    Args:
+        latency: the site-pair one-way delay model
+            (:class:`~repro.sim.latency.LatencyModel`).
+        rng: the runtime's seeded RNG; each link's delay draw takes its
+            ``"network"`` stream.
+        monitor: where ``net.*`` counters go.
+    """
+
+    def __init__(self, latency: Any, rng: Any, monitor: Monitor) -> None:
+        super().__init__(monitor)
+        self._latency = latency
+        self._rng = rng.stream("network")
+        #: (src, dst) -> what every later send on the link needs
+        self._links: Dict[Tuple[str, str], Link] = {}
+
+    @property
+    def latency(self) -> Any:
+        return self._latency
+
+    @latency.setter
+    def latency(self, latency: Any) -> None:
+        """Swap the latency model; every link takes its delay draw from the
+        new model at its next send."""
+        self._latency = latency
+        self._links.clear()
 
     def _resolve(self, src: str, dst: str) -> Link:
         """First send on a link: check both ends, remember what every later
@@ -100,5 +116,5 @@ class LinkTable:
         src_site = self._endpoints[src][1]
         link = self._links[(src, dst)] = (
             actor.receive, src_site, dst_site,
-            self._config.latency.sampler(src_site, dst_site, self._rng))
+            self._latency.sampler(src_site, dst_site, self._rng))
         return link

@@ -85,9 +85,8 @@ class Monitor:
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` and track its ``.peak``.
 
-        The plain value store always happens — live policies (e.g.
-        :class:`repro.faults.elasticity.AutoscalePolicy`) read gauges even
-        on untraced deployments.  Peak tracking is observability-only, so
+        The plain value store always happens — a run's gauge snapshot
+        (``bench/deploy.py``) reads gauges even on untraced deployments.  Peak tracking is observability-only, so
         on a disabled monitor it takes the same fast exit as
         :meth:`record`: no string build, no extra dict traffic.
         """

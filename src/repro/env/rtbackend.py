@@ -54,12 +54,13 @@ that set it (``Actor.set_timer`` arms it with the actor's crash count).
 
 What is and is not modeled here:
 
-* **modeled** — message passing, per-link FIFO, partitions/drops for fault
+* **modeled** — message passing, per-link FIFO, partitions for fault
   experiments, optional link-latency shaping (sampled from the same
   :mod:`repro.sim.latency` models, applied as real ``call_later`` delays);
-* **not modeled** — CPU service times (jobs run back-to-back on the host)
-  and bandwidth; throughput numbers from this backend reflect the host
-  machine, not the paper's calibrated cost model.
+  loss is :class:`~repro.env.chaos.ChaosTransport`'s, as on the simulator;
+* **not modeled** — CPU service times (jobs run back-to-back on the host);
+  throughput numbers from this backend reflect the host machine, not the
+  paper's calibrated cost model.
 
 Determinism is **not** guaranteed: wall-clock timer interleavings vary run
 to run.  Use the simulation backend for reproducible experiments.
@@ -75,21 +76,15 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.env.api import Clock, Executor, Runtime, TimerHandle, Transport
-from repro.env.links import LinkTable
+from repro.env.links import DelayedLinkTable
 from repro.env.monitor import Monitor
-from repro.sim.latency import ConstantLatency
-from repro.sim.network import NetworkConfig
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.rng import SeededRng
 
 
 #: seconds one drain of the ready queue runs before it yields to asyncio
 #: (timers, sockets); see the module docstring
 DRAIN_SLICE = 0.001
-
-
-def realtime_network_config() -> NetworkConfig:
-    """Default shaping for real-time runs: no artificial latency or drops."""
-    return NetworkConfig(latency=ConstantLatency(0.0))
 
 
 class RealtimeClock:
@@ -216,13 +211,13 @@ class RealtimeExecutor:
         return min(1.0, self.busy_time / elapsed)
 
 
-class InProcessTransport(LinkTable):
+class InProcessTransport(DelayedLinkTable):
     """Named endpoints delivering through the runtime's ready queue.
 
     Semantics mirror :class:`~repro.sim.network.Network` (the same
-    :class:`~repro.env.links.LinkTable`): unknown endpoints raise,
-    partitioned/dropped messages vanish silently but are counted, and
-    delivery is FIFO per link.  Latency shaping (``config.latency``) is
+    :class:`~repro.env.links.DelayedLinkTable`): unknown endpoints raise,
+    partitioned messages vanish silently but are counted, and delivery is
+    FIFO per link.  Latency shaping (``latency``, no delay by default) is
     drawn through the link's sampler, as on the simulator, and applied as
     real ``call_later`` delays; per-link delivery times are clamped
     monotonically so shaped links still deliver FIFO even when the
@@ -233,12 +228,12 @@ class InProcessTransport(LinkTable):
         self,
         aloop: asyncio.AbstractEventLoop,
         clock: RealtimeClock,
-        config: Optional[NetworkConfig],
+        latency: Optional[LatencyModel],
         rng: SeededRng,
         monitor: Monitor,
     ) -> None:
         super().__init__(
-            config if config is not None else realtime_network_config(),
+            latency if latency is not None else ConstantLatency(0.0),
             rng, monitor)
         self._aloop = aloop
         self._clock = clock
@@ -246,7 +241,7 @@ class InProcessTransport(LinkTable):
 
     # -- sending -----------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, src: str, dst: str, payload: Any) -> None:
         link = self._links.get((src, dst))
         if link is None:
             link = self._resolve(src, dst)
@@ -258,13 +253,7 @@ class InProcessTransport(LinkTable):
         if self._blocked_sites and (src_site, dst_site) in self._blocked_sites:
             self.monitor.count("net.partitioned")
             return
-        config = self._config
-        if config.drop_rate > 0 and self._rng.random() < config.drop_rate:
-            self.monitor.count("net.dropped")
-            return
         delay = draw()
-        if config.bandwidth:
-            delay += size / config.bandwidth
         if delay <= 0:
             # The runtime's ready queue — strict global FIFO.
             self._clock.soon(receive, src, payload)
@@ -287,13 +276,19 @@ class RealtimeRuntime(Runtime):
     run early (e.g. once a workload completed): no ready-queue entry after
     the running one runs in this ``run()``, the next ``run()`` continues
     with them.  Call :meth:`close` when done to release the event loop.
+
+    The transport factory is called with the asyncio loop, the clock and
+    whichever of ``latency``, ``rng``, ``monitor`` and ``wire`` it
+    declares: the in-process queue shapes links (``latency``, ``rng``),
+    :class:`~repro.env.tcp.TcpTransport` serializes (``wire``) and applies
+    no latency.
     """
 
     deterministic = False
 
     def __init__(
         self,
-        network_config: Optional[NetworkConfig] = None,
+        latency: Optional[LatencyModel] = None,
         seed: int = 1,
         trace_capacity: int = 0,
         transport_factory: Optional[Callable[..., Transport]] = None,
@@ -306,16 +301,13 @@ class RealtimeRuntime(Runtime):
         self.rng = SeededRng(seed)
         self.wire = wire
         factory = transport_factory if transport_factory is not None else InProcessTransport
-        kwargs = dict(config=network_config, rng=self.rng, monitor=self.monitor)
-        # The wire codec only applies to serializing transports: TcpTransport
-        # declares a ``wire`` parameter, the in-process queue transport
-        # passes message objects by reference and does not.
-        try:
-            if "wire" in inspect.signature(factory).parameters:
-                kwargs["wire"] = wire
-        except (TypeError, ValueError):
-            pass
-        self.network = factory(self._aloop, self._clock, **kwargs)
+        offered = dict(latency=latency, rng=self.rng, monitor=self.monitor,
+                       wire=wire)
+        declared = inspect.signature(factory).parameters
+        self.network = factory(
+            self._aloop, self._clock,
+            **{name: value for name, value in offered.items()
+               if name in declared})
         self._closed = False
 
     @property

@@ -15,7 +15,8 @@ from repro.env.api import Clock, Executor, Runtime, Transport
 from repro.env.monitor import Monitor
 from repro.sim.cpu import CpuQueue
 from repro.sim.events import EventLoop
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.network import Network
 from repro.sim.rng import SeededRng
 
 
@@ -26,13 +27,15 @@ class SimRuntime(Runtime):
     :class:`~repro.sim.network.Network` *is* the transport — both already
     satisfy the :mod:`repro.env.api` protocols; this facade only bundles
     them with per-node :class:`~repro.sim.cpu.CpuQueue` executors.
+    ``latency`` is the links' delay model (default: a constant 50 µs,
+    half the paper's 0.1 ms LAN round trip).
     """
 
     deterministic = True
 
     def __init__(
         self,
-        network_config: Optional[NetworkConfig] = None,
+        latency: Optional[LatencyModel] = None,
         seed: int = 1,
         trace_capacity: int = 0,
     ) -> None:
@@ -42,7 +45,7 @@ class SimRuntime(Runtime):
         self.rng = SeededRng(seed)
         self.network = Network(
             self.loop,
-            network_config if network_config is not None else NetworkConfig(),
+            latency if latency is not None else ConstantLatency(0.00005),
             self.rng,
             self.monitor,
         )

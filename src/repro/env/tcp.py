@@ -17,7 +17,9 @@ Messages to local endpoints short-circuit through the ready queue;
 messages to remote endpoints go through one ordered outbound queue per
 peer host, so per-link FIFO holds across the socket as well.  Partition
 semantics match the in-process transport: pair- and site-blocked traffic
-is dropped at the sender and counted as ``net.partitioned``.
+is dropped at the sender and counted as ``net.partitioned``.  The
+transport applies no latency model and loses nothing on its own; loss is
+:class:`~repro.env.chaos.ChaosTransport`'s.
 
 Robustness: outbound pumps survive connection loss — they reconnect with
 capped exponential backoff plus jitter (``net.reconnect`` counted) and
@@ -38,14 +40,13 @@ before cancelling the pumps.
 from __future__ import annotations
 
 import asyncio
+import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.env.codec import get_codec
 from repro.env.links import LinkTable
 from repro.env.monitor import Monitor
-from repro.sim.network import NetworkConfig
-from repro.sim.rng import SeededRng
 
 #: how often an outbound connection (re)tries before giving up
 CONNECT_RETRIES = 40
@@ -71,18 +72,13 @@ class TcpTransport(LinkTable):
         self,
         aloop: asyncio.AbstractEventLoop,
         clock: Any = None,
-        config: Optional[NetworkConfig] = None,
-        rng: Optional[SeededRng] = None,
         monitor: Optional[Monitor] = None,
         directory: Optional[Dict[str, Tuple[str, int]]] = None,
         site_directory: Optional[Dict[str, str]] = None,
         host: str = "127.0.0.1",
         wire: str = "json",
     ) -> None:
-        super().__init__(
-            config if config is not None else NetworkConfig(),
-            rng if rng is not None else SeededRng(0),
-            monitor if monitor is not None else Monitor())
+        super().__init__(monitor if monitor is not None else Monitor())
         self._aloop = aloop
         self.directory = directory if directory is not None else {}
         #: endpoint name -> site label, shared across hosts like the address
@@ -148,7 +144,7 @@ class TcpTransport(LinkTable):
 
     # -- sending -----------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, src: str, dst: str, payload: Any) -> None:
         if src not in self._endpoints:
             raise NetworkError(f"unknown source endpoint {src!r}")
         local = dst in self._endpoints
@@ -161,9 +157,6 @@ class TcpTransport(LinkTable):
         if self._blocked_sites and (
                 (self.site_of(src), self.site_of(dst)) in self._blocked_sites):
             self.monitor.count("net.partitioned")
-            return
-        if self._config.drop_rate > 0 and self._rng.random() < self._config.drop_rate:
-            self.monitor.count("net.dropped")
             return
         if local:
             actor = self._endpoints[dst][0]
@@ -195,14 +188,21 @@ class TcpTransport(LinkTable):
         return queue
 
     async def _connect(self, address: Tuple[str, int]):
-        """Open a connection with capped exponential backoff plus jitter."""
+        """Open a connection with capped exponential backoff plus jitter.
+
+        The jitter factor, in [0.5, 1.5), is a crc32 of (this host, the
+        peer, the attempt): hosts retrying one peer de-synchronize without
+        a random draw.
+        """
         for attempt in range(CONNECT_RETRIES):
             try:
                 _, writer = await asyncio.open_connection(*address)
                 return writer
             except OSError:
                 backoff = min(CONNECT_BACKOFF * (2 ** attempt), MAX_BACKOFF)
-                await asyncio.sleep(backoff * (0.5 + self._rng.random()))
+                key = f"{self.host}:{self.port}>{address}:{attempt}"
+                jitter = (zlib.crc32(key.encode()) % 1024) / 1024.0
+                await asyncio.sleep(backoff * (0.5 + jitter))
         self.monitor.count("net.connect_failed")
         return None
 

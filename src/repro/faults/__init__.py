@@ -13,9 +13,10 @@ code is the deployment's ``replica_classes`` / ``app_overrides`` dicts.
 :mod:`repro.faults.nemesis` generates seeded, randomized timelines of the
 same ops, bounded by ``f`` faults per group.
 
-:mod:`repro.faults.elasticity` makes membership churn a schedulable fault:
-join/leave swaps and f-changing scale ops driven through each group's
-ordered reconfiguration path, plus an optional gauge-driven autoscaler.
+:mod:`repro.faults.elasticity` makes membership churn a fault: join/leave
+swaps and f-changing scale ops driven through each group's ordered
+reconfiguration path, each acting when called; :func:`schedule_ops` is
+what times them.
 
 The test suite uses these to demonstrate the properties the paper claims:
 with at most ``f`` faulty replicas per group, safety (agreement, integrity,
@@ -37,11 +38,7 @@ from repro.faults.behaviors import (
     WithholdingRelayApp,
     WrongVoteReplica,
 )
-from repro.faults.elasticity import (
-    AutoscalePolicy,
-    ElasticityController,
-    elasticity_controller,
-)
+from repro.faults.elasticity import ElasticityController, elasticity_controller
 from repro.faults.injector import schedule_crash, schedule_ops
 from repro.faults.nemesis import (
     PROFILES,
@@ -67,7 +64,6 @@ __all__ = [
     "schedule_crash",
     "schedule_ops",
     "ElasticityController",
-    "AutoscalePolicy",
     "elasticity_controller",
     "NemesisOp",
     "NemesisSchedule",

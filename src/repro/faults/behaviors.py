@@ -45,12 +45,12 @@ class EquivocatingLeaderReplica(Replica):
         first, second = peers[:half], peers[half:]
         proposal_a = Propose(self.group_id, regency, cid, batch, self.name)
         for peer in first:
-            self.send(peer, proposal_a, size=64 * max(1, len(batch)))
+            self.send(peer, proposal_a)
         if len(batch) > 1:
             twisted = tuple(reversed(batch))
             proposal_b = Propose(self.group_id, regency, cid, twisted, self.name)
             for peer in second:
-                self.send(peer, proposal_b, size=64 * max(1, len(batch)))
+                self.send(peer, proposal_b)
         self.monitor.record(self.name, "byzantine.equivocation", cid=cid)
         self._process_proposal(self.name, proposal_a)
 
@@ -101,7 +101,7 @@ class ForgingCertificateLeaderReplica(Replica):
 class MuteReplica(Replica):
     """Receives everything, says nothing (a fail-silent Byzantine replica)."""
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         self.monitor.count("byzantine.muted_send")
 
 
@@ -111,24 +111,24 @@ class DelayingReplica(Replica):
     #: injected via class attribute so the standard build path still works
     delay: float = 0.5
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         if self.crashed:
             return
         self.set_timer(self.delay,
-                       partial(Replica.send, self, dst, payload, size))
+                       partial(Replica.send, self, dst, payload))
 
 
 class WrongVoteReplica(Replica):
     """Votes with corrupted digests (cannot affect what honest quorums decide)."""
 
-    def _broadcast(self, message: Any, size: int = 64) -> None:
+    def _broadcast(self, message: Any) -> None:
         if isinstance(message, Write):
             message = Write(message.group, message.regency, message.cid,
                             digest(("corrupt", message.digest)), message.sender)
         elif isinstance(message, Accept):
             message = Accept(message.group, message.regency, message.cid,
                              digest(("corrupt", message.digest)), message.sender)
-        super()._broadcast(message, size)
+        super()._broadcast(message)
 
 
 class StaleReadReplica(Replica):
@@ -411,13 +411,13 @@ class LyingAckReplica(Replica):
                     self.send(relayer, ack)
         super()._handle_request(src, request)
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         if isinstance(payload, RelayAck):
             self.monitor.count("byzantine.lying_ack")
             payload = RelayAck(payload.group, payload.parent, payload.sender,
                                payload.next_index + self.LEAD,
                                payload.regency)
-        super().send(dst, payload, size)
+        super().send(dst, payload)
 
 
 class SilentAckReplica(Replica):
@@ -425,11 +425,11 @@ class SilentAckReplica(Replica):
     never acknowledges a relay stream: the parents' outboxes must empty on
     the other members' acks."""
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         if isinstance(payload, RelayAck):
             self.monitor.count("byzantine.silent_ack")
             return
-        super().send(dst, payload, size)
+        super().send(dst, payload)
 
 
 class QuorumSilentReplica(Replica):
@@ -446,7 +446,7 @@ class QuorumSilentReplica(Replica):
     def _handle_request(self, src: str, request: Request) -> None:
         self.monitor.count("byzantine.quorum_silent")
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         if isinstance(payload, (Reply, MulticastReply)):
             return
-        super().send(dst, payload, size)
+        super().send(dst, payload)

@@ -1,4 +1,4 @@
-"""Elastic membership: scheduled churn ops and gauge-driven autoscaling.
+"""Elastic membership: churn ops through the ordered reconfiguration path.
 
 The :class:`ElasticityController` turns membership churn into a runnable
 fault: ``join``/``leave`` swap a fresh standby replica in for an existing
@@ -17,25 +17,23 @@ controller
   consensus boundary on every neighbour replica.
 
 Ops on one group are serialized (one ``Reconfig`` in flight at a time);
-ops on different groups proceed concurrently.  Scheduling goes through the
-deployment's :class:`~repro.env.api.Runtime` facade, so the same plan runs
-on the simulator and the real-time backend.
-
-:class:`AutoscalePolicy` is the optional closed loop: it periodically reads
-the ``consensus.in_flight.<replica>`` Monitor gauges (pipeline pressure)
-and scales a group up when the window stays saturated, back down when it
-drains — only ever undoing its own scale-ups.
+ops on different groups proceed concurrently.  Each op acts when called;
+timing one is :func:`~repro.faults.injector.schedule_ops`'s, which arms a
+``join``/``leave``/``scale_up``/``scale_down``
+:class:`~repro.faults.nemesis.NemesisOp` as one call of the method of the
+same name, through the deployment's :class:`~repro.env.api.Runtime`
+facade, so the same op list runs on the simulator and the real-time
+backend.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.bcast.reconfig import View, ViewManager
 from repro.bcast.replica import Replica
 from repro.core.messages import MembershipUpdate, TreeUpdate
 from repro.core.tree import OverlayTree
-from repro.faults.injector import _at
 
 #: replicas added per scale step (a view has 3f+1 members, so f -> f+1
 #: adds exactly three)
@@ -71,32 +69,23 @@ class ElasticityController:
 
     # ------------------------------------------------------------------- ops
 
-    def join(self, group_id: str, at: Optional[float] = None,
-             member: Optional[str] = None) -> "ElasticityController":
+    def join(self, group_id: str, member: Optional[str] = None) -> None:
         """Swap a fresh standby in for ``member`` (default: last member)."""
-        self._schedule(group_id, at, lambda: self._swap(group_id, member, "join"))
-        return self
+        self._enqueue(group_id, lambda: self._swap(group_id, member, "join"))
 
-    def leave(self, group_id: str, member: Optional[str] = None,
-              at: Optional[float] = None) -> "ElasticityController":
+    def leave(self, group_id: str, member: Optional[str] = None) -> None:
         """Remove ``member`` (default: last member), back-filled by a standby."""
-        self._schedule(group_id, at, lambda: self._swap(group_id, member, "leave"))
-        return self
+        self._enqueue(group_id, lambda: self._swap(group_id, member, "leave"))
 
-    def scale_up(self, group_id: str,
-                 at: Optional[float] = None) -> "ElasticityController":
+    def scale_up(self, group_id: str) -> None:
         """Grow the group to ``f + 1`` (adds three fresh standbys)."""
-        self._schedule(group_id, at, lambda: self._scale_up(group_id))
-        return self
+        self._enqueue(group_id, lambda: self._scale_up(group_id))
 
-    def scale_down(self, group_id: str,
-                   at: Optional[float] = None) -> "ElasticityController":
+    def scale_down(self, group_id: str) -> None:
         """Shrink the group to ``f - 1`` (drops the newest three members)."""
-        self._schedule(group_id, at, lambda: self._scale_down(group_id))
-        return self
+        self._enqueue(group_id, lambda: self._scale_down(group_id))
 
-    def tree_update(self, tree: OverlayTree,
-                    at: Optional[float] = None) -> "ElasticityController":
+    def tree_update(self, tree: OverlayTree) -> None:
         """Switch the deployment to a new overlay tree (docs/TREES.md).
 
         The switch is a drain barrier followed by an ordered
@@ -116,9 +105,6 @@ class ElasticityController:
         hold across the switch by the unchanged per-tree argument.
         Switches serialize; one requested mid-switch runs after.
         """
-        if at is not None:
-            _at(self.clock, at, lambda: self.tree_update(tree))
-            return self
         current = self.deployment.tree
         if tree.targets != current.targets or tree.nodes != current.nodes:
             raise ValueError(
@@ -126,14 +112,13 @@ class ElasticityController:
                 "group join/leave goes through membership elasticity")
         if self._tree_busy:
             self._tree_queue.append(tree)
-            return self
+            return
         self._tree_busy = True
         for client in self.deployment.clients:
             client.pause()
         self.monitor.record("elasticity", "tree.barrier",
                             epoch=self.tree_epoch + 1)
         self._await_drain(tree)
-        return self
 
     def _await_drain(self, tree: OverlayTree) -> None:
         draining = any(c.pending_writes() for c in self.deployment.clients)
@@ -192,17 +177,11 @@ class ElasticityController:
         config = self.deployment.group_configs[group_id]
         return config.replicas, config.f
 
-    # ------------------------------------------------------------ scheduling
-
-    def _schedule(self, group_id: str, at: Optional[float], thunk) -> None:
-        if group_id not in self.deployment.groups:
-            raise KeyError(f"unknown group {group_id!r}")
-        if at is None:
-            self._enqueue(group_id, thunk)
-        else:
-            _at(self.clock, at, lambda: self._enqueue(group_id, thunk))
+    # ---------------------------------------------------------- the op queue
 
     def _enqueue(self, group_id: str, thunk) -> None:
+        if group_id not in self.deployment.groups:
+            raise KeyError(f"unknown group {group_id!r}")
         self._queues.setdefault(group_id, []).append(thunk)
         self._drain(group_id)
 
@@ -360,88 +339,3 @@ def elasticity_controller(deployment) -> ElasticityController:
         controller = ElasticityController(deployment)
         deployment._elasticity = controller
     return controller
-
-
-class AutoscalePolicy:
-    """Scale groups on sustained consensus-pipeline pressure.
-
-    Reads the ``consensus.in_flight.<replica>`` gauges every ``period``
-    seconds: a group whose busiest member holds ``high_water`` or more open
-    instances for ``sustain`` consecutive ticks scales up (to at most
-    ``max_f``); once pressure stays at or below ``low_water`` equally long,
-    the policy undoes its *own* scale-ups only (never shrinking below the
-    configured membership).
-    """
-
-    def __init__(
-        self,
-        controller: ElasticityController,
-        groups: Optional[Sequence[str]] = None,
-        period: float = 1.0,
-        high_water: float = 3.0,
-        low_water: float = 1.0,
-        sustain: int = 2,
-        max_f: int = 2,
-    ) -> None:
-        self.controller = controller
-        dep = controller.deployment
-        self.groups = tuple(groups) if groups is not None else tuple(
-            sorted(dep.groups))
-        self.period = period
-        self.high_water = high_water
-        self.low_water = low_water
-        self.sustain = sustain
-        self.max_f = max_f
-        self._hot: Dict[str, int] = {}
-        self._cold: Dict[str, int] = {}
-        #: scale-ups this policy issued and may undo, per group
-        self._owed: Dict[str, int] = {}
-        self._running = False
-
-    def start(self) -> "AutoscalePolicy":
-        if not self._running:
-            self._running = True
-            self.controller.clock.schedule(self.period, self._tick)
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-
-    def pressure(self, group_id: str) -> float:
-        """The busiest member's in-flight gauge (0 when never reported)."""
-        dep = self.controller.deployment
-        gauges = dep.monitor.gauges
-        return max(
-            (gauges.get(f"consensus.in_flight.{name}", 0.0)
-             for name in dep.group_configs[group_id].replicas),
-            default=0.0,
-        )
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        for group_id in self.groups:
-            depth = self.pressure(group_id)
-            config = self.controller.deployment.group_configs[group_id]
-            if depth >= self.high_water:
-                self._cold[group_id] = 0
-                self._hot[group_id] = self._hot.get(group_id, 0) + 1
-                if (self._hot[group_id] >= self.sustain
-                        and config.f < self.max_f
-                        and self.controller.idle()):
-                    self._hot[group_id] = 0
-                    self._owed[group_id] = self._owed.get(group_id, 0) + 1
-                    self.controller.scale_up(group_id)
-            elif depth <= self.low_water:
-                self._hot[group_id] = 0
-                self._cold[group_id] = self._cold.get(group_id, 0) + 1
-                if (self._cold[group_id] >= self.sustain
-                        and self._owed.get(group_id, 0) > 0
-                        and self.controller.idle()):
-                    self._cold[group_id] = 0
-                    self._owed[group_id] -= 1
-                    self.controller.scale_down(group_id)
-            else:
-                self._hot[group_id] = 0
-                self._cold[group_id] = 0
-        self.controller.clock.schedule(self.period, self._tick)

@@ -57,10 +57,14 @@ def schedule_ops(deployment, ops: Sequence["NemesisOp"]) -> None:
     act on the deployment's transport, which must be a
     :class:`~repro.env.chaos.ChaosTransport` (``install_chaos`` before the
     deployment is built).  ``join``/``leave``/``scale_up``/``scale_down``
-    go through the deployment's cached
-    :func:`~repro.faults.elasticity.elasticity_controller`.
+    call the method of the same name of the deployment's cached
+    :func:`~repro.faults.elasticity.elasticity_controller` at the op's
+    time, with the op's target as arguments; this is the only code that
+    times a churn op.  A list that names an unknown group or needs a
+    missing ChaosTransport raises before any op is armed.
     """
     from repro.faults.elasticity import elasticity_controller
+    from repro.faults.nemesis import CHURN_KINDS
 
     clock = deployment.runtime.clock
     transport = deployment.runtime.transport
@@ -70,6 +74,11 @@ def schedule_ops(deployment, ops: Sequence["NemesisOp"]) -> None:
             f"ops {sorted(needs_chaos)} need a ChaosTransport; install_chaos "
             f"on the runtime before building the deployment"
         )
+    churn = [op for op in ops if op.kind in CHURN_KINDS]
+    unknown = {op.target[0] for op in churn} - set(deployment.groups)
+    if unknown:
+        raise KeyError(f"unknown group(s) {sorted(unknown)}")
+    controller = elasticity_controller(deployment) if churn else None
 
     def isolate(cut: Callable[[str, str], None], gid: str, victim: str) -> None:
         for peer in deployment.group_configs[gid].replicas:
@@ -98,15 +107,7 @@ def schedule_ops(deployment, ops: Sequence["NemesisOp"]) -> None:
             detail = dict(op.detail)
             clock.schedule(delay, partial(transport.flap_link, *target,
                                           detail["period"], int(detail["cycles"])))
-        elif kind == "join":
-            elasticity_controller(deployment).join(
-                target[0], at=op.time, member=target[1])
-        elif kind == "leave":
-            elasticity_controller(deployment).leave(
-                target[0], member=target[1], at=op.time)
-        elif kind == "scale_up":
-            elasticity_controller(deployment).scale_up(target[0], at=op.time)
-        elif kind == "scale_down":
-            elasticity_controller(deployment).scale_down(target[0], at=op.time)
+        elif kind in CHURN_KINDS:
+            clock.schedule(delay, partial(getattr(controller, kind), *target))
         else:
             raise ValueError(f"unknown fault op kind {kind!r}")

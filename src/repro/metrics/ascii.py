@@ -36,13 +36,11 @@ def bar_chart(rows: Sequence[Tuple[str, float]], width: int = 50,
 
 
 def cdf_plot(series: Dict[str, Sequence[float]], width: int = 60,
-             height: int = 12, unit_scale: float = 1000.0,
-             unit: str = "ms") -> str:
-    """Plot one or more latency CDFs on a shared axis.
+             height: int = 12) -> str:
+    """Plot one or more latency CDFs on a shared axis labelled in ms.
 
     Args:
         series: label → raw latency samples (seconds).
-        unit_scale: multiplier for axis labels (1000 → milliseconds).
     """
     series = {label: list(samples) for label, samples in series.items()
               if samples}
@@ -67,8 +65,8 @@ def cdf_plot(series: Dict[str, Sequence[float]], width: int = 60,
         fraction = 1.0 - row_index / (height - 1)
         lines.append(f"{fraction:4.0%} |" + "".join(row))
     lines.append("     +" + "-" * width)
-    left = f"{lo * unit_scale:.1f}{unit}"
-    right = f"{hi * unit_scale:.1f}{unit}"
+    left = f"{lo * 1000.0:.1f}ms"
+    right = f"{hi * 1000.0:.1f}ms"
     lines.append("      " + left + " " * max(1, width - len(left) - len(right)) + right)
     lines.extend(legend)
     return "\n".join(lines)

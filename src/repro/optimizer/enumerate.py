@@ -46,10 +46,10 @@ def _partitions_all(items: Tuple[str, ...]) -> Iterator[List[Tuple[str, ...]]]:
             yield candidate
 
 
-def _partitions(items: Tuple[str, ...], min_blocks: int = 2) -> Iterator[List[Tuple[str, ...]]]:
-    """Set partitions with at least ``min_blocks`` blocks."""
+def _partitions(items: Tuple[str, ...]) -> Iterator[List[Tuple[str, ...]]]:
+    """Set partitions with at least two blocks."""
     for partition in _partitions_all(items):
-        if len(partition) >= min_blocks:
+        if len(partition) >= 2:
             yield partition
 
 
@@ -60,7 +60,7 @@ def _shapes(targets: Tuple[str, ...], max_inner: int) -> Iterator[Tuple[Shape, i
         return
     if max_inner < 1:
         return
-    for blocks in _partitions(targets, min_blocks=2):
+    for blocks in _partitions(targets):
         block_shape_lists = []
         for block in blocks:
             block_shape_lists.append(list(_shapes(tuple(sorted(block)), max_inner - 1)))

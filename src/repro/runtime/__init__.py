@@ -19,9 +19,9 @@ from repro.runtime.environments import (
     TABLE1_RTT_MS,
     bench_costs,
     calibrated_costs,
-    lan_network_config,
+    lan_latency_model,
     scale_costs,
-    wan_network_config,
+    wan_latency_model,
     wan_site_assigner,
 )
 
@@ -29,8 +29,8 @@ __all__ = [
     "REGIONS",
     "TABLE1_RTT_MS",
     "BENCH_SCALE",
-    "lan_network_config",
-    "wan_network_config",
+    "lan_latency_model",
+    "wan_latency_model",
     "wan_site_assigner",
     "calibrated_costs",
     "bench_costs",

@@ -24,7 +24,7 @@ import dataclasses
 from typing import Callable, Dict, Tuple
 
 from repro.bcast.config import CostModel
-from repro.env import JitterLatency, MatrixLatency, NetworkConfig
+from repro.env import JitterLatency, MatrixLatency
 
 #: the four EC2 regions of §V-B2 (R1..R4)
 REGIONS: Tuple[str, ...] = ("CA", "VA", "EU", "JP")
@@ -43,22 +43,18 @@ TABLE1_RTT_MS: Dict[Tuple[str, str], float] = {
 BENCH_SCALE = 10.0
 
 
-def lan_network_config(jitter: float = 0.2) -> NetworkConfig:
+def lan_latency_model(jitter: float = 0.2) -> JitterLatency:
     """The LAN of §V-B1: 0.1 ms RTT (50 µs one-way) with jitter."""
-    return NetworkConfig(latency=JitterLatency(0.00005, jitter))
+    return JitterLatency(0.00005, jitter)
 
 
 def wan_latency_model(jitter: float = 0.05) -> MatrixLatency:
-    """Table I as a one-way latency matrix (RTT / 2), in seconds."""
+    """The WAN of §V-B2: Table I as a one-way latency matrix (RTT / 2),
+    in seconds."""
     matrix = {
         pair: rtt_ms / 2.0 / 1000.0 for pair, rtt_ms in TABLE1_RTT_MS.items()
     }
     return MatrixLatency(matrix, local=0.00005, jitter=jitter)
-
-
-def wan_network_config(jitter: float = 0.05) -> NetworkConfig:
-    """The WAN of §V-B2."""
-    return NetworkConfig(latency=wan_latency_model(jitter))
 
 
 def wan_site_assigner(group_id: str, replica_index: int) -> str:

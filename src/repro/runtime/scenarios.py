@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.runtime.environments import (
     BENCH_SCALE,
     REGIONS,
-    wan_network_config,
+    wan_latency_model,
 )
 from repro.scenario import (
     ProtocolSpec,
@@ -94,7 +94,7 @@ def table1_wan_latency() -> Dict[Tuple[str, str], Dict[str, float]]:
     from repro.env.simbackend import SimRuntime
     from repro.runtime.environments import TABLE1_RTT_MS
 
-    runtime = SimRuntime(network_config=wan_network_config(jitter=0.0), seed=1)
+    runtime = SimRuntime(latency=wan_latency_model(jitter=0.0), seed=1)
 
     class Ping(Actor):
         def __init__(self, name):

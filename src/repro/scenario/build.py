@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bcast.config import CostModel
 from repro.core.deployment import ByzCastDeployment, SiteAssigner
 from repro.core.tree import OverlayTree
-from repro.env import NetworkConfig, Runtime, make_runtime
+from repro.env import LatencyModel, Runtime, make_runtime
 from repro.errors import ConfigurationError
 from repro.metrics.collector import LatencyCollector, ThroughputMeter
 from repro.metrics.stats import LatencySummary
@@ -53,18 +53,15 @@ def build_tree(topology: TopologySpec) -> OverlayTree:
     raise ConfigurationError(f"unknown tree layout {topology.layout!r}")
 
 
-def build_network_config(topology: TopologySpec) -> Optional[NetworkConfig]:
-    from repro.runtime.environments import (
-        lan_network_config,
-        wan_network_config,
-    )
+def build_latency(topology: TopologySpec) -> Optional[LatencyModel]:
+    from repro.runtime.environments import lan_latency_model, wan_latency_model
 
     if topology.latency == "default":
         return None
     if topology.latency == "lan":
-        return lan_network_config()
+        return lan_latency_model()
     if topology.latency == "wan":
-        return wan_network_config()
+        return wan_latency_model()
     raise ConfigurationError(f"unknown latency model {topology.latency!r}")
 
 
@@ -134,7 +131,7 @@ def build_runtime(spec: ScenarioSpec, trace_capacity: int = 0) -> Runtime:
     """The execution runtime of a scenario (backend, seed, network, wire)."""
     if spec.backend == "sim":
         return make_runtime(
-            "sim", network_config=build_network_config(spec.topology),
+            "sim", latency=build_latency(spec.topology),
             seed=spec.seed, trace_capacity=trace_capacity)
     return make_runtime(
         spec.backend, seed=spec.seed, trace_capacity=trace_capacity,

@@ -15,12 +15,11 @@ insertion order and all randomness flows through :class:`~repro.sim.rng.SeededRn
 from repro.sim.events import Event, EventLoop
 from repro.sim.rng import SeededRng
 from repro.sim.cpu import CpuQueue
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.latency import (
     ConstantLatency,
     JitterLatency,
     LatencyModel,
-    LogNormalLatency,
     MatrixLatency,
 )
 
@@ -30,10 +29,8 @@ __all__ = [
     "SeededRng",
     "CpuQueue",
     "Network",
-    "NetworkConfig",
     "LatencyModel",
     "ConstantLatency",
     "JitterLatency",
-    "LogNormalLatency",
     "MatrixLatency",
 ]

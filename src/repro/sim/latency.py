@@ -81,35 +81,6 @@ class JitterLatency(LatencyModel):
         return _jittered(self.base, self.jitter, rng)
 
 
-class LogNormalLatency(LatencyModel):
-    """Log-normally distributed one-way delay (heavy-tailed realism).
-
-    Real network delays have long right tails; this model samples
-    ``delay = median * exp(sigma * N(0, 1))``, clamped below at
-    ``floor * median`` (propagation delay cannot shrink arbitrarily).
-
-    Args:
-        median: the distribution's median one-way delay (seconds).
-        sigma: log-scale spread; 0.1-0.3 is typical for LANs, 0.05-0.15
-            for long-haul WAN paths.
-        floor: lower clamp as a fraction of the median.
-    """
-
-    def __init__(self, median: float, sigma: float = 0.2,
-                 floor: float = 0.7) -> None:
-        if median < 0 or sigma < 0 or not 0 < floor <= 1:
-            raise ValueError("need median, sigma >= 0 and 0 < floor <= 1")
-        self.median = median
-        self.sigma = sigma
-        self.floor = floor
-
-    def delay(self, src_site: str, dst_site: str, rng: random.Random) -> float:
-        if self.sigma == 0:
-            return self.median
-        sample = self.median * (2.718281828459045 ** (self.sigma * rng.gauss(0, 1)))
-        return max(self.floor * self.median, sample)
-
-
 class MatrixLatency(LatencyModel):
     """Pairwise one-way delays from a site-to-site matrix (WAN, Table I).
 

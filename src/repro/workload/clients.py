@@ -394,8 +394,7 @@ class FlashCrowdDriver(VariableRateOpenLoopDriver):
     Arrivals run at ``rate`` except during the window ``[flash_at,
     flash_at + flash_width)`` (relative to :meth:`start`), where the rate
     steps to ``rate * flash_factor``.  Drivers started together spike
-    together — the convoy case that stresses the root group's pipeline
-    and, with autoscaling, triggers a scale-up.
+    together — the convoy case that stresses the root group's pipeline.
     """
 
     def __init__(self, *args, flash_at: float = 1.0, flash_factor: float = 8.0,

@@ -305,21 +305,18 @@ def zipfian_keys(count: int, s: float = 1.0, prefix: str = "key") -> KeySampler:
 
 def hotspot_keys(
     count: int,
-    hot_fraction: float = 0.1,
     hot_weight: float = 0.9,
     prefix: str = "key",
 ) -> KeySampler:
     """A small hot set absorbs most accesses (90/10-style skew).
 
-    ``hot_fraction`` of the key space (at least one key) receives
-    ``hot_weight`` of the draws; the cold remainder shares the rest.
+    A tenth of the key space (at least one key) receives ``hot_weight`` of
+    the draws; the cold remainder shares the rest.
     """
     keys = key_space(count, prefix)
-    if not 0.0 < hot_fraction <= 1.0:
-        raise WorkloadError("hot_fraction must be in (0, 1]")
     if not 0.0 < hot_weight <= 1.0:
         raise WorkloadError("hot_weight must be in (0, 1]")
-    hot_count = max(1, int(len(keys) * hot_fraction))
+    hot_count = max(1, len(keys) // 10)
     hot, cold = keys[:hot_count], keys[hot_count:]
     if not cold:
         return uniform_keys(count, prefix)

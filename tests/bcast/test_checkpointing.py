@@ -454,7 +454,8 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
                for r in dep.groups[gid].replicas)
 
     controller = elasticity_controller(dep)
-    controller.join("h1").join("g1")
+    controller.join("h1")
+    controller.join("g1")
     dep.runtime.run_until(controller.idle, timeout=30.0)
     relayer = dep.groups["h1"].replica("h1/r4")
     merger = dep.groups["g1"].replica("g1/r4")
@@ -466,11 +467,11 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
     relayed_by_joiner = []
     send = relayer.send
 
-    def spy(dst, payload, size=64):
+    def spy(dst, payload):
         if isinstance(payload, Request) and isinstance(payload.command,
                                                        RelayBatch):
             relayed_by_joiner.append(dst)
-        send(dst, payload, size)
+        send(dst, payload)
 
     relayer.send = spy
     burst("post", 10, until=dep.runtime.clock.now + 3.0)

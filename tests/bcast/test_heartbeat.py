@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import Harness, make_config
+from tests.helpers import Harness
 
 
 def test_quiesced_laggard_catches_up_via_heartbeat():
@@ -23,20 +23,6 @@ def test_quiesced_laggard_catches_up_via_heartbeat():
     # The leader's heartbeat exposed the gap and the laggard state-transferred.
     assert lagger.log.next_execute == h.group.replicas[0].log.next_execute
     assert lagger.app.executed == h.group.replicas[0].app.executed
-
-
-def test_heartbeats_can_be_disabled():
-    h = Harness(config=make_config("g1", heartbeat_interval=0.0))
-    client = h.add_client()
-    client.submit(("x",))
-    h.run(until=2.0)
-    assert len(client.results) == 1
-    # No heartbeat events were produced.
-    assert h.monitor.counters.get("net.sent", 0) > 0
-    lagger = h.group.replicas[3]
-    before = lagger.log.next_execute
-    h.loop.run(until=5.0)
-    assert lagger.log.next_execute == before  # nothing changes while idle
 
 
 def test_only_the_leader_beats():

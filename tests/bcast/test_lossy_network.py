@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.latency import JitterLatency
-from repro.sim.network import NetworkConfig
+from repro.env.chaos import ChaosConfig
 from tests.helpers import FAST_COSTS, Harness, TestClient, make_config
 
 
 class LossyHarness(Harness):
+    """Replica and client messages alike are lost at ``drop_rate``, by the
+    ChaosTransport every actor registers through."""
+
     def __init__(self, drop_rate: float, **kwargs):
-        super().__init__(**kwargs)
-        self.network.config = NetworkConfig(
-            latency=JitterLatency(0.00005, 0.2), drop_rate=drop_rate
-        )
+        super().__init__(chaos=ChaosConfig(drop_rate=drop_rate), **kwargs)
 
 
 def test_progress_with_5_percent_drops():
@@ -24,6 +23,7 @@ def test_progress_with_5_percent_drops():
         client.submit(("op", j))
     h.run(until=60.0)
     assert len(client.results) == 30
+    assert h.monitor.counters["chaos.dropped"] > 0
     sequences = [r.app.executed for r in h.group.correct_replicas()]
     # At least a quorum of replicas share the full, identical order
     # (laggards may still be catching up via state transfer).
@@ -39,6 +39,7 @@ def test_progress_with_20_percent_drops():
         client.submit(("op", j))
     h.run(until=120.0)
     assert len(client.results) == 10
+    assert h.monitor.counters["chaos.dropped"] > 0
 
 
 def test_a_retransmission_is_answered_after_later_requests():

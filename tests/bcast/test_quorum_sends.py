@@ -20,10 +20,10 @@ class _Spy:
         self.sends = []
         send = client.send
 
-        def spy(dst, payload, size=64):
+        def spy(dst, payload):
             if isinstance(payload, Request):
                 self.sends.append((payload.seq, dst))
-            send(dst, payload, size)
+            send(dst, payload)
 
         client.send = spy
 

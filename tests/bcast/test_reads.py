@@ -66,10 +66,10 @@ class ReadClient(Actor):
         #: (rid, replica) per read probe sent, in send order
         self.probes: List[Tuple[int, str]] = []
 
-    def send(self, dst: str, payload: Any, size: int = 64) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         if isinstance(payload, ReadRequest):
             self.probes.append((payload.rid, dst))
-        super().send(dst, payload, size)
+        super().send(dst, payload)
 
     def asked(self, rid: int) -> set:
         return {dst for probe, dst in self.probes if probe == rid}

@@ -3,9 +3,10 @@
 Each test wraps the backend's transport in a :class:`ChaosTransport` via
 :func:`install_chaos` and verifies the injected-fault semantics — drops,
 duplication, corruption, burst windows, targeted delays, link flapping and
-partition delegation — behave the same over the deterministic simulator
-and the real-time asyncio backend.  Rates are pinned to 0 or 1 where the
-assertion must be exact on both backends.
+partition delegation — behave the same over the deterministic simulator,
+the real-time in-process queue and (``tcp``) one TcpTransport host: the
+ChaosTransport is the only way any of them loses a message.  Rates are
+pinned to 0 or 1 where the assertion must be exact on every transport.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import pytest
 
 from repro.env import Actor, make_runtime
 from repro.env.chaos import ChaosConfig, ChaosTransport, corrupt_payload, install_chaos
+from repro.env.tcp import TcpTransport
 
-BACKENDS = ["sim", "rt"]
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["sim", "rt", "tcp"])
 def runtime(request):
-    rt = make_runtime(request.param, seed=11)
+    if request.param == "tcp":
+        rt = make_runtime("rt", seed=11, transport_factory=TcpTransport)
+    else:
+        rt = make_runtime(request.param, seed=11)
     yield rt
     rt.close()
 

@@ -112,11 +112,10 @@ class HostPerGroup:
     """One :class:`TcpTransport` host per group (and one per client), so
     every message between groups is encoded onto a loopback socket."""
 
-    def __init__(self, aloop, clock, config=None, rng=None, monitor=None,
-                 wire="json"):
+    def __init__(self, aloop, clock, monitor=None, wire="json"):
         self.directory, self.sites, self.hosts = {}, {}, {}
         self._new_host = lambda: TcpTransport(
-            aloop, clock, config, rng, monitor, directory=self.directory,
+            aloop, clock, monitor, directory=self.directory,
             site_directory=self.sites, wire=wire)
 
     @staticmethod
@@ -241,9 +240,9 @@ def test_follower_writes_a_received_batch_without_walking_it_again():
     handled = []
     outgoing = []
 
-    def recording_send(dst, payload, size=64):
+    def recording_send(dst, payload):
         outgoing.append(payload)
-        send(dst, payload, size)
+        send(dst, payload)
 
     def recording_handle(src, wrapped):
         proposal = wrapped.proposal

@@ -32,8 +32,9 @@ from repro.crypto.keys import KeyRegistry
 from repro.faults.injector import schedule_ops
 from repro.faults.nemesis import NemesisOp
 from repro.sim.events import EventLoop
+from repro.env.chaos import ChaosConfig, install_chaos
+from repro.env.simbackend import SimRuntime
 from repro.sim.latency import JitterLatency
-from repro.sim.network import NetworkConfig
 from repro.types import destination
 from tests.helpers import (
     FAST_COSTS,
@@ -89,7 +90,7 @@ class TestBroadcastLayerByzantine:
         replica = EquivocatingLeaderReplica(
             name, h.config, h.runtime, h.registry, EchoApplication(),
             view=view)
-        replica.send = lambda dst, payload, size=64: None
+        replica.send = lambda dst, payload: None
         replica._send_propose(0, 0, (Request("g1", "c0", 1, ("op", 1)),))
         assert h.monitor.counters["byzantine.equivocation"] == equivocations
 
@@ -247,17 +248,18 @@ class AuditedOutbox(RelayOutbox):
 
 
 def ack_battery(adversary, f: int = 1) -> None:
-    """f ``adversary`` replicas in every group that receives relays, on a
-    link that drops 5 % of all messages: every multicast is delivered, the
-    order checks hold, no copy leaves an outbox on the adversaries' acks
-    alone, and every outbox empties."""
+    """f ``adversary`` replicas in every group that receives relays, behind
+    a ChaosTransport that drops 5 % of all messages: every multicast is
+    delivered, the order checks hold, no copy leaves an outbox on the
+    adversaries' acks alone, and every outbox empties."""
     tree = OverlayTree.paper_tree()
     classes = {gid: {f"{gid}/r{1 + 3 * slot}": adversary for slot in range(f)}
                for gid in sorted(tree.nodes) if tree.parent(gid) is not None}
     adversaries = {name for members in classes.values() for name in members}
-    lossy = NetworkConfig(latency=JitterLatency(0.00005, 0.2), drop_rate=0.05)
+    runtime = SimRuntime(latency=JitterLatency(0.00005, 0.2))
+    install_chaos(runtime, ChaosConfig(drop_rate=0.05))
     dep = make_deployment(tree, replica_classes=classes, f=f,
-                          network_config=lossy)
+                          runtime=runtime)
     outbox = type("Outbox", (AuditedOutbox,),
                   {"adversaries": frozenset(adversaries)})
     for group in dep.groups.values():
@@ -268,7 +270,7 @@ def ack_battery(adversary, f: int = 1) -> None:
     counters = dep.monitor.counters
     assert counters["byzantine.lying_ack" if adversary is LyingAckReplica
                     else "byzantine.silent_ack"] > 0
-    assert counters["net.dropped"] > 0
+    assert counters["chaos.dropped"] > 0
     for gid in tree.auxiliaries:
         for replica in dep.groups[gid].replicas:
             for child, kept in replica.app._outboxes.items():

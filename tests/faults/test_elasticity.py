@@ -1,6 +1,8 @@
-"""The elasticity controller: join/leave swaps, scale cycles, autoscaling.
+"""The elasticity controller: join/leave swaps and scale cycles.
 
-End-to-end on a simulated deployment: every membership change flows
+Timed churn is a NemesisOp list armed by ``schedule_ops``, the one code
+that times a churn op.  End-to-end on a simulated deployment: every
+membership change flows
 through the group's ordered reconfiguration, deployment bookkeeping and
 client proxies follow, and neighbour groups learn the change through
 ordered MembershipUpdate commands (exercised by global multicasts across
@@ -14,7 +16,9 @@ import pytest
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.env import make_runtime
-from repro.faults.elasticity import AutoscalePolicy, elasticity_controller
+from repro.faults.elasticity import elasticity_controller
+from repro.faults.injector import schedule_ops
+from repro.faults.nemesis import NemesisOp
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -39,7 +43,7 @@ def test_join_swaps_a_standby_for_the_last_member():
     client = dep.add_client("c1", retransmit_timeout=0.5)
     controller = elasticity_controller(dep)
     assert elasticity_controller(dep) is controller  # cached per deployment
-    controller.join("g1", at=0.5)
+    schedule_ops(dep, [NemesisOp(0.5, "join", ("g1",), until=0.5)])
     drive_traffic(dep, client, 12, until=6.0)
     runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
 
@@ -59,8 +63,7 @@ def test_join_swaps_a_standby_for_the_last_member():
 def test_leave_replaces_a_named_member():
     runtime, dep = make_deployment(seed=4)
     client = dep.add_client("c1", retransmit_timeout=0.5)
-    controller = elasticity_controller(dep)
-    controller.leave("g1", member="g1/r1", at=0.4)
+    schedule_ops(dep, [NemesisOp(0.4, "leave", ("g1", "g1/r1"), until=0.4)])
     drive_traffic(dep, client, 9, until=6.0)
     runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
 
@@ -75,7 +78,8 @@ def test_scale_cycle_returns_to_original_membership():
     client = dep.add_client("c1", retransmit_timeout=0.5)
     controller = elasticity_controller(dep)
     original = dep.group_configs["g2"].replicas
-    controller.scale_up("g2", at=0.3).scale_down("g2", at=3.0)
+    schedule_ops(dep, [NemesisOp(0.3, "scale_up", ("g2",), until=3.0),
+                       NemesisOp(3.0, "scale_down", ("g2",), until=3.0)])
     drive_traffic(dep, client, 12, until=8.0)
     runtime.run_until(lambda: client.pending() == 0, timeout=30.0)
 
@@ -94,7 +98,8 @@ def test_scale_cycle_returns_to_original_membership():
 def test_scale_down_at_the_floor_is_skipped():
     runtime, dep = make_deployment(seed=6)
     controller = elasticity_controller(dep)
-    controller.scale_down("g1", at=0.1)  # f=1 is the floor
+    # f=1 is the floor
+    schedule_ops(dep, [NemesisOp(0.1, "scale_down", ("g1",), until=0.1)])
     dep.run(until=1.0)
     assert dep.group_configs["g1"].f == 1
     assert controller.events == []
@@ -105,8 +110,7 @@ def test_scale_down_at_the_floor_is_skipped():
 
 def test_swap_of_unknown_member_is_skipped():
     runtime, dep = make_deployment(seed=7)
-    controller = elasticity_controller(dep)
-    controller.leave("g1", member="g1/r9", at=0.1)
+    schedule_ops(dep, [NemesisOp(0.1, "leave", ("g1", "g1/r9"), until=0.1)])
     dep.run(until=1.0)
     assert dep.group_configs["g1"].replicas \
         == ("g1/r0", "g1/r1", "g1/r2", "g1/r3")
@@ -122,27 +126,15 @@ def test_unknown_group_raises():
     runtime.close()
 
 
-def test_autoscale_scales_up_under_pressure_and_undoes_itself():
-    runtime, dep = make_deployment(seed=9)
-    controller = elasticity_controller(dep)
-    policy = AutoscalePolicy(controller, groups=("g1",), period=0.2,
-                             sustain=2, high_water=3.0, low_water=1.0).start()
-    # Sustained pipeline pressure on a member of g1.  The reconfiguration
-    # traffic itself rewrites the gauge to zero once its instances close,
-    # so the pressure drains right after the scale-up confirms and the
-    # policy then undoes its own scale-up.
-    dep.monitor.gauge("consensus.in_flight.g1/r0", 5.0)
-    dep.run(until=6.0)
-    assert [kind for _, kind, _, _ in controller.events] \
-        == ["scale_up", "scale_down"]
-    assert len(controller.events[0][3].split(",")) == 7  # grew to f=2
-    assert dep.group_configs["g1"].f == 1
-    assert len(dep.group_configs["g1"].replicas) == 4
-    # Staying cold must never shrink below the configured floor: the
-    # policy only undoes scale-ups it issued itself.
-    dep.run(until=8.0)
-    assert [kind for _, kind, _, _ in controller.events] \
-        == ["scale_up", "scale_down"]
-    assert dep.group_configs["g1"].f == 1
-    policy.stop()
+def test_an_op_list_naming_an_unknown_group_raises_and_arms_nothing():
+    runtime, dep = make_deployment(seed=8)
+    ops = [NemesisOp(0.1, "crash", ("g1", "g1/r3"), until=0.1),
+           NemesisOp(0.2, "join", ("nope",), until=0.2)]
+    with pytest.raises(KeyError, match="nope"):
+        schedule_ops(dep, ops)
+    dep.run(until=1.0)
+    # the crash listed before the bad op was not armed either
+    assert not dep.groups["g1"].replica("g1/r3").crashed
+    assert dep.group_configs["g1"].replicas \
+        == ("g1/r0", "g1/r1", "g1/r2", "g1/r3")
     runtime.close()

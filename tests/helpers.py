@@ -18,11 +18,11 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.env.actor import Actor
 from repro.env.api import Runtime
+from repro.env.chaos import ChaosConfig, install_chaos
 from repro.env.simbackend import SimRuntime
 from repro.runtime.chaos import DEFAULT_SOAK
 from repro.scenario import ScenarioSpec
 from repro.sim.latency import JitterLatency
-from repro.sim.network import NetworkConfig
 
 #: the shipped scenario files (the named soaks CI runs live here)
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -86,15 +86,19 @@ class TestClient(Actor):
 
 
 class Harness:
-    """One group + clients on a LAN-like network, ready to run."""
+    """One group + clients on a LAN-like network, ready to run; with
+    ``chaos``, every message goes through a ChaosTransport at those rates."""
 
     def __init__(self, f: int = 1, seed: int = 1, group_id: str = "g1",
                  config: Optional[BroadcastConfig] = None,
                  replica_classes: Optional[dict] = None,
-                 trace_capacity: int = 5000) -> None:
+                 trace_capacity: int = 5000,
+                 chaos: Optional[ChaosConfig] = None) -> None:
         self.runtime = SimRuntime(
-            NetworkConfig(latency=JitterLatency(0.00005, 0.2)),
+            latency=JitterLatency(0.00005, 0.2),
             seed=seed, trace_capacity=trace_capacity)
+        if chaos is not None:
+            install_chaos(self.runtime, chaos)
         self.loop = self.runtime.loop
         self.monitor = self.runtime.monitor
         self.rng = self.runtime.rng
@@ -154,7 +158,7 @@ class FakeReplica(Actor):
         #: sender -> the last seq ordered
         self.ordered = {}
 
-    def send(self, dst, payload, size=64):
+    def send(self, dst, payload):
         self.sent.append((dst, payload))
 
     def in_quorum(self):

@@ -76,7 +76,7 @@ class Owner:
         self.sent = []
         self.timers = []
 
-    def send(self, dst: str, payload, size: int = 64) -> None:
+    def send(self, dst: str, payload) -> None:
         self.sent.append((dst, payload))
 
     def set_timer(self, delay: float, callback) -> Timer:

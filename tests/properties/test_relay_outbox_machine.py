@@ -97,7 +97,7 @@ class Owner:
         self.sent = []
         self.timers = []
 
-    def send(self, dst, payload, size=64) -> None:
+    def send(self, dst, payload) -> None:
         self.sent.append((dst, payload))
 
     def set_timer(self, delay, callback) -> _Timer:

@@ -12,7 +12,7 @@ from repro.runtime.environments import (
     bench_batch_delay,
     bench_costs,
     calibrated_costs,
-    lan_network_config,
+    lan_latency_model,
     scale_costs,
     wan_latency_model,
     wan_site_assigner,
@@ -56,9 +56,9 @@ class TestEnvironments:
         assert sites == set(REGIONS)
 
     def test_lan_config_has_sub_ms_latency(self):
-        config = lan_network_config(jitter=0.0)
+        model = lan_latency_model(jitter=0.0)
         rng = random.Random(0)
-        assert config.latency.delay("site0", "site0", rng) < 0.001
+        assert model.delay("site0", "site0", rng) < 0.001
 
 
 class TestExperimentRunners:

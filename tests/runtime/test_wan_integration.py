@@ -8,7 +8,7 @@ from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
 from repro.runtime.environments import (
     REGIONS,
-    wan_network_config,
+    wan_latency_model,
     wan_site_assigner,
 )
 from repro.types import destination
@@ -21,7 +21,7 @@ def wan_deployment():
     tree = OverlayTree.two_level(TARGETS)
     return ByzCastDeployment(
         tree,
-        network_config=wan_network_config(),
+        latency=wan_latency_model(),
         sites=wan_site_assigner,
         request_timeout=3.0,
     )

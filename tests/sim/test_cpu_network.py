@@ -12,9 +12,7 @@ from repro.env.simbackend import SimRuntime
 from repro.errors import NetworkError
 from repro.sim.cpu import CpuQueue
 from repro.sim.events import EventLoop
-from repro.sim.latency import (
-    ConstantLatency, JitterLatency, LogNormalLatency, MatrixLatency)
-from repro.sim.network import NetworkConfig
+from repro.sim.latency import ConstantLatency, JitterLatency, MatrixLatency
 from repro.sim.rng import SeededRng
 
 
@@ -27,8 +25,8 @@ class Sink(Actor):
         self.received.append((self.clock.now, src, payload))
 
 
-def wired_pair(config=None, sites=("site0", "site0")):
-    runtime = SimRuntime(config, seed=1)
+def wired_pair(latency=None, sites=("site0", "site0")):
+    runtime = SimRuntime(latency, seed=1)
     network = runtime.network
     a, b = Sink("a", runtime), Sink("b", runtime)
     network.register(a, site=sites[0])
@@ -102,7 +100,6 @@ class TestLatencyModels:
            model=st.sampled_from([
                ConstantLatency(0.01),
                JitterLatency(0.00005, 0.2), JitterLatency(0.001, 0.0),
-               LogNormalLatency(0.001, sigma=0.2), LogNormalLatency(0.001, 0.0),
                MatrixLatency({("A", "B"): 0.05, ("B", "C"): 0.08,
                               ("A", "C"): 0.1}),
                MatrixLatency({("A", "B"): 0.05, ("B", "C"): 0.08,
@@ -126,58 +123,18 @@ class TestLatencyModels:
             MatrixLatency({("A", "B"): -0.1})
 
 
-class TestLogNormalLatency:
-    def test_median_roughly_preserved(self):
-        from repro.sim.latency import LogNormalLatency
-
-        model = LogNormalLatency(0.001, sigma=0.2)
-        rng = random.Random(7)
-        samples = sorted(model.delay("a", "b", rng) for _ in range(2000))
-        median = samples[len(samples) // 2]
-        assert 0.0009 < median < 0.0011
-
-    def test_floor_clamp(self):
-        from repro.sim.latency import LogNormalLatency
-
-        model = LogNormalLatency(0.001, sigma=1.0, floor=0.9)
-        rng = random.Random(7)
-        assert all(model.delay("a", "b", rng) >= 0.0009 for _ in range(500))
-
-    def test_heavy_right_tail(self):
-        from repro.sim.latency import LogNormalLatency
-
-        model = LogNormalLatency(0.001, sigma=0.3)
-        rng = random.Random(7)
-        samples = [model.delay("a", "b", rng) for _ in range(2000)]
-        assert max(samples) > 0.0015  # tail well above the median
-
-    def test_zero_sigma_deterministic(self):
-        from repro.sim.latency import LogNormalLatency
-
-        model = LogNormalLatency(0.002, sigma=0.0)
-        assert model.delay("a", "b", random.Random(0)) == 0.002
-
-    def test_validation(self):
-        from repro.sim.latency import LogNormalLatency
-
-        with pytest.raises(ValueError):
-            LogNormalLatency(-1.0)
-        with pytest.raises(ValueError):
-            LogNormalLatency(0.001, floor=0.0)
-
-
 class TestNetwork:
     def test_delivery_with_latency(self):
-        loop, network, a, b = wired_pair(NetworkConfig(latency=ConstantLatency(0.25)))
+        loop, network, a, b = wired_pair(ConstantLatency(0.25))
         a.send("b", "hello")
         loop.run()
         assert b.received == [(0.25, "a", "hello")]
 
     def test_a_swapped_config_applies_its_latency_to_used_links(self):
-        loop, network, a, b = wired_pair(NetworkConfig(latency=ConstantLatency(0.25)))
+        loop, network, a, b = wired_pair(ConstantLatency(0.25))
         a.send("b", "before")
         loop.run()
-        network.config = NetworkConfig(latency=ConstantLatency(0.5))
+        network.latency = ConstantLatency(0.5)
         a.send("b", "after")
         loop.run()
         assert b.received == [(0.25, "a", "before"), (0.75, "a", "after")]
@@ -209,20 +166,6 @@ class TestNetwork:
         a.send("b", "lost")
         loop.run()
         assert b.received == []
-
-    def test_drop_rate_drops_roughly_expected_fraction(self):
-        loop, network, a, b = wired_pair(NetworkConfig(drop_rate=0.5))
-        for _ in range(400):
-            a.send("b", "x")
-        loop.run()
-        assert 120 <= len(b.received) <= 280
-
-    def test_bandwidth_adds_transmission_delay(self):
-        config = NetworkConfig(latency=ConstantLatency(0.0), bandwidth=1000.0)
-        loop, network, a, b = wired_pair(config)
-        a.send("b", "x", size=500)
-        loop.run()
-        assert b.received[0][0] == pytest.approx(0.5)
 
     def test_crashed_actor_neither_sends_nor_receives(self):
         loop, network, a, b = wired_pair()

@@ -123,7 +123,7 @@ class TestGauges:
         assert monitor.snapshot() == {}
 
     def test_disabled_gauge_keeps_value_but_skips_peak(self):
-        # Live policies (AutoscalePolicy) read plain gauges on untraced
+        # A run's gauge snapshot reads plain gauges on untraced
         # deployments, so the value store must survive the fast path; only
         # the observability-grade peak companion is skipped.
         monitor = Monitor()

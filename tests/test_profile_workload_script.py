@@ -194,8 +194,8 @@ def test_message_census_names_payloads_and_reply_result_kinds(tool):
         def __init__(self):
             self.sent = []
 
-        def send(self, src, dst, payload, size=64):
-            self.sent.append((src, dst, payload, size))
+        def send(self, src, dst, payload):
+            self.sent.append((src, dst, payload))
 
     transport = Transport()
     send = census.wrap(Transport.send)
@@ -205,8 +205,8 @@ def test_message_census_names_payloads_and_reply_result_kinds(tool):
                MulticastReply("g2", "g2/r0", "c1", 3, None)]
     for payload in replies:
         send(transport, "a", "b", payload)
-    send(transport, "a", "b", replies[1], 128)
-    assert [entry[3] for entry in transport.sent] == [64] * 4 + [128]
+    send(transport, "a", "b", replies[1])
+    assert [entry[2] for entry in transport.sent] == [*replies, replies[1]]
     assert dict(census.counts) == {
         "Reply delivered": 1, "Reply ack": 2, "Reply NoneType": 1,
         "MulticastReply": 1}
