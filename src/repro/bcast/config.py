@@ -40,7 +40,9 @@ class CostModel:
         reply_per_msg: cost of building + sending one reply (charged where
             a reply may leave live, ``Replica._execute_ready``).
         relay_per_dest: cost, at a ByzCast replica, of re-broadcasting one
-            ordered global message to one replica of a child group.
+            ordered global message to one replica of a child group
+            (charged per copy sent live: the 2f+1 of the child's quorum,
+            at a member of its own group's quorum only).
         checkpoint_fixed: cost of snapshotting application state + hashing
             it when a checkpoint interval completes (amortized over
             ``checkpoint_interval`` consensus instances; see

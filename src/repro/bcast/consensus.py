@@ -5,8 +5,9 @@ messages from the replica and reports what to do next through small result
 objects.  Keeping it free of I/O makes the quorum logic directly unit- and
 property-testable.
 
-Phases (paper §IV): the leader PROPOSEs a batch; replicas WRITE the batch
-digest to all; a replica ACCEPTs once the WRITEs for one digest carry; the
+Phases (paper §IV): the leader PROPOSEs a batch; the followers WRITE the
+batch digest to all, and the leader's PROPOSE is its WRITE (PBFT's
+pre-prepare); a replica ACCEPTs once the WRITEs for one digest carry; the
 batch is decided once the ACCEPTs for one digest carry (both at ``2f + 1``
 members, docs/PROTOCOL.md "Who counts").  Any two quorums intersect in at
 least one correct replica — a Byzantine leader that equivocates can never

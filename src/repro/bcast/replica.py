@@ -691,7 +691,12 @@ class Replica(Actor):
         if instance.should_write(proposal.regency):
             instance.mark_write_sent(proposal.regency)
             write = Write(self.group_id, proposal.regency, proposal.cid, d, self.name)
-            self._broadcast(write)
+            if proposal.leader != self.name:
+                # The leader's PROPOSE is its WRITE (PBFT's pre-prepare):
+                # counted from the proposal validated here; the leader
+                # broadcasts no WRITE of its own.
+                self._apply_write(proposal.leader, write)
+                self._broadcast(write)
             self._apply_write(self.name, write)
         return True
 

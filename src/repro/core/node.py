@@ -585,9 +585,11 @@ class ByzCastApplication(Application):
 
     def _flush_relays(self, child: str, wires: List[WireMulticast],
                       ctx: ExecutionContext) -> None:
-        """Submit ``wires`` (act order) to ``child`` as ``RelayBatch``es."""
+        """Submit ``wires`` (act order) to ``child`` as ``RelayBatch``es,
+        each charged per destination it is sent to live."""
         outbox = self._outbox(child, ctx)
-        per_wire = self.config.costs.relay_per_dest * len(outbox.replicas)
+        per_wire = (self.config.costs.relay_per_dest
+                    * len(outbox.live_targets()))
         limit = self.group_configs[child].max_batch
         for start in range(0, len(wires), limit):
             index = self._relay_index.get(child, 0)

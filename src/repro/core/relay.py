@@ -37,12 +37,13 @@ machine.
 Acknowledgements are cumulative.  A child replica answers a stream, not a
 copy: one :class:`~repro.core.messages.RelayAck` carrying its next index to
 release, to every current relayer, at most once per ack interval.  A parent
-replica's :class:`RelayOutbox` sends each copy to the 2f+1 members of the
-child's quorum (docs/PROTOCOL.md, "Who is sent what"), keeps it until ``f +
-1`` current child members acknowledged past it — one of them is correct and
-executed the certificate, so the child group decided the batch — and
-retransmits the rest, each to the members that did not acknowledge it
-(``tests/properties/test_relay_outbox_machine.py``).
+replica in its own group's current quorum relays live: its
+:class:`RelayOutbox` sends each copy to the 2f+1 members of the child's
+quorum (docs/PROTOCOL.md, "Who is sent what").  Every outbox keeps each
+copy until ``f + 1`` current child members acknowledged past it — one of
+them is correct and executed the certificate, so the child group decided
+the batch — and retransmits the rest, each to the members that did not
+acknowledge it (``tests/properties/test_relay_outbox_machine.py``).
 """
 
 from __future__ import annotations
@@ -220,13 +221,14 @@ class RelayOutbox(GroupProxy):
     and the child has not acknowledged yet.
 
     Each ``RelayBatch`` is signed once, as the owner's request ``seq = index
-    + 1``, and sent to the quorum of the child's estimated regency
+    + 1``.  An owner in its own group's current quorum sends it to the
+    quorum of the child's estimated regency
     (:meth:`~repro.bcast.client.GroupProxy.targets`; each ack reports its
-    sender's regency).  The child answers the stream,
-    not a request: the outbox records each current member's highest
-    :class:`~repro.core.messages.RelayAck` (fed to :meth:`handle_reply`) and
-    keeps a copy until ``f + 1`` of those cover it (acknowledge a next index
-    past it): at least one of them is correct and has executed the batch's
+    sender's regency); any other keeps it unsent for the backoff below.
+    The child answers the stream, not a request: the outbox records each
+    current member's highest :class:`~repro.core.messages.RelayAck` (fed to
+    :meth:`handle_reply`) and keeps a copy until ``f + 1`` of those cover it
+    (acknowledge a next index past it): at least one of them is correct and has executed the batch's
     certificate, so the child group decided it.  A Byzantine member's absurd
     or regressing index is one vote at most.  A copy is due for
     retransmission a backoff period after it was last sent and after the
@@ -264,18 +266,26 @@ class RelayOutbox(GroupProxy):
         return {index: copy for index, (copy, __) in self._unacked.items()}
 
     def submit(self, batch: RelayBatch) -> Request:
-        """Sign ``batch`` and send it to the child, unless the child already
-        covers its index; returns the signed copy."""
+        """Sign ``batch`` and keep it, unless the child already covers its
+        index, and send it to :meth:`live_targets`; returns the signed
+        copy."""
         unsigned = Request(self.group_id, self.owner.name, batch.index + 1,
                            batch)
         copy = unsigned.with_signature(
             sign(self.registry, self.owner.name, unsigned.signed_part()))
         if batch.index >= self.horizon:
             self._unacked[batch.index] = (copy, self.owner.clock.now)
-            self._send(copy, self.targets())
+            live = self.live_targets()
+            if live:
+                self._send(copy, live)
             if self._timer is None:
                 self._arm()
         return copy
+
+    def live_targets(self) -> Tuple[str, ...]:
+        """Where :meth:`submit` sends a copy: :meth:`targets` while the
+        owner is in its own group's current quorum, else nowhere."""
+        return self.targets() if self.owner.in_quorum() else ()
 
     def _send(self, copy: Request, replicas: Iterable[str]) -> None:
         """Send ``copy`` to ``replicas`` (the relay adversaries' seam)."""

@@ -277,9 +277,9 @@ class RealtimeRuntime(Runtime):
     the running one runs in this ``run()``, the next ``run()`` continues
     with them.  Call :meth:`close` when done to release the event loop.
 
-    The transport factory is called with the asyncio loop, the clock and
-    whichever of ``latency``, ``rng``, ``monitor`` and ``wire`` it
-    declares: the in-process queue shapes links (``latency``, ``rng``),
+    The transport factory is called with the asyncio loop and whichever of
+    ``clock``, ``latency``, ``rng``, ``monitor`` and ``wire`` it declares:
+    the in-process queue shapes links (``clock``, ``latency``, ``rng``),
     :class:`~repro.env.tcp.TcpTransport` serializes (``wire``) and applies
     no latency.
     """
@@ -301,13 +301,12 @@ class RealtimeRuntime(Runtime):
         self.rng = SeededRng(seed)
         self.wire = wire
         factory = transport_factory if transport_factory is not None else InProcessTransport
-        offered = dict(latency=latency, rng=self.rng, monitor=self.monitor,
-                       wire=wire)
+        offered = dict(clock=self._clock, latency=latency, rng=self.rng,
+                       monitor=self.monitor, wire=wire)
         declared = inspect.signature(factory).parameters
         self.network = factory(
-            self._aloop, self._clock,
-            **{name: value for name, value in offered.items()
-               if name in declared})
+            self._aloop, **{name: value for name, value in offered.items()
+                            if name in declared})
         self._closed = False
 
     @property

@@ -71,7 +71,6 @@ class TcpTransport(LinkTable):
     def __init__(
         self,
         aloop: asyncio.AbstractEventLoop,
-        clock: Any = None,
         monitor: Optional[Monitor] = None,
         directory: Optional[Dict[str, Tuple[str, int]]] = None,
         site_directory: Optional[Dict[str, str]] = None,

@@ -30,9 +30,10 @@ class EquivocatingLeaderReplica(Replica):
 
     If the batch has more than one request, one half of the peers receives
     it reversed (a different digest); with a single request, the second
-    half receives nothing.  Correct replicas can then never assemble a
-    write quorum for either digest, and the group recovers via a regency
-    change — a liveness attack that must not compromise safety.
+    half receives nothing.  Its PROPOSE is its WRITE, one per follower, so
+    at most one digest gathers a write quorum (the larger half's, at f =
+    1) and no correct quorum ACCEPTs either: the group recovers via a
+    regency change — a liveness attack that must not compromise safety.
     """
 
     def _send_propose(self, cid: int, regency: int, batch: Tuple[Request, ...]) -> None:

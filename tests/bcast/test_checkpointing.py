@@ -430,7 +430,9 @@ class BoundaryProbeApp(ByzCastApplication):
 def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
     """Relays are flushed at the batch boundary, before the snapshot, so the
     relay buffer is never checkpoint state; a joiner restored from such a
-    checkpoint relays (h1) and merges (g1) like an incumbent."""
+    checkpoint relays (h1) and merges (g1) like an incumbent.  The joiner
+    is last in h1's view, outside regency 0's quorum, so it relays live
+    once the leader's crash moves the quorum over it."""
     tree = OverlayTree.two_level(["g1", "g2"])
     probes = {name: BoundaryProbeApp for name in make_config("h1").replicas}
     dep = ByzCastDeployment(tree, costs=FAST_COSTS, request_timeout=0.5,
@@ -474,7 +476,10 @@ def test_relays_leave_before_the_checkpoint_and_a_restored_joiner_relays():
         send(dst, payload)
 
     relayer.send = spy
+    assert not relayer.in_quorum()
+    dep.groups["h1"].replica("h1/r0").crash()
     burst("post", 10, until=dep.runtime.clock.now + 3.0)
+    assert relayer.in_quorum()
     assert relayer.app._relay_buffers == {}
     assert any(dst.startswith("g1/") for dst in relayed_by_joiner)
     expected = [("pre", j) for j in range(30)] + [("post", j) for j in range(10)]

@@ -1,6 +1,6 @@
 """Who is sent what: requests go to the 2f+1 members of the quorum of the
-regency a proxy estimates, and replies come live from that quorum
-(docs/PROTOCOL.md, "Who is sent what")."""
+regency a proxy estimates, replies come live from that quorum, and the
+leader's PROPOSE is its WRITE (docs/PROTOCOL.md, "Who is sent what")."""
 
 from __future__ import annotations
 
@@ -8,8 +8,11 @@ import dataclasses
 
 import pytest
 
-from repro.bcast.messages import Reply, Request
+from repro.bcast.consensus import ConsensusInstance
+from repro.bcast.messages import Accept, Propose, Reply, Request, Write
 from repro.bcast.reconfig import View, regency_quorum
+from repro.crypto.signatures import sign
+from repro.faults.behaviors import EquivocatingLeaderReplica
 from tests.helpers import FAST_COSTS, Harness, make_config
 
 
@@ -155,3 +158,104 @@ def test_only_a_reply_that_may_leave_live_is_charged():
     live = costs.execute_per_msg + costs.reply_per_msg
     assert charged == {"g1/r0": live, "g1/r1": live, "g1/r2": live,
                        "g1/r3": costs.execute_per_msg}
+
+
+# ------------------------------------------- the leader's PROPOSE is its WRITE
+
+
+def _sent_by(replica, forward=True):
+    """What ``replica`` sends from now on, as ``(dst, payload)`` pairs; with
+    ``forward`` False nothing it sends leaves."""
+    sent = []
+    send = replica.send
+
+    def spy(dst, payload):
+        sent.append((dst, payload))
+        if forward:
+            send(dst, payload)
+
+    replica.send = spy
+    return sent
+
+
+def test_the_leader_sends_no_write_and_each_follower_writes_to_its_peers():
+    h = Harness()
+    sent = {replica.name: _sent_by(replica) for replica in h.group.replicas}
+    client = h.add_client()
+    for op in range(10):
+        client.submit(("op", op))
+    h.run(until=5.0)
+    assert len(client.results) == 10
+    decided = h.group.replica("g1/r0").log.next_execute
+    assert decided > 1
+    writes = {name: [payload for __, payload in log
+                     if isinstance(payload, Write)]
+              for name, log in sent.items()}
+    assert writes["g1/r0"] == []
+    for follower in ("g1/r1", "g1/r2", "g1/r3"):
+        assert len(writes[follower]) == 3 * decided
+    assert "regency.installed" not in h.monitor.counters
+
+
+def test_a_follower_reaches_its_write_quorum_with_no_write_from_the_leader():
+    """The validated PROPOSE is the leader's vote: with the follower's own
+    WRITE and one peer's, 2f+1 members voted, and the follower ACCEPTs."""
+    h = Harness()
+    follower = h.group.replica("g1/r1")
+    sent = _sent_by(follower, forward=False)
+    unsigned = Request("g1", "c0", 1, ("op", 0))
+    request = unsigned.with_signature(
+        sign(h.registry, "c0", unsigned.signed_part()))
+    proposal = Propose("g1", 0, 0, (request,), "g1/r0")
+    d = proposal.batch_digest()
+    follower.on_message("g1/r0", proposal)
+    h.loop.run(until=0.01)
+    instance = follower._consensus[0]
+    members = h.config.replicas
+    assert instance.writes.voters((0, d), members) == ["g1/r0", "g1/r1"]
+    assert [dst for dst, payload in sent if isinstance(payload, Write)] == [
+        "g1/r0", "g1/r2", "g1/r3"]
+    assert instance.write_cert is None
+    follower.on_message("g1/r2", Write("g1", 0, 0, d, "g1/r2"))
+    h.loop.run(until=0.02)
+    assert instance.write_cert is not None and instance.write_cert.digest == d
+    assert [dst for dst, payload in sent if isinstance(payload, Accept)] == [
+        "g1/r0", "g1/r2", "g1/r3"]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_an_equivocating_leader_never_write_certifies_two_digests(
+        f, monkeypatch):
+    """The leader of regency 0 proposes a pooled batch to the first half of
+    its followers and the batch reversed to the second half.  Over the run,
+    per (cid, regency) at most one digest is write-certified anywhere.  At
+    f = 1 the second half is 2f followers, so their WRITEs and the
+    leader's PROPOSE certify the reversed batch in regency 0 — and the
+    first half's digest stays uncertified."""
+    certified = {}
+    update = ConsensusInstance._update_cert
+
+    def record(instance, regency, digest):
+        certified.setdefault((instance.cid, regency), set()).add(digest)
+        update(instance, regency, digest)
+
+    monkeypatch.setattr(ConsensusInstance, "_update_cert", record)
+    h = Harness(f=f, replica_classes={"g1/r0": EquivocatingLeaderReplica})
+    # one request from each of six clients: either order is FIFO-valid
+    requests = []
+    for client in [h.add_client() for __ in range(6)]:
+        unsigned = Request("g1", client.name, 1, ("op", client.name))
+        requests.append(unsigned.with_signature(
+            sign(h.registry, client.name, unsigned.signed_part())))
+    for replica in h.group.replicas:
+        for request in requests:
+            replica.on_message(request.sender, request)
+    h.run(until=30.0)
+    assert h.monitor.counters["byzantine.equivocation"] > 0
+    assert all(len(digests) == 1 for digests in certified.values())
+    assert ((0, 0) in certified) == (f == 1)
+    correct = h.group.replicas[1:]
+    assert all(r.regency.current >= 1 for r in correct)
+    sequences = [r.app.executed for r in correct]
+    assert sorted(sequences[0]) == sorted(r.command for r in requests)
+    assert all(seq == sequences[0] for seq in sequences)

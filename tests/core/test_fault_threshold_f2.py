@@ -10,7 +10,7 @@ from repro.faults.behaviors import SilentRelayApp
 from repro.types import destination
 from tests.faults.test_byzantine import (
     ACK_ADVERSARIES, RELAY_ADVERSARIES, ack_battery, certificate_battery,
-    quorum_silent_battery, relay_battery,
+    quorum_relay_battery, quorum_silent_battery, relay_battery,
 )
 from tests.helpers import FAST_COSTS, Harness, make_config
 
@@ -90,6 +90,10 @@ def test_two_ack_adversaries_per_child_group_on_a_lossy_link(adversary):
 
 def test_two_silent_quorum_members_per_group_cost_no_timeout():
     quorum_silent_battery(f=2)
+
+
+def test_two_silent_relayers_in_each_quorum_cost_no_retransmission():
+    quorum_relay_battery(f=2)
 
 
 def test_mixed_f_per_group():

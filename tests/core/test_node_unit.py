@@ -771,12 +771,13 @@ class TestRelayIndex:
             app, replica = parents[name]
             execute(app, replica, Request("h2", "client", wire.seq, wire))
 
-        # h2/r2 and h2/r3 order the first message; h2/r0 and h2/r1 install
-        # the checkpoint taken right after it instead.
-        for name in ("h2/r2", "h2/r3"):
+        # h2/r1 and h2/r2 order the first message; h2/r0 and h2/r3 install
+        # the checkpoint taken right after it instead.  h2/r3 is outside
+        # regency 0's quorum: it keeps its copies and sends none live.
+        for name in ("h2/r1", "h2/r2"):
             order(name, first)
         checkpoint = parents["h2/r2"][0].snapshot()
-        for name in ("h2/r0", "h2/r1"):
+        for name in ("h2/r0", "h2/r3"):
             parents[name][0].restore(checkpoint)
         for name in parents:
             order(name, second)
@@ -786,10 +787,13 @@ class TestRelayIndex:
                     if dst == f"{child}/r0"]
 
         assert [len(relays(name, "g1")) for name in sorted(parents)] == \
-            [1, 1, 2, 2]
+            [1, 2, 2, 0]
+        assert list(parents["h2/r3"][0]._outboxes["g1"].unacked()) == [1]
         sequences = {}
-        for child, arrival in (("g1", ("h2/r0", "h2/r1", "h2/r2", "h2/r3")),
-                               ("g2", ("h2/r2", "h2/r3", "h2/r0", "h2/r1"))):
+        # g1 hears h2/r0's copy of batch 1 first, and h2/r1's of batches 0
+        # and 1 next: batch 1 carries before batch 0 does.
+        for child, arrival in (("g1", ("h2/r0", "h2/r1", "h2/r2")),
+                               ("g2", ("h2/r1", "h2/r2", "h2/r0"))):
             app = ByzCastApplication(child, tree, configs, registry)
             replica = FakeReplica(f"{child}/r0", configs[child])
             for name in arrival:

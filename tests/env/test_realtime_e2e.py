@@ -112,10 +112,10 @@ class HostPerGroup:
     """One :class:`TcpTransport` host per group (and one per client), so
     every message between groups is encoded onto a loopback socket."""
 
-    def __init__(self, aloop, clock, monitor=None, wire="json"):
+    def __init__(self, aloop, monitor=None, wire="json"):
         self.directory, self.sites, self.hosts = {}, {}, {}
         self._new_host = lambda: TcpTransport(
-            aloop, clock, monitor, directory=self.directory,
+            aloop, monitor, directory=self.directory,
             site_directory=self.sites, wire=wire)
 
     @staticmethod

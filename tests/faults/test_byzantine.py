@@ -227,6 +227,23 @@ def quorum_silent_battery(f: int = 1) -> None:
     assert "regency.installed" not in counters
 
 
+def quorum_relay_battery(f: int = 1) -> None:
+    """f ``SilentRelayApp`` relayers inside regency 0's quorum of *each*
+    group that relays — the followers after its leader — under the relay
+    battery's bursts: only the quorum relays live, so each child hears
+    exactly the quorum's other f+1 members, and that is enough.  Every op
+    completes, the order checks hold, and no copy or request is
+    retransmitted (docs/PROTOCOL.md, "Who is sent what")."""
+    tree = OverlayTree.paper_tree()
+    apps = {gid: {f"{gid}/r{1 + slot}": SilentRelayApp for slot in range(f)}
+            for gid in sorted(tree.auxiliaries)}
+    dep = make_deployment(tree, app_overrides=apps, f=f)
+    burst_and_check(dep)
+    counters = dep.monitor.counters
+    assert counters["byzantine.silent_relay"] > 0
+    assert "proxy.retransmit" not in counters
+
+
 ACK_ADVERSARIES = (LyingAckReplica, SilentAckReplica)
 
 
@@ -323,6 +340,9 @@ class TestRelayAdversariesInEveryInnerGroup:
     def test_f_silent_quorum_members_cost_no_timeout(self):
         quorum_silent_battery()
 
+    def test_f_silent_relayers_in_the_quorum_cost_no_retransmission(self):
+        quorum_relay_battery()
+
     @pytest.mark.parametrize("adversary", ACK_ADVERSARIES,
                              ids=lambda cls: cls.__name__)
     def test_ack_adversaries_in_every_child_on_a_lossy_link(self, adversary):
@@ -344,7 +364,9 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
 
     Real parent and child applications, with the one thing an asynchronous
     network leaves to the adversary made explicit: g1 receives the
-    reordering relayer's copy first, g2 receives it last.
+    reordering relayer's copy first, g2 receives it last.  The reordering
+    relayer is h1's leader, in the quorum that relays live; h1/r3 is
+    outside it and keeps its copy.
     """
     tree = OverlayTree.two_level(["g1", "g2"])
     configs = configs_for(tree)
@@ -352,7 +374,7 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
     loop = EventLoop()
     wires = [wire_for(registry, "client", seq, ("g1", "g2")) for seq in (1, 2, 3)]
     relays = {}  # relayer -> child -> the request it sent
-    for index, cls in enumerate([ByzCastApplication] * 3 + [ReorderingRelayApp]):
+    for index, cls in enumerate([ReorderingRelayApp] + [ByzCastApplication] * 3):
         app = cls("h1", tree, configs, registry)
         replica = FakeReplica(f"h1/r{index}", configs["h1"])
         ctx = ExecutionContext(replica=replica, time=loop.now)
@@ -361,12 +383,13 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
         app.end_batch(ctx)
         relays[replica.name] = {dst.split("/")[0]: request
                                 for dst, request in replica.sent}
-    assert [w.seq for w in relays["h1/r3"]["g1"].command.wires] == [3, 2, 1]
+    assert [w.seq for w in relays["h1/r0"]["g1"].command.wires] == [3, 2, 1]
+    assert relays["h1/r3"] == {}
 
     def violations(child_app):
         sequences = {}
-        for gid, arrival in (("g1", ("h1/r3", "h1/r0", "h1/r1", "h1/r2")),
-                             ("g2", ("h1/r0", "h1/r1", "h1/r2", "h1/r3"))):
+        for gid, arrival in (("g1", ("h1/r0", "h1/r1", "h1/r2")),
+                             ("g2", ("h1/r1", "h1/r2", "h1/r0"))):
             app = child_app(group_id=gid, tree=tree, group_configs=configs,
                             registry=registry)
             replica = FakeReplica(f"{gid}/r0", configs[gid])

@@ -1,10 +1,12 @@
 """Property: consensus agreement holds under arbitrary schedules + f Byzantine voters.
 
-A pure-state-machine harness: 4 :class:`ConsensusInstance` objects (one per
-correct... one per replica; the Byzantine one is simulated by injecting
-arbitrary WRITE/ACCEPT votes).  Hypothesis drives the delivery schedule and
-the adversary's vote choices; the invariant is that no two replicas decide
-different batches for the same consensus instance.
+A pure-state-machine harness: 3 :class:`ConsensusInstance` objects, one per
+correct replica.  The fourth replica is the Byzantine leader: its PROPOSE is
+its WRITE, so each correct replica counts the leader's WRITE for the batch
+it was proposed — A or B, the leader may equivocate — and the leader may
+also inject arbitrary WRITE/ACCEPT votes.  Hypothesis drives the delivery
+schedule and the adversary's vote choices; the invariant is that no two
+replicas decide different batches for the same consensus instance.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def test_no_two_correct_replicas_decide_differently(scenario):
     for r in CORRECT:
         label = proposals[r]
         instances[r].note_proposal(0, digests[label], batches[label])
+        # the leader's vote, carried by the proposal this replica validated
+        instances[r].add_write(0, digests[label], BYZANTINE)
 
     # Broadcast pools: votes visible to every replica.
     writes = []   # (sender, digest)

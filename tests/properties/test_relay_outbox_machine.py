@@ -9,6 +9,8 @@ by the child's ack rule.  Rules are what the outbox can see:
 
 * the parent relaying its next batch (one this replica may relay after the
   child already decided it: other relayers went first);
+* the parent replica entering or leaving its own group's current quorum
+  (a member of it relays live, any other keeps its copies);
 * the child deciding its next batch;
 * a correct member's ack: its own released next index, which never passes
   what the child decided and never falls (the ack rule), and its regency,
@@ -25,7 +27,8 @@ by the child's ack rule.  Rules are what the outbox can see:
 
 The invariants: a copy leaves the outbox only when f+1 current members
 acknowledged past it — so the child decided it — whatever the Byzantine,
-departed and reordered acks said; a first send goes to the quorum of the
+departed and reordered acks said; a first send, made only while the parent
+replica is in its group's quorum, goes to the quorum of the
 regency the outbox estimates, the (f+1)-th highest that current members
 reported, which never falls and never passes the child's; a timer fire
 resends at least the copy
@@ -96,6 +99,11 @@ class Owner:
         self.monitor = Monitor()
         self.sent = []
         self.timers = []
+        #: whether it is in its group's current quorum (relays live)
+        self.live = True
+
+    def in_quorum(self) -> bool:
+        return self.live
 
     def send(self, dst, payload) -> None:
         self.sent.append((dst, payload))
@@ -174,13 +182,20 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         sent = self.owner.sent[before:]
         if index in self.outbox.unacked():
             self.sent_at[index] = self.owner.clock.now
-            assert [dst for dst, __ in sent] == list(
+            assert [dst for dst, __ in sent] == (list(
                 regency_quorum(self.members, F, self.estimate))
+                if self.owner.live else [])
             assert all(copy.seq == index + 1 and copy.command == SEQUENCE[index]
                        and copy.sender == self.owner.name for __, copy in sent)
         else:
             assert sent == [] and len(self.covering(index)) >= F + 1
         self.settle()
+
+    @rule()
+    def parent_quorum_moves(self):
+        """A regency change of the parent group moves this replica into or
+        out of its quorum."""
+        self.owner.live = not self.owner.live
 
     @precondition(lambda self: self.decided < LENGTH)
     @rule(data=st.data())

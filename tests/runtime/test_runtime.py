@@ -88,10 +88,12 @@ class TestCapacityProbe:
     def test_target_capacity_positive_and_exceeds_relay(self):
         # tiny probes; exact values as recorded at 2fca3e9 (pre-ScenarioSpec),
         # the relay one re-recorded (4000 -> 4400) when a child began to
-        # order each relayed batch once, as a relay certificate
+        # order each relayed batch once, as a relay certificate, and
+        # (4400 -> 4800) when a relayer was charged only for the copies it
+        # sends live: 2f+1 destinations in the quorum, none outside it
         target = estimate_target_capacity(clients=40, warmup=0.5, duration=1.0)
         relay = estimate_relay_capacity(clients=40, warmup=0.5, duration=1.0)
-        assert (target, relay) == (9600.0, 4400.0)
+        assert (target, relay) == (9600.0, 4800.0)
         assert relay < target  # relaying costs extra
 
     def test_plan_tree_uses_given_capacities(self):

@@ -24,36 +24,39 @@ FAST = dict(warmup=0.3, duration=0.8)
 #: EXPERIMENTS.md, "Stream acks".  Every cell was re-recorded when requests,
 #: relay copies and live replies began to go to or come from the 2f+1
 #: replicas of the current regency's quorum; the values before it are in
-#: EXPERIMENTS.md, "Quorum sends".
+#: EXPERIMENTS.md, "Quorum sends".  Every cell was re-recorded when the
+#: leader's PROPOSE became its WRITE and only the parent's quorum relayed
+#: live; the values before it are in EXPERIMENTS.md, "Quorum writes and
+#: relays".
 PINS = {
-    "fig3:skewed/2-level": (1400.0, 0.006097743772239175, 0.0, 0.006097743772239175),
-    "fig3:skewed/3-level": (1300.0, 0.005845021677836123, 0.0, 0.005845021677836123),
-    "fig3:uniform/2-level": (975.0, 0.00592358698038173, 0.0, 0.00592358698038173),
-    "fig3:uniform/3-level": (787.5, 0.007887852681108755, 0.0, 0.007887852681108755),
-    "fig4a:baseline/2": (1950.0, 0.006123304233378669, 0.006123304233378669, 0.0),
-    "fig4a:bftsmart": (3750.0, 0.0031585592576732924, 0.0031585592576732924, 0.0),
-    "fig4a:byzcast/2": (4050.0, 0.002962032383288238, 0.002962032383288238, 0.0),
-    "fig4b:baseline/2": (1800.0, 0.0065987614786599345, 0.0, 0.0065987614786599345),
-    "fig4b:bftsmart": (3750.0, 0.0031585592576732924, 0.0031585592576732924, 0.0),
-    "fig4b:byzcast/2": (1800.0, 0.0065987614786599345, 0.0, 0.0065987614786599345),
-    "fig5a:baseline": (350.0, 0.005654193507265215, 0.005654193507265215, 0.0),
-    "fig5a:bft-smart": (700.0, 0.0028250361444216413, 0.0028250361444216413, 0.0),
-    "fig5a:byzcast": (725.0, 0.002804869402959516, 0.002804869402959516, 0.0),
-    "fig6:baseline": (975.0, 0.005824016440425244, 0.005819614223390189, 0.00585776677102733),
-    "fig6:byzcast": (1850.0, 0.0032074826555472872, 0.0028357548433439878, 0.005731318854190755),
-    "fig6:byzcast/pure-local": (2100.0, 0.002830105380134737, 0.002830105380134737, 0.0),
-    "fig7:baseline/global/2": (175.0, 0.005633216627991247, 0.0, 0.005633216627991247),
-    "fig7:baseline/local/2": (175.0, 0.005610398009726445, 0.005610398009726445, 0.0),
-    "fig7:bftsmart": (362.5, 0.002794094783555412, 0.002794094783555412, 0.0),
-    "fig7:byzcast/global/2": (175.0, 0.005633216627991247, 0.0, 0.005633216627991247),
-    "fig7:byzcast/local/2": (362.5, 0.0027943170638765054, 0.0027943170638765054, 0.0),
-    "fig8:baseline/global": (9.0, 0.43123551434779295, 0.0, 0.43123551434779295),
-    "fig8:baseline/local": (9.0, 0.43005291515543753, 0.43005291515543753, 0.0),
-    "fig8:bftsmart": (16.333333333333332, 0.24208757132758169, 0.24208757132758169, 0.0),
-    "fig8:byzcast/global": (9.0, 0.43123551434779295, 0.0, 0.43123551434779295),
-    "fig8:byzcast/local": (16.333333333333332, 0.24169260915580357, 0.24169260915580357, 0.0),
-    "fig9:baseline": (18.25, 0.43513206702092394, 0.4373560125425024, 0.410298008696631),
-    "fig9:byzcast": (31.5, 0.2557294903411074, 0.2421673627891584, 0.4320371485164462),
+    "fig3:skewed/2-level": (1300.0, 0.005953191772924829, 0.0, 0.005953191772924829),
+    "fig3:skewed/3-level": (1400.0, 0.005738622667619088, 0.0, 0.005738622667619088),
+    "fig3:uniform/2-level": (975.0, 0.005821848712898235, 0.0, 0.005821848712898235),
+    "fig3:uniform/3-level": (787.5, 0.007775410025325178, 0.0, 0.007775410025325178),
+    "fig4a:baseline/2": (2100.0, 0.006015016421815228, 0.006015016421815228, 0.0),
+    "fig4a:bftsmart": (3750.0, 0.0031454653102188576, 0.0031454653102188576, 0.0),
+    "fig4a:byzcast/2": (4050.0, 0.0029476786215825645, 0.0029476786215825645, 0.0),
+    "fig4b:baseline/2": (1950.0, 0.006381093296383676, 0.0, 0.006381093296383676),
+    "fig4b:bftsmart": (3750.0, 0.0031454653102188576, 0.0031454653102188576, 0.0),
+    "fig4b:byzcast/2": (1950.0, 0.006381093296383676, 0.0, 0.006381093296383676),
+    "fig5a:baseline": (350.0, 0.005574621537541091, 0.005574621537541091, 0.0),
+    "fig5a:bft-smart": (725.0, 0.0028152141529194, 0.0028152141529194, 0.0),
+    "fig5a:byzcast": (725.0, 0.002777875795281071, 0.002777875795281071, 0.0),
+    "fig6:baseline": (1050.0, 0.005727823502784973, 0.0057213757854817065, 0.005781554480312203),
+    "fig6:byzcast": (1925.0, 0.0031865113700929116, 0.0028136584679142127, 0.005684625814690199),
+    "fig6:byzcast/pure-local": (2175.0, 0.002812699111646364, 0.002812699111646364, 0.0),
+    "fig7:baseline/global/2": (175.0, 0.0055463282628810335, 0.0, 0.0055463282628810335),
+    "fig7:baseline/local/2": (175.0, 0.005528416031017639, 0.005528416031017639, 0.0),
+    "fig7:bftsmart": (362.5, 0.00278253903687555, 0.00278253903687555, 0.0),
+    "fig7:byzcast/global/2": (175.0, 0.0055463282628810335, 0.0, 0.0055463282628810335),
+    "fig7:byzcast/local/2": (362.5, 0.002782605358481109, 0.002782605358481109, 0.0),
+    "fig8:baseline/global": (9.0, 0.4316141376641032, 0.0, 0.4316141376641032),
+    "fig8:baseline/local": (9.0, 0.4272758050441411, 0.4272758050441411, 0.0),
+    "fig8:bftsmart": (16.333333333333332, 0.24148543576705725, 0.24148543576705725, 0.0),
+    "fig8:byzcast/global": (9.0, 0.4316141376641032, 0.0, 0.4316141376641032),
+    "fig8:byzcast/local": (16.333333333333332, 0.24077070000846687, 0.24077070000846687, 0.0),
+    "fig9:baseline": (18.25, 0.43798361099524385, 0.43976850702387177, 0.41805227200890044),
+    "fig9:byzcast": (31.25, 0.25527528881752587, 0.24157110646360438, 0.4319069724902904),
 }
 
 

@@ -246,7 +246,7 @@ def test_messages_phase_is_deterministic_one_reply_per_quorum_member():
 
 
 #: the census of :func:`test_census_of_a_small_tree_run_is_pinned`, by kind
-TREE_CENSUS = {"Request": 336, "Propose": 45, "Write": 180, "Accept": 180,
+TREE_CENSUS = {"Request": 306, "Propose": 45, "Write": 135, "Accept": 180,
                "Reply delivered": 72, "MulticastReply": 360, "RelayAck": 160,
                "Heartbeat": 105}
 
@@ -258,7 +258,9 @@ def test_census_of_a_small_tree_run_is_pinned(tool):
     is not a destination answers only a retransmission — so ack traffic
     that creeps back fails here first.  Requests, relay copies, replies and
     ``MulticastReply``s go to or come from a group's 3-replica quorum, not
-    all 4."""
+    all 4; a relay copy leaves live only from the parent's quorum, and only
+    the 3 followers of an instance send a ``Write`` (the leader's PROPOSE
+    is its vote): 3 per instance, not 4."""
     from repro.core.deployment import ByzCastDeployment
     from repro.core.tree import OverlayTree
     from repro.types import destination
