@@ -19,9 +19,8 @@ all exercise an application workload instead of opaque payloads:
 
 Workloads come from :meth:`ShardedKVApp.op_sampler`: a driver-compatible
 ``rng -> (destination, payload)`` mixing single-shard puts/gets with
-cross-shard transfers over any key distribution
-(:func:`~repro.workload.spec.uniform_keys` / ``zipfian_keys`` /
-``hotspot_keys``).
+cross-shard transfers over either key distribution
+(:func:`~repro.workload.spec.uniform_keys` / ``zipfian_keys``).
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ The same seed reproduces the same nemesis timeline on every backend, and
 under the simulation backend the whole run is bit-identical — a failing
 soak is a unit test waiting to be written down.
 
-**What the harness reads of the spec.**  Topology, protocol, faults,
-backend and seed mean what they mean to ``run_scenario`` (one construction
-path: :func:`~repro.scenario.build.build_armed_deployment`).  Of the
+**What the harness reads of the spec.**  Topology (client sites too),
+protocol, faults, backend and seed mean what they mean to ``run_scenario``
+(one construction path:
+:func:`~repro.scenario.build.build_armed_deployment`).  Of the
 ``workload`` section only ``clients``, ``duration`` (with ``warmup``, the
 nemesis horizon scale: ops start after ~5% and all end by ~85%),
 ``read_ratio`` and ``read_mode`` are read: the soak drives its own fixed
@@ -55,6 +56,7 @@ from repro.errors import ConfigurationError
 from repro.scenario.build import (
     arm_adaptive_tree,
     build_armed_deployment,
+    client_site,
     retained_high_water,
 )
 from repro.scenario.spec import (
@@ -232,7 +234,8 @@ def run_chaos_soak(spec: ScenarioSpec = DEFAULT_SOAK, messages: int = 60,
     try:
         clients = [
             deployment.add_client(
-                f"c{i}", retransmit_timeout=proto.retransmit_timeout)
+                f"c{i}", site=client_site(spec.topology, i),
+                retransmit_timeout=proto.retransmit_timeout)
             for i in range(spec.workload.clients)
         ]
         _, planner = arm_adaptive_tree(spec, deployment, elasticity)

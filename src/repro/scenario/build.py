@@ -28,13 +28,7 @@ from repro.metrics.collector import LatencyCollector, ThroughputMeter
 from repro.metrics.stats import LatencySummary
 from repro.scenario.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.workload import spec as workloads
-from repro.workload.clients import (
-    BurstOpenLoopDriver,
-    ClosedLoopDriver,
-    DiurnalDriver,
-    FlashCrowdDriver,
-    OpenLoopDriver,
-)
+from repro.workload.clients import ClosedLoopDriver, OpenLoopDriver
 
 # ``repro.runtime.environments`` (the LAN/WAN and cost presets) is imported
 # inside the functions that use it: the ``repro.runtime`` package imports
@@ -73,6 +67,17 @@ def build_site_assigner(topology: TopologySpec) -> Optional[SiteAssigner]:
 
         return wan_site_assigner
     raise ConfigurationError(f"unknown site model {topology.sites!r}")
+
+
+def client_site(topology: TopologySpec, index: int) -> str:
+    """The site of client ``index``: ``site0``, except under ``wan_spread``,
+    where clients live in the regions too (round-robin), so their first
+    hop crosses the Table I latency matrix like every replica link does."""
+    if topology.sites == "wan_spread":
+        from repro.runtime.environments import REGIONS
+
+        return REGIONS[index % len(REGIONS)]
+    return "site0"
 
 
 def build_costs(spec: ScenarioSpec) -> CostModel:
@@ -317,13 +322,14 @@ def retained_high_water(deployment) -> int:
 def build_destination_sampler(
     workload: WorkloadSpec,
     targets,
-    clock: Optional[Callable[[], float]] = None,
+    clock: Callable[[], float],
     client: int = 0,
 ) -> workloads.DestinationSampler:
     """The destination distribution of a workload spec over ``targets``.
 
-    ``client`` is the index of the client the sampler is for — only
-    ``home`` looks at it.
+    ``clock`` (virtual seconds) paces ``hotpairs``' migration; ``client``
+    is the index of the client the sampler is for — only ``home`` looks
+    at it.
     """
     targets = list(targets)
     if workload.destinations == "fixed":
@@ -349,15 +355,6 @@ def build_destination_sampler(
             workloads.zipfian_pairs(targets, s=workload.zipf_s),
             workload.local_parts, workload.global_parts,
         )
-    if workload.destinations == "hotspot":
-        return workloads.mixed_ratio(
-            workloads.hotspot_migration(
-                targets, hot_weight=workload.hotspot_weight,
-                period=workload.hotspot_period, clock=clock,
-            ),
-            workloads.uniform_pairs(targets),
-            workload.local_parts, workload.global_parts,
-        )
     if workload.destinations == "hotpairs":
         return workloads.hotspot_pairs(
             targets, hot_weight=workload.hotspot_weight,
@@ -373,8 +370,6 @@ def build_key_sampler(workload: WorkloadSpec) -> workloads.KeySampler:
         return workloads.uniform_keys(workload.keys)
     if workload.key_dist == "zipfian":
         return workloads.zipfian_keys(workload.keys, s=workload.zipf_s)
-    if workload.key_dist == "hotspot":
-        return workloads.hotspot_keys(workload.keys)
     raise ConfigurationError(
         f"unknown key distribution {workload.key_dist!r}")
 
@@ -417,24 +412,15 @@ def build_drivers(
         sampler = build_destination_sampler(workload, targets, clock=clock)
     stop_after = spec.horizon
     drivers = []
-    client_sites: Optional[Tuple[str, ...]] = None
-    if spec.topology.sites == "wan_spread":
-        # WAN geometry: clients live in the regions too (round-robin), so
-        # their first hop crosses the Table I latency matrix like every
-        # replica-to-replica link does
-        from repro.runtime.environments import REGIONS
-
-        client_sites = REGIONS
     for index in range(workload.clients):
         name = f"{workload.client_prefix}{index}"
         client = deployment.add_client(
-            name,
-            site=(client_sites[index % len(client_sites)]
-                  if client_sites else "site0"),
+            name, site=client_site(spec.topology, index),
             retransmit_timeout=spec.protocol.retransmit_timeout,
             read_timeout=spec.protocol.read_timeout)
         common = dict(
-            sampler=(build_destination_sampler(workload, targets, client=index)
+            sampler=(build_destination_sampler(workload, targets, clock,
+                                               client=index)
                      if per_client else sampler),
             rng=deployment.rng.stream(f"client.{name}"),
             collector=collector,
@@ -453,19 +439,6 @@ def build_drivers(
         elif workload.loop == "open":
             drivers.append(OpenLoopDriver(
                 client, rate=workload.rate, **common))
-        elif workload.loop == "burst":
-            drivers.append(BurstOpenLoopDriver(
-                client, rate=workload.rate, burst_on=workload.burst_on,
-                burst_off=workload.burst_off, **common))
-        elif workload.loop == "flash":
-            drivers.append(FlashCrowdDriver(
-                client, rate=workload.rate, flash_at=workload.flash_at,
-                flash_factor=workload.flash_factor,
-                flash_width=workload.flash_width, **common))
-        elif workload.loop == "diurnal":
-            drivers.append(DiurnalDriver(
-                client, rate=workload.rate, period=workload.diurnal_period,
-                amplitude=workload.diurnal_amplitude, **common))
         else:
             raise ConfigurationError(f"unknown loop {workload.loop!r}")
     return drivers

@@ -18,16 +18,16 @@ from repro.errors import ConfigurationError
 
 #: the one document layout this build reads and writes; bump when the
 #: serialized layout changes incompatibly
-SCENARIO_SCHEMA_VERSION = 5
+SCENARIO_SCHEMA_VERSION = 6
 
 #: enumerated axis values (also the vocabulary ``validate`` lints against)
 LAYOUTS = ("two_level", "paper", "balanced")
 LATENCIES = ("default", "lan", "wan")
 SITES = ("single", "wan_spread")
-LOOPS = ("closed", "open", "burst", "flash", "diurnal")
-DESTINATIONS = ("local", "global", "mixed", "zipfian", "hotspot", "hotpairs",
-                "fixed", "home", "skewed")
-KEY_DISTS = ("uniform", "zipfian", "hotspot")
+LOOPS = ("closed", "open")
+DESTINATIONS = ("local", "global", "mixed", "zipfian", "hotpairs", "fixed",
+                "home", "skewed")
+KEY_DISTS = ("uniform", "zipfian")
 COSTS = ("calibrated", "bench", "soak")
 APPS = ("none", "sharded_kv")
 BACKENDS = ("sim", "rt")
@@ -125,17 +125,14 @@ class WorkloadSpec:
     clients: int = 8
     #: client endpoint names are ``{client_prefix}{index}``
     client_prefix: str = "c"
-    #: ``closed`` (paper §IV) | ``open`` (Poisson) | ``burst`` (on/off Poisson)
+    #: ``closed`` (paper §IV) | ``open`` (Poisson)
     loop: str = "closed"
-    #: per-client arrival rate in msgs/s (open & burst loops)
+    #: per-client arrival rate in msgs/s (open loop)
     rate: float = 100.0
-    #: burst loop: seconds of the on-phase / off-phase per cycle
-    burst_on: float = 0.5
-    burst_off: float = 0.5
     #: closed loop: seconds between a completion and the next send
     think_time: float = 0.0
-    #: ``local`` | ``global`` | ``mixed`` | ``zipfian`` | ``hotspot`` |
-    #: ``hotpairs`` | ``fixed`` (always ``fixed``) | ``home`` (client *i*
+    #: ``local`` | ``global`` | ``mixed`` | ``zipfian`` | ``hotpairs`` |
+    #: ``fixed`` (always ``fixed``) | ``home`` (client *i*
     #: always sends to target ``i * groups // clients``: an equal share of
     #: the clients per group, Fig. 4(a)) | ``skewed`` (Table II: only
     #: {g1,g2} and {g3,g4})
@@ -147,21 +144,10 @@ class WorkloadSpec:
     #: local:global ratio of the mixed-style distributions
     local_parts: int = 10
     global_parts: int = 1
-    #: hotspot destinations: probability mass on the hot group and the
-    #: dwell (seconds of virtual time) before the hot spot migrates
+    #: hotpairs destinations: probability mass on the hot pairs and the
+    #: dwell (seconds of virtual time) before their pairing migrates
     hotspot_weight: float = 0.8
     hotspot_period: float = 1.0
-    #: flash loop: a Poisson base rate that spikes to ``rate *
-    #: flash_factor`` during ``[flash_at, flash_at + flash_width)``
-    #: (times relative to the run start, i.e. warmup-inclusive)
-    flash_at: float = 1.0
-    flash_factor: float = 8.0
-    flash_width: float = 0.5
-    #: diurnal loop: the rate swings sinusoidally between
-    #: ``rate * (1 - amplitude)`` and ``rate * (1 + amplitude)``
-    #: with the given period (a compressed day/night load shift)
-    diurnal_period: float = 2.0
-    diurnal_amplitude: float = 0.8
     warmup: float = 1.0
     duration: float = 4.0
     #: sharded-KV workloads only: key-space size and key distribution
@@ -185,23 +171,8 @@ class WorkloadSpec:
             problems.append("workload.clients must be >= 1")
         if self.loop not in LOOPS:
             problems.append(f"workload.loop {self.loop!r} not in {list(LOOPS)}")
-        if self.loop in ("open", "burst", "flash", "diurnal") and self.rate <= 0:
-            problems.append("workload.rate must be positive for open-loop "
-                            "arrival shapes")
-        if self.loop == "burst" and (self.burst_on <= 0 or self.burst_off < 0):
-            problems.append("workload.burst_on must be > 0 and burst_off >= 0")
-        if self.loop == "flash":
-            if self.flash_factor < 1.0:
-                problems.append("workload.flash_factor must be >= 1")
-            if self.flash_width <= 0:
-                problems.append("workload.flash_width must be positive")
-            if self.flash_at < 0:
-                problems.append("workload.flash_at must be >= 0")
-        if self.loop == "diurnal":
-            if self.diurnal_period <= 0:
-                problems.append("workload.diurnal_period must be positive")
-            if not 0.0 <= self.diurnal_amplitude < 1.0:
-                problems.append("workload.diurnal_amplitude must be in [0, 1)")
+        if self.loop == "open" and self.rate <= 0:
+            problems.append("workload.rate must be positive for the open loop")
         if self.destinations not in DESTINATIONS:
             problems.append(
                 f"workload.destinations {self.destinations!r} "
@@ -468,7 +439,7 @@ class ScenarioSpec:
             problems.extend(self.faults.lint())
         needs_pairs = (
             self.workload.destinations == "global"
-            or (self.workload.destinations in ("mixed", "zipfian", "hotspot")
+            or (self.workload.destinations in ("mixed", "zipfian")
                 and self.workload.global_parts > 0)
         )
         if needs_pairs and len(self.target_names()) < 2:

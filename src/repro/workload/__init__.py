@@ -11,14 +11,7 @@ from repro.workload.spec import (
     table2_skewed_demand,
     table2_uniform_demand,
 )
-from repro.workload.clients import (
-    BurstOpenLoopDriver,
-    ClosedLoopDriver,
-    DiurnalDriver,
-    FlashCrowdDriver,
-    OpenLoopDriver,
-    VariableRateOpenLoopDriver,
-)
+from repro.workload.clients import ClosedLoopDriver, OpenLoopDriver
 
 __all__ = [
     "DestinationSampler",
@@ -32,8 +25,4 @@ __all__ = [
     "table2_skewed_demand",
     "ClosedLoopDriver",
     "OpenLoopDriver",
-    "BurstOpenLoopDriver",
-    "VariableRateOpenLoopDriver",
-    "FlashCrowdDriver",
-    "DiurnalDriver",
 ]

@@ -1,4 +1,4 @@
-"""Client drivers: closed-loop (§IV) and open-loop arrival processes.
+"""Client drivers: the closed-loop (§IV) and the open-loop arrival process.
 
 A driver owns one protocol client (ByzCast, Baseline, or single-group) and
 issues multicasts according to an arrival discipline:
@@ -7,13 +7,7 @@ issues multicasts according to an arrival discipline:
   flight, the next is sent only after the previous completed (optionally
   after a think time);
 * :class:`OpenLoopDriver` — Poisson arrivals at a fixed rate, regardless
-  of completions (offered load does not throttle under pressure);
-* :class:`BurstOpenLoopDriver` — on/off-modulated Poisson arrivals (bursts
-  at a high rate separated by idle gaps);
-* :class:`FlashCrowdDriver` — a Poisson base rate that steps to a multiple
-  of itself for one bounded window (a flash crowd hitting the service);
-* :class:`DiurnalDriver` — a sinusoidally modulated Poisson rate (a
-  compressed day/night load shift).
+  of completions (offered load does not throttle under pressure).
 
 Completions are recorded on the shared latency collector and throughput
 meter, classified as local or global.  All drivers stop *cleanly* at
@@ -29,7 +23,6 @@ operation per message.
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from typing import Any, Callable, Optional, Tuple
@@ -267,8 +260,8 @@ class OpenLoopDriver(_DriverBase):
 
     Unlike the paper's closed-loop clients, an open-loop client does not
     throttle under load — useful for injecting an exact offered rate (e.g.
-    to validate the optimizer's ``F(d)`` against a group's ``K(x)``), for
-    the scale suite's arrival processes, and for observing overload
+    to validate the optimizer's ``F(d)`` against a group's ``K(x)``, or to
+    keep sending through a leader's outage) and for observing overload
     behaviour.  Use with care: past saturation the backlog grows without
     bound.
     """
@@ -312,139 +305,3 @@ class OpenLoopDriver(_DriverBase):
     def _fire(self) -> None:
         self._send()
         self._schedule_next()
-
-
-class BurstOpenLoopDriver(OpenLoopDriver):
-    """On/off-modulated Poisson arrivals: flash crowds, diurnal shifts.
-
-    The driver alternates between an *on* phase of ``burst_on`` seconds —
-    Poisson arrivals at ``rate`` — and an *off* phase of ``burst_off``
-    seconds with no arrivals at all.  ``burst_off = 0`` degenerates to the
-    plain :class:`OpenLoopDriver`.  Phases are anchored at :meth:`start`,
-    so drivers started together burst together (the interesting case for
-    convoy effects at the root group).
-    """
-
-    def __init__(self, *args, burst_on: float = 0.5, burst_off: float = 0.5,
-                 **kwargs) -> None:
-        if burst_on <= 0:
-            raise ValueError("burst_on must be positive")
-        if burst_off < 0:
-            raise ValueError("burst_off must be non-negative")
-        super().__init__(*args, **kwargs)
-        self.burst_on = burst_on
-        self.burst_off = burst_off
-        self._phase_start = 0.0
-
-    def start(self) -> None:
-        self._phase_start = self.now
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        gap = self.rng.expovariate(self.rate)
-        cycle = self.burst_on + self.burst_off
-        if self.burst_off > 0:
-            # Position of the *next* arrival inside the on/off cycle; if it
-            # lands in an off phase, defer it to the start of the next on
-            # phase (arrivals are suppressed, not queued, while off).
-            at = (self.now - self._phase_start) + gap
-            offset = at % cycle
-            if offset > self.burst_on:
-                gap += cycle - offset
-        self._set_timer(gap, self._fire)
-
-
-class VariableRateOpenLoopDriver(OpenLoopDriver):
-    """Open-loop arrivals whose instantaneous rate varies over time.
-
-    Subclasses define :meth:`rate_at` (the rate at ``elapsed`` seconds
-    since :meth:`start`) and :meth:`next_change` (seconds until the rate
-    next changes, or ``None``).  Gaps are sampled from the current rate;
-    when a sampled gap crosses a rate-change boundary, the draw restarts
-    *at* the boundary with the new rate — by memorylessness this makes the
-    arrival process exact for piecewise-constant rate functions and a
-    tight approximation for smoothly varying ones (given boundaries small
-    against the modulation period).
-    """
-
-    def start(self) -> None:
-        self._anchor = self.now
-        self._schedule_next()
-
-    def rate_at(self, elapsed: float) -> float:
-        raise NotImplementedError
-
-    def next_change(self, elapsed: float) -> Optional[float]:
-        raise NotImplementedError
-
-    def _schedule_next(self) -> None:
-        elapsed = self.now - self._anchor
-        rate = max(self.rate_at(elapsed), 1e-9)
-        gap = self.rng.expovariate(rate)
-        boundary = self.next_change(elapsed)
-        if boundary is not None and gap > boundary > 0:
-            self._set_timer(boundary, self._schedule_next)
-            return
-        self._set_timer(gap, self._fire)
-
-
-class FlashCrowdDriver(VariableRateOpenLoopDriver):
-    """A Poisson base rate with one bounded spike.
-
-    Arrivals run at ``rate`` except during the window ``[flash_at,
-    flash_at + flash_width)`` (relative to :meth:`start`), where the rate
-    steps to ``rate * flash_factor``.  Drivers started together spike
-    together — the convoy case that stresses the root group's pipeline.
-    """
-
-    def __init__(self, *args, flash_at: float = 1.0, flash_factor: float = 8.0,
-                 flash_width: float = 0.5, **kwargs) -> None:
-        if flash_factor < 1.0:
-            raise ValueError("flash_factor must be >= 1")
-        if flash_width <= 0:
-            raise ValueError("flash_width must be positive")
-        if flash_at < 0:
-            raise ValueError("flash_at must be non-negative")
-        super().__init__(*args, **kwargs)
-        self.flash_at = flash_at
-        self.flash_factor = flash_factor
-        self.flash_width = flash_width
-
-    def rate_at(self, elapsed: float) -> float:
-        if self.flash_at <= elapsed < self.flash_at + self.flash_width:
-            return self.rate * self.flash_factor
-        return self.rate
-
-    def next_change(self, elapsed: float) -> Optional[float]:
-        if elapsed < self.flash_at:
-            return self.flash_at - elapsed
-        if elapsed < self.flash_at + self.flash_width:
-            return self.flash_at + self.flash_width - elapsed
-        return None
-
-
-class DiurnalDriver(VariableRateOpenLoopDriver):
-    """A sinusoidally modulated Poisson rate (day/night load shift).
-
-    The instantaneous rate swings between ``rate * (1 - amplitude)`` and
-    ``rate * (1 + amplitude)`` with the given period.  The sampling
-    boundary is ``period / 16``, small enough that the piecewise-constant
-    approximation tracks the sinusoid closely.
-    """
-
-    def __init__(self, *args, period: float = 2.0, amplitude: float = 0.8,
-                 **kwargs) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        super().__init__(*args, **kwargs)
-        self.period = period
-        self.amplitude = amplitude
-
-    def rate_at(self, elapsed: float) -> float:
-        phase = 2.0 * math.pi * elapsed / self.period
-        return self.rate * (1.0 + self.amplitude * math.sin(phase))
-
-    def next_change(self, elapsed: float) -> Optional[float]:
-        return self.period / 16.0

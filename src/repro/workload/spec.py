@@ -12,16 +12,15 @@ here reproduce the paper's workloads:
 * ``mixed_ratio`` — local and global in a given proportion (the 10:1 mixed
   workload of Fig. 6/9/10);
 
-and the skewed/shifting distributions the scale suite adds on top
-(docs/SCENARIOS.md):
+and the skewed and shifting distributions beyond them (docs/SCENARIOS.md):
 
 * ``zipfian_local`` / ``zipfian_pairs`` — Zipf-skewed group popularity;
-* ``hotspot_migration`` — one hot group holds most of the probability
-  mass and the hot spot migrates over (virtual) time.
+* ``hotspot_pairs`` — hot pairs of groups whose pairing migrates over
+  virtual time (the adaptive-tree ablation's shifting skew).
 
 A *key sampler* is a callable ``rng -> str`` over a fixed key space —
-``uniform_keys`` / ``zipfian_keys`` / ``hotspot_keys`` feed the sharded-KV
-workloads of :mod:`repro.apps.sharded_kv`.
+``uniform_keys`` / ``zipfian_keys`` feed the sharded-KV workloads of
+:mod:`repro.apps.sharded_kv`.
 
 The module also exposes the Table II demand matrices ``F(d)`` used by the
 overlay-tree optimizer.
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.types import Destination, destination
@@ -176,56 +175,12 @@ def zipfian_pairs(targets: Sequence[str], s: float = 1.0) -> DestinationSampler:
     return sample
 
 
-def hotspot_migration(
-    targets: Sequence[str],
-    hot_weight: float = 0.8,
-    period: float = 1.0,
-    clock: Optional[Callable[[], float]] = None,
-) -> DestinationSampler:
-    """Local messages with a migrating hot group (flash-crowd shape).
-
-    At any instant one target is *hot* and receives ``hot_weight`` of the
-    probability mass; the rest is spread uniformly over the other targets.
-    The hot spot advances to the next target every ``period``:
-
-    * with a ``clock`` (a ``() -> float`` of virtual seconds), migration
-      follows time — drivers at any rate see the same dwell per group;
-    * without one, migration counts samples — every ``ceil(period)``
-      draws — keeping the sampler deterministic in unit tests.
-    """
-    if not targets:
-        raise WorkloadError("need at least one target group")
-    if not 0.0 < hot_weight <= 1.0:
-        raise WorkloadError("hot_weight must be in (0, 1]")
-    if period <= 0:
-        raise WorkloadError("period must be positive")
-    choices = [destination(t) for t in targets]
-    if len(choices) == 1:
-        return fixed_destination(*targets)
-    sample_period = max(1, int(period))
-    drawn = 0
-
-    def sample(rng: random.Random) -> Destination:
-        nonlocal drawn
-        if clock is not None:
-            hot = int(clock() / period) % len(choices)
-        else:
-            hot = (drawn // sample_period) % len(choices)
-            drawn += 1
-        if rng.random() < hot_weight:
-            return choices[hot]
-        cold = rng.randrange(len(choices) - 1)
-        return choices[cold if cold < hot else cold + 1]
-
-    return sample
-
-
 def hotspot_pairs(
     targets: Sequence[str],
+    clock: Callable[[], float],
     hot_weight: float = 0.9,
     period: float = 1.0,
     s: float = 1.0,
-    clock: Optional[Callable[[], float]] = None,
 ) -> DestinationSampler:
     """Global hot *pairs* whose pairing migrates — the adaptive-tree stress.
 
@@ -233,10 +188,10 @@ def hotspot_pairs(
     ``hot_weight`` the destination is the pair ``(front[i], back[(i +
     epoch) % |back|])`` with ``i`` drawn Zipf(``s``)-ranked over the front
     half; otherwise it is a uniform local single.  The epoch advances
-    every ``period`` (virtual seconds under a ``clock``, else every
-    ``ceil(period)`` draws), so *which* groups co-occur rotates over time:
-    a tree adapted to one epoch's pairing is cross-branch again in the
-    next — exactly the shifting-skew workload FlexCast-style online
+    every ``period`` seconds of ``clock`` (a ``() -> float`` of virtual
+    seconds), so *which* groups co-occur rotates over time: a tree
+    adapted to one epoch's pairing is cross-branch again in the next —
+    exactly the shifting-skew workload FlexCast-style online
     re-planning is for (docs/TREES.md).
 
     Under the canonical ``balanced(fanout = |targets| / 2)`` tree the two
@@ -254,16 +209,9 @@ def hotspot_pairs(
     front, back = names[:half], names[half:]
     cumulative = _zipf_cumulative(len(front), s)
     singles = [destination(t) for t in names]
-    sample_period = max(1, int(period))
-    drawn = 0
 
     def sample(rng: random.Random) -> Destination:
-        nonlocal drawn
-        if clock is not None:
-            epoch = int(clock() / period)
-        else:
-            epoch = drawn // sample_period
-            drawn += 1
+        epoch = int(clock() / period)
         if rng.random() < hot_weight:
             rank = _zipf_index(cumulative, rng)
             return destination(front[rank], back[(rank + epoch) % len(back)])
@@ -299,31 +247,6 @@ def zipfian_keys(count: int, s: float = 1.0, prefix: str = "key") -> KeySampler:
 
     def sample(rng: random.Random) -> str:
         return keys[_zipf_index(cumulative, rng)]
-
-    return sample
-
-
-def hotspot_keys(
-    count: int,
-    hot_weight: float = 0.9,
-    prefix: str = "key",
-) -> KeySampler:
-    """A small hot set absorbs most accesses (90/10-style skew).
-
-    A tenth of the key space (at least one key) receives ``hot_weight`` of
-    the draws; the cold remainder shares the rest.
-    """
-    keys = key_space(count, prefix)
-    if not 0.0 < hot_weight <= 1.0:
-        raise WorkloadError("hot_weight must be in (0, 1]")
-    hot_count = max(1, len(keys) // 10)
-    hot, cold = keys[:hot_count], keys[hot_count:]
-    if not cold:
-        return uniform_keys(count, prefix)
-
-    def sample(rng: random.Random) -> str:
-        pool = hot if rng.random() < hot_weight else cold
-        return pool[rng.randrange(len(pool))]
 
     return sample
 

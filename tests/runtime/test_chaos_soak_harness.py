@@ -30,6 +30,16 @@ def check(report: ChaosReport) -> None:
     assert any(k.startswith("chaos.") for k in report.injected)
 
 
+def test_sim_soak_runs_with_clients_spread_over_wan_sites():
+    # The soak places its clients as the drivers do (client_site): in the
+    # regions, round-robin.  At a single default site, the first send of a
+    # client had no latency entry on the WAN matrix (KeyError).
+    spec = soak_spec(SIM_SOAK, latency="wan", sites="wan_spread")
+    report = run_chaos_soak(spec, messages=24)
+    assert isinstance(report, ChaosReport)
+    assert report.sent == 24
+
+
 def test_sim_soak_passes_invariants_and_liveness():
     report = run_chaos_soak(SIM_SOAK, messages=40)
     check(report)

@@ -17,7 +17,10 @@ from repro.scenario.build import (
     scenario_membership,
 )
 from repro.scenario.spec import (
+    DESTINATIONS,
+    KEY_DISTS,
     KINDS,
+    LOOPS,
     FaultSpec,
     ProtocolSpec,
     TopologySpec,
@@ -76,25 +79,34 @@ class TestBalancedTree:
 
 
 class TestSamplers:
+    """Every value of the vocabulary that lints also builds."""
+
     def test_every_destination_kind_builds(self):
-        targets = [f"g{i + 1}" for i in range(4)]
+        # four targets named g1..g4: the Table II ``skewed`` pairs need them
+        spec = ScenarioSpec(name="dst", topology=TopologySpec(groups=4))
+        targets = spec.target_names()
         rng = random.Random(5)
-        for kind in ("local", "global", "mixed", "zipfian", "hotspot"):
-            sampler = build_destination_sampler(
-                WorkloadSpec(destinations=kind), targets)
-            dst = sampler(rng)
-            assert set(dst) <= set(targets)
+        for kind in DESTINATIONS:
+            workload = WorkloadSpec(
+                clients=4, destinations=kind,
+                fixed=("g1", "g3") if kind == "fixed" else ())
+            assert spec.with_(workload=workload).validate() == [], kind
+            # ``home`` gives each client its own sampler
+            for client in range(workload.clients):
+                sampler = build_destination_sampler(
+                    workload, targets, lambda: 0.0, client=client)
+                assert set(sampler(rng)) <= set(targets), kind
 
     def test_every_key_dist_builds(self):
         rng = random.Random(5)
-        for kind in ("uniform", "zipfian", "hotspot"):
+        for kind in KEY_DISTS:
             sampler = build_key_sampler(WorkloadSpec(keys=16, key_dist=kind))
             assert sampler(rng).startswith("key")
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ConfigurationError):
             build_destination_sampler(
-                WorkloadSpec(destinations="nope"), ["g1"])
+                WorkloadSpec(destinations="nope"), ["g1"], lambda: 0.0)
         with pytest.raises(ConfigurationError):
             build_key_sampler(WorkloadSpec(key_dist="nope"))
         with pytest.raises(ConfigurationError):
@@ -188,20 +200,24 @@ class TestDeterminism:
 
 
 class TestDrivers:
-    def test_burst_loop_sends_less_than_open(self):
-        open_spec = TINY.with_(
-            name="open",
-            workload=WorkloadSpec(clients=4, loop="open", rate=60.0,
-                                  warmup=0.3, duration=1.2))
-        burst_spec = open_spec.with_(
-            name="burst",
-            workload=WorkloadSpec(clients=4, loop="burst", rate=60.0,
-                                  burst_on=0.3, burst_off=0.6,
-                                  warmup=0.3, duration=1.2))
-        open_result = run_scenario(open_spec)
-        burst_result = run_scenario(burst_spec)
-        assert burst_result.sent < open_result.sent
-        assert burst_result.sent > 0
+    def test_every_loop_builds_and_sends(self):
+        for loop in LOOPS:
+            spec = TINY.with_(name=loop, workload=WorkloadSpec(
+                clients=2, loop=loop, rate=40.0, warmup=0.2, duration=0.6))
+            assert spec.validate() == [], loop
+            assert run_scenario(spec).sent > 0, loop
+
+    def test_wan_spread_clients_sit_in_the_regions_round_robin(self):
+        from repro.runtime.environments import REGIONS
+        from repro.scenario.build import build_deployment, build_drivers
+
+        spec = TINY.with_(
+            topology=TopologySpec(groups=2, latency="wan", sites="wan_spread"),
+            workload=WorkloadSpec(clients=5))
+        deployment = build_deployment(spec)
+        build_drivers(spec, deployment)
+        assert [deployment.network.site_of(f"c{i}") for i in range(5)] == [
+            *REGIONS, REGIONS[0]]
 
     def test_no_straggler_timers_after_horizon(self):
         """Satellite fix: drivers cancel/skip timers past ``stop_after``."""

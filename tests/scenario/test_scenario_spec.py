@@ -49,8 +49,6 @@ def scenario_specs(draw):
         client_prefix=draw(st.sampled_from(["c", "bench-c"])),
         loop=draw(st.sampled_from(LOOPS)),
         rate=draw(_rates),
-        burst_on=draw(_rates),
-        burst_off=draw(_times),
         think_time=draw(_times),
         destinations=draw(st.sampled_from(DESTINATIONS)),
         fixed=draw(st.sampled_from([(), ("g1",), ("g1", "g2")])),

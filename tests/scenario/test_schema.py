@@ -1,9 +1,9 @@
 """The scenario vocabulary beyond the basics: one schema, lint per axis.
 
-Arrival shapes (flash, diurnal), membership churn, the read tier
-(docs/READS.md), the wire-codec knob (docs/WIRE.md), adaptive overlay
-trees and the ``hotpairs`` sampler (docs/TREES.md), ``protocol.kind`` and the
-figures' ``fixed``/``home``/``skewed`` destinations — each accepted from a
+Membership churn, the read tier (docs/READS.md), the wire-codec knob
+(docs/WIRE.md), adaptive overlay trees and the ``hotpairs`` sampler
+(docs/TREES.md), ``protocol.kind`` and the figures'
+``fixed``/``home``/``skewed`` destinations — each accepted from a
 document, linted, and round-tripped.  A document declares exactly
 ``SCENARIO_SCHEMA_VERSION``; strict-parsing basics (unknown keys, missing
 name) live in ``test_scenario_spec.py``.
@@ -43,8 +43,7 @@ def test_unsupported_schema_is_rejected(schema):
 @pytest.mark.parametrize("spec", [
     ScenarioSpec(
         name="churn",
-        workload=WorkloadSpec(loop="diurnal", rate=60.0,
-                              diurnal_period=3.0, diurnal_amplitude=0.5),
+        workload=WorkloadSpec(loop="open", rate=60.0),
         faults=FaultSpec(intensity="churn", joins=2, leaves=1, scale_cycles=1),
     ),
     ScenarioSpec(
@@ -89,35 +88,16 @@ def test_example_scenarios_are_valid_and_canonical():
         assert spec.to_json() == text, path.name
 
 
-# -- arrival shapes and churn -------------------------------------------------
+# -- churn -------------------------------------------------------------------
 
-def test_document_accepts_flash_and_churn_vocabulary():
+def test_document_accepts_churn_vocabulary():
     spec = ScenarioSpec.from_dict({
         "schema": SCENARIO_SCHEMA_VERSION,
         "name": "churny",
-        "workload": {"loop": "flash", "rate": 80.0, "flash_factor": 6.0},
         "faults": {"intensity": "churn", "joins": 1, "scale_cycles": 1},
     })
     assert spec.validate() == []
     assert spec.faults.churn()
-
-
-def test_flash_lint_rules():
-    bad = ScenarioSpec(name="t", workload=WorkloadSpec(
-        loop="flash", rate=10.0, flash_factor=0.5, flash_width=0.0,
-        flash_at=-1.0))
-    problems = "\n".join(bad.validate())
-    assert "flash_factor" in problems
-    assert "flash_width" in problems
-    assert "flash_at" in problems
-
-
-def test_diurnal_lint_rules():
-    bad = ScenarioSpec(name="t", workload=WorkloadSpec(
-        loop="diurnal", rate=10.0, diurnal_period=0.0, diurnal_amplitude=1.0))
-    problems = "\n".join(bad.validate())
-    assert "diurnal_period" in problems
-    assert "diurnal_amplitude" in problems
 
 
 def test_fault_churn_lint_and_predicate():
