@@ -38,7 +38,7 @@ def run_workload(backend: str) -> None:
         sent.append(client.amulticast(destination(*dst),
                                       payload=("tx", index), callback=on_done))
 
-    def on_done(message, latency) -> None:
+    def on_done(message, latency, results) -> None:
         completed.append((message, latency))
         if len(sent) < TOTAL:
             send_next()

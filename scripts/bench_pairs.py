@@ -15,8 +15,11 @@ quartiles, the ratio and how many pairs the change won.  A gain may be
 claimed when the change wins at least nine tenths of the pairs (ties count
 for neither side) and the medians differ by more than the parent's
 inter-quartile distance; ``claim`` says whether both hold.  ``--workload``
-may be repeated.  ``--traced`` adds one ``--trace 1`` run per side (first
-seed) for the per-layer metrics.  ``--out PREFIX`` writes
+may be repeated.  ``--traced`` adds three ``--trace 1`` runs per side, on
+seeds 11, 12 and 13, and prints per layer metric each side's median and
+range: a row whose two ranges overlap is ``unresolved`` (one run's noise
+can move a wall-time row by a quarter), one with the same values on both
+sides ``same``, any other ``better`` or ``worse``.  ``--out PREFIX`` writes
 ``PREFIX.parent.json`` and ``PREFIX.change.json``, two result sets that
 ``bench/compare.py`` reads — the full verdict table plus the layer metrics
 that moved.  Each side runs the ``bench/`` of its own tree, so the
@@ -42,6 +45,8 @@ from bench.compare import quartiles  # noqa: E402  (q1, median, q3)
 
 FIRST_SEED = 11
 SIDES = ("parent", "change")
+#: ``--trace 1`` runs per side, on consecutive seeds from FIRST_SEED
+TRACED_RUNS = 3
 
 
 def extract(ref: str, target: str) -> None:
@@ -113,6 +118,36 @@ def report(workload: str, parent_ref: str, better: Dict[str, str],
               f"{wrong} run(s) with a failed check")
 
 
+def layer_report(workload: str, better: Dict[str, str],
+                 traced: Dict[str, List[Dict]]) -> None:
+    """Each layer metric's median and range per side over the traced runs;
+    ``unresolved`` where the two ranges overlap."""
+    runs = len(traced["parent"])
+    print(f"{workload}: layer metrics over {runs} traced runs per side, "
+          f"seeds {FIRST_SEED}-{FIRST_SEED + runs - 1}")
+    print(f"{'metric':36s} {'parent median [min, max]':>36s} "
+          f"{'change median [min, max]':>36s} {'ratio':>6s}  verdict")
+    for name, direction in better.items():
+        sides = {side: sorted(run["metrics"].get(name) for run in traced[side]
+                              if run["metrics"].get(name) is not None)
+                 for side in SIDES}
+        if any(len(values) != runs for values in sides.values()):
+            continue
+        parent, change = sides["parent"], sides["change"]
+        pm, cm = quartiles(parent)[1], quartiles(change)[1]
+        if parent == change:
+            verdict = "same"
+        elif parent[0] <= change[-1] and change[0] <= parent[-1]:
+            verdict = "unresolved"
+        else:
+            lower = change[-1] < parent[0]
+            verdict = "better" if lower == (direction == "lower") else "worse"
+        ratio = f"{cm / pm:6.2f}" if pm else f"{'-':>6s}"
+        print(f"{name:36s} {pm:14.4f} [{parent[0]:9.4f},{parent[-1]:9.4f}] "
+              f"{cm:14.4f} [{change[0]:9.4f},{change[-1]:9.4f}] {ratio}  "
+              f"{verdict}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git ref of the parent commit")
@@ -120,7 +155,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=12)
     parser.add_argument("--traced", action="store_true",
-                        help="add one --trace 1 run per side")
+                        help=f"add {TRACED_RUNS} --trace 1 runs per side "
+                             "and a per-layer table")
     parser.add_argument("--out", metavar="PREFIX",
                         help="write PREFIX.{parent,change}.json result sets")
     args = parser.parse_args()
@@ -128,6 +164,7 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         contract = json.load(f)
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    layer_better = {m["name"]: m["better"] for m in contract["per_layer"]}
     records: Dict[str, List[Dict]] = {side: [] for side in SIDES}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
@@ -153,10 +190,17 @@ def main() -> int:
             report(workload, args.parent, better, runs)
             for side in SIDES:
                 records[side] += runs[side]
-                if args.traced:
-                    records[side].append(run_once(
-                        trees[side], workload, FIRST_SEED, args.seconds,
-                        trace=1))
+            if args.traced:
+                traced: Dict[str, List[Dict]] = {side: [] for side in SIDES}
+                for index in range(TRACED_RUNS):
+                    order = SIDES if index % 2 == 0 else SIDES[::-1]
+                    for side in order:
+                        traced[side].append(run_once(
+                            trees[side], workload, FIRST_SEED + index,
+                            args.seconds, trace=1))
+                layer_report(workload, layer_better, traced)
+                for side in SIDES:
+                    records[side] += traced[side]
 
     if args.out:
         for side in SIDES:

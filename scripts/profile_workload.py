@@ -38,8 +38,10 @@ census is deterministic per seed.
 ``--retained`` adds a repeat under ``tracemalloc`` (:class:`Retained`)
 that takes a snapshot at the moment the benchmark reads ``peak_rss_mb``
 (its ``resource.getrusage``, wrapped from outside) and prints the traced
-MiB against peak RSS, then the 15 source lines whose allocations are
-still alive there, by size, with their object counts.  It refuses
+MiB against peak RSS, the traced KiB retained per completed op — the one
+number a change to per-op history moves — then the 15 source lines whose
+allocations are still alive there, by size, with their object counts in
+all and per completed op.  It refuses
 ``rt_mixed``: tracemalloc slows its wall-clock loop so much that a repeat
 completes a twentieth of its usual ops (1 176 on seed 11), which is not
 the run being asked about.
@@ -374,12 +376,15 @@ class Retained:
             importlib.import_module(name).resource = stand_in
         tracemalloc.start(1)
 
-    def report(self) -> str:
+    def report(self, completed: int) -> str:
         if self.snapshot is None:
             return "the benchmark never read peak_rss_mb"
+        ops = max(completed, 1)
         rows = [f"traced at the peak_rss_mb read {self.traced / 2**20:8.1f} MiB"
                 f" of peak RSS {self.peak_rss_mb:.1f} MiB",
-                f"{'KiB':>10s} {'objects':>9s}  line"]
+                f"retained per completed op {self.traced / 1024 / ops:10.3f}"
+                f" KiB ({completed} ops)",
+                f"{'KiB':>10s} {'objects':>9s} {'per op':>8s}  line"]
         snapshot = self.snapshot.filter_traces(
             (tracemalloc.Filter(False, tracemalloc.__file__),))
         for stat in snapshot.statistics("lineno")[:self.TOP]:
@@ -388,7 +393,8 @@ class Retained:
             if where.startswith(".."):
                 where = frame.filename
             code = linecache.getline(frame.filename, frame.lineno).strip()
-            rows.append(f"{stat.size / 1024:10.1f} {stat.count:9d}  "
+            rows.append(f"{stat.size / 1024:10.1f} {stat.count:9d} "
+                        f"{stat.count / ops:8.3f}  "
                         f"{where}:{frame.lineno}  {code[:60]}")
         return "\n".join(rows)
 
@@ -608,7 +614,7 @@ def phase_retained(args) -> int:
     result = run_repeat(args)
     print(f"{args.workload} seed {args.seed} under tracemalloc: "
           f"{summary(result)}")
-    print(retained.report())
+    print(retained.report(result["completed"]))
     return 0
 
 
@@ -648,8 +654,9 @@ def main(argv: List[str] = None) -> int:
                              "payload type and Reply result kind")
     parser.add_argument("--retained", action="store_true",
                         help="snapshot tracemalloc where the benchmark reads "
-                             "peak_rss_mb: traced MiB and the top 15 lines "
-                             "by retained size (not on rt_mixed)")
+                             "peak_rss_mb: traced MiB, KiB retained per "
+                             "op and the top 15 lines by retained size, "
+                             "with objects per op (not on rt_mixed)")
     parser.add_argument("--hops", action="store_true",
                         help="time each relay hop's stages: parent "
                              "decision to relay cut to relayed copy, "

@@ -30,7 +30,6 @@ optimizer (:mod:`repro.optimizer`) are imported from their packages, so
 
 from repro.types import (
     ClientId,
-    Delivery,
     Destination,
     GroupId,
     MessageId,
@@ -76,7 +75,6 @@ __all__ = [
     "destination",
     "MessageId",
     "MulticastMessage",
-    "Delivery",
     # errors
     "ReproError",
     "ConfigurationError",

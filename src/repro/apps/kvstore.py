@@ -98,10 +98,8 @@ class StoreClient(MulticastClient):
         )
         return mid
 
-    def _record_op(self, message: MulticastMessage, latency: float) -> None:
-        group_results = self.results.get(
-            (message.mid.sender, message.mid.seq), {}
-        )
+    def _record_op(self, message: MulticastMessage, latency: float,
+                   group_results: Dict[str, Any]) -> None:
         combined = self._combine(message.payload, group_results)
         self._completed_ops.append((message.mid, message.payload, combined))
 

@@ -115,7 +115,8 @@ digest_stats = MemoStats()
 # -- the type-id registry ---------------------------------------------------------
 
 _REGISTRY: Dict[str, Type] = {}
-_TYPES_BY_ID: List[Type] = []
+#: by type id; None at a retired type's id
+_TYPES_BY_ID: List[Optional[Type]] = []
 #: class -> (header bytes, fields getter, memoisable, class if unregistered)
 _META: Dict[Type, tuple] = {}
 
@@ -148,14 +149,17 @@ def _register_builtin_types() -> None:
     from repro.bcast.reconfig import Reconfig, View
     from repro.core import messages as cmsg
     from repro.crypto.signatures import Signature
-    from repro.types import Delivery, MessageId, MulticastMessage
+    from repro.types import MessageId, MulticastMessage
 
     for cls in (
         bmsg.Request, bmsg.Propose, bmsg.Write, bmsg.Accept, bmsg.Reply,
         bmsg.Stop, bmsg.StopData, bmsg.Sync, bmsg.Heartbeat, bmsg.CertReport,
         bmsg.StateRequest, bmsg.StateResponse,
         cmsg.WireMulticast, cmsg.MulticastReply,
-        Reconfig, View, Signature, MessageId, MulticastMessage, Delivery,
+        Reconfig, View, Signature, MessageId, MulticastMessage,
+        # 19 was an a-delivery record; the id stays reserved, so every
+        # later id, and every digest that names one, keeps its bytes.
+        None,
         # Admin commands ride inside Request.command over neighbour links,
         # so they need wire ids too.  Appended after the original table —
         # type ids are registration-order indexes.
@@ -168,7 +172,10 @@ def _register_builtin_types() -> None:
         # A StateResponse behind the truncation horizon carries one.
         bmsg.CheckpointData,
     ):
-        register_wire_type(cls)
+        if cls is None:
+            _TYPES_BY_ID.append(None)
+        else:
+            register_wire_type(cls)
 
 
 def ensure_registered() -> None:
@@ -194,8 +201,10 @@ def registered_type(name: str) -> Type:
 def wire_type_by_id(type_id: int) -> Type:
     """The class registered under ``type_id`` (raises on unknown ids)."""
     ensure_registered()
-    if 0 <= type_id < len(_TYPES_BY_ID):
-        return _TYPES_BY_ID[type_id]
+    cls = (_TYPES_BY_ID[type_id] if 0 <= type_id < len(_TYPES_BY_ID)
+           else None)
+    if cls is not None:
+        return cls
     raise NetworkError(f"unknown wire type id {type_id}")
 
 

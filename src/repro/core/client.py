@@ -35,7 +35,10 @@ from repro.crypto.signatures import sign
 from repro.env import Actor, Runtime
 from repro.types import ClientId, Destination, MessageId, MulticastMessage, destination
 
-CompletionCallback = Callable[[MulticastMessage, float], None]
+#: an op's own continuation: ``(message, latency, results)``, where
+#: ``results`` maps each destination group to its f+1-confirmed result
+CompletionCallback = Callable[[MulticastMessage, float, Dict[str, object]],
+                              None]
 ReadCallback = Callable[["ReadOutcome"], None]
 
 #: read modes a client may request (see docs/READS.md)
@@ -111,8 +114,9 @@ class MulticastClient(Actor):
             per identity automatically).
         tree: the deployment's overlay tree.
         group_configs: all group configurations (for replica membership).
-        on_complete: default callback invoked as ``(message, latency)`` when
-            a multicast is confirmed by all destination groups.
+        on_complete: invoked as ``(message, latency)`` when any multicast
+            is confirmed by all destination groups (after the op's own
+            ``callback``, which also gets the per-group results).
     """
 
     def __init__(
@@ -122,7 +126,8 @@ class MulticastClient(Actor):
         tree: OverlayTree,
         group_configs: Dict[str, BroadcastConfig],
         registry: KeyRegistry,
-        on_complete: Optional[CompletionCallback] = None,
+        on_complete: Optional[Callable[[MulticastMessage, float],
+                                       None]] = None,
         retransmit_timeout: Optional[float] = 4.0,
         read_timeout: float = 1.0,
     ) -> None:
@@ -141,8 +146,6 @@ class MulticastClient(Actor):
         self._inflight_reads: Dict[Tuple[str, str, int], _InFlightRead] = {}
         #: (message, latency) of every confirmed multicast, in completion order
         self.completions: List[Tuple[MulticastMessage, float]] = []
-        #: (sender, seq) -> per-group confirmed application results
-        self.results: Dict[Tuple[str, int], Dict[str, object]] = {}
         #: per (group, mode) monotone floor over accepted read cids (the
         #: session guarantee: this client's reads never travel back in time)
         self._read_high_water: Dict[Tuple[str, str], int] = {}
@@ -172,7 +175,12 @@ class MulticastClient(Actor):
         payload: Tuple = (),
         callback: Optional[CompletionCallback] = None,
     ) -> MessageId:
-        """Atomically multicast ``payload`` to the groups in ``dst``."""
+        """Atomically multicast ``payload`` to the groups in ``dst``.
+
+        ``callback(message, latency, results)`` fires once, when every
+        destination group confirmed; ``results`` maps each group to the
+        a-delivery result f+1 of its members agreed on.
+        """
         seq = self._next_seq
         self._next_seq += 1
         mid = MessageId(ClientId(self.name), seq)
@@ -288,15 +296,14 @@ class MulticastClient(Actor):
         """Resolve a read through the ordered path (always linearizable)."""
         group, mode, rid = key
 
-        def finish(message: MulticastMessage, latency: float) -> None:
+        def finish(message: MulticastMessage, latency: float,
+                   results: Dict[str, object]) -> None:
             inflight = self._inflight_reads.pop(key, None)
             if inflight is None:
                 return
-            mkey = (message.mid.sender, message.mid.seq)
-            result = self.results.get(mkey, {}).get(group)
             outcome = ReadOutcome(
-                group=group, mode=mode, rid=rid, result=result, cid=-1,
-                fallback=(mode != "ordered"),
+                group=group, mode=mode, rid=rid, result=results.get(group),
+                cid=-1, fallback=(mode != "ordered"),
                 latency=self.clock.now - inflight.issued_at,
             )
             self.read_log.append(outcome)
@@ -525,12 +532,8 @@ class MulticastClient(Actor):
         del self._inflight[key]
         latency = self.clock.now - entry.sent_at
         self.completions.append((entry.message, latency))
-        #: confirmed per-group application results, by message id
-        self.results[(entry.message.mid.sender, entry.message.mid.seq)] = dict(
-            entry.group_results
-        )
         self.monitor.record(self.name, "client.delivered", seq=key[1])
         if entry.callback is not None:
-            entry.callback(entry.message, latency)
+            entry.callback(entry.message, latency, entry.group_results)
         if self.on_complete is not None:
             self.on_complete(entry.message, latency)

@@ -69,12 +69,14 @@ from repro.crypto.digest import SequenceDigest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import verify_signed
 from repro.env import TimerHandle
-from repro.types import Delivery, MulticastMessage
+from repro.types import MulticastMessage
 
 DeliverCallback = Callable[[MulticastMessage, ExecutionContext], None]
 
 #: what an entry group that is not a destination answers a retransmission
 ENTRY_ACK = ("ack",)
+#: what a destination entry group answers when the a-delivery has no result
+DELIVERED = ("delivered", None)
 
 
 class ByzCastApplication(Application):
@@ -160,8 +162,10 @@ class ByzCastApplication(Application):
         self._acted_digest = SequenceDigest()
         #: the last :meth:`snapshot` and its :meth:`state_summary`
         self._summarised: Tuple[Any, Any] = (None, None)
-        #: chronological record of local a-deliver events (tests/metrics)
-        self.deliveries: List[Delivery] = []
+        #: the messages a-delivered here, in delivery order: each is the
+        #: wire's memoised ``to_message()``, so the replicas of a process
+        #: that a-deliver one wire share one object
+        self.deliveries: List[MulticastMessage] = []
         #: the MulticastReplies of relayed a-deliveries, by client and seq,
         #: sent again on a DeliveryQuery (this replica's, not replicated)
         self._multicast_replies = ReplyWindow()
@@ -567,7 +571,7 @@ class ByzCastApplication(Application):
             return None
         result = self._a_deliver(wire, ctx)
         if entered:
-            return ("delivered", result)
+            return DELIVERED if result is None else ("delivered", result)
         reply = MulticastReply(group=self.group_id, replica=ctx.replica_name,
                                sender=wire.sender, seq=wire.seq, result=result)
         self._multicast_replies.keep(wire.sender, wire.seq, reply)
@@ -617,14 +621,7 @@ class ByzCastApplication(Application):
     def _a_deliver(self, wire: WireMulticast, ctx: ExecutionContext) -> Any:
         """Record the a-delivery; returns what ``on_deliver`` returned."""
         message = wire.to_message()
-        self.deliveries.append(
-            Delivery(
-                time=ctx.time,
-                process=ctx.replica_name,
-                group=self.group_id,
-                message=message,
-            )
-        )
+        self.deliveries.append(message)
         ctx.monitor.record(ctx.replica_name, "byzcast.a_deliver",
                            sender=wire.sender, seq=wire.seq)
         if self.on_deliver is None:
@@ -778,13 +775,9 @@ class ByzCastApplication(Application):
         self._inboxes = inboxes
         self._relay_index = dict(relays)
         # Rebuild the delivery record so the a-delivery *sequence* survives
-        # the restore; timestamps/process are local observations, not
-        # replicated state, so they reflect the restore itself.
-        self.deliveries = [
-            Delivery(time=0.0, process="<checkpoint>", group=self.group_id,
-                     message=WireMulticast(*key).to_message())
-            for key in acted if self.group_id in key[2]
-        ]
+        # the restore.
+        self.deliveries = [WireMulticast(*key).to_message()
+                           for key in acted if self.group_id in key[2]]
         self._stable_delivered = len(self.deliveries)
         if self.on_restore is not None:
             self.on_restore(payload)
@@ -793,4 +786,4 @@ class ByzCastApplication(Application):
 
     def delivered_messages(self) -> List[MulticastMessage]:
         """Messages a-delivered here, in local delivery order."""
-        return [record.message for record in self.deliveries]
+        return list(self.deliveries)

@@ -269,7 +269,7 @@ def run_chaos_soak(spec: ScenarioSpec = DEFAULT_SOAK, messages: int = 60,
                              mode=spec.workload.read_mode)
             client.amulticast(
                 dst, payload=("soak", index),
-                callback=lambda message, latency, c=client: issue(c),
+                callback=lambda message, latency, results, c=client: issue(c),
             )
 
         def kickoff() -> None:

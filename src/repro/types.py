@@ -79,13 +79,3 @@ class MulticastMessage:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"m({self.mid})→{{{','.join(sorted(self.dst))}}}"
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """A record of one ``a-deliver`` event at one process."""
-
-    time: float
-    process: ProcessId
-    group: GroupId
-    message: MulticastMessage

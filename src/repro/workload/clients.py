@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.metrics.collector import LatencyCollector, ThroughputMeter
 from repro.types import Destination, MulticastMessage
@@ -168,7 +168,8 @@ class _DriverBase:
         if message.is_global and self.global_collector is not None:
             self.global_collector.record(now, latency)
 
-    def _on_complete(self, message: MulticastMessage, latency: float) -> None:
+    def _on_complete(self, message: MulticastMessage, latency: float,
+                     results: Dict[str, Any]) -> None:
         self._record(message, latency)
 
     def _on_read_complete(self, outcome: Any) -> None:
@@ -243,7 +244,8 @@ class ClosedLoopDriver(_DriverBase):
             return
         self._send()
 
-    def _on_complete(self, message: MulticastMessage, latency: float) -> None:
+    def _on_complete(self, message: MulticastMessage, latency: float,
+                     results: Dict[str, Any]) -> None:
         self._record(message, latency)
         self._post_read_complete()
 

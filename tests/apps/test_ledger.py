@@ -101,9 +101,11 @@ class TestOrderingService:
     def test_commit_result_reports_height_and_hash(self):
         service = make_service()
         client = service.client("c1")
-        client.submit_tx(["audit"], ("evt",))
+        confirmed = []
+        client.submit_tx(["audit"], ("evt",), callback=lambda message,
+                         latency, results: confirmed.append(results))
         assert service.run_until_quiescent()
-        results = client.results[("c1", 1)]
+        (results,) = confirmed
         kind, height, entry_hash = results["audit"]
         assert kind == "committed"
         assert height == 0
@@ -127,9 +129,11 @@ class TestOrderingService:
         # Corrupt one replica's chain.
         bad = service._ledgers["payments"][0]
         bad.entries.clear()
-        client.submit_tx(["payments"], ("b",))
+        confirmed = []
+        client.submit_tx(["payments"], ("b",), callback=lambda message,
+                         latency, results: confirmed.append(results))
         assert service.run_until_quiescent()
-        results = client.results[("c1", 2)]
+        (results,) = confirmed
         kind, height, entry_hash = results["payments"]
         # The confirmed result reflects the honest replicas (height 1),
         # not the corrupted one (which would report height 0).

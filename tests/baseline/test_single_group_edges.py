@@ -53,7 +53,7 @@ def test_latency_measured_from_submit_to_f_plus_1_replies():
     client = dep.add_client("c1")
     seen = []
     client.amulticast(destination("g1"), payload=("x",),
-                      callback=lambda m, lat: seen.append(lat))
+                      callback=lambda m, lat, results: seen.append(lat))
     dep.run(until=5.0)
     assert len(seen) == 1
     assert 0 < seen[0] < 0.1

@@ -14,14 +14,23 @@ from repro.types import destination
 from tests.helpers import FAST_COSTS
 
 
+def submit(client, dst):
+    """Multicast ``("x",)`` to ``dst``; returns the list the op's per-group
+    results are appended to when it completes."""
+    confirmed = []
+    client.amulticast(
+        destination(*dst), payload=("x",),
+        callback=lambda message, latency, results: confirmed.append(results))
+    return confirmed
+
+
 @pytest.fixture
 def client_rig():
     tree = OverlayTree.two_level(["g1", "g2"])
     dep = ByzCastDeployment(tree, costs=FAST_COSTS)
     client = dep.add_client("c1")
     # Submit without running the sim: we feed replies by hand.
-    client.amulticast(destination("g1", "g2"), payload=("x",))
-    return dep, client
+    return dep, client, submit(client, ("g1", "g2"))
 
 
 def reply(group, replica, seq=1, result=("r",)):
@@ -43,7 +52,7 @@ def feed(client, message):
 
 class TestResultVoting:
     def test_needs_f_plus_1_matching_per_group(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         client._handle_multicast_reply("g1/r0", reply("g1", "g1/r0"))
         assert client.pending() == 1
         client._handle_multicast_reply("g1/r1", reply("g1", "g1/r1"))
@@ -51,26 +60,26 @@ class TestResultVoting:
         client._handle_multicast_reply("g2/r0", reply("g2", "g2/r0"))
         client._handle_multicast_reply("g2/r1", reply("g2", "g2/r1"))
         assert client.pending() == 0
-        assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
+        assert confirmed == [{"g1": ("r",), "g2": ("r",)}]
 
     def test_byzantine_minority_result_never_confirmed(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         client._handle_multicast_reply("g1/r0", reply("g1", "g1/r0", result=("lie",)))
         client._handle_multicast_reply("g1/r1", reply("g1", "g1/r1", result=("truth",)))
         client._handle_multicast_reply("g1/r2", reply("g1", "g1/r2", result=("truth",)))
         client._handle_multicast_reply("g2/r0", reply("g2", "g2/r0"))
         client._handle_multicast_reply("g2/r1", reply("g2", "g2/r1"))
         assert client.pending() == 0
-        assert client.results[("c1", 1)]["g1"] == ("truth",)
+        assert confirmed[0]["g1"] == ("truth",)
 
     def test_duplicate_replica_votes_ignored(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         for __ in range(3):
             client._handle_multicast_reply("g1/r0", reply("g1", "g1/r0"))
         assert client.pending() == 1
 
     def test_spoofed_source_ignored(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         # src doesn't match the claimed replica
         client._handle_multicast_reply("g1/r3", reply("g1", "g1/r0"))
         # claimed replica not in the group
@@ -82,17 +91,17 @@ class TestResultVoting:
         assert client.pending() == 1
 
     def test_reply_from_non_destination_group_ignored(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         client._handle_multicast_reply("h1/r0", reply("h1", "h1/r0"))
         assert client.pending() == 1
 
     def test_unknown_seq_ignored(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         client._handle_multicast_reply("g1/r0", reply("g1", "g1/r0", seq=99))
         assert client.pending() == 1
 
     def test_late_replies_after_completion_are_noops(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         for group in ("g1", "g2"):
             for index in (0, 1):
                 client._handle_multicast_reply(
@@ -105,7 +114,7 @@ class TestResultVoting:
     def test_a_departed_replicas_vote_stops_counting(self, client_rig):
         """g2/r3 votes for a forged result and is swapped out: with one
         current member's vote for it, the forgery is one vote, not f+1."""
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         for replica in ("g1/r0", "g1/r1"):
             client._handle_multicast_reply(replica, reply("g1", replica))
         forged = ("forged",)
@@ -117,7 +126,7 @@ class TestResultVoting:
         assert client.pending() == 1
         for replica in ("g2/r1", "g2/r4"):
             client._handle_multicast_reply(replica, reply("g2", replica))
-        assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
+        assert confirmed == [{"g1": ("r",), "g2": ("r",)}]
 
 
 class TestReplyPaths:
@@ -132,28 +141,29 @@ class TestReplyPaths:
     def client_for(tree, dst):
         dep = ByzCastDeployment(tree, costs=FAST_COSTS)
         client = dep.add_client("c1")
-        client.amulticast(destination(*dst), payload=("x",))
-        return client
+        return client, submit(client, dst)
 
     def test_entry_destination_confirms_through_its_ordered_reply(self):
-        client = self.client_for(OverlayTree.two_level(["g1", "g2"]), ["g1"])
+        client, confirmed = self.client_for(
+            OverlayTree.two_level(["g1", "g2"]), ["g1"])
         feed(client, ordered_reply("g1", "g1/r0", ("delivered", ("lie",))))
         feed(client, ordered_reply("g1", "g1/r1", ("delivered", ("r",))))
         assert client.pending() == 1
         feed(client, ordered_reply("g1", "g1/r2", ("delivered", ("r",))))
         assert client.pending() == 0
-        assert client.results[("c1", 1)] == {"g1": ("r",)}
+        assert confirmed == [{"g1": ("r",)}]
         assert client._proxies["g1"].pending() == 0
 
     def test_acks_from_an_entry_destination_confirm_nothing(self):
-        client = self.client_for(OverlayTree.two_level(["g1", "g2"]), ["g1"])
+        client, confirmed = self.client_for(
+            OverlayTree.two_level(["g1", "g2"]), ["g1"])
         for index in range(4):
             feed(client, ordered_reply("g1", f"g1/r{index}", ("ack",)))
         assert client._proxies["g1"].pending() == 0
         assert client.pending() == 1
 
     def test_aux_entry_acks_then_relayed_groups_confirm(self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         for index in (0, 1):
             feed(client, ordered_reply("h1", f"h1/r{index}", ("ack",)))
         assert client._proxies["h1"].pending() == 0
@@ -162,11 +172,11 @@ class TestReplyPaths:
             for index in (0, 1):
                 feed(client, reply(group, f"{group}/r{index}"))
         assert client.pending() == 0
-        assert client.results[("c1", 1)] == {"g1": ("r",), "g2": ("r",)}
+        assert confirmed == [{"g1": ("r",), "g2": ("r",)}]
 
     def test_the_first_destination_confirmation_completes_an_aux_entry(
             self, client_rig):
-        dep, client = client_rig
+        dep, client, confirmed = client_rig
         feed(client, reply("g2", "g2/r0"))
         assert client._proxies["h1"].pending() == 1  # one vote is no proof
         feed(client, reply("g2", "g2/r1"))
@@ -176,7 +186,7 @@ class TestReplyPaths:
     def test_inner_target_lca_confirms_by_reply_its_child_by_multicast_reply(
             self):
         tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
-        client = self.client_for(tree, ["g1", "g2"])
+        client, confirmed = self.client_for(tree, ["g1", "g2"])
         assert set(client._proxies) == {"g1"}
         for index in (0, 1):
             feed(client, ordered_reply("g1", f"g1/r{index}",
@@ -185,7 +195,7 @@ class TestReplyPaths:
         for index in (0, 1):
             feed(client, reply("g2", f"g2/r{index}", result=("two",)))
         assert client.pending() == 0
-        assert client.results[("c1", 1)] == {"g1": ("one",), "g2": ("two",)}
+        assert confirmed == [{"g1": ("one",), "g2": ("two",)}]
 
 
 class TestDeliveryQueries:
@@ -270,3 +280,33 @@ def test_a_read_reply_reaches_only_the_proxy_of_its_mode():
     proxies = client._read_proxies
     assert proxies[("g1", "optimistic")]._outstanding[1].replied == set()
     assert proxies[("g1", "snapshot")]._outstanding[1].replied == {"g1/r0"}
+
+
+def footprint(client):
+    """The size of every container the client and its proxies hold, but
+    ``completions``: what a completed multicast could leave behind."""
+    holders = [("client", client), *client._proxies.items()]
+    return {(who, name): len(value)
+            for who, holder in holders
+            for name, value in vars(holder).items()
+            if name != "completions" and not isinstance(value, str)
+            and hasattr(value, "__len__")}
+
+
+def test_a_completed_multicast_leaves_only_its_completion_behind():
+    """The op's results go to its callback; after it the client keeps the
+    ``completions`` entry and nothing else that grows with the ops."""
+    sizes = []
+    for rounds in (1, 4):
+        dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                                costs=FAST_COSTS)
+        client = dep.add_client("c1")
+        confirmed = [submit(client, dst) for __ in range(rounds)
+                     for dst in (("g1",), ("g1", "g2"), ("g2",))]
+        dep.run(until=5.0)
+        assert client.pending() == 0
+        assert len(client.completions) == 3 * rounds
+        assert all(len(results) == 1 for results in confirmed)
+        sizes.append(footprint(client))
+    assert ("client", "_proxies") in sizes[0]
+    assert sizes[0] == sizes[1]

@@ -18,8 +18,9 @@ def burst_then_local(deployment, client):
     for j in range(40):
         client.amulticast(destination("g3", "g4"), payload=("global", j))
     local_latency = []
-    client.amulticast(destination("g1"), payload=("local",),
-                      callback=lambda m, lat: local_latency.append(lat))
+    client.amulticast(
+        destination("g1"), payload=("local",),
+        callback=lambda m, lat, results: local_latency.append(lat))
     deployment.run(until=10.0)
     assert client.pending() == 0
     globals_ = [lat for m, lat in client.completions if m.is_global]

@@ -67,7 +67,7 @@ def test_deep_tree_latency_grows_with_entry_height():
     latencies = {}
 
     def record(name):
-        return lambda m, lat: latencies.__setitem__(name, lat)
+        return lambda m, lat, results: latencies.__setitem__(name, lat)
 
     client.amulticast(destination("g1"), payload=("a",), callback=record("local"))
     client.amulticast(destination("g1", "g2"), payload=("b",), callback=record("h3"))

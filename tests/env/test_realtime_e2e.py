@@ -48,7 +48,7 @@ def run_closed_loop(runtime, total, when_done):
             DESTS[index % len(DESTS)], payload=("tx", index),
             callback=on_done))
 
-    def on_done(message, latency):
+    def on_done(message, latency, results):
         completed.append((message, latency))
         if len(sent) < total:
             send_next()
@@ -161,7 +161,7 @@ def test_global_multicast_round_trips_a_relay_batch_over_tcp_binary():
     client = dep.add_client("c1")
     runtime.asyncio_loop.run_until_complete(runtime.transport.start())
 
-    def on_done(message, latency):
+    def on_done(message, latency, results):
         completed.append(message)
         runtime.clock.schedule(0.1, runtime.stop)
 
@@ -269,7 +269,7 @@ def test_follower_writes_a_received_batch_without_walking_it_again():
     completed = []
     client = dep.add_client("c1")
 
-    def on_done(message, latency):
+    def on_done(message, latency, results):
         completed.append(message)
         runtime.clock.schedule(0.1, runtime.stop)
 

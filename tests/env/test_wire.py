@@ -11,6 +11,7 @@ import pytest
 from repro.bcast.messages import Accept, Propose, Reply, Request
 from repro.core.messages import RelayBatch, WireMulticast
 from repro.crypto.signatures import Signature
+from repro import canonical
 from repro.env import codec, wire
 from repro.env.codec import get_codec
 from repro.env.tcp import TcpTransport
@@ -106,6 +107,46 @@ def test_binary_decode_is_strict():
         wire.decode(bytes((0x06,)) + struct.pack(">I", 2) + b"\xff\xfe")
     with pytest.raises(NetworkError):
         wire.decode(b"")
+
+
+#: the type-id table (docs/WIRE.md): ids are registration indexes, so a
+#: moved id changes every frame and digest that names the type
+WIRE_TYPE_IDS = (
+    "bcast.messages.Request", "bcast.messages.Propose",
+    "bcast.messages.Write", "bcast.messages.Accept", "bcast.messages.Reply",
+    "bcast.messages.Stop", "bcast.messages.StopData", "bcast.messages.Sync",
+    "bcast.messages.Heartbeat", "bcast.messages.CertReport",
+    "bcast.messages.StateRequest", "bcast.messages.StateResponse",
+    "core.messages.WireMulticast", "core.messages.MulticastReply",
+    "bcast.reconfig.Reconfig", "bcast.reconfig.View",
+    "crypto.signatures.Signature", "types.MessageId",
+    "types.MulticastMessage", None, "core.messages.MembershipUpdate",
+    "core.messages.TreeUpdate", "bcast.messages.AuthenticatedPropose",
+    "core.messages.RelayBatch", "core.messages.DeliveryQuery",
+    "core.messages.RelayCertificate", "core.messages.RelayAck",
+    "bcast.messages.CheckpointData",
+)
+
+
+def test_type_ids_are_pinned_and_the_retired_id_19_is_refused():
+    for type_id, name in enumerate(WIRE_TYPE_IDS):
+        if name is None:
+            continue
+        cls = canonical.wire_type_by_id(type_id)
+        assert f"{cls.__module__}.{cls.__qualname__}" == f"repro.{name}"
+    # an encoded frame names its type by that id, either side of 19
+    for value, type_id in ((Signature("c1", b"\x01"), 16),
+                           (RelayBatch((), 3), 23)):
+        assert bytes(wire.encode(value)[:3]) == (
+            bytes((0x0C,)) + struct.pack(">H", type_id))
+    with pytest.raises(NetworkError):
+        canonical.wire_type_by_id(19)
+    with pytest.raises(NetworkError):
+        canonical.wire_type_by_id(len(WIRE_TYPE_IDS))
+    # a frame naming id 19 with any fields after it
+    for body in (b"", wire.encode("x"), wire.encode(("t", 0.0))):
+        with pytest.raises(NetworkError):
+            wire.decode(bytes((0x0C,)) + struct.pack(">H", 19) + body)
 
 
 def test_binary_decode_rejects_field_count_mismatch():

@@ -83,7 +83,7 @@ def test_long_soak_20k_rejoin_via_checkpoint_bounded_memory():
         index = state["issued"]
         state["issued"] += 1
 
-        def completed(message, latency, c=client):
+        def completed(message, latency, results, c=client):
             state["done"] += 1
             if state["done"] == 1_000:
                 laggard.crash()

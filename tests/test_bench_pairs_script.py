@@ -82,3 +82,32 @@ def test_one_pair_end_to_end_writes_result_sets_compare_reads(tmp_path):
          f"{prefix}.parent.json", f"{prefix}.change.json"],
         capture_output=True, text=True, timeout=60)
     assert "rt_tcp_fanout  throughput_msgs_per_s" in compared.stdout
+
+
+def layer_rows(pairs, capsys, parent, change, direction="lower"):
+    traced = {side: [{"metrics": {"m": value, "gone": None}}
+                     for value in values]
+              for side, values in (("parent", parent), ("change", change))}
+    pairs.layer_report("w", {"m": direction, "gone": "lower"}, traced)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("w: layer metrics over 3 traced runs per side")
+    assert not any(line.startswith("gone ") for line in out)
+    (line,) = [line for line in out if line.startswith("m ")]
+    return line.split()
+
+
+def test_a_layer_row_is_unresolved_while_the_sides_ranges_overlap(
+        pairs, capsys):
+    parent = [3.0, 2.9, 3.5]
+    # one noisy run on either side is enough to leave the row open
+    assert layer_rows(pairs, capsys, parent, [2.5, 3.0, 2.6])[-1] == (
+        "unresolved")
+    row = layer_rows(pairs, capsys, parent, [2.5, 2.6, 2.4])
+    # median and range per side, then the ratio of the medians
+    assert row[1:9] == ["3.0000", "[", "2.9000,", "3.5000]",
+                        "2.5000", "[", "2.4000,", "2.6000]"]
+    assert row[9] == "0.83"
+    assert row[-1] == "better"
+    assert layer_rows(pairs, capsys, parent, [2.5, 2.6, 2.4],
+                      direction="higher")[-1] == "worse"
+    assert layer_rows(pairs, capsys, parent, [3.5, 2.9, 3.0])[-1] == "same"

@@ -300,14 +300,24 @@ def test_retained_and_hops_phases_on_a_short_sim_run(tool):
                if line.startswith("traced at the peak_rss_mb read")]
     traced, peak = float(head.split()[5]), float(head.split()[-2])
     assert 0.0 < traced < peak
+    (per_op,) = [line for line in lines
+                 if line.startswith("retained per completed op")]
+    completed = int(per_op.split()[-2].lstrip("("))
+    assert f"{completed} ops completed" in done.stdout
+    # the head line rounds the traced MiB to 0.1
+    assert float(per_op.split()[4]) == pytest.approx(
+        traced * 1024 / completed, abs=0.05 * 1024 / completed)
     start = lines.index(next(line for line in lines
-                             if line.split()[:2] == ["KiB", "objects"]))
+                             if line.split()[:3] == ["KiB", "objects", "per"]))
     rows = lines[start + 1:start + 1 + tool.Retained.TOP]
     assert len(rows) == tool.Retained.TOP
     sizes = [float(row.split()[0]) for row in rows]
     assert sizes == sorted(sizes, reverse=True) and sizes[0] > 0.0
-    assert all(int(row.split()[1]) > 0 and ":" in row.split()[2]
-               for row in rows)
+    for row in rows:
+        kib, objects, objects_per_op, where = row.split()[:4]
+        assert int(objects) > 0 and ":" in where
+        assert float(objects_per_op) == pytest.approx(
+            int(objects) / completed, abs=0.001)
     stages = {line.rsplit(None, 4)[0]: line.rsplit(None, 4)[1:]
               for line in lines if "→" in line}
     assert list(stages) == ["decided → flushed", "flushed → submitted",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.types import (
     ClientId,
-    Delivery,
     MessageId,
     MulticastMessage,
     destination,
