@@ -10,7 +10,7 @@ equal digests mean the post-mortems are identical field for field.
 
 The cells:
 
-* the five ``examples/scenarios/soak_*.json`` files as the CI soaks run
+* the four ``examples/scenarios/soak_*.json`` files as the CI soaks run
   them (their own seed, 60 messages);
 * CI's pipelined heavy soak, ``soak_retention.json`` at seed 23, intensity
   heavy, duration 6 (regency changes over a window of 4), named

@@ -59,9 +59,6 @@ class ChannelLedger:
     def __init__(self, channel: str) -> None:
         self.channel = channel
         self.entries: List[LedgerEntry] = []
-        #: chain length as of the last snapshot — the snapshot-read mirror
-        #: (entries are append-only, so a length fully describes the prefix)
-        self._stable_height = 0
 
     @classmethod
     def is_read_only(cls, op: Tuple) -> bool:
@@ -70,15 +67,9 @@ class ChannelLedger:
 
     def read(self, op: Tuple) -> Any:
         """Serve a chain query from the live chain (pure, deterministic)."""
-        return self._read_at(self.height, op)
-
-    def read_stale(self, op: Tuple) -> Any:
-        """Serve a chain query from the last-checkpoint prefix."""
-        return self._read_at(self._stable_height, op)
-
-    def _read_at(self, height: int, op: Tuple) -> Any:
         if not self.is_read_only(op):
             return ("error", "not a read-only op")
+        height = self.height
         if op[0] == "head":
             head = self.entries[height - 1].entry_hash if height else GENESIS
             return ("head", height, head)
@@ -129,12 +120,10 @@ class ChannelLedger:
 
     def snapshot(self) -> Tuple[LedgerEntry, ...]:
         """Deterministic chain capture for checkpointing."""
-        self._stable_height = self.height
         return tuple(self.entries)
 
     def restore(self, state: Tuple[LedgerEntry, ...]) -> None:
         self.entries = list(state)
-        self._stable_height = len(self.entries)
 
 
 def cross_channel_order_consistent(a: "ChannelLedger", b: "ChannelLedger") -> bool:
@@ -200,7 +189,7 @@ class OrderingService:
                 group_id=group_id, tree=tree, group_configs=group_configs,
                 registry=registry, on_deliver=on_deliver,
                 on_snapshot=ledger.snapshot, on_restore=ledger.restore,
-                on_read=ledger.read, on_snapshot_read=ledger.read_stale,
+                on_read=ledger.read,
             )
 
         overrides = {

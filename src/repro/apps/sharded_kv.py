@@ -48,8 +48,6 @@ class ShardStateMachine:
         self.owns = owns
         self.data: Dict[str, Any] = {}
         self.ops_applied = 0
-        #: state as of the last snapshot — the snapshot-read mirror
-        self._stable: Dict[str, Any] = {}
 
     @classmethod
     def is_read_only(cls, op: Tuple) -> bool:
@@ -101,34 +99,25 @@ class ShardStateMachine:
         Result shapes match :meth:`apply` for the same op, so an optimistic
         read and its ordered fallback are interchangeable to clients.
         """
-        return self._read_from(self.data, op)
-
-    def read_stale(self, op: Tuple) -> Any:
-        """Serve a read-only op from the last-checkpoint mirror."""
-        return self._read_from(self._stable, op)
-
-    def _read_from(self, data: Dict[str, Any], op: Tuple) -> Any:
         if not self.is_read_only(op):
             return ("error", "not a read-only op")
         kind = op[0]
         if kind == "get":
             __, key = op
-            return ("value", data.get(key)) if self.owns(key) else ("none",)
+            return ("value", self.data.get(key)) if self.owns(key) else ("none",)
         __, keys = op
         return ("values", tuple(
-            (key, data.get(key)) for key in keys if self.owns(key)
+            (key, self.data.get(key)) for key in keys if self.owns(key)
         ))
 
     def snapshot(self) -> Tuple:
         """Deterministic state capture for checkpointing (sorted items)."""
-        self._stable = dict(self.data)
         return (tuple(sorted(self.data.items())), self.ops_applied)
 
     def restore(self, state: Tuple) -> None:
         items, ops_applied = state
         self.data = dict(items)
         self.ops_applied = ops_applied
-        self._stable = dict(items)
 
 
 class ShardedKVApp:
@@ -177,7 +166,7 @@ class ShardedKVApp:
             group_id=group_id, tree=tree, group_configs=group_configs,
             registry=registry, on_deliver=on_deliver,
             on_snapshot=machine.snapshot, on_restore=machine.restore,
-            on_read=machine.read, on_snapshot_read=machine.read_stale,
+            on_read=machine.read,
         )
 
     def app_overrides(self) -> Dict[str, Dict[str, Callable]]:

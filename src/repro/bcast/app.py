@@ -69,11 +69,9 @@ class Application:
     ``read(payload)`` keyed to its applied consensus id, without ordering
     them.  ``read`` must be a *pure* function of the executed prefix —
     identical prefixes must produce identical canonical bytes, or the
-    client's f+1 match can never form.  ``snapshot_read(payload) -> Any``
-    additionally serves checkpoint-consistent reads: it must answer from
-    the state as of the last :meth:`snapshot` (keep a stable mirror), not
-    the live state.  Replicas silently ignore read modes an application
-    does not implement, which pushes clients onto the ordered fallback.
+    client's f+1 match can never form.  A replica whose application has
+    no ``read`` stays silent, which pushes clients onto the ordered
+    fallback.
 
     **Answering contract (duck-typed).**  An application that implements
     ``answer(src, payload) -> Any`` receives every message the replica's
@@ -168,7 +166,6 @@ class EchoApplication(Application):
 
     def __init__(self) -> None:
         self.executed = []
-        self._stable_executed = 0
 
     def execute(self, request: Request, ctx: ExecutionContext) -> Any:
         self.executed.append(request.command)
@@ -177,16 +174,11 @@ class EchoApplication(Application):
     def read(self, payload: Any) -> Any:
         return ("executed", len(self.executed))
 
-    def snapshot_read(self, payload: Any) -> Any:
-        return ("executed", self._stable_executed)
-
     def snapshot(self) -> Any:
-        self._stable_executed = len(self.executed)
         return tuple(self.executed)
 
     def restore(self, state: Any) -> None:
         self.executed = list(state)
-        self._stable_executed = len(self.executed)
 
 
 class KeyValueApplication(Application):
@@ -196,36 +188,24 @@ class KeyValueApplication(Application):
     ``("del", key)``, and ``("cas", key, expected, value)``.
 
     Read-only commands (``("get", key)``) are also served through the
-    unordered read tier via :meth:`read`; :meth:`snapshot_read` answers
-    from the state as of the last checkpoint.
+    unordered read tier via :meth:`read`.
     """
 
     READ_OPS = frozenset({"get"})
 
     def __init__(self) -> None:
         self.store = {}
-        #: state as of the last snapshot — the snapshot-read mirror
-        self._stable = {}
 
     def snapshot(self) -> Any:
-        self._stable = dict(self.store)
         return tuple(sorted(self.store.items()))
 
     def restore(self, state: Any) -> None:
         self.store = dict(state)
-        self._stable = dict(state)
 
     def read(self, payload: Any) -> Any:
-        return self._read_from(self.store, payload)
-
-    def snapshot_read(self, payload: Any) -> Any:
-        return self._read_from(self._stable, payload)
-
-    @staticmethod
-    def _read_from(store: dict, payload: Any) -> Any:
-        if not payload or payload[0] not in KeyValueApplication.READ_OPS:
+        if not payload or payload[0] not in self.READ_OPS:
             return ("error", "not a read-only op")
-        return ("ok", store.get(payload[1]))
+        return ("ok", self.store.get(payload[1]))
 
     def execute(self, request: Request, ctx: ExecutionContext) -> Any:
         command = request.command

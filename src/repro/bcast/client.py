@@ -88,6 +88,9 @@ class GroupProxy(_GroupEndpoint):
             ``None`` disables retransmission (fine on a loss-free network).
     """
 
+    #: retransmissions per request before the proxy gives up quietly
+    max_retries = 16
+
     def __init__(
         self,
         owner: Actor,
@@ -96,12 +99,10 @@ class GroupProxy(_GroupEndpoint):
         f: int,
         registry: KeyRegistry,
         retransmit_timeout: Optional[float] = 4.0,
-        max_retries: int = 16,
     ) -> None:
         super().__init__(owner, group_id, replicas, f)
         self.registry = registry
         self.retransmit_timeout = retransmit_timeout
-        self.max_retries = max_retries
         self._next_seq = 1
         self.submitted = 0
         self.completed = 0
@@ -246,7 +247,7 @@ class GroupProxy(_GroupEndpoint):
 
 @dataclass
 class _OutstandingRead:
-    """Book-keeping for one in-flight optimistic/snapshot read round."""
+    """Book-keeping for one in-flight read round."""
 
     request: ReadRequest
     on_accept: ReadAcceptCallback
@@ -268,7 +269,7 @@ class ReadProxy(_GroupEndpoint):
     joins the tally only if its carried digest re-hashes locally from the
     carried value (a Byzantine replica cannot vote for a value it did not
     send), and a tally wins only when its (cid, digest) pair carries **and**
-    that cid clears the owner's monotone floor.
+    that cid clears the proxy's monotone :attr:`floor`.
 
     A round first asks :attr:`voters` — the last accepted quorum's voters
     that are still members, topped up in membership order to
@@ -290,6 +291,9 @@ class ReadProxy(_GroupEndpoint):
     outcome the ``f + 1`` rule prevents.
     """
 
+    #: retries of a round before the proxy reports exhaustion
+    max_retries = 2
+
     def __init__(
         self,
         owner: Actor,
@@ -297,16 +301,13 @@ class ReadProxy(_GroupEndpoint):
         replicas: Tuple[str, ...],
         f: int,
         read_timeout: float = 1.0,
-        max_retries: int = 2,
-        min_cid: Optional[Callable[[str], int]] = None,
     ) -> None:
         super().__init__(owner, group_id, replicas, f)
         self.read_timeout = read_timeout
-        self.max_retries = max_retries
-        #: mode -> monotone floor: accepted cids must not regress (the
+        #: the highest accepted cid: accepted cids must not regress (the
         #: owner's session guarantee; without it an f+1 quorum of *lagging*
         #: correct replicas plus a Byzantine echo could serve a past state)
-        self._min_cid = min_cid if min_cid is not None else (lambda mode: -1)
+        self.floor = -1
         self._next_rid = 1
         #: the last accepted quorum's voters, a round's first probes
         #: (``None`` until a quorum was accepted: then a round asks everyone)
@@ -334,14 +335,13 @@ class ReadProxy(_GroupEndpoint):
     def read(
         self,
         payload: Any,
-        mode: str,
         on_accept: ReadAcceptCallback,
         on_exhausted: Callable[[], None],
     ) -> int:
         """Probe the group; exactly one of the two callbacks fires once."""
         rid = self._next_rid
         self._next_rid += 1
-        request = ReadRequest(self.group_id, self.owner.name, rid, payload, mode)
+        request = ReadRequest(self.group_id, self.owner.name, rid, payload)
         entry = _OutstandingRead(request=request, on_accept=on_accept,
                                  on_exhausted=on_exhausted)
         self._outstanding[rid] = entry
@@ -400,8 +400,6 @@ class ReadProxy(_GroupEndpoint):
         entry = self._outstanding.get(reply.rid)
         if entry is None:
             return True  # ours, but the round already closed
-        if reply.mode != entry.request.mode:
-            return True  # a confused replica echoed the wrong mode: ignore
         if src in entry.replied:
             return True  # one vote per replica per round
         entry.replied.add(src)
@@ -416,7 +414,7 @@ class ReadProxy(_GroupEndpoint):
         key = (reply.cid, local)
         entry.votes.add(key, src)
         if entry.votes.carries(key, self.replicas, self.quorum):
-            if reply.cid >= self._min_cid(entry.request.mode):
+            if reply.cid >= self.floor:
                 self._accept(entry, reply.cid, reply.result, frozenset(
                     entry.votes.voters(key, self.replicas)))
                 return True
@@ -445,4 +443,5 @@ class ReadProxy(_GroupEndpoint):
             entry.timer.cancel()
         self.accepted += 1
         self.voters = voters
+        self.floor = max(self.floor, cid)
         entry.on_accept(cid, result, voters)

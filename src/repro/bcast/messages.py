@@ -72,9 +72,8 @@ class ReadRequest:
     pattern): each replica answers from its current executed state, and the
     client accepts only when ``f + 1`` replies match on (cid, value digest)
     — at least one of those voters is then correct, so the value was really
-    executed by a correct replica.  ``mode`` selects the staleness contract:
-    ``"optimistic"`` reads the live applied state, ``"snapshot"`` reads the
-    last stable checkpoint (see ``docs/READS.md``).
+    executed by a correct replica.  Each replica answers from its live
+    applied state (see ``docs/READS.md``).
 
     Read probes are unsigned and idempotent: a forged or replayed probe can
     only cause a reply, never a state change, so the signature machinery
@@ -83,9 +82,8 @@ class ReadRequest:
 
     group: str
     sender: str
-    rid: int            #: per-(sender, group, mode) probe round identifier
+    rid: int            #: per-(sender, group) probe round identifier
     payload: Any        #: opaque read query (app duck-types ``read()``)
-    mode: str = "optimistic"
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,6 @@ class ReadReply:
     sender: str
     req_sender: str
     rid: int
-    mode: str
     cid: int
     value_digest: bytes
     result: Any

@@ -169,8 +169,8 @@ class Replica(Actor):
         #: same FIFO work queue) or two replicas could vouch for the same
         #: cid with different applied state.
         self._applied_cid = -1
-        #: (req_sender, rid, mode, cid, value_digest) of reads we answered
-        self.read_journal: Deque[Tuple[str, int, str, int, bytes]] = deque(
+        #: (req_sender, rid, cid, value_digest) of reads we answered
+        self.read_journal: Deque[Tuple[str, int, int, bytes]] = deque(
             maxlen=READ_JOURNAL_CAP)
         #: (view, its members but us): ``peers()`` per View object
         self._peers: Tuple[Optional[View], Tuple[str, ...]] = (None, ())
@@ -463,32 +463,26 @@ class Replica(Actor):
 
     def _serve_read(self, src: str, request: ReadRequest) -> None:
         """Answer a read probe from local state (Byzantine override point)."""
-        if request.mode == "snapshot":
-            checkpoint = self.log.checkpoint
-            cid = checkpoint.cid if checkpoint is not None else -1
-            reader = getattr(self.app, "snapshot_read", None)
-        else:
-            cid = self._applied_cid
-            reader = getattr(self.app, "read", None)
+        reader = getattr(self.app, "read", None)
         if reader is None:
-            # App does not support this read mode: stay silent; the client
-            # times out and falls back to the ordered path.
-            self.monitor.count(f"read.unsupported.{request.mode}")
+            # App does not serve reads: stay silent; the client times out
+            # and falls back to the ordered path.
+            self.monitor.count("read.unsupported.optimistic")
             return
         result = reader(request.payload)
+        cid = self._applied_cid
         reply = ReadReply(
             group=self.group_id,
             sender=self.name,
             req_sender=request.sender,
             rid=request.rid,
-            mode=request.mode,
             cid=cid,
             value_digest=digest(("readv", result)),
             result=result,
         )
         self.read_journal.append(
-            (request.sender, request.rid, request.mode, cid, reply.value_digest))
-        self.monitor.count(f"read.served.{request.mode}")
+            (request.sender, request.rid, cid, reply.value_digest))
+        self.monitor.count("read.served.optimistic")
         self.send(src, reply)
 
     # ----------------------------------------------------------- proposing

@@ -42,7 +42,7 @@ CompletionCallback = Callable[[MulticastMessage, float, Dict[str, object]],
 ReadCallback = Callable[["ReadOutcome"], None]
 
 #: read modes a client may request (see docs/READS.md)
-READ_MODES = ("ordered", "optimistic", "snapshot")
+READ_MODES = ("ordered", "optimistic")
 #: DeliveryQuery rounds per message before the client gives up (the same
 #: cap as a proxy's retransmissions)
 MAX_DELIVERY_QUERIES = 16
@@ -55,9 +55,9 @@ class ReadOutcome:
     ``fallback`` is True when the optimistic quorum never formed and the
     value came from a full ordered multicast instead (that path is
     linearizable, so the staleness contract is trivially met).  ``cid`` is
-    the consensus id the accepted quorum vouched for (-1 on fallback and
-    for pre-first-checkpoint snapshot reads); ``voters`` are the replicas
-    whose matching replies formed the quorum (empty on fallback).
+    the consensus id the accepted quorum vouched for (-1 on fallback);
+    ``voters`` are the replicas whose matching replies formed the quorum
+    (empty on fallback).
     """
 
     group: str
@@ -139,16 +139,13 @@ class MulticastClient(Actor):
         self.retransmit_timeout = retransmit_timeout
         self.read_timeout = read_timeout
         self._proxies: Dict[str, GroupProxy] = {}
-        self._read_proxies: Dict[Tuple[str, str], ReadProxy] = {}
+        self._read_proxies: Dict[str, ReadProxy] = {}
         self._next_seq = 1
         self._next_read = 1
         self._inflight: Dict[Tuple[str, int], _InFlight] = {}
         self._inflight_reads: Dict[Tuple[str, str, int], _InFlightRead] = {}
         #: (message, latency) of every confirmed multicast, in completion order
         self.completions: List[Tuple[MulticastMessage, float]] = []
-        #: per (group, mode) monotone floor over accepted read cids (the
-        #: session guarantee: this client's reads never travel back in time)
-        self._read_high_water: Dict[Tuple[str, str], int] = {}
         #: every resolved read, in resolution order (chaos invariants audit
         #: the voters of non-fallback outcomes against replica read journals)
         self.read_log: List[ReadOutcome] = []
@@ -233,8 +230,6 @@ class MulticastClient(Actor):
         * ``"optimistic"`` — unordered probe of the group's live applied
           state, accepted on f+1 matching (cid, digest) replies; falls back
           to a full ordered multicast on mismatch or timeout.
-        * ``"snapshot"`` — same discipline over the last stable checkpoint
-          (bounded staleness: at most ``checkpoint_interval`` commands).
         * ``"ordered"`` — skip the optimism and pay the full multicast.
 
         ``callback(outcome)`` fires exactly once with a
@@ -252,9 +247,9 @@ class MulticastClient(Actor):
         if mode == "ordered":
             self._read_fallback(key, entry)
             return rid
-        proxy = self._read_proxy(group, mode)
+        proxy = self._read_proxy(group)
         proxy.read(
-            entry.payload, mode,
+            entry.payload,
             on_accept=partial(self._read_accepted, key),
             on_exhausted=partial(self._read_exhausted, key),
         )
@@ -267,9 +262,6 @@ class MulticastClient(Actor):
         if entry is None:
             return
         group, mode, rid = key
-        floor_key = (group, mode)
-        if cid > self._read_high_water.get(floor_key, -1):
-            self._read_high_water[floor_key] = cid
         self.reads_accepted += 1
         outcome = ReadOutcome(
             group=group, mode=mode, rid=rid, result=result, cid=cid,
@@ -371,20 +363,17 @@ class MulticastClient(Actor):
             )
         return self._proxies[group_id]
 
-    def _read_proxy(self, group_id: str, mode: str) -> ReadProxy:
-        key = (group_id, mode)
-        if key not in self._read_proxies:
+    def _read_proxy(self, group_id: str) -> ReadProxy:
+        if group_id not in self._read_proxies:
             config = self.group_configs[group_id]
-            self._read_proxies[key] = ReadProxy(
+            self._read_proxies[group_id] = ReadProxy(
                 owner=self,
                 group_id=group_id,
                 replicas=config.replicas,
                 f=config.f,
                 read_timeout=self.read_timeout,
-                min_cid=lambda mode, g=group_id:
-                    self._read_high_water.get((g, mode), -1),
             )
-        return self._read_proxies[key]
+        return self._read_proxies[group_id]
 
     def update_group(self, group_id: str, replicas: Tuple[str, ...],
                      f: int) -> None:
@@ -402,12 +391,10 @@ class MulticastClient(Actor):
             return
         self.group_configs[group_id] = dataclass_replace(
             config, replicas=tuple(replicas), f=f)
-        proxy = self._proxies.get(group_id)
-        if proxy is not None:
-            proxy.update_replicas(tuple(replicas), f)
-        for (gid, __), read_proxy in self._read_proxies.items():
-            if gid == group_id:
-                read_proxy.update_replicas(tuple(replicas), f)
+        for proxies in (self._proxies, self._read_proxies):
+            proxy = proxies.get(group_id)
+            if proxy is not None:
+                proxy.update_replicas(tuple(replicas), f)
 
     def on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, Reply):
@@ -415,7 +402,7 @@ class MulticastClient(Actor):
             if proxy is not None:
                 proxy.handle_reply(src, payload)
         elif isinstance(payload, ReadReply):
-            read_proxy = self._read_proxies.get((payload.group, payload.mode))
+            read_proxy = self._read_proxies.get(payload.group)
             if read_proxy is not None:
                 read_proxy.handle_read_reply(src, payload)
         elif isinstance(payload, MulticastReply):

@@ -102,7 +102,6 @@ class ByzCastApplication(Application):
         on_snapshot: Optional[Callable[[], Any]] = None,
         on_restore: Optional[Callable[[Any], None]] = None,
         on_read: Optional[Callable[[Any], Any]] = None,
-        on_snapshot_read: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         if group_id not in tree:
             raise ValueError(f"group {group_id!r} is not in the overlay tree")
@@ -116,12 +115,10 @@ class ByzCastApplication(Application):
         #: too (see :meth:`snapshot`).
         self.on_snapshot = on_snapshot
         self.on_restore = on_restore
-        #: optional read-tier hooks: ``on_read`` answers an unordered read
-        #: from the live applied business state, ``on_snapshot_read`` from
-        #: the state as of the last checkpoint (see docs/READS.md); both
-        #: must be pure functions of replicated state.
+        #: optional read-tier hook: ``on_read`` answers an unordered read
+        #: from the live applied business state (see docs/READS.md); it
+        #: must be a pure function of replicated state.
         self.on_read = on_read
-        self.on_snapshot_read = on_snapshot_read
         #: ByzCast requires clients to enter at lca(m.dst) (partial
         #: genuineness); the non-genuine Baseline lets clients enter at any
         #: ancestor of the destinations (in practice: the root).
@@ -169,9 +166,6 @@ class ByzCastApplication(Application):
         #: the MulticastReplies of relayed a-deliveries, by client and seq,
         #: sent again on a DeliveryQuery (this replica's, not replicated)
         self._multicast_replies = ReplyWindow()
-        #: a-delivery count as of the last checkpoint — the default
-        #: snapshot-read answer (mirrors the stable state, not the live one)
-        self._stable_delivered = 0
 
     # ------------------------------------------------------------- execution
 
@@ -643,12 +637,6 @@ class ByzCastApplication(Application):
             return self.on_read(payload)
         return ("deliveries", len(self.deliveries))
 
-    def snapshot_read(self, payload: Any) -> Any:
-        """Answer a read from the last *stable* (checkpointed) state."""
-        if self.on_snapshot_read is not None:
-            return self.on_snapshot_read(payload)
-        return ("deliveries", self._stable_delivered)
-
     # ---------------------------------------------------------------- replies
 
     def answer(self, src: str, query: Any) -> Optional[MulticastReply]:
@@ -698,9 +686,6 @@ class ByzCastApplication(Application):
         # A stream's relayers are its parent's membership, in ``configs``.
         streams = tuple((parent, inbox.next_index)
                         for parent, inbox in sorted(self._inboxes.items()))
-        # The checkpoint boundary is a deterministic cid, so advancing the
-        # stable-read mirror here keeps it identical across replicas.
-        self._stable_delivered = len(self.deliveries)
         payload = self.on_snapshot() if self.on_snapshot is not None else None
         # Neighbour membership is replicated state under elastic membership
         # (it changes only through ordered MembershipUpdates), so the
@@ -778,7 +763,6 @@ class ByzCastApplication(Application):
         # the restore.
         self.deliveries = [WireMulticast(*key).to_message()
                            for key in acted if self.group_id in key[2]]
-        self._stable_delivered = len(self.deliveries)
         if self.on_restore is not None:
             self.on_restore(payload)
 

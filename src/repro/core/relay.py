@@ -243,10 +243,9 @@ class RelayOutbox(GroupProxy):
 
     def __init__(self, owner: Actor, group_id: str, replicas: Tuple[str, ...],
                  f: int, registry: KeyRegistry,
-                 retransmit_timeout: Optional[float] = 4.0,
-                 max_retries: int = 16) -> None:
+                 retransmit_timeout: Optional[float] = 4.0) -> None:
         super().__init__(owner, group_id, replicas, f, registry,
-                         retransmit_timeout, max_retries)
+                         retransmit_timeout)
         #: index -> (the signed copy, when it was last sent), until f+1
         #: current members cover it
         self._unacked: Dict[int, Tuple[Request, float]] = {}

@@ -152,7 +152,7 @@ class StaleReadReplica(Replica):
         self.monitor.count("byzantine.stale_read")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, mode=request.mode, cid=cid,
+            rid=request.rid, cid=cid,
             value_digest=digest(("readv", result)), result=result))
 
 
@@ -171,7 +171,7 @@ class ForgedReadDigestReplica(Replica):
         self.monitor.count("byzantine.forged_read_digest")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, mode=request.mode, cid=self._applied_cid,
+            rid=request.rid, cid=self._applied_cid,
             value_digest=digest(("readv", honest)),
             result=("forged", request.rid)))
 
@@ -192,7 +192,7 @@ class EquivocatingReadReplica(Replica):
         self.monitor.count("byzantine.equivocating_read")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, mode=request.mode, cid=self._applied_cid,
+            rid=request.rid, cid=self._applied_cid,
             value_digest=digest(("readv", result)), result=result))
 
 
@@ -216,8 +216,7 @@ class FabricatedReadReplica(Replica):
         self.monitor.count("byzantine.fabricated_read")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, mode=request.mode,
-            cid=self._applied_cid + self.CID_BOOST,
+            rid=request.rid, cid=self._applied_cid + self.CID_BOOST,
             value_digest=digest(("readv", result)), result=result))
 
 

@@ -473,18 +473,18 @@ def _read_violations(deployment, schedule, clients) -> List[str]:
     1. **No stale read past quorum** — every read a client accepted on an
        f+1 match must count at least one *correct* replica among its
        voters, and that replica's read journal must actually record
-       serving this (client, rid, mode) at the accepted cid.  A quorum
+       serving this (client, rid) at the accepted cid.  A quorum
        formed purely of Byzantine repliers — the only way a fabricated or
        stale value gets past the client — shows up here even if the value
        happened to look plausible.
-    2. **Monotone sessions** — per (client, group, mode), accepted cids
-       never decrease: the client's high-water floor did its job even
+    2. **Monotone sessions** — per (client, group), accepted cids
+       never decrease: the read proxy's floor did its job even
        under chaos (lagging-but-correct quorums must be rejected, not
        returned out of order).
     """
     problems: List[str] = []
     for client in clients:
-        floors: Dict[Tuple[str, str], int] = {}
+        floors: Dict[str, int] = {}
         for outcome in client.read_log:
             if outcome.fallback or outcome.mode == "ordered":
                 continue
@@ -499,8 +499,8 @@ def _read_violations(deployment, schedule, clients) -> List[str]:
                 if replica.crashed or not replica.active:
                     continue
                 if any(sender == client.name and rid == outcome.rid
-                       and mode == outcome.mode and cid == outcome.cid
-                       for sender, rid, mode, cid, _ in replica.read_journal):
+                       and cid == outcome.cid
+                       for sender, rid, cid, _ in replica.read_journal):
                     vouched = True
                     break
             if not vouched:
@@ -509,13 +509,12 @@ def _read_violations(deployment, schedule, clients) -> List[str]:
                     f"({outcome.mode}, cid={outcome.cid}) accepted without "
                     f"a correct voter's journal entry — quorum was "
                     f"Byzantine-only or value not served")
-            key = (gid, outcome.mode)
-            if outcome.cid < floors.get(key, -1):
+            if outcome.cid < floors.get(gid, -1):
                 problems.append(
                     f"{client.name}: non-monotone read session on {gid} "
                     f"({outcome.mode}): cid {outcome.cid} after "
-                    f"{floors[key]}")
-            floors[key] = max(floors.get(key, -1), outcome.cid)
+                    f"{floors[gid]}")
+            floors[gid] = max(floors.get(gid, -1), outcome.cid)
     return problems
 
 

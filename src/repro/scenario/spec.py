@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.client import READ_MODES  # the modes aread accepts
 from repro.errors import ConfigurationError
 
 #: the one document layout this build reads and writes; bump when the
@@ -32,7 +33,6 @@ COSTS = ("calibrated", "bench", "soak")
 APPS = ("none", "sharded_kv")
 BACKENDS = ("sim", "rt")
 INTENSITIES = ("light", "medium", "heavy", "churn")
-READ_MODES = ("ordered", "optimistic", "snapshot")
 WIRES = ("auto", "json", "binary")
 ADAPTIVE_TREE_MODES = ("off", "observe", "on")
 KINDS = ("byzcast", "baseline", "bftsmart")
@@ -159,9 +159,8 @@ class WorkloadSpec:
     #: read-*tier* axis (docs/READS.md): fraction of operations
     #: issued as reads, and how they are served — ``ordered`` routes them
     #: through the full multicast (the comparison baseline), ``optimistic``
-    #: through the unordered f+1 fast path, ``snapshot`` from the last
-    #: checkpoint.  Orthogonal to ``kv_read_ratio`` (which mixes ordered
-    #: gets into the write stream).
+    #: through the unordered f+1 fast path.  Orthogonal to
+    #: ``kv_read_ratio`` (which mixes ordered gets into the write stream).
     read_ratio: float = 0.0
     read_mode: str = "ordered"
 
@@ -496,13 +495,6 @@ class ScenarioSpec:
                     problems.append(
                         f"{what} needs protocol.kind 'byzcast', not "
                         f"{self.protocol.kind!r}")
-        if (self.workload.read_ratio > 0
-                and self.workload.read_mode == "snapshot"
-                and self.protocol.checkpoint_interval <= 0):
-            problems.append(
-                "workload.read_mode 'snapshot' needs "
-                "protocol.checkpoint_interval > 0 (snapshot reads are "
-                "served from checkpoints)")
         return problems
 
     def check(self) -> "ScenarioSpec":

@@ -48,8 +48,7 @@ class ReadClient(Actor):
     """A scripted client speaking both tiers: ordered writes + read probes."""
 
     def __init__(self, name, runtime, config, registry,
-                 read_timeout: float = 0.3, max_retries: int = 1,
-                 read_proxy=ReadProxy) -> None:
+                 read_timeout: float = 0.3, read_proxy=ReadProxy) -> None:
         super().__init__(name, runtime)
         self.proxy = GroupProxy(
             self, config.group_id, config.replicas, config.f, registry,
@@ -57,8 +56,9 @@ class ReadClient(Actor):
         )
         self.reads = read_proxy(
             self, config.group_id, config.replicas, config.f,
-            read_timeout=read_timeout, max_retries=max_retries,
+            read_timeout=read_timeout,
         )
+        self.reads.max_retries = 1
         self.results: List[Any] = []
         #: (cid, result, voters) per accepted read, in acceptance order
         self.accepted: List[Tuple[int, Any, frozenset]] = []
@@ -77,9 +77,9 @@ class ReadClient(Actor):
     def submit(self, command: Any) -> int:
         return self.proxy.submit(command, self.results.append)
 
-    def read(self, payload: Any = ("peek",), mode: str = "optimistic") -> int:
+    def read(self, payload: Any = ("peek",)) -> int:
         return self.reads.read(
-            payload, mode,
+            payload,
             on_accept=lambda cid, result, voters:
                 self.accepted.append((cid, result, frozenset(voters))),
             on_exhausted=lambda: setattr(self, "exhausted", self.exhausted + 1),
@@ -126,25 +126,6 @@ def test_optimistic_read_happy_path():
     # fully-applied cursor, whatever batching produced it
     assert cid == h.group.replicas[0]._applied_cid >= 0
     assert len(voters) >= h.config.f + 1
-
-
-def test_snapshot_read_serves_checkpoint_state():
-    # max_batch=2: the five submits span three cids, so a checkpoint (every
-    # two cids) exists; unbounded, the leader would batch them into one.
-    h = Harness(config=make_config("g1", checkpoint_interval=2, max_batch=2))
-    client = add_read_client(h)
-    for j in range(5):
-        client.submit(("op", j))
-    h.run(until=3.0)
-    assert h.group.replicas[0].log.next_execute >= 2
-    client.read(mode="snapshot")
-    h.loop.run(until=5.0)
-    [(cid, result, _)] = client.accepted
-    # The stable mirror trails the live state by design: it holds exactly
-    # the prefix captured at the last checkpoint boundary.
-    live = h.group.replicas[0].app.read(("peek",))
-    assert result[0] == "executed" and result[1] <= live[1]
-    assert cid == h.group.replicas[0].log.checkpoint.cid
 
 
 def test_stale_read_replica_cannot_roll_back():
@@ -428,6 +409,14 @@ def test_a_departed_voter_is_replaced_by_a_current_member():
     assert len(client.accepted) == 2
 
 
+def read_reply(client: ReadClient, src: str, rid: int, cid: int,
+               value: Any) -> ReadReply:
+    """``src``'s well-formed answer to ``client``'s round ``rid``."""
+    return ReadReply(group="g1", sender=src, req_sender=client.name,
+                     rid=rid, cid=cid, value_digest=digest(("readv", value)),
+                     result=value)
+
+
 def test_a_departed_replicas_read_vote_no_longer_counts():
     h = Harness()
     client = add_read_client(h)
@@ -435,9 +424,7 @@ def test_a_departed_replicas_read_vote_no_longer_counts():
     value = ("executed", 0)
 
     def reply(src):
-        return ReadReply(group="g1", sender=src, req_sender=client.name,
-                         rid=rid, mode="optimistic", cid=0,
-                         value_digest=digest(("readv", value)), result=value)
+        return read_reply(client, src, rid, 0, value)
 
     client.reads.handle_read_reply("g1/r0", reply("g1/r0"))
     client.reads.update_replicas(("g1/r1", "g1/r2", "g1/r3", "g1/r4"), 1)
@@ -445,6 +432,26 @@ def test_a_departed_replicas_read_vote_no_longer_counts():
     assert client.accepted == []
     client.reads.handle_read_reply("g1/r2", reply("g1/r2"))
     assert client.accepted == [(0, value, frozenset({"g1/r1", "g1/r2"}))]
+
+
+def test_a_matching_quorum_below_the_session_floor_is_refused():
+    """docs/READS.md rule 3: after a quorum at cid c, a matching pair below
+    c (a lagging correct replica plus a Byzantine echo) is not accepted."""
+    h = Harness()
+    client = add_read_client(h)
+    fresh, old = ("executed", 5), ("executed", 2)
+    rid = client.read()   # replies are fed by hand
+    for src in ("g1/r0", "g1/r1"):
+        client.reads.handle_read_reply(src, read_reply(client, src, rid, 5,
+                                                       fresh))
+    assert client.accepted == [(5, fresh, frozenset({"g1/r0", "g1/r1"}))]
+    rid = client.read()
+    for src in ("g1/r2", "g1/r3"):   # r2 lags, r3 echoes its stale pair
+        client.reads.handle_read_reply(src, read_reply(client, src, rid, 2,
+                                                       old))
+    assert len(client.accepted) == 1
+    assert h.monitor.counters["read.stale_quorum"] == 1
+    assert client.reads.floor == 5
 
 
 # -- the retransmit-backoff bugfix (note_progress discipline) ----------------

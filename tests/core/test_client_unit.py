@@ -264,22 +264,31 @@ class TestDeliveryQueries:
         assert self.rounds(sent) == [f"g2/r{index}" for index in range(4)]
 
 
-def test_a_read_reply_reaches_only_the_proxy_of_its_mode():
-    """Both read proxies of a group number their rounds from 1; a reply is
-    routed by (group, mode), so the other mode's round never sees it."""
+def test_two_areads_of_a_group_share_one_proxy_and_its_floor():
+    """A group has one read proxy: a quorum accepted in the first round
+    sets the floor that refuses a lower matching pair in the second."""
     dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
                             costs=FAST_COSTS)
     client = dep.add_client("c1")
     client.send = lambda dst, payload, *args, **kw: None
-    client.aread("g1", ("k",), mode="optimistic")
-    client.aread("g1", ("k",), mode="snapshot")
-    result = ("v",)
-    client.on_message("g1/r0", ReadReply(
-        group="g1", sender="g1/r0", req_sender="c1", rid=1, mode="snapshot",
-        cid=3, value_digest=digest(("readv", result)), result=result))
-    proxies = client._read_proxies
-    assert proxies[("g1", "optimistic")]._outstanding[1].replied == set()
-    assert proxies[("g1", "snapshot")]._outstanding[1].replied == {"g1/r0"}
+    outcomes = []
+    first = client.aread("g1", ("k",), callback=outcomes.append)
+    second = client.aread("g1", ("k",), callback=outcomes.append)
+    [proxy] = client._read_proxies.values()
+    assert sorted(proxy._outstanding) == [first, second]
+
+    def read_reply(replica, rid, cid, result):
+        client.on_message(replica, ReadReply(
+            group="g1", sender=replica, req_sender="c1", rid=rid, cid=cid,
+            value_digest=digest(("readv", result)), result=result))
+
+    for replica in ("g1/r0", "g1/r1"):
+        read_reply(replica, first, 5, ("new",))
+    assert [(o.rid, o.cid) for o in outcomes] == [(first, 5)]
+    for replica in ("g1/r2", "g1/r3"):   # a laggard and an echo, below 5
+        read_reply(replica, second, 2, ("old",))
+    assert len(outcomes) == 1 and proxy.floor == 5
+    assert dep.monitor.counters["read.stale_quorum"] == 1
 
 
 def footprint(client):

@@ -37,7 +37,6 @@ from repro.crypto.digest import digest
 from repro.env import Monitor
 
 F = 1
-MODE = "optimistic"
 BYZANTINE = "r3"
 CORRECT = ("r0", "r1", "r2", "r4")
 #: every membership keeps at most F Byzantine replicas among 3F+1 or more
@@ -91,9 +90,7 @@ class ReadProxyMachine(RuleBasedStateMachine):
         super().__init__()
         self.owner = Owner()
         self.members = MEMBERSHIPS[0]
-        self.high_water = -1
-        self.proxy = ReadProxy(self.owner, "g", self.members, F,
-                               min_cid=lambda mode: self.high_water)
+        self.proxy = ReadProxy(self.owner, "g", self.members, F)
         self.applied = dict.fromkeys(CORRECT, 0)
         #: (cid, value) pairs some correct replica served
         self.served = set()
@@ -114,7 +111,6 @@ class ReadProxyMachine(RuleBasedStateMachine):
             f"accepted {result!r} at cid {cid}, which no correct replica served"
         assert voters <= set(self.members), "a departed replica's vote counted"
         assert len(voters) >= F + 1, f"accepted on {len(voters)} voters"
-        self.high_water = cid
         self.accepted_cids.append(cid)
         self.open.discard(rid)
 
@@ -151,7 +147,7 @@ class ReadProxyMachine(RuleBasedStateMachine):
         if value_digest is None:
             value_digest = digest(("readv", result))
         reply = ReadReply(group="g", sender=src, req_sender=self.owner.name,
-                          rid=rid, mode=MODE, cid=cid,
+                          rid=rid, cid=cid,
                           value_digest=value_digest, result=result)
         if rid in self.open and src in self.members:
             self.heard[rid].add(src)
@@ -165,7 +161,7 @@ class ReadProxyMachine(RuleBasedStateMachine):
             return
         rids = []
         self.step(lambda: rids.append(self.proxy.read(
-            ("peek",), MODE,
+            ("peek",),
             on_accept=lambda cid, result, voters:
                 self.on_accept(rids[0], cid, result, voters),
             on_exhausted=lambda: self.on_exhausted(rids[0]))))
@@ -233,6 +229,8 @@ class ReadProxyMachine(RuleBasedStateMachine):
     @invariant()
     def accepted_cids_are_monotone(self):
         assert self.accepted_cids == sorted(self.accepted_cids)
+        assert self.proxy.floor == max(self.accepted_cids, default=-1), \
+            "the proxy's floor is not its highest accepted cid"
 
     @invariant()
     def an_open_round_waits_on_a_member_it_asked(self):

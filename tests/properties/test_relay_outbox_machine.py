@@ -124,8 +124,8 @@ class RelayOutboxMachine(RuleBasedStateMachine):
         self.owner = Owner()
         self.members = MEMBERSHIPS[0]
         self.outbox = RelayOutbox(self.owner, "g1", self.members, F,
-                                  KeyRegistry(), retransmit_timeout=TIMEOUT,
-                                  max_retries=10 ** 6)
+                                  KeyRegistry(), retransmit_timeout=TIMEOUT)
+        self.outbox.max_retries = 10 ** 6
         #: how many batches the parent relayed, and the child decided
         self.relayed = 0
         self.decided = 0

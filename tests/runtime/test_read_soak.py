@@ -1,7 +1,7 @@
 """Read-tier conformance: the read-safety soak passes on both backends.
 
-A soak with ``read_ratio > 0`` interleaves optimistic (or snapshot) reads
-with the write budget and activates the read-safety invariants: no
+A soak with ``read_ratio > 0`` interleaves optimistic reads with the
+write budget and activates the read-safety invariants: no
 accepted read without a correct voter's journal entry, and per-session
 monotone cids.  The same config must come out green on the simulated and
 the real-time backend, and every issued read must resolve (accepted or
@@ -19,9 +19,6 @@ SIM_READS = soak_spec(ScenarioSpec.load(SCENARIOS / "soak_reads.json"),
                       duration=5.0, clients=2)
 #: the rt soak runs on the wall clock — keep the horizon tight
 RT_READS = soak_spec(SIM_READS, backend="rt", duration=2.5, settle=20.0)
-SNAPSHOT_READS = soak_spec(
-    ScenarioSpec.load(SCENARIOS / "soak_snapshot_reads.json"),
-    duration=5.0, clients=2)
 
 
 def check_reads(report: ChaosReport) -> None:
@@ -36,10 +33,6 @@ def check_reads(report: ChaosReport) -> None:
 
 def test_sim_soak_with_optimistic_reads():
     check_reads(run_chaos_soak(SIM_READS, messages=30))
-
-
-def test_sim_soak_with_snapshot_reads():
-    check_reads(run_chaos_soak(SNAPSHOT_READS, messages=30))
 
 
 def test_rt_soak_with_optimistic_reads():

@@ -48,7 +48,7 @@ def test_unsupported_schema_is_rejected(schema):
     ),
     ScenarioSpec(
         name="reads",
-        workload=WorkloadSpec(read_ratio=0.25, read_mode="snapshot"),
+        workload=WorkloadSpec(read_ratio=0.25, read_mode="optimistic"),
         protocol=ProtocolSpec(read_timeout=0.75, checkpoint_interval=32),
     ),
     ScenarioSpec(
@@ -136,19 +136,11 @@ def test_read_lint_rules():
     assert any("read_timeout" in p for p in bad_timeout.validate())
 
 
-def test_snapshot_reads_require_checkpointing():
-    spec = ScenarioSpec(
-        name="t",
-        workload=WorkloadSpec(read_ratio=0.5, read_mode="snapshot"),
-        protocol=ProtocolSpec(checkpoint_interval=0),
-    )
-    assert any("checkpoint" in p for p in spec.validate())
-    ok = ScenarioSpec(
-        name="t",
-        workload=WorkloadSpec(read_ratio=0.5, read_mode="snapshot"),
-        protocol=ProtocolSpec(checkpoint_interval=16),
-    )
-    assert ok.validate() == []
+def test_the_snapshot_read_mode_is_rejected():
+    spec = ScenarioSpec(name="t", workload=WorkloadSpec(
+        read_ratio=0.5, read_mode="snapshot"))
+    assert spec.validate() == [
+        "workload.read_mode 'snapshot' not in ['ordered', 'optimistic']"]
 
 
 # -- the wire codec -----------------------------------------------------------
