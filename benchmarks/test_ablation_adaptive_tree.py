@@ -27,8 +27,7 @@ STATIC = ScenarioSpec(
     name="adapt_skew_static", seed=11,
     topology=TopologySpec(groups=8, layout="balanced", fanout=4),
     workload=WorkloadSpec(clients=16, client_prefix="bench-c",
-                          destinations="hotpairs", hotspot_weight=0.9,
-                          hotspot_period=4.0, warmup=6.0, duration=2.0),
+                          destinations="hotpairs", warmup=6.0, duration=2.0),
     protocol=ProtocolSpec(checkpoint_interval=64, max_in_flight=4,
                           costs="bench", adaptive_tree="observe"),
 )

@@ -293,6 +293,8 @@ class ReadProxy(_GroupEndpoint):
 
     #: retries of a round before the proxy reports exhaustion
     max_retries = 2
+    #: seconds a round waits for its quorum before the next (backed off)
+    read_timeout = 1.0
 
     def __init__(
         self,
@@ -300,10 +302,8 @@ class ReadProxy(_GroupEndpoint):
         group_id: str,
         replicas: Tuple[str, ...],
         f: int,
-        read_timeout: float = 1.0,
     ) -> None:
         super().__init__(owner, group_id, replicas, f)
-        self.read_timeout = read_timeout
         #: the highest accepted cid: accepted cids must not regress (the
         #: owner's session guarantee; without it an f+1 quorum of *lagging*
         #: correct replicas plus a Byzantine echo could serve a past state)

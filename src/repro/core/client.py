@@ -129,7 +129,6 @@ class MulticastClient(Actor):
         on_complete: Optional[Callable[[MulticastMessage, float],
                                        None]] = None,
         retransmit_timeout: Optional[float] = 4.0,
-        read_timeout: float = 1.0,
     ) -> None:
         super().__init__(name, runtime)
         self.tree = tree
@@ -137,7 +136,6 @@ class MulticastClient(Actor):
         self.registry = registry
         self.on_complete = on_complete
         self.retransmit_timeout = retransmit_timeout
-        self.read_timeout = read_timeout
         self._proxies: Dict[str, GroupProxy] = {}
         self._read_proxies: Dict[str, ReadProxy] = {}
         self._next_seq = 1
@@ -371,7 +369,6 @@ class MulticastClient(Actor):
                 group_id=group_id,
                 replicas=config.replicas,
                 f=config.f,
-                read_timeout=self.read_timeout,
             )
         return self._read_proxies[group_id]
 

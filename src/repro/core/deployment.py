@@ -28,7 +28,7 @@ from repro.bcast.config import BroadcastConfig
 from repro.bcast.group import BroadcastGroup
 from repro.bcast.replica import Replica
 from repro.core.client import MulticastClient
-from repro.core.node import ByzCastApplication, DeliverCallback
+from repro.core.node import ByzCastApplication
 from repro.core.tree import OverlayTree
 from repro.crypto.keys import KeyRegistry
 from repro.env import LatencyModel, Runtime
@@ -152,7 +152,6 @@ class ByzCastDeployment:
         site: str = "site0",
         on_complete: Optional[Callable] = None,
         retransmit_timeout: Optional[float] = 4.0,
-        read_timeout: float = 1.0,
     ) -> MulticastClient:
         """Create and register a multicast client endpoint."""
         client = self.client_class(
@@ -163,7 +162,6 @@ class ByzCastDeployment:
             registry=self.registry,
             on_complete=on_complete,
             retransmit_timeout=retransmit_timeout,
-            read_timeout=read_timeout,
         )
         self.network.register(client, site=site)
         self.clients.append(client)

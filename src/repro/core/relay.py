@@ -145,14 +145,13 @@ class RelayInbox:
     certificate copies of each index that carried.
     """
 
-    def __init__(self, relayers: Iterable[str], threshold: int,
-                 next_index: int = 0) -> None:
+    def __init__(self, relayers: Iterable[str], threshold: int) -> None:
         #: index -> relayer -> its first copy, in arrival order
         self._copies: Dict[int, Dict[str, Request]] = {}
         self._ballots: Dict[int, QuorumMerge] = {}
         #: index -> the first ``threshold`` copies with one digest
         self._quorums: Dict[int, Tuple[Request, ...]] = {}
-        self.restore(relayers, threshold, next_index)
+        self.restore(relayers, threshold, 0)
 
     def held(self, relayer: str, index: int) -> Optional[Request]:
         """``relayer``'s copy of ``index``, if this inbox holds one."""

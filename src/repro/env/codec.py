@@ -36,7 +36,8 @@ import struct
 from typing import Any, Callable, Tuple
 
 from repro.canonical import (   # the type table both codecs share
-    ensure_registered, is_registered, register_wire_type, registered_type,
+    ensure_registered, is_registered, registered_type,
+    register_wire_type as register_wire_type,  # re-exported for apps
 )
 from repro.crypto import cache as _cache
 from repro.errors import NetworkError, ReproError
@@ -234,7 +235,6 @@ def read_frames(buffer: bytes) -> Tuple[list, bytes]:
 
 
 def drain_frames(buffer: bytearray,
-                 decode_body: Callable[[Any], Any] = None,
                  on_bad: Callable[[NetworkError], None] = None,
                  ) -> Tuple[list, bool]:
     """Consume complete frames from ``buffer`` in place.
@@ -247,7 +247,7 @@ def drain_frames(buffer: bytearray,
     with undecodable bodies are skipped via ``on_bad`` (see
     :func:`split_frames`).
     """
-    frames, consumed, ok = split_frames(buffer, decode_body or decode, on_bad)
+    frames, consumed, ok = split_frames(buffer, decode, on_bad)
     if consumed:
         del buffer[:consumed]
     return frames, ok

@@ -320,12 +320,10 @@ def read_frames(buffer: bytes) -> Tuple[list, bytes]:
 
 
 def drain_frames(buffer: bytearray,
-                 decode_body: Callable[[Any], Any] = None,
                  on_bad: Callable[[NetworkError], None] = None,
                  ) -> Tuple[list, bool]:
     """Consume complete frames from ``buffer`` in place (see JSON codec)."""
-    frames, consumed, ok = _codec.split_frames(
-        buffer, decode_body or decode, on_bad)
+    frames, consumed, ok = _codec.split_frames(buffer, decode, on_bad)
     if consumed:
         del buffer[:consumed]
     return frames, ok

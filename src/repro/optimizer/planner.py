@@ -139,23 +139,23 @@ class TreePlanner:
     first tree it ever chose.
     """
 
+    #: required cost ratio current/candidate before switching (>= 1.0;
+    #: predicted savings below this never trigger a switch)
+    hysteresis = 1.2
+
     def __init__(
         self,
         controller,
         collector: TrafficCollector,
         interval: float = 1.0,
         min_samples: int = 48,
-        hysteresis: float = 1.2,
         cooldown: float = 2.0,
         window: Optional[float] = None,
     ) -> None:
-        if hysteresis < 1.0:
-            raise ValueError("hysteresis must be >= 1.0")
         self.controller = controller
         self.collector = collector
         self.interval = interval
         self.min_samples = min_samples
-        self.hysteresis = hysteresis
         self.cooldown = cooldown
         self.window = window if window is not None else 4.0 * interval
         self.monitor = controller.monitor

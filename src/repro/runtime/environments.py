@@ -21,7 +21,7 @@ benchmark suite uses :func:`bench_costs` — every CPU cost multiplied by
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.bcast.config import CostModel
 from repro.env import JitterLatency, MatrixLatency
@@ -77,9 +77,9 @@ def scale_costs(model: CostModel, factor: float) -> CostModel:
     )
 
 
-def bench_costs(scale: float = BENCH_SCALE) -> CostModel:
+def bench_costs() -> CostModel:
     """The slowed-down cost model used by the benchmark suite."""
-    return scale_costs(calibrated_costs(), scale)
+    return scale_costs(calibrated_costs(), BENCH_SCALE)
 
 
 def soak_costs() -> CostModel:

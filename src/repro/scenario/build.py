@@ -253,8 +253,8 @@ def build_armed_deployment(spec: ScenarioSpec,
             install_chaos(runtime, ChaosConfig())
             schedule = NemesisSchedule.generate(
                 groups=scenario_membership(spec),
-                seed=spec.fault_seed(),
-                duration=spec.fault_duration(),
+                seed=spec.seed,
+                duration=spec.horizon,
                 profile=scenario_fault_profile(spec),
                 f=spec.topology.f,
             )
@@ -306,7 +306,6 @@ def arm_adaptive_tree(spec: ScenarioSpec, deployment, elasticity):
             elasticity, traffic,
             interval=proto.adapt_interval,
             min_samples=proto.adapt_min_samples,
-            hysteresis=proto.adapt_hysteresis,
             cooldown=proto.adapt_cooldown,
         ).start()
     return traffic, planner
@@ -351,15 +350,12 @@ def build_destination_sampler(
         )
     if workload.destinations == "zipfian":
         return workloads.mixed_ratio(
-            workloads.zipfian_local(targets, s=workload.zipf_s),
-            workloads.zipfian_pairs(targets, s=workload.zipf_s),
+            workloads.zipfian_local(targets),
+            workloads.zipfian_pairs(targets),
             workload.local_parts, workload.global_parts,
         )
     if workload.destinations == "hotpairs":
-        return workloads.hotspot_pairs(
-            targets, hot_weight=workload.hotspot_weight,
-            period=workload.hotspot_period, s=workload.zipf_s, clock=clock,
-        )
+        return workloads.hotspot_pairs(targets, clock)
     raise ConfigurationError(
         f"unknown destination distribution {workload.destinations!r}")
 
@@ -369,7 +365,7 @@ def build_key_sampler(workload: WorkloadSpec) -> workloads.KeySampler:
     if workload.key_dist == "uniform":
         return workloads.uniform_keys(workload.keys)
     if workload.key_dist == "zipfian":
-        return workloads.zipfian_keys(workload.keys, s=workload.zipf_s)
+        return workloads.zipfian_keys(workload.keys)
     raise ConfigurationError(
         f"unknown key distribution {workload.key_dist!r}")
 
@@ -416,8 +412,7 @@ def build_drivers(
         name = f"{workload.client_prefix}{index}"
         client = deployment.add_client(
             name, site=client_site(spec.topology, index),
-            retransmit_timeout=spec.protocol.retransmit_timeout,
-            read_timeout=spec.protocol.read_timeout)
+            retransmit_timeout=spec.protocol.retransmit_timeout)
         common = dict(
             sampler=(build_destination_sampler(workload, targets, clock,
                                                client=index)
@@ -434,8 +429,7 @@ def build_drivers(
             read_sampler=read_sampler,
         )
         if workload.loop == "closed":
-            drivers.append(ClosedLoopDriver(
-                client, think_time=workload.think_time, **common))
+            drivers.append(ClosedLoopDriver(client, **common))
         elif workload.loop == "open":
             drivers.append(OpenLoopDriver(
                 client, rate=workload.rate, **common))

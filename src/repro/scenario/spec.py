@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 
 #: the one document layout this build reads and writes; bump when the
 #: serialized layout changes incompatibly
-SCENARIO_SCHEMA_VERSION = 6
+SCENARIO_SCHEMA_VERSION = 7
 
 #: enumerated axis values (also the vocabulary ``validate`` lints against)
 LAYOUTS = ("two_level", "paper", "balanced")
@@ -49,8 +49,30 @@ def _section_to_dict(section: Any) -> Dict[str, Any]:
     return {f.name: _plain(getattr(section, f.name)) for f in fields(section)}
 
 
+#: what a document value must be, by the type of its field's default
+_EXPECTED = {bool: "a bool", int: "an int", float: "a number",
+             str: "a string", tuple: "a list of strings"}
+
+
+def _typed(value: Any, default: Any, where: str) -> Any:
+    """``value`` if it has the type of ``default`` (a number for a float, a
+    list of strings for a tuple, never a bool for a number), else raise."""
+    kind = type(default)
+    if kind is tuple:
+        ok = isinstance(value, (list, tuple)) \
+            and all(isinstance(item, str) for item in value)
+    else:
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and (kind is bool or not isinstance(value, bool)))
+    if not ok:
+        raise ConfigurationError(
+            f"{where} must be {_EXPECTED[kind]}, got {value!r}")
+    return tuple(value) if kind is tuple else value
+
+
 def _section_from_dict(cls, raw: Dict[str, Any], where: str):
-    """Build a section dataclass, rejecting unknown keys loudly."""
+    """Build a section dataclass, rejecting unknown keys and mistyped
+    values loudly."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where} must be an object, got {type(raw).__name__}")
     known = {f.name: f for f in fields(cls)}
@@ -59,23 +81,16 @@ def _section_from_dict(cls, raw: Dict[str, Any], where: str):
         raise ConfigurationError(
             f"unknown key(s) {unknown} in {where}; known: {sorted(known)}"
         )
-    kwargs = {}
-    for name, value in raw.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{name: _typed(value, known[name].default, f"{where}.{name}")
+                  for name, value in raw.items()})
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     """Groups, overlay-tree layout and network geometry."""
 
-    #: number of target groups (ignored when ``names`` is given)
+    #: number of target groups, named ``g1..gN``
     groups: int = 2
-    #: explicit target-group names; empty = ``{prefix}1..{prefix}N``
-    names: Tuple[str, ...] = ()
-    prefix: str = "g"
     #: ``two_level`` | ``paper`` (the Fig. 1(a) tree) | ``balanced``
     layout: str = "two_level"
     #: targets/auxiliaries per inner node of a ``balanced`` tree
@@ -88,9 +103,7 @@ class TopologySpec:
     sites: str = "single"
 
     def target_names(self) -> Tuple[str, ...]:
-        if self.names:
-            return tuple(self.names)
-        return tuple(f"{self.prefix}{i + 1}" for i in range(self.groups))
+        return tuple(f"g{i + 1}" for i in range(self.groups))
 
     def lint(self) -> List[str]:
         problems = []
@@ -103,14 +116,12 @@ class TopologySpec:
         if self.sites not in SITES:
             problems.append(
                 f"topology.sites {self.sites!r} not in {list(SITES)}")
-        if not self.names and self.groups < 1:
+        if self.groups < 1:
             problems.append("topology.groups must be >= 1")
-        if self.names and len(set(self.names)) != len(self.names):
-            problems.append("topology.names contains duplicates")
-        if self.layout == "paper" and self.target_names() != ("g1", "g2", "g3", "g4"):
+        if self.layout == "paper" and self.groups != 4:
             problems.append(
                 "topology.layout 'paper' is the fixed Fig. 1(a) tree over "
-                "g1..g4; leave names empty and set groups=4, prefix='g'")
+                "g1..g4; set groups=4")
         if self.layout == "balanced" and self.fanout < 2:
             problems.append("topology.fanout must be >= 2")
         if self.f < 1:
@@ -125,12 +136,10 @@ class WorkloadSpec:
     clients: int = 8
     #: client endpoint names are ``{client_prefix}{index}``
     client_prefix: str = "c"
-    #: ``closed`` (paper §IV) | ``open`` (Poisson)
+    #: ``closed`` (paper §IV, no think time) | ``open`` (Poisson)
     loop: str = "closed"
     #: per-client arrival rate in msgs/s (open loop)
     rate: float = 100.0
-    #: closed loop: seconds between a completion and the next send
-    think_time: float = 0.0
     #: ``local`` | ``global`` | ``mixed`` | ``zipfian`` | ``hotpairs`` |
     #: ``fixed`` (always ``fixed``) | ``home`` (client *i*
     #: always sends to target ``i * groups // clients``: an equal share of
@@ -139,15 +148,9 @@ class WorkloadSpec:
     destinations: str = "mixed"
     #: the one destination set of ``destinations: "fixed"``
     fixed: Tuple[str, ...] = ()
-    #: zipf exponent for ``zipfian`` destinations / keys
-    zipf_s: float = 1.0
     #: local:global ratio of the mixed-style distributions
     local_parts: int = 10
     global_parts: int = 1
-    #: hotpairs destinations: probability mass on the hot pairs and the
-    #: dwell (seconds of virtual time) before their pairing migrates
-    hotspot_weight: float = 0.8
-    hotspot_period: float = 1.0
     warmup: float = 1.0
     duration: float = 4.0
     #: sharded-KV workloads only: key-space size and key distribution
@@ -176,20 +179,12 @@ class WorkloadSpec:
             problems.append(
                 f"workload.destinations {self.destinations!r} "
                 f"not in {list(DESTINATIONS)}")
-        if self.zipf_s < 0:
-            problems.append("workload.zipf_s must be non-negative")
         if self.local_parts < 0 or self.global_parts < 0 \
                 or self.local_parts + self.global_parts == 0:
             problems.append("workload local/global parts must be non-negative "
                             "and not both zero")
-        if not 0.0 < self.hotspot_weight <= 1.0:
-            problems.append("workload.hotspot_weight must be in (0, 1]")
-        if self.hotspot_period <= 0:
-            problems.append("workload.hotspot_period must be positive")
         if self.warmup < 0 or self.duration <= 0:
             problems.append("workload.warmup must be >= 0 and duration > 0")
-        if self.think_time < 0:
-            problems.append("workload.think_time must be >= 0")
         if not 0.0 <= self.read_ratio <= 1.0:
             problems.append("workload.read_ratio must be in [0, 1]")
         if self.read_mode not in READ_MODES:
@@ -233,8 +228,6 @@ class ProtocolSpec:
     checkpoint_interval: int = 0
     #: consensus pipeline depth (docs/PIPELINE.md)
     max_in_flight: int = 1
-    #: unordered-read probe timeout before retry/fallback (docs/READS.md)
-    read_timeout: float = 1.0
     #: CPU cost model: ``calibrated`` (paper scale) | ``bench``
     #: (×BENCH_SCALE, what ``bench/`` and the ablations use) | ``soak``
     #: (cheap shape for chaos soaks)
@@ -255,9 +248,6 @@ class ProtocolSpec:
     adapt_interval: float = 1.0
     #: minimum observed submits before the planner will re-plan
     adapt_min_samples: int = 48
-    #: required cost ratio current/candidate before switching (>= 1.0;
-    #: predicted savings below this never trigger a switch)
-    adapt_hysteresis: float = 1.2
     #: seconds after a switch during which the planner holds off
     adapt_cooldown: float = 2.0
 
@@ -279,8 +269,6 @@ class ProtocolSpec:
             problems.append("protocol.checkpoint_interval must be >= 0")
         if self.max_in_flight < 1:
             problems.append("protocol.max_in_flight must be >= 1")
-        if self.read_timeout <= 0:
-            problems.append("protocol.read_timeout must be positive")
         if self.costs not in COSTS:
             problems.append(f"protocol.costs {self.costs!r} not in {list(COSTS)}")
         if self.wire not in WIRES:
@@ -293,8 +281,6 @@ class ProtocolSpec:
             problems.append("protocol.adapt_interval must be positive")
         if self.adapt_min_samples < 1:
             problems.append("protocol.adapt_min_samples must be >= 1")
-        if self.adapt_hysteresis < 1.0:
-            problems.append("protocol.adapt_hysteresis must be >= 1.0")
         if self.adapt_cooldown < 0:
             problems.append("protocol.adapt_cooldown must be >= 0")
         return problems
@@ -302,13 +288,10 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """An optional nemesis plan riding along with the scenario."""
+    """An optional nemesis plan riding along with the scenario; the
+    nemesis draws from the scenario's seed over its horizon."""
 
     intensity: str = "medium"
-    #: nemesis seed; 0 = inherit the scenario seed
-    seed: int = 0
-    #: nemesis horizon scale; 0 = the workload's warmup + duration
-    duration: float = 0.0
     #: extra seconds to quiesce after the final heal (soak harness)
     settle: float = 30.0
     #: extra membership-churn ops on top of the intensity profile
@@ -322,8 +305,6 @@ class FaultSpec:
         if self.intensity not in INTENSITIES:
             problems.append(
                 f"faults.intensity {self.intensity!r} not in {list(INTENSITIES)}")
-        if self.duration < 0:
-            problems.append("faults.duration must be >= 0")
         if self.settle < 0:
             problems.append("faults.settle must be >= 0")
         if self.joins < 0 or self.leaves < 0 or self.scale_cycles < 0:
@@ -386,10 +367,10 @@ class ScenarioSpec:
             raise ConfigurationError("scenario needs a non-empty 'name'")
         faults_raw = raw.get("faults")
         return cls(
-            name=str(raw["name"]),
-            app=str(raw.get("app", "none")),
-            backend=str(raw.get("backend", "sim")),
-            seed=int(raw.get("seed", 1)),
+            name=_typed(raw["name"], "", "name"),
+            app=_typed(raw.get("app", "none"), "", "app"),
+            backend=_typed(raw.get("backend", "sim"), "", "backend"),
+            seed=_typed(raw.get("seed", 1), 1, "seed"),
             topology=_section_from_dict(
                 TopologySpec, raw.get("topology", {}), "topology"),
             workload=_section_from_dict(
@@ -514,16 +495,6 @@ class ScenarioSpec:
     def horizon(self) -> float:
         """Virtual end of the measured run (warmup + duration)."""
         return self.workload.warmup + self.workload.duration
-
-    def fault_seed(self) -> int:
-        if self.faults is None or self.faults.seed == 0:
-            return self.seed
-        return self.faults.seed
-
-    def fault_duration(self) -> float:
-        if self.faults is None or self.faults.duration == 0.0:
-            return self.horizon
-        return self.faults.duration
 
     def with_(self, **changes) -> "ScenarioSpec":
         """A copy with top-level fields replaced (sections stay shared)."""

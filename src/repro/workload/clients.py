@@ -4,14 +4,13 @@ A driver owns one protocol client (ByzCast, Baseline, or single-group) and
 issues multicasts according to an arrival discipline:
 
 * :class:`ClosedLoopDriver` — the paper's clients: exactly one message in
-  flight, the next is sent only after the previous completed (optionally
-  after a think time);
+  flight, the next is sent as soon as the previous completed;
 * :class:`OpenLoopDriver` — Poisson arrivals at a fixed rate, regardless
   of completions (offered load does not throttle under pressure).
 
 Completions are recorded on the shared latency collector and throughput
 meter, classified as local or global.  All drivers stop *cleanly* at
-``stop_after``: pending think/arrival timers are cancelled rather than
+``stop_after``: pending arrival timers are cancelled rather than
 left to fire into a drained EventLoop, so scale scenarios with thousands
 of drivers quiesce without stragglers.
 
@@ -41,8 +40,8 @@ class _DriverBase:
     def __init__(
         self,
         client: Any,
-        sampler: Optional[DestinationSampler],
-        rng: random.Random,
+        sampler: Optional[DestinationSampler] = None,
+        rng: Optional[random.Random] = None,
         collector: Optional[LatencyCollector] = None,
         meter: Optional[ThroughputMeter] = None,
         local_collector: Optional[LatencyCollector] = None,
@@ -62,7 +61,7 @@ class _DriverBase:
             raise ValueError("read_ratio > 0 needs a read_sampler")
         self.client = client
         self.sampler = sampler
-        self.rng = rng
+        self.rng = rng if rng is not None else random.Random(0)
         self.collector = collector
         self.meter = meter
         self.local_collector = local_collector
@@ -81,7 +80,7 @@ class _DriverBase:
         self.completed = 0
         self.reads_sent = 0
         self._stopped = False
-        self._timer = None  # the one pending think/arrival timer, if any
+        self._timer = None  # the one pending arrival timer, if any
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -201,39 +200,10 @@ class ClosedLoopDriver(_DriverBase):
         local_collector / global_collector: optional per-class collectors
             for the mixed-workload CDF figures.
         payload: payload attached to every message (64-byte stand-in).
-        think_time: seconds to wait between a completion and the next send.
         stop_after: stop issuing new messages past this virtual time.
         op_sampler: per-message ``rng -> (destination, payload)``; overrides
             ``sampler``/``payload`` when given.
     """
-
-    def __init__(
-        self,
-        client: Any,
-        sampler: Optional[DestinationSampler] = None,
-        rng: Optional[random.Random] = None,
-        collector: Optional[LatencyCollector] = None,
-        meter: Optional[ThroughputMeter] = None,
-        local_collector: Optional[LatencyCollector] = None,
-        global_collector: Optional[LatencyCollector] = None,
-        payload: Tuple = ("x",),
-        think_time: float = 0.0,
-        stop_after: Optional[float] = None,
-        op_sampler: Optional[OpSampler] = None,
-        read_ratio: float = 0.0,
-        read_mode: str = "optimistic",
-        read_sampler: Optional[OpSampler] = None,
-    ) -> None:
-        super().__init__(
-            client, sampler, rng if rng is not None else random.Random(0),
-            collector=collector, meter=meter,
-            local_collector=local_collector,
-            global_collector=global_collector,
-            payload=payload, stop_after=stop_after, op_sampler=op_sampler,
-            read_ratio=read_ratio, read_mode=read_mode,
-            read_sampler=read_sampler,
-        )
-        self.think_time = think_time
 
     def start(self) -> None:
         """Issue the first message."""
@@ -251,10 +221,7 @@ class ClosedLoopDriver(_DriverBase):
 
     def _post_read_complete(self) -> None:
         """The loop continues on any completion — write, read or fallback."""
-        if self.think_time > 0:
-            self._set_timer(self.think_time, self._issue)
-        else:
-            self._issue()
+        self._issue()
 
 
 class OpenLoopDriver(_DriverBase):
@@ -288,8 +255,7 @@ class OpenLoopDriver(_DriverBase):
         if rate <= 0:
             raise ValueError("rate must be positive")
         super().__init__(
-            client, sampler, rng if rng is not None else random.Random(0),
-            collector=collector, meter=meter,
+            client, sampler, rng, collector=collector, meter=meter,
             local_collector=local_collector,
             global_collector=global_collector,
             payload=payload, stop_after=stop_after, op_sampler=op_sampler,

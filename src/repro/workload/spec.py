@@ -38,6 +38,11 @@ from repro.types import Destination, destination
 DestinationSampler = Callable[[random.Random], Destination]
 KeySampler = Callable[[random.Random], str]
 
+#: ``hotspot_pairs``: the probability mass on the hot pairs, and the
+#: seconds of virtual time before their pairing migrates
+HOT_WEIGHT = 0.9
+HOT_PERIOD = 4.0
+
 
 def _zipf_cumulative(count: int, s: float) -> List[float]:
     """Cumulative Zipf(s) distribution over ``count`` ranks."""
@@ -175,21 +180,16 @@ def zipfian_pairs(targets: Sequence[str], s: float = 1.0) -> DestinationSampler:
     return sample
 
 
-def hotspot_pairs(
-    targets: Sequence[str],
-    clock: Callable[[], float],
-    hot_weight: float = 0.9,
-    period: float = 1.0,
-    s: float = 1.0,
-) -> DestinationSampler:
+def hotspot_pairs(targets: Sequence[str],
+                  clock: Callable[[], float]) -> DestinationSampler:
     """Global hot *pairs* whose pairing migrates — the adaptive-tree stress.
 
     Targets split into a front and a back half.  With probability
-    ``hot_weight`` the destination is the pair ``(front[i], back[(i +
-    epoch) % |back|])`` with ``i`` drawn Zipf(``s``)-ranked over the front
+    :data:`HOT_WEIGHT` the destination is the pair ``(front[i], back[(i +
+    epoch) % |back|])`` with ``i`` drawn Zipf(1)-ranked over the front
     half; otherwise it is a uniform local single.  The epoch advances
-    every ``period`` seconds of ``clock`` (a ``() -> float`` of virtual
-    seconds), so *which* groups co-occur rotates over time: a tree
+    every :data:`HOT_PERIOD` seconds of ``clock`` (a ``() -> float`` of
+    virtual seconds), so *which* groups co-occur rotates over time: a tree
     adapted to one epoch's pairing is cross-branch again in the next —
     exactly the shifting-skew workload FlexCast-style online
     re-planning is for (docs/TREES.md).
@@ -200,19 +200,15 @@ def hotspot_pairs(
     """
     if len(targets) < 2:
         raise WorkloadError("need at least two target groups for pairs")
-    if not 0.0 < hot_weight <= 1.0:
-        raise WorkloadError("hot_weight must be in (0, 1]")
-    if period <= 0:
-        raise WorkloadError("period must be positive")
     names = list(targets)
     half = len(names) // 2
     front, back = names[:half], names[half:]
-    cumulative = _zipf_cumulative(len(front), s)
+    cumulative = _zipf_cumulative(len(front), 1.0)
     singles = [destination(t) for t in names]
 
     def sample(rng: random.Random) -> Destination:
-        epoch = int(clock() / period)
-        if rng.random() < hot_weight:
+        epoch = int(clock() / HOT_PERIOD)
+        if rng.random() < HOT_WEIGHT:
             rank = _zipf_index(cumulative, rng)
             return destination(front[rank], back[(rank + epoch) % len(back)])
         return singles[rng.randrange(len(singles))]

@@ -166,8 +166,8 @@ class TestCrossShardUnderChaos:
             membership = scenario_membership(spec)
             schedule = NemesisSchedule.generate(
                 groups=membership,
-                seed=spec.fault_seed(),
-                duration=spec.fault_duration(),
+                seed=spec.seed,
+                duration=spec.horizon,
                 profile=spec.faults.intensity,
                 f=spec.topology.f,
             )

@@ -106,13 +106,13 @@ def test_baseline_crashed_aux_follower_does_not_block():
 
 def test_baseline_spawns_standbys_and_takes_client_timeouts():
     """Regression: the Baseline's own ``_make_app`` / ``add_client`` lacked the
-    ``group_configs`` a standby spawn and the timeouts ``build_drivers`` pass."""
+    ``group_configs`` a standby spawn and the timeout ``build_drivers`` passes."""
     from repro.faults.injector import schedule_ops
     from repro.faults.nemesis import NemesisOp
 
     dep = make_baseline()
-    client = dep.add_client("c1", retransmit_timeout=0.5, read_timeout=0.25)
-    assert (client.retransmit_timeout, client.read_timeout) == (0.5, 0.25)
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+    assert client.retransmit_timeout == 0.5
     schedule_ops(dep, [NemesisOp(0.5, "join", ("g1",), until=0.5)])
     client.amulticast(destination("g1", "g2"), payload=("before",))
     dep.run(until=5.0)

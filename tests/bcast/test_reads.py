@@ -55,9 +55,8 @@ class ReadClient(Actor):
             retransmit_timeout=4.0,
         )
         self.reads = read_proxy(
-            self, config.group_id, config.replicas, config.f,
-            read_timeout=read_timeout,
-        )
+            self, config.group_id, config.replicas, config.f)
+        self.reads.read_timeout = read_timeout
         self.reads.max_retries = 1
         self.results: List[Any] = []
         #: (cid, result, voters) per accepted read, in acceptance order

@@ -51,7 +51,8 @@ def test_interleaved_reads_resolve_once_monotone_and_safe(plan):
                                                   duration=3.0)
         schedule.apply(dep)
         horizon = schedule.horizon
-    client = dep.add_client("c1", retransmit_timeout=0.5, read_timeout=0.25)
+    client = dep.add_client("c1", retransmit_timeout=0.5)
+    client._read_proxy("g1").read_timeout = 0.25
     writes = reads = 0
     for index, op in enumerate(ops):
         if op == "w":

@@ -27,8 +27,7 @@ from tests.helpers import SCENARIOS, soak_spec
 #: with a planner quicker on the trigger, so short runs switch early
 FAST_ADAPT = soak_spec(
     ScenarioSpec.load(SCENARIOS / "soak_adaptive_tree.json"),
-    clients=2, max_in_flight=2, adapt_min_samples=12,
-    adapt_hysteresis=1.1, adapt_cooldown=0.5,
+    clients=2, max_in_flight=2, adapt_min_samples=12, adapt_cooldown=0.5,
 )
 
 #: membership churn rides along: joins/leaves + a scale cycle interleave

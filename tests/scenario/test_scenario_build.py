@@ -236,20 +236,6 @@ class TestDrivers:
         deployment.run(until=spec.horizon + 5.0)
         assert sum(d.sent for d in drivers) == sent_at_horizon
 
-    def test_closed_loop_think_timer_not_left_armed(self):
-        from repro.scenario.build import build_deployment, build_drivers
-
-        spec = TINY.with_(workload=WorkloadSpec(
-            clients=2, think_time=10.0, warmup=0.2, duration=0.6))
-        deployment = build_deployment(spec)
-        drivers = build_drivers(spec, deployment)
-        deployment.start()
-        for driver in drivers:
-            driver.start()
-        deployment.run(until=spec.horizon)
-        # every first completion would re-arm at now+10s > horizon: skipped
-        assert all(driver._timer is None for driver in drivers)
-
     def test_driver_stop_cancels_pending_timer(self):
         from repro.scenario.build import build_deployment, build_drivers
 

@@ -35,9 +35,6 @@ def scenario_specs(draw):
     """Arbitrary specs over the schema — valid or not, all must round-trip."""
     topology = TopologySpec(
         groups=draw(st.integers(min_value=1, max_value=64)),
-        names=draw(st.sampled_from(
-            [(), ("alpha", "beta"), ("g1", "g2", "g3", "g4")])),
-        prefix=draw(st.sampled_from(["g", "shard"])),
         layout=draw(st.sampled_from(LAYOUTS)),
         fanout=draw(st.integers(min_value=2, max_value=16)),
         f=draw(st.integers(min_value=1, max_value=3)),
@@ -49,14 +46,10 @@ def scenario_specs(draw):
         client_prefix=draw(st.sampled_from(["c", "bench-c"])),
         loop=draw(st.sampled_from(LOOPS)),
         rate=draw(_rates),
-        think_time=draw(_times),
         destinations=draw(st.sampled_from(DESTINATIONS)),
         fixed=draw(st.sampled_from([(), ("g1",), ("g1", "g2")])),
-        zipf_s=draw(st.floats(min_value=0.0, max_value=3.0)),
         local_parts=draw(st.integers(min_value=0, max_value=20)),
         global_parts=draw(st.integers(min_value=0, max_value=20)),
-        hotspot_weight=draw(st.floats(min_value=0.01, max_value=1.0)),
-        hotspot_period=draw(_rates),
         warmup=draw(_times),
         duration=draw(_rates),
         keys=draw(st.integers(min_value=1, max_value=4096)),
@@ -78,8 +71,6 @@ def scenario_specs(draw):
     faults = draw(st.one_of(st.none(), st.builds(
         FaultSpec,
         intensity=st.sampled_from(INTENSITIES),
-        seed=st.integers(min_value=0, max_value=10_000),
-        duration=_times,
         settle=_times,
     )))
     return ScenarioSpec(
@@ -120,10 +111,53 @@ class TestStrictParsing:
             ScenarioSpec.from_dict(raw)
 
     def test_unknown_section_key_rejected(self):
-        raw = ScenarioSpec(name="s").to_dict()
-        raw["workload"]["ratee"] = 5.0
-        with pytest.raises(ConfigurationError, match="ratee"):
-            ScenarioSpec.from_dict(raw)
+        for section, key, value in (
+                ("workload", "ratee", 5.0),
+                # the schema-6 knobs that are constants since schema 7
+                ("topology", "names", []),
+                ("topology", "prefix", "g"),
+                ("workload", "think_time", 0.0),
+                ("workload", "zipf_s", 1.0),
+                ("workload", "hotspot_weight", 0.9),
+                ("workload", "hotspot_period", 4.0),
+                ("protocol", "read_timeout", 1.0),
+                ("protocol", "adapt_hysteresis", 1.2),
+                ("faults", "seed", 0),
+                ("faults", "duration", 0.0)):
+            raw = ScenarioSpec(name="s", faults=FaultSpec()).to_dict()
+            raw[section][key] = value
+            with pytest.raises(ConfigurationError,
+                               match=rf"unknown key\(s\) \['{key}'\]"):
+                ScenarioSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("document, key, expected", [
+        ({"topology": {"groups": "4"}}, "topology.groups", "an int"),
+        ({"seed": "abc"}, "seed", "an int"),
+        ({"workload": {"clients": 2.5}}, "workload.clients", "an int"),
+        ({"protocol": {"max_in_flight": True}}, "protocol.max_in_flight",
+         "an int"),
+        ({"workload": {"rate": True}}, "workload.rate", "a number"),
+        ({"workload": {"fixed": ["g1", 2]}}, "workload.fixed",
+         "a list of strings"),
+        ({"workload": {"loop": 1}}, "workload.loop", "a string"),
+        ({"backend": 5}, "backend", "a string"),
+        ({"protocol": {"adaptive_batching": 1}},
+         "protocol.adaptive_batching", "a bool"),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_mistyped_value_rejected(self, document, key, expected):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{key} must be {expected}, got "):
+            ScenarioSpec.from_dict({"schema": 7, "name": "x", **document})
+
+    def test_typed_values_accepted(self):
+        spec = ScenarioSpec.from_dict({
+            "name": "x", "seed": 3,
+            "workload": {"rate": 50, "fixed": ["g1"], "clients": 2},
+            "protocol": {"adaptive_batching": True},
+        })
+        assert (spec.seed, spec.workload.rate, spec.workload.fixed) \
+            == (3, 50, ("g1",))
+        assert spec.protocol.adaptive_batching is True
 
     def test_name_required(self):
         with pytest.raises(ConfigurationError, match="name"):
@@ -185,9 +219,21 @@ class TestValidation:
             spec.check()
 
     def test_fault_seed_and_duration_inheritance(self):
-        spec = ScenarioSpec(name="f", seed=9, faults=FaultSpec())
-        assert spec.fault_seed() == 9
-        assert spec.fault_duration() == spec.horizon
-        pinned = spec.with_(faults=FaultSpec(seed=4, duration=2.5))
-        assert pinned.fault_seed() == 4
-        assert pinned.fault_duration() == 2.5
+        """The nemesis draws from the scenario's seed over its horizon."""
+        from repro.faults.nemesis import NemesisSchedule
+        from repro.scenario.build import (
+            build_armed_deployment,
+            scenario_fault_profile,
+            scenario_membership,
+        )
+
+        spec = ScenarioSpec(name="f", seed=9, faults=FaultSpec(),
+                            protocol=ProtocolSpec(costs="soak"))
+        deployment, schedule, _ = build_armed_deployment(spec)
+        deployment.runtime.close()
+        expected = NemesisSchedule.generate(
+            groups=scenario_membership(spec), seed=spec.seed,
+            duration=spec.horizon, profile=scenario_fault_profile(spec),
+            f=spec.topology.f)
+        assert schedule.describe() == expected.describe()
+        assert schedule.ops == expected.ops

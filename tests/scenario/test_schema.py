@@ -49,7 +49,7 @@ def test_unsupported_schema_is_rejected(schema):
     ScenarioSpec(
         name="reads",
         workload=WorkloadSpec(read_ratio=0.25, read_mode="optimistic"),
-        protocol=ProtocolSpec(read_timeout=0.75, checkpoint_interval=32),
+        protocol=ProtocolSpec(checkpoint_interval=32),
     ),
     ScenarioSpec(
         name="wire",
@@ -118,11 +118,9 @@ def test_document_accepts_read_vocabulary():
         "name": "ready",
         "workload": {"loop": "open", "rate": 50.0,
                      "read_ratio": 0.9, "read_mode": "optimistic"},
-        "protocol": {"read_timeout": 0.5},
     })
     assert spec.validate() == []
     assert spec.workload.read_ratio == 0.9
-    assert spec.protocol.read_timeout == 0.5
 
 
 def test_read_lint_rules():
@@ -131,9 +129,6 @@ def test_read_lint_rules():
     problems = "\n".join(bad.validate())
     assert "read_ratio" in problems
     assert "read_mode" in problems
-    bad_timeout = ScenarioSpec(name="t", protocol=ProtocolSpec(
-        read_timeout=0.0))
-    assert any("read_timeout" in p for p in bad_timeout.validate())
 
 
 def test_the_snapshot_read_mode_is_rejected():
@@ -193,11 +188,9 @@ def test_document_accepts_adaptive_vocabulary():
         "schema": SCENARIO_SCHEMA_VERSION,
         "name": "adaptive",
         "topology": {"groups": 8, "layout": "balanced", "fanout": 4},
-        "workload": {"destinations": "hotpairs", "hotspot_weight": 0.9,
-                     "hotspot_period": 4.0},
+        "workload": {"destinations": "hotpairs"},
         "protocol": {"adaptive_tree": "on", "adapt_interval": 0.5,
-                     "adapt_min_samples": 48, "adapt_hysteresis": 1.2,
-                     "adapt_cooldown": 1.0},
+                     "adapt_min_samples": 48, "adapt_cooldown": 1.0},
     })
     assert spec.validate() == []
     assert spec.protocol.adaptive_tree == "on"
@@ -210,7 +203,6 @@ def test_adaptive_knobs_are_linted():
     assert any("adaptive_tree" in p for p in bad.validate())
     for proto in (ProtocolSpec(adapt_interval=0.0),
                   ProtocolSpec(adapt_min_samples=0),
-                  ProtocolSpec(adapt_hysteresis=0.8),
                   ProtocolSpec(adapt_cooldown=-1.0)):
         assert ScenarioSpec(name="t", protocol=proto).validate() != []
 

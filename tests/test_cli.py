@@ -155,6 +155,16 @@ class TestScenarioCommand:
     def test_validate_unreadable_file(self, capsys, tmp_path):
         assert main(["scenario", "validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_validate_mistyped_value(self, capsys, tmp_path):
+        path = str(tmp_path / "typo.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"schema": 7, "name": "x",
+                       "topology": {"groups": "4"}}, handle)
+        assert main(["scenario", "validate", path]) == 2
+        out = capsys.readouterr().out
+        assert "cannot load" in out
+        assert "topology.groups must be an int" in out
+
     def test_run_reports_result(self, capsys, tmp_path):
         from repro.scenario import ScenarioSpec
         from repro.scenario.spec import ProtocolSpec, WorkloadSpec

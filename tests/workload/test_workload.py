@@ -118,27 +118,6 @@ class TestClosedLoopDriver:
         assert meter.completions > 0
         assert client.pending() <= 1
 
-    def test_think_time_spaces_requests(self):
-        from repro.core.deployment import ByzCastDeployment
-        from repro.core.tree import OverlayTree
-        from repro.workload.clients import ClosedLoopDriver
-        from tests.helpers import FAST_COSTS
-
-        tree = OverlayTree.two_level(TARGETS)
-        dep = ByzCastDeployment(tree, costs=FAST_COSTS)
-        client = dep.add_client("c1")
-        driver = ClosedLoopDriver(
-            client,
-            fixed_destination("g1"),
-            rng=random.Random(3),
-            think_time=0.5,
-        )
-        dep.start()
-        driver.start()
-        dep.run(until=2.2)
-        # ~one message per ~0.5s of think time (plus small latency)
-        assert 3 <= driver.completed <= 5
-
 
 class TestZipfianLocal:
     def test_skews_toward_first_targets(self):
@@ -175,3 +154,50 @@ class TestZipfianLocal:
             zipfian_local([])
         with pytest.raises(WorkloadError):
             zipfian_local(TARGETS, s=-1)
+
+
+class TestHotspotPairs:
+    """The adaptive-tree ablation's shifting skew, on a stub clock."""
+
+    GROUPS = [f"g{i}" for i in range(1, 9)]
+    FRONT, BACK = GROUPS[:4], GROUPS[4:]
+
+    def draws(self, at: float, count: int = 400, seed: int = 5):
+        from repro.workload.spec import hotspot_pairs
+
+        sampler = hotspot_pairs(self.GROUPS, clock=lambda: at)
+        rng = random.Random(seed)
+        return [sampler(rng) for _ in range(count)]
+
+    def hot_ranks(self, draws):
+        """(front rank, back rank) of every cross-half pair drawn."""
+        ranks = []
+        for dst in draws:
+            if len(dst) == 2:
+                (front,), (back,) = dst & set(self.FRONT), dst & set(self.BACK)
+                ranks.append((self.FRONT.index(front), self.BACK.index(back)))
+        return ranks
+
+    def test_one_window_pairs_front_r_with_back_r(self):
+        from repro.workload.spec import HOT_PERIOD
+
+        for at in (0.0, HOT_PERIOD / 2, HOT_PERIOD - 1e-6):
+            ranks = self.hot_ranks(self.draws(at))
+            assert ranks
+            assert all(b == r for r, b in ranks)
+
+    def test_next_window_pairs_front_r_with_the_next_back(self):
+        from repro.workload.spec import HOT_PERIOD
+
+        for at in (HOT_PERIOD, 1.5 * HOT_PERIOD, 2 * HOT_PERIOD - 1e-6):
+            ranks = self.hot_ranks(self.draws(at))
+            assert ranks
+            assert all(b == (r + 1) % len(self.BACK) for r, b in ranks)
+
+    def test_cross_half_share_is_the_hot_weight(self):
+        from repro.workload.spec import HOT_WEIGHT
+
+        draws = self.draws(0.0, count=2000, seed=11)
+        assert all(len(dst) in (1, 2) for dst in draws)
+        share = len(self.hot_ranks(draws)) / len(draws)
+        assert abs(share - HOT_WEIGHT) <= 0.03
