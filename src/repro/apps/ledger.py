@@ -24,7 +24,7 @@ ByzCast closes exactly that gap.  This module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.client import MulticastClient
 from repro.core.deployment import ByzCastDeployment

@@ -1,7 +1,7 @@
 """The atomic multicast client (``a-multicast``, §IV client behaviour).
 
-A client signs its message, submits it to the 2f+1 replicas of the quorum
-of the lowest common ancestor group of the destination set
+A client submits its message, as a request it signs, to the 2f+1 replicas
+of the quorum of the lowest common ancestor group of the destination set
 (docs/PROTOCOL.md, "Who is sent what"), and considers it delivered
 once the acknowledgements of **each** destination group carry (``f + 1`` of
 its members, docs/PROTOCOL.md "Who counts").  When the entry group is
@@ -31,7 +31,6 @@ from repro.core.messages import DeliveryQuery, MulticastReply, WireMulticast
 from repro.core.tree import OverlayTree
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
 from repro.env import Actor, Runtime
 from repro.types import ClientId, Destination, MessageId, MulticastMessage, destination
 
@@ -180,9 +179,7 @@ class MulticastClient(Actor):
         self._next_seq += 1
         mid = MessageId(ClientId(self.name), seq)
         message = MulticastMessage(mid=mid, dst=frozenset(dst), payload=tuple(payload))
-        unsigned = WireMulticast.from_message(message)
-        wire = unsigned.with_signature(
-            sign(self.registry, self.name, unsigned.signed_part()))
+        wire = WireMulticast.from_message(message)
 
         entry = _InFlight(
             message=message,

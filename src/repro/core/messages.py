@@ -3,10 +3,12 @@
 A multicast travels the tree as a :class:`WireMulticast`: the command of
 the client's :class:`~repro.bcast.messages.Request` at the group where it
 enters, and an element of a :class:`RelayBatch` command on every hop below.
-It is signed once, by the originating client, over the
-message identity + destinations + payload; every group at which the message
-*enters* the tree (its lca) verifies this signature, so a Byzantine server
-cannot fabricate multicasts on behalf of clients (Integrity, §II-B).
+It carries no signature of its own: the one signature a multicast needs is
+the client's signature of the ``Request`` that submits it to its lca, and
+the lca group acts on it only if that request's sender is the wire's
+``sender``.  Below the lca a group acts on a wire only once ``f + 1``
+parent replicas relayed it, so a Byzantine server cannot fabricate
+multicasts on behalf of clients (Integrity, §II-B).
 
 Destination groups reached by a relay answer the originating client with
 :class:`MulticastReply`; a destination that is also the entry group answers
@@ -18,38 +20,30 @@ relayed destination again with a :class:`DeliveryQuery` when they did not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
-# Read-tier wire messages live with the broadcast layer (reads are a
-# per-group discipline, not a tree-wide one) but are part of the public
-# client-facing message surface, so they are re-exported here.
-from repro.bcast.messages import ReadReply, ReadRequest  # noqa: F401
 from repro.bcast.messages import Request
 from repro.crypto.digest import digest
-from repro.crypto.signatures import Signature, share_signed_part, signed_bytes
-from repro.types import (
-    ClientId, Destination, GroupId, MessageId, MulticastMessage,
-)
+from repro.types import ClientId, GroupId, MessageId, MulticastMessage
 
 
 @dataclass(frozen=True)
 class WireMulticast:
     """The serialized form of an atomically multicast message.
 
-    ``dst`` is kept sorted so the canonical form (and therefore the client
-    signature and digests) is deterministic.
+    ``dst`` is kept sorted so the canonical form (and therefore the
+    signature of the request that carries it, and digests) is
+    deterministic.
     """
 
     sender: str
     seq: int
     dst: Tuple[str, ...]
     payload: Tuple
-    signature: Optional[Signature] = None
 
     @classmethod
     def from_message(cls, message: MulticastMessage) -> "WireMulticast":
-        """The unsigned wire of ``message`` (sign it with
-        :meth:`with_signature`)."""
+        """The wire of ``message``."""
         wire = cls(
             sender=str(message.mid.sender),
             seq=message.mid.seq,
@@ -74,31 +68,6 @@ class WireMulticast:
             )
             object.__setattr__(self, "_message", cached)
         return cached
-
-    def signed_part(self) -> bytes:
-        """What the originating client's signature covers: the canonical
-        bytes of ``("amcast", sender, seq, dst, payload)``.
-
-        Encoded once and memoised on the wire
-        (:func:`~repro.crypto.signatures.signed_bytes`): the client walks
-        the tuple, and every check of the signed copy — the ``f + 1``
-        duplicate verifications of a relayed multicast among them — tags
-        the same bytes.
-        """
-        return signed_bytes(
-            self, ("amcast", self.sender, self.seq, self.dst, self.payload))
-
-    def with_signature(self, signature: Signature) -> "WireMulticast":
-        """This wire carrying ``signature``, which covers its
-        :meth:`signed_part`; the copy keeps those bytes and the carried
-        message as its memos."""
-        signed = WireMulticast(self.sender, self.seq, self.dst, self.payload,
-                               signature)
-        share_signed_part(self, signed)
-        message = self.__dict__.get("_message")
-        if message is not None:
-            object.__setattr__(signed, "_message", message)
-        return signed
 
     def identity(self) -> Tuple:
         """Content identity used for relay dedup/counting keys (reused)."""

@@ -6,9 +6,10 @@ ordered :class:`~repro.bcast.messages.Request` objects whose command is a
 :class:`~repro.core.messages.WireMulticast`; this application decides, per
 Algorithm 1, whether the message
 
-* entered the tree here (``k = 0``: the submitter is the message's origin
-  client and this group is ``lca(m.dst)`` — the client's signature is
-  verified), or
+* entered the tree here (``k = 0``: this group is ``lca(m.dst)`` and the
+  submitter is the message's origin client — the broadcast layer verified
+  the signature of the request that carries it, so it is the origin's own),
+  or
 * was relayed by the parent group (it arrives inside a
   :class:`~repro.core.messages.RelayBatch`, one signed copy from each of
   the parent's replicas; the copies are votes, kept unordered in a
@@ -186,8 +187,9 @@ class ByzCastApplication(Application):
             return ("error", problem)
 
         # Direct submission: must enter the tree at the lca (or, for the
-        # non-genuine Baseline, any ancestor) and carry a valid client
-        # signature (Integrity: only genuinely a-multicast messages).
+        # non-genuine Baseline, any ancestor) in a request of its origin,
+        # whose signature the broadcast layer verified (Integrity: only
+        # genuinely a-multicast messages).
         if self.accept_any_ancestor:
             entry_ok = set(wire.dst) <= self.tree.reach(self.group_id)
         else:
@@ -196,13 +198,11 @@ class ByzCastApplication(Application):
             ctx.monitor.record(ctx.replica_name, "byzcast.wrong_entry_group",
                                sender=request.sender)
             return ("error", "not a valid entry group for the destination set")
-        if not self._origin_signature_valid(wire):
-            ctx.monitor.record(ctx.replica_name, "byzcast.bad_origin_signature",
-                               sender=request.sender)
-            return ("error", "invalid origin signature")
-        # Only the origin may submit its wire: the reply below goes to the
-        # submitter, and a copy ordered first under another sender (say, a
-        # Byzantine replica's) would leave the origin's own copy a duplicate.
+        # Only the origin may submit its wire: the wire carries no signature,
+        # so the request's is the only proof of origin; and the reply below
+        # goes to the submitter, so a copy ordered first under another
+        # sender (say, a Byzantine replica's) would leave the origin's own
+        # copy a duplicate.
         if request.sender != wire.sender:
             ctx.monitor.record(ctx.replica_name, "byzcast.foreign_submission",
                                sender=request.sender)
@@ -522,24 +522,15 @@ class ByzCastApplication(Application):
     def _validate_wire(self, wire: Any) -> Optional[str]:
         if not isinstance(wire, WireMulticast):
             return "not a multicast"
-        if not wire.dst:
-            return "empty destination set"
-        if list(wire.dst) != sorted(set(wire.dst)):
-            return "destinations must be sorted and unique"
-        for group in wire.dst:
-            if not self.tree.is_target(group):
-                return f"unknown target group {group!r}"
+        problem = self.tree.destination_problem(wire.dst)
+        if problem is not None:
+            return problem
         involved = self.group_id in self.tree.involved_groups(wire.dst)
         if self.accept_any_ancestor:
             involved = involved or set(wire.dst) <= self.tree.reach(self.group_id)
         if not involved:
             return "this group is not involved in the destination set"
         return None
-
-    def _origin_signature_valid(self, wire: WireMulticast) -> bool:
-        if wire.signature is None or wire.signature.signer != wire.sender:
-            return False
-        return verify_signed(self.registry, wire)
 
     # ------------------------------------------------------------------ act
 

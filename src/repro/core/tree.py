@@ -19,9 +19,10 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Opti
 from repro.errors import TreeError
 
 #: answers kept per routing query (``lca``, ``involved_groups``,
-#: ``route_children``) and tree.  Workloads reuse few destination sets, so
-#: the bound only matters against a client spraying distinct ones: a full
-#: memo is dropped whole and refills with what is in use.
+#: ``route_children``, ``destination_problem``) and tree.  Workloads reuse
+#: few destination sets, so the bound only matters against a client
+#: spraying distinct ones: a full memo is dropped whole and refills with
+#: what is in use.
 ROUTE_MEMO_LIMIT = 4096
 
 
@@ -84,6 +85,7 @@ class OverlayTree:
         self._lca_memo: Dict[Hashable, str] = {}
         self._involved_memo: Dict[Hashable, FrozenSet[str]] = {}
         self._route_memo: Dict[Hashable, Tuple[str, ...]] = {}
+        self._problem_memo: Dict[Tuple, Optional[str]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -267,6 +269,34 @@ class OverlayTree:
             else:
                 break
         return lca
+
+    def destination_problem(self, destination: Any) -> Optional[str]:
+        """Why ``destination`` is no wire destination — a non-empty tuple of
+        target groups, sorted and unique — or None.
+
+        Memoised per tuple.  Whatever else a Byzantine sender may put in a
+        decoded wire — a list, a tuple with an unhashable or a non-string
+        element — is refused too; only an unhashable one goes unremembered.
+        """
+        if type(destination) is not tuple:
+            return "destinations must be a tuple"
+        try:
+            return self._problem_memo[destination]
+        except KeyError:
+            pass
+        except TypeError:
+            return "destinations must be target group names"
+        if not destination:
+            problem = "empty destination set"
+        elif any(type(group) is not str for group in destination):
+            problem = "destinations must be target group names"
+        elif list(destination) != sorted(set(destination)):
+            problem = "destinations must be sorted and unique"
+        else:
+            problem = next((f"unknown target group {group!r}"
+                            for group in destination
+                            if group not in self.targets), None)
+        return _remember(self._problem_memo, destination, problem)
 
     def destination_height(self, destination: Iterable[str]) -> int:
         """``H(T, d)``: the height of the lca of ``destination`` (§III-C)."""

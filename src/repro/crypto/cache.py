@@ -10,7 +10,7 @@ a single observable result:
 * **Memos on the message** — canonical bytes and digest of a frozen
   dataclass live in its ``__dict__`` (:mod:`repro.canonical`,
   :mod:`repro.crypto.digest`) and die with it, and so do the canonical
-  bytes a signed request or multicast's signature covers
+  bytes a signed request's signature covers
   (:func:`repro.crypto.signatures.signed_bytes`), its verdict under one
   key registry (:func:`repro.crypto.signatures.verify_signed`: a repeated
   signature check is one dictionary lookup) and a proposal's batch digest

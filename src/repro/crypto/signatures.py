@@ -106,11 +106,10 @@ def verify_signed(registry: KeyRegistry, message: Any) -> bool:
     memoised on ``message``.
 
     For a frozen message with a ``signed_part()`` and a ``signature``
-    (:class:`~repro.bcast.messages.Request`,
-    :class:`~repro.core.messages.WireMulticast`).  A ByzCast child group
-    receives ``3f + 1`` relayed copies of one multicast and every replica
-    of the entry group checks the client signature at admission *and* at
-    proposal validation — the same object each time on the simulation
+    (:class:`~repro.bcast.messages.Request`).  Every replica of a group
+    checks a request's signature at admission *and* at proposal
+    validation, and a relayed copy each time a certificate that carries
+    it is validated — the same object each time on the simulation
     backend.  The first check under ``registry`` runs :func:`verify`;
     every later one is a lookup in the object's ``__dict__``.  The memo is
     keyed on the registry object, so two registries never share a

@@ -263,8 +263,8 @@ class FabricatingRelayApp(ByzCastApplication):
     """Relays correctly but also injects fabricated multicasts downstream.
 
     Each fabricated message sits inside the batch, right behind the real
-    one it imitates.  It carries no valid client signature and fewer than
-    f+1 parents relay it, so correct children must never release it.
+    one it imitates.  Fewer than f+1 parents relay it, so correct children
+    must never release it.
     """
 
     def _flush_relays(self, child: str, wires, ctx) -> None:
@@ -275,7 +275,6 @@ class FabricatingRelayApp(ByzCastApplication):
                 seq=wire.seq + 1_000_000,
                 dst=wire.dst,
                 payload=("fabricated",),
-                signature=None,
             )]
         ctx.monitor.record(ctx.replica_name, "byzantine.fabricated_relay", child=child)
         super()._flush_relays(child, forged, ctx)

@@ -7,7 +7,7 @@ script can show *shapes* directly in a terminal with no plotting stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.metrics.cdf import cdf_points
 

@@ -8,7 +8,7 @@ inside the window count.  This mirrors standard benchmarking methodology
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.metrics.stats import LatencySummary, summarize
 

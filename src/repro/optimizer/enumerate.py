@@ -15,7 +15,7 @@ should use :func:`repro.optimizer.heuristic.optimize_heuristic`.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.tree import OverlayTree
 from repro.errors import OptimizationError

@@ -21,7 +21,7 @@ every small instance.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.tree import OverlayTree
 from repro.errors import OptimizationError

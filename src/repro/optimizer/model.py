@@ -16,8 +16,8 @@ Objective: minimize ``Σ_{d ∈ D} H(T, d)`` subject to ``L(T, x) ≤ K(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Tuple, Union
 
 from repro.core.tree import OverlayTree
 from repro.errors import OptimizationError

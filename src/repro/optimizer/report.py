@@ -9,7 +9,7 @@ For the uniform and skewed workloads of Table II, evaluate the 2-level tree
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.tree import OverlayTree
 from repro.optimizer.model import (

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.kvstore import ShardedStore, ShardStateMachine
 from repro.core.tree import OverlayTree
 from tests.helpers import FAST_COSTS

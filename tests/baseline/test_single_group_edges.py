@@ -38,14 +38,21 @@ def test_invalid_wire_gets_error_not_delivery():
         assert app.delivered_messages() == []
 
 
-def test_unsigned_wire_rejected():
+def test_wire_of_another_origin_rejected():
+    """c1 signs the request, but the wire names c2 as its origin: every
+    replica refuses it, and c2's own multicast of that seq delivers."""
     dep = one_group()
-    client = dep.add_client("c1")
-    client._proxy("g1").submit(WireMulticast(sender="c1", seq=1, dst=("g1",),
+    client, victim = dep.add_client("c1"), dep.add_client("c2")
+    client._proxy("g1").submit(WireMulticast(sender="c2", seq=1, dst=("g1",),
                                              payload=("x",)))
     dep.run(until=5.0)
+    assert dep.monitor.counters["byzcast.foreign_submission"] == 4
     for app in dep.apps("g1"):
         assert app.delivered_messages() == []
+    victim.amulticast(destination("g1"), payload=("y",))
+    dep.run(until=10.0)
+    for app in dep.apps("g1"):
+        assert [m.payload for m in app.delivered_messages()] == [("y",)]
 
 
 def test_latency_measured_from_submit_to_f_plus_1_replies():

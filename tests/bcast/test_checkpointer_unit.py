@@ -122,7 +122,7 @@ class Node:
         for index in range(messages):
             self.seq += 1
             if index % 2:
-                wire = wire_for(self.registry, "client", self.seq,
+                wire = wire_for("client", self.seq,
                                 ("g1", "g2"))
                 for parent in ("h2/r0", "h2/r1"):
                     execute(self.app, self.replica,
@@ -130,7 +130,7 @@ class Node:
                                     index=self.relays))
                 self.relays += 1
             else:
-                wire = wire_for(self.registry, "client", self.seq, ("g1",))
+                wire = wire_for("client", self.seq, ("g1",))
                 execute(self.app, self.replica,
                         Request("g1", "client", self.seq, wire))
         self.cid += self.checkpoints.log.checkpoint_interval

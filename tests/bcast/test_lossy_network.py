@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.env.chaos import ChaosConfig
-from tests.helpers import FAST_COSTS, Harness, TestClient, make_config
+from tests.helpers import Harness
 
 
 class LossyHarness(Harness):

@@ -250,8 +250,9 @@ class TestDeliveryQueries:
     def test_an_entry_group_that_refused_the_message_is_not_asked(self):
         dep, client, sent = self.rig()
         for index in (0, 1):
-            feed(client, ordered_reply("h1", f"h1/r{index}",
-                                       ("error", "invalid origin signature")))
+            feed(client, ordered_reply(
+                "h1", f"h1/r{index}",
+                ("error", "submitted by someone other than its origin")))
         dep.run(until=30.0)
         assert self.rounds(sent) == []
 

@@ -10,7 +10,8 @@ from repro.faults.behaviors import SilentRelayApp
 from repro.types import destination
 from tests.faults.test_byzantine import (
     ACK_ADVERSARIES, RELAY_ADVERSARIES, ack_battery, certificate_battery,
-    quorum_relay_battery, quorum_silent_battery, relay_battery,
+    forged_origin_battery, quorum_relay_battery, quorum_silent_battery,
+    relay_battery,
 )
 from tests.helpers import FAST_COSTS, Harness, make_config
 
@@ -94,6 +95,10 @@ def test_two_silent_quorum_members_per_group_cost_no_timeout():
 
 def test_two_silent_relayers_in_each_quorum_cost_no_retransmission():
     quorum_relay_battery(f=2)
+
+
+def test_forged_origins_are_refused_by_every_entry_replica_at_f2():
+    forged_origin_battery(f=2)
 
 
 def test_mixed_f_per_group():

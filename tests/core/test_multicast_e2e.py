@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bcast.config import CostModel
 from repro.bcast.messages import Reply
 from repro.core.deployment import ByzCastDeployment
 from repro.core.messages import MulticastReply

@@ -19,7 +19,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.sim.events import EventLoop
 from repro.types import ClientId, GroupId, MessageId, MulticastMessage
 from tests.helpers import (
-    FakeReplica, acks, configs_for, execute, relayed, wire_for,
+    FAST_COSTS, FakeReplica, acks, configs_for, execute, relayed, wire_for,
 )
 
 
@@ -43,7 +43,7 @@ class TestDirectSubmissions:
     def test_local_message_delivered_and_acked(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", m.payload))
-        wire = wire_for(registry, "client", 1, ("g1",))
+        wire = wire_for("client", 1, ("g1",))
         result = execute(app, replica, Request("g1", "client", 1, wire))
         # The ordered reply carries the a-delivery; nothing else is sent.
         assert result == ("delivered", ("value", ("p",)))
@@ -53,37 +53,59 @@ class TestDirectSubmissions:
     def test_wrong_entry_group_rejected(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))  # lca is h2
+        wire = wire_for("client", 1, ("g1", "g2"))  # lca is h2
         result = execute(app, replica, Request("g1", "client", 1, wire))
         assert result[0] == "error"
         assert app.delivered_messages() == []
 
-    def test_missing_signature_rejected(self, setup):
+    def test_a_forged_origin_is_rejected(self, setup):
+        """A wire carries no signature: a client that names another client
+        as its origin is refused, and the origin's own message under the
+        same seq still delivers."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = WireMulticast(sender="client", seq=1, dst=("g1",), payload=())
-        result = execute(app, replica, Request("g1", "client", 1, wire))
-        assert result == ("error", "invalid origin signature")
+        forged = wire_for("client", 1, ("g1",), payload=("forged",))
+        result = execute(app, replica, Request("g1", "mallory", 1, forged))
+        assert result == ("error", "submitted by someone other than its origin")
+        assert app.delivered_messages() == []
+        own = wire_for("client", 1, ("g1",))
+        assert execute(app, replica, Request("g1", "client", 1, own)) == (
+            "delivered", None)
+        assert [m.payload for m in app.delivered_messages()] == [("p",)]
 
-    def test_signature_must_match_sender(self, setup):
-        tree, configs, registry, loop, make = setup
-        app, replica = make("g1")
-        wire = wire_for(registry, "mallory", 1, ("g1",))
-        # A wire whose signer differs from its own sender field fails.
-        tampered = WireMulticast(
-            sender="client", seq=1, dst=("g1",), payload=("p",),
-            signature=wire.signature,
-        )
-        result = execute(app, replica, Request("g1", "client", 1, tampered))
-        assert result == ("error", "invalid origin signature")
+    def test_signature_must_match_sender(self):
+        """The request's signature is the only proof of a wire's origin:
+        one signed by someone other than its claimed sender is refused at
+        admission, and one its signer submits under its own name is refused
+        as a foreign submission; nothing delivers."""
+        from repro.core.deployment import ByzCastDeployment
+        from repro.crypto.signatures import Signature, sign
+
+        dep = ByzCastDeployment(OverlayTree.two_level(["g1", "g2"]),
+                                costs=FAST_COSTS)
+        mallory = dep.add_client("mallory")
+        wire = wire_for("client", 1, ("g1",))
+        mallory._proxy("g1").submit(wire)
+        for signer in ("mallory", "client"):
+            unsigned = Request("g1", "client", 1, wire)
+            tag = sign(dep.registry, "mallory", unsigned.signed_part()).tag
+            forged = unsigned.with_signature(Signature(signer, tag))
+            for replica in dep.groups["g1"].replicas:
+                mallory.send(replica.name, forged)
+        dep.run(until=5.0)
+        counters = dep.monitor.counters
+        assert counters["request.unsigned"] == 4       # signer != sender
+        assert counters["request.bad_signature"] == 4  # not client's tag
+        assert counters["byzcast.foreign_submission"] == 4
+        assert all(app.delivered_messages() == [] for app in dep.apps("g1"))
 
     def test_a_wire_submitted_first_by_another_sender_is_rejected(self, setup):
-        """A replica that saw a client's signed wire cannot order it as its
+        """A replica that saw a client's wire cannot order it as its
         own request first: it would take the ``("delivered", r)`` reply and
         leave the client's own copy a duplicate answered ``("ack",)``."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 1))
-        wire = wire_for(registry, "client", 1, ("g1",))
+        wire = wire_for("client", 1, ("g1",))
         stolen = execute(app, replica, Request("g1", "g1/r3", 1, wire))
         assert stolen == ("error", "submitted by someone other than its origin")
         assert app.delivered_messages() == []
@@ -92,12 +114,17 @@ class TestDirectSubmissions:
         assert replica.monitor.counters["byzcast.foreign_submission"] == 1
 
     def test_bad_destinations_rejected(self, setup):
+        """Including what only a Byzantine client sends: a decoded ``dst``
+        that is no tuple, or holds an unhashable or non-string element, is
+        refused, not a crash of the executing replica."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        for dst in ((), ("g1", "g1"), ("g9",), ("g2", "g1")):
+        for dst in ((), ("g1", "g1"), ("g9",), ("g2", "g1"), ["g1"],
+                    frozenset({"g1"}), ("g1", 1), (["g1"],), 5, None):
             wire = WireMulticast(sender="c", seq=1, dst=dst, payload=())
             result = execute(app, replica, Request("g1", "c", 1, wire))
             assert result[0] == "error", dst
+        assert app.delivered_messages() == []
 
     def test_non_multicast_command_rejected(self, setup):
         tree, configs, registry, loop, make = setup
@@ -123,7 +150,7 @@ class TestReplyPaths:
     def test_aux_entry_group_acks_and_relays(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         request = Request("h2", "client", 1, wire)
         assert execute(app, replica, request) == ("ack",)
         assert not app.sends_reply(request, ("ack",))
@@ -133,7 +160,7 @@ class TestReplyPaths:
     def test_baseline_root_entry_acks(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h1", "h1/r0", accept_any_ancestor=True)
-        wire = wire_for(registry, "client", 1, ("g1",))
+        wire = wire_for("client", 1, ("g1",))
         request = Request("h1", "client", 1, wire)
         assert execute(app, replica, request) == ("ack",)
         assert not app.sends_reply(request, ("ack",))
@@ -142,7 +169,7 @@ class TestReplyPaths:
     def test_every_other_result_is_sent_live(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1",))
+        wire = wire_for("client", 1, ("g1",))
         request = Request("g1", "client", 1, wire)
         for result in (execute(app, replica, request), ("error", "x"),
                        ("ok", "membership", "g1", ())):
@@ -151,7 +178,7 @@ class TestReplyPaths:
     def test_relayed_delivery_sends_a_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1", "h2/r2"):
             assert execute(app, replica, relayed("g1", parent, 1, wire)) is None
         assert self.multicast_replies(replica) == [
@@ -172,7 +199,7 @@ class TestReplyPaths:
         MulticastReply for a DeliveryQuery instead of sending it."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", "g1/r3", on_deliver=lambda m, ctx: 7)
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 1, wire))
         assert len(app.delivered_messages()) == 1
@@ -185,7 +212,7 @@ class TestReplyPaths:
     def test_a_delivery_query_repeats_the_multicast_reply(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1", on_deliver=lambda m, ctx: ("value", 7))
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 1, wire))
         (__, sent), = self.multicast_replies(replica)
@@ -201,7 +228,7 @@ class TestReplyPaths:
         tree = OverlayTree({"g2": "g1"}, ["g1", "g2"])
         configs = configs_for(tree)
         registry = KeyRegistry()
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         lca = ByzCastApplication("g1", tree, configs, registry)
         lca_replica = FakeReplica("g1/r0", configs["g1"])
         result = execute(lca, lca_replica, Request("g1", "client", 1, wire))
@@ -224,7 +251,7 @@ class TestRelayedCopies:
     def test_relay_confirmed_after_f_plus_1_parents(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")  # parent of g1 is h2
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         execute(app, replica, relayed("g1", "h2/r0", 1, wire))
         assert app.delivered_messages() == []  # one copy is not enough
         execute(app, replica, relayed("g1", "h2/r1", 1, wire))
@@ -233,7 +260,7 @@ class TestRelayedCopies:
     def test_root_relays_to_routed_children_only(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h1", "h1/r0")
-        wire = wire_for(registry, "client", 1, ("g2", "g3"))
+        wire = wire_for("client", 1, ("g2", "g3"))
         ctx = ExecutionContext(replica=replica, time=loop.now)
         app.execute(Request("h1", "client", 1, wire), ctx)
         assert replica.sent == []  # nothing leaves before the batch boundary
@@ -246,7 +273,7 @@ class TestRelayedCopies:
     def test_middle_group_relays_only_reached_destinations(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
-        wire = wire_for(registry, "client", 1, ("g2", "g3"))
+        wire = wire_for("client", 1, ("g2", "g3"))
         for parent in ("h1/r0", "h1/r1"):
             execute(app, replica, relayed("h2", parent, 1, wire))
         targets = {dst.split("/")[0] for dst, p in replica.sent
@@ -256,7 +283,7 @@ class TestRelayedCopies:
     def test_duplicate_relays_act_once(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g2")
-        wire = wire_for(registry, "client", 1, ("g2",))
+        wire = wire_for("client", 1, ("g2",))
         # Direct submission at lca == g2 (local message).
         execute(app, replica, Request("g2", "client", 1, wire))
         execute(app, replica, Request("g2", "client", 1, wire))
@@ -269,8 +296,8 @@ class TestRelayedCopies:
         the replica that saw it first and by one restored from it."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        local = wire_for(registry, "client", 1, ("g1",))
-        relay = wire_for(registry, "client", 2, ("g1", "g2"))
+        local = wire_for("client", 1, ("g1",))
+        relay = wire_for("client", 2, ("g1", "g2"))
 
         def replay(target, target_replica, seq):
             execute(target, target_replica,
@@ -298,7 +325,7 @@ class TestRelayedCopies:
         message object, equal to one built without the memo; deliveries a
         restore rebuilds from acted ids are equal, from their own wires."""
         tree, configs, registry, loop, make = setup
-        wire = wire_for(registry, "client", 1, ("g1",))
+        wire = wire_for("client", 1, ("g1",))
         assert wire.to_message() is wire.to_message()
         assert wire.to_message() == MulticastMessage(
             MessageId(ClientId("client"), 1), frozenset({GroupId("g1")}),
@@ -330,7 +357,7 @@ class TestRelayedCopies:
     def test_relay_from_nonparent_is_not_counted_as_relay(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         # h3 replicas are NOT g1's parent: a bare wire from one is a direct
         # submission and rejected (g1 is not the lca) ...
         result = execute(app, replica, Request("g1", "h3/r0", 1, wire))
@@ -359,7 +386,7 @@ class TestStreamAcks:
     @staticmethod
     def release(app, replica, registry, count):
         for seq in range(1, count + 1):
-            wire = wire_for(registry, "client", seq, ("g1", "g2"))
+            wire = wire_for("client", seq, ("g1", "g2"))
             for parent in ("h2/r0", "h2/r1"):
                 execute(app, replica, relayed("g1", parent, seq, wire))
 
@@ -397,7 +424,7 @@ class TestStreamAcks:
     def test_a_parent_counts_acks_from_its_child_only(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         execute(app, replica, Request("h2", "client", 1, wire))
         outbox = app._outboxes["g1"]
         assert list(outbox.unacked()) == [0]
@@ -418,7 +445,7 @@ class TestRelayBatchHardening:
             self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for outsider in ("h3/r0", "client", "g1/r1"):
             assert execute(app, replica,
                            relayed("g1", outsider, 1, wire)) is None
@@ -429,13 +456,13 @@ class TestRelayBatchHardening:
     def test_malformed_elements_are_skipped_and_the_rest_processed(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        first = wire_for(registry, "client", 1, ("g1", "g2"))
-        second = wire_for(registry, "client", 2, ("g1", "g2"))
+        first = wire_for("client", 1, ("g1", "g2"))
+        second = wire_for("client", 2, ("g1", "g2"))
         junk = (
             ("raw",),                                     # not a multicast
             RelayBatch((first,), 0),                      # nested batch
             WireMulticast("client", 9, ("g9",), ()),      # unknown target
-            wire_for(registry, "client", 8, ("g3", "g4")),  # not involved
+            wire_for("client", 8, ("g3", "g4")),  # not involved
         )
         batch = (junk[0], first, junk[1], junk[2], second, junk[3])
         for parent in ("h2/r0", "h2/r1", "h2/r2"):
@@ -451,7 +478,7 @@ class TestRelayBatchHardening:
             self, setup, index):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1"):
             request = Request("g1", parent, 1, RelayBatch((wire,), index))
             execute(app, replica, request)
@@ -465,7 +492,7 @@ class TestRelayBatchHardening:
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
         limit = configs["g1"].max_batch
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in range(1, limit + 2)]
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 1, *wires))
@@ -480,7 +507,7 @@ class TestRelayBatchHardening:
     def test_wires_must_be_a_tuple(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for wires in (None, 7, [wire], wire):
             request = Request("g1", "h2/r0", 1, RelayBatch(wires, 0))
             assert app.carried(request) == 1
@@ -495,7 +522,7 @@ class TestRelayBatchHardening:
         Within an ack interval the acks of several releases are one."""
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         limit = configs["g1"].max_batch
         contents = [(), (wire,), (wire, wire), (("raw",),), (wire,) * (limit + 1)]
         for seq, wires in enumerate(contents, start=1):
@@ -516,7 +543,7 @@ class TestRelayBatchHardening:
     def test_carried_counts_wires_of_a_wellformed_batch(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         assert app.carried(Request("g1", "client", 1, wire)) == 1
         assert app.carried(relayed("g1", "h2/r0", 1, wire, wire, wire)) == 3
         assert app.carried(relayed("g1", "h2/r0", 1)) == 1
@@ -557,7 +584,7 @@ class TestBatchRule:
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
         pushes = self.count_pushes(monkeypatch)
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in (1, 2, 3)]
         for parent in ("h1/r0", "h1/r1"):
             execute(app, replica, relayed("h2", parent, 1, *wires))
@@ -576,7 +603,7 @@ class TestBatchRule:
     def test_a_byzantine_recut_never_releases_alone(self, setup, recut):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in (1, 2, 3)]
         forged = {"order": relayed("g1", "h2/r3", 1, *wires[::-1]),
                   "cut": relayed("g1", "h2/r3", 1, *wires[:2]),
@@ -590,7 +617,7 @@ class TestBatchRule:
     def test_a_duplicate_copy_of_a_released_batch_is_ignored(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wire = wire_for(registry, "client", 1, ("g1", "g2"))
+        wire = wire_for("client", 1, ("g1", "g2"))
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 1, wire))
         # Replayed under a new request seq, same index or the next one.
@@ -603,7 +630,7 @@ class TestBatchRule:
     def test_a_later_batch_waits_for_an_earlier_one(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        first, second = (wire_for(registry, "client", seq, ("g1", "g2"))
+        first, second = (wire_for("client", seq, ("g1", "g2"))
                          for seq in (1, 2))
         for parent in ("h2/r0", "h2/r1"):
             execute(app, replica, relayed("g1", parent, 2, second))
@@ -616,7 +643,7 @@ class TestBatchRule:
     def test_a_membership_update_releases_whole_batches(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in (1, 2)]
         execute(app, replica, relayed("g1", "h2/r0", 1, *wires))
         execute(app, replica, relayed("g1", "h2/r0", 2, wires[1], index=1))
@@ -631,7 +658,7 @@ class TestBatchRule:
     def test_a_drain_merge_releases_whole_batches(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in (1, 2)]
         execute(app, replica, relayed("g1", "h2/r0", 1, *wires))
         moved = OverlayTree({"g1": "h1", "g2": "h2", "g3": "h3", "g4": "h3",
@@ -648,7 +675,7 @@ class TestBatchRule:
         restored replica holds only the copies it received itself."""
         tree, configs, registry, loop, make = setup
         app, replica = make("h2", "h2/r0")
-        wires = [wire_for(registry, "client", seq, ("g1", "g2"))
+        wires = [wire_for("client", seq, ("g1", "g2"))
                  for seq in range(1, 5)]
         for parent in ("h1/r0", "h1/r1"):
             execute(app, replica, relayed("h2", parent, 1, wires[0]))
@@ -691,7 +718,7 @@ class TestRelayFlush:
     def test_one_request_per_child_in_act_order(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("h1", "h1/r0")
-        wires = [wire_for(registry, "client", seq, dst) for seq, dst in
+        wires = [wire_for("client", seq, dst) for seq, dst in
                  enumerate([("g1", "g3"), ("g2", "g4"), ("g1", "g4")], start=1)]
         ctx = ExecutionContext(replica=replica, time=loop.now)
         for wire in wires:
@@ -716,7 +743,7 @@ class TestRelayFlush:
         replica = FakeReplica("h1/r0", small["h1"])
         ctx = ExecutionContext(replica=replica, time=loop.now)
         for seq in range(1, 6):
-            wire = wire_for(registry, "client", seq, ("g1", "g3"))
+            wire = wire_for("client", seq, ("g1", "g3"))
             app.execute(Request("h1", "client", seq, wire), ctx)
         app.end_batch(ctx)
         to_h2 = [r.command for dst, r in replica.sent if dst == "h2/r0"]
@@ -742,7 +769,7 @@ class TestRelayFlush:
                 app.execute(Request("h2", admin, seq, TreeUpdate(
                     seq, update.parent_edges(), tuple(sorted(tree.targets)))),
                     ctx)
-            wire = wire_for(registry, "client", seq, ("g1", "g2"))
+            wire = wire_for("client", seq, ("g1", "g2"))
             app.execute(Request("h2", "client", seq, wire), ctx)
             app.end_batch(ctx)
         to_g1 = [r.command.index for dst, r in replica.sent if dst == "g1/r0"]
@@ -761,7 +788,7 @@ class TestRelayIndex:
         tree = OverlayTree.paper_tree()
         configs = configs_for(tree)
         registry = KeyRegistry()
-        first, second = (wire_for(registry, "client", seq, ("g1", "g2"))
+        first, second = (wire_for("client", seq, ("g1", "g2"))
                          for seq in (1, 2))
         parents = {name: (ByzCastApplication("h2", tree, configs, registry),
                           FakeReplica(name, configs["h2"]))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.core.deployment import ByzCastDeployment
 from repro.core.messages import WireMulticast
 from repro.core.tree import OverlayTree
-from repro.crypto.signatures import sign
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -18,41 +17,35 @@ def make_deployment(**kwargs):
 
 
 def test_client_replaying_its_own_wire_delivers_once():
-    """A Byzantine client re-submits the same signed multicast through fresh
+    """A Byzantine client re-submits the same multicast through fresh
     broadcast sequence numbers; Integrity demands at-most-once delivery."""
     dep = make_deployment()
     client = dep.add_client("evil")
     wire = WireMulticast(sender="evil", seq=1, dst=("g1",), payload=("x",))
-    signed = WireMulticast(
-        sender="evil", seq=1, dst=("g1",), payload=("x",),
-        signature=sign(dep.registry, "evil", wire.signed_part()),
-    )
     proxy = client._proxy("g1")
     for __ in range(5):  # five distinct bcast requests, same wire
-        proxy.submit(signed)
+        proxy.submit(wire)
     dep.run(until=5.0)
     for sequence in dep.delivered_sequences("g1"):
         assert len(sequence) == 1
 
 
 def test_replay_of_another_clients_wire_delivers_once():
-    """A Byzantine client replays a wire *signed by someone else* (captured
-    from the network); the signature is valid but delivery is still once."""
+    """A Byzantine client replays another client's wire (captured from the
+    network) in a request it signs itself: refused as a foreign submission,
+    so delivery is still once."""
     dep = make_deployment()
     honest = dep.add_client("honest")
     attacker = dep.add_client("attacker")
     honest.amulticast(destination("g2"), payload=("secret",))
     dep.run(until=2.0)
-    # Capture-equivalent: rebuild the honest wire (signatures are over
-    # content, so the attacker can re-sign nothing — it replays verbatim).
+    # Capture-equivalent: rebuild the honest wire (it carries no signature,
+    # so the attacker replays it verbatim).
     wire = WireMulticast(sender="honest", seq=1, dst=("g2",),
                          payload=("secret",))
-    signed = WireMulticast(
-        sender="honest", seq=1, dst=("g2",), payload=("secret",),
-        signature=sign(dep.registry, "honest", wire.signed_part()),
-    )
-    attacker._proxy("g2").submit(signed)
+    attacker._proxy("g2").submit(wire)
     dep.runtime.run(until=5.0)
+    assert dep.monitor.counters["byzcast.foreign_submission"] == 4
     for sequence in dep.delivered_sequences("g2"):
         assert len(sequence) == 1
 
@@ -61,13 +54,9 @@ def test_replayed_global_message_delivers_once_everywhere():
     dep = make_deployment()
     client = dep.add_client("evil")
     wire = WireMulticast(sender="evil", seq=1, dst=("g1", "g3"), payload=("g",))
-    signed = WireMulticast(
-        sender="evil", seq=1, dst=("g1", "g3"), payload=("g",),
-        signature=sign(dep.registry, "evil", wire.signed_part()),
-    )
     proxy = client._proxy("h1")
     for __ in range(4):
-        proxy.submit(signed)
+        proxy.submit(wire)
     dep.run(until=5.0)
     for gid in ("g1", "g3"):
         for sequence in dep.delivered_sequences(gid):

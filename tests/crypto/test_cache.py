@@ -191,28 +191,26 @@ class TestMessageMemo:
 
 
 class TestSignOnce:
-    """A signed request or wire keeps the canonical bytes its signature
-    covers, so the receivers tag the bytes the signer walked — and each
-    signature costs one tag to make and one to check."""
+    """A multicast is signed once, as the request that submits it; the
+    signed request keeps the canonical bytes its signature covers, so the
+    receivers tag the bytes the signer walked — and the signature costs one
+    tag to make and one to check."""
 
     def test_signed_copy_keeps_the_signed_tuple(self):
         from repro.core.messages import WireMulticast
         from repro.types import ClientId, MessageId, MulticastMessage
 
         registry = KeyRegistry()
-        unsigned = Request("g1", "c1", 1, ("put", "k", 1))
+        message = MulticastMessage(MessageId(ClientId("c1"), 1),
+                                   frozenset({"g1"}), ("x",))
+        wire = WireMulticast.from_message(message)
+        assert wire.to_message() is message
+        unsigned = Request("g1", "c1", 1, wire)
         request = unsigned.with_signature(
             sign(registry, "c1", unsigned.signed_part()))
         assert request.signed_part() is unsigned.signed_part()
-        assert request == Request("g1", "c1", 1, ("put", "k", 1),
-                                  request.signature)
-        message = MulticastMessage(MessageId(ClientId("c1"), 1),
-                                   frozenset({"g1"}), ("x",))
-        bare = WireMulticast.from_message(message)
-        wire = bare.with_signature(sign(registry, "c1", bare.signed_part()))
-        assert wire.signed_part() is bare.signed_part()
-        assert wire.to_message() is message
-        assert verify(registry, wire.signed_part(), wire.signature)
+        assert request == Request("g1", "c1", 1, wire, request.signature)
+        assert verify(registry, request.signed_part(), request.signature)
 
     def test_a_local_multicast_costs_one_tag_per_signature(
             self, monkeypatch):
@@ -229,17 +227,18 @@ class TestSignOnce:
         client.amulticast(destination("g1"), payload=("x",))
         deployment.run(until=2.0)
         assert len(client.completions) == 1
-        # the client's Request and WireMulticast signatures: each is made
+        # the client's Request signature, the multicast's only one: made
         # by one tag and checked by one tag, whose verdict every later
-        # check of the shared message (admission and proposal validation
-        # at all four replicas, execution) reads from the message
-        assert tags == ["c1"] * 4      # two signed, two verified
+        # check of the shared request (admission and proposal validation
+        # at all four replicas) reads from the request
+        assert tags == ["c1"] * 2      # one signed, one verified
         assert _stats("verify") == {"hits": 0, "misses": 0, "size": 0}
 
     def test_a_local_multicast_walks_each_signed_tuple_once(
             self, monkeypatch):
-        """The signer encodes the tuple; the check of the signed copy
-        tags the bytes the copy was handed, and walks nothing."""
+        """The signer encodes the request's tuple, the wire inside it
+        included; the check of the signed copy tags the bytes the copy was
+        handed, and walks nothing."""
         from repro import ByzCastDeployment, OverlayTree, destination
         from repro.crypto import signatures
 
@@ -257,7 +256,7 @@ class TestSignOnce:
         client.amulticast(destination("g1"), payload=("x",))
         deployment.run(until=2.0)
         assert len(client.completions) == 1
-        assert walked == ["amcast", "req"]
+        assert walked == ["req"]
 
 
 class TestVerdictMemo:
@@ -312,7 +311,7 @@ class TestVerdictMemo:
 
         registry = KeyRegistry()
         request = self._signed(registry)
-        bare = WireMulticast("c1", 1, ("g1",), ("x",))
+        bare = Request("g1", "c1", 2, WireMulticast("c1", 1, ("g1",), ("x",)))
         multicast = bare.with_signature(
             sign(registry, "c1", bare.signed_part()))
         for message in (request, multicast):

@@ -1,8 +1,8 @@
 """What a signature covers: a signed message's canonical bytes, memoised.
 
-``Request.signed_part()`` and ``WireMulticast.signed_part()`` are the
-canonical bytes of the tuple the signature covers, kept on the message and
-handed to its signed copy.  These tests pin what makes that memo safe: it
+``Request.signed_part()`` is the canonical bytes of the tuple the
+signature covers, kept on the request and handed to its signed copy; a
+multicast is signed only as the command of the request that submits it.  These tests pin what makes that memo safe: it
 always equals the bytes of the message's own fields, a message that
 arrives over a socket or is rebuilt carries none and encodes its fields,
 a changed field never verifies under the original signature, and the
@@ -36,9 +36,8 @@ values = st.recursive(leaves, lambda inner: st.tuples(inner, inner),
                       max_leaves=6)
 
 
-def signed_wire(sender="c1", seq=1, dst=("g1", "g2"), payload=("x",)):
-    bare = WireMulticast(sender, seq, tuple(sorted(dst)), payload)
-    return bare.with_signature(sign(REGISTRY, sender, bare.signed_part()))
+def wire_of(sender="c1", seq=1, dst=("g1", "g2"), payload=("x",)):
+    return WireMulticast(sender, seq, tuple(sorted(dst)), payload)
 
 
 def signed_request(command, sender="c1", seq=1, group="g1"):
@@ -48,29 +47,24 @@ def signed_request(command, sender="c1", seq=1, group="g1"):
 
 def fields_of(message):
     """The tuple ``message``'s signature covers, built from its fields."""
-    if isinstance(message, Request):
-        return ("req", message.group, message.sender, message.seq,
-                message.command)
-    return ("amcast", message.sender, message.seq, message.dst,
-            message.payload)
+    return ("req", message.group, message.sender, message.seq,
+            message.command)
 
 
 @given(sender=names, seq=seqs, dst=st.lists(names, min_size=1, max_size=3),
        payload=st.tuples(values, values), group=names, relayed=st.booleans())
 def test_the_memo_is_the_canonical_form_of_the_signed_tuple(
         sender, seq, dst, payload, group, relayed):
-    wire = signed_wire(sender, seq, dst, payload)
-    command = wire if relayed else payload
+    command = wire_of(sender, seq, dst, payload) if relayed else payload
     request = signed_request(command, sender, seq, group)
-    for message in (wire, request):
-        with caching_disabled():
-            walked = canonical_bytes(fields_of(message))
-        part = message.signed_part()
-        assert part == walked and type(part) is bytes
-        assert message.__dict__[SIGNED_MEMO] is part
-        # the tuple and its bytes are one signature
-        assert sign(REGISTRY, sender, fields_of(message)) == message.signature
-        assert verify_signed(REGISTRY, message)
+    with caching_disabled():
+        walked = canonical_bytes(fields_of(request))
+    part = request.signed_part()
+    assert part == walked and type(part) is bytes
+    assert request.__dict__[SIGNED_MEMO] is part
+    # the tuple and its bytes are one signature
+    assert sign(REGISTRY, sender, fields_of(request)) == request.signature
+    assert verify_signed(REGISTRY, request)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -87,9 +81,11 @@ def test_a_request_with_a_field_changed_is_refused(field, value):
 @pytest.mark.parametrize("field, value", [
     ("sender", "c2"), ("seq", 2), ("dst", ("g1",)), ("payload", ("y",))])
 def test_a_multicast_with_a_field_changed_is_refused(field, value):
-    honest = signed_wire()
+    """The request's signature covers the multicast it carries."""
+    honest = signed_request(wire_of())
     assert verify_signed(REGISTRY, honest)
-    tampered = dataclasses.replace(honest, **{field: value})
+    tampered = dataclasses.replace(honest, command=dataclasses.replace(
+        honest.command, **{field: value}))
     assert SIGNED_MEMO not in tampered.__dict__
     assert not verify_signed(REGISTRY, tampered)
 
@@ -109,14 +105,15 @@ def test_a_signed_message_over_tcp_verifies_from_its_fields(wire_name):
     """What arrives is decoded, not shared: no signed-part memo, no
     verdict, and the check encodes the fields it came with — so the
     honest messages verify and the tampered copies do not."""
-    wire = signed_wire()
+    wire = wire_of()
     request = signed_request(wire)
-    sent = [request, wire,
+    sent = [request,
             dataclasses.replace(request, seq=2),
-            dataclasses.replace(wire, payload=("y",)),
+            dataclasses.replace(request, command=dataclasses.replace(
+                wire, payload=("y",))),
             dataclasses.replace(request, command=dataclasses.replace(
                 wire, dst=("g1",)))]
-    assert all(SIGNED_MEMO in message.__dict__ for message in sent[:2])
+    assert SIGNED_MEMO in request.__dict__
     aloop = asyncio.new_event_loop()
     directory = {}
     host_a = TcpTransport(aloop, directory=directory, wire=wire_name)
@@ -141,11 +138,10 @@ def test_a_signed_message_over_tcp_verifies_from_its_fields(wire_name):
         for got in b.got:
             assert SIGNED_MEMO not in got.__dict__
             assert VERDICT_MEMO not in got.__dict__
-        # the last request's signature covers the wire it carried
+        # the last two requests' signature covers the wire they carried
         assert [verify_signed(REGISTRY, got) for got in b.got] == [
-            True, True, False, False, False]
-        assert verify_signed(REGISTRY, b.got[0].command)
-        assert not verify_signed(REGISTRY, b.got[4].command)
+            True, False, False, False]
+        assert b.got[0].command == wire
     finally:
         host_a.shutdown()
         host_b.shutdown()
@@ -154,22 +150,22 @@ def test_a_signed_message_over_tcp_verifies_from_its_fields(wire_name):
 
 
 def test_caching_disabled_neither_reads_nor_writes_the_new_memos():
-    wire = signed_wire()
+    request = signed_request(wire_of())
     planted = b"planted"
-    proposal = Propose("g1", 0, 1, (signed_request(wire),), "g1/r0")
+    proposal = Propose("g1", 0, 1, (request,), "g1/r0")
     with caching_disabled():
-        bare = WireMulticast("c1", 1, ("g1",), ("x",))
+        bare = Request("g1", "c1", 1, ("x",))
         part = bare.signed_part()
         assert SIGNED_MEMO not in bare.__dict__
         signed = bare.with_signature(sign(REGISTRY, "c1", part))
         assert SIGNED_MEMO not in signed.__dict__
-        wire.__dict__[SIGNED_MEMO] = planted
-        assert wire.signed_part() == canonical_bytes(fields_of(wire))
+        request.__dict__[SIGNED_MEMO] = planted
+        assert request.signed_part() == canonical_bytes(fields_of(request))
         assert proposal.batch_digest() == digest(proposal.batch)
         assert BATCH_DIGEST_MEMO not in proposal.__dict__
         proposal.__dict__[BATCH_DIGEST_MEMO] = planted
         assert proposal.batch_digest() == digest(proposal.batch)
-    assert wire.signed_part() is planted
+    assert request.signed_part() is planted
     assert proposal.batch_digest() is planted
 
 

@@ -9,6 +9,7 @@ from repro.bcast.messages import Request
 from repro.bcast.reconfig import View
 from repro.core.deployment import ByzCastDeployment
 from repro.core.invariants import check_all, check_prefix_order
+from repro.core.messages import WireMulticast
 from repro.core.node import ByzCastApplication
 from repro.core.relay import RelayInbox, RelayOutbox
 from repro.core.tree import OverlayTree
@@ -29,6 +30,7 @@ from repro.faults.behaviors import (
     WrongVoteReplica,
 )
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import sign
 from repro.faults.injector import schedule_ops
 from repro.faults.nemesis import NemesisOp
 from repro.sim.events import EventLoop
@@ -372,7 +374,7 @@ def test_mutation_f_copies_lets_a_reordering_relayer_break_prefix_order():
     configs = configs_for(tree)
     registry = KeyRegistry()
     loop = EventLoop()
-    wires = [wire_for(registry, "client", seq, ("g1", "g2")) for seq in (1, 2, 3)]
+    wires = [wire_for("client", seq, ("g1", "g2")) for seq in (1, 2, 3)]
     relays = {}  # relayer -> child -> the request it sent
     for index, cls in enumerate([ReorderingRelayApp] + [ByzCastApplication] * 3):
         app = cls("h1", tree, configs, registry)
@@ -434,6 +436,60 @@ class TestRuntimeFaults:
             assert assert_agreement(dep, gid) == [("op", j) for j in range(10)]
 
 
+def forged_origin_battery(f: int = 1) -> None:
+    """Forged origins: a wire carries no signature, so the one proof of its
+    origin is the signed request that submits it.  A Byzantine client
+    submits wires that name the honest client c0 as their origin, and a
+    Byzantine replica (of g4) submits c0's wires, captured before c0 sent
+    them, as its own requests, each to the lca of a local and of two
+    global destination sets.  Every replica of each lca refuses every one
+    as a foreign submission, nothing is delivered and no group changes
+    regency; c0's own multicasts of those wires then deliver once."""
+    tree = OverlayTree.paper_tree()
+    dep = make_deployment(tree, f=f, trace_capacity=100_000)
+    honest, mallory = dep.add_client("c0"), dep.add_client("mallory")
+    thief = dep.groups["g4"].replicas[1]
+    destinations = (("g1",), ("g1", "g2"), ("g2", "g3"))
+    entries = [tree.lca(dst) for dst in destinations]
+    assert entries == ["g1", "h2", "h1"]
+    for seq, (dst, entry) in enumerate(zip(destinations, entries), start=1):
+        mallory._proxy(entry).submit(
+            WireMulticast("c0", seq, dst, ("forged", seq)))
+        captured = Request(entry, thief.name, 1,
+                           WireMulticast("c0", seq, dst, ("c0", seq)))
+        signed = captured.with_signature(
+            sign(dep.registry, thief.name, captured.signed_part()))
+        for member in dep.group_configs[entry].replicas:
+            thief.send(member, signed)
+    dep.run(until=5.0)
+
+    refused = {}
+    for record in dep.monitor.records("byzcast.foreign_submission"):
+        refused.setdefault(record.component, []).append(record.get("sender"))
+    attackers = sorted(["mallory", thief.name])
+    assert {replica: sorted(senders) for replica, senders in refused.items()} == {
+        replica: attackers for entry in entries
+        for replica in dep.group_configs[entry].replicas}
+    targets = sorted(tree.targets)
+    assert all(seq == [] for gid in targets
+               for seq in dep.delivered_sequences(gid))
+    assert "regency.stop" not in dep.monitor.counters
+
+    for seq, dst in enumerate(destinations, start=1):
+        honest.amulticast(destination(*dst), payload=("c0", seq))
+    dep.run(until=15.0)
+    assert honest.pending() == 0 and len(honest.completions) == 3
+    sequences = {gid: dep.delivered_sequences(gid) for gid in targets}
+    sent = [message for message, __ in honest.completions]
+    assert check_all(sequences, sent, quiescent=True) == []
+    for gid, payloads in (("g1", [("c0", 1), ("c0", 2)]),
+                          ("g2", [("c0", 2), ("c0", 3)]),
+                          ("g3", [("c0", 3)]), ("g4", [])):
+        for seq in sequences[gid]:
+            assert [m.payload for m in seq] == payloads
+    assert "regency.stop" not in dep.monitor.counters
+
+
 class TestAdversarialClients:
     def test_client_submitting_to_wrong_group_is_rejected(self):
         """A Byzantine client submits a global message directly to a target
@@ -441,34 +497,28 @@ class TestAdversarialClients:
         dep = make_deployment()
         client = dep.add_client("evil")
         # Build the wire by hand and push it at g1 instead of lca h2.
-        from repro.core.messages import WireMulticast
-        from repro.crypto.signatures import sign
-
         wire = WireMulticast(sender="evil", seq=1, dst=("g1", "g2"), payload=("x",))
-        signed = WireMulticast(
-            sender="evil", seq=1, dst=("g1", "g2"), payload=("x",),
-            signature=sign(dep.registry, "evil", wire.signed_part()),
-        )
         proxy = client._proxy("g1")
-        proxy.submit(signed)
+        proxy.submit(wire)
         dep.run(until=5.0)
         for gid in ("g1", "g2"):
             for seq in dep.delivered_sequences(gid):
                 assert seq == []
         assert dep.monitor.counters.get("byzcast.wrong_entry_group", 0) >= 3
 
-    def test_unsigned_multicast_is_rejected(self):
+    def test_a_multicast_naming_another_origin_is_rejected(self):
         dep = make_deployment()
         client = dep.add_client("evil")
-        from repro.core.messages import WireMulticast
-
-        wire = WireMulticast(sender="evil", seq=1, dst=("g1",), payload=("x",))
+        wire = WireMulticast(sender="c1", seq=1, dst=("g1",), payload=("x",))
         proxy = client._proxy("g1")
         proxy.submit(wire)
         dep.run(until=5.0)
         for seq in dep.delivered_sequences("g1"):
             assert seq == []
-        assert dep.monitor.counters.get("byzcast.bad_origin_signature", 0) >= 3
+        assert dep.monitor.counters["byzcast.foreign_submission"] == 4
+
+    def test_forged_origins_are_refused_by_every_entry_replica(self):
+        forged_origin_battery()
 
 
 class TestDelayingReplica:

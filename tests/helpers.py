@@ -15,7 +15,6 @@ from repro.bcast.messages import CheckpointData, Reply, Request, StateResponse
 from repro.bcast.reconfig import regency_quorum
 from repro.core.messages import RelayAck, RelayBatch, WireMulticast
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
 from repro.env.actor import Actor
 from repro.env.api import Runtime
 from repro.env.chaos import ChaosConfig, install_chaos
@@ -191,14 +190,10 @@ class FakeReplica(Actor):
             run_batch(app, self, self.pool.pop(key))
 
 
-def wire_for(registry, sender, seq, dst, payload=("p",)) -> WireMulticast:
-    """A multicast signed by ``sender`` (its origin)."""
-    unsigned = WireMulticast(sender=sender, seq=seq, dst=tuple(sorted(dst)),
-                             payload=payload)
-    return WireMulticast(
-        sender=sender, seq=seq, dst=tuple(sorted(dst)), payload=payload,
-        signature=sign(registry, sender, unsigned.signed_part()),
-    )
+def wire_for(sender, seq, dst, payload=("p",)) -> WireMulticast:
+    """A multicast of origin ``sender``."""
+    return WireMulticast(sender=sender, seq=seq, dst=tuple(sorted(dst)),
+                         payload=payload)
 
 
 def relayed(group, parent_replica, seq, *wires, index=None) -> Request:

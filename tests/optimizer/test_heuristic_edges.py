@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tree import OverlayTree
 from repro.errors import OptimizationError
 from repro.optimizer.heuristic import optimize_heuristic
 from repro.optimizer.model import OptimizationInput

@@ -1,7 +1,8 @@
 """Property: memoised tree routing answers what an uncached walk answers.
 
 ``OverlayTree`` remembers ``lca``/``involved_groups``/``route_children``
-per destination set.  Over random trees (any depth, targets as inner
+and the wire's destination check (``destination_problem``) per
+destination set.  Over random trees (any depth, targets as inner
 nodes too) and random destination sets, in every container type callers
 pass: each answer equals a brute-force oracle written from the paper's
 definitions on the first call and on every later one, an invalid
@@ -133,6 +134,59 @@ def test_the_memo_never_exceeds_its_bound(data):
                 assert len(memo) <= 3
 
 
+def parent_problem(tree, dst):
+    """The destination checks of ``ByzCastApplication._validate_wire`` as
+    they were before the tree answered them, for a tuple of names."""
+    if not dst:
+        return "empty destination set"
+    if list(dst) != sorted(set(dst)):
+        return "destinations must be sorted and unique"
+    for group in dst:
+        if not tree.is_target(group):
+            return f"unknown target group {group!r}"
+    return None
+
+
+names = st.sampled_from(NODES + ["nowhere"])
+#: what a decoded wire may carry as ``dst``: tuples of names in any order
+#: and with repeats, elements that are no name (unhashable ones too), and
+#: values that are no tuple
+byzantine_dsts = st.one_of(
+    st.lists(names, max_size=4).map(tuple),
+    st.lists(st.one_of(names, st.integers(), st.none(), st.tuples(names),
+                       st.lists(names, max_size=2)), max_size=3).map(tuple),
+    st.lists(names, max_size=3), st.frozensets(names, max_size=3),
+    st.integers(), st.none(), st.text(max_size=3))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_destination_check_answers_as_the_uncached_checks(data):
+    """Valid exactly for a sorted, unique, non-empty tuple of target
+    names; for a tuple of names, the parent's reason; anything else is
+    refused without raising, the same on every call, and the memo keeps
+    hashable tuples only."""
+    tree = data.draw(trees())
+    drawn = [data.draw(destinations(tree)) for __ in range(2)]
+    drawn += [data.draw(byzantine_dsts) for __ in range(4)]
+    for __ in range(2):         # a miss, then hits
+        for dst in drawn:
+            problem = tree.destination_problem(dst)
+            valid = (type(dst) is tuple and len(dst) > 0
+                     and all(type(group) is str for group in dst)
+                     and dst == tuple(sorted(set(dst)))
+                     and set(dst) <= tree.targets)
+            assert (problem is None) == valid, (dst, problem)
+            if type(dst) is tuple and all(type(g) is str for g in dst):
+                assert problem == parent_problem(tree, dst)
+    assert all(type(key) is tuple for key in tree._problem_memo)
+    tree._problem_memo.clear()
+    with mock.patch.object(tree_module, "ROUTE_MEMO_LIMIT", 3):
+        for dst in drawn:
+            tree.destination_problem(dst)
+            assert len(tree._problem_memo) <= 3
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_a_replica_routes_on_the_new_tree_after_a_tree_update(data):
@@ -151,7 +205,7 @@ def test_a_replica_routes_on_the_new_tree_after_a_tree_update(data):
         """Where a direct submission of ``dst`` is buffered for relay."""
         seq = next(seqs)
         result = app.execute(Request("n0", "client", seq,
-                                     wire_for(registry, "client", seq, dst)),
+                                     wire_for("client", seq, dst)),
                              ctx)
         buffered, app._relay_buffers = set(app._relay_buffers), {}
         if oracle_lca(tree, dst) != "n0":

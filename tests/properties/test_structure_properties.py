@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.bcast.fifo import PendingPool, SenderTracker

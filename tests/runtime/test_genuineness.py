@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baseline.naive import BaselineDeployment
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.env.monitor import Monitor, TraceRecord
+from repro.env.monitor import Monitor
 
 
 class TestCounters:

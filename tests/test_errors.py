@@ -35,7 +35,6 @@ def test_library_raises_are_catchable_as_repro_error():
 
     with pytest.raises(ReproError):
         OverlayTree({}, targets=[])
-    from repro.types import destination
     from repro.optimizer.model import OptimizationInput
 
     with pytest.raises(ReproError):

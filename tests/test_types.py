@@ -71,19 +71,6 @@ class TestWireRoundTrip:
         restored = wire.to_message()
         assert restored == original
 
-    def test_identity_excludes_signature(self):
-        from repro.core.messages import WireMulticast
-        from repro.crypto.keys import KeyRegistry
-        from repro.crypto.signatures import sign
-
-        registry = KeyRegistry()
-        message = MulticastMessage(MessageId(ClientId("a"), 1),
-                                   destination("g1"))
-        unsigned = WireMulticast.from_message(message)
-        signed = unsigned.with_signature(
-            sign(registry, "a", unsigned.signed_part()))
-        assert unsigned.identity() == signed.identity()
-
 
 class TestKeyValueApplication:
     def make(self):
