@@ -2,10 +2,11 @@
 """Paired parent-vs-change runs of one benchmark workload.
 
     python3 scripts/bench_pairs.py <parent-ref> --workload W --pairs N
-                                   [--traced] [--out PREFIX]
+                                   [--first-seed S] [--traced] [--out PREFIX]
 
 The measuring procedure of a performance claim, as one command: extract
-``<parent-ref>`` into a temporary directory, then for seeds 11, 12, ... run
+``<parent-ref>`` into a temporary directory, then for seeds S, S + 1, ...
+(``--first-seed``, default 11) run
 
     python3 bench/run.py --workload W --seed s --seconds 12 --trace 0
 
@@ -14,9 +15,11 @@ side goes first, and print per end-to-end metric both medians with their
 quartiles, the ratio and how many pairs the change won.  A gain may be
 claimed when the change wins at least nine tenths of the pairs (ties count
 for neither side) and the medians differ by more than the parent's
-inter-quartile distance; ``claim`` says whether both hold.  ``--workload``
+inter-quartile distance; ``claim`` says whether both hold.  A claim sized
+on some seeds is re-checked on seeds it was not sized on: pass a
+``--first-seed`` past the ones used while writing it.  ``--workload``
 may be repeated.  ``--traced`` adds three ``--trace 1`` runs per side, on
-seeds 11, 12 and 13, and prints per layer metric each side's median and
+the first three seeds, and prints per layer metric each side's median and
 range: a row whose two ranges overlap is ``unresolved`` (one run's noise
 can move a wall-time row by a quarter), one with the same values on both
 sides ``same``, any other ``better`` or ``worse``.  ``--out PREFIX`` writes
@@ -90,10 +93,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float,
 
 
 def report(workload: str, parent_ref: str, better: Dict[str, str],
-           runs: Dict[str, List[Dict]]) -> None:
+           runs: Dict[str, List[Dict]], first_seed: int = FIRST_SEED) -> None:
     pairs = len(runs["parent"])
-    print(f"{workload}: {pairs} pairs, seeds {FIRST_SEED}-"
-          f"{FIRST_SEED + pairs - 1}, parent {parent_ref}")
+    print(f"{workload}: {pairs} pairs, seeds {first_seed}-"
+          f"{first_seed + pairs - 1}, parent {parent_ref}")
     print(f"{'metric':24s} {'parent median [q1, q3]':>34s} "
           f"{'change median [q1, q3]':>34s} {'ratio':>6s} {'wins':>6s}  claim")
     for name, direction in better.items():
@@ -119,12 +122,13 @@ def report(workload: str, parent_ref: str, better: Dict[str, str],
 
 
 def layer_report(workload: str, better: Dict[str, str],
-                 traced: Dict[str, List[Dict]]) -> None:
+                 traced: Dict[str, List[Dict]],
+                 first_seed: int = FIRST_SEED) -> None:
     """Each layer metric's median and range per side over the traced runs;
     ``unresolved`` where the two ranges overlap."""
     runs = len(traced["parent"])
     print(f"{workload}: layer metrics over {runs} traced runs per side, "
-          f"seeds {FIRST_SEED}-{FIRST_SEED + runs - 1}")
+          f"seeds {first_seed}-{first_seed + runs - 1}")
     print(f"{'metric':36s} {'parent median [min, max]':>36s} "
           f"{'change median [min, max]':>36s} {'ratio':>6s}  verdict")
     for name, direction in better.items():
@@ -154,6 +158,9 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=12)
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help="seed of the first pair (and traced run); "
+                             f"default {FIRST_SEED}")
     parser.add_argument("--traced", action="store_true",
                         help=f"add {TRACED_RUNS} --trace 1 runs per side "
                              "and a per-layer table")
@@ -181,13 +188,13 @@ def main() -> int:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     runs[side].append(run_once(
-                        trees[side], workload, FIRST_SEED + pair,
+                        trees[side], workload, args.first_seed + pair,
                         args.seconds))
                 print(f"{workload} pair {pair + 1}/{args.pairs} "
                       f"({order[0]} first): " + ", ".join(
                           f"{side} {runs[side][-1]['metrics']['throughput_msgs_per_s']:.1f}"
                           for side in SIDES) + " msgs/s", file=sys.stderr)
-            report(workload, args.parent, better, runs)
+            report(workload, args.parent, better, runs, args.first_seed)
             for side in SIDES:
                 records[side] += runs[side]
             if args.traced:
@@ -196,16 +203,16 @@ def main() -> int:
                     order = SIDES if index % 2 == 0 else SIDES[::-1]
                     for side in order:
                         traced[side].append(run_once(
-                            trees[side], workload, FIRST_SEED + index,
+                            trees[side], workload, args.first_seed + index,
                             args.seconds, trace=1))
-                layer_report(workload, layer_better, traced)
+                layer_report(workload, layer_better, traced, args.first_seed)
                 for side in SIDES:
                     records[side] += traced[side]
 
     if args.out:
         for side in SIDES:
             with open(f"{args.out}.{side}.json", "w", encoding="utf-8") as f:
-                json.dump({"seconds": args.seconds, "seed": FIRST_SEED,
+                json.dump({"seconds": args.seconds, "seed": args.first_seed,
                            "records": records[side]}, f, indent=1,
                           sort_keys=True)
                 f.write("\n")

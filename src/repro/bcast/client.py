@@ -4,9 +4,10 @@ The proxy implements the BFT client discipline of §II-D / §IV: it signs and
 sends each request to the 2f+1 replicas of the quorum of the regency it
 estimates the group runs (:func:`~repro.bcast.reconfig.regency_quorum`),
 then accepts a result only once ``f + 1`` current members returned the
-*same* result (docs/PROTOCOL.md, "Who counts").  Those replicas answer
-live; requests that stay unanswered are retransmitted to **every**
-replica with exponential backoff, which also covers replicas that missed
+*same* result, a vote being the result's canonical bytes
+(docs/PROTOCOL.md, "Who counts").  Those replicas answer live; requests
+that stay unanswered are retransmitted to **every** replica with
+exponential backoff, which also covers replicas that missed
 the request (their reply cache answers duplicates).  Each reply carries
 its sender's regency, and the estimate follows the (f+1)-th highest that
 distinct members report (docs/PROTOCOL.md, "Who is sent what").
@@ -25,7 +26,7 @@ from repro.bcast.config import capped_backoff
 from repro.bcast.messages import ReadReply, ReadRequest, Reply, Request
 from repro.bcast.reconfig import regency_quorum
 from repro.bcast.tally import Tally
-from repro.crypto.digest import digest
+from repro.crypto.digest import canonical_bytes
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.env import Actor, TimerHandle
@@ -41,7 +42,7 @@ class _Outstanding:
 
     request: Request
     callback: Optional[ResultCallback]
-    #: the replies, by result digest
+    #: the replies, by the canonical bytes of their result
     votes: Tally = field(default_factory=Tally)
     timer: Optional[TimerHandle] = None
     retries: int = 0
@@ -229,7 +230,7 @@ class GroupProxy(_GroupEndpoint):
         entry = self._outstanding.get(reply.req_seq)
         if entry is None:
             return True  # ours, but already completed
-        key = digest(("reply", reply.result))
+        key = bytes(canonical_bytes(reply.result))
         entry.votes.add(key, src)
         if entry.votes.carries(key, self.replicas, self.f + 1):
             self._complete(entry, reply.result)
@@ -252,7 +253,7 @@ class _OutstandingRead:
     request: ReadRequest
     on_accept: ReadAcceptCallback
     on_exhausted: Callable[[], None]
-    #: the replies, by (cid, value digest)
+    #: the replies, by (cid, canonical bytes of the value)
     votes: Tally = field(default_factory=Tally)
     #: replicas probed this round — widening and exhaustion gate
     asked: Set[str] = field(default_factory=set)
@@ -266,10 +267,10 @@ class ReadProxy(_GroupEndpoint):
     """Probes f+1 replicas of a group and accepts f+1 matching replies.
 
     The unordered read discipline (BFT-SMaRt ``invokeUnordered``): a reply
-    joins the tally only if its carried digest re-hashes locally from the
-    carried value (a Byzantine replica cannot vote for a value it did not
-    send), and a tally wins only when its (cid, digest) pair carries **and**
-    that cid clears the proxy's monotone :attr:`floor`.
+    votes for its (cid, canonical bytes of the value it carries) — a
+    Byzantine replica can only vote for a value it sent — and a tally wins
+    only when one such pair carries **and** that cid clears the proxy's
+    monotone :attr:`floor`.
 
     A round first asks :attr:`voters` — the last accepted quorum's voters
     that are still members, topped up in membership order to
@@ -403,15 +404,7 @@ class ReadProxy(_GroupEndpoint):
         if src in entry.replied:
             return True  # one vote per replica per round
         entry.replied.add(src)
-        # Recompute the digest locally over the carried value: a forged
-        # digest (claiming agreement with others while sending a different
-        # value) is discarded as malformed and cannot join any tally.
-        local = digest(("readv", reply.result))
-        if local != reply.value_digest:
-            self.owner.monitor.count("read.forged_digest")
-            self._maybe_widen(entry)
-            return True
-        key = (reply.cid, local)
+        key = (reply.cid, bytes(canonical_bytes(reply.result)))
         entry.votes.add(key, src)
         if entry.votes.carries(key, self.replicas, self.quorum):
             if reply.cid >= self.floor:

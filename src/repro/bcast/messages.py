@@ -70,8 +70,8 @@ class ReadRequest:
 
     Reads bypass consensus entirely (the BFT-SMaRt ``invokeUnordered``
     pattern): each replica answers from its current executed state, and the
-    client accepts only when ``f + 1`` replies match on (cid, value digest)
-    — at least one of those voters is then correct, so the value was really
+    client accepts only when ``f + 1`` replies match on (cid, value) — at
+    least one of those voters is then correct, so the value was really
     executed by a correct replica.  Each replica answers from its live
     applied state (see ``docs/READS.md``).
 
@@ -93,9 +93,9 @@ class ReadReply:
     ``cid`` is the consensus id whose execution produced the served state
     (the *applied* cursor, not the decided one — execution is CPU-deferred
     and two replicas must never vouch for the same cid with different
-    state).  ``value_digest`` commits the replica to ``result`` over
-    canonical bytes; clients recompute it locally, so a Byzantine replica
-    cannot join a quorum for a value it did not actually send.
+    state).  A client counts the reply as a vote for (``cid``, the
+    canonical bytes of ``result``), so a Byzantine replica can only vote
+    for a value it actually sent.
     """
 
     group: str
@@ -103,7 +103,6 @@ class ReadReply:
     req_sender: str
     rid: int
     cid: int
-    value_digest: bytes
     result: Any
 
 

@@ -70,7 +70,6 @@ from repro.bcast.reconfig import Reconfig, View, admin_identity
 from repro.bcast.regency import RegencyManager
 from repro.bcast.statetransfer import STATE_RETRY_TIMEOUT, StateTransfer
 from repro.canonical import detach
-from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import mac_vector, verify_mac_vector
 from repro.crypto.signatures import verify_signed
@@ -169,8 +168,8 @@ class Replica(Actor):
         #: same FIFO work queue) or two replicas could vouch for the same
         #: cid with different applied state.
         self._applied_cid = -1
-        #: (req_sender, rid, cid, value_digest) of reads we answered
-        self.read_journal: Deque[Tuple[str, int, int, bytes]] = deque(
+        #: (req_sender, rid, cid) of reads we answered
+        self.read_journal: Deque[Tuple[str, int, int]] = deque(
             maxlen=READ_JOURNAL_CAP)
         #: (view, its members but us): ``peers()`` per View object
         self._peers: Tuple[Optional[View], Tuple[str, ...]] = (None, ())
@@ -471,19 +470,10 @@ class Replica(Actor):
             return
         result = reader(request.payload)
         cid = self._applied_cid
-        reply = ReadReply(
-            group=self.group_id,
-            sender=self.name,
-            req_sender=request.sender,
-            rid=request.rid,
-            cid=cid,
-            value_digest=digest(("readv", result)),
-            result=result,
-        )
-        self.read_journal.append(
-            (request.sender, request.rid, cid, reply.value_digest))
+        self.read_journal.append((request.sender, request.rid, cid))
         self.monitor.count("read.served.optimistic")
-        self.send(src, reply)
+        self.send(src, ReadReply(self.group_id, self.name, request.sender,
+                                 request.rid, cid, result))
 
     # ----------------------------------------------------------- proposing
 
@@ -855,7 +845,11 @@ class Replica(Actor):
 
     def _on_decided(self, instance: ConsensusInstance) -> None:
         batch = instance.decided_batch()
-        self.monitor.record(self.name, "consensus.decided", cid=instance.cid)
+        if self.monitor.enabled:
+            self.monitor.record(self.name, "consensus.decided",
+                                cid=instance.cid)
+        else:
+            self.monitor.count("consensus.decided")
         self._started.pop(instance.cid, None)
         if batch is None:
             # We know *that* cid decided but not *what* — fetch from peers.
@@ -934,14 +928,18 @@ class Replica(Actor):
         kind = "replica.executed" if live else "replica.executed_catchup"
         answer_all = live and self.in_quorum()
         regency = self.regency.current
+        monitor = self.monitor
         for request, result, pending in ordered:
             if result is None:
                 result = self.app.execute(request, ctx)
             elif result[0] == "error":  # a refused Reconfig
-                self.monitor.record(self.name, "reconfig.denied",
-                                    sender=request.sender)
-            self.monitor.record(self.name, kind, sender=request.sender,
-                                seq=request.seq)
+                monitor.record(self.name, "reconfig.denied",
+                               sender=request.sender)
+            if monitor.enabled:
+                monitor.record(self.name, kind, sender=request.sender,
+                               seq=request.seq)
+            else:
+                monitor.count(kind)
             if result is not None:
                 self._replies.keep(request.sender, request.seq, result)
                 if ((answer_all or pending)

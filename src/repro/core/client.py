@@ -29,7 +29,7 @@ from repro.bcast.messages import ReadReply, Reply
 from repro.bcast.tally import Tally
 from repro.core.messages import DeliveryQuery, MulticastReply, WireMulticast
 from repro.core.tree import OverlayTree
-from repro.crypto.digest import digest
+from repro.crypto.digest import canonical_bytes
 from repro.crypto.keys import KeyRegistry
 from repro.env import Actor, Runtime
 from repro.types import ClientId, Destination, MessageId, MulticastMessage, destination
@@ -87,7 +87,7 @@ class _InFlight:
     message: MulticastMessage
     sent_at: float
     needed: FrozenSet[str]
-    #: the MulticastReplies, by (group, result digest)
+    #: the MulticastReplies, by (group, canonical bytes of the result)
     votes: Tally = field(default_factory=Tally)
     confirmed: Set[str] = field(default_factory=set)
     #: per group: the f+1-confirmed application result
@@ -208,8 +208,11 @@ class MulticastClient(Actor):
                               self.tree.destination_height(message.dst))
         entry.entry_seq = self._proxy(entry_group).submit(
             wire, partial(self._entry_replied, (self.name, seq)))
-        self.monitor.record(self.name, "client.amulticast",
-                            seq=seq, dst=",".join(sorted(message.dst)))
+        if self.monitor.enabled:
+            self.monitor.record(self.name, "client.amulticast",
+                                seq=seq, dst=",".join(sorted(message.dst)))
+        else:
+            self.monitor.count("client.amulticast")
 
     def aread(
         self,
@@ -223,7 +226,7 @@ class MulticastClient(Actor):
         ``mode`` selects the staleness contract (``docs/READS.md``):
 
         * ``"optimistic"`` — unordered probe of the group's live applied
-          state, accepted on f+1 matching (cid, digest) replies; falls back
+          state, accepted on f+1 matching (cid, value) replies; falls back
           to a full ordered multicast on mismatch or timeout.
         * ``"ordered"`` — skip the optimism and pay the full multicast.
 
@@ -248,7 +251,11 @@ class MulticastClient(Actor):
             on_accept=partial(self._read_accepted, key),
             on_exhausted=partial(self._read_exhausted, key),
         )
-        self.monitor.record(self.name, "client.aread", group=group, mode=mode)
+        if self.monitor.enabled:
+            self.monitor.record(self.name, "client.aread", group=group,
+                                mode=mode)
+        else:
+            self.monitor.count("client.aread")
         return rid
 
     def _read_accepted(self, key: Tuple[str, str, int], cid: int,
@@ -264,8 +271,11 @@ class MulticastClient(Actor):
             voters=voters,
         )
         self.read_log.append(outcome)
-        self.monitor.record(self.name, "client.read_accepted",
-                            group=group, mode=mode, cid=cid)
+        if self.monitor.enabled:
+            self.monitor.record(self.name, "client.read_accepted",
+                                group=group, mode=mode, cid=cid)
+        else:
+            self.monitor.count("client.read_accepted")
         if entry.callback is not None:
             entry.callback(outcome)
 
@@ -413,7 +423,7 @@ class MulticastClient(Actor):
             return
         if reply.group not in entry.needed or reply.group in entry.confirmed:
             return
-        key = (reply.group, digest(("mreply", reply.result)))
+        key = (reply.group, bytes(canonical_bytes(reply.result)))
         entry.votes.add(key, src)
         if entry.votes.carries(key, config.replicas, config.f + 1):
             self._confirm((reply.sender, reply.seq), entry, reply.group,
@@ -513,7 +523,10 @@ class MulticastClient(Actor):
         del self._inflight[key]
         latency = self.clock.now - entry.sent_at
         self.completions.append((entry.message, latency))
-        self.monitor.record(self.name, "client.delivered", seq=key[1])
+        if self.monitor.enabled:
+            self.monitor.record(self.name, "client.delivered", seq=key[1])
+        else:
+            self.monitor.count("client.delivered")
         if entry.callback is not None:
             entry.callback(entry.message, latency, entry.group_results)
         if self.on_complete is not None:

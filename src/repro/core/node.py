@@ -433,9 +433,12 @@ class ByzCastApplication(Application):
             return problem
         # Participation record for genuineness audits: one per wire this
         # replica admits (a direct submission or a released relayed wire).
-        ctx.monitor.record(ctx.replica_name, "byzcast.executed_wire",
-                           origin=wire.sender, seq=wire.seq,
-                           dst=",".join(wire.dst))
+        if ctx.monitor.enabled:
+            ctx.monitor.record(ctx.replica_name, "byzcast.executed_wire",
+                               origin=wire.sender, seq=wire.seq,
+                               dst=",".join(wire.dst))
+        else:
+            ctx.monitor.count("byzcast.executed_wire")
         return None
 
     def _apply_membership_update(self, request: Request,
@@ -525,6 +528,10 @@ class ByzCastApplication(Application):
         problem = self.tree.destination_problem(wire.dst)
         if problem is not None:
             return problem
+        try:  # _act dedups on the identity; a Byzantine one may hold a list
+            hash(wire.identity())
+        except TypeError:
+            return "unhashable content"
         involved = self.group_id in self.tree.involved_groups(wire.dst)
         if self.accept_any_ancestor:
             involved = involved or set(wire.dst) <= self.tree.reach(self.group_id)
@@ -549,9 +556,13 @@ class ByzCastApplication(Application):
             return None
         self._acted[key] = None
         self._acted_digest.add(wire.identity_digest())
+        monitor = ctx.monitor
         for child in self.tree.route_children(self.group_id, wire.dst):
             self._relay_buffers.setdefault(child, []).append(wire)
-            ctx.monitor.record(ctx.replica_name, "byzcast.relay", child=child)
+            if monitor.enabled:
+                monitor.record(ctx.replica_name, "byzcast.relay", child=child)
+            else:
+                monitor.count("byzcast.relay")
         if self.group_id not in wire.dst:
             return None
         result = self._a_deliver(wire, ctx)
@@ -607,8 +618,11 @@ class ByzCastApplication(Application):
         """Record the a-delivery; returns what ``on_deliver`` returned."""
         message = wire.to_message()
         self.deliveries.append(message)
-        ctx.monitor.record(ctx.replica_name, "byzcast.a_deliver",
-                           sender=wire.sender, seq=wire.seq)
+        if ctx.monitor.enabled:
+            ctx.monitor.record(ctx.replica_name, "byzcast.a_deliver",
+                               sender=wire.sender, seq=wire.seq)
+        else:
+            ctx.monitor.count("byzcast.a_deliver")
         if self.on_deliver is None:
             return None
         return self.on_deliver(message, ctx)

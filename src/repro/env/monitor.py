@@ -36,8 +36,9 @@ class Monitor:
         self.counters: Counter = Counter()
         self.trace_capacity = trace_capacity
         #: whether :meth:`record` keeps trace entries; when it is off a
-        #: record only bumps its counter (the keyword details are still
-        #: built by the caller, then dropped)
+        #: record only bumps its counter, so a per-op caller checks this
+        #: first and, when it is off, counts the kind without building the
+        #: record's details
         self.enabled = bool(trace_capacity)
         #: ring buffer of the *last* ``trace_capacity`` records — late-run
         #: events stay observable in long runs; evictions are counted under

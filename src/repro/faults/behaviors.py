@@ -136,8 +136,8 @@ class StaleReadReplica(Replica):
     """Serves read probes from a frozen snapshot of the past.
 
     The first probe it sees pins (cid, result); every later probe is
-    answered with that stale pair — digest-consistent, so the forgery
-    filter passes, but the cid stops advancing.  A correct client's
+    answered with that stale pair — a well-formed vote, but the cid stops
+    advancing.  A correct client's
     monotone floor plus the f+1 match keep stale quorums from forming
     (the honest majority answers with fresher cids).
     """
@@ -152,37 +152,16 @@ class StaleReadReplica(Replica):
         self.monitor.count("byzantine.stale_read")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, cid=cid,
-            value_digest=digest(("readv", result)), result=result))
-
-
-class ForgedReadDigestReplica(Replica):
-    """Answers reads with a digest that does not match the carried value.
-
-    Models a replica trying to split the vote: the digest matches what
-    honest replicas would send, the value is garbage.  Clients recompute
-    the digest locally, so these replies must be discarded as malformed
-    rather than counted toward any quorum.
-    """
-
-    def _serve_read(self, src: str, request: ReadRequest) -> None:
-        reader = getattr(self.app, "read", None)
-        honest = reader(request.payload) if reader is not None else None
-        self.monitor.count("byzantine.forged_read_digest")
-        self.send(src, ReadReply(
-            group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, cid=self._applied_cid,
-            value_digest=digest(("readv", honest)),
-            result=("forged", request.rid)))
+            rid=request.rid, cid=cid, result=result))
 
 
 class EquivocatingReadReplica(Replica):
     """Answers each probe round of the same client with a different value.
 
-    Internally consistent replies (digest matches the value), but no two
-    rounds agree — with up to f such replicas the honest f+1 overlap still
-    fixes a single answer, while f+1 equivocators could pin a client to
-    an arbitrary value (which is why the quorum is f+1, not f).
+    Well-formed replies, but no two rounds agree — with up to f such
+    replicas the honest f+1 overlap still fixes a single answer, while f+1
+    equivocators could pin a client to an arbitrary value (which is why
+    the quorum is f+1, not f).
     """
 
     def _serve_read(self, src: str, request: ReadRequest) -> None:
@@ -192,8 +171,7 @@ class EquivocatingReadReplica(Replica):
         self.monitor.count("byzantine.equivocating_read")
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
-            rid=request.rid, cid=self._applied_cid,
-            value_digest=digest(("readv", result)), result=result))
+            rid=request.rid, cid=self._applied_cid, result=result))
 
 
 class FabricatedReadReplica(Replica):
@@ -217,7 +195,7 @@ class FabricatedReadReplica(Replica):
         self.send(src, ReadReply(
             group=self.group_id, sender=self.name, req_sender=request.sender,
             rid=request.rid, cid=self._applied_cid + self.CID_BOOST,
-            value_digest=digest(("readv", result)), result=result))
+            result=result))
 
 
 class SilentReadReplica(Replica):

@@ -42,6 +42,7 @@ heals are scheduled before it, and applying a schedule arms a final
 from __future__ import annotations
 
 import random
+from ast import literal_eval
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple, Type
 
@@ -58,6 +59,8 @@ from repro.faults.injector import schedule_ops
 BYZANTINE_REPLICAS: Tuple[Type, ...] = (MuteReplica, WrongVoteReplica)
 #: Byzantine application classes safe for liveness with <= f victims per group.
 BYZANTINE_APPS: Tuple[Type, ...] = (SilentRelayApp, DuplicatingRelayApp)
+#: op kinds whose target is ``(group, one of its replicas)``
+REPLICA_KINDS = frozenset("crash recover partition heal join leave".split())
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,29 @@ class NemesisOp:
     detail: Tuple[Tuple[str, float], ...] = ()
 
     def describe(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in self.detail)
-        tail = f" until={self.until:.6f}" if self.until > self.time else ""
-        return (f"t={self.time:.6f} {self.kind} {'/'.join(self.target)}"
-                f"{tail}{(' ' + extras) if extras else ''}")
+        """``t=<time> <kind> <target>... [until=<time>] [<key>=<value>]...``
+        with every number exact; a (group, replica) target is written as
+        the replica, which names its group.  :meth:`parse` reads it back."""
+        target = self.target
+        if (self.kind in REPLICA_KINDS and len(target) == 2
+                and target[1].rpartition("/")[0] == target[0]):
+            target = target[1:]
+        until = [f"until={self.until!r}"] if self.until > self.time else []
+        return " ".join([f"t={self.time!r}", self.kind, *target, *until,
+                         *(f"{k}={v!r}" for k, v in self.detail)])
+
+    @classmethod
+    def parse(cls, line: str) -> "NemesisOp":
+        """The op :meth:`describe` rendered as ``line``."""
+        _, kind, *words = line.split()
+        target = tuple(word for word in words if "=" not in word)
+        if kind in REPLICA_KINDS and len(target) == 1 and "/" in target[0]:
+            target = (target[0].rpartition("/")[0], target[0])
+        fields = dict(w.split("=", 1) for w in line.split() if "=" in w)
+        time = float(fields.pop("t"))
+        until = float(fields.pop("until", time))
+        return cls(time, kind, target, until, tuple(
+            (key, literal_eval(value)) for key, value in fields.items()))
 
 
 @dataclass(frozen=True)

@@ -500,7 +500,7 @@ def _read_violations(deployment, schedule, clients) -> List[str]:
                     continue
                 if any(sender == client.name and rid == outcome.rid
                        and cid == outcome.cid
-                       for sender, rid, cid, _ in replica.read_journal):
+                       for sender, rid, cid in replica.read_journal):
                     vouched = True
                     break
             if not vouched:

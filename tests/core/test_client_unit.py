@@ -9,7 +9,6 @@ from repro.core.client import MAX_DELIVERY_QUERIES
 from repro.core.deployment import ByzCastDeployment
 from repro.core.messages import DeliveryQuery, MulticastReply
 from repro.core.tree import OverlayTree
-from repro.crypto.digest import digest
 from repro.types import destination
 from tests.helpers import FAST_COSTS
 
@@ -281,7 +280,7 @@ def test_two_areads_of_a_group_share_one_proxy_and_its_floor():
     def read_reply(replica, rid, cid, result):
         client.on_message(replica, ReadReply(
             group="g1", sender=replica, req_sender="c1", rid=rid, cid=cid,
-            value_digest=digest(("readv", result)), result=result))
+            result=result))
 
     for replica in ("g1/r0", "g1/r1"):
         read_reply(replica, first, 5, ("new",))

@@ -126,6 +126,35 @@ class TestDirectSubmissions:
             assert result[0] == "error", dst
         assert app.delivered_messages() == []
 
+    @pytest.mark.parametrize("payload", [["x"], ("x", ["y"]), ({"k": 1},)])
+    def test_an_unhashable_payload_is_refused(self, setup, payload):
+        """What only a Byzantine client sends: a payload that holds a list
+        or a dict has no dedup key, so it is refused as an invalid wire
+        instead of raising out of ``execute``; the next wire delivers."""
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        wire = WireMulticast(sender="c", seq=1, dst=("g1",), payload=payload)
+        result = execute(app, replica, Request("g1", "c", 1, wire))
+        assert result == ("error", "unhashable content")
+        assert replica.monitor.counters["byzcast.invalid_wire"] == 1
+        own = wire_for("c", 2, ("g1",))
+        assert execute(app, replica, Request("g1", "c", 2, own)) == (
+            "delivered", None)
+
+    def test_an_unhashable_payload_decoded_from_a_frame_is_refused(
+            self, setup):
+        """Both codecs decode lists, so such a wire arrives over TCP."""
+        from repro.env import wire as binary
+
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        sent = Request("g1", "c", 1, WireMulticast("c", 1, ("g1",), ["x"]))
+        decoded = binary.decode(binary.encode(sent))
+        assert decoded.command.payload == ["x"]
+        assert execute(app, replica, decoded) == (
+            "error", "unhashable content")
+        assert app.delivered_messages() == []
+
     def test_non_multicast_command_rejected(self, setup):
         tree, configs, registry, loop, make = setup
         app, replica = make("g1")
@@ -472,6 +501,16 @@ class TestRelayBatchHardening:
         # Validated once, when the batch is released: not once per copy.
         assert replica.monitor.counters["byzcast.invalid_wire"] == len(junk)
         assert replica.monitor.counters["byzcast.executed_wire"] == 2
+
+    def test_an_unhashable_wire_in_a_batch_is_skipped(self, setup):
+        tree, configs, registry, loop, make = setup
+        app, replica = make("g1")
+        bad = WireMulticast("client", 1, ("g1", "g2"), ["x"])
+        good = wire_for("client", 2, ("g1", "g2"))
+        for parent in ("h2/r0", "h2/r1"):
+            execute(app, replica, relayed("g1", parent, 1, bad, good))
+        assert [m.mid.seq for m in app.delivered_messages()] == [2]
+        assert replica.monitor.counters["byzcast.invalid_wire"] == 1
 
     @pytest.mark.parametrize("index", [-1, None, "0", 1.0, True])
     def test_an_index_that_is_not_a_natural_number_drops_the_batch(

@@ -9,6 +9,7 @@ horizon), and applying a schedule to live deployments on both backends.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.deployment import ByzCastDeployment
 from repro.core.tree import OverlayTree
@@ -109,9 +110,36 @@ def test_generate_rejects_bad_duration():
 
 def test_describe_format():
     op = NemesisOp(0.583626, "crash", ("g1", "g1/r2"), until=1.583971)
-    assert op.describe() == "t=0.583626 crash g1/g1/r2 until=1.583971"
+    assert op.describe() == "t=0.583626 crash g1/r2 until=1.583971"
     instant = NemesisOp(1.0, "recover", ("g1", "g1/r2"), until=1.0)
-    assert instant.describe() == "t=1.000000 recover g1/g1/r2"
+    assert instant.describe() == "t=1.0 recover g1/r2"
+    flap = NemesisOp(0.5, "flap", ("g1/r1", "g1/r2"), until=0.75,
+                     detail=(("cycles", 2), ("period", 0.0625)))
+    assert flap.describe() == (
+        "t=0.5 flap g1/r1 g1/r2 until=0.75 cycles=2 period=0.0625")
+
+
+@pytest.mark.parametrize("op", [
+    NemesisOp(0.1, "crash", ("g1", "g1/r2"), until=0.3),
+    NemesisOp(0.1, "crash", ("g1", "x/r2"), until=0.3),   # a foreign name
+    NemesisOp(0.2, "join", ("g1",), until=0.2),
+    NemesisOp(0.3, "burst", (), until=0.4, detail=(("drop_rate", 0.05),)),
+    NemesisOp(0.4, "delay", ("h1/r0",), until=0.9, detail=(("extra", 0.01),)),
+    NemesisOp(1 / 3, "scale_up", ("g2",), until=2 / 3),
+])
+def test_parse_reads_back_what_describe_wrote(op):
+    assert NemesisOp.parse(op.describe()) == op
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       profile=st.sampled_from(sorted(PROFILES)))
+@settings(max_examples=40, deadline=None)
+def test_every_generated_op_round_trips_through_its_line(seed, profile):
+    schedule = NemesisSchedule.generate(GROUPS, seed=seed, duration=10.0,
+                                        profile=profile)
+    lines = [op.describe() for op in schedule.ops]
+    assert [NemesisOp.parse(line) for line in lines] == schedule.ops
+    assert all(line.count(" g1/g1/") == 0 for line in lines)
 
 
 def test_apply_requires_chaos_for_transport_ops():

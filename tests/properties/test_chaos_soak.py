@@ -26,10 +26,11 @@ from repro.types import destination
 from tests.helpers import FAST_COSTS, soak_spec
 
 #: sha256 of NemesisSchedule.generate(seed=42, medium, 10 s).describe() —
-#: changes only if the generator's draw order changes (a breaking change
+#: changes only if the generator's draw order or the line format of
+#: ``NemesisOp.describe`` changes (the first is a breaking change
 #: for anyone reproducing a soak failure from its seed).
 GOLDEN_TIMELINE_SHA = (
-    "14175e85aacf90297c340f3845f0fcc00ab021bacc9ee0b540e1dd671e2e1135"
+    "2cf21798b20be4bf7f6a37e767be7b0f87be0fb09c0ff8ad797b969f21fcb5d4"
 )
 
 GROUPS = {gid: tuple(f"{gid}/r{i}" for i in range(4))

@@ -8,8 +8,8 @@ its timers.  Rules are what a read round can observe:
   each has applied (correct replicas advance one cid at a time, some
   lagging);
 * replies from the ``F`` Byzantine replica to any open read: fabricated
-  values at an inflated cid, a forged digest claiming a correct pair, a
-  stale pair, a fresh value per reply; or nothing at all;
+  values at an inflated cid, a wrong value at a cid correct replicas
+  serve, a stale pair, a fresh value per reply; or nothing at all;
 * a round timer expiring;
 * ``update_replicas`` to another membership (a correct member leaves, a
   correct joiner arrives).
@@ -33,7 +33,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.bcast.client import ReadProxy
 from repro.bcast.messages import ReadReply, ReadRequest
-from repro.crypto.digest import digest
 from repro.env import Monitor
 
 F = 1
@@ -142,13 +141,9 @@ class ReadProxyMachine(RuleBasedStateMachine):
             else:              # first probes or a widening
                 asked |= dsts
 
-    def deliver(self, rid: int, src: str, cid: int, result,
-                value_digest=None) -> None:
-        if value_digest is None:
-            value_digest = digest(("readv", result))
+    def deliver(self, rid: int, src: str, cid: int, result) -> None:
         reply = ReadReply(group="g", sender=src, req_sender=self.owner.name,
-                          rid=rid, cid=cid,
-                          value_digest=value_digest, result=result)
+                          rid=rid, cid=cid, result=result)
         if rid in self.open and src in self.members:
             self.heard[rid].add(src)
         self.step(lambda: self.proxy.handle_read_reply(src, reply))
@@ -188,7 +183,7 @@ class ReadProxyMachine(RuleBasedStateMachine):
         self.deliver(rid, src, cid, value(cid))
 
     @rule(data=st.data(), kind=st.sampled_from(
-        ["fabricated", "forged", "stale", "equivocating"]))
+        ["fabricated", "wrong_value", "stale", "equivocating"]))
     def byzantine_reply(self, data, kind):
         if not self.open:
             return
@@ -196,10 +191,9 @@ class ReadProxyMachine(RuleBasedStateMachine):
         if kind == "fabricated":
             top = max(self.applied.values())
             self.deliver(rid, BYZANTINE, top + 1000, ("fabricated",))
-        elif kind == "forged":
+        elif kind == "wrong_value":
             cid = data.draw(st.sampled_from(sorted(set(self.applied.values()))))
-            self.deliver(rid, BYZANTINE, cid, ("forged",),
-                         value_digest=digest(("readv", value(cid))))
+            self.deliver(rid, BYZANTINE, cid, ("wrong",))
         elif kind == "stale":
             self.deliver(rid, BYZANTINE, 0, value(0))
         else:

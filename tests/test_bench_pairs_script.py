@@ -111,3 +111,24 @@ def test_a_layer_row_is_unresolved_while_the_sides_ranges_overlap(
     assert layer_rows(pairs, capsys, parent, [2.5, 2.6, 2.4],
                       direction="higher")[-1] == "worse"
     assert layer_rows(pairs, capsys, parent, [3.5, 2.9, 3.0])[-1] == "same"
+
+
+def test_first_seed_moves_every_pair_to_held_out_seeds(tmp_path):
+    """``--first-seed`` re-checks a claim on seeds it was not sized on:
+    the pairs, the header and the result sets all start there."""
+    in_git = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                            capture_output=True)
+    if in_git.returncode != 0:
+        pytest.skip("not a git checkout: no parent to extract")
+    prefix = tmp_path / "held"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "HEAD", "--workload", "rt_tcp_fanout",
+         "--pairs", "2", "--seconds", "0.5", "--first-seed", "31",
+         "--out", str(prefix)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "rt_tcp_fanout: 2 pairs, seeds 31-32, parent HEAD" in done.stdout
+    for side in ("parent", "change"):
+        stored = json.loads((tmp_path / f"held.{side}.json").read_text())
+        assert stored["seed"] == 31
+        assert [r["seed"] for r in stored["records"]] == [31, 32]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-BUDGET = 17212
+BUDGET = 17230
 
 
 def src_lines() -> int:
